@@ -10,7 +10,7 @@
 # "│ sec/op │ ... vs base" header and the legacy
 # "name  old time/op  new time/op  delta" style.
 #
-# When the raw baseline and new benchmark files are also given, two more
+# When the raw baseline and new benchmark files are also given, three more
 # gates arm:
 #   - allocs/op cap: every ScheduleLoop* benchmark in the new run must stay
 #     at or under ALLOC_CAP allocs/op (528, the pre-bitset scheduler's
@@ -20,6 +20,9 @@
 #     in the new run. A benchmark that silently disappears (renamed,
 #     deleted, build-tagged out) would otherwise drop out of the percentage
 #     gate without anyone noticing.
+#   - unpaired benchmarks: every benchmark in the new run must have rows in
+#     the baseline. benchstat never pairs a benchmark the baseline lacks,
+#     so a new one would run in CI with no gate covering it.
 set -eu
 cmp_file="$1"
 threshold="${2:-15}"
@@ -102,16 +105,27 @@ awk -v cap="$ALLOC_CAP" '
   }
 ' "$new_file"
 
-# Every baseline benchmark must still exist in the new run.
+# The baseline and the new run must name the same benchmarks.
 base_names="$(awk '$1 ~ /^Benchmark/ { print $1 }' "$baseline_file" | sort -u)"
 new_names="$(awk '$1 ~ /^Benchmark/ { print $1 }' "$new_file" | sort -u)"
-missing="$(printf '%s\n' "$base_names" | while read -r n; do
-  [ -n "$n" ] || continue
-  printf '%s\n' "$new_names" | grep -qx "$n" || printf '%s\n' "$n"
-done)"
+# absent <names> <from>: the names that do not appear in from.
+absent() {
+  printf '%s\n' "$1" | while read -r n; do
+    [ -n "$n" ] || continue
+    printf '%s\n' "$2" | grep -qx "$n" || printf '%s\n' "$n"
+  done
+}
+missing="$(absent "$base_names" "$new_names")"
+unpaired="$(absent "$new_names" "$base_names")"
 if [ -n "$missing" ]; then
   echo "bench gate: FAIL — baseline benchmarks missing from the new run (renamed or deleted without refreshing bench/baseline.txt):"
   printf '%s\n' "$missing"
+fi
+if [ -n "$unpaired" ]; then
+  echo "bench gate: FAIL — new-run benchmarks with no baseline rows (add them to bench/baseline.txt so benchstat pairs them):"
+  printf '%s\n' "$unpaired"
+fi
+if [ -n "$missing" ] || [ -n "$unpaired" ]; then
   exit 1
 fi
-echo "bench gate: OK (every baseline benchmark is present in the new run)"
+echo "bench gate: OK (baseline and new run name the same benchmarks)"

@@ -124,11 +124,13 @@ func (c *Compiler) compute(ctx context.Context, req Request, until Stage) (*Resu
 	return compileStaged(ctx, loop, opts, until)
 }
 
-// RunBatch compiles every request on a fixed pool of workers and returns
-// the results in input order: out[i] always corresponds to reqs[i]. When
-// ctx is cancelled, unstarted requests report ctx.Err() and the returned
-// slice still has len(reqs) entries — the same contract as CompileBatch,
-// which this supersedes for request-shaped inputs.
+// RunBatch compiles every request on a fixed pool of CompilerConfig.Workers
+// workers (internal/pool) and returns the results in input order: out[i]
+// always corresponds to reqs[i], whatever the worker interleaving. When ctx
+// is cancelled, every unstarted request reports ctx.Err() and the returned
+// slice still has len(reqs) entries; in-flight compiles of an uncached
+// session stop at their next stage boundary, while a cached session's
+// compiles run detached (see Run).
 func (c *Compiler) RunBatch(ctx context.Context, reqs []Request) []BatchResult {
 	out := make([]BatchResult, len(reqs))
 	workers := c.cfg.Workers

@@ -246,59 +246,11 @@ func (c *budgetCtx) Err() error {
 // dispatch, so channel-based cancellation is not needed for this test.
 func (c *budgetCtx) Done() <-chan struct{} { return nil }
 
-// assertCancelledBatch checks the mid-batch cancellation contract on a
-// result slice: full length, every entry exactly one of result/error,
-// completed items keep their results (a prefix, since workers=1), and
-// every unstarted item reports ctx.Err().
-func assertCancelledBatch(t *testing.T, n int, get func(i int) (ok bool, err error)) {
-	t.Helper()
-	completed, cancelled := 0, 0
-	for i := 0; i < n; i++ {
-		ok, err := get(i)
-		if ok == (err != nil) {
-			t.Fatalf("entry %d: want exactly one of result/error (ok=%t err=%v)", i, ok, err)
-		}
-		if err != nil && !errors.Is(err, context.Canceled) {
-			t.Fatalf("entry %d: error %v, want ctx.Err()", i, err)
-		}
-		if ok {
-			if cancelled > 0 {
-				t.Fatalf("entry %d completed after entry %d was cancelled (workers=1)", i, i-1)
-			}
-			completed++
-		} else {
-			cancelled++
-		}
-	}
-	if completed == 0 || cancelled == 0 {
-		t.Fatalf("cancellation not mid-batch: %d completed, %d cancelled of %d", completed, cancelled, n)
-	}
-}
-
-// TestCompileBatchCancellationMidBatch: cancel mid-batch and assert the
-// returned slice keeps len(items) entries, completed items keep their
-// results, and every unstarted item reports ctx.Err().
-func TestCompileBatchCancellationMidBatch(t *testing.T) {
-	loop, err := vliwq.ParseLoop(testLoop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 40
-	items := make([]vliwq.BatchItem, n)
-	for i := range items {
-		items[i] = vliwq.BatchItem{Loop: loop, Opts: vliwq.Options{SkipVerify: true}}
-	}
-	ctx := &budgetCtx{Context: context.Background(), budget: 100}
-	out := vliwq.CompileBatch(ctx, items, 1)
-	if len(out) != n {
-		t.Fatalf("batch returned %d entries for %d items", len(out), n)
-	}
-	assertCancelledBatch(t, n, func(i int) (bool, error) { return out[i].Result != nil, out[i].Err })
-}
-
-// TestRunBatchCancellationMidBatch is the same contract on the
-// request-centric path (an uncached session, so in-flight compiles honour
-// the caller's context).
+// TestRunBatchCancellationMidBatch: cancel mid-batch and assert the
+// returned slice keeps len(reqs) entries, every entry is exactly one of
+// result/error, completed requests keep their results (a prefix, since
+// workers=1), and every unstarted request reports ctx.Err() (an uncached
+// session, so in-flight compiles honour the caller's context).
 func TestRunBatchCancellationMidBatch(t *testing.T) {
 	const n = 40
 	reqs := make([]vliwq.Request, n)
@@ -311,7 +263,26 @@ func TestRunBatchCancellationMidBatch(t *testing.T) {
 	if len(out) != n {
 		t.Fatalf("batch returned %d entries for %d requests", len(out), n)
 	}
-	assertCancelledBatch(t, n, func(i int) (bool, error) { return out[i].Result != nil, out[i].Err })
+	completed, cancelled := 0, 0
+	for i, r := range out {
+		if (r.Result != nil) == (r.Err != nil) {
+			t.Fatalf("entry %d: want exactly one of result/error (%+v)", i, r)
+		}
+		if r.Err != nil && !errors.Is(r.Err, context.Canceled) {
+			t.Fatalf("entry %d: error %v, want ctx.Err()", i, r.Err)
+		}
+		if r.Result == nil {
+			cancelled++
+			continue
+		}
+		if cancelled > 0 {
+			t.Fatalf("entry %d completed after entry %d was cancelled (workers=1)", i, i-1)
+		}
+		completed++
+	}
+	if completed == 0 || cancelled == 0 {
+		t.Fatalf("cancellation not mid-batch: %d completed, %d cancelled of %d", completed, cancelled, n)
+	}
 }
 
 // TestBatchCancelledBeforeStart: an already-cancelled context yields a
@@ -319,19 +290,6 @@ func TestRunBatchCancellationMidBatch(t *testing.T) {
 func TestBatchCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	loop, err := vliwq.ParseLoop(testLoop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := vliwq.CompileBatch(ctx, []vliwq.BatchItem{{Loop: loop}, {Loop: loop}}, 2)
-	if len(out) != 2 {
-		t.Fatalf("got %d entries", len(out))
-	}
-	for i, r := range out {
-		if r.Result != nil || !errors.Is(r.Err, context.Canceled) {
-			t.Fatalf("entry %d: %+v", i, r)
-		}
-	}
 	rout := vliwq.NewCompiler(vliwq.CompilerConfig{}).RunBatch(ctx, []vliwq.Request{{Loop: testLoop}, {Loop: testLoop}})
 	if len(rout) != 2 {
 		t.Fatalf("got %d entries", len(rout))

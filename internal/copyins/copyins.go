@@ -24,11 +24,18 @@ const (
 	// Chain builds a linear chain: each copy feeds one consumer and the
 	// next copy. Used by the ablation benchmark; adds O(n) depth.
 	Chain
+	// None inserts no copies: multi-consumer values stay as they are, the
+	// simultaneous-writes model of paper Fig. 1(c) that the copy-cost
+	// experiments compare against. It has no request spelling.
+	None
 )
 
 func (s Shape) String() string {
-	if s == Chain {
+	switch s {
+	case Chain:
 		return "chain"
+	case None:
+		return "none"
 	}
 	return "tree"
 }
@@ -44,13 +51,17 @@ type Result struct {
 // Insert returns a copy of the loop in which every value with more than one
 // flow consumer is routed through a fanout tree of copy operations. The
 // input loop is not modified. Loops already satisfying the single-consumer
-// property are returned as an unmodified clone with CopiesAdded == 0.
+// property, and every loop under shape None, are returned as an unmodified
+// clone with CopiesAdded == 0.
 func Insert(l *ir.Loop, shape Shape) (*Result, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
 	out := l.Clone()
 	res := &Result{Loop: out}
+	if shape == None {
+		return res, nil
+	}
 
 	// Iterate over the original producer IDs; newly added copies always
 	// have exactly two consumers by construction... except the tree

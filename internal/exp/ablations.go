@@ -26,8 +26,8 @@ func AblationCopyShape(opts Options) *Table {
 		scT, scC int
 		qT, qC   int
 	}
-	compTree := opts.compiler(cfg, pipeOpts{copies: true, shape: copyins.Tree})
-	compChain := opts.compiler(cfg, pipeOpts{copies: true, shape: copyins.Chain})
+	compTree := opts.compiler(binding{spec: cfg.Spec(), shape: copyins.Tree})
+	compChain := opts.compiler(binding{spec: cfg.Spec(), shape: copyins.Chain})
 	results := forEach(loops, opts.workers(), func(l *ir.Loop) res {
 		tr := compTree(l)
 		ch := compChain(l)
@@ -83,17 +83,15 @@ func AblationMoveOps(opts Options) *Table {
 	}
 	for _, nc := range machine.PaperClusterCounts {
 		single := machine.SingleCluster(3 * nc)
-		base := machine.Clustered(nc)
-		withMoves := machine.Clustered(nc)
-		withMoves.AllowMoves = true
+		clustered := machine.Clustered(nc)
 		type res struct {
 			ok              bool
 			sameOff, sameOn bool
 			moves           int
 		}
-		compRef := opts.compiler(single, pipeOpts{unroll: true, copies: true, shape: copyins.Tree})
-		compOff := opts.compiler(base, pipeOpts{unroll: true, copies: true, shape: copyins.Tree, factorFrom: &single})
-		compOn := opts.compiler(withMoves, pipeOpts{unroll: true, copies: true, shape: copyins.Tree, factorFrom: &single})
+		compRef := opts.compiler(binding{spec: single.Spec(), unroll: true, shape: copyins.Tree})
+		compOff := opts.compiler(binding{spec: clustered.Spec(), unroll: true, shape: copyins.Tree})
+		compOn := opts.compiler(binding{spec: clustered.Spec(), moves: true, unroll: true, shape: copyins.Tree})
 		results := forEach(loops, opts.workers(), func(l *ir.Loop) res {
 			ref := compRef(l)
 			off := compOff(l)
@@ -156,10 +154,9 @@ func AblationCommLatency(opts Options) *Table {
 	}
 	lats := []int{0, 1, 2}
 	comps := make([]func(*ir.Loop) compiled, len(lats))
+	cfg := machine.Clustered(4)
 	for i, lat := range lats {
-		cfg := machine.Clustered(4)
-		cfg.CommLatency = lat
-		comps[i] = opts.compiler(cfg, pipeOpts{unroll: true, copies: true, shape: copyins.Tree})
+		comps[i] = opts.compiler(binding{spec: cfg.Spec(), commLat: lat, unroll: true, shape: copyins.Tree})
 	}
 	results := forEach(loops, opts.workers(), func(l *ir.Loop) res {
 		var r res

@@ -1,8 +1,10 @@
 // Package exp regenerates every table and figure of the paper's evaluation
 // (see DESIGN.md §5 for the experiment index). Each experiment consumes a
-// loop corpus, drives the full compilation pipeline (unrolling, copy
-// insertion, modulo scheduling / partitioning, queue allocation) and
-// reduces the outcomes to the statistic the paper plots.
+// loop corpus, drives every loop through the vliwq compile engine
+// (unrolling, copy insertion, modulo scheduling / partitioning, queue
+// allocation — the engine's schedule and allocation checks included, the
+// simulator pass skipped) and reduces the outcomes to the statistic the
+// paper plots.
 package exp
 
 import (
@@ -10,21 +12,17 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"text/tabwriter"
-	"time"
 
 	"vliwq"
 	"vliwq/internal/cache"
 	"vliwq/internal/copyins"
 	"vliwq/internal/corpus"
 	"vliwq/internal/ir"
-	"vliwq/internal/machine"
 	"vliwq/internal/pool"
 	"vliwq/internal/queue"
 	"vliwq/internal/sched"
-	"vliwq/internal/unroll"
 )
 
 // Options configure an experiment run.
@@ -104,56 +102,68 @@ func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// compiled is one loop pushed through the full pipeline.
+// compiled is what the experiments read of one loop through the engine:
+// the schedule, the allocation and the unroll factor applied, or the error
+// that stopped it. The memo keeps only these, not the engine's whole
+// Result with its per-stage loop bodies.
 type compiled struct {
-	Loop   *ir.Loop // original loop
-	Factor int      // unroll factor applied
-	Sched  *sched.Schedule
-	Alloc  *queue.Allocation
-	Err    error
+	Sched    *sched.Schedule
+	Alloc    *queue.Allocation
+	Unrolled int
+	Err      error
 }
 
-// pipeline options for compileLoop.
-type pipeOpts struct {
-	unroll     bool
-	copies     bool
-	shape      copyins.Shape
-	schedOpts  sched.Options
-	factorFrom *machine.Config // machine used for AutoFactor; nil = target
+// binding is one figure's compile configuration: everything but the loop.
+// It is the Pipeline memo key, next to the loop pointer, and the only input
+// the engine's vliwq.Options are built from. spec is a vliwq.ParseMachine
+// spec, commLat and moves are the machine knobs that notation leaves out,
+// and shape copyins.None switches copy insertion off (the simultaneous
+// writes of paper Fig. 1(c)).
+type binding struct {
+	spec    string
+	commLat int
+	moves   bool
+	unroll  bool
+	shape   copyins.Shape
+	effort  sched.Effort
 }
 
-// Pipeline is a concurrency-safe memo of compileLoop results, keyed by the
-// loop's identity plus digests of the machine configuration and pipeline
-// options. Results are shared pointers and must be treated as read-only —
-// which every experiment already does, since compiled loops, schedules and
-// allocations are never mutated after compilation. The storage is a sharded
-// internal/cache.Cache, so concurrent workers contend per shard and each
-// distinct compilation runs exactly once behind its entry's sync.Once.
+// memoKey is one Pipeline entry: a loop, by pointer, under one binding.
+type memoKey struct {
+	loop *ir.Loop
+	binding
+}
+
+// Pipeline is a concurrency-safe memo of engine compilations. The loop is
+// keyed by pointer: all experiments sharing a Pipeline also share their
+// corpus slice (RunAll uses one Options value; corpus.Standard is
+// memoized), so pointer identity is exactly loop identity and avoids
+// hashing whole dependence graphs. Results are shared pointers and must be
+// treated as read-only — which every experiment already does. The storage
+// is a sharded internal/cache.Cache, so concurrent workers contend per
+// shard and each distinct compilation runs exactly once behind its entry's
+// sync.Once.
 type Pipeline struct {
-	c *cache.Cache[pipeKey, compiled]
+	c *cache.Cache[memoKey, compiled]
 
-	// stageNanos accumulates, per vliwq.Stage, the wall-clock time actual
-	// compilations (cache misses) spent in that stage — the same
-	// observability the staged facade engine reports in Result.Stages,
-	// threaded through the experiment sweeps so `vliwexp -stage-times`
-	// can show where a figure run's time went.
+	// stageNanos sums, per vliwq.Stage, the Result.Stages of every
+	// compilation the experiments actually ran through Pipeline.run (memo
+	// misses and uncached compiles alike), so `vliwexp -stage-times` can
+	// show where a figure run's time went.
 	stageNanos [vliwq.NumStages]atomic.Int64
 }
 
 // NewPipeline returns an empty, unbounded compilation cache.
 func NewPipeline() *Pipeline {
-	return &Pipeline{c: cache.New[pipeKey, compiled](cache.Options{}, hashPipeKey)}
+	// Loop names are unique within a corpus and carry most of the entropy;
+	// the spec keeps one loop's machine sweep off a single shard. Equality
+	// is still the whole memoKey — the hash only picks the shard.
+	hash := func(k memoKey) uint64 { return cache.StringHash(k.loop.Name) ^ cache.StringHash(k.spec) }
+	return &Pipeline{c: cache.New[memoKey, compiled](cache.Options{}, hash)}
 }
 
 // Stats snapshots the cache counters (hits, misses, entries).
 func (p *Pipeline) Stats() cache.Stats { return p.c.Stats() }
-
-// record adds one stage's wall-clock cost; a nil Pipeline drops it.
-func (p *Pipeline) record(st vliwq.Stage, t0 time.Time) {
-	if p != nil {
-		p.stageNanos[st].Add(time.Since(t0).Nanoseconds())
-	}
-}
 
 // StageNanos reports the accumulated per-stage compile time, keyed by
 // stage name (vliwq.Stage.String). Only stages with nonzero time appear.
@@ -167,163 +177,55 @@ func (p *Pipeline) StageNanos() map[string]int64 {
 	return out
 }
 
-// hashPipeKey spreads compilations over cache shards. Loop names are unique
-// within a corpus and carry most of the entropy; the config digest and the
-// option fields keep same-loop sweeps from piling onto one shard. Equality
-// is still the full pipeKey — the hash only picks the shard.
-func hashPipeKey(k pipeKey) uint64 {
-	h := cache.StringHash(k.loop.Name)
-	h ^= cache.StringHash(k.cfg)
-	h ^= cache.StringHash(k.opts.factorFrom)
-	h ^= cache.StringHash(k.opts.strategies)
-	mix := uint64(k.opts.maxII)<<32 | uint64(uint32(k.opts.budget))<<3 | uint64(k.opts.shape)<<2
-	mix ^= uint64(k.opts.effort) << 24
-	if k.opts.unroll {
-		mix |= 2
+// run compiles l through the engine and adds the stages it ran to p's
+// clock; a nil p drops them.
+func (p *Pipeline) run(l *ir.Loop, o vliwq.Options) compiled {
+	res, err := vliwq.CompileContext(context.Background(), l, o)
+	if err != nil {
+		return compiled{Err: err}
 	}
-	if k.opts.copies {
-		mix |= 1
-	}
-	return h ^ (mix * 1099511628211)
-}
-
-// pipeKey identifies one compilation. The loop is keyed by pointer: all
-// experiments sharing a Pipeline also share their corpus slice (RunAll uses
-// one Options value; corpus.Standard is memoized), so pointer identity is
-// exactly loop identity and avoids hashing whole dependence graphs.
-type pipeKey struct {
-	loop *ir.Loop
-	cfg  string
-	opts pipeOptsKey
-}
-
-// pipeOptsKey is the comparable digest of pipeOpts. Every field of
-// sched.Options that changes schedules participates (effort and the
-// explicit strategy list do; RaceWorkers deliberately does not — it only
-// changes wall-clock).
-type pipeOptsKey struct {
-	unroll, copies bool
-	shape          copyins.Shape
-	maxII, budget  int
-	effort         sched.Effort
-	strategies     string // explicit sched.Options.Strategies, one byte per entry
-	factorFrom     string // configDigest of the AutoFactor machine, or ""
-}
-
-// configDigest renders every schedule-relevant Config field into a
-// comparable key. The name participates too: it appears in scheduler error
-// strings, so two same-shape machines with different names are not
-// interchangeable byte-for-byte.
-func configDigest(c *machine.Config) string {
-	var b strings.Builder
-	b.WriteString(c.Name)
-	for _, cl := range c.Clusters {
-		fmt.Fprintf(&b, ";%v|%d|%d", cl.FUs, cl.PrivateQueues, cl.QueueDepth)
-	}
-	fmt.Fprintf(&b, ";r%d;l%d;m%t", c.RingQueues, c.CommLatency, c.AllowMoves)
-	return b.String()
-}
-
-func optsKey(po pipeOpts) pipeOptsKey {
-	k := pipeOptsKey{
-		unroll: po.unroll,
-		copies: po.copies,
-		shape:  po.shape,
-		maxII:  po.schedOpts.MaxII,
-		budget: po.schedOpts.BudgetRatio,
-		effort: po.schedOpts.Effort,
-	}
-	if len(po.schedOpts.Strategies) > 0 {
-		b := make([]byte, len(po.schedOpts.Strategies))
-		for i, s := range po.schedOpts.Strategies {
-			b[i] = byte(s)
+	if p != nil {
+		for _, st := range res.Stages {
+			p.stageNanos[st.Stage].Add(st.Duration.Nanoseconds())
 		}
-		k.strategies = string(b)
 	}
-	if po.factorFrom != nil {
-		k.factorFrom = configDigest(po.factorFrom)
-	}
-	return k
+	return compiled{Sched: res.Sched, Alloc: res.Alloc, Unrolled: res.Unrolled}
 }
 
-// compile returns the memoized compilation of (l, cfg, po), computing it on
-// first use. A nil Pipeline compiles directly. Sweeps over many loops with
-// one configuration should bind Options.compiler instead, which digests the
-// configuration once.
-func (p *Pipeline) compile(l *ir.Loop, cfg machine.Config, po pipeOpts) compiled {
-	if p == nil {
-		return compileLoop(l, cfg, po, nil)
+// bind applies the sweep-wide effort to a binding that does not pin its own
+// (EffortFast is the zero value, so a pinned fast row is indistinguishable
+// from "unset" — the portfolio sweep clears the sweep-wide effort before
+// binding instead) and builds the engine options the binding denotes. The
+// simulator pass is skipped; the engine's schedule and allocation checks
+// still run.
+func (o Options) bind(b binding) (binding, vliwq.Options) {
+	if b.effort == sched.EffortFast {
+		b.effort = o.Effort
 	}
-	k := pipeKey{loop: l, cfg: configDigest(&cfg), opts: optsKey(po)}
-	return p.c.Do(k, func() compiled { return compileLoop(l, cfg, po, p) })
+	m, err := vliwq.ParseMachine(b.spec)
+	if err != nil {
+		// Every spec is rendered by machine.Config.Spec from a constructor
+		// machine, which round-trips by contract.
+		panic("exp: " + err.Error())
+	}
+	m.CommLatency, m.AllowMoves = b.commLat, b.moves
+	vo := vliwq.Options{Machine: m, Unroll: b.unroll, CopyShape: b.shape, SkipVerify: true}
+	vo.Sched.Effort = b.effort
+	return b, vo
 }
 
-// compiler binds (cfg, po) and returns the per-loop compile function the
-// experiments use inside their corpus sweeps. The cache-key digests are
-// computed once here rather than once per loop, so the per-loop cache hit
-// is just a map lookup.
-func (o Options) compiler(cfg machine.Config, po pipeOpts) func(*ir.Loop) compiled {
-	// The sweep-wide effort applies to every experiment that does not pin
-	// its own (EffortFast is the zero value, so a pinned fast row is
-	// indistinguishable from "unset" — the portfolio sweep clears the
-	// sweep-wide effort before building its compilers instead).
-	if po.schedOpts.Effort == sched.EffortFast {
-		po.schedOpts.Effort = o.Effort
-	}
+// compiler returns binding b's per-loop compile function, memoized in
+// o.Pipeline when there is one. The options are built once here, so the
+// per-loop cache hit is just a map lookup.
+func (o Options) compiler(b binding) func(*ir.Loop) compiled {
+	b, vo := o.bind(b)
 	p := o.Pipeline
 	if p == nil {
-		return func(l *ir.Loop) compiled { return compileLoop(l, cfg, po, nil) }
+		return func(l *ir.Loop) compiled { return p.run(l, vo) }
 	}
-	cfgD := configDigest(&cfg)
-	optsD := optsKey(po)
 	return func(l *ir.Loop) compiled {
-		k := pipeKey{loop: l, cfg: cfgD, opts: optsD}
-		return p.c.Do(k, func() compiled { return compileLoop(l, cfg, po, p) })
+		return p.c.Do(memoKey{l, b}, func() compiled { return p.run(l, vo) })
 	}
-}
-
-// compileLoop runs unroll -> copy insertion -> scheduling -> allocation,
-// stamping each stage's wall clock into p (nil drops the timings).
-func compileLoop(l *ir.Loop, cfg machine.Config, po pipeOpts, p *Pipeline) compiled {
-	c := compiled{Loop: l, Factor: 1}
-	work := l
-	t0 := time.Now()
-	if po.unroll {
-		fm := cfg
-		if po.factorFrom != nil {
-			fm = *po.factorFrom
-		}
-		c.Factor = unroll.AutoFactor(l, fm)
-		u, err := unroll.Unroll(l, c.Factor)
-		if err != nil {
-			c.Err = err
-			return c
-		}
-		work = u
-	}
-	p.record(vliwq.StageUnroll, t0)
-	if po.copies {
-		t0 = time.Now()
-		ins, err := copyins.Insert(work, po.shape)
-		if err != nil {
-			c.Err = err
-			return c
-		}
-		work = ins.Loop
-		p.record(vliwq.StageCopies, t0)
-	}
-	t0 = time.Now()
-	s, err := sched.ScheduleLoop(work, cfg, po.schedOpts)
-	if err != nil {
-		c.Err = err
-		return c
-	}
-	c.Sched = s
-	p.record(vliwq.StageSchedule, t0)
-	t0 = time.Now()
-	c.Alloc = queue.Allocate(s)
-	p.record(vliwq.StageAlloc, t0)
-	return c
 }
 
 // forEach compiles fn over the corpus on the shared fixed worker pool

@@ -9,6 +9,7 @@ import (
 	"vliwq/internal/corpus"
 	"vliwq/internal/ir"
 	"vliwq/internal/machine"
+	"vliwq/internal/unroll"
 )
 
 // small keeps experiment tests fast while exercising every code path.
@@ -242,14 +243,20 @@ func TestForEachOrderAndParallelism(t *testing.T) {
 	}
 }
 
-func TestCompileLoopFactorFrom(t *testing.T) {
-	l := corpus.Stencil3()
-	single := machine.SingleCluster(12)
-	c := compileLoop(l, machine.Clustered(4), pipeOpts{unroll: true, copies: true, factorFrom: &single}, nil)
-	if c.Err != nil {
-		t.Fatal(c.Err)
-	}
-	if c.Factor < 1 {
-		t.Fatalf("factor %d", c.Factor)
+// TestAutoFactorAgreesOnEqualSizeMachines pins what lets Fig. 6 and the
+// moves ablation compile each machine with its own unroll factor yet
+// schedule one transformed body on both: SingleCluster(3n) and
+// Clustered(n) total the same FU mix, and AutoFactor reads only that total.
+func TestAutoFactorAgreesOnEqualSizeMachines(t *testing.T) {
+	for n := 1; n <= 8; n++ {
+		single, clustered := machine.SingleCluster(3*n), machine.Clustered(n)
+		if single.TotalFUs() != clustered.TotalFUs() {
+			t.Fatalf("n=%d: TotalFUs %v (single) vs %v (clustered)", n, single.TotalFUs(), clustered.TotalFUs())
+		}
+		for _, l := range corpus.Standard() {
+			if a, b := unroll.AutoFactor(l, single), unroll.AutoFactor(l, clustered); a != b {
+				t.Fatalf("%s at n=%d: AutoFactor %d (single) vs %d (clustered)", l.Name, n, a, b)
+			}
+		}
 	}
 }

@@ -25,13 +25,12 @@ func Fig3(opts Options) *Table {
 	}
 	for _, nfu := range machine.PaperSingleClusterFUs {
 		cfg := machine.SingleCluster(nfu)
-		for _, withCopies := range []bool{false, true} {
-			withCopies := withCopies
+		for _, shape := range []copyins.Shape{copyins.None, copyins.Tree} {
 			type res struct {
 				queues int
 				failed bool
 			}
-			comp := opts.compiler(cfg, pipeOpts{copies: withCopies, shape: copyins.Tree})
+			comp := opts.compiler(binding{spec: cfg.Spec(), shape: shape})
 			results := forEach(loops, opts.workers(), func(l *ir.Loop) res {
 				c := comp(l)
 				if c.Err != nil {
@@ -52,9 +51,9 @@ func Fig3(opts Options) *Table {
 					}
 				}
 			}
-			label := "without"
-			if withCopies {
-				label = "with"
+			label := "with"
+			if shape == copyins.None {
+				label = "without"
 			}
 			row := []string{fmt.Sprintf("%d FUs", nfu), label}
 			for _, c := range counts {
@@ -87,8 +86,8 @@ func CopyCost(opts Options) *Table {
 			iiGrowth       float64
 			copies         int
 		}
-		compBase := opts.compiler(cfg, pipeOpts{})
-		compWith := opts.compiler(cfg, pipeOpts{copies: true, shape: copyins.Tree})
+		compBase := opts.compiler(binding{spec: cfg.Spec(), shape: copyins.None})
+		compWith := opts.compiler(binding{spec: cfg.Spec(), shape: copyins.Tree})
 		results := forEach(loops, opts.workers(), func(l *ir.Loop) res {
 			base := compBase(l)
 			with := compWith(l)

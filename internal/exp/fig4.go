@@ -28,8 +28,8 @@ func Fig4(opts Options) *Table {
 			factor   int
 			unrolled bool
 		}
-		compBase := opts.compiler(cfg, pipeOpts{copies: true, shape: copyins.Tree})
-		compUnrl := opts.compiler(cfg, pipeOpts{unroll: true, copies: true, shape: copyins.Tree})
+		compBase := opts.compiler(binding{spec: cfg.Spec(), shape: copyins.Tree})
+		compUnrl := opts.compiler(binding{spec: cfg.Spec(), unroll: true, shape: copyins.Tree})
 		results := forEach(loops, opts.workers(), func(l *ir.Loop) res {
 			base := compBase(l)
 			un := compUnrl(l)
@@ -38,9 +38,9 @@ func Fig4(opts Options) *Table {
 			}
 			return res{
 				ok:       true,
-				speedup:  metrics.IISpeedup(base.Sched.II, un.Factor, un.Sched.II),
-				factor:   un.Factor,
-				unrolled: un.Factor > 1,
+				speedup:  metrics.IISpeedup(base.Sched.II, un.Unrolled, un.Sched.II),
+				factor:   un.Unrolled,
+				unrolled: un.Unrolled > 1,
 			}
 		})
 		var ok, improved, unrolled, factors int
@@ -88,8 +88,8 @@ func UnrollQueues(opts Options) *Table {
 			ok           bool
 			qBase, qUnrl int
 		}
-		compBase := opts.compiler(cfg, pipeOpts{copies: true, shape: copyins.Tree})
-		compUnrl := opts.compiler(cfg, pipeOpts{unroll: true, copies: true, shape: copyins.Tree})
+		compBase := opts.compiler(binding{spec: cfg.Spec(), shape: copyins.Tree})
+		compUnrl := opts.compiler(binding{spec: cfg.Spec(), unroll: true, shape: copyins.Tree})
 		results := forEach(loops, opts.workers(), func(l *ir.Loop) res {
 			base := compBase(l)
 			un := compUnrl(l)

@@ -28,11 +28,11 @@ func Fig6(opts Options) *Table {
 			delta  int
 			failed bool
 		}
-		compSingle := opts.compiler(single, pipeOpts{unroll: true, copies: true, shape: copyins.Tree})
-		compClustered := opts.compiler(clustered, pipeOpts{unroll: true, copies: true, shape: copyins.Tree, factorFrom: &single})
+		compSingle := opts.compiler(binding{spec: single.Spec(), unroll: true, shape: copyins.Tree})
+		compClustered := opts.compiler(binding{spec: clustered.Spec(), unroll: true, shape: copyins.Tree})
 		results := forEach(loops, opts.workers(), func(l *ir.Loop) res {
-			// The same transformed body is scheduled on both machines
-			// (total FU mixes match, so AutoFactor agrees).
+			// The same transformed body is scheduled on both machines: their
+			// total FU mixes match, so AutoFactor picks one factor for both.
 			s1 := compSingle(l)
 			if s1.Err != nil {
 				return res{failed: true}
@@ -93,7 +93,7 @@ func ClusterResources(opts Options) *Table {
 			priv, ring int
 			depth      int
 		}
-		comp := opts.compiler(clustered, pipeOpts{unroll: true, copies: true, shape: copyins.Tree})
+		comp := opts.compiler(binding{spec: clustered.Spec(), unroll: true, shape: copyins.Tree})
 		results := forEach(loops, opts.workers(), func(l *ir.Loop) res {
 			c := comp(l)
 			if c.Err != nil {

@@ -29,7 +29,7 @@ func ipcSeries(opts Options, loops []*ir.Loop, title, id string) *Table {
 		ok     bool
 	}
 	measure := func(cfg machine.Config) (staticMean float64, dynIPC float64) {
-		comp := opts.compiler(cfg, pipeOpts{unroll: true, copies: true, shape: copyins.Tree})
+		comp := opts.compiler(binding{spec: cfg.Spec(), unroll: true, shape: copyins.Tree})
 		results := forEach(loops, opts.workers(), func(l *ir.Loop) point {
 			c := comp(l)
 			if c.Err != nil {

@@ -36,17 +36,19 @@ func AblationInvariants(opts Options) *Table {
 			ratio    float64
 			removed  int
 		}
-		compBase := opts.compiler(cfg, pipeOpts{copies: true, shape: copyins.Tree})
+		b := binding{spec: cfg.Spec(), shape: copyins.Tree}
+		compBase := opts.compiler(b)
+		_, hoistedOpts := opts.bind(b)
 		results := forEach(loops, opts.workers(), func(l *ir.Loop) res {
 			hoisted, removed := hoistInvariants(l)
 			if removed == 0 {
 				return res{ok: true}
 			}
 			base := compBase(l)
-			// The hoisted variant is a fresh per-call loop: its pointer key
-			// could never hit the shared cache again, so compiling it
-			// through the Pipeline would only pollute the memo.
-			hc := compileLoop(hoisted, cfg, pipeOpts{copies: true, shape: copyins.Tree}, nil)
+			// The hoisted variant is a fresh per-call loop: its pointer could
+			// never hit the memo again, so it compiles uncached — still on
+			// the Pipeline's stage clock.
+			hc := opts.Pipeline.run(hoisted, hoistedOpts)
 			if base.Err != nil || hc.Err != nil {
 				return res{}
 			}

@@ -47,17 +47,8 @@ func Optimal(opts Options) *Table {
 		nc, cl int
 	}{{4, 2}, {6, 2}} {
 		cfg := machine.Clustered(mc.nc)
-		cfg.CommLatency = mc.cl
-		exC := base.compiler(cfg, pipeOpts{
-			copies:    true,
-			shape:     copyins.Tree,
-			schedOpts: sched.Options{Effort: sched.EffortExhaustive},
-		})
-		optC := base.compiler(cfg, pipeOpts{
-			copies:    true,
-			shape:     copyins.Tree,
-			schedOpts: sched.Options{Effort: sched.EffortOptimal},
-		})
+		exC := base.compiler(binding{spec: cfg.Spec(), commLat: mc.cl, shape: copyins.Tree, effort: sched.EffortExhaustive})
+		optC := base.compiler(binding{spec: cfg.Spec(), commLat: mc.cl, shape: copyins.Tree, effort: sched.EffortOptimal})
 		results := forEach(loops, base.workers(), func(l *ir.Loop) res {
 			ex := exC(l)
 			opt := optC(l)

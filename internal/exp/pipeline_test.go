@@ -6,13 +6,18 @@ import (
 
 	"vliwq/internal/copyins"
 	"vliwq/internal/corpus"
-	"vliwq/internal/machine"
+	"vliwq/internal/ir"
 )
 
 func render(t *Table) string {
 	var b bytes.Buffer
 	t.Fprint(&b)
 	return b.String()
+}
+
+// compileVia compiles l under b through p's memo.
+func compileVia(p *Pipeline, l *ir.Loop, b binding) compiled {
+	return Options{Pipeline: p}.compiler(b)(l)
 }
 
 // TestPipelineCacheMatchesUncached is the cache's determinism contract:
@@ -61,32 +66,55 @@ func TestRunAllDeterministic(t *testing.T) {
 	}
 }
 
-// TestPipelineKeySeparation ensures the digests keep distinct machines and
+// TestPipelineKeySeparation ensures the binding keeps distinct machines and
 // pipeline options apart: a cache shared across experiments must never
 // serve a compilation for the wrong configuration.
 func TestPipelineKeySeparation(t *testing.T) {
 	p := NewPipeline()
 	l := corpus.Daxpy()
-	a := p.compile(l, machine.SingleCluster(4), pipeOpts{copies: true, shape: copyins.Tree})
-	b := p.compile(l, machine.SingleCluster(12), pipeOpts{copies: true, shape: copyins.Tree})
+	a := compileVia(p, l, binding{spec: "single:4", shape: copyins.Tree})
+	b := compileVia(p, l, binding{spec: "single:12", shape: copyins.Tree})
 	if a.Err != nil || b.Err != nil {
 		t.Fatalf("compile errors: %v, %v", a.Err, b.Err)
 	}
 	if a.Sched.II == b.Sched.II {
 		t.Fatalf("4-FU and 12-FU compilations collided in the cache (II %d == %d)", a.Sched.II, b.Sched.II)
 	}
-	moves := machine.Clustered(4)
-	moves.AllowMoves = true
-	c := p.compile(l, machine.Clustered(4), pipeOpts{copies: true, shape: copyins.Tree})
-	d := p.compile(l, moves, pipeOpts{copies: true, shape: copyins.Tree})
+	c := compileVia(p, l, binding{spec: "clustered:4", shape: copyins.Tree})
+	d := compileVia(p, l, binding{spec: "clustered:4", moves: true, shape: copyins.Tree})
 	if c.Sched == d.Sched {
 		t.Fatalf("AllowMoves variant shares the base machine's cache entry")
 	}
+	lat1 := compileVia(p, l, binding{spec: "clustered:4", commLat: 1, shape: copyins.Tree})
+	if lat1.Sched == c.Sched || lat1.Sched.Machine.CommLatency != 1 {
+		t.Fatalf("comm latency 1 shares the latency-0 cache entry")
+	}
+	// Copies off and a tree on one machine are two entries; on a fanout
+	// loop only the tree compile carries copy operations.
+	fan := corpus.ComplexMul()
+	off := compileVia(p, fan, binding{spec: "single:4", shape: copyins.None})
+	tree := compileVia(p, fan, binding{spec: "single:4", shape: copyins.Tree})
+	if off.Err != nil || tree.Err != nil {
+		t.Fatalf("compile errors: %v, %v", off.Err, tree.Err)
+	}
+	if copyOps(off) != 0 || copyOps(tree) == 0 {
+		t.Fatalf("copies-off/tree entries collided: %d and %d copy ops", copyOps(off), copyOps(tree))
+	}
 	// Identical inputs must share one entry (pointer-equal results).
-	e := p.compile(l, machine.SingleCluster(4), pipeOpts{copies: true, shape: copyins.Tree})
+	e := compileVia(p, l, binding{spec: "single:4", shape: copyins.Tree})
 	if e.Sched != a.Sched {
 		t.Fatalf("identical compilation did not hit the cache")
 	}
+}
+
+func copyOps(c compiled) int {
+	n := 0
+	for _, op := range c.Sched.Loop.Ops {
+		if op.Kind == ir.KCopy {
+			n++
+		}
+	}
+	return n
 }
 
 // TestStandardCorpusMemoized verifies corpus.Standard returns the shared
@@ -103,14 +131,13 @@ func TestStandardCorpusMemoized(t *testing.T) {
 	}
 }
 
-// TestPipelineStatsCounters checks the refactored Pipeline exposes the
-// shared cache's counters: a second identical compile is a hit, not a
-// recompute.
+// TestPipelineStatsCounters checks the Pipeline exposes the shared cache's
+// counters: a second identical compile is a hit, not a recompute.
 func TestPipelineStatsCounters(t *testing.T) {
 	p := NewPipeline()
 	l := corpus.Daxpy()
-	p.compile(l, machine.SingleCluster(4), pipeOpts{copies: true})
-	p.compile(l, machine.SingleCluster(4), pipeOpts{copies: true})
+	compileVia(p, l, binding{spec: "single:4"})
+	compileVia(p, l, binding{spec: "single:4"})
 	st := p.Stats()
 	if st.Misses != 1 || st.Hits != 1 || st.Entries != 1 {
 		t.Fatalf("stats = %+v, want 1 miss, 1 hit, 1 entry", st)
@@ -122,13 +149,32 @@ func TestPipelineStatsCounters(t *testing.T) {
 func TestPipelineStageNanos(t *testing.T) {
 	p := NewPipeline()
 	l := corpus.Daxpy()
-	p.compile(l, machine.SingleCluster(4), pipeOpts{copies: true})
+	compileVia(p, l, binding{spec: "single:4"})
 	first := p.StageNanos()
 	if first["schedule"] <= 0 || first["alloc"] <= 0 || first["copies"] <= 0 {
 		t.Fatalf("stage nanos missing executed stages: %v", first)
 	}
-	p.compile(l, machine.SingleCluster(4), pipeOpts{copies: true}) // hit
+	compileVia(p, l, binding{spec: "single:4"}) // hit
 	if again := p.StageNanos()["schedule"]; again != first["schedule"] {
 		t.Fatalf("a cache hit advanced the schedule clock: %d -> %d", first["schedule"], again)
+	}
+}
+
+// TestAblationInvariantsClocksHoistedCompiles: the hoisted variants compile
+// uncached on every run, so a second run on a warm Pipeline — every base
+// compile a hit — must still advance the schedule clock. Their stage time
+// belongs to the stages, not to the experiment's own time.
+func TestAblationInvariantsClocksHoistedCompiles(t *testing.T) {
+	opts := small()
+	opts.Pipeline = NewPipeline()
+	AblationInvariants(opts)
+	first := opts.Pipeline.StageNanos()["schedule"]
+	misses := opts.Pipeline.Stats().Misses
+	AblationInvariants(opts)
+	if again := opts.Pipeline.StageNanos()["schedule"]; again <= first {
+		t.Fatalf("second run did not clock the hoisted compiles: schedule %d -> %d ns", first, again)
+	}
+	if again := opts.Pipeline.Stats().Misses; again != misses {
+		t.Fatalf("hoisted compiles entered the memo: misses %d -> %d", misses, again)
 	}
 }

@@ -49,11 +49,7 @@ func Portfolio(opts Options) *Table {
 		for _, nc := range []int{4, 6} {
 			cfg := machine.Clustered(nc)
 			for _, eff := range []sched.Effort{sched.EffortFast, sched.EffortExhaustive} {
-				comp := base.compiler(cfg, pipeOpts{
-					copies:    true,
-					shape:     copyins.Tree,
-					schedOpts: sched.Options{Effort: eff},
-				})
+				comp := base.compiler(binding{spec: cfg.Spec(), shape: copyins.Tree, effort: eff})
 				results := forEach(co.loops, base.workers(), func(l *ir.Loop) res {
 					c := comp(l)
 					if c.Err != nil {

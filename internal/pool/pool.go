@@ -1,7 +1,7 @@
 // Package pool provides the one worker-pool primitive every fan-out in the
 // repo shares: the experiment sweeps (internal/exp), the facade's
-// CompileBatch and the service's /batch endpoint all fan index sets over a
-// fixed set of workers with deterministic, index-addressed output.
+// Compiler.RunBatch and the service's /batch endpoint all fan index sets
+// over a fixed set of workers with deterministic, index-addressed output.
 package pool
 
 import (

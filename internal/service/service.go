@@ -749,8 +749,8 @@ func (s *Server) compileOne(ctx context.Context, req *CompileRequest) (*CompileR
 }
 
 // compileBatch fans the request set over a fixed worker pool (pool.Run,
-// the same primitive vliwq.CompileBatch uses — the service goes through
-// compileOne instead of CompileBatch itself so batch items share the
+// the same primitive vliwq.Compiler.RunBatch uses — the service goes
+// through compileOne instead of RunBatch itself so batch items share the
 // response cache). Results come back in input order regardless of worker
 // interleaving; on cancellation, unstarted items report the context error.
 func (s *Server) compileBatch(ctx context.Context, reqs []CompileRequest) []BatchEntry {

@@ -42,10 +42,10 @@ func postJSON(t testing.TB, client *http.Client, url string, body any) (*http.Re
 
 // TestServerMatchesDirectCompile is the service's fidelity contract: for 56
 // corpus loops, the /compile response must be byte-identical — report,
-// kernel table and every metric — to an in-process vliwq.Compile of the
-// same request, and /batch must agree entry-for-entry with the facade's
-// CompileBatch. Loops the pipeline rejects must fail identically on both
-// paths.
+// kernel table and every metric — to an in-process compile of the same
+// request by an uncached vliwq.Compiler, and /batch must agree
+// entry-for-entry with the same reference. Loops the pipeline rejects must
+// fail identically on both paths.
 func TestServerMatchesDirectCompile(t *testing.T) {
 	const n = 56 // acceptance floor is 50
 	loops := testCorpus(t, n)
@@ -58,7 +58,7 @@ func TestServerMatchesDirectCompile(t *testing.T) {
 	for i, l := range loops {
 		reqs[i] = CompileRequest{Loop: vliwq.FormatLoop(l), Machine: "clustered:4", Unroll: true}
 	}
-	direct := vliwq.CompileBatch(context.Background(), toItems(t, reqs), 0)
+	direct := vliwq.NewCompiler(vliwq.CompilerConfig{CacheEntries: -1}).RunBatch(context.Background(), reqs)
 
 	for i := range reqs {
 		resp, body := postJSON(t, ts.Client(), ts.URL+"/compile", reqs[i])
@@ -106,23 +106,6 @@ func TestServerMatchesDirectCompile(t *testing.T) {
 		}
 		assertMatchesResult(t, i, e.Response, direct[i].Result)
 	}
-}
-
-func toItems(t testing.TB, reqs []CompileRequest) []vliwq.BatchItem {
-	t.Helper()
-	items := make([]vliwq.BatchItem, len(reqs))
-	for i, r := range reqs {
-		loop, err := vliwq.ParseLoop(r.Loop)
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
-		opts, err := reqs[i].Options()
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
-		items[i] = vliwq.BatchItem{Loop: loop, Opts: opts}
-	}
-	return items
 }
 
 func assertMatchesResult(t *testing.T, i int, got *CompileResponse, want *vliwq.Result) {

@@ -5,9 +5,11 @@
 // values, loop unrolling, ring-partitioned scheduling, and queue allocation
 // via the Q-Compatibility test.
 //
-// This root package is the high-level facade; the building blocks live in
-// internal packages (ir, machine, sched, queue, copyins, unroll, sim,
-// metrics, exp) and are exercised directly by the examples and tools.
+// This root package is the high-level facade and the one compile engine;
+// the building blocks live in internal packages (ir, machine, sched,
+// queue, copyins, unroll, sim, metrics). The experiment sweeps
+// (internal/exp), the service and the tools all compile through the
+// engine.
 //
 // The primary API is request-centric: a Request is the canonical encoding
 // of one compilation (loop text plus every knob, with a deterministic
@@ -20,9 +22,10 @@
 //
 // Run returns the schedule, the queue allocation and the headline metrics,
 // after verifying the result on the cycle-accurate simulator; RunUntil
-// stops the pipeline at a chosen Stage and exposes its artifacts. The
-// loop-first helpers — Compile, CompileContext, CompileBatch — remain as
-// thin shims over the same staged engine:
+// stops the pipeline at a chosen Stage and exposes its artifacts, and
+// RunBatch fans a request set over a worker pool. The loop-first helpers
+// Compile and CompileContext remain as thin shims over the same staged
+// engine:
 //
 //	loop, _ := vliwq.ParseLoop(src)
 //	res, err := vliwq.Compile(loop, vliwq.Options{Machine: vliwq.Clustered(4), Unroll: true})
@@ -32,7 +35,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -41,7 +43,6 @@ import (
 	"vliwq/internal/ir"
 	"vliwq/internal/machine"
 	"vliwq/internal/metrics"
-	"vliwq/internal/pool"
 	"vliwq/internal/queue"
 	"vliwq/internal/sched"
 	"vliwq/internal/sim"
@@ -145,7 +146,9 @@ type Options struct {
 	// automatic choice; implies unrolling.
 	UnrollFactor int
 	// CopyShape selects the fanout topology for copy insertion;
-	// the zero value is the balanced tree.
+	// the zero value is the balanced tree. copyins.None, which the
+	// experiment sweeps use for the copies-off baseline, inserts nothing
+	// and has no Request spelling.
 	CopyShape copyins.Shape
 	// SkipVerify skips the simulator-based verification pass (useful for
 	// bulk experiments; the paper-scale harness verifies samples instead).
@@ -217,8 +220,8 @@ func Compile(l *Loop, opts Options) (*Result, error) {
 // CompileContext is Compile with cancellation: the context is checked
 // between pipeline stages, so a cancelled request abandons the remaining
 // (scheduling, allocation, verification) work and returns ctx.Err(). Long
-// batch runs — the service's /batch endpoint, CompileBatch — rely on this
-// to stop promptly when the client goes away.
+// batch runs — the service's /batch endpoint, Compiler.RunBatch — rely on
+// this to stop promptly when the client goes away.
 //
 // CompileContext is a thin shim over the staged engine Compiler sessions
 // drive (compileStaged): both paths run identical code, which is what pins
@@ -227,14 +230,17 @@ func CompileContext(ctx context.Context, l *Loop, opts Options) (*Result, error)
 	return compileStaged(ctx, l, opts, StageVerify)
 }
 
-// compileStaged is the pipeline engine: it runs the stages in order —
-// unroll, copy insertion, scheduling, queue allocation, verification —
-// stamping each executed stage's wall-clock cost into Result.Stages and
-// its artifact into the Result, and stops after `until` (StageVerify = the
-// full pipeline; SkipVerify ends a full run at StageAlloc). The context is
-// checked on entry and at every stage boundary from scheduling on
-// (schedule, alloc, verify) — the boundaries where a propagated request
-// deadline cancels abandoned work.
+// compileStaged is the pipeline engine, the one place outside tests and
+// examples that runs the stage functions: Compiler sessions, the
+// loop-first shims and the experiment sweeps (internal/exp, through
+// CompileContext with SkipVerify) all reach it. It runs the stages in
+// order — unroll, copy insertion, scheduling, queue allocation,
+// verification — stamping each executed stage's wall-clock cost into
+// Result.Stages and its artifact into the Result, and stops after `until`
+// (StageVerify = the full pipeline; SkipVerify ends a full run at
+// StageAlloc). The context is checked on entry and at every stage boundary
+// from scheduling on (schedule, alloc, verify) — the boundaries where a
+// propagated request deadline cancels abandoned work.
 //
 // EffortOptimal inverts that contract: the deadline bounds the optimality
 // proof, never the compilation. The scheduler's anytime ladder observes ctx
@@ -362,37 +368,11 @@ func compileStaged(ctx context.Context, l *Loop, opts Options, until Stage) (*Re
 	return res, nil
 }
 
-// BatchItem is one compilation request in a CompileBatch call.
-type BatchItem struct {
-	Loop *Loop
-	Opts Options
-}
-
-// BatchResult is the outcome for the BatchItem at the same index: exactly
-// one of Result and Err is set.
+// BatchResult is the outcome for the request at the same index of a
+// Compiler.RunBatch call: exactly one of Result and Err is set.
 type BatchResult struct {
 	Result *Result
 	Err    error
-}
-
-// CompileBatch compiles every item on a fixed pool of workers (pool.Run)
-// and returns the results in input order: out[i] always corresponds to
-// items[i], whatever the worker interleaving. workers <= 0 selects
-// GOMAXPROCS. When ctx is cancelled, in-flight compilations stop at their
-// next stage boundary and every unstarted item reports ctx.Err(); the
-// returned slice always has len(items) entries.
-func CompileBatch(ctx context.Context, items []BatchItem, workers int) []BatchResult {
-	out := make([]BatchResult, len(items))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	pool.Run(ctx, len(items), workers, func(i int) {
-		r, err := CompileContext(ctx, items[i].Loop, items[i].Opts)
-		out[i] = BatchResult{Result: r, Err: err}
-	}, func(i int) {
-		out[i] = BatchResult{Err: ctx.Err()}
-	})
-	return out
 }
 
 // Report renders a human-readable summary of the compiled loop.

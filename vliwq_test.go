@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"vliwq"
+	"vliwq/internal/copyins"
 	"vliwq/internal/corpus"
+	"vliwq/internal/ir"
 )
 
 const testLoop = `
@@ -106,6 +108,47 @@ func TestCompileSkipVerify(t *testing.T) {
 	}
 }
 
+// TestCopyShapeNone: the copies-off shape the experiment sweeps use
+// compiles a multi-consumer loop with no copy operation, through the
+// engine's schedule and allocation checks (the simulator would reject the
+// simultaneous writes, so verification is skipped), and stays off the wire.
+func TestCopyShapeNone(t *testing.T) {
+	loop, err := vliwq.ParseLoop("loop fan\ntrip 32\nop a load\nop b load\nop m mul a b\nop s add a m\nop u add b m\nop st store s\nop su store u")
+	if err != nil {
+		t.Fatal(err)
+	}
+	copies := func(shape copyins.Shape) int {
+		t.Helper()
+		res, err := vliwq.Compile(loop, vliwq.Options{Machine: vliwq.Clustered(2), CopyShape: shape, SkipVerify: true})
+		if err != nil {
+			t.Fatalf("%v: %v", shape, err)
+		}
+		if err := res.Sched.Verify(); err != nil {
+			t.Fatalf("%v: %v", shape, err)
+		}
+		if err := res.Alloc.Verify(); err != nil {
+			t.Fatalf("%v: %v", shape, err)
+		}
+		n := 0
+		for _, op := range res.Sched.Loop.Ops {
+			if op.Kind == ir.KCopy {
+				n++
+			}
+		}
+		return n
+	}
+	if n := copies(copyins.Tree); n == 0 {
+		t.Fatal("tree shape inserted no copies: the loop has no multi-consumer value")
+	}
+	if n := copies(copyins.None); n != 0 {
+		t.Fatalf("copies-off compile carries %d copy ops", n)
+	}
+	req := vliwq.Request{Loop: testLoop, CopyShape: "none"}
+	if err := req.Normalize(); err == nil {
+		t.Fatal(`Normalize accepted copy_shape "none"`)
+	}
+}
+
 func TestReadLoop(t *testing.T) {
 	l, err := vliwq.ReadLoop(strings.NewReader(testLoop))
 	if err != nil {
@@ -157,66 +200,48 @@ func TestFormatLoopRoundTrips(t *testing.T) {
 	}
 }
 
-// TestCompileBatchMatchesCompile is the batch API's ordering and fidelity
+// TestRunBatchMatchesRun is the batch API's ordering and fidelity
 // contract: results arrive at the index of their request and are identical
-// to one-at-a-time Compile calls.
-func TestCompileBatchMatchesCompile(t *testing.T) {
+// to one-at-a-time Run calls.
+func TestRunBatchMatchesRun(t *testing.T) {
 	loops := corpus.Generate(corpus.Params{Seed: 5, N: 12})
-	items := make([]vliwq.BatchItem, len(loops))
 	opts := vliwq.Options{Machine: vliwq.Clustered(4), Unroll: true, SkipVerify: true}
+	reqs := make([]vliwq.Request, len(loops))
 	for i, l := range loops {
-		items[i] = vliwq.BatchItem{Loop: l, Opts: opts}
+		reqs[i] = vliwq.NewRequest(l, opts)
 	}
-	got := vliwq.CompileBatch(context.Background(), items, 4)
-	if len(got) != len(items) {
-		t.Fatalf("batch returned %d results for %d items", len(got), len(items))
+	got := vliwq.NewCompiler(vliwq.CompilerConfig{CacheEntries: -1, Workers: 4}).RunBatch(context.Background(), reqs)
+	if len(got) != len(reqs) {
+		t.Fatalf("batch returned %d results for %d requests", len(got), len(reqs))
 	}
+	single := vliwq.NewCompiler(vliwq.CompilerConfig{CacheEntries: -1})
 	for i, l := range loops {
-		want, wantErr := vliwq.Compile(l, opts)
+		want, wantErr := single.Run(context.Background(), reqs[i])
 		if (got[i].Err != nil) != (wantErr != nil) {
-			t.Fatalf("item %d: batch err %v, direct err %v", i, got[i].Err, wantErr)
+			t.Fatalf("request %d: batch err %v, direct err %v", i, got[i].Err, wantErr)
 		}
 		if wantErr != nil {
 			continue
 		}
-		if got[i].Result.Input != l {
-			t.Fatalf("item %d: result is for the wrong loop", i)
+		if got[i].Result.Input.Name != l.Name {
+			t.Fatalf("request %d: result is for loop %s, want %s", i, got[i].Result.Input.Name, l.Name)
 		}
-		if got[i].Result.Report() != want.Report() {
-			t.Fatalf("item %d: batch report differs from direct compile:\n%s\nvs\n%s",
+		if got[i].Result.Report() != want.Report() || got[i].Result.KernelSchedule() != want.KernelSchedule() {
+			t.Fatalf("request %d: batch output differs from a direct run:\n%s\nvs\n%s",
 				i, got[i].Result.Report(), want.Report())
 		}
 	}
 }
 
-func TestCompileBatchEmptyAndWorkerClamp(t *testing.T) {
-	if out := vliwq.CompileBatch(context.Background(), nil, 4); len(out) != 0 {
+func TestRunBatchEmptyAndWorkerClamp(t *testing.T) {
+	if out := vliwq.NewCompiler(vliwq.CompilerConfig{Workers: 4}).RunBatch(context.Background(), nil); len(out) != 0 {
 		t.Fatalf("empty batch returned %d results", len(out))
 	}
-	// More workers than items must not deadlock or drop results.
-	items := []vliwq.BatchItem{{Loop: corpus.KernelByName("daxpy"), Opts: vliwq.Options{SkipVerify: true}}}
-	out := vliwq.CompileBatch(context.Background(), items, 64)
-	if len(out) != 1 || out[0].Err != nil {
-		t.Fatalf("single-item batch: %+v", out)
-	}
-}
-
-func TestCompileBatchCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // cancelled before any work starts
-	loops := corpus.Generate(corpus.Params{Seed: 3, N: 8})
-	items := make([]vliwq.BatchItem, len(loops))
-	for i, l := range loops {
-		items[i] = vliwq.BatchItem{Loop: l, Opts: vliwq.Options{SkipVerify: true}}
-	}
-	out := vliwq.CompileBatch(ctx, items, 2)
-	if len(out) != len(items) {
-		t.Fatalf("cancelled batch returned %d results for %d items", len(out), len(items))
-	}
-	for i, r := range out {
-		if !errors.Is(r.Err, context.Canceled) {
-			t.Fatalf("item %d: err = %v, want context.Canceled", i, r.Err)
-		}
+	// More workers than requests must not deadlock or drop results.
+	req := vliwq.NewRequest(corpus.KernelByName("daxpy"), vliwq.Options{SkipVerify: true})
+	out := vliwq.NewCompiler(vliwq.CompilerConfig{Workers: 64}).RunBatch(context.Background(), []vliwq.Request{req})
+	if len(out) != 1 || out[0].Err != nil || out[0].Result == nil {
+		t.Fatalf("single-request batch: %+v", out)
 	}
 }
 
