@@ -2,6 +2,7 @@ package queue
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"vliwq/internal/sched"
@@ -221,22 +222,45 @@ func (a *Allocation) FitsMachine(s *sched.Schedule) error {
 	return nil
 }
 
-// Verify checks the allocation invariants: every queue's residents are
-// pairwise compatible and every lifetime was assigned exactly once.
+// Verify checks that every queue's residents are pairwise compatible. It
+// groups the assignments by sorting them on (kind, from, to, queue) and
+// checks the groups in that order, so the queue it names is deterministic.
 func (a *Allocation) Verify() error {
-	type qkey struct {
-		loc Location
-		q   int
+	order := make([]int, len(a.Assignments))
+	for i := range order {
+		order[i] = i
 	}
-	groups := map[qkey][]Lifetime{}
-	for _, as := range a.Assignments {
-		k := qkey{as.Loc, as.Queue}
-		groups[k] = append(groups[k], as.Lifetime)
+	slices.SortFunc(order, func(i, j int) int {
+		return CompareQueues(&a.Assignments[i], &a.Assignments[j])
+	})
+	lts := make([]Lifetime, len(order))
+	for i, ai := range order {
+		lts[i] = a.Assignments[ai].Lifetime
 	}
-	for k, lts := range groups {
-		if !CompatibleSet(lts, a.II) {
-			return fmt.Errorf("queue: %v queue %d holds incompatible lifetimes", k.loc, k.q)
+	for lo := 0; lo < len(order); {
+		first := &a.Assignments[order[lo]]
+		hi := lo + 1
+		for hi < len(order) && CompareQueues(first, &a.Assignments[order[hi]]) == 0 {
+			hi++
 		}
+		if !CompatibleSet(lts[lo:hi], a.II) {
+			return fmt.Errorf("queue: %v queue %d holds incompatible lifetimes", first.Loc, first.Queue)
+		}
+		lo = hi
 	}
 	return nil
+}
+
+// CompareQueues orders assignments by the queue they name: location kind,
+// from, to, then queue index. It returns 0 for assignments to one queue.
+func CompareQueues(x, y *Assignment) int {
+	switch {
+	case x.Loc.Kind != y.Loc.Kind:
+		return int(x.Loc.Kind) - int(y.Loc.Kind)
+	case x.Loc.From != y.Loc.From:
+		return x.Loc.From - y.Loc.From
+	case x.Loc.To != y.Loc.To:
+		return x.Loc.To - y.Loc.To
+	}
+	return x.Queue - y.Queue
 }

@@ -11,7 +11,7 @@ import (
 	"vliwq/internal/sched"
 )
 
-func compile(t *testing.T, l *ir.Loop, cfg machine.Config) *sched.Schedule {
+func compile(t testing.TB, l *ir.Loop, cfg machine.Config) *sched.Schedule {
 	t.Helper()
 	ins, err := copyins.Insert(l, copyins.Tree)
 	if err != nil {

@@ -381,17 +381,16 @@ func (s *Schedule) Verify() error {
 			return fmt.Errorf("sched: dependence violated: %v (slack %d)", d, slack)
 		}
 	}
-	// Resources: at most FUs[class] issues per (cluster, class, row).
-	type key struct {
-		row, cluster int
-		class        machine.FUClass
-	}
-	used := map[key]int{}
+	// Resources: at most FUs[class] issues per (cluster, class, row),
+	// counted in a flat [row][cluster][class] table in op-ID order.
+	clusters, classes := s.Machine.NumClusters(), int(machine.NumClasses)
+	used := make([]int32, s.II*clusters*classes)
 	for id, op := range l.Ops {
-		k := key{s.Time[id] % s.II, s.Cluster[id], machine.ClassOf(op.Kind)}
+		row, c, class := s.Time[id]%s.II, s.Cluster[id], machine.ClassOf(op.Kind)
+		k := (row*clusters+c)*classes + int(class)
 		used[k]++
-		if used[k] > s.Machine.FUCount(k.cluster, k.class) {
-			return fmt.Errorf("sched: row %d cluster %d oversubscribes %v", k.row, k.cluster, k.class)
+		if int(used[k]) > s.Machine.FUCount(c, class) {
+			return fmt.Errorf("sched: row %d cluster %d oversubscribes %v", row, c, class)
 		}
 	}
 	// Communication: flow dependences only between adjacent clusters.

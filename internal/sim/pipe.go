@@ -2,7 +2,8 @@ package sim
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"vliwq/internal/ir"
 	"vliwq/internal/machine"
@@ -31,34 +32,85 @@ type PipeResult struct {
 	MaxDepth int // deepest queue occupancy observed
 }
 
-type tagged struct {
-	prod int // producer op ID
-	iter int // producer body-iteration (negative = live-in)
-	val  int64
-}
-
-type qid struct {
-	loc queue.Location
-	q   int
-}
-
-type event struct {
-	write bool
-	// writes
-	q     qid
-	dep   ir.Dep
-	depIx int
-	prodK int
-	// issues
-	op int
-	k  int
-}
-
 // Pipelined executes n iterations of the modulo schedule on a cycle-level
 // model of the queue-register-file machine. Every queue pop checks that
 // FIFO order delivers the exact (producer, iteration) instance the
 // dependence requires.
 func Pipelined(s *sched.Schedule, alloc *queue.Allocation, opt PipeOptions) (*PipeResult, error) {
+	n := opt.N
+	if n <= 0 {
+		n = s.Loop.TripCount()
+	}
+	res := &PipeResult{Stores: map[StoreKey]int64{}}
+	if _, err := pipelined(s, alloc, n, opt.AllowMultiWrite, res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// VerifyPipeline runs both executions and compares their stores. It is the
+// end-to-end check used by tests and cmd/vliwsched. Both runs execute the
+// same loop for the same n, so their store instances pair up one to one by
+// (op, body iteration) and are compared directly, without building either
+// side's Stores map.
+func VerifyPipeline(s *sched.Schedule, alloc *queue.Allocation, n int) error {
+	if n <= 0 {
+		n = s.Loop.TripCount()
+	}
+	l := s.Loop
+	want, err := reference(l, n, nil)
+	if err != nil {
+		return err
+	}
+	got, err := pipelined(s, alloc, n, false, &PipeResult{})
+	if err != nil {
+		return err
+	}
+	for id, op := range l.Ops {
+		if op.Kind != ir.KStore {
+			continue
+		}
+		for k := 0; k < n; k++ {
+			if a, b := want[id*n+k], got[id*n+k]; a != b {
+				return fmt.Errorf("sim: store %+v differs: %d vs %d", StoreKey{op.EffID(), l.OrigIter(op, k)}, a, b)
+			}
+		}
+	}
+	return nil
+}
+
+// entry is one value resident in a queue, tagged with the instance that
+// produced it (iter < 0 marks a live-in).
+type entry struct {
+	prod, iter int32
+	val        int64
+}
+
+// fifo is one physical queue: a fixed segment of the run's shared entry
+// buffer, filled at tail and drained at head, both starting at the
+// segment's start. Every flow dependence writes exactly n values, so a
+// queue carrying m dependences needs m*n slots and never more. wrote and
+// read hold the stamp of the last cycle that used the queue's write and
+// read port (0 = never).
+type fifo struct {
+	loc         queue.Location
+	q           int
+	head, tail  int
+	limit       int // declared depth, 0 = unbounded
+	wrote, read int
+}
+
+// pipelined is the dense pipelined execution behind Pipelined and
+// VerifyPipeline. It walks every cycle of the run and, at cycle t, visits
+// only the ops and flow dependences whose issue or write cycles are
+// congruent to t modulo II (one list per modulo row): first all writes in
+// Deps order, then all issues in op-ID order, each popping its operands in
+// FlowInputs order. That is the event order of the map-based oracle the
+// tests diff it against, so both name the same event in every error.
+// Values live in one flat [op*n+k] slice, which it returns. res receives
+// Cycles, Issues and MaxDepth, and each store instance when res.Stores is
+// non-nil.
+func pipelined(s *sched.Schedule, alloc *queue.Allocation, n int, allowMultiWrite bool, res *PipeResult) ([]int64, error) {
 	l := s.Loop
 	if err := s.Verify(); err != nil {
 		return nil, err
@@ -66,199 +118,245 @@ func Pipelined(s *sched.Schedule, alloc *queue.Allocation, opt PipeOptions) (*Pi
 	if err := alloc.Verify(); err != nil {
 		return nil, err
 	}
-	n := opt.N
-	if n <= 0 {
-		n = l.TripCount()
-	}
-
-	// Map dependence index -> queue assignment.
-	byDep := make(map[int]queue.Assignment, len(alloc.Assignments))
-	for _, as := range alloc.Assignments {
-		byDep[as.Lifetime.DepIndex] = as
-	}
 
 	// Static check: without multi-write support, only copy operations may
 	// feed two queues; everything else must have fanout <= 1.
-	if !opt.AllowMultiWrite {
+	if !allowMultiWrite {
+		fan := make([]int, len(l.Ops))
+		for _, d := range l.Deps {
+			if d.Kind == ir.Flow {
+				fan[d.From]++
+			}
+		}
 		for id, op := range l.Ops {
-			fan := l.Fanout(op)
 			limit := 1
 			if op.Kind == ir.KCopy {
 				limit = 2
 			}
-			if fan > limit {
+			if fan[id] > limit {
 				return nil, fmt.Errorf("sim: %v has fanout %d: value needs %d simultaneous writes (run copy insertion or set AllowMultiWrite)",
-					l.Ops[id], fan, fan)
+					op, fan[id], fan[id])
 			}
 		}
 	}
 
-	// Build the event timeline.
-	events := map[int][]event{}
-	addEvent := func(t int, e event) { events[t] = append(events[t], e) }
-	for id, op := range l.Ops {
-		for k := 0; k < n; k++ {
-			addEvent(s.Time[id]+k*s.II, event{op: id, k: k})
-		}
-		_ = op
+	// Queue of every flow dependence: the last assignment naming it wins,
+	// as an index-keyed lookup would.
+	asOf := make([]int32, len(l.Deps))
+	for i := range asOf {
+		asOf[i] = -1
 	}
+	for i, as := range alloc.Assignments {
+		if di := as.Lifetime.DepIndex; di >= 0 && di < len(l.Deps) {
+			asOf[di] = int32(i)
+		}
+	}
+	var flows []int32
 	for di, d := range l.Deps {
 		if d.Kind != ir.Flow {
 			continue
 		}
-		as, ok := byDep[di]
-		if !ok {
+		if asOf[di] < 0 {
 			return nil, fmt.Errorf("sim: dependence %v (index %d) has no queue assignment", d, di)
 		}
-		lat := l.Ops[d.From].Kind.Latency()
-		comm := 0
-		if s.Cluster[d.From] != s.Cluster[d.To] {
-			comm = s.Machine.CommLatency
-		}
-		for k := -d.Dist; k < n-d.Dist; k++ {
-			t := s.Time[d.From] + lat + comm + k*s.II
-			addEvent(t, event{write: true, q: qid{as.Loc, as.Queue}, dep: d, depIx: di, prodK: k})
-		}
+		flows = append(flows, int32(di))
 	}
-	cycles := make([]int, 0, len(events))
-	for t := range events {
-		cycles = append(cycles, t)
-	}
-	sort.Ints(cycles)
+	qs, qOf := layoutQueues(s, alloc, asOf, flows, n)
+	buf := make([]entry, len(flows)*n)
 
-	// Execute.
-	type instKey struct{ op, k int }
-	values := map[instKey]int64{}
-	queues := map[qid][]tagged{}
-	res := &PipeResult{Stores: map[StoreKey]int64{}}
-	inputs := make([][]int, len(l.Ops)) // flow-input dep indices per op
+	// The timeline. An op issues instance k at Time+k*II for k in [0,n); a
+	// flow dependence of distance d writes producer iteration k at
+	// wbase+k*II for k in [-d, n-d), so its first d live-in writes can fall
+	// before cycle 0.
+	ii := s.II
+	wbase := make([]int, len(l.Deps))
+	tmin, tmax := math.MaxInt, math.MinInt
+	span := func(first, last int) {
+		tmin, tmax = min(tmin, first), max(tmax, last)
+	}
+	issueRow := make([]int32, len(l.Ops))
+	for id := range l.Ops {
+		t := s.Time[id]
+		issueRow[id] = int32(mod(t, ii))
+		span(t, t+(n-1)*ii)
+	}
+	writeRow := make([]int32, len(l.Deps))
 	for di, d := range l.Deps {
-		if d.Kind == ir.Flow {
-			inputs[d.To] = append(inputs[d.To], di)
+		writeRow[di] = -1
+		if d.Kind != ir.Flow {
+			continue
 		}
+		wbase[di] = s.Time[d.From] + l.Ops[d.From].Kind.Latency()
+		if s.Cluster[d.From] != s.Cluster[d.To] {
+			wbase[di] += s.Machine.CommLatency
+		}
+		writeRow[di] = int32(mod(wbase[di], ii))
+		span(wbase[di]-d.Dist*ii, wbase[di]+(n-d.Dist-1)*ii)
 	}
+	issues := groupBy(ii, issueRow)
+	writes := groupBy(ii, writeRow)
+	inputs := flowInputs(l)
+	// FU slots are (cluster, class) pairs, counted per cycle.
+	const classes = int(machine.NumClasses)
+	slot := make([]int, len(l.Ops))
+	for id, op := range l.Ops {
+		slot[id] = s.Cluster[id]*classes + int(machine.ClassOf(op.Kind))
+	}
+	fuCap := make([]int, s.Machine.NumClusters()*classes)
+	for cl, c := range s.Machine.Clusters {
+		copy(fuCap[cl*classes:], c.FUs[:])
+	}
+	fuStamp := make([]int, len(fuCap))
+	fuUsed := make([]int, len(fuCap))
+	vals := make([]int64, len(l.Ops)*n)
+	args := make([]int64, 0, 2)
+	written := make([]int32, 0, len(qs))
 
-	var args []int64
-	for _, t := range cycles {
-		evs := events[t]
+	row := 0
+	if tmin <= tmax {
+		row = mod(tmin, ii)
+	}
+	for t := tmin; t <= tmax; t++ {
+		// stamp is this cycle's port and FU generation; it starts at 1 so
+		// the zero value means "never used", whatever the sign of t.
+		stamp := t - tmin + 1
 		// Writes first: a value may be written and read in the same cycle
 		// (zero-length lifetime, hardware bypass), but FIFO order still
 		// applies because pops always take the head.
-		wrote := map[qid]int{}
-		for _, e := range evs {
-			if !e.write {
+		written = written[:0]
+		for _, di := range writes.at(row) {
+			d := l.Deps[di]
+			k := (t - wbase[di]) / ii
+			if k < -d.Dist || k >= n-d.Dist {
 				continue
 			}
-			wrote[e.q]++
-			if wrote[e.q] > 1 {
-				return nil, fmt.Errorf("sim: cycle %d: two writes to %v queue %d (write-port conflict)", t, e.q.loc, e.q.q)
+			qi := qOf[di]
+			q := &qs[qi]
+			if q.wrote == stamp {
+				return nil, fmt.Errorf("sim: cycle %d: two writes to %v queue %d (write-port conflict)", t, q.loc, q.q)
 			}
+			q.wrote = stamp
 			var v int64
-			if e.prodK < 0 {
-				op := l.Ops[e.dep.From]
-				v = ir.LeafValue(op.EffID(), l.OrigIter(op, e.prodK))
-			} else {
-				var ok bool
-				v, ok = values[instKey{e.dep.From, e.prodK}]
-				if !ok {
-					return nil, fmt.Errorf("sim: cycle %d: write of %v iteration %d before it was computed",
-						t, l.Ops[e.dep.From], e.prodK)
-				}
+			switch {
+			case k < 0:
+				op := l.Ops[d.From]
+				v = ir.LeafValue(op.EffID(), l.OrigIter(op, k))
+			case k >= n || s.Time[d.From]+k*ii >= t:
+				return nil, fmt.Errorf("sim: cycle %d: write of %v iteration %d before it was computed",
+					t, l.Ops[d.From], k)
+			default:
+				v = vals[d.From*n+k]
 			}
-			queues[e.q] = append(queues[e.q], tagged{prod: e.dep.From, iter: e.prodK, val: v})
+			buf[q.tail] = entry{prod: int32(d.From), iter: int32(k), val: v}
+			q.tail++
+			written = append(written, qi)
 		}
 		// Issues: pop operands, check tags, evaluate.
-		read := map[qid]int{}
-		var busy [machine.NumClasses]map[int]int // per class: cluster -> issues
-		for _, e := range evs {
-			if e.write {
+		for _, id := range issues.at(row) {
+			k := (t - s.Time[id]) / ii
+			if k < 0 || k >= n {
 				continue
 			}
-			op := l.Ops[e.op]
-			cl := s.Cluster[e.op]
-			class := machine.ClassOf(op.Kind)
-			if busy[class] == nil {
-				busy[class] = map[int]int{}
+			op := l.Ops[id]
+			c := slot[id]
+			if fuStamp[c] != stamp {
+				fuStamp[c], fuUsed[c] = stamp, 0
 			}
-			busy[class][cl]++
-			if busy[class][cl] > s.Machine.FUCount(cl, class) {
-				return nil, fmt.Errorf("sim: cycle %d: cluster %d issues more %v ops than units", t, cl, class)
+			if fuUsed[c]++; fuUsed[c] > fuCap[c] {
+				return nil, fmt.Errorf("sim: cycle %d: cluster %d issues more %v ops than units",
+					t, s.Cluster[id], machine.ClassOf(op.Kind))
 			}
 			args = args[:0]
-			for _, di := range inputs[e.op] {
+			for _, di := range inputs.at(int(id)) {
 				d := l.Deps[di]
-				as := byDep[di]
-				q := qid{as.Loc, as.Queue}
-				read[q]++
-				if read[q] > 1 {
+				q := &qs[qOf[di]]
+				if q.read == stamp {
 					return nil, fmt.Errorf("sim: cycle %d: two reads from %v queue %d (read-port conflict)", t, q.loc, q.q)
 				}
-				fifo := queues[q]
-				if len(fifo) == 0 {
+				q.read = stamp
+				if q.head == q.tail {
 					return nil, fmt.Errorf("sim: cycle %d: %v pops empty %v queue %d", t, op, q.loc, q.q)
 				}
-				head := fifo[0]
-				queues[q] = fifo[1:]
-				wantIter := e.k - d.Dist
-				if head.prod != d.From || head.iter != wantIter {
+				head := buf[q.head]
+				q.head++
+				want := k - d.Dist
+				if int(head.prod) != d.From || int(head.iter) != want {
 					return nil, fmt.Errorf("sim: cycle %d: %v iteration %d expected value (%v,%d), FIFO delivered (%v,%d): Q-compatibility violated",
-						t, op, e.k, l.Ops[d.From], wantIter, l.Ops[head.prod], head.iter)
+						t, op, k, l.Ops[d.From], want, l.Ops[head.prod], head.iter)
 				}
 				args = append(args, head.val)
 			}
-			v := ir.Eval(op, l.OrigIter(op, e.k), args)
-			values[instKey{e.op, e.k}] = v
+			v := ir.Eval(op, l.OrigIter(op, k), args)
+			vals[int(id)*n+k] = v
 			res.Issues++
-			if op.Kind == ir.KStore {
-				res.Stores[StoreKey{op.EffID(), l.OrigIter(op, e.k)}] = v
+			if res.Stores != nil && op.Kind == ir.KStore {
+				res.Stores[StoreKey{op.EffID(), l.OrigIter(op, k)}] = v
 			}
 		}
 		// Occupancy accounting and depth limits, after the cycle settles.
-		for q, fifo := range queues {
-			if len(fifo) > res.MaxDepth {
-				res.MaxDepth = len(fifo)
-			}
-			depth := 0
-			switch q.loc.Kind {
-			case queue.Private:
-				depth = s.Machine.Clusters[q.loc.From].QueueDepth
-			case queue.Ring:
-				depth = s.Machine.Clusters[q.loc.To].QueueDepth
-			}
-			if depth > 0 && len(fifo) > depth {
-				return nil, fmt.Errorf("sim: cycle %d: %v queue %d exceeds depth %d", t, q.loc, q.q, depth)
+		// Only a write grows a queue, so the queues written this cycle are
+		// the only ones whose depth can be a new maximum or break a limit.
+		for _, qi := range written {
+			q := &qs[qi]
+			depth := q.tail - q.head
+			res.MaxDepth = max(res.MaxDepth, depth)
+			if q.limit > 0 && depth > q.limit {
+				return nil, fmt.Errorf("sim: cycle %d: %v queue %d exceeds depth %d", t, q.loc, q.q, q.limit)
 			}
 		}
-	}
-	if len(cycles) > 0 {
-		res.Cycles = cycles[len(cycles)-1] - cycles[0] + 1
-	}
-	// Every queue must drain: a non-empty queue means a value was produced
-	// and never consumed (allocation/schedule mismatch).
-	for q, fifo := range queues {
-		if len(fifo) != 0 {
-			return nil, fmt.Errorf("sim: %v queue %d still holds %d values after drain", q.loc, q.q, len(fifo))
+		if row++; row == ii {
+			row = 0
 		}
 	}
-	return res, nil
+	if tmax >= tmin {
+		res.Cycles = tmax - tmin + 1
+	}
+	if err := drained(qs); err != nil {
+		return nil, err
+	}
+	return vals, nil
 }
 
-// VerifyPipeline runs both executions and compares their stores. It is the
-// end-to-end check used by tests and cmd/vliwsched.
-func VerifyPipeline(s *sched.Schedule, alloc *queue.Allocation, n int) error {
-	if n <= 0 {
-		n = s.Loop.TripCount()
-	}
-	ref, err := Reference(s.Loop, n)
-	if err != nil {
-		return err
-	}
-	pipe, err := Pipelined(s, alloc, PipeOptions{N: n})
-	if err != nil {
-		return err
-	}
-	if err := CompareStores(ref.Stores, pipe.Stores, false); err != nil {
-		return err
+// drained checks that every queue emptied: a non-empty queue means a value
+// was produced and never consumed (allocation/schedule mismatch). Queues
+// are checked in layout order, so the queue it names is deterministic.
+func drained(qs []fifo) error {
+	for _, q := range qs {
+		if q.tail != q.head {
+			return fmt.Errorf("sim: %v queue %d still holds %d values after drain", q.loc, q.q, q.tail-q.head)
+		}
 	}
 	return nil
+}
+
+// layoutQueues gives every distinct (location, queue) pair the flow
+// dependences use a dense ID, in queue.CompareQueues order, and returns the
+// queues and each dependence's queue ID. Sorted that way, the dependences
+// of one queue are adjacent, so the queue's segment of the shared buffer
+// starts at its first dependence's position times n.
+func layoutQueues(s *sched.Schedule, alloc *queue.Allocation, asOf, flows []int32, n int) ([]fifo, []int32) {
+	as := func(di int32) *queue.Assignment { return &alloc.Assignments[asOf[di]] }
+	byQueue := slices.Clone(flows)
+	slices.SortFunc(byQueue, func(x, y int32) int { return queue.CompareQueues(as(x), as(y)) })
+	qOf := make([]int32, len(asOf))
+	var qs []fifo
+	for i, di := range byQueue {
+		if i == 0 || queue.CompareQueues(as(byQueue[i-1]), as(di)) != 0 {
+			q := fifo{loc: as(di).Loc, q: as(di).Queue, head: i * n, tail: i * n}
+			switch q.loc.Kind {
+			case queue.Private:
+				q.limit = s.Machine.Clusters[q.loc.From].QueueDepth
+			case queue.Ring:
+				q.limit = s.Machine.Clusters[q.loc.To].QueueDepth
+			}
+			qs = append(qs, q)
+		}
+		qOf[di] = int32(len(qs) - 1)
+	}
+	return qs, qOf
+}
+
+// mod is x modulo m, in [0, m) for any sign of x.
+func mod(x, m int) int {
+	return (x%m + m) % m
 }

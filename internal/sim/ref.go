@@ -16,6 +16,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"vliwq/internal/ir"
 )
@@ -39,6 +40,22 @@ type Ref struct {
 
 // Reference executes n iterations of the loop body sequentially.
 func Reference(l *ir.Loop, n int) (*Ref, error) {
+	r := &Ref{Loop: l, N: n, Stores: make(map[StoreKey]int64)}
+	vals, err := reference(l, n, r.Stores)
+	if err != nil {
+		return nil, err
+	}
+	r.Values = make([][]int64, len(l.Ops))
+	for id := range r.Values {
+		r.Values[id] = vals[id*n : (id+1)*n : (id+1)*n]
+	}
+	return r, nil
+}
+
+// reference is the sequential execution behind Reference. It returns every
+// instance's value in one flat [op*n+k] slice and records each store
+// instance in stores when stores is non-nil.
+func reference(l *ir.Loop, n int, stores map[StoreKey]int64) ([]int64, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
@@ -46,45 +63,32 @@ func Reference(l *ir.Loop, n int) (*Ref, error) {
 	if err != nil {
 		return nil, err
 	}
-	inputs := make([][]ir.Dep, len(l.Ops))
-	for id := range l.Ops {
-		inputs[id] = l.FlowInputs(l.Ops[id])
-	}
-	r := &Ref{
-		Loop:   l,
-		N:      n,
-		Values: make([][]int64, len(l.Ops)),
-		Stores: make(map[StoreKey]int64),
-	}
-	for id := range l.Ops {
-		r.Values[id] = make([]int64, n)
-	}
-	var args []int64
+	inputs := flowInputs(l)
+	vals := make([]int64, len(l.Ops)*n)
+	args := make([]int64, 0, 2)
 	for k := 0; k < n; k++ {
 		for _, id := range order {
 			op := l.Ops[id]
 			args = args[:0]
-			for _, d := range inputs[id] {
-				args = append(args, r.value(d.From, k-d.Dist))
+			for _, di := range inputs.at(id) {
+				d := l.Deps[di]
+				// Negative iterations yield the synthetic live-in values
+				// that exist before the loop starts.
+				if j := k - d.Dist; j >= 0 {
+					args = append(args, vals[d.From*n+j])
+				} else {
+					from := l.Ops[d.From]
+					args = append(args, ir.LeafValue(from.EffID(), l.OrigIter(from, j)))
+				}
 			}
 			v := ir.Eval(op, l.OrigIter(op, k), args)
-			r.Values[id][k] = v
-			if op.Kind == ir.KStore {
-				r.Stores[StoreKey{op.EffID(), l.OrigIter(op, k)}] = v
+			vals[id*n+k] = v
+			if stores != nil && op.Kind == ir.KStore {
+				stores[StoreKey{op.EffID(), l.OrigIter(op, k)}] = v
 			}
 		}
 	}
-	return r, nil
-}
-
-// value returns op's value in body-iteration k; negative iterations yield
-// the synthetic live-in values that exist before the loop starts.
-func (r *Ref) value(opID, k int) int64 {
-	if k < 0 {
-		op := r.Loop.Ops[opID]
-		return ir.LeafValue(op.EffID(), r.Loop.OrigIter(op, k))
-	}
-	return r.Values[opID][k]
+	return vals, nil
 }
 
 // CompareStores checks that two executions stored exactly the same values
@@ -112,4 +116,49 @@ func CompareStores(a, b map[StoreKey]int64, onlyCommon bool) error {
 		}
 	}
 	return nil
+}
+
+// csr groups item indices by a small integer key: at(key) lists the items
+// with that key in increasing order.
+type csr struct {
+	off  []int32
+	item []int32
+}
+
+func (c csr) at(key int) []int32 { return c.item[c.off[key]:c.off[key+1]] }
+
+// groupBy builds the csr of keys[i] over keys in [0, nkeys); items keyed -1
+// are left out.
+func groupBy(nkeys int, keys []int32) csr {
+	c := csr{off: make([]int32, nkeys+1)}
+	for _, k := range keys {
+		if k >= 0 {
+			c.off[k+1]++
+		}
+	}
+	for k := 1; k <= nkeys; k++ {
+		c.off[k] += c.off[k-1]
+	}
+	c.item = make([]int32, c.off[nkeys])
+	next := slices.Clone(c.off[:nkeys])
+	for i, k := range keys {
+		if k >= 0 {
+			c.item[next[k]] = int32(i)
+			next[k]++
+		}
+	}
+	return c
+}
+
+// flowInputs lists each op's flow-input dependence indices in Deps order,
+// the operand order of ir.Eval.
+func flowInputs(l *ir.Loop) csr {
+	to := make([]int32, len(l.Deps))
+	for di, d := range l.Deps {
+		to[di] = -1
+		if d.Kind == ir.Flow {
+			to[di] = int32(d.To)
+		}
+	}
+	return groupBy(len(l.Ops), to)
 }

@@ -14,7 +14,7 @@ import (
 )
 
 // compile runs the full pipeline: copy insertion, scheduling, allocation.
-func compile(t *testing.T, l *ir.Loop, cfg machine.Config) (*sched.Schedule, *queue.Allocation) {
+func compile(t testing.TB, l *ir.Loop, cfg machine.Config) (*sched.Schedule, *queue.Allocation) {
 	t.Helper()
 	ins, err := copyins.Insert(l, copyins.Tree)
 	if err != nil {
