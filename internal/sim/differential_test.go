@@ -3,10 +3,12 @@ package sim
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"vliwq/internal/copyins"
 	"vliwq/internal/corpus"
@@ -79,10 +81,11 @@ const (
 	faultShiftBack                    // an op issues II cycles earlier
 	faultShiftAhead                   // an op issues II cycles later
 	faultShiftOne                     // an op issues one cycle later
+	faultStretch                      // a carried flow dependence's distance grows by 2^32
 	numFaults
 )
 
-var faultNames = [numFaults]string{"depth1", "depth2", "swap-queues", "merge-queues", "swap-locs", "drop", "shift-II", "shift+II", "shift+1"}
+var faultNames = [numFaults]string{"depth1", "depth2", "swap-queues", "merge-queues", "swap-locs", "drop", "shift-II", "shift+II", "shift+1", "stretch"}
 
 func (f faultKind) String() string { return faultNames[f%numFaults] }
 
@@ -144,6 +147,21 @@ func applyFault(s *sched.Schedule, a *queue.Allocation, f faultKind, pick int) (
 	case faultShiftBack, faultShiftAhead, faultShiftOne:
 		delta := map[faultKind]int{faultShiftBack: -s.II, faultShiftAhead: s.II, faultShiftOne: 1}[f%numFaults]
 		s2.Time[pick%len(s2.Time)] += delta
+	case faultStretch:
+		// The schedule stays valid (the dependence only loosens), but the
+		// allocation was made for the old distance, and the live-in writes
+		// move 2^32*II cycles earlier.
+		var carried []int
+		for di, d := range s.Loop.Deps {
+			if d.Kind == ir.Flow && d.Dist > 0 {
+				carried = append(carried, di)
+			}
+		}
+		if len(carried) == 0 {
+			return nil, nil, false
+		}
+		s2.Loop = s.Loop.Clone()
+		s2.Loop.Deps[carried[pick%len(carried)]].Dist += 1 << 32
 	}
 	return &s2, &a2, true
 }
@@ -479,6 +497,66 @@ func TestDifferentialNegativeStart(t *testing.T) {
 	// issue at 5+6*2 = 17.
 	if want.Cycles != 19 {
 		t.Fatalf("oracle Cycles = %d, want 19", want.Cycles)
+	}
+}
+
+// TestDifferentialLongCarry: a carried distance d puts a dependence's
+// live-in writes d*II cycles before the loop body, with no event in
+// between, and a request may name any distance. The run must cost its
+// events, not that span, and must tag producer iterations far below the
+// int32 range exactly, so both simulators and the reference still agree.
+func TestDifferentialLongCarry(t *testing.T) {
+	carry := func(dist int) *ir.Loop {
+		l := ir.New(fmt.Sprintf("carry%d", dist))
+		ld := l.AddOp(ir.KLoad, "ld")
+		acc := l.AddOp(ir.KAdd, "acc")
+		st := l.AddOp(ir.KStore, "st")
+		l.AddFlow(ld, acc)
+		l.AddFlow(acc, st)
+		l.AddCarried(acc, acc, dist)
+		return l
+	}
+	for _, dist := range []int{3_000_000_007, 1 << 40} {
+		for _, dc := range diffConfigs()[:3] {
+			label := fmt.Sprintf("dist %d on %s", dist, dc.name)
+			s, a, err := compileFor(carry(dist), dc)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			n := verifyIters(s)
+			// Walking every cycle of the span would take minutes at the
+			// smaller distance and days at the larger one.
+			done := make(chan *PipeResult, 1)
+			go func() {
+				res, err := Pipelined(s, a, PipeOptions{N: n})
+				if err != nil {
+					t.Errorf("%s: %v", label, err)
+				}
+				done <- res
+			}()
+			select {
+			case res := <-done:
+				if res != nil && res.Cycles <= dist {
+					t.Fatalf("%s: Cycles = %d, want more than the distance", label, res.Cycles)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s: Pipelined still running after 10s", label)
+			}
+			if c := diffRun(t, label, s, a, n, dc.multi); c != "ok" {
+				t.Fatalf("%s: valid compile fails: %s", label, c)
+			}
+		}
+	}
+
+	// Past maxCarry the cycles of the run no longer fit an int (the map
+	// simulator's wrap around), so the dense one refuses the input.
+	s, a, err := compileFor(carry(math.MaxInt), diffConfigs()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Pipelined(s, a, PipeOptions{N: verifyIters(s)})
+	if err == nil || !strings.Contains(err.Error(), "beyond the simulated cycle range") {
+		t.Fatalf("distance MaxInt: got %v, want a cycle range error", err)
 	}
 }
 

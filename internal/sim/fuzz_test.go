@@ -46,6 +46,7 @@ func FuzzPipelinedDifferential(f *testing.F) {
 	f.Add(uint8(20), uint8(2), []byte{byte(faultSwapQueues), 3, byte(faultShiftOne), 7})
 	f.Add(uint8(40), uint8(3), []byte{byte(faultSwapLocs), 1})
 	f.Add(uint8(70), uint8(4), []byte{byte(faultMergeQueues), 2, byte(faultDepth2), 0})
+	f.Add(uint8(3), uint8(1), []byte{byte(faultStretch), 0})
 	f.Fuzz(func(t *testing.T, loopSel, cfgSel uint8, faults []byte) {
 		loops, dcs := fuzzLoops(), diffConfigs()
 		li, ci := int(loopSel)%len(loops), int(cfgSel)%len(dcs)

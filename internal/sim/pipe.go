@@ -79,11 +79,13 @@ func VerifyPipeline(s *sched.Schedule, alloc *queue.Allocation, n int) error {
 	return nil
 }
 
-// entry is one value resident in a queue, tagged with the instance that
-// produced it (iter < 0 marks a live-in).
+// entry is one value resident in a queue, named by the instance that
+// produced it (iter < 0 marks a live-in; a long carried distance takes it
+// far below the int32 range). A value never changes once computed, so a
+// pop whose tag checks out reads it from the producer's slot.
 type entry struct {
-	prod, iter int32
-	val        int64
+	prod int32
+	iter int
 }
 
 // fifo is one physical queue: a fixed segment of the run's shared entry
@@ -101,11 +103,11 @@ type fifo struct {
 }
 
 // pipelined is the dense pipelined execution behind Pipelined and
-// VerifyPipeline. It walks every cycle of the run and, at cycle t, visits
-// only the ops and flow dependences whose issue or write cycles are
-// congruent to t modulo II (one list per modulo row): first all writes in
-// Deps order, then all issues in op-ID order, each popping its operands in
-// FlowInputs order. That is the event order of the map-based oracle the
+// VerifyPipeline. It walks the cycles that can hold an event and, at cycle
+// t, visits only the ops and flow dependences whose issue or write cycles
+// are congruent to t modulo II (one list per modulo row): first all writes
+// in Deps order, then all issues in op-ID order, each popping its operands
+// in FlowInputs order. That is the event order of the map-based oracle the
 // tests diff it against, so both name the same event in every error.
 // Values live in one flat [op*n+k] slice, which it returns. res receives
 // Cycles, Issues and MaxDepth, and each store instance when res.Stores is
@@ -166,35 +168,53 @@ func pipelined(s *sched.Schedule, alloc *queue.Allocation, n int, allowMultiWrit
 
 	// The timeline. An op issues instance k at Time+k*II for k in [0,n); a
 	// flow dependence of distance d writes producer iteration k at
-	// wbase+k*II for k in [-d, n-d), so its first d live-in writes can fall
-	// before cycle 0.
+	// wbase+k*II for k in [-d, n-d), where wbase = Time[from]+lat(+comm),
+	// so its first d live-in writes can fall before cycle 0, and a long
+	// distance or comm latency leaves stretches of cycles with no event. Either way every op and flow
+	// dependence has one event in each of n consecutive II-cycle windows,
+	// starting at the window of its first event.
 	ii := s.II
-	wbase := make([]int, len(l.Deps))
+	starts := make([]int, 0, len(l.Ops)+len(flows)) // window of each one's first event
 	tmin, tmax := math.MaxInt, math.MinInt
-	span := func(first, last int) {
-		tmin, tmax = min(tmin, first), max(tmax, last)
+	span := func(first int) {
+		starts = append(starts, floorDiv(first, ii))
+		tmin, tmax = min(tmin, first), max(tmax, first+(n-1)*ii)
 	}
-	issueRow := make([]int32, len(l.Ops))
+	// An op issues in row issueRow and, in window w, issues instance
+	// w-issueWin; a flow dependence writes in row writeRow and, in window
+	// w, writes producer iteration w-writeWin.
+	issueRow, issueWin := make([]int32, len(l.Ops)), make([]int, len(l.Ops))
 	for id := range l.Ops {
 		t := s.Time[id]
-		issueRow[id] = int32(mod(t, ii))
-		span(t, t+(n-1)*ii)
+		issueRow[id], issueWin[id] = int32(mod(t, ii)), floorDiv(t, ii)
+		span(t)
 	}
-	writeRow := make([]int32, len(l.Deps))
+	writeRow, writeWin := make([]int32, len(l.Deps)), make([]int, len(l.Deps))
 	for di, d := range l.Deps {
 		writeRow[di] = -1
 		if d.Kind != ir.Flow {
 			continue
 		}
-		wbase[di] = s.Time[d.From] + l.Ops[d.From].Kind.Latency()
+		wbase := s.Time[d.From] + l.Ops[d.From].Kind.Latency()
 		if s.Cluster[d.From] != s.Cluster[d.To] {
-			wbase[di] += s.Machine.CommLatency
+			wbase += s.Machine.CommLatency
 		}
-		writeRow[di] = int32(mod(wbase[di], ii))
-		span(wbase[di]-d.Dist*ii, wbase[di]+(n-d.Dist-1)*ii)
+		// Keep d*II, and so every cycle of the run, far from overflow.
+		if d.Dist > maxCarry/ii || d.Dist < -maxCarry/ii {
+			return nil, fmt.Errorf("sim: dependence %v: distance %d at II %d is beyond the simulated cycle range", d, d.Dist, ii)
+		}
+		writeRow[di], writeWin[di] = int32(mod(wbase, ii)), floorDiv(wbase, ii)
+		span(wbase - d.Dist*ii)
 	}
+	slices.Sort(starts)
 	issues := groupBy(ii, issueRow)
 	writes := groupBy(ii, writeRow)
+	rows := make([]int32, 0, ii) // the rows some op issues in or some dependence writes in
+	for r := 0; r < ii; r++ {
+		if len(issues.at(r)) > 0 || len(writes.at(r)) > 0 {
+			rows = append(rows, int32(r))
+		}
+	}
 	inputs := flowInputs(l)
 	// FU slots are (cluster, class) pairs, counted per cycle.
 	const classes = int(machine.NumClasses)
@@ -212,100 +232,107 @@ func pipelined(s *sched.Schedule, alloc *queue.Allocation, n int, allowMultiWrit
 	args := make([]int64, 0, 2)
 	written := make([]int32, 0, len(qs))
 
-	row := 0
-	if tmin <= tmax {
-		row = mod(tmin, ii)
-	}
-	for t := tmin; t <= tmax; t++ {
-		// stamp is this cycle's port and FU generation; it starts at 1 so
-		// the zero value means "never used", whatever the sign of t.
-		stamp := t - tmin + 1
-		// Writes first: a value may be written and read in the same cycle
-		// (zero-length lifetime, hardware bypass), but FIFO order still
-		// applies because pops always take the head.
-		written = written[:0]
-		for _, di := range writes.at(row) {
-			d := l.Deps[di]
-			k := (t - wbase[di]) / ii
-			if k < -d.Dist || k >= n-d.Dist {
-				continue
-			}
-			qi := qOf[di]
-			q := &qs[qi]
-			if q.wrote == stamp {
-				return nil, fmt.Errorf("sim: cycle %d: two writes to %v queue %d (write-port conflict)", t, q.loc, q.q)
-			}
-			q.wrote = stamp
-			var v int64
-			switch {
-			case k < 0:
-				op := l.Ops[d.From]
-				v = ir.LeafValue(op.EffID(), l.OrigIter(op, k))
-			case k >= n || s.Time[d.From]+k*ii >= t:
-				return nil, fmt.Errorf("sim: cycle %d: write of %v iteration %d before it was computed",
-					t, l.Ops[d.From], k)
-			default:
-				v = vals[d.From*n+k]
-			}
-			buf[q.tail] = entry{prod: int32(d.From), iter: int32(k), val: v}
-			q.tail++
-			written = append(written, qi)
+	// The run visits only windows that hold an event, and in them only the
+	// rows some op or dependence uses, so its cost follows the number of
+	// events rather than the span from first to last. hi is the last window
+	// of the ops and dependences started so far and next the first one not
+	// yet started; past hi the run jumps to next's first window. stamp
+	// numbers the visited cycles from 1, so a zero port or FU stamp means
+	// "never used".
+	stamp := 0
+	for w, hi, next := 0, math.MinInt, 0; next < len(starts) || w <= hi; w++ {
+		if w > hi {
+			w = starts[next]
 		}
-		// Issues: pop operands, check tags, evaluate.
-		for _, id := range issues.at(row) {
-			k := (t - s.Time[id]) / ii
-			if k < 0 || k >= n {
-				continue
-			}
-			op := l.Ops[id]
-			c := slot[id]
-			if fuStamp[c] != stamp {
-				fuStamp[c], fuUsed[c] = stamp, 0
-			}
-			if fuUsed[c]++; fuUsed[c] > fuCap[c] {
-				return nil, fmt.Errorf("sim: cycle %d: cluster %d issues more %v ops than units",
-					t, s.Cluster[id], machine.ClassOf(op.Kind))
-			}
-			args = args[:0]
-			for _, di := range inputs.at(int(id)) {
+		for ; next < len(starts) && starts[next] <= w; next++ {
+			hi = max(hi, starts[next]+n-1)
+		}
+		for _, row := range rows {
+			t := w*ii + int(row)
+			stamp++
+			// Writes first: a value may be written and read in the same
+			// cycle (zero-length lifetime, hardware bypass), but FIFO order
+			// still applies because pops always take the head.
+			written = written[:0]
+			for _, di := range writes.at(int(row)) {
 				d := l.Deps[di]
-				q := &qs[qOf[di]]
-				if q.read == stamp {
-					return nil, fmt.Errorf("sim: cycle %d: two reads from %v queue %d (read-port conflict)", t, q.loc, q.q)
+				k := w - writeWin[di]
+				if k < -d.Dist || k >= n-d.Dist {
+					continue
 				}
-				q.read = stamp
-				if q.head == q.tail {
-					return nil, fmt.Errorf("sim: cycle %d: %v pops empty %v queue %d", t, op, q.loc, q.q)
+				qi := qOf[di]
+				q := &qs[qi]
+				if q.wrote == stamp {
+					return nil, fmt.Errorf("sim: cycle %d: two writes to %v queue %d (write-port conflict)", t, q.loc, q.q)
 				}
-				head := buf[q.head]
-				q.head++
-				want := k - d.Dist
-				if int(head.prod) != d.From || int(head.iter) != want {
-					return nil, fmt.Errorf("sim: cycle %d: %v iteration %d expected value (%v,%d), FIFO delivered (%v,%d): Q-compatibility violated",
-						t, op, k, l.Ops[d.From], want, l.Ops[head.prod], head.iter)
+				q.wrote = stamp
+				if k >= 0 && (k >= n || s.Time[d.From]+k*ii >= t) {
+					return nil, fmt.Errorf("sim: cycle %d: write of %v iteration %d before it was computed",
+						t, l.Ops[d.From], k)
 				}
-				args = append(args, head.val)
+				buf[q.tail] = entry{prod: int32(d.From), iter: k}
+				q.tail++
+				written = append(written, qi)
 			}
-			v := ir.Eval(op, l.OrigIter(op, k), args)
-			vals[int(id)*n+k] = v
-			res.Issues++
-			if res.Stores != nil && op.Kind == ir.KStore {
-				res.Stores[StoreKey{op.EffID(), l.OrigIter(op, k)}] = v
+			// Issues: pop operands, check tags, evaluate.
+			for _, id := range issues.at(int(row)) {
+				k := w - issueWin[id]
+				if k < 0 || k >= n {
+					continue
+				}
+				op := l.Ops[id]
+				c := slot[id]
+				if fuStamp[c] != stamp {
+					fuStamp[c], fuUsed[c] = stamp, 0
+				}
+				if fuUsed[c]++; fuUsed[c] > fuCap[c] {
+					return nil, fmt.Errorf("sim: cycle %d: cluster %d issues more %v ops than units",
+						t, s.Cluster[id], machine.ClassOf(op.Kind))
+				}
+				args = args[:0]
+				for _, di := range inputs.at(int(id)) {
+					d := l.Deps[di]
+					q := &qs[qOf[di]]
+					if q.read == stamp {
+						return nil, fmt.Errorf("sim: cycle %d: two reads from %v queue %d (read-port conflict)", t, q.loc, q.q)
+					}
+					q.read = stamp
+					if q.head == q.tail {
+						return nil, fmt.Errorf("sim: cycle %d: %v pops empty %v queue %d", t, op, q.loc, q.q)
+					}
+					head := buf[q.head]
+					q.head++
+					want := k - d.Dist
+					if int(head.prod) != d.From || head.iter != want {
+						return nil, fmt.Errorf("sim: cycle %d: %v iteration %d expected value (%v,%d), FIFO delivered (%v,%d): Q-compatibility violated",
+							t, op, k, l.Ops[d.From], want, l.Ops[head.prod], head.iter)
+					}
+					if want < 0 {
+						from := l.Ops[d.From]
+						args = append(args, ir.LeafValue(from.EffID(), l.OrigIter(from, want)))
+					} else {
+						args = append(args, vals[d.From*n+want])
+					}
+				}
+				v := ir.Eval(op, l.OrigIter(op, k), args)
+				vals[int(id)*n+k] = v
+				res.Issues++
+				if res.Stores != nil && op.Kind == ir.KStore {
+					res.Stores[StoreKey{op.EffID(), l.OrigIter(op, k)}] = v
+				}
 			}
-		}
-		// Occupancy accounting and depth limits, after the cycle settles.
-		// Only a write grows a queue, so the queues written this cycle are
-		// the only ones whose depth can be a new maximum or break a limit.
-		for _, qi := range written {
-			q := &qs[qi]
-			depth := q.tail - q.head
-			res.MaxDepth = max(res.MaxDepth, depth)
-			if q.limit > 0 && depth > q.limit {
-				return nil, fmt.Errorf("sim: cycle %d: %v queue %d exceeds depth %d", t, q.loc, q.q, q.limit)
+			// Occupancy accounting and depth limits, after the cycle
+			// settles. Only a write grows a queue, so the queues written
+			// this cycle are the only ones whose depth can be a new maximum
+			// or break a limit.
+			for _, qi := range written {
+				q := &qs[qi]
+				depth := q.tail - q.head
+				res.MaxDepth = max(res.MaxDepth, depth)
+				if q.limit > 0 && depth > q.limit {
+					return nil, fmt.Errorf("sim: cycle %d: %v queue %d exceeds depth %d", t, q.loc, q.q, q.limit)
+				}
 			}
-		}
-		if row++; row == ii {
-			row = 0
 		}
 	}
 	if tmax >= tmin {
@@ -360,3 +387,13 @@ func layoutQueues(s *sched.Schedule, alloc *queue.Allocation, asOf, flows []int3
 func mod(x, m int) int {
 	return (x%m + m) % m
 }
+
+// floorDiv is x divided by m, rounded down, for m > 0.
+func floorDiv(x, m int) int {
+	return (x - mod(x, m)) / m
+}
+
+// maxCarry bounds |Dist*II| of a flow dependence: with live-in writes at
+// most that many cycles early, every cycle, window and span the run
+// computes stays far inside the int range.
+const maxCarry = math.MaxInt / 4

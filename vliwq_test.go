@@ -3,8 +3,10 @@ package vliwq_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"vliwq"
 	"vliwq/internal/copyins"
@@ -105,6 +107,33 @@ func TestCompileSkipVerify(t *testing.T) {
 	}
 	if res.II < 1 {
 		t.Fatal("bad II")
+	}
+}
+
+// TestCompileLongCarriedDistance: the loop text lets a value be carried any
+// number of iterations. A distance past the int32 range compiles and
+// verifies like a short one, well inside a time bound, because every stage,
+// the simulator included, costs the loop's events rather than the d*II
+// cycles its live-in values wait.
+func TestCompileLongCarriedDistance(t *testing.T) {
+	for _, dist := range []int{3, 3_000_000_007} {
+		loop, err := vliwq.ParseLoop(fmt.Sprintf("loop far\ntrip 100\nop ld load\nop acc add ld\nop st store acc\ncarried acc acc %d\n", dist))
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := vliwq.Compile(loop, vliwq.Options{Machine: vliwq.Clustered(4), Unroll: true})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("distance %d: %v", dist, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("distance %d: compile still running after 10s", dist)
+		}
 	}
 }
 
