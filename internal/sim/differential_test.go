@@ -502,9 +502,9 @@ func TestDifferentialNegativeStart(t *testing.T) {
 
 // TestDifferentialLongCarry: a carried distance d puts a dependence's
 // live-in writes d*II cycles before the loop body, with no event in
-// between, and a request may name any distance. The run must cost its
-// events, not that span, and must tag producer iterations far below the
-// int32 range exactly, so both simulators and the reference still agree.
+// between, and a request may name any distance. The run must not step
+// through that span, and must tag producer iterations far below the int32
+// range exactly, so both simulators and the reference still agree.
 func TestDifferentialLongCarry(t *testing.T) {
 	carry := func(dist int) *ir.Loop {
 		l := ir.New(fmt.Sprintf("carry%d", dist))
@@ -526,18 +526,22 @@ func TestDifferentialLongCarry(t *testing.T) {
 			n := verifyIters(s)
 			// Walking every cycle of the span would take minutes at the
 			// smaller distance and days at the larger one.
-			done := make(chan *PipeResult, 1)
+			type outcome struct {
+				res *PipeResult
+				err error
+			}
+			done := make(chan outcome, 1)
 			go func() {
 				res, err := Pipelined(s, a, PipeOptions{N: n})
-				if err != nil {
-					t.Errorf("%s: %v", label, err)
-				}
-				done <- res
+				done <- outcome{res, err}
 			}()
 			select {
-			case res := <-done:
-				if res != nil && res.Cycles <= dist {
-					t.Fatalf("%s: Cycles = %d, want more than the distance", label, res.Cycles)
+			case o := <-done:
+				if o.err != nil {
+					t.Fatalf("%s: %v", label, o.err)
+				}
+				if o.res.Cycles <= dist {
+					t.Fatalf("%s: Cycles = %d, want more than the distance", label, o.res.Cycles)
 				}
 			case <-time.After(10 * time.Second):
 				t.Fatalf("%s: Pipelined still running after 10s", label)
@@ -548,8 +552,8 @@ func TestDifferentialLongCarry(t *testing.T) {
 		}
 	}
 
-	// Past maxCarry the cycles of the run no longer fit an int (the map
-	// simulator's wrap around), so the dense one refuses the input.
+	// Past maxCarry the cycles of the run no longer fit an int, where the
+	// map simulator wraps them around, so the dense one refuses the input.
 	s, a, err := compileFor(carry(math.MaxInt), diffConfigs()[0])
 	if err != nil {
 		t.Fatal(err)

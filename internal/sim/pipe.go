@@ -234,11 +234,11 @@ func pipelined(s *sched.Schedule, alloc *queue.Allocation, n int, allowMultiWrit
 
 	// The run visits only windows that hold an event, and in them only the
 	// rows some op or dependence uses, so its cost follows the number of
-	// events rather than the span from first to last. hi is the last window
-	// of the ops and dependences started so far and next the first one not
-	// yet started; past hi the run jumps to next's first window. stamp
-	// numbers the visited cycles from 1, so a zero port or FU stamp means
-	// "never used".
+	// windows with events times the rows in use, never the span from first
+	// to last. hi is the last window of the ops and dependences started so
+	// far and next the first one not yet started; past hi the run jumps to
+	// next's first window. stamp numbers the visited cycles from 1, so a
+	// zero port or FU stamp means "never used".
 	stamp := 0
 	for w, hi, next := 0, math.MinInt, 0; next < len(starts) || w <= hi; w++ {
 		if w > hi {

@@ -112,9 +112,9 @@ func TestCompileSkipVerify(t *testing.T) {
 
 // TestCompileLongCarriedDistance: the loop text lets a value be carried any
 // number of iterations. A distance past the int32 range compiles and
-// verifies like a short one, well inside a time bound, because every stage,
-// the simulator included, costs the loop's events rather than the d*II
-// cycles its live-in values wait.
+// verifies like a short one, well inside a time bound: no stage, the
+// simulator included, may step through the d*II cycles its live-in values
+// wait.
 func TestCompileLongCarriedDistance(t *testing.T) {
 	for _, dist := range []int{3, 3_000_000_007} {
 		loop, err := vliwq.ParseLoop(fmt.Sprintf("loop far\ntrip 100\nop ld load\nop acc add ld\nop st store acc\ncarried acc acc %d\n", dist))
