@@ -170,9 +170,10 @@ func pipelined(s *sched.Schedule, alloc *queue.Allocation, n int, allowMultiWrit
 	// flow dependence of distance d writes producer iteration k at
 	// wbase+k*II for k in [-d, n-d), where wbase = Time[from]+lat(+comm),
 	// so its first d live-in writes can fall before cycle 0, and a long
-	// distance or comm latency leaves stretches of cycles with no event. Either way every op and flow
-	// dependence has one event in each of n consecutive II-cycle windows,
-	// starting at the window of its first event.
+	// distance or comm latency leaves stretches of cycles with no event.
+	// Either way every op and flow dependence has one event in each of n
+	// consecutive II-cycle windows, starting at the window of its first
+	// event.
 	ii := s.II
 	starts := make([]int, 0, len(l.Ops)+len(flows)) // window of each one's first event
 	tmin, tmax := math.MaxInt, math.MinInt
