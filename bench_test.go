@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"vliwq"
 	"vliwq/internal/corpus"
 	"vliwq/internal/exp"
 	"vliwq/internal/ir"
@@ -211,4 +212,55 @@ func BenchmarkProgramSchedule(b *testing.B) {
 	}
 	b.ReportMetric(float64(last.SumII()), "sumII")
 	b.ReportMetric(float64(last.HardCount()), "hardRegions")
+}
+
+// sink keeps the request-path benchmarks' results live.
+var sink string
+
+// requestCorpus renders the paper corpus as request loop texts, the form
+// the service and the gateway receive.
+func requestCorpus(b *testing.B) []string {
+	b.Helper()
+	loops := corpus.Standard()
+	srcs := make([]string, len(loops))
+	for i, l := range loops {
+		srcs[i] = vliwq.FormatLoop(l)
+	}
+	return srcs
+}
+
+// BenchmarkStructuralKey measures the structural key of one request —
+// normalize, parse, fingerprint, render — per op, cycling through the
+// paper corpus on clustered:4 with unrolling: the gateway's routing cost
+// per /compile.
+func BenchmarkStructuralKey(b *testing.B) {
+	srcs := requestCorpus(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req := vliwq.Request{Loop: srcs[i%len(srcs)], Machine: "clustered:4", Unroll: true}
+		sink = req.StructuralKey()
+	}
+}
+
+// BenchmarkRender measures Result.Report plus Result.KernelSchedule per
+// op, cycling through compiles of the first 64 paper-corpus loops on
+// clustered:4 with unrolling: the render cost of every structural hit.
+func BenchmarkRender(b *testing.B) {
+	loops := corpus.Standard()[:64]
+	results := make([]*vliwq.Result, len(loops))
+	for i, l := range loops {
+		res, err := vliwq.Compile(l, vliwq.Options{Machine: vliwq.Clustered(4), Unroll: true, SkipVerify: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		results[i] = res
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := results[i%len(results)]
+		sink = res.Report()
+		sink = res.KernelSchedule()
+	}
 }

@@ -62,16 +62,17 @@ func NewCompiler(cfg CompilerConfig) *Compiler {
 	return c
 }
 
-// prepare applies the session defaults to a request and normalizes it.
-func (c *Compiler) prepare(req Request) (Request, error) {
+// Prepare applies the session defaults to a request — an omitted machine
+// or effort takes the session's — and then prepares it (vliwq.Prepare):
+// the form RunPrepared consumes.
+func (c *Compiler) Prepare(req Request) *Prepared {
 	if req.Machine == "" {
 		req.Machine = c.cfg.Machine
 	}
 	if req.Effort == "" {
 		req.Effort = c.cfg.Effort
 	}
-	err := req.Normalize()
-	return req, err
+	return Prepare(req)
 }
 
 // Run compiles one request through the full pipeline: parse, unroll, copy
@@ -85,6 +86,15 @@ func (c *Compiler) Run(ctx context.Context, req Request) (*Result, error) {
 	return c.RunUntil(ctx, req, StageVerify)
 }
 
+// RunPrepared is Run for a request this session already prepared
+// (Compiler.Prepare): it compiles the loop p parsed for its keys instead
+// of parsing the text again, and keys the session cache on p's memoized
+// Canonical. A Prepared built elsewhere runs as prepared, without this
+// session's defaults.
+func (c *Compiler) RunPrepared(ctx context.Context, p *Prepared) (*Result, error) {
+	return c.run(ctx, p, StageVerify)
+}
+
 // RunUntil compiles a request but stops the pipeline after the named
 // stage, returning a partial Result whose artifact fields (AfterUnroll,
 // AfterCopies, Sched, Alloc) and Stages timings cover exactly the stages
@@ -94,30 +104,36 @@ func (c *Compiler) RunUntil(ctx context.Context, req Request, until Stage) (*Res
 	if until >= NumStages {
 		return nil, fmt.Errorf("vliwq: unknown stage %d", uint8(until))
 	}
-	req, err := c.prepare(req)
-	if err != nil {
+	return c.run(ctx, c.Prepare(req), until)
+}
+
+// run compiles a prepared request up to `until`, through the session
+// cache when there is one.
+func (c *Compiler) run(ctx context.Context, p *Prepared, until Stage) (*Result, error) {
+	if err := p.Err(); err != nil {
 		return nil, err
 	}
 	if c.cache == nil {
-		return c.compute(ctx, req, until)
+		return c.compute(ctx, p, until)
 	}
 	// The cutoff participates in the key: a partial artifact must never be
 	// replayed as a full compilation or vice versa.
-	key := req.Canonical() + ";until=" + until.String()
+	key := p.Canonical() + ";until=" + until.String()
 	oc := c.cache.Do(key, func() runOutcome {
-		res, err := c.compute(context.Background(), req, until)
+		res, err := c.compute(context.Background(), p, until)
 		return runOutcome{res: res, err: err}
 	})
 	return oc.res, oc.err
 }
 
-// compute parses and compiles one prepared request.
-func (c *Compiler) compute(ctx context.Context, req Request, until Stage) (*Result, error) {
-	loop, err := ParseLoop(req.Loop)
+// compute compiles one normalized request, parsing its loop only if
+// nothing has yet.
+func (c *Compiler) compute(ctx context.Context, p *Prepared, until Stage) (*Result, error) {
+	loop, err := p.Loop()
 	if err != nil {
 		return nil, err
 	}
-	opts, err := req.Options()
+	opts, err := p.Options()
 	if err != nil {
 		return nil, err
 	}

@@ -37,6 +37,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"vliwq"
 	"vliwq/internal/cache"
 	"vliwq/internal/metrics"
 	"vliwq/internal/service"
@@ -240,7 +241,13 @@ func (g *Gateway) maxBatch() int {
 // of its shards (with N backends = the shard count, exactly one). The
 // splitmix64 finalizer decorrelates the two decisions.
 func (g *Gateway) Route(req *service.CompileRequest) int {
-	return int(mix64(cache.StringHash(req.StructuralKey())) % uint64(len(g.backends)))
+	return g.route(vliwq.Prepare(*req))
+}
+
+// route is Route for a prepared request, whose memoized keys the caller
+// goes on to use.
+func (g *Gateway) route(p *vliwq.Prepared) int {
+	return int(mix64(cache.StringHash(p.StructuralKey())) % uint64(len(g.backends)))
 }
 
 // mix64 is the splitmix64 finalizer: a cheap bijective avalanche so every
@@ -515,10 +522,11 @@ func (g *Gateway) failDispatch(w http.ResponseWriter, err error) {
 	g.fail(w, http.StatusBadGateway, err.Error())
 }
 
-// handleCompile routes one request by its canonical key and relays the
-// owning backend's answer verbatim — status, content type and body bytes —
-// so a response through the gateway is indistinguishable from one straight
-// off the backend.
+// handleCompile routes one request by its structural key, coalesces it on
+// its canonical key — both taken from one prepared request, so the request
+// is normalized and parsed once — and relays the owning backend's answer
+// verbatim — status, content type and body bytes — so a response through
+// the gateway is indistinguishable from one straight off the backend.
 func (g *Gateway) handleCompile(w http.ResponseWriter, r *http.Request) {
 	g.compileRequests.Add(1)
 	if r.Method != http.MethodPost {
@@ -540,12 +548,13 @@ func (g *Gateway) handleCompile(w http.ResponseWriter, r *http.Request) {
 		g.fail(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
-	owner := g.Route(&req)
+	p := vliwq.Prepare(req)
+	owner := g.route(p)
 	t0 := time.Now()
 	// One in-flight dispatch per exact key: concurrent identical requests —
 	// and retries racing a slow owner's failover — join the leader's ring
 	// walk instead of launching their own (see coalesce.go).
-	status, hdr, data, err, joined := g.coalesce(ctx, req.Canonical(), func() (int, http.Header, []byte, error) {
+	status, hdr, data, err, joined := g.coalesce(ctx, p.Canonical(), func() (int, http.Header, []byte, error) {
 		if d := g.hedgeDelay(); d > 0 {
 			return g.dispatchHedged(ctx, owner, body, d)
 		}
@@ -599,7 +608,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Group item indices by owning slot, preserving input order per group.
 	groups := make(map[int][]int)
 	for i := range req.Requests {
-		owner := g.Route(&req.Requests[i])
+		owner := g.route(vliwq.Prepare(req.Requests[i]))
 		groups[owner] = append(groups[owner], i)
 	}
 	results := make([]json.RawMessage, len(req.Requests))

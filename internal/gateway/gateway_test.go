@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
+	"time"
 
 	"vliwq"
 	"vliwq/internal/cache"
@@ -417,5 +420,43 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Backends: []string{"http://a", ""}}); err == nil {
 		t.Fatal("New accepted an empty backend URL")
+	}
+}
+
+// TestRouteLongChains: routing fingerprints every request, so a long
+// dependence chain — 20,000 ops as an operand chain and as distance-1
+// order edges — must route in bounded time (the uncapped refinement took
+// tens of seconds). The bound is checked here, on the test goroutine.
+func TestRouteLongChains(t *testing.T) {
+	g, err := New(Config{Backends: []string{"http://a", "http://b", "http://c"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := 2 * time.Second
+	if raceEnabled {
+		bound *= 10
+	}
+	for _, order := range []bool{false, true} {
+		var b strings.Builder
+		b.WriteString("loop chain\nop o0 load\n")
+		for i := 1; i < 20000; i++ {
+			if order {
+				fmt.Fprintf(&b, "op o%d load\norder o%d o%d 1\n", i, i-1, i)
+			} else {
+				fmt.Fprintf(&b, "op o%d add o%d\n", i, i-1)
+			}
+		}
+		req := service.CompileRequest{Loop: b.String(), Machine: "clustered:4"}
+		start := time.Now()
+		slot := g.Route(&req)
+		if took := time.Since(start); took > bound {
+			t.Errorf("order=%v: routing a 20000-op chain took %v, over %v", order, took, bound)
+		}
+		if !strings.Contains(vliwq.Prepare(req).StructuralKey(), ";fp=") {
+			t.Errorf("order=%v: the chain did not fingerprint", order)
+		}
+		if again := g.Route(&req); again != slot {
+			t.Errorf("order=%v: routed to %d, then %d", order, slot, again)
+		}
 	}
 }

@@ -1,11 +1,12 @@
 package ir
 
 import (
+	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 )
 
 // Structural fingerprinting: a deterministic canonical-labeling pass over
@@ -17,6 +18,11 @@ import (
 // loops identically in every way except the names it prints, which is
 // exactly the property that makes a cached schedule safely renameable
 // (see DESIGN.md §12).
+//
+// Every request the service or the gateway sees runs these kernels, so they
+// render with strconv appends into one buffer and sort with slices instead
+// of fmt, sort.Slice and per-round maps. Their output is byte-identical to
+// the fmt-based versions the package tests keep as oracles.
 
 // Skeleton returns the name-free structural encoding of the loop in given
 // statement order: operation kinds (with unroll lineage), the exact
@@ -37,17 +43,45 @@ import (
 // AlignLike (counted structural.reordered) and falls back to a fresh
 // compile only when no alignment exists (structural.renumbered).
 func Skeleton(l *Loop) string {
-	var b strings.Builder
-	b.Grow(16 * (len(l.Ops) + len(l.Deps)))
-	fmt.Fprintf(&b, "sk1;t=%d;u=%d;n=%d;", l.TripCount(), l.Unroll, len(l.Ops))
+	b := make([]byte, 0, 16*(len(l.Ops)+len(l.Deps))+32)
+	b = appendHeader(b, "sk1;", l)
 	for _, op := range l.Ops {
-		fmt.Fprintf(&b, "%d:%d:%d,", op.Kind, op.Orig, op.Phase)
+		b = appendOpSig(b, op)
 	}
-	b.WriteByte(';')
+	b = append(b, ';')
 	for _, d := range l.Deps {
-		fmt.Fprintf(&b, "%d>%d:%d:%d,", d.From, d.To, d.Dist, d.Kind)
+		b = strconv.AppendInt(b, int64(d.From), 10)
+		b = append(b, '>')
+		b = strconv.AppendInt(b, int64(d.To), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(d.Dist), 10)
+		b = append(b, ':')
+		b = strconv.AppendUint(b, uint64(d.Kind), 10)
+		b = append(b, ',')
 	}
-	return b.String()
+	return string(b)
+}
+
+// appendHeader appends "<tag>t=<trip>;u=<unroll>;n=<ops>;".
+func appendHeader(b []byte, tag string, l *Loop) []byte {
+	b = append(b, tag...)
+	b = append(b, "t="...)
+	b = strconv.AppendInt(b, int64(l.TripCount()), 10)
+	b = append(b, ";u="...)
+	b = strconv.AppendInt(b, int64(l.Unroll), 10)
+	b = append(b, ";n="...)
+	b = strconv.AppendInt(b, int64(len(l.Ops)), 10)
+	return append(b, ';')
+}
+
+// appendOpSig appends "<kind>:<orig>:<phase>,".
+func appendOpSig(b []byte, op *Op) []byte {
+	b = strconv.AppendUint(b, uint64(op.Kind), 10)
+	b = append(b, ':')
+	b = strconv.AppendInt(b, int64(op.Orig), 10)
+	b = append(b, ':')
+	b = strconv.AppendInt(b, int64(op.Phase), 10)
+	return append(b, ',')
 }
 
 // Fingerprint returns a deterministic hex digest of the loop's dependence
@@ -62,100 +96,185 @@ func Skeleton(l *Loop) string {
 // starts from a color derived from its kind and unroll lineage, and each
 // round folds in the multiset of (direction, dep kind, distance, operand
 // slot, neighbor color) edge signatures until the color partition stops
-// refining. Residual ties are broken by statement order, which keeps the
-// pass linear-ish and deterministic; for the rare graphs WL cannot fully
-// split (highly symmetric bodies) two isomorphic spellings may then hash
+// refining or maxWLRounds rounds have run. Residual ties are broken by
+// statement order, which keeps the pass linear-ish and deterministic; for
+// the rare graphs WL cannot fully split (highly symmetric bodies, or long
+// chains the round cap cuts short) two isomorphic spellings may then hash
 // differently. That costs a missed structural hit, never a wrong one —
 // hits are verified against the exact Skeleton before any schedule is
 // reused.
+//
+// The serialization hashed is
+//
+//	"fp1;t=" trip ";u=" unroll ";n=" ops ";" (kind ":" orig ":" phase ",")*
+//	";" (from ">" to ":" dist ":" kind ":" slot ",")*
+//
+// with ops in canonical order, endpoints as canonical indices and the
+// edges sorted as strings.
 func Fingerprint(l *Loop) string {
 	n := len(l.Ops)
 	colors, slot := wlRefine(l)
 
 	// Canonical order: by final color, residual ties by statement order.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+	order := make([]colorID, n)
+	for i, c := range colors {
+		order[i] = colorID{c, int32(i)}
 	}
-	sort.SliceStable(order, func(a, b int) bool { return colors[order[a]] < colors[order[b]] })
-	canon := make([]int, n) // canon[id] = canonical index
-	for ci, id := range order {
-		canon[id] = ci
+	slices.SortFunc(order, compareColorID)
+	canon := make([]int32, n) // canon[id] = canonical index
+	for ci, o := range order {
+		canon[o.id] = int32(ci)
 	}
 
-	// Serialize the canonically relabeled skeleton and hash it.
-	var b strings.Builder
-	b.Grow(16 * (n + len(l.Deps)))
-	fmt.Fprintf(&b, "fp1;t=%d;u=%d;n=%d;", l.TripCount(), l.Unroll, n)
-	for _, id := range order {
-		op := l.Ops[id]
-		fmt.Fprintf(&b, "%d:%d:%d,", op.Kind, op.Orig, op.Phase)
-	}
-	b.WriteByte(';')
-	edges := make([]string, len(l.Deps))
+	// Render every edge once into one buffer, then sort the edges as
+	// strings by their spans in it.
+	m := len(l.Deps)
+	eb := make([]byte, 0, 16*m)
+	spans := make([]span, m)
 	for i, d := range l.Deps {
-		edges[i] = fmt.Sprintf("%d>%d:%d:%d:%d", canon[d.From], canon[d.To], d.Dist, d.Kind, slot[i])
+		lo := len(eb)
+		eb = strconv.AppendInt(eb, int64(canon[d.From]), 10)
+		eb = append(eb, '>')
+		eb = strconv.AppendInt(eb, int64(canon[d.To]), 10)
+		eb = append(eb, ':')
+		eb = strconv.AppendInt(eb, int64(d.Dist), 10)
+		eb = append(eb, ':')
+		eb = strconv.AppendUint(eb, uint64(d.Kind), 10)
+		eb = append(eb, ':')
+		eb = strconv.AppendInt(eb, int64(slot[i]), 10)
+		spans[i] = span{int32(lo), int32(len(eb))}
 	}
-	sort.Strings(edges)
-	for _, e := range edges {
-		b.WriteString(e)
-		b.WriteByte(',')
+	slices.SortFunc(spans, func(a, b span) int {
+		return bytes.Compare(eb[a.lo:a.hi], eb[b.lo:b.hi])
+	})
+
+	// Serialize the canonically relabeled skeleton and hash it.
+	b := make([]byte, 0, 16*n+len(eb)+m+32)
+	b = appendHeader(b, "fp1;", l)
+	for _, o := range order {
+		b = appendOpSig(b, l.Ops[o.id])
 	}
-	sum := sha256.Sum256([]byte(b.String()))
-	return hex.EncodeToString(sum[:])
+	b = append(b, ';')
+	for _, s := range spans {
+		b = append(b, eb[s.lo:s.hi]...)
+		b = append(b, ',')
+	}
+	sum := sha256.Sum256(b)
+	var hx [2 * sha256.Size]byte
+	hex.Encode(hx[:], sum[:])
+	return string(hx[:])
 }
+
+// colorID pairs an op's refined color with its statement index.
+type colorID struct {
+	c  uint64
+	id int32
+}
+
+// compareColorID orders by color, then statement index: the stable sort
+// by color that canonical labeling and AlignLike's pairing rely on.
+func compareColorID(a, b colorID) int {
+	if c := cmp.Compare(a.c, b.c); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
+// span is a half-open byte range of Fingerprint's edge buffer.
+type span struct{ lo, hi int32 }
+
+// maxWLRounds caps the refinement rounds. Each round splits color classes
+// at most one dependence hop further, so a chain of n ops needs ~n/2
+// rounds of O(n+m) work to stabilize: without a cap a 4000-op chain takes
+// seconds to fingerprint, and the gateway fingerprints every request it
+// routes. Every loop of the paper, stressed, kernel and traced corpora
+// stabilizes within 6 rounds, so 16 leaves their fingerprints untouched.
+// Colors after a capped round are still isomorphism-invariant (each round
+// is), so a capped loop can only lose structural hits to residual
+// statement-order ties — AlignLike then fails and the request compiles
+// fresh — never gain a wrong one.
+const maxWLRounds = 16
 
 // wlRefine runs the Weisfeiler-Lehman color refinement shared by
 // Fingerprint and AlignLike. It returns the stable per-op colors and each
 // dependence's operand slot: its index among the deps of the same kind
 // entering the same consumer, the order FlowInputs exposes.
+//
+// Storage is three allocations whatever the loop size: the returned slot
+// array, one int32 arena (the per-(consumer, kind) slot counters and the
+// CSR layout of each op's incident edges) and one uint64 arena (colors,
+// next-round colors, the per-op edge signatures, which the CSR layout
+// groups by op so each op's signature multiset sorts in place, and the
+// distinct-color set).
 func wlRefine(l *Loop) (colors []uint64, slot []int) {
-	n := len(l.Ops)
-	slot = make([]int, len(l.Deps))
-	{
-		type ck struct {
-			to   int
-			kind DepKind
-		}
-		seen := make(map[ck]int, len(l.Deps))
-		for i, d := range l.Deps {
-			k := ck{d.To, d.Kind}
-			slot[i] = seen[k]
-			seen[k]++
-		}
+	n, m := len(l.Ops), len(l.Deps)
+	kinds := 0
+	for _, d := range l.Deps {
+		kinds = max(kinds, int(d.Kind)+1)
+	}
+	i32 := make([]int32, n*kinds+(n+1)+2*m)
+	seen, i32 := i32[:n*kinds], i32[n*kinds:]
+	off, pos := i32[:n+1], i32[n+1:]
+	tbl := 1
+	for tbl < 2*n {
+		tbl *= 2
+	}
+	u64 := make([]uint64, 2*n+2*m+tbl)
+	colors, next, sigs, table := u64[:n], u64[n:2*n], u64[2*n:2*n+2*m], u64[2*n+2*m:]
+
+	slot = make([]int, m)
+	for i, d := range l.Deps {
+		k := d.To*kinds + int(d.Kind)
+		slot[i] = int(seen[k])
+		seen[k]++
 	}
 
-	colors = make([]uint64, n)
+	// CSR layout of incident edges: dep i's consumer-side signature lives
+	// at sigs[pos[2i]], its producer-side one at sigs[pos[2i+1]], and op
+	// v's signatures fill sigs[off[v]:off[v+1]].
+	for _, d := range l.Deps {
+		off[d.To+1]++
+		off[d.From+1]++
+	}
+	for v := 1; v <= n; v++ {
+		off[v] += off[v-1]
+	}
+	for i, d := range l.Deps {
+		pos[2*i] = off[d.To]
+		off[d.To]++
+		pos[2*i+1] = off[d.From]
+		off[d.From]++
+	}
+	for v := n; v > 0; v-- {
+		off[v] = off[v-1]
+	}
+	off[0] = 0
+
 	for i, op := range l.Ops {
 		colors[i] = fpMix(0x9e3779b97f4a7c15 ^ uint64(op.Kind)<<32 ^
 			uint64(uint32(op.Orig))<<8 ^ uint64(uint32(op.Phase)))
 	}
 
-	next := make([]uint64, n)
-	sigs := make([][]uint64, n)
-	distinct := countDistinct(colors)
-	for round := 0; round < n; round++ {
-		for i := range sigs {
-			sigs[i] = sigs[i][:0]
-		}
+	distinct := countDistinct(colors, table)
+	for round := 0; round < n && round < maxWLRounds; round++ {
 		for i, d := range l.Deps {
 			edge := fpMix(uint64(d.Kind)<<48 ^ uint64(uint32(d.Dist))<<16 ^ uint64(uint32(slot[i])))
 			// The consumer sees the producer's color and vice versa, tagged
 			// with the direction so in- and out-edges cannot cancel out.
-			sigs[d.To] = append(sigs[d.To], fpMix(edge^0xa5a5a5a5^colors[d.From]))
-			sigs[d.From] = append(sigs[d.From], fpMix(edge^0x5a5a5a5a5a^colors[d.To]))
+			sigs[pos[2*i]] = fpMix(edge ^ 0xa5a5a5a5 ^ colors[d.From])
+			sigs[pos[2*i+1]] = fpMix(edge ^ 0x5a5a5a5a5a ^ colors[d.To])
 		}
-		for i := range next {
-			s := sigs[i]
-			sort.Slice(s, func(a, b int) bool { return s[a] < s[b] })
-			h := colors[i]
-			for _, v := range s {
-				h = fpMix(h ^ v)
+		for v := range next {
+			s := sigs[off[v]:off[v+1]]
+			slices.Sort(s)
+			h := colors[v]
+			for _, x := range s {
+				h = fpMix(h ^ x)
 			}
-			next[i] = h
+			next[v] = h
 		}
 		copy(colors, next)
-		nd := countDistinct(colors)
+		nd := countDistinct(colors, table)
 		if nd == distinct {
 			break // partition stable: further rounds cannot refine it
 		}
@@ -175,10 +294,33 @@ func fpMix(h uint64) uint64 {
 	return h
 }
 
-func countDistinct(colors []uint64) int {
-	seen := make(map[uint64]struct{}, len(colors))
+// countDistinct counts the distinct colors with an open-addressing set in
+// table, whose length is a power of two at least twice len(colors). Colors
+// are splitmix64 outputs, so their low bits index the table well; 0 marks
+// an empty slot, so a zero color is counted on the side.
+func countDistinct(colors, table []uint64) int {
+	clear(table)
+	mask := uint64(len(table) - 1)
+	nd := 0
+	zero := false
 	for _, c := range colors {
-		seen[c] = struct{}{}
+		if c == 0 {
+			if !zero {
+				zero = true
+				nd++
+			}
+			continue
+		}
+		for i := c & mask; ; i = (i + 1) & mask {
+			if table[i] == c {
+				break
+			}
+			if table[i] == 0 {
+				table[i] = c
+				nd++
+				break
+			}
+		}
 	}
-	return len(seen)
+	return nd
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
 func mustParse(t *testing.T, src string) *Loop {
@@ -165,5 +166,71 @@ func TestSkeletonNameFree(t *testing.T) {
 	r.Name = "zzz"
 	if Skeleton(r) != sk {
 		t.Fatal("renaming changed the skeleton")
+	}
+}
+
+// TestKernelAllocs pins the allocation counts of the per-request kernels on
+// one fixed loop: Skeleton renders into one buffer, Fingerprint's
+// refinement and serialization use a fixed handful of arenas.
+func TestKernelAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	l := mustParse(t, fpBase)
+	if got := testing.AllocsPerRun(100, func() { Skeleton(l) }); got > 2 {
+		t.Errorf("Skeleton: %.0f allocs, want <= 2", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { Fingerprint(l) }); got > 16 {
+		t.Errorf("Fingerprint: %.0f allocs, want <= 16", got)
+	}
+}
+
+// chainSrc renders an n-op dependence chain: an operand chain (each add
+// reads the previous op) or, with order, n loads linked by distance-1
+// order edges. Each refinement round splits such a chain only about two
+// ops further from its ends.
+func chainSrc(n int, order bool) string {
+	var b strings.Builder
+	b.WriteString("loop chain\nop o0 load\n")
+	for i := 1; i < n; i++ {
+		if order {
+			fmt.Fprintf(&b, "op o%d load\n", i)
+		} else {
+			fmt.Fprintf(&b, "op o%d add o%d\n", i, i-1)
+		}
+	}
+	if order {
+		for i := 1; i < n; i++ {
+			fmt.Fprintf(&b, "order o%d o%d 1\n", i-1, i)
+		}
+	}
+	return b.String()
+}
+
+// TestLongChainsStayLinear: the refinement round cap keeps Fingerprint and
+// AlignLike linear-ish on long chains, which the uncapped refinement
+// needed ~n/2 rounds of O(n) work for (tens of seconds at 20,000 ops). The
+// bound is checked here, on the test goroutine.
+func TestLongChainsStayLinear(t *testing.T) {
+	bound := 2 * time.Second
+	if raceEnabled {
+		bound *= 10
+	}
+	for _, order := range []bool{false, true} {
+		l := mustParse(t, chainSrc(20000, order))
+		r := l.Clone()
+		r.Name = "renamed"
+		start := time.Now()
+		fp := Fingerprint(l)
+		aligned, ok := AlignLike(r, l)
+		if took := time.Since(start); took > bound {
+			t.Errorf("order=%v: Fingerprint+AlignLike of a 20000-op chain took %v, over %v", order, took, bound)
+		}
+		if !ok || Skeleton(aligned) != Skeleton(l) {
+			t.Errorf("order=%v: a renamed chain must align onto itself", order)
+		}
+		if Fingerprint(r) != fp {
+			t.Errorf("order=%v: renaming changed a capped fingerprint", order)
+		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Text loop format, used by cmd/vliwsched and the examples:
@@ -27,101 +29,209 @@ import (
 
 // Parse reads a loop in the text format from r.
 func Parse(r io.Reader) (*Loop, error) {
-	l := New("")
+	p := newParser(0)
 	sc := bufio.NewScanner(r)
 	lineNo := 0
-	byName := map[string]*Op{}
 	for sc.Scan() {
 		lineNo++
-		line := sc.Text()
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
-			continue
-		}
-		fail := func(format string, args ...any) error {
-			return fmt.Errorf("ir: line %d: %s", lineNo, fmt.Sprintf(format, args...))
-		}
-		switch fields[0] {
-		case "loop":
-			if len(fields) != 2 {
-				return nil, fail("loop needs exactly one name")
-			}
-			l.Name = fields[1]
-		case "trip":
-			if len(fields) != 2 {
-				return nil, fail("trip needs exactly one count")
-			}
-			n, err := strconv.Atoi(fields[1])
-			if err != nil || n <= 0 {
-				return nil, fail("bad trip count %q", fields[1])
-			}
-			l.Trip = n
-		case "op":
-			if len(fields) < 3 {
-				return nil, fail("op needs a name and a kind")
-			}
-			name := fields[1]
-			if _, dup := byName[name]; dup {
-				return nil, fail("duplicate op name %q", name)
-			}
-			kind, ok := parseKind(fields[2])
-			if !ok {
-				return nil, fail("unknown op kind %q", fields[2])
-			}
-			op := l.AddOp(kind, name)
-			byName[name] = op
-			for _, operand := range fields[3:] {
-				src, ok := byName[operand]
-				if !ok {
-					return nil, fail("unknown operand %q", operand)
-				}
-				l.AddFlow(src, op)
-			}
-		case "carried", "mem", "order":
-			if len(fields) != 4 {
-				return nil, fail("%s needs <from> <to> <dist>", fields[0])
-			}
-			from, ok := byName[fields[1]]
-			if !ok {
-				return nil, fail("unknown op %q", fields[1])
-			}
-			to, ok := byName[fields[2]]
-			if !ok {
-				return nil, fail("unknown op %q", fields[2])
-			}
-			dist, err := strconv.Atoi(fields[3])
-			if err != nil || dist < 0 {
-				return nil, fail("bad distance %q", fields[3])
-			}
-			kind := Flow
-			switch fields[0] {
-			case "mem":
-				kind = Mem
-			case "order":
-				kind = Order
-			}
-			if kind == Flow && dist == 0 {
-				return nil, fail("carried distance must be >= 1 (use op operands for dist 0)")
-			}
-			l.AddDep(Dep{From: from.ID, To: to.ID, Dist: dist, Kind: kind})
-		default:
-			return nil, fail("unknown directive %q", fields[0])
+		if err := p.line(lineNo, sc.Text()); err != nil {
+			return nil, err
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("ir: reading loop: %w", err)
 	}
-	if err := l.Validate(); err != nil {
-		return nil, err
-	}
-	return l, nil
+	return p.finish()
 }
 
-// ParseString parses a loop from a string.
-func ParseString(s string) (*Loop, error) { return Parse(strings.NewReader(s)) }
+// ParseString parses a loop from a string. It accepts and rejects exactly
+// what Parse does, with the same errors, but cuts lines and fields out of
+// s in place instead of copying them through a bufio.Scanner — the loop
+// and op names share s's memory. Every request the service and the
+// gateway handle is parsed here. The Scanner's behaviour is kept: lines
+// end at '\n', a line of bufio.MaxScanTokenSize bytes or more fails with
+// bufio.ErrTooLong, and a trailing '\r' is whitespace to the field split
+// anyway.
+func ParseString(s string) (*Loop, error) {
+	p := newParser(strings.Count(s, "\n") + 1)
+	for lineNo := 1; s != ""; lineNo++ {
+		line, rest, _ := strings.Cut(s, "\n")
+		if len(line) >= bufio.MaxScanTokenSize {
+			return nil, fmt.Errorf("ir: reading loop: %w", bufio.ErrTooLong)
+		}
+		if err := p.line(lineNo, line); err != nil {
+			return nil, err
+		}
+		s = rest
+	}
+	return p.finish()
+}
+
+// parser builds one loop line by line.
+type parser struct {
+	l      *Loop
+	byName map[string]*Op
+	fields []string // the current line's fields, reused across lines
+	ops    []Op     // block the next ops are carved from
+	hint   int      // expected op and dep count; 0 when unknown
+}
+
+// maxParseHint caps the presizing hint, which a caller derives from the
+// line count of untrusted input.
+const maxParseHint = 1024
+
+func newParser(hint int) *parser {
+	hint = min(hint, maxParseHint)
+	return &parser{l: New(""), byName: make(map[string]*Op, hint), hint: hint}
+}
+
+// addOp is Loop.AddOp with the ops carved out of blocks of up to
+// maxParseHint, so a loop's ops cost a few allocations instead of one
+// each.
+func (p *parser) addOp(kind OpKind, name string) *Op {
+	l := p.l
+	if l.Ops == nil && p.hint > 0 {
+		l.Ops = make([]*Op, 0, p.hint)
+	}
+	if len(p.ops) == cap(p.ops) {
+		p.ops = make([]Op, 0, min(max(p.hint, 2*cap(p.ops), 8), maxParseHint))
+	}
+	p.ops = append(p.ops, Op{ID: len(l.Ops), Kind: kind, Name: name, Orig: -1})
+	op := &p.ops[len(p.ops)-1]
+	l.Ops = append(l.Ops, op)
+	return op
+}
+
+func (p *parser) addDep(d Dep) {
+	if p.l.Deps == nil && p.hint > 0 {
+		p.l.Deps = make([]Dep, 0, 2*p.hint)
+	}
+	p.l.AddDep(d)
+}
+
+func (p *parser) fail(lineNo int, format string, args ...any) error {
+	return fmt.Errorf("ir: line %d: %s", lineNo, fmt.Sprintf(format, args...))
+}
+
+// line parses one line (without its '\n').
+func (p *parser) line(lineNo int, line string) error {
+	if i := strings.IndexByte(line, '#'); i >= 0 {
+		line = line[:i]
+	}
+	p.fields = appendFields(p.fields[:0], line)
+	fields := p.fields
+	if len(fields) == 0 {
+		return nil
+	}
+	l := p.l
+	switch fields[0] {
+	case "loop":
+		if len(fields) != 2 {
+			return p.fail(lineNo, "loop needs exactly one name")
+		}
+		l.Name = fields[1]
+	case "trip":
+		if len(fields) != 2 {
+			return p.fail(lineNo, "trip needs exactly one count")
+		}
+		n, err := strconv.Atoi(fields[1])
+		if err != nil || n <= 0 {
+			return p.fail(lineNo, "bad trip count %q", fields[1])
+		}
+		l.Trip = n
+	case "op":
+		if len(fields) < 3 {
+			return p.fail(lineNo, "op needs a name and a kind")
+		}
+		name := fields[1]
+		if _, dup := p.byName[name]; dup {
+			return p.fail(lineNo, "duplicate op name %q", name)
+		}
+		kind, ok := parseKind(fields[2])
+		if !ok {
+			return p.fail(lineNo, "unknown op kind %q", fields[2])
+		}
+		op := p.addOp(kind, name)
+		p.byName[name] = op
+		for _, operand := range fields[3:] {
+			src, ok := p.byName[operand]
+			if !ok {
+				return p.fail(lineNo, "unknown operand %q", operand)
+			}
+			p.addDep(Dep{From: src.ID, To: op.ID, Kind: Flow})
+		}
+	case "carried", "mem", "order":
+		if len(fields) != 4 {
+			return p.fail(lineNo, "%s needs <from> <to> <dist>", fields[0])
+		}
+		from, ok := p.byName[fields[1]]
+		if !ok {
+			return p.fail(lineNo, "unknown op %q", fields[1])
+		}
+		to, ok := p.byName[fields[2]]
+		if !ok {
+			return p.fail(lineNo, "unknown op %q", fields[2])
+		}
+		dist, err := strconv.Atoi(fields[3])
+		if err != nil || dist < 0 {
+			return p.fail(lineNo, "bad distance %q", fields[3])
+		}
+		kind := Flow
+		switch fields[0] {
+		case "mem":
+			kind = Mem
+		case "order":
+			kind = Order
+		}
+		if kind == Flow && dist == 0 {
+			return p.fail(lineNo, "carried distance must be >= 1 (use op operands for dist 0)")
+		}
+		p.addDep(Dep{From: from.ID, To: to.ID, Dist: dist, Kind: kind})
+	default:
+		return p.fail(lineNo, "unknown directive %q", fields[0])
+	}
+	return nil
+}
+
+// finish validates the parsed loop.
+func (p *parser) finish() (*Loop, error) {
+	if err := p.l.Validate(); err != nil {
+		return nil, err
+	}
+	return p.l, nil
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// appendFields appends the fields of s to dst: strings.Fields, splitting
+// around runs of unicode.IsSpace (invalid UTF-8 decodes as U+FFFD, which
+// is not a space), without allocating the result slice.
+func appendFields(dst []string, s string) []string {
+	start := -1
+	for i := 0; i < len(s); {
+		c, size := rune(s[i]), 1
+		var space bool
+		if c < utf8.RuneSelf {
+			space = asciiSpace[c]
+		} else {
+			c, size = utf8.DecodeRuneInString(s[i:])
+			space = unicode.IsSpace(c)
+		}
+		switch {
+		case space && start >= 0:
+			dst = append(dst, s[start:i])
+			start = -1
+		case !space && start < 0:
+			start = i
+		}
+		i += size
+	}
+	if start >= 0 {
+		dst = append(dst, s[start:])
+	}
+	return dst
+}
 
 func parseKind(s string) (OpKind, bool) {
 	switch s {

@@ -1,5 +1,10 @@
 package ir
 
+import (
+	"cmp"
+	"slices"
+)
+
 // Statement reordering: AlignLike maps one spelling of a loop onto the
 // statement order of another, isomorphic spelling. The serving stack uses
 // it as the canonical pre-ordering in front of the structural cache — the
@@ -48,55 +53,49 @@ func AlignLike(l, target *Loop) (aligned *Loop, ok bool) {
 	colorsT, slotT := wlRefine(target)
 
 	// Pair equal-colored ops in statement order: l's k-th op of color c
-	// maps to target's k-th op of color c. Residually tied ops (same final
-	// color) are structurally interchangeable whenever the dependence check
-	// below passes, so statement order is a valid tie-break.
-	groupT := make(map[uint64][]int, n)
-	for i, c := range colorsT {
-		groupT[c] = append(groupT[c], i)
+	// maps to target's k-th op of color c. Sorting both sides by (color,
+	// statement index) lines those pairs up position by position, and the
+	// pairing exists exactly when the two color multisets are equal.
+	// Residually tied ops (same final color) are structurally
+	// interchangeable whenever the dependence check below passes, so
+	// statement order is a valid tie-break.
+	orderL := make([]colorID, 2*n)
+	orderL, orderT := orderL[:n], orderL[n:]
+	for i := range orderL {
+		orderL[i] = colorID{colorsL[i], int32(i)}
+		orderT[i] = colorID{colorsT[i], int32(i)}
 	}
+	slices.SortFunc(orderL, compareColorID)
+	slices.SortFunc(orderT, compareColorID)
 	pi := make([]int, n) // pi[i] = target position of l's op i
-	taken := make(map[uint64]int, len(groupT))
-	for i, c := range colorsL {
-		g := groupT[c]
-		k := taken[c]
-		if k >= len(g) {
+	for k, o := range orderL {
+		t := orderT[k]
+		if o.c != t.c {
 			return nil, false
 		}
-		taken[c] = k + 1
-		j := g[k]
+		i, j := int(o.id), int(t.id)
 		if l.Ops[i].Kind != target.Ops[j].Kind || l.Ops[i].Phase != target.Ops[j].Phase {
 			return nil, false
 		}
 		pi[i] = j
 	}
-	for c, g := range groupT {
-		if taken[c] != len(g) {
-			return nil, false
-		}
-	}
 
-	// The mapped dependence set must reproduce target's exactly. Keys are
-	// unique within a loop — (to, kind, slot) already identifies one dep —
-	// so a set comparison suffices.
-	type dkey struct {
-		from, to int
-		dist     int
-		kind     DepKind
-		slot     int
-	}
-	mapped := make(map[dkey]struct{}, len(l.Deps))
+	// The mapped dependence list must reproduce target's as a set. Keys
+	// are unique within target — (to, kind, slot) already identifies one
+	// dep — so with equal counts the sorted key lists are equal exactly
+	// when the sets are.
+	keys := make([]depKey, 2*len(l.Deps))
+	mapped, want := keys[:len(l.Deps)], keys[len(l.Deps):]
 	for i, d := range l.Deps {
-		k := dkey{pi[d.From], pi[d.To], d.Dist, d.Kind, slotL[i]}
-		if _, dup := mapped[k]; dup {
-			return nil, false
-		}
-		mapped[k] = struct{}{}
+		mapped[i] = depKey{pi[d.From], pi[d.To], d.Dist, d.Kind, slotL[i]}
 	}
 	for j, d := range target.Deps {
-		if _, hit := mapped[dkey{d.From, d.To, d.Dist, d.Kind, slotT[j]}]; !hit {
-			return nil, false
-		}
+		want[j] = depKey{d.From, d.To, d.Dist, d.Kind, slotT[j]}
+	}
+	slices.SortFunc(mapped, compareDepKey)
+	slices.SortFunc(want, compareDepKey)
+	if !slices.Equal(mapped, want) {
+		return nil, false
 	}
 
 	aligned = &Loop{
@@ -106,10 +105,37 @@ func AlignLike(l, target *Loop) (aligned *Loop, ok bool) {
 		Ops:    make([]*Op, n),
 		Deps:   append([]Dep(nil), target.Deps...),
 	}
+	ops := make([]Op, n)
 	for i, op := range l.Ops {
-		cp := *op
+		cp := &ops[pi[i]]
+		*cp = *op
 		cp.ID = pi[i]
-		aligned.Ops[pi[i]] = &cp
+		aligned.Ops[pi[i]] = cp
 	}
 	return aligned, true
+}
+
+// depKey is a dependence with its operand slot, endpoints already mapped
+// into the target's numbering.
+type depKey struct {
+	from, to int
+	dist     int
+	kind     DepKind
+	slot     int
+}
+
+func compareDepKey(a, b depKey) int {
+	if c := cmp.Compare(a.from, b.from); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.to, b.to); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.dist, b.dist); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.kind, b.kind); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.slot, b.slot)
 }

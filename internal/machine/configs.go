@@ -1,6 +1,9 @@
 package machine
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Standard configurations used by the paper's experiments.
 
@@ -38,7 +41,7 @@ func SingleCluster(n int) Config {
 	}
 	fus[COPY] = (n + 2) / 3
 	return Config{
-		Name: fmt.Sprintf("single-%dfu", n),
+		Name: "single-" + strconv.Itoa(n) + "fu",
 		Clusters: []Cluster{{
 			FUs:           fus,
 			PrivateQueues: 64,
@@ -63,7 +66,7 @@ func Clustered(nClusters int) Config {
 		}
 	}
 	return Config{
-		Name:       fmt.Sprintf("clustered-%dx3fu", nClusters),
+		Name:       "clustered-" + strconv.Itoa(nClusters) + "x3fu",
 		Clusters:   clusters,
 		RingQueues: DefaultRingQueues,
 	}

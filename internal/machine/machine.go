@@ -9,6 +9,7 @@ package machine
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"vliwq/internal/ir"
@@ -123,9 +124,9 @@ func (c *Config) Spec() string {
 	// A communication ring marks a clustered machine even at one cluster
 	// (Clustered(1) has ring queues; SingleCluster never does).
 	if len(c.Clusters) > 1 || c.RingQueues > 0 {
-		return fmt.Sprintf("clustered:%d", len(c.Clusters))
+		return "clustered:" + strconv.Itoa(len(c.Clusters))
 	}
-	return fmt.Sprintf("single:%d", c.ComputeFUs())
+	return "single:" + strconv.Itoa(c.ComputeFUs())
 }
 
 // RingDistance returns the minimal hop distance between clusters a and b on

@@ -439,15 +439,15 @@ func (s *Server) maxBody() int64 {
 	return 4 << 20
 }
 
-// runPipeline executes one compile for a normalized request and feeds
+// runPipeline executes one compile for a prepared request and feeds
 // every scheduler counter — including the per-stage wall-clock and
 // per-machine-spec tallies the staged engine exposes; cached paths (exact
 // and structural) replay outcomes without recounting. On error it returns
 // the rendered error string plus the context-cancellation flag.
-func (s *Server) runPipeline(ctx context.Context, req CompileRequest) (*vliwq.Result, string, bool) {
+func (s *Server) runPipeline(ctx context.Context, p *vliwq.Prepared) (*vliwq.Result, string, bool) {
 	s.compiles.Add(1)
 	t0 := time.Now()
-	res, err := s.compiler.Run(ctx, req)
+	res, err := s.compiler.RunPrepared(ctx, p)
 	if err != nil {
 		s.compileErrors.Add(1)
 		return nil, err.Error(), errors.Is(err, context.Canceled) ||
@@ -469,7 +469,7 @@ func (s *Server) runPipeline(ctx context.Context, req CompileRequest) (*vliwq.Re
 		s.stageNanos[st.Stage].Add(st.Duration.Nanoseconds())
 	}
 	s.machinesMu.Lock()
-	s.machines[req.Machine]++
+	s.machines[p.Request().Machine]++
 	s.machinesMu.Unlock()
 	return res, "", false
 }
@@ -505,23 +505,24 @@ func (s *Server) render(res *vliwq.Result, effort string) *CompileResponse {
 	return resp
 }
 
-// compute runs the pipeline for one normalized request and renders the
+// compute runs the pipeline for one prepared request and renders the
 // outcome — the structural-cache-free path (structural layer disabled,
 // unparseable loops, renumbered spellings).
-func (s *Server) compute(ctx context.Context, req CompileRequest) outcome {
-	res, errStr, ctxErr := s.runPipeline(ctx, req)
+func (s *Server) compute(ctx context.Context, p *vliwq.Prepared) outcome {
+	res, errStr, ctxErr := s.runPipeline(ctx, p)
 	if errStr != "" {
 		return outcome{err: errStr, ctxErr: ctxErr}
 	}
-	return outcome{resp: s.render(res, req.Effort), deadlineCut: res.Bound.DeadlineCut}
+	return outcome{resp: s.render(res, p.Request().Effort), deadlineCut: res.Bound.DeadlineCut}
 }
 
 // compileClass runs the pipeline for the first spelling of an isomorphism
 // class and records, alongside the Result, the skeleton of the loop that
 // compiled — the remap precondition every later spelling is checked
-// against.
-func (s *Server) compileClass(ctx context.Context, req CompileRequest, loop *vliwq.Loop) structEntry {
-	res, errStr, ctxErr := s.runPipeline(ctx, req)
+// against. The pipeline compiles the same loop the skeleton is taken from:
+// the one the prepared request parsed for its structural key.
+func (s *Server) compileClass(ctx context.Context, p *vliwq.Prepared, loop *vliwq.Loop) structEntry {
+	res, errStr, ctxErr := s.runPipeline(ctx, p)
 	if errStr != "" {
 		return structEntry{err: errStr, ctxErr: ctxErr}
 	}
@@ -553,17 +554,21 @@ func (s *Server) compileClass(ctx context.Context, req CompileRequest, loop *vli
 // spelling AlignLike cannot map (no alignment exists, or unroll lineage is
 // present) all run the plain compute path; those renumbered sightings are
 // counted so the missed reuse is observable.
-func (s *Server) computeRouted(ctx context.Context, req CompileRequest) outcome {
+//
+// The loop is parsed once, by the prepared request: the structural key,
+// the skeleton gate, the remap and a compile on any path all use that one
+// parse.
+func (s *Server) computeRouted(ctx context.Context, p *vliwq.Prepared) outcome {
 	if s.structs == nil {
-		return s.compute(ctx, req)
+		return s.compute(ctx, p)
 	}
-	loop, err := vliwq.ParseLoop(req.Loop)
+	loop, err := p.Loop()
 	if err != nil {
-		return s.compute(ctx, req)
+		return s.compute(ctx, p)
 	}
-	skey := req.StructuralKey()
+	skey := p.StructuralKey()
 	ent, info := s.structs.DoWithInfo(skey, func() structEntry {
-		return s.compileClass(ctx, req, loop)
+		return s.compileClass(ctx, p, loop)
 	})
 	if ent.ctxErr {
 		// Context errors belong to the first caller's deadline, not the
@@ -579,7 +584,7 @@ func (s *Server) computeRouted(ctx context.Context, req CompileRequest) outcome 
 		// spelling, and error text can embed operand names. Recompute under
 		// the caller's own names so an error response is byte-identical to
 		// a fresh compile, exactly like a success response.
-		return s.compute(ctx, req)
+		return s.compute(ctx, p)
 	}
 	cut := ent.res.Bound.DeadlineCut
 	if cut {
@@ -592,14 +597,14 @@ func (s *Server) computeRouted(ctx context.Context, req CompileRequest) outcome 
 	if info.Created {
 		// This call ran the compile; its Result already carries the
 		// caller's names.
-		return outcome{resp: s.render(ent.res, req.Effort), deadlineCut: cut}
+		return outcome{resp: s.render(ent.res, p.Request().Effort), deadlineCut: cut}
 	}
 	reordered := false
 	if ir.Skeleton(loop) != ent.skel {
 		aligned, ok := ir.AlignLike(loop, ent.res.Input)
 		if !ok || ir.Skeleton(aligned) != ent.skel {
 			s.structRenumbered.Add(1)
-			return s.compute(ctx, req)
+			return s.compute(ctx, p)
 		}
 		loop, reordered = aligned, true
 	}
@@ -607,7 +612,7 @@ func (s *Server) computeRouted(ctx context.Context, req CompileRequest) outcome 
 	if rerr != nil {
 		// Unreachable given the skeleton gate above; compile fresh rather
 		// than fail the request on a cache-layer defect.
-		return s.compute(ctx, req)
+		return s.compute(ctx, p)
 	}
 	s.structHits.Add(1)
 	if reordered {
@@ -616,7 +621,7 @@ func (s *Server) computeRouted(ctx context.Context, req CompileRequest) outcome 
 	if info.Joined {
 		s.structCoalesced.Add(1)
 	}
-	return outcome{resp: s.render(remapped, req.Effort), deadlineCut: cut}
+	return outcome{resp: s.render(remapped, p.Request().Effort), deadlineCut: cut}
 }
 
 // maxDegradeLevel is the ladder's floor: three steps take optimal all the
@@ -657,8 +662,8 @@ func (s *Server) observeLatency(d time.Duration) {
 
 // degrade lowers a normalized request's effort by the current ladder level,
 // reporting what the client originally asked for and whether anything
-// changed. It runs BEFORE Canonical() is taken, so a degraded compile
-// caches under the key of the effort that actually ran — never under the
+// changed. It runs BEFORE any key is taken, so a degraded compile caches
+// under the key of the effort that actually ran — never under the
 // requested effort's key (see CompileResponse.Degraded).
 func (s *Server) degrade(r *CompileRequest) (requested string, did bool) {
 	lvl := s.level.Load()
@@ -694,16 +699,18 @@ type timeoutError struct{ error }
 // (keyed by Canonical(), holding rendered responses), then structural on an
 // exact miss (keyed by StructuralKey(), holding compiled Results remapped
 // onto each spelling's names; see computeRouted), then the pipeline. The
-// request is normalized first, so every spelling of the same behaviour
-// ("" vs "single:6") lands on one entry; Normalize errors are client
-// errors (HTTP 400).
+// request is prepared first (vliwq.Prepared: normalized once, its keys and
+// parsed loop memoized for every later layer), so every spelling of the
+// same behaviour ("" vs "single:6") lands on one entry; Normalize errors
+// are client errors (HTTP 400).
 //
-// Degradation happens between Normalize and Canonical: when the SLO ladder
-// is active, the request's effort is lowered in place first, so the compile
-// caches under the key of the effort that actually ran. The cached outcome
-// itself is NOT marked degraded — a degraded-to-fast result IS a fast
-// result, and a client genuinely asking for fast must not see degraded:true
-// on a shared entry — the annotation goes on a per-request copy.
+// Degradation happens between normalizing and taking any key: when the
+// SLO ladder is active, the request is prepared again at the lowered
+// effort, so the compile caches under the key of the effort that actually
+// ran. The cached outcome itself is NOT marked degraded — a
+// degraded-to-fast result IS a fast result, and a client genuinely asking
+// for fast must not see degraded:true on a shared entry — the annotation
+// goes on a per-request copy.
 //
 // Computes run under the caller's context so a propagated deadline cancels
 // backend work at the next stage boundary. That makes context errors
@@ -713,16 +720,20 @@ type timeoutError struct{ error }
 // deliberate trade: shared-compute semantics cannot distinguish which
 // waiter's deadline fired.
 func (s *Server) compileOne(ctx context.Context, req *CompileRequest) (*CompileResponse, error) {
-	r := *req
-	if err := r.Normalize(); err != nil {
+	p := s.compiler.Prepare(*req)
+	if err := p.Err(); err != nil {
 		return nil, clientError{err}
 	}
+	r := p.Request()
 	requested, didDegrade := s.degrade(&r)
+	if didDegrade {
+		p = s.compiler.Prepare(r)
+	}
 	var oc outcome
 	if s.cache != nil {
-		key := r.Canonical()
+		key := p.Canonical()
 		oc = s.cache.Do(key, func() outcome {
-			return s.computeRouted(ctx, r)
+			return s.computeRouted(ctx, p)
 		})
 		if oc.ctxErr || oc.deadlineCut {
 			// Context errors and deadline-cut certificates are both
@@ -730,7 +741,7 @@ func (s *Server) compileOne(ctx context.Context, req *CompileRequest) (*CompileR
 			s.cache.Forget(key)
 		}
 	} else {
-		oc = s.compute(ctx, r)
+		oc = s.compute(ctx, p)
 	}
 	if oc.ctxErr {
 		s.timeouts.Add(1)

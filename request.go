@@ -3,9 +3,6 @@ package vliwq
 import (
 	"errors"
 	"fmt"
-	"strings"
-
-	"vliwq/internal/copyins"
 )
 
 // Request is the canonical compilation request: the loop plus every knob
@@ -13,15 +10,17 @@ import (
 // request encoding across the whole system — the library's Compiler
 // sessions consume it, the vliwd service's /compile and /batch bodies ARE
 // this type (service.CompileRequest is an alias), and the vliwgate fleet
-// routes by its Canonical() string. A request built from a parsed loop and
-// library Options comes from NewRequest.
+// routes it by its StructuralKey() and coalesces it by its Canonical().
+// Every consumer that keys or compiles it works on one Prepared instance,
+// which normalizes, keys and parses each request once. A request built
+// from a parsed loop and library Options comes from NewRequest.
 //
 // The zero values of every optional field mean "the default": an empty
 // Machine is "single:6", an empty CopyShape is "tree", an empty Effort is
-// "fast". Normalize fills those in; Canonical does so implicitly, which is
-// what guarantees that two spellings of the same behaviour — {"loop": L}
-// and {"loop": L, "machine": "single:6"} — share one cache entry and one
-// gateway shard.
+// "fast". Normalize fills those in; Canonical and StructuralKey do so
+// implicitly, which is what guarantees that two spellings of the same
+// behaviour — {"loop": L} and {"loop": L, "machine": "single:6"} — share
+// one cache entry and one gateway shard.
 type Request struct {
 	// Loop is the loop body in the text format internal/ir documents
 	// (op/carried/mem/order directives). Required.
@@ -59,26 +58,33 @@ type Request struct {
 // ParseEffort. The error, if any, is a request-shape problem the caller
 // should surface to the client (the service answers HTTP 400).
 func (r *Request) Normalize() error {
+	_, _, err := r.normalize()
+	return err
+}
+
+// normalize is Normalize, also returning the parsed machine and effort so
+// Prepared need not parse them again.
+func (r *Request) normalize() (Machine, Effort, error) {
 	spec := r.Machine
 	if spec == "" {
 		spec = "single:6"
 	}
 	m, err := ParseMachine(spec)
 	if err != nil {
-		return err
+		return Machine{}, 0, err
 	}
 	// Re-render through Spec(): strconv accepts non-canonical digits
 	// ("single:06", "single:+6"), and those spellings must share the
 	// canonical key of the machine they denote.
 	r.Machine = m.Spec()
 	if r.CommLatency < 0 {
-		return fmt.Errorf("negative comm_latency %d", r.CommLatency)
+		return Machine{}, 0, fmt.Errorf("negative comm_latency %d", r.CommLatency)
 	}
 	// The unroll factor multiplies the loop body; unchecked it lets a
 	// four-op request allocate hundreds of millions of ops. The library's
 	// automatic choice caps at 8, so 64 is generous for a forced factor.
 	if r.UnrollFactor < 0 || r.UnrollFactor > 64 {
-		return fmt.Errorf("unroll_factor %d out of range [0, 64]", r.UnrollFactor)
+		return Machine{}, 0, fmt.Errorf("unroll_factor %d out of range [0, 64]", r.UnrollFactor)
 	}
 	// Fold the equivalent unroll spellings onto one encoding: a forced
 	// factor overrides the automatic flag in the pipeline (so the flag is
@@ -94,23 +100,24 @@ func (r *Request) Normalize() error {
 		r.CopyShape = "tree"
 	case "tree", "chain":
 	default:
-		return fmt.Errorf("unknown copy_shape %q (want tree or chain)", r.CopyShape)
+		return Machine{}, 0, fmt.Errorf("unknown copy_shape %q (want tree or chain)", r.CopyShape)
 	}
 	eff, err := ParseEffort(r.Effort)
 	if err != nil {
-		return err
+		return Machine{}, 0, err
 	}
 	r.Effort = eff.String()
 	if r.Loop == "" {
-		return errors.New("empty loop")
+		return Machine{}, 0, errors.New("empty loop")
 	}
-	return nil
+	return m, eff, nil
 }
 
 // Canonical returns the deterministic canonical encoding of the request:
-// THE cache key of every compile cache and THE routing key of the vliwgate
-// hash ring. It normalizes a copy first, so behaviourally identical
-// spellings encode identically. The grammar (DESIGN.md §10) is
+// the exact key of every compile cache and the vliwgate gateway's
+// coalescing key (the gateway routes on StructuralKey). It normalizes a
+// copy first, so behaviourally identical spellings encode identically;
+// Prepared.Canonical is the implementation. The grammar (DESIGN.md §10) is
 //
 //	"rq1;" "m=" machine ";u=" bool ";f=" int ";s=" shape
 //	";mv=" bool ";cl=" int ";sv=" bool ";e=" effort ";" loop-text
@@ -120,50 +127,12 @@ func (r *Request) Normalize() error {
 // is unambiguous). A request Normalize rejects still encodes
 // deterministically — on its raw field values — and collides only with
 // requests that are rejected identically downstream.
-func (r Request) Canonical() string {
-	n := r
-	// Ignore the error: an invalid request keys on whatever Normalize left
-	// behind, which is still a pure function of the input.
-	_ = n.Normalize()
-	var b strings.Builder
-	b.Grow(len(n.Loop) + 64)
-	fmt.Fprintf(&b, "rq1;m=%s;u=%t;f=%d;s=%s;mv=%t;cl=%d;sv=%t;e=%s;",
-		n.Machine, n.Unroll, n.UnrollFactor, n.CopyShape,
-		n.AllowMoves, n.CommLatency, n.SkipVerify, n.Effort)
-	b.WriteString(n.Loop)
-	return b.String()
-}
+func (r Request) Canonical() string { return Prepare(r).Canonical() }
 
 // Options maps the request onto the library pipeline's Options, without
 // mutating the receiver. The error is the same request-shape error
 // Normalize reports.
-func (r Request) Options() (Options, error) {
-	n := r
-	if err := n.Normalize(); err != nil {
-		return Options{}, err
-	}
-	m, err := ParseMachine(n.Machine)
-	if err != nil {
-		return Options{}, err
-	}
-	m.AllowMoves = n.AllowMoves
-	m.CommLatency = n.CommLatency
-	opts := Options{
-		Machine:      m,
-		Unroll:       n.Unroll,
-		UnrollFactor: n.UnrollFactor,
-		SkipVerify:   n.SkipVerify,
-	}
-	if n.CopyShape == "chain" {
-		opts.CopyShape = copyins.Chain
-	}
-	eff, err := ParseEffort(n.Effort)
-	if err != nil {
-		return Options{}, err
-	}
-	opts.Sched.Effort = eff
-	return opts, nil
-}
+func (r Request) Options() (Options, error) { return Prepare(r).Options() }
 
 // NewRequest renders a parsed loop plus library Options into the canonical
 // Request: the loop through FormatLoop, the machine through Machine.Spec.

@@ -3,7 +3,6 @@ package vliwq
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"vliwq/internal/ir"
 )
@@ -27,23 +26,9 @@ import (
 // A request that fails Normalize or whose loop fails to parse cannot be
 // fingerprinted; it falls back to Canonical(), so invalid requests keep
 // exact-key semantics everywhere a structural key is used (gateway routing,
-// the service's structural cache lookup).
-func (r Request) StructuralKey() string {
-	n := r
-	if err := n.Normalize(); err != nil {
-		return r.Canonical()
-	}
-	l, err := ir.ParseString(n.Loop)
-	if err != nil {
-		return r.Canonical()
-	}
-	var b strings.Builder
-	b.Grow(160)
-	fmt.Fprintf(&b, "sq1;m=%s;u=%t;f=%d;s=%s;mv=%t;cl=%d;sv=%t;e=%s;fp=%s",
-		n.Machine, n.Unroll, n.UnrollFactor, n.CopyShape,
-		n.AllowMoves, n.CommLatency, n.SkipVerify, n.Effort, ir.Fingerprint(l))
-	return b.String()
-}
+// the service's structural cache lookup). Prepared.StructuralKey is the
+// implementation.
+func (r Request) StructuralKey() string { return Prepare(r).StructuralKey() }
 
 // RemapResult rewrites a compiled Result onto `to`, a loop that must be
 // skeleton-equal to res.Input: identical in every field the pipeline reads

@@ -13,8 +13,9 @@
 //
 // The primary API is request-centric: a Request is the canonical encoding
 // of one compilation (loop text plus every knob, with a deterministic
-// Canonical() key every cache and router shares), and a Compiler is a
-// configured session that runs Requests:
+// Canonical() exact key and a StructuralKey() isomorphism-class key that
+// every cache and router shares, both computed once per request by
+// Prepare), and a Compiler is a configured session that runs Requests:
 //
 //	c := vliwq.NewCompiler(vliwq.CompilerConfig{})
 //	res, err := c.Run(ctx, vliwq.Request{Loop: src, Machine: "clustered:4", Unroll: true})
@@ -38,6 +39,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"vliwq/internal/copyins"
 	"vliwq/internal/ir"
@@ -375,21 +377,44 @@ type BatchResult struct {
 	Err    error
 }
 
-// Report renders a human-readable summary of the compiled loop.
+// Report renders a human-readable summary of the compiled loop. Every
+// structural cache hit renders it, so it appends into one buffer with
+// strconv instead of going through fmt; the output is what the
+// equivalent Fprintf verbs (%d, %s, %.2f) print.
 func (r *Result) Report() string {
-	var b strings.Builder
 	s := r.Sched
-	fmt.Fprintf(&b, "loop %s on %s\n", r.Input.Name, s.Machine.Name)
+	b := make([]byte, 0, 320)
+	b = append(b, "loop "...)
+	b = append(b, r.Input.Name...)
+	b = append(b, " on "...)
+	b = append(b, s.Machine.Name...)
+	b = append(b, '\n')
 	if r.Unrolled > 1 {
-		fmt.Fprintf(&b, "  unrolled x%d (%d ops)\n", r.Unrolled, len(s.Loop.Ops))
+		b = append(b, "  unrolled x"...)
+		b = strconv.AppendInt(b, int64(r.Unrolled), 10)
+		b = append(b, " ("...)
+		b = strconv.AppendInt(b, int64(len(s.Loop.Ops)), 10)
+		b = append(b, " ops)\n"...)
 	}
-	fmt.Fprintf(&b, "  II=%d (ResMII=%d RecMII=%d)  stages=%d  length=%d\n",
-		s.II, s.ResMII, s.RecMII, r.StageCount, s.Length())
+	b = append(b, "  II="...)
+	b = strconv.AppendInt(b, int64(s.II), 10)
+	b = append(b, " (ResMII="...)
+	b = strconv.AppendInt(b, int64(s.ResMII), 10)
+	b = append(b, " RecMII="...)
+	b = strconv.AppendInt(b, int64(s.RecMII), 10)
+	b = append(b, ")  stages="...)
+	b = strconv.AppendInt(b, int64(r.StageCount), 10)
+	b = append(b, "  length="...)
+	b = strconv.AppendInt(b, int64(s.Length()), 10)
+	b = append(b, '\n')
 	if s.Stats.StrategiesTried > 0 {
 		// Only portfolio runs print this line, so fast-effort output stays
 		// byte-identical to the historical reports (and their goldens).
-		fmt.Fprintf(&b, "  portfolio: %d strategies raced, %s won\n",
-			s.Stats.StrategiesTried, s.Strategy)
+		b = append(b, "  portfolio: "...)
+		b = strconv.AppendInt(b, int64(s.Stats.StrategiesTried), 10)
+		b = append(b, " strategies raced, "...)
+		b = append(b, s.Strategy.String()...)
+		b = append(b, " won\n"...)
 	}
 	if r.Bound.Lower > 0 {
 		// Only the optimal tier carries a certificate; other tiers' reports
@@ -400,43 +425,89 @@ func (r *Result) Report() string {
 		} else if r.Bound.DeadlineCut {
 			status = "deadline-cut"
 		}
-		fmt.Fprintf(&b, "  optimal: lower-bound=%d %s (pruned %d nodes)\n",
-			r.Bound.Lower, status, s.Stats.PrunedNodes)
+		b = append(b, "  optimal: lower-bound="...)
+		b = strconv.AppendInt(b, int64(r.Bound.Lower), 10)
+		b = append(b, ' ')
+		b = append(b, status...)
+		b = append(b, " (pruned "...)
+		b = strconv.AppendInt(b, s.Stats.PrunedNodes, 10)
+		b = append(b, " nodes)\n"...)
 	}
-	fmt.Fprintf(&b, "  IPC static=%.2f dynamic=%.2f\n", r.IPCStatic, r.IPCDynamic)
-	fmt.Fprintf(&b, "  queues: private<=%d per cluster, ring<=%d per link, max depth %d\n",
-		r.Queues, r.RingQueues, r.Alloc.MaxDepth())
-	return b.String()
+	b = append(b, "  IPC static="...)
+	b = strconv.AppendFloat(b, r.IPCStatic, 'f', 2, 64)
+	b = append(b, " dynamic="...)
+	b = strconv.AppendFloat(b, r.IPCDynamic, 'f', 2, 64)
+	b = append(b, "\n  queues: private<="...)
+	b = strconv.AppendInt(b, int64(r.Queues), 10)
+	b = append(b, " per cluster, ring<="...)
+	b = strconv.AppendInt(b, int64(r.RingQueues), 10)
+	b = append(b, " per link, max depth "...)
+	b = strconv.AppendInt(b, int64(r.Alloc.MaxDepth()), 10)
+	b = append(b, '\n')
+	return string(b)
 }
 
+// kernelCellWidth is the width, in runes, KernelSchedule pads each cell
+// to; longer cells are left whole.
+const kernelCellWidth = 30
+
 // KernelSchedule renders the kernel as an II x FU table: one row per
-// modulo cycle, one column per cluster, listing the operations issued.
+// modulo cycle, one column per cluster, listing the operations issued
+// ("name@time", or "kind#id@time" for unnamed ops), in op order. Like
+// Report it renders without fmt, byte-identically to the "cycle %2d |"
+// row labels and " %-30s |" cells it is specified by.
 func (r *Result) KernelSchedule() string {
 	s := r.Sched
-	rows := make([][]string, s.II)
-	for i := range rows {
-		rows[i] = make([]string, s.Machine.NumClusters())
+	nc := s.Machine.NumClusters()
+	// Bucket the ops by cell (row-major), keeping op order within a cell.
+	start := make([]int32, s.II*nc+1)
+	for id := range s.Loop.Ops {
+		start[(s.Time[id]%s.II)*nc+s.Cluster[id]+1]++
 	}
-	for id, op := range s.Loop.Ops {
-		row := s.Time[id] % s.II
-		c := s.Cluster[id]
-		cell := &rows[row][c]
-		if *cell != "" {
-			*cell += " "
-		}
-		name := op.Name
-		if name == "" {
-			name = fmt.Sprintf("%s#%d", op.Kind, op.ID)
-		}
-		*cell += fmt.Sprintf("%s@%d", name, s.Time[id])
+	for i := 1; i < len(start); i++ {
+		start[i] += start[i-1]
 	}
-	var b strings.Builder
+	byCell := make([]int32, len(s.Loop.Ops))
+	fill := append([]int32(nil), start[:len(start)-1]...)
+	for id := range s.Loop.Ops {
+		cell := (s.Time[id]%s.II)*nc + s.Cluster[id]
+		byCell[fill[cell]] = int32(id)
+		fill[cell]++
+	}
+
+	b := make([]byte, 0, s.II*(10+nc*(kernelCellWidth+3))+len(s.Loop.Ops)*8)
 	for row := 0; row < s.II; row++ {
-		fmt.Fprintf(&b, "cycle %2d |", row)
-		for c := 0; c < s.Machine.NumClusters(); c++ {
-			fmt.Fprintf(&b, " %-30s |", rows[row][c])
+		b = append(b, "cycle "...)
+		if row < 10 {
+			b = append(b, ' ') // %2d
 		}
-		b.WriteString("\n")
+		b = strconv.AppendInt(b, int64(row), 10)
+		b = append(b, " |"...)
+		for c := 0; c < nc; c++ {
+			b = append(b, ' ')
+			lo := len(b)
+			cell := row*nc + c
+			for k, id := range byCell[start[cell]:start[cell+1]] {
+				if k > 0 {
+					b = append(b, ' ')
+				}
+				op := s.Loop.Ops[id]
+				if op.Name != "" {
+					b = append(b, op.Name...)
+				} else {
+					b = append(b, op.Kind.String()...)
+					b = append(b, '#')
+					b = strconv.AppendInt(b, int64(op.ID), 10)
+				}
+				b = append(b, '@')
+				b = strconv.AppendInt(b, int64(s.Time[id]), 10)
+			}
+			for w := utf8.RuneCount(b[lo:]); w < kernelCellWidth; w++ {
+				b = append(b, ' ')
+			}
+			b = append(b, " |"...)
+		}
+		b = append(b, '\n')
 	}
-	return b.String()
+	return string(b)
 }
