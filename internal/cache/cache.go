@@ -1,14 +1,16 @@
-// Package cache provides a concurrency-safe memoization cache shared by the
-// experiment pipeline (internal/exp) and the compilation service
-// (internal/service).
+// Package cache provides a concurrency-safe memoization cache and the one
+// singleflight the serving stack coalesces through: compiler sessions and
+// the experiment pipeline (internal/exp) memoize with it, the service
+// (internal/service) builds its exact and structural layers on it, and the
+// gateway (internal/gateway) collapses concurrent dispatches with it.
 //
 // The cache is sharded by key hash so that concurrent workers contend on a
-// per-shard mutex rather than one cache-wide lock, and each entry computes
-// its value exactly once behind a sync.Once: when several goroutines ask for
-// the same key simultaneously, one runs the compute function and the rest
-// block on it instead of duplicating the (comparatively expensive) work.
-// Hit, miss and eviction counters are maintained for observability; a
-// bounded-size mode caps the entry count with random replacement.
+// per-shard mutex rather than one cache-wide lock. The first caller of a
+// key runs its compute and concurrent callers wait for it instead of
+// duplicating the (comparatively expensive) work; the compute's Fate
+// decides who else sees the value. Hit, miss, coalesced and eviction
+// counters are maintained for observability; a bounded-size mode caps the
+// entry count with random replacement.
 //
 // Completed entries can be persisted and restored across process restarts
 // via Save/Load (snapshot.go): a versioned, checksummed, deterministic
@@ -17,6 +19,7 @@
 package cache
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 )
@@ -40,15 +43,14 @@ type Options struct {
 
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
-	Hits      int64 `json:"hits"`      // Do found an existing entry
-	Misses    int64 `json:"misses"`    // Do created the entry (and ran compute)
-	Evictions int64 `json:"evictions"` // entries dropped by the size bound
+	Hits      int64 `json:"hits"`      // lookups that found an entry
+	Misses    int64 `json:"misses"`    // lookups that created the entry (and ran compute)
+	Evictions int64 `json:"evictions"` // kept entries dropped by the size bound
 	Entries   int64 `json:"entries"`   // current entry count
-	// Coalesced counts the subset of Hits that joined an entry whose
-	// compute was still in flight: concurrent demand for one key that a
-	// singleflight collapsed into a single compute. (A coalesced call is
-	// still a hit — the counter refines Hits rather than splitting it, so
-	// hits+misses keeps equaling the call count.)
+	// Coalesced counts the subset of Hits that found the compute in flight
+	// and waited for it: concurrent demand for one key collapsed into one
+	// compute. (It refines Hits rather than splitting it, so hits+misses is
+	// the call count, plus one per waiting caller a Retry sent back.)
 	Coalesced int64 `json:"coalesced"`
 }
 
@@ -73,11 +75,32 @@ type shard[K comparable, V any] struct {
 	max int // entry cap; 0 = unbounded
 }
 
+// An entry's fate and done are guarded by the shard mutex; val and fate
+// are final once done is closed.
 type entry[V any] struct {
-	once sync.Once
 	val  V
-	done atomic.Bool // set after compute; eviction skips in-flight entries
+	fate Fate          // inFlight until the compute's fate is applied
+	done chan struct{} // made by the first waiting caller, closed with the fate
 }
+
+// Fate is a compute's verdict on the value it returns, applied under the
+// shard lock before any waiting caller is released.
+type Fate uint8
+
+const (
+	// Keep memoizes the value for every later caller of the key.
+	Keep Fate = iota
+	// Share hands the value to the callers already waiting and memoizes
+	// nothing: the next caller computes afresh.
+	Share
+	// Retry leaves the value to the computing caller alone (it belongs to
+	// that caller's clock, say its deadline): each waiting caller leads or
+	// joins a fresh compute instead.
+	Retry
+	// inFlight marks an entry whose compute has not returned; the map
+	// holds only inFlight and Keep entries.
+	inFlight
+)
 
 // New returns an empty cache. hash maps a key to its shard and must be
 // safe for concurrent use (pure functions are).
@@ -122,12 +145,12 @@ func New[K comparable, V any](opts Options, hash func(K) uint64) *Cache[K, V] {
 	return c
 }
 
-// Do returns the memoized value for key k, running compute exactly once per
-// key on first use. Concurrent callers of the same key share one compute:
-// the first runs it, the rest block until it finishes. compute must not
-// call back into the same cache key (the sync.Once would self-deadlock).
+// Do returns the memoized value for key k, running compute once per key on
+// first use; concurrent callers of the key wait for that compute, and every
+// value is kept. compute must not call back into the same cache key (it
+// would wait for itself).
 func (c *Cache[K, V]) Do(k K, compute func() V) V {
-	v, _ := c.DoWithInfo(k, compute)
+	v, _, _ := c.DoWithInfo(context.Background(), k, func() (V, Fate) { return compute(), Keep })
 	return v
 }
 
@@ -136,96 +159,101 @@ type Info struct {
 	// Created is true when this call created the entry and ran compute —
 	// the cache-miss case.
 	Created bool
-	// Joined is true when this call found the entry with its compute still
-	// in flight and blocked on it: the singleflight-coalescing case.
-	// Created and Joined are mutually exclusive; a plain hit on a completed
-	// entry reports neither.
+	// Joined is true when this call waited on a compute another caller
+	// ran: the singleflight-coalescing case. Created and Joined are
+	// mutually exclusive and describe the lookup that answered the call; a
+	// plain hit on a kept entry reports neither.
 	Joined bool
 }
 
-// DoWithInfo is Do plus provenance: it additionally reports whether this
-// call created the entry (a miss that ran compute) or joined an in-flight
-// compute started by a concurrent caller (a coalesced hit). The serving
-// layers use the distinction to count fleet-wide coalescing without
-// changing what Do callers observe.
-func (c *Cache[K, V]) DoWithInfo(k K, compute func() V) (V, Info) {
+// DoWithInfo returns the value for key k, computing it unless a kept one
+// exists. The caller that creates the entry runs compute and always gets
+// its value; the Fate returned with it decides who else does, and is
+// applied before any waiting caller is released, so no caller arriving
+// later sees a value that was not kept. A waiting caller whose ctx ends
+// returns ctx.Err() and a zero value while the compute runs on; the
+// computing caller is not interrupted (compute should observe its own
+// context). A kept entry is returned whatever ctx says. A compute that
+// panics counts as Retry and leaves no entry; the panic propagates to its
+// caller. Info says whether this call ran the compute or waited on
+// another's. compute must not call back into the same cache key.
+func (c *Cache[K, V]) DoWithInfo(ctx context.Context, k K, compute func() (V, Fate)) (V, Info, error) {
 	sh := &c.shards[c.hash(k)&c.mask]
-	sh.mu.Lock()
-	e := sh.m[k]
-	var info Info
-	if e == nil {
-		e = &entry[V]{}
-		if sh.max > 0 && len(sh.m) >= sh.max {
-			c.evictLocked(sh)
+	for {
+		sh.mu.Lock()
+		e := sh.m[k]
+		if e == nil {
+			e = &entry[V]{fate: inFlight}
+			if sh.max > 0 && len(sh.m) >= sh.max {
+				c.evictLocked(sh)
+			}
+			sh.m[k] = e
+			c.entries.Add(1)
+			c.misses.Add(1)
+			sh.mu.Unlock()
+			return c.lead(sh, k, e, compute), Info{Created: true}, nil
 		}
-		sh.m[k] = e
-		c.entries.Add(1)
-		c.misses.Add(1)
-		info.Created = true
-	} else {
 		c.hits.Add(1)
-		if !e.done.Load() {
-			// The entry exists but its compute had not finished when this
-			// call arrived: it shares the in-flight compute (blocking on the
-			// sync.Once below). The compute may complete between this check
-			// and the once.Do — the call still counts as coalesced, since it
-			// arrived while the work was in flight.
-			info.Joined = true
-			c.coalesced.Add(1)
+		if e.fate == Keep {
+			sh.mu.Unlock()
+			return e.val, Info{}, nil
+		}
+		c.coalesced.Add(1)
+		if e.done == nil {
+			e.done = make(chan struct{})
+		}
+		done := e.done
+		sh.mu.Unlock()
+		select {
+		case <-done:
+		case <-ctx.Done():
+			var zero V
+			return zero, Info{Joined: true}, ctx.Err()
+		}
+		if e.fate != Retry {
+			return e.val, Info{Joined: true}, nil
 		}
 	}
-	sh.mu.Unlock()
-	e.once.Do(func() {
-		e.val = compute()
-		e.done.Store(true)
-	})
-	return e.val, info
 }
 
-// Get reports the memoized value for k, if a completed one exists. It never
-// blocks on an in-flight compute and does not touch the hit/miss counters.
+// lead runs compute for the entry e its caller created and applies the
+// fate: a kept entry stays, any other leaves the map (not an eviction).
+func (c *Cache[K, V]) lead(sh *shard[K, V], k K, e *entry[V], compute func() (V, Fate)) V {
+	fate := Retry // what a panicking compute leaves behind
+	defer func() {
+		sh.mu.Lock()
+		if e.fate = fate; fate != Keep {
+			delete(sh.m, k)
+			c.entries.Add(-1)
+		}
+		if e.done != nil {
+			close(e.done)
+		}
+		sh.mu.Unlock()
+	}()
+	e.val, fate = compute()
+	return e.val
+}
+
+// Get reports the memoized value for k, if a kept one exists. It never
+// waits on an in-flight compute and does not touch the hit/miss counters.
 func (c *Cache[K, V]) Get(k K) (V, bool) {
 	sh := &c.shards[c.hash(k)&c.mask]
 	sh.mu.Lock()
-	e := sh.m[k]
-	sh.mu.Unlock()
-	if e == nil || !e.done.Load() {
-		var zero V
-		return zero, false
-	}
-	return e.val, true
-}
-
-// Forget drops the entry for k, if a completed one exists, and reports
-// whether it did. The serving layer uses it to un-memoize outcomes that
-// must not persist — a compile cancelled by one client's deadline would
-// otherwise answer every future request for that key with the first
-// caller's context error. An entry whose compute is still in flight is left
-// alone (removing it would strand the goroutines blocked on its sync.Once
-// with a value no future caller shares); callers retrying after a Forget
-// that returned false simply find the in-flight entry and share its fate.
-// Forgotten entries do not count as evictions — eviction measures capacity
-// pressure, not deliberate invalidation.
-func (c *Cache[K, V]) Forget(k K) bool {
-	sh := &c.shards[c.hash(k)&c.mask]
-	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e := sh.m[k]
-	if e == nil || !e.done.Load() {
-		return false
+	if e := sh.m[k]; e != nil && e.fate == Keep {
+		return e.val, true
 	}
-	delete(sh.m, k)
-	c.entries.Add(-1)
-	return true
+	var zero V
+	return zero, false
 }
 
-// evictLocked drops one completed entry from sh (random replacement via map
-// iteration order). Entries still computing are skipped: evicting one would
-// strand the goroutines blocked on its sync.Once with a value no future
-// caller shares.
+// evictLocked drops one kept entry from sh (random replacement via map
+// iteration order). Entries still computing are skipped: their leader owns
+// the map slot until it applies the fate.
 func (c *Cache[K, V]) evictLocked(sh *shard[K, V]) {
 	for k, e := range sh.m {
-		if e.done.Load() {
+		if e.fate == Keep {
 			delete(sh.m, k)
 			c.entries.Add(-1)
 			c.evictions.Add(1)

@@ -71,7 +71,7 @@ func StringKeyCodec[V any](enc func(V) ([]byte, error), dec func([]byte) (V, err
 	}
 }
 
-// Save writes every completed entry to w and returns how many it wrote.
+// Save writes every kept entry to w and returns how many it wrote.
 // In-flight entries (compute still running) are skipped — their value does
 // not exist yet. Concurrent Do calls stay safe: each shard is locked only
 // while its entries are copied out.
@@ -87,12 +87,12 @@ func (c *Cache[K, V]) Save(w io.Writer, codec Codec[K, V]) (int, error) {
 		}
 		pending := make([]kv, 0, len(sh.m))
 		for k, e := range sh.m {
-			if e.done.Load() {
+			if e.fate == Keep {
 				pending = append(pending, kv{k, e})
 			}
 		}
 		sh.mu.Unlock()
-		// Encode outside the lock: the entry is done, so val is immutable.
+		// Encode outside the lock: the entry is kept, so val is immutable.
 		for _, p := range pending {
 			kb, err := codec.EncodeKey(p.k)
 			if err != nil {
@@ -240,10 +240,7 @@ func (c *Cache[K, V]) insertCompleted(k K, v V) bool {
 	if sh.max > 0 && len(sh.m) >= sh.max {
 		return false
 	}
-	e := &entry[V]{val: v}
-	e.once.Do(func() {}) // burn the Once so Do never recomputes this entry
-	e.done.Store(true)
-	sh.m[k] = e
+	sh.m[k] = &entry[V]{val: v} // the zero Fate is Keep
 	c.entries.Add(1)
 	return true
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"net/http"
+
+	"vliwq/internal/cache"
 )
 
 // Request coalescing: N concurrent /compile requests for one exact
@@ -19,66 +21,28 @@ import (
 // they must each reach a backend (the same backend — Route hashes the
 // structural key — where the service's structural cache collapses the
 // actual compile).
+//
+// The singleflight is internal/cache's, the one the backends' cache layers
+// use, with computes that never keep: the backends' caches are the memo,
+// and the gateway only collapses concurrent demand.
 
-// flight is one in-flight dispatch and its outcome, shared by every
-// coalesced caller.
-type flight struct {
-	done   chan struct{}
+// reply is one dispatch's outcome, relayed to every caller that shares it.
+type reply struct {
 	status int
 	hdr    http.Header
 	data   []byte
 	err    error
 }
 
-// isCtxErr reports a context-cancellation error — the one outcome class
-// that belongs to the leader's own deadline rather than to the request key.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// shareable reports whether a flight's outcome is authoritative for callers
-// other than its leader. Context errors and 504s are the leader's own
-// deadline expiring; a joiner with a live deadline must not inherit them.
-func (f *flight) shareable() bool {
-	return !isCtxErr(f.err) && f.status != http.StatusGatewayTimeout
-}
-
-// coalesce runs do() exactly once per key across concurrent callers: the
-// first caller (the leader) dispatches, the rest block on its outcome.
-// joined reports whether this caller was served by another's dispatch — the
-// gateway's coalesced counter and, because joiners skip dispatch entirely,
-// the owned/served routing counters both see exactly one request per
-// flight.
-//
-// Leader handoff: when a leader's outcome is not shareable (its own
-// deadline fired mid-flight), each waiting joiner loops and races to become
-// the next leader rather than inheriting a cancellation that was never
-// theirs. A joiner whose own context dies while waiting returns its own
-// context error.
-func (g *Gateway) coalesce(ctx context.Context, key string, do func() (int, http.Header, []byte, error)) (status int, hdr http.Header, data []byte, err error, joined bool) {
-	for {
-		g.flightMu.Lock()
-		if f, ok := g.flights[key]; ok {
-			g.flightMu.Unlock()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return 0, nil, nil, ctx.Err(), true
-			}
-			if !f.shareable() {
-				continue // hand off: race to lead the retry
-			}
-			return f.status, f.hdr, f.data, f.err, true
-		}
-		f := &flight{done: make(chan struct{})}
-		g.flights[key] = f
-		g.flightMu.Unlock()
-
-		f.status, f.hdr, f.data, f.err = do()
-		g.flightMu.Lock()
-		delete(g.flights, key)
-		g.flightMu.Unlock()
-		close(f.done)
-		return f.status, f.hdr, f.data, f.err, false
+// fate decides who else relays a dispatch's reply. Context errors and 504s
+// are the leader's own deadline expiring: each waiting caller leads or
+// joins a fresh dispatch under its own deadline (Retry) instead of
+// inheriting a cancellation that was never its own. Every other reply is
+// authoritative for the callers already waiting on it (Share).
+func (r reply) fate() cache.Fate {
+	if errors.Is(r.err, context.Canceled) || errors.Is(r.err, context.DeadlineExceeded) ||
+		r.status == http.StatusGatewayTimeout {
+		return cache.Retry
 	}
+	return cache.Share
 }

@@ -3,6 +3,7 @@ package gateway
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -39,8 +40,8 @@ func dualInjectedFleet(t testing.TB, cfg Config, c0, c1 faults.Config) (*Gateway
 }
 
 // waitRequests polls until an injector has seen at least n requests — the
-// point at which the leader's flight is definitely registered (coalesce
-// registers the flight before dispatching) and the backend is inside its
+// point at which the leader's flight is definitely registered (the flight
+// exists before its dispatch starts) and the backend is inside its
 // injected delay, so every request fired after this deterministically joins.
 func waitRequests(t testing.TB, inj *faults.Injector, n int64) {
 	t.Helper()
@@ -158,6 +159,77 @@ func TestGatewayStampedeJoinsFailover(t *testing.T) {
 	}
 	if st.Backends[1].Failovers != 1 {
 		t.Fatalf("peer failovers = %d, want 1 (one ring walk fleet-wide)", st.Backends[1].Failovers)
+	}
+}
+
+// TestGatewayLeaderHandoff: a leader whose own deadline expires mid-flight
+// is answered 504, and a caller with no deadline waiting on the same key
+// does not inherit that 504 — the flight's Retry fate hands it a dispatch
+// of its own, which answers 200. The backend sees both requests, and the
+// gateway's coalesced counter does not count the handed-off caller.
+func TestGatewayLeaderHandoff(t *testing.T) {
+	gw, ts, inj := dualInjectedFleet(t, Config{},
+		faults.Config{SlowEvery: 1, SlowBy: 300 * time.Millisecond}, faults.Config{})
+	body, err := json.Marshal(slot0Request(t, gw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type answer struct {
+		status  int
+		elapsed time.Duration
+		err     error
+	}
+	send := func(budget string) <-chan answer {
+		out := make(chan answer, 1)
+		go func() {
+			start := time.Now()
+			hr, err := http.NewRequest(http.MethodPost, ts.URL+"/compile", bytes.NewReader(body))
+			if err != nil {
+				out <- answer{err: err}
+				return
+			}
+			if budget != "" {
+				hr.Header.Set(service.DeadlineHeader, budget)
+			}
+			resp, err := ts.Client().Do(hr)
+			if err != nil {
+				out <- answer{err: err}
+				return
+			}
+			resp.Body.Close()
+			out <- answer{status: resp.StatusCode, elapsed: time.Since(start)}
+		}()
+		return out
+	}
+
+	leader := send("150ms")
+	waitRequests(t, inj[0], 1)
+	joiner := send("")
+	// The joiner must be waiting on the leader's flight before the
+	// leader's budget runs out, or this would test nothing.
+	deadline := time.Now().Add(5 * time.Second)
+	for gw.flights.Stats().Coalesced < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the second caller never joined the leader's flight")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	l, j := <-leader, <-joiner
+	t.Logf("leader %d after %v, joiner %d after %v", l.status, l.elapsed, j.status, j.elapsed)
+	if l.err != nil || l.status != http.StatusGatewayTimeout {
+		t.Fatalf("leader: status %d err %v, want 504 from its own expired budget", l.status, l.err)
+	}
+	if j.err != nil || j.status != http.StatusOK {
+		t.Fatalf("joiner: status %d err %v, want 200 from its own dispatch", j.status, j.err)
+	}
+	if n := inj[0].Counts().Requests; n != 2 {
+		t.Fatalf("owner saw %d requests, want 2 (the leader's and the handed-off caller's)", n)
+	}
+	if st := gw.Stats(context.Background()); st.Coalesced != 0 {
+		t.Fatalf("coalesced = %d, want 0: the handed-off caller was served by its own dispatch", st.Coalesced)
+	}
+	if fs := gw.flights.Stats(); fs.Misses != 2 || fs.Entries != 0 {
+		t.Fatalf("flight stats = %+v, want 2 dispatches and no entry kept", fs)
 	}
 }
 

@@ -137,8 +137,7 @@ type Gateway struct {
 
 	// Coalescing (coalesce.go): one in-flight dispatch per exact canonical
 	// key; coalesced counts the callers served by another's dispatch.
-	flightMu  sync.Mutex
-	flights   map[string]*flight
+	flights   *cache.Cache[string, reply]
 	coalesced atomic.Int64
 }
 
@@ -149,7 +148,7 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g := &Gateway{cfg: cfg, client: cfg.Client, start: time.Now(),
 		latWindow: metrics.NewWindow(512),
-		flights:   make(map[string]*flight)}
+		flights:   cache.New[string, reply](cache.Options{}, cache.StringHash)}
 	threshold := cfg.BreakerThreshold
 	if threshold == 0 {
 		threshold = 5
@@ -371,8 +370,7 @@ func (g *Gateway) ringWalk(ctx context.Context, owner, startHop int, path string
 	var lastErr error
 	attempts := 0
 	for hop := startHop; hop <= g.retries(); hop++ {
-		slot := (owner + hop) % len(g.backends)
-		b := g.backends[slot]
+		b := g.backends[(owner+hop)%len(g.backends)]
 		if !b.breaker.allow() {
 			b.skipped.Add(1)
 			lastErr = fmt.Errorf("backend %s: circuit breaker open", b.url)
@@ -382,46 +380,46 @@ func (g *Gateway) ringWalk(ctx context.Context, owner, startHop int, path string
 			return 0, nil, nil, ctx.Err()
 		}
 		attempts++
-		status, hdr, data, err := g.forward(ctx, b, path, body)
-		// A cancelled client is not a sick backend: stop without feeding
-		// the breaker, polluting the error counters or burning a doomed
-		// hop.
-		if ctx.Err() != nil {
-			return 0, nil, nil, ctx.Err()
+		r, retry := g.attempt(ctx, b, hop > 0, path, body, weight)
+		if !retry {
+			return r.status, r.hdr, r.data, r.err
 		}
-		b.breaker.report(!trips(status, err))
-		if retryable(status, err) {
-			b.errors.Add(1)
-			if err == nil {
-				err = fmt.Errorf("backend %s: status %d", b.url, status)
-			}
-			lastErr = err
-			continue
-		}
-		b.served.Add(int64(weight))
-		if hop > 0 {
-			b.failovers.Add(int64(weight))
-		}
-		return status, hdr, data, nil
+		lastErr = r.err
 	}
 	if attempts == 0 {
-		b := g.backends[owner]
-		status, hdr, data, err := g.forward(ctx, b, path, body)
-		if ctx.Err() != nil {
-			return 0, nil, nil, ctx.Err()
+		r, retry := g.attempt(ctx, g.backends[owner], false, path, body, weight)
+		if !retry {
+			return r.status, r.hdr, r.data, r.err
 		}
-		b.breaker.report(!trips(status, err))
-		if !retryable(status, err) {
-			b.served.Add(int64(weight))
-			return status, hdr, data, nil
-		}
-		b.errors.Add(1)
-		if err == nil {
-			err = fmt.Errorf("backend %s: status %d", b.url, status)
-		}
-		lastErr = err
+		lastErr = r.err
 	}
 	return 0, nil, nil, fmt.Errorf("all %d backend attempts failed, last: %w", g.retries()+1, lastErr)
+}
+
+// attempt forwards body to b and books the outcome on it: the breaker
+// signal (trips), then an error or the served (and, off the owner,
+// failovers) counters. retry reports a failure the walk moves on from;
+// otherwise the reply is the walk's answer, or a gone caller's context error.
+func (g *Gateway) attempt(ctx context.Context, b *backend, failover bool, path string, body []byte, weight int) (r reply, retry bool) {
+	r.status, r.hdr, r.data, r.err = g.forward(ctx, b, path, body)
+	// A cancelled client is not a sick backend: stop without feeding the
+	// breaker, polluting the error counters or burning a doomed hop.
+	if ctx.Err() != nil {
+		return reply{err: ctx.Err()}, false
+	}
+	b.breaker.report(!trips(r.status, r.err))
+	if retryable(r.status, r.err) {
+		b.errors.Add(1)
+		if r.err == nil {
+			r.err = fmt.Errorf("backend %s: status %d", b.url, r.status)
+		}
+		return r, true
+	}
+	b.served.Add(int64(weight))
+	if failover {
+		b.failovers.Add(int64(weight))
+	}
+	return r, false
 }
 
 // dispatchHedged is dispatch for idempotent /compile under Config.Hedge:
@@ -553,24 +551,31 @@ func (g *Gateway) handleCompile(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	// One in-flight dispatch per exact key: concurrent identical requests —
 	// and retries racing a slow owner's failover — join the leader's ring
-	// walk instead of launching their own (see coalesce.go).
-	status, hdr, data, err, joined := g.coalesce(ctx, p.Canonical(), func() (int, http.Header, []byte, error) {
+	// walk instead of launching their own (see coalesce.go). Joiners skip
+	// dispatch, so the owned/served counters see one request per flight.
+	ans, info, err := g.flights.DoWithInfo(ctx, p.Canonical(), func() (reply, cache.Fate) {
+		var a reply
 		if d := g.hedgeDelay(); d > 0 {
-			return g.dispatchHedged(ctx, owner, body, d)
+			a.status, a.hdr, a.data, a.err = g.dispatchHedged(ctx, owner, body, d)
+		} else {
+			a.status, a.hdr, a.data, a.err = g.dispatch(ctx, owner, "/compile", body, 1)
 		}
-		return g.dispatch(ctx, owner, "/compile", body, 1)
+		return a, a.fate()
 	})
-	if joined {
+	if info.Joined {
 		g.coalesced.Add(1)
+	}
+	if err == nil {
+		err = ans.err
 	}
 	if err != nil {
 		g.failDispatch(w, err)
 		return
 	}
-	if status == http.StatusOK {
+	if ans.status == http.StatusOK {
 		g.latWindow.Add(float64(time.Since(t0).Nanoseconds()))
 	}
-	relay(w, status, hdr, data)
+	relay(w, ans.status, ans.hdr, ans.data)
 }
 
 // handleBatch splits a batch by owning backend, forwards the per-backend

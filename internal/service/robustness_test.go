@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -17,17 +18,16 @@ import (
 )
 
 // heavyRequest builds a request whose compile reliably outlasts a
-// millisecond budget before the scheduling stage boundary: a long
-// dependence-chained loop unrolled to 4096 ops, racing the full strategy
-// portfolio on a clustered machine, verify on. The factor is deliberately
-// large — the bitset scheduler is fast enough that smaller unrolls reach
-// the last cancellation checkpoint inside the budget.
-func heavyRequest(t testing.TB) CompileRequest {
-	t.Helper()
+// millisecond budget before the scheduling stage boundary: a chain of n
+// dependent ops unrolled 64 times (4096 ops for n = 64), racing the full
+// strategy portfolio on a clustered machine, verify on. The factor is
+// deliberately large — the bitset scheduler is fast enough that smaller
+// unrolls reach the last cancellation checkpoint inside the budget.
+func heavyRequest(n int) CompileRequest {
 	var b strings.Builder
 	b.WriteString("loop heavy\ntrip 1024\n")
 	fmt.Fprintf(&b, "op v0 load\n")
-	for i := 1; i < 64; i++ {
+	for i := 1; i < n; i++ {
 		fmt.Fprintf(&b, "op v%d add v%d\n", i, i-1)
 	}
 	return CompileRequest{
@@ -209,7 +209,7 @@ func TestDeadlinePropagationCancelsCompile(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	req := heavyRequest(t)
+	req := heavyRequest(64)
 	buf, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +241,7 @@ func TestDeadlinePropagationCancelsCompile(t *testing.T) {
 	}
 
 	// The poisoning check: without a budget the same request must succeed —
-	// compileOne must have forgotten the cancelled entry.
+	// the cancelled outcome must not have been kept.
 	resp2, body := postJSON(t, ts.Client(), ts.URL+"/compile", req)
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("post-timeout request answered %d: %s — cancelled outcome stayed cached", resp2.StatusCode, body)
@@ -249,8 +249,8 @@ func TestDeadlinePropagationCancelsCompile(t *testing.T) {
 }
 
 // TestCompileOneForgetsCancelledOutcome is the white-box companion: an
-// already-expired context yields a timeoutError, and the cache entry for
-// the key is gone afterwards so a retry recomputes rather than replaying
+// already-expired context yields a timeoutError, and the cancelled outcome
+// was never kept under the key, so a retry recomputes rather than replaying
 // the first caller's deadline.
 func TestCompileOneForgetsCancelledOutcome(t *testing.T) {
 	srv := New(Config{})
@@ -268,10 +268,161 @@ func TestCompileOneForgetsCancelledOutcome(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, ok := srv.cache.Get(norm.Canonical()); ok {
-		t.Fatal("cancelled outcome still cached after Forget")
+		t.Fatal("cancelled outcome was kept in the exact cache")
 	}
 	if resp, err := srv.compileOne(context.Background(), &req); err != nil || resp == nil {
 		t.Fatalf("retry after cancellation failed: %v", err)
+	}
+}
+
+// timedReply is one /compile answer and how long the caller waited for
+// it. body is kept for error answers only: a heavy schedule is large.
+type timedReply struct {
+	status  int
+	body    string
+	elapsed time.Duration
+	err     error
+}
+
+// sendTimed posts req on its own goroutine, with budget as the
+// DeadlineHeader unless it is empty, and delivers the answer.
+func sendTimed(ts *httptest.Server, req CompileRequest, budget string) <-chan timedReply {
+	out := make(chan timedReply, 1)
+	go func() {
+		start := time.Now()
+		buf, err := json.Marshal(req)
+		if err != nil {
+			out <- timedReply{err: err}
+			return
+		}
+		hr, err := http.NewRequest(http.MethodPost, ts.URL+"/compile", strings.NewReader(string(buf)))
+		if err != nil {
+			out <- timedReply{err: err}
+			return
+		}
+		if budget != "" {
+			hr.Header.Set(DeadlineHeader, budget)
+		}
+		resp, err := ts.Client().Do(hr)
+		if err != nil {
+			out <- timedReply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		r := timedReply{status: resp.StatusCode}
+		body, err := io.ReadAll(resp.Body)
+		if r.status != http.StatusOK {
+			r.body = string(body)
+		}
+		r.elapsed, r.err = time.Since(start), err
+		out <- r
+	}()
+	return out
+}
+
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// joinCase is a leader request and a second caller that meets its compile
+// in flight: on the same exact key, or as a renamed spelling at the
+// structural layer. joined reads the coalesced counter of the layer where
+// they meet.
+type joinCase struct {
+	name           string
+	leader, joiner CompileRequest
+	joined         func(*Server) int64
+}
+
+// joinCases builds both cases around a heavy request whose compile takes
+// well over the budgets the join tests set: heavyRequest(128) compiles
+// 8192 ops in ~0.6 s on one 2.1 GHz Xeon core; under -race the 4096 ops of
+// heavyRequest(64) take ~1.4 s there.
+func joinCases(t *testing.T) []joinCase {
+	req := heavyRequest(128)
+	if raceEnabled {
+		req = heavyRequest(64)
+	}
+	renamed := req
+	renamed.Loop = renameSpelling(t, req.Loop, "z")
+	return []joinCase{
+		{"exact", req, req, func(s *Server) int64 { return s.cache.Stats().Coalesced }},
+		{"structural", req, renamed, func(s *Server) int64 { return s.structs.Stats().Coalesced }},
+	}
+}
+
+// TestDeadlinedLeaderDoesNotFailJoiner: a leader whose short deadline
+// cancels its compile is answered 504, and a concurrent caller that set no
+// deadline is answered 200 from a compile of its own instead of sharing
+// the leader's 504.
+func TestDeadlinedLeaderDoesNotFailJoiner(t *testing.T) {
+	for _, tc := range joinCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := New(Config{})
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+
+			leader := sendTimed(ts, tc.leader, "20ms")
+			waitFor(t, "the leader's compile to start", func() bool { return srv.compiles.Load() == 1 })
+			joiner := sendTimed(ts, tc.joiner, "")
+			waitFor(t, "the second caller to join the leader's compile", func() bool { return tc.joined(srv) == 1 })
+			l, j := <-leader, <-joiner
+			t.Logf("leader (20ms budget) %d after %v; joiner (no budget) %d after %v", l.status, l.elapsed, j.status, j.elapsed)
+			if l.err != nil || l.status != http.StatusGatewayTimeout || !strings.Contains(l.body, context.DeadlineExceeded.Error()) {
+				t.Fatalf("leader: status %d err %v body %s, want 504 with its context error", l.status, l.err, l.body)
+			}
+			if j.err != nil || j.status != http.StatusOK {
+				t.Fatalf("joiner: status %d err %v body %s, want 200", j.status, j.err, j.body)
+			}
+			if n := srv.Stats().Sched.Compiles; n != 2 {
+				t.Fatalf("compiles = %d, want 2: the leader's cancelled one and the joiner's own", n)
+			}
+		})
+	}
+}
+
+// TestJoinerDeadlineEndsItsWait: a caller with a short deadline that finds
+// a slow compile in flight is answered 504 when its own budget runs out,
+// not when the compile ends; the leader, which set no deadline, still gets
+// its 200, and its kept result serves the caller's spelling afterwards.
+func TestJoinerDeadlineEndsItsWait(t *testing.T) {
+	const budget, margin = 50 * time.Millisecond, 250 * time.Millisecond
+	for _, tc := range joinCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := New(Config{})
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+
+			leader := sendTimed(ts, tc.leader, "")
+			waitFor(t, "the leader's compile to start", func() bool { return srv.compiles.Load() == 1 })
+			j := <-sendTimed(ts, tc.joiner, budget.String())
+			l := <-leader
+			t.Logf("joiner (%v budget) %d after %v; leader (no budget) %d after %v", budget, j.status, j.elapsed, l.status, l.elapsed)
+			if tc.joined(srv) != 1 {
+				t.Fatal("the second caller never waited on the leader's compile")
+			}
+			if j.err != nil || j.status != http.StatusGatewayTimeout {
+				t.Fatalf("joiner: status %d err %v body %s, want 504", j.status, j.err, j.body)
+			}
+			if j.elapsed > budget+margin {
+				t.Fatalf("joiner answered after %v, want within its %v budget + %v", j.elapsed, budget, margin)
+			}
+			if l.err != nil || l.status != http.StatusOK {
+				t.Fatalf("leader: status %d err %v body %s, want 200", l.status, l.err, l.body)
+			}
+			if r := <-sendTimed(ts, tc.joiner, ""); r.status != http.StatusOK || srv.Stats().Sched.Compiles != 1 {
+				t.Fatalf("later caller: status %d after %d compiles, want 200 from the leader's one compile",
+					r.status, srv.Stats().Sched.Compiles)
+			}
+		})
 	}
 }
 

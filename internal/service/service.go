@@ -13,7 +13,7 @@
 // is vliwq.Request.Canonical() — the one canonical request encoding the
 // library, this service and the gateway share — and each distinct request
 // compiles exactly once per cache lifetime; concurrent identical requests
-// share one compute via the cache's per-entry sync.Once.
+// share one compute through the cache's singleflight.
 //
 // Beneath the exact cache sits a structural cache keyed by
 // vliwq.Request.StructuralKey() — the knobs plus the loop's dependence-graph
@@ -81,7 +81,8 @@ func ParseDeadline(h http.Header) (time.Duration, bool, error) {
 // defaults to a 65536-entry bound for exactly that reason).
 type Config struct {
 	// CacheEntries bounds the compile cache: 0 means unbounded, a negative
-	// value disables caching entirely (every request compiles).
+	// value disables caching entirely (every request compiles, and the
+	// structural layer is off with the exact one).
 	CacheEntries int
 	// Workers bounds per-batch compile parallelism; 0 uses GOMAXPROCS.
 	Workers int
@@ -104,12 +105,6 @@ type Config struct {
 	// (optimal → exhaustive → balanced → fast), and recovers a step once
 	// the EWMA falls below half the target. 0 disables degradation.
 	SLOTarget time.Duration
-	// DisableStructural turns off the structural (isomorphism-class) cache
-	// layer: every exact-cache miss runs the pipeline, as before PR 7. The
-	// layer is also off whenever caching as a whole is disabled
-	// (CacheEntries < 0) — with no exact cache there is no miss path to
-	// intercept.
-	DisableStructural bool
 }
 
 // CompileRequest is the JSON body of POST /compile and each element of a
@@ -159,7 +154,7 @@ type CompileResponse struct {
 // BoundInfo is the wire form of vliwq.Bound: the proved lower bound on II
 // and whether the achieved II was proved equal to it. deadline_cut marks a
 // certificate cut by the request's deadline rather than the deterministic
-// node budget; such responses are served but never cached (see compileOne).
+// node budget; such responses are served but never cached (see fate).
 type BoundInfo struct {
 	Lower       int  `json:"lower"`
 	Optimal     bool `json:"optimal"`
@@ -296,11 +291,10 @@ type StatsResponse struct {
 // as a string (compilation is deterministic, so errors cache as well as
 // successes). ctxErr marks context cancellation — the one error class that
 // is NOT deterministic (it belongs to the requester's deadline, not the
-// request), so compileOne forgets such entries instead of serving them to
-// future callers. deadlineCut is the success-path analogue: an optimal-tier
-// response whose certificate was cut by the caller's deadline is served but
-// forgotten, because the proof depth it records is wall-clock dependent
-// (budget cuts, by contrast, are deterministic and cache normally).
+// request). deadlineCut is the success-path analogue: an optimal-tier
+// response whose certificate was cut by the caller's deadline, whose proof
+// depth is wall-clock dependent (budget cuts, by contrast, are
+// deterministic and cache normally).
 type outcome struct {
 	resp        *CompileResponse
 	err         string
@@ -311,14 +305,28 @@ type outcome struct {
 // structEntry is the structural cache's unit: one isomorphism class's
 // compiled Result plus the skeleton of the spelling that compiled it — the
 // gate a later spelling must pass (skeleton equality = name-only
-// isomorphism) before the Result may be remapped onto its names. Errors
-// cache per class exactly as they do per exact key, with the same
-// context-error carve-out.
+// isomorphism) before the Result may be remapped onto its names.
 type structEntry struct {
 	res    *vliwq.Result
 	skel   string
 	err    string
 	ctxErr bool
+}
+
+// fate is both cache layers' rule for a compute's outcome. A context error
+// belongs to the leader's deadline, so the callers waiting on it compile
+// under their own (Retry). An outcome no other caller may reuse later — a
+// deadline-cut certificate, or a structural pipeline error whose text names
+// the class leader's operands — is served to them but never kept (Share).
+// Everything else is deterministic and kept.
+func fate(ctxErr, unkept bool) cache.Fate {
+	switch {
+	case ctxErr:
+		return cache.Retry
+	case unkept:
+		return cache.Share
+	}
+	return cache.Keep
 }
 
 // Server is the vliwd HTTP service. Create one with New; it is safe for
@@ -331,7 +339,7 @@ type Server struct {
 	// cache: StructuralKey -> compiled Result. In-memory only — it holds
 	// live Result graphs, which the snapshot codec deliberately does not
 	// serialize (a warm restart repopulates it from recompiles; the exact
-	// cache is what persists). Nil when disabled.
+	// cache is what persists). Nil when caching is disabled.
 	structs *cache.Cache[string, structEntry]
 	mux     *http.ServeMux
 	start   time.Time
@@ -395,12 +403,10 @@ func New(cfg Config) *Server {
 	if cfg.CacheEntries >= 0 {
 		s.cache = cache.New[string, outcome](
 			cache.Options{MaxEntries: cfg.CacheEntries}, cache.StringHash)
-		if !cfg.DisableStructural {
-			// One entry per compiled isomorphism class; the same bound as
-			// the exact cache is generous (classes <= exact keys).
-			s.structs = cache.New[string, structEntry](
-				cache.Options{MaxEntries: cfg.CacheEntries}, cache.StringHash)
-		}
+		// One entry per compiled isomorphism class; the same bound as the
+		// exact cache is generous (classes <= exact keys).
+		s.structs = cache.New[string, structEntry](
+			cache.Options{MaxEntries: cfg.CacheEntries}, cache.StringHash)
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/compile", s.handleCompile)
@@ -506,8 +512,8 @@ func (s *Server) render(res *vliwq.Result, effort string) *CompileResponse {
 }
 
 // compute runs the pipeline for one prepared request and renders the
-// outcome — the structural-cache-free path (structural layer disabled,
-// unparseable loops, renumbered spellings).
+// outcome — the structural-cache-free path (caching disabled, unparseable
+// loops, renumbered spellings, errors shared by a class leader).
 func (s *Server) compute(ctx context.Context, p *vliwq.Prepared) outcome {
 	res, errStr, ctxErr := s.runPipeline(ctx, p)
 	if errStr != "" {
@@ -549,51 +555,40 @@ func (s *Server) compileClass(ctx context.Context, p *vliwq.Prepared, loop *vliw
 // alignment) and identical across identically-warmed servers, but a fresh
 // compile of the permuted spelling could break ID-based ties differently.
 //
-// Fallbacks preserve pre-structural behaviour exactly: a disabled layer,
-// an unparseable loop (the pipeline owns the error text), or a permuted
-// spelling AlignLike cannot map (no alignment exists, or unroll lineage is
-// present) all run the plain compute path; those renumbered sightings are
-// counted so the missed reuse is observable.
+// Fallbacks preserve pre-structural behaviour exactly: an unparseable loop
+// (the pipeline owns the error text) or a permuted spelling AlignLike
+// cannot map (no alignment exists, or unroll lineage is present) runs the
+// plain compute path; those renumbered sightings are counted so the missed
+// reuse is observable.
 //
 // The loop is parsed once, by the prepared request: the structural key,
 // the skeleton gate, the remap and a compile on any path all use that one
 // parse.
 func (s *Server) computeRouted(ctx context.Context, p *vliwq.Prepared) outcome {
-	if s.structs == nil {
-		return s.compute(ctx, p)
-	}
 	loop, err := p.Loop()
 	if err != nil {
 		return s.compute(ctx, p)
 	}
-	skey := p.StructuralKey()
-	ent, info := s.structs.DoWithInfo(skey, func() structEntry {
-		return s.compileClass(ctx, p, loop)
+	ent, info, err := s.structs.DoWithInfo(ctx, p.StructuralKey(), func() (structEntry, cache.Fate) {
+		ent := s.compileClass(ctx, p, loop)
+		return ent, fate(ent.ctxErr, ent.err != "" || ent.res.Bound.DeadlineCut)
 	})
-	if ent.ctxErr {
-		// Context errors belong to the first caller's deadline, not the
-		// class; forget the entry so the next spelling recompiles.
-		s.structs.Forget(skey)
-		return outcome{err: ent.err, ctxErr: true}
+	if err != nil {
+		// This caller's deadline ended while it waited on another
+		// spelling's compile.
+		return outcome{err: err.Error(), ctxErr: true}
 	}
 	if ent.err != "" {
 		if info.Created {
-			return outcome{err: ent.err}
+			return outcome{err: ent.err, ctxErr: ent.ctxErr}
 		}
-		// A cached pipeline error was rendered against the class leader's
+		// A shared pipeline error was rendered against the class leader's
 		// spelling, and error text can embed operand names. Recompute under
 		// the caller's own names so an error response is byte-identical to
 		// a fresh compile, exactly like a success response.
 		return s.compute(ctx, p)
 	}
 	cut := ent.res.Bound.DeadlineCut
-	if cut {
-		// A deadline-cut certificate records how far the caller's wall
-		// clock let the proof run — not a property of the class. Forget
-		// the entry so the next spelling proves from scratch (idempotent
-		// when creator and joiners race here).
-		s.structs.Forget(skey)
-	}
 	if info.Created {
 		// This call ran the compile; its Result already carries the
 		// caller's names.
@@ -712,13 +707,13 @@ type timeoutError struct{ error }
 // for fast must not see degraded:true on a shared entry — the annotation
 // goes on a per-request copy.
 //
-// Computes run under the caller's context so a propagated deadline cancels
-// backend work at the next stage boundary. That makes context errors
-// cacheable by accident; compileOne forgets such entries immediately
-// (cache.Forget), so the next request for the key recompiles. Concurrent
-// waiters on the same in-flight entry share the first caller's fate — a
-// deliberate trade: shared-compute semantics cannot distinguish which
-// waiter's deadline fired.
+// Computes run under the leader's context so a propagated deadline cancels
+// backend work at the next stage boundary, and each layer's fate rule
+// decides, before any waiting caller is released, who else sees the
+// outcome: a context error is the leader's alone (the waiting callers
+// compile under their own deadlines), a deadline-cut certificate is shared
+// but never kept. A waiting caller whose own deadline ends stops waiting
+// and is answered 504 while the compile runs on for the others.
 func (s *Server) compileOne(ctx context.Context, req *CompileRequest) (*CompileResponse, error) {
 	p := s.compiler.Prepare(*req)
 	if err := p.Err(); err != nil {
@@ -731,14 +726,13 @@ func (s *Server) compileOne(ctx context.Context, req *CompileRequest) (*CompileR
 	}
 	var oc outcome
 	if s.cache != nil {
-		key := p.Canonical()
-		oc = s.cache.Do(key, func() outcome {
-			return s.computeRouted(ctx, p)
+		var err error
+		oc, _, err = s.cache.DoWithInfo(ctx, p.Canonical(), func() (outcome, cache.Fate) {
+			oc := s.computeRouted(ctx, p)
+			return oc, fate(oc.ctxErr, oc.deadlineCut)
 		})
-		if oc.ctxErr || oc.deadlineCut {
-			// Context errors and deadline-cut certificates are both
-			// artifacts of this caller's wall clock, not of the request.
-			s.cache.Forget(key)
+		if err != nil {
+			oc = outcome{err: err.Error(), ctxErr: true}
 		}
 	} else {
 		oc = s.compute(ctx, p)
@@ -965,9 +959,6 @@ func (s *Server) Stats() StatsResponse {
 		}
 	}
 	s.machinesMu.Unlock()
-	if s.cache != nil {
-		st.Cache = s.cache.Stats()
-	}
 	st.Structural = StructuralStats{
 		Enabled:    s.structs != nil,
 		Hits:       s.structHits.Load(),
@@ -975,13 +966,14 @@ func (s *Server) Stats() StatsResponse {
 		Reordered:  s.structReordered.Load(),
 		Renumbered: s.structRenumbered.Load(),
 	}
+	if s.cache != nil {
+		st.Cache = s.cache.Stats()
+		st.Structural.Entries = s.structs.Stats().Entries
+	}
 	st.Optimal = OptimalStats{
 		Proved:      s.optimalProved.Load(),
 		Incumbent:   s.optimalIncumbent.Load(),
 		PrunedNodes: s.optimalPruned.Load(),
-	}
-	if s.structs != nil {
-		st.Structural.Entries = s.structs.Stats().Entries
 	}
 	return st
 }

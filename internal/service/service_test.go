@@ -130,7 +130,8 @@ func TestCachedMatchesUncached(t *testing.T) {
 	loops := testCorpus(t, 16)
 	cached := httptest.NewServer(New(Config{}).Handler())
 	defer cached.Close()
-	uncached := httptest.NewServer(New(Config{CacheEntries: -1}).Handler())
+	off := New(Config{CacheEntries: -1})
+	uncached := httptest.NewServer(off.Handler())
 	defer uncached.Close()
 	for i, l := range loops {
 		req := CompileRequest{Loop: vliwq.FormatLoop(l), Machine: "clustered:4", SkipVerify: true}
@@ -143,6 +144,11 @@ func TestCachedMatchesUncached(t *testing.T) {
 		if !bytes.Equal(a, c) {
 			t.Fatalf("loop %d: cache hit changed the response", i)
 		}
+	}
+	// With caching off the structural layer is off too.
+	if st := off.Stats(); st.CacheEnabled || st.Structural.Enabled || st.Sched.Compiles != int64(len(loops)) {
+		t.Fatalf("cache-disabled stats: cache %t, structural %+v, %d compiles; want both off and %d compiles",
+			st.CacheEnabled, st.Structural, st.Sched.Compiles, len(loops))
 	}
 }
 

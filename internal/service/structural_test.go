@@ -125,22 +125,6 @@ mem st a 1
 	}
 }
 
-// TestStructuralDisabled: with DisableStructural set, renamed spellings
-// compile independently, as before the structural layer existed.
-func TestStructuralDisabled(t *testing.T) {
-	srv := New(Config{DisableStructural: true})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	postJSON(t, ts.Client(), ts.URL+"/compile", CompileRequest{Loop: structTestLoop})
-	postJSON(t, ts.Client(), ts.URL+"/compile", CompileRequest{Loop: renameSpelling(t, structTestLoop, "z")})
-	st := srv.Stats()
-	if st.Sched.Compiles != 2 || st.Structural.Enabled || st.Structural.Hits != 0 {
-		t.Fatalf("stats = compiles=%d structural=%+v, want 2 compiles with the layer disabled",
-			st.Sched.Compiles, st.Structural)
-	}
-}
-
 // TestStructuralCoalescing: concurrent isomorphic-but-renamed requests
 // collapse onto one pipeline run; the joiners count as coalesced hits.
 func TestStructuralCoalescing(t *testing.T) {
