@@ -3,9 +3,10 @@
 #
 # Renders raw `go test -bench -benchmem -count N` output as a JSON
 # benchmark record: per benchmark, the median ns/op across the N runs plus
-# the last observed B/op and allocs/op. This is the BENCH_*.json format CI
-# uploads per PR so the performance trajectory of the repo is a queryable
-# artifact rather than a claim.
+# the last observed B/op and allocs/op. This is the BENCH.json format CI
+# uploads per run and the repo root keeps under that one name, so the
+# performance trajectory of the repo is a queryable artifact rather than a
+# claim.
 set -eu
 in="$1"
 label="${2:-local}"

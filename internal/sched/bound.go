@@ -46,9 +46,11 @@ type Bound struct {
 	// DeadlineCut reports that the proof search was interrupted by context
 	// cancellation rather than by the deterministic node budget. Such a
 	// certificate depends on wall-clock timing, so deadline-cut results
-	// must not be cached under a canonical request key (the service
-	// forgets them after serving); budget-cut results are reproducible and
-	// cache normally. DeadlineCut is never true when Optimal is true.
+	// must not be cached under a canonical request key (the service's
+	// cache layers give them the Share fate: served to the callers already
+	// waiting on that compile, never kept); budget-cut results are
+	// reproducible and cache normally. DeadlineCut is never true when
+	// Optimal is true.
 	DeadlineCut bool
 }
 

@@ -27,8 +27,10 @@ import (
 
 // effortDigest hashes every schedule of loops × cfgs at one effort tier
 // into a single FNV-64a word: name, II, winning strategy, and each op's
-// (cycle, cluster) placement.
-func effortDigest(t *testing.T, loops []*ir.Loop, cfgs []machine.Config, e Effort) uint64 {
+// (cycle, cluster) placement. With cert set it also hashes each schedule's
+// certificate: Bound.Lower, Bound.Optimal, Bound.DeadlineCut and
+// Stats.PrunedNodes.
+func effortDigest(t *testing.T, loops []*ir.Loop, cfgs []machine.Config, e Effort, cert bool) uint64 {
 	t.Helper()
 	h := fnv.New64a()
 	writeInt := func(v int) {
@@ -50,6 +52,18 @@ func effortDigest(t *testing.T, loops []*ir.Loop, cfgs []machine.Config, e Effor
 			for id := range s.Loop.Ops {
 				writeInt(s.Time[id])
 				writeInt(s.Cluster[id])
+			}
+			if cert {
+				b := s.Bound
+				writeInt(b.Lower)
+				for _, flag := range []bool{b.Optimal, b.DeadlineCut} {
+					if flag {
+						writeInt(1)
+					} else {
+						writeInt(0)
+					}
+				}
+				writeInt(int(s.Stats.PrunedNodes))
 			}
 		}
 	}
@@ -74,11 +88,42 @@ func TestScheduleDigestPinnedAllEfforts(t *testing.T) {
 	}
 	for _, e := range []Effort{EffortFast, EffortBalanced, EffortExhaustive} {
 		want := pinned[e]
-		if got := effortDigest(t, bench, cfgs, e); got != want[0] {
+		if got := effortDigest(t, bench, cfgs, e, false); got != want[0] {
 			t.Errorf("effort=%s bench-corpus digest = %#x, want %#x", e, got, want[0])
 		}
-		if got := effortDigest(t, stressed, cfgs, e); got != want[1] {
+		if got := effortDigest(t, stressed, cfgs, e, false); got != want[1] {
 			t.Errorf("effort=%s stressed-corpus digest = %#x, want %#x", e, got, want[1])
+		}
+	}
+}
+
+// TestScheduleDigestPinnedOptimal pins the certified tier the way
+// TestScheduleDigestPinnedAllEfforts pins the heuristic ones, and also
+// hashes each certificate (Bound and Stats.PrunedNodes): the exact search
+// counts its budget in placements, so a change that makes its nodes
+// cheaper must leave every verdict, every budget cut and every pruned-node
+// count where it was. The third word is the certified vliwbench
+// configuration (clustered:6, comm latency 2), where the search runs
+// longest. Regenerate the constants only for a deliberate, reviewed change
+// to the search tree, never to make a refactor pass.
+func TestScheduleDigestPinnedOptimal(t *testing.T) {
+	cfgs := []machine.Config{machine.SingleCluster(12), machine.Clustered(4), machine.Clustered(6)}
+	comm := machine.Clustered(6)
+	comm.CommLatency = 2
+	bench := identityCorpus(t)
+	stressed := corpus.Stressed()[:48]
+	for _, c := range []struct {
+		name  string
+		loops []*ir.Loop
+		cfgs  []machine.Config
+		want  uint64
+	}{
+		{"bench-corpus", bench, cfgs, 0xe37b45a549f77f56},
+		{"stressed-corpus", stressed, cfgs, 0xc649c75f0560a86a},
+		{"stressed-comm2", stressed, []machine.Config{comm}, 0xc70ac6e48e4c2537},
+	} {
+		if got := effortDigest(t, c.loops, c.cfgs, EffortOptimal, true); got != c.want {
+			t.Errorf("effort=optimal %s digest = %#x, want %#x", c.name, got, c.want)
 		}
 	}
 }

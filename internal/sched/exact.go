@@ -15,7 +15,10 @@
 //     cluster (the resource-class occupancy bound);
 //   - a difference-constraint propagation over stage potentials rejects
 //     placements whose timing constraints form a positive-weight cycle —
-//     the same positive-cycle criterion RecMII is built on (mii.go).
+//     the same positive-cycle criterion RecMII is built on (mii.go). The
+//     placed ops had no such cycle before x was placed, so any new one
+//     runs through x: the relaxation rejects the placement the first time
+//     it would raise x's own potential.
 //
 // The key to exactness without a schedule-length horizon: a row/cluster
 // assignment extends to concrete start cycles t = row + II*k if and only if
@@ -26,6 +29,12 @@
 // dimension is discharged by the cycle test, so an exhausted search is a
 // proof that no schedule at this II exists, not merely that none was found
 // within a horizon.
+//
+// Per node the searcher walks one int32 CSR of dependence indices (per-op
+// in- and out-lists over flat from/to/dist/flow columns), and each
+// dependence's stage weight is computed once, when its second endpoint is
+// placed: it depends only on the two endpoints' rows and clusters, so it
+// stays valid, with no undo, for as long as both remain placed.
 //
 // Determinism: the static op order (height desc, ID asc), the candidate
 // order (cluster asc, row asc) and the node budget are all independent of
@@ -68,12 +77,12 @@ type exactSearcher struct {
 	n   int
 	ii  int
 
-	lat          []int
-	class        []machine.FUClass
-	preds, succs ir.Adj
-	adjMasks     []uint64
-	classMask    [machine.NumClasses]uint64
-	symmetric    bool // identical clusters: ring rotation is an automorphism
+	lat       []int
+	class     []machine.FUClass
+	deps      depTable
+	adjMasks  []uint64
+	classMask [machine.NumClasses]uint64
+	symmetric bool // identical clusters: ring rotation is an automorphism
 
 	order  []int32 // static placement order: height desc, then ID asc
 	height []int
@@ -84,18 +93,72 @@ type exactSearcher struct {
 	cluOf  []int32
 
 	// Stage-potential state for the difference-constraint propagation.
-	pot      []int   // k[i]: stage counter witness, >= 0
-	pathLen  []int32 // relaxation walk length within the current epoch
-	epoch    []int32 // propagation epoch a pathLen entry belongs to
-	curEpoch int32
-	queue    []int32
-	undo     []potUndo
+	pot    []int  // k[i]: stage counter witness, >= 0
+	w      []int  // per dependence: its weight, valid while both ends are placed
+	queued []bool // op is waiting in queue
+	queue  []int32
+	undo   []potUndo
 
 	ctx    context.Context
 	budget int64
 	nodes  int64 // placements tried this search (the budget unit)
 	pruned int64 // candidate placements rejected by a pruning rule
 	ctxCut bool  // the abort came from ctx, not the node budget
+}
+
+// depTable is the searcher's flat view of the loop's dependences: one
+// column per field, indexed by position in Loop.Deps, and per-op CSR lists
+// of the indices entering (in) and leaving (out) each op, in Deps order.
+type depTable struct {
+	from, to []int32
+	dist     []int
+	flow     []bool // flow dependence: pays the hop latency, constrains the partition
+	in, out  csr
+}
+
+// csr lists, per op, the dependence indices of one direction.
+type csr struct {
+	off []int32 // len n+1
+	dep []int32
+}
+
+// at returns op y's dependence indices.
+func (c *csr) at(y int) []int32 { return c.dep[c.off[y]:c.off[y+1]] }
+
+// newCSR lists each dependence under its endpoint end(d), in Deps order.
+func newCSR(n int, deps []ir.Dep, end func(ir.Dep) int) csr {
+	c := csr{off: make([]int32, n+1), dep: make([]int32, len(deps))}
+	for _, d := range deps {
+		c.off[end(d)]++
+	}
+	for i := 1; i <= n; i++ {
+		c.off[i] += c.off[i-1]
+	}
+	for e := len(deps) - 1; e >= 0; e-- {
+		v := end(deps[e])
+		c.off[v]--
+		c.dep[c.off[v]] = int32(e)
+	}
+	return c
+}
+
+// newDepTable builds the columns and both CSR directions for l.
+func newDepTable(l *ir.Loop) depTable {
+	n, m := len(l.Ops), len(l.Deps)
+	t := depTable{
+		from: make([]int32, m),
+		to:   make([]int32, m),
+		dist: make([]int, m),
+		flow: make([]bool, m),
+		in:   newCSR(n, l.Deps, func(d ir.Dep) int { return d.To }),
+		out:  newCSR(n, l.Deps, func(d ir.Dep) int { return d.From }),
+	}
+	for e, d := range l.Deps {
+		t.from[e], t.to[e] = int32(d.From), int32(d.To)
+		t.dist[e] = d.Dist
+		t.flow[e] = d.Kind == ir.Flow
+	}
+	return t
 }
 
 // potUndo records one potential overwrite so backtracking restores the
@@ -128,8 +191,7 @@ func newExactSearcher(l *ir.Loop, cfg *machine.Config) *exactSearcher {
 		ex.lat[i] = op.Kind.Latency()
 		ex.class[i] = machine.ClassOf(op.Kind)
 	}
-	l.PredsInto(&ex.preds)
-	l.SuccsInto(&ex.succs)
+	ex.deps = newDepTable(l)
 	ex.adjMasks = make([]uint64, cfg.NumClusters())
 	_, ex.classMask = maskInto(ex.adjMasks, cfg)
 	ex.symmetric = symmetricClusters(cfg)
@@ -138,8 +200,8 @@ func newExactSearcher(l *ir.Loop, cfg *machine.Config) *exactSearcher {
 	ex.rowOf = make([]int32, n)
 	ex.cluOf = make([]int32, n)
 	ex.pot = make([]int, n)
-	ex.pathLen = make([]int32, n)
-	ex.epoch = make([]int32, n)
+	ex.w = make([]int, len(l.Deps))
+	ex.queued = make([]bool, n)
 	return ex
 }
 
@@ -177,15 +239,16 @@ func (ex *exactSearcher) search(ctx context.Context, ii int, budget int64) exact
 // FU class, intersected with the ring-adjacency words of its placed flow
 // neighbours. A zero mask is a proof that no completion places y.
 func (ex *exactSearcher) clusterMask(y int) uint64 {
+	t := &ex.deps
 	mask := ex.classMask[ex.class[y]]
-	for _, d := range ex.preds.At(y) {
-		if d.Kind == ir.Flow && d.From != y && ex.placed[d.From] {
-			mask &= ex.adjMasks[ex.cluOf[d.From]]
+	for _, e := range t.in.at(y) {
+		if p := t.from[e]; t.flow[e] && int(p) != y && ex.placed[p] {
+			mask &= ex.adjMasks[ex.cluOf[p]]
 		}
 	}
-	for _, d := range ex.succs.At(y) {
-		if d.Kind == ir.Flow && d.To != y && ex.placed[d.To] {
-			mask &= ex.adjMasks[ex.cluOf[d.To]]
+	for _, e := range t.out.at(y) {
+		if v := t.to[e]; t.flow[e] && int(v) != y && ex.placed[v] {
+			mask &= ex.adjMasks[ex.cluOf[v]]
 		}
 	}
 	return mask
@@ -244,11 +307,7 @@ func (ex *exactSearcher) dfs(depth int) exactStatus {
 			} else {
 				ex.pruned++
 			}
-			for len(ex.undo) > mark {
-				u := ex.undo[len(ex.undo)-1]
-				ex.undo = ex.undo[:len(ex.undo)-1]
-				ex.pot[u.id] = u.pot
-			}
+			ex.unwind(mark)
 			ex.placed[x] = false
 			ex.table.remove(r, c, class, x)
 		}
@@ -256,16 +315,28 @@ func (ex *exactSearcher) dfs(depth int) exactStatus {
 	return exactInfeasible
 }
 
-// weight is the stage-difference coefficient of dependence d between placed
-// endpoints: the schedule needs pot[d.To] - pot[d.From] >= weight(d), with
-// weight = ceil((L + row[from] - row[to]) / II) - dist and L including the
-// cross-cluster communication latency for flow dependences.
-func (ex *exactSearcher) weight(d ir.Dep) int {
-	l := ex.lat[d.From]
-	if d.Kind == ir.Flow && ex.cluOf[d.From] != ex.cluOf[d.To] {
+// unwind restores every potential overwritten since the undo log held mark
+// entries, newest first, so pot returns to its state at mark exactly.
+func (ex *exactSearcher) unwind(mark int) {
+	for len(ex.undo) > mark {
+		u := ex.undo[len(ex.undo)-1]
+		ex.undo = ex.undo[:len(ex.undo)-1]
+		ex.pot[u.id] = u.pot
+	}
+}
+
+// weight is the stage-difference coefficient of dependence e between
+// placed endpoints: the schedule needs pot[to] - pot[from] >= weight(e),
+// with weight = ceil((L + row[from] - row[to]) / II) - dist and L
+// including the cross-cluster communication latency for flow dependences.
+func (ex *exactSearcher) weight(e int32) int {
+	t := &ex.deps
+	f, v := t.from[e], t.to[e]
+	l := ex.lat[f] + int(ex.rowOf[f]) - int(ex.rowOf[v])
+	if t.flow[e] && ex.cluOf[f] != ex.cluOf[v] {
 		l += ex.cfg.CommLatency
 	}
-	return ceilDiv(l+int(ex.rowOf[d.From])-int(ex.rowOf[d.To]), ex.ii) - d.Dist
+	return ceilDiv(l, ex.ii) - t.dist[e]
 }
 
 func ceilDiv(a, b int) int {
@@ -275,64 +346,73 @@ func ceilDiv(a, b int) int {
 	return -((-a) / b)
 }
 
-// propagate activates the constraints between x and the placed ops and
-// restores the invariant pot[to] >= pot[from] + weight by queue-driven
-// longest-path relaxation. It returns false when the placed subgraph
-// acquires a positive-weight cycle — no stage assignment exists, so the
-// placement is infeasible. Every potential overwrite lands in ex.undo; the
-// caller unwinds to its mark on backtrack (including after a false return).
+// propagate activates the constraints between x and the placed ops —
+// writing each one's weight into ex.w — and restores the invariant
+// pot[to] >= pot[from] + weight by queue-driven longest-path relaxation.
+// It returns false when the placed subgraph acquires a positive-weight
+// cycle — no stage assignment exists, so the placement is infeasible.
+// Every potential overwrite lands in ex.undo; the caller unwinds to its
+// mark on backtrack (including after a false return).
 //
-// Cycle detection: each relaxation extends a walk whose potentials strictly
-// improve, so a walk of more than n edges revisits some vertex with a
-// strictly larger potential — the sub-walk between the visits is a
-// positive cycle. pathLen counts the walk edges per propagation epoch.
+// Cycle detection: before x was placed the placed ops had no positive
+// cycle and pot was their least solution, so any positive cycle now runs
+// through x. Every raise made from x's starting potential is pot[x] plus
+// the weight of a walk out of x, so a relaxation that would raise pot[x]
+// itself has found a positive cycle (a self dependence of positive weight
+// is the one-edge case); and if none ever would, the walk ends with every
+// constraint satisfied, so there is none. The check is exact, and on
+// success pot is the least solution again.
 func (ex *exactSearcher) propagate(x int) bool {
-	ex.curEpoch++
-	ex.undo = append(ex.undo, potUndo{int32(x), ex.pot[x]})
-	ex.pot[x] = 0
-	for _, d := range ex.preds.At(x) {
-		if !ex.placed[d.From] {
+	t := &ex.deps
+	placed, pot, w, queued := ex.placed, ex.pot, ex.w, ex.queued
+	ex.undo = append(ex.undo, potUndo{int32(x), pot[x]})
+	px := 0
+	for _, e := range t.in.at(x) {
+		p := t.from[e]
+		if !placed[p] {
 			continue
 		}
-		if d.From == x {
-			// Self dependence: feasible iff its weight is non-positive.
-			if ex.weight(d) > 0 {
-				return false
+		w[e] = ex.weight(e)
+		if int(p) != x {
+			if nd := pot[p] + w[e]; nd > px {
+				px = nd
 			}
-			continue
-		}
-		if nd := ex.pot[d.From] + ex.weight(d); nd > ex.pot[x] {
-			ex.pot[x] = nd
 		}
 	}
-	ex.epoch[x] = ex.curEpoch
-	ex.pathLen[x] = 0
+	pot[x] = px
+	for _, e := range t.out.at(x) {
+		if v := t.to[e]; placed[v] && int(v) != x {
+			w[e] = ex.weight(e)
+		}
+	}
 	q := append(ex.queue[:0], int32(x))
+	queued[x] = true
 	for head := 0; head < len(q); head++ {
-		y := int(q[head])
-		for _, d := range ex.succs.At(y) {
-			v := d.To
-			if !ex.placed[v] {
+		y := q[head]
+		queued[y] = false
+		py := pot[y]
+		for _, e := range t.out.at(int(y)) {
+			v := t.to[e]
+			if !placed[v] {
 				continue
 			}
-			nd := ex.pot[y] + ex.weight(d)
-			if nd <= ex.pot[v] {
+			nd := py + w[e]
+			if nd <= pot[v] {
 				continue
 			}
-			var pl int32
-			if ex.epoch[y] == ex.curEpoch {
-				pl = ex.pathLen[y]
-			}
-			pl++
-			if int(pl) > ex.n {
+			if int(v) == x {
+				for _, u := range q[head+1:] {
+					queued[u] = false
+				}
 				ex.queue = q[:0]
 				return false
 			}
-			ex.undo = append(ex.undo, potUndo{int32(v), ex.pot[v]})
-			ex.pot[v] = nd
-			ex.epoch[v] = ex.curEpoch
-			ex.pathLen[v] = pl
-			q = append(q, int32(v))
+			ex.undo = append(ex.undo, potUndo{v, pot[v]})
+			pot[v] = nd
+			if !queued[v] {
+				queued[v] = true
+				q = append(q, v)
+			}
 		}
 	}
 	ex.queue = q[:0]
@@ -345,13 +425,14 @@ func (ex *exactSearcher) propagate(x int) bool {
 // row. This is the occupancy lower bound of the search: a violation means
 // no completion of the current partial placement exists.
 func (ex *exactSearcher) lookahead(x int) bool {
-	for _, d := range ex.preds.At(x) {
-		if d.Kind == ir.Flow && d.From != x && !ex.placed[d.From] && !ex.viable(d.From) {
+	t := &ex.deps
+	for _, e := range t.in.at(x) {
+		if p := t.from[e]; t.flow[e] && int(p) != x && !ex.placed[p] && !ex.viable(int(p)) {
 			return false
 		}
 	}
-	for _, d := range ex.succs.At(x) {
-		if d.Kind == ir.Flow && d.To != x && !ex.placed[d.To] && !ex.viable(d.To) {
+	for _, e := range t.out.at(x) {
+		if v := t.to[e]; t.flow[e] && int(v) != x && !ex.placed[v] && !ex.viable(int(v)) {
 			return false
 		}
 	}

@@ -3,6 +3,8 @@ package sched
 import (
 	"testing"
 
+	"vliwq/internal/corpus"
+	"vliwq/internal/ir"
 	"vliwq/internal/machine"
 )
 
@@ -76,5 +78,33 @@ func FuzzMRTBitset(f *testing.F) {
 					i, ii, nc, widths)
 			}
 		}
+	})
+}
+
+// FuzzExactPropagate fuzzes the exact search's stage-potential propagation
+// against the from-scratch Bellman–Ford oracle, with the checks of
+// TestExactPropagateMatchesOracle: the input picks a stressed loop or a
+// hand-written kernel, a ring of 1-8 clusters, a comm latency of 0-3 and
+// a candidate II in [1, MII+2], and its script is the placement walk —
+// each byte one choice of backtrack-or-place, op, row or cluster. Nightly
+// fuzz.yml runs this target; crashers land in testdata/fuzz and are
+// committed as regression seeds.
+func FuzzExactPropagate(f *testing.F) {
+	f.Add(uint16(0), uint8(3), uint8(2), uint8(0), []byte{1, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 0})
+	f.Add(uint16(17), uint8(5), uint8(1), uint8(3), []byte{1, 5, 2, 4, 2, 9, 1, 3, 3, 1, 0, 5, 1, 2, 7, 1, 0, 0, 2, 4, 4, 4})
+	f.Add(uint16(260), uint8(1), uint8(0), uint8(1), []byte{3, 0, 0, 0, 3, 0, 1, 1, 3, 0, 0, 1, 0, 3, 2, 0, 0})
+	pool := append(append([]*ir.Loop(nil), corpus.Stressed()...), corpus.Kernels()...)
+	f.Fuzz(func(t *testing.T, loopSel uint16, ncRaw, commRaw, iiRaw uint8, script []byte) {
+		l := pool[int(loopSel)%len(pool)]
+		cfg := machine.Clustered(1 + int(ncRaw)%8)
+		cfg.CommLatency = int(commRaw) % 4
+		pos := 0
+		propagateWalk(t, l, cfg, walkII(l, cfg, int(iiRaw)), func(k int) int {
+			if pos >= len(script) {
+				return -1
+			}
+			pos++
+			return int(script[pos-1]) % k
+		})
 	})
 }
