@@ -235,38 +235,6 @@ func (l *Loop) AddCarried(from, to *Op, dist int) {
 	l.AddDep(Dep{From: from.ID, To: to.ID, Dist: dist, Kind: Flow})
 }
 
-// Op returns the operation with the given ID, or nil if out of range.
-func (l *Loop) OpByID(id int) *Op {
-	if id < 0 || id >= len(l.Ops) {
-		return nil
-	}
-	return l.Ops[id]
-}
-
-// OpByName returns the first operation with the given name, or nil.
-func (l *Loop) OpByName(name string) *Op {
-	for _, op := range l.Ops {
-		if op.Name == name {
-			return op
-		}
-	}
-	return nil
-}
-
-// NumOps returns the number of operations in the loop body.
-func (l *Loop) NumOps() int { return len(l.Ops) }
-
-// CountKind returns the number of operations of the given kind.
-func (l *Loop) CountKind(k OpKind) int {
-	n := 0
-	for _, op := range l.Ops {
-		if op.Kind == k {
-			n++
-		}
-	}
-	return n
-}
-
 // Clone returns a deep copy of the loop.
 func (l *Loop) Clone() *Loop {
 	c := &Loop{Name: l.Name, Trip: l.Trip, Unroll: l.Unroll}

@@ -66,6 +66,12 @@ type Cluster struct {
 	QueueDepth    int // positions per queue; 0 = unbounded (analysis mode)
 }
 
+// MaxClusters is the widest ring a Config may describe. The scheduler packs
+// per-cluster facts (ring adjacency, FU-class providers) into one uint64
+// bit per cluster, and the paper's machines are rings of 4 to 6 clusters;
+// Validate rejects anything wider.
+const MaxClusters = 64
+
 // Config is a complete machine description.
 type Config struct {
 	Name     string
@@ -154,6 +160,9 @@ func (c *Config) Adjacent(a, b int) bool { return c.RingDistance(a, b) <= 1 }
 func (c *Config) Validate() error {
 	if len(c.Clusters) == 0 {
 		return fmt.Errorf("machine %q: no clusters", c.Name)
+	}
+	if len(c.Clusters) > MaxClusters {
+		return fmt.Errorf("machine %q: %d clusters exceed the %d-cluster limit", c.Name, len(c.Clusters), MaxClusters)
 	}
 	for i, cl := range c.Clusters {
 		total := 0

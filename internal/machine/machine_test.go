@@ -131,6 +131,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{Name: "neg", Clusters: []Cluster{{FUs: [NumClasses]int{LS: -1, ALU: 2}}}},
 		{Name: "negq", Clusters: []Cluster{{FUs: [NumClasses]int{ALU: 1}, PrivateQueues: -1}}},
 		{Name: "negring", Clusters: []Cluster{{FUs: [NumClasses]int{ALU: 1}}}, RingQueues: -2},
+		Clustered(MaxClusters + 1),
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

@@ -82,7 +82,7 @@ func TestTryIIAttemptAllocs(t *testing.T) {
 	cfg := machine.Clustered(4)
 	st := statePool.Get().(*state)
 	defer statePool.Put(st)
-	st.init(l, cfg, DefaultBudgetRatio, StrategyBaseline, nil, false)
+	st.init(l, cfg, DefaultBudgetRatio, StrategyBaseline, nil)
 	if !st.tryII(8) {
 		t.Fatalf("stencil3 did not schedule at II=8")
 	}
@@ -118,7 +118,7 @@ func TestForceSlotUnschedulable(t *testing.T) {
 
 	// Pinned to a cluster that cannot host a move: forceSlot finds no free
 	// unit and no occupant to evict.
-	st.init(l, cfg, DefaultBudgetRatio, StrategyBaseline, nil, false)
+	st.init(l, cfg, DefaultBudgetRatio, StrategyBaseline, nil)
 	st.pinned[0] = 0
 	if st.tryII(1) {
 		t.Errorf("tryII succeeded for a pinned op on a cluster without its FU class")
@@ -126,7 +126,7 @@ func TestForceSlotUnschedulable(t *testing.T) {
 
 	// Unpinned with no providing cluster anywhere: the preference list is
 	// empty.
-	st.init(l, cfg, DefaultBudgetRatio, StrategyBaseline, nil, false)
+	st.init(l, cfg, DefaultBudgetRatio, StrategyBaseline, nil)
 	if st.tryII(1) {
 		t.Errorf("tryII succeeded for an op whose FU class no cluster offers")
 	}

@@ -91,10 +91,9 @@ func scheduleOptimal(ctx context.Context, st *state, l *ir.Loop, cfg machine.Con
 	}
 	// The exact model covers the pristine loop under the ring rule. Move
 	// insertion grows the op set mid-search (so "no schedule at II" would
-	// not be a sound lower bound for the moves-extended machine), and
-	// machines wider than one mask word have no packed cluster masks;
-	// both keep the trivial MII certificate.
-	if cfg.AllowMoves || cfg.NumClusters() > 64 || len(s.Loop.Ops) != len(l.Ops) {
+	// not be a sound lower bound for the moves-extended machine); such a
+	// run keeps the trivial MII certificate.
+	if cfg.AllowMoves || len(s.Loop.Ops) != len(l.Ops) {
 		return s, nil
 	}
 	ex := newExactSearcher(l, &cfg)

@@ -1,14 +1,16 @@
 package sched
 
 // The differential test harness for the bitset feasibility core (DESIGN.md
-// §13). The scheduler keeps two implementations of every feasibility
-// primitive: the packed bitset fast path (mrt.full words, adjacency masks,
-// argmin candidate selection) and the retained scalar reference
-// (ref.go + mrt.freeScalar), selected per run by Options.refImpl. The
-// tests here drive both over randomized machines and stressed loops and
-// demand op-for-op identical schedules, pin the per-probe MRT agreement
-// directly, and pin the schedule digests of every effort tier so byte
-// drift anywhere in the corpus fails loudly.
+// §13). The scheduler has one slot search: the packed bitset path
+// (mrt.full words, adjacency masks, argmin candidate selection, the fused
+// settle). The scalar reference it is checked against lives in
+// ref_test.go (findSlotRef, forceSlotRef, freeScalar) and reuses
+// settleSlow. The lockstep test here advances one state through each over
+// the same attempts on randomized machines and stressed loops and demands
+// the same op, the same slot and the same placement arrays after every
+// step; the other tests pin the per-probe MRT agreement directly and the
+// schedule digests of every effort tier, so byte drift anywhere in the
+// corpus fails loudly.
 //
 // CONTRIBUTING.md makes this file a gate: bench/baseline.txt must never be
 // refreshed while any test in here is red.
@@ -17,7 +19,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 
 	"vliwq/internal/corpus"
@@ -128,13 +130,12 @@ func TestScheduleDigestPinnedOptimal(t *testing.T) {
 	}
 }
 
-// randomConfig builds a random ring machine: 1-8 clusters with mixed FU
+// randomConfig builds a random ring machine of nc clusters with mixed FU
 // widths (including clusters missing a class entirely — their classMask
 // bit is absent and their MRT rows are born full), random comm latency and
 // the move extension on half the draws. Cluster 0 always provides every
 // class so ResMII cannot reject a loop outright.
-func randomConfig(rng *rand.Rand) machine.Config {
-	nc := 1 + rng.Intn(8)
+func randomConfig(rng *rand.Rand, nc int) machine.Config {
 	clusters := make([]machine.Cluster, nc)
 	for i := range clusters {
 		var fus [machine.NumClasses]int
@@ -166,44 +167,182 @@ func randomConfig(rng *rand.Rand) machine.Config {
 	}
 }
 
+// lockstepRun advances two states over the attempts scheduleSingle makes
+// for one loop, machine and strategy: the candidate-II ladder, then the
+// compact subsets. The packed state goes through findSlot, forceSlot and
+// settle; the reference state through findSlotRef, forceSlotRef and
+// settleSlow. After every step both must have popped the same op, chosen
+// the same slot and hold equal time and cluster arrays. With shared set,
+// both states read one raceMemo, as the attempts of a portfolio race do.
+// The final outcome is checked against scheduleSingle itself, which pins
+// this driver to the production one. It returns the number of steps.
+func lockstepRun(t *testing.T, tag string, l *ir.Loop, cfg machine.Config, strat Strategy, shared bool) int {
+	t.Helper()
+	resMII, err := ResMII(l, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
+	recMII := RecMII(l)
+	mii := resMII
+	if recMII > mii {
+		mii = recMII
+	}
+	maxII := Options{}.maxII(l, mii)
+	var memo *raceMemo
+	if shared {
+		memo = newRaceMemo(l, &cfg)
+		defer memo.release()
+	}
+	packed, ref := new(state), new(state)
+	packed.init(l, cfg, DefaultBudgetRatio, strat, memo)
+	ref.init(l, cfg, DefaultBudgetRatio, strat, memo)
+
+	steps, ordinal := 0, 0
+	// attempt mirrors tryII step for step on both states.
+	attempt := func(ii int, allowed []int) bool {
+		ordinal++
+		for _, st := range []*state{packed, ref} {
+			st.ordinal = ordinal
+			st.allowed = allowed
+			st.ii = ii
+			st.table.reset(ii, &st.cfg)
+			st.load = refill(st.load, cfg.NumClusters(), 0)
+			st.computeHeights()
+			st.wl.fill(st, len(st.loop.Ops))
+		}
+		mult := ordinal
+		if mult > 4 {
+			mult = 4
+		}
+		budget := DefaultBudgetRatio * len(l.Ops) * mult
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("%s: II %d (attempt %d, allowed %v) step %d: "+format,
+				append([]any{tag, ii, ordinal, allowed, steps}, args...)...)
+		}
+		for packed.wl.Len() > 0 {
+			if ref.wl.Len() == 0 {
+				fail("reference worklist drained first")
+			}
+			if budget <= 0 {
+				return false
+			}
+			budget--
+			steps++
+			id, rid := packed.wl.pop(), ref.wl.pop()
+			if id != rid {
+				fail("packed popped op %d, reference op %d", id, rid)
+			}
+			pt, pc, estart, pok := packed.findSlot(id)
+			rest := ref.earliestStart(id)
+			rt, rc, rok := ref.findSlotRef(id, rest)
+			if estart != rest || pok != rok || (pok && (pt != rt || pc != rc)) {
+				fail("op %d findSlot = (%d,%d,%v) estart %d, reference (%d,%d,%v) estart %d",
+					id, pt, pc, pok, estart, rt, rc, rok, rest)
+			}
+			if !pok {
+				pt, pc, pok = packed.forceSlot(id, estart, &packed.wl)
+				rt, rc, rok = ref.forceSlotRef(id, rest, &ref.wl)
+				if pok != rok || (pok && (pt != rt || pc != rc)) {
+					fail("op %d forceSlot = (%d,%d,%v), reference (%d,%d,%v)", id, pt, pc, pok, rt, rc, rok)
+				}
+				if !pok {
+					return false
+				}
+			}
+			packed.place(id, pt, pc)
+			ref.place(id, rt, rc)
+			added, refAdded := packed.settle(id, &packed.wl), ref.settleSlow(id, &ref.wl)
+			if added != refAdded {
+				fail("op %d settle added %d ops, reference %d", id, added, refAdded)
+			}
+			if !slices.Equal(packed.time, ref.time) || !slices.Equal(packed.cluster, ref.cluster) {
+				fail("op %d placed at (%d,%d): arrays diverge\npacked time=%v cluster=%v\nref    time=%v cluster=%v",
+					id, pt, pc, packed.time, packed.cluster, ref.time, ref.cluster)
+			}
+			budget += added * DefaultBudgetRatio
+		}
+		if ref.wl.Len() != 0 {
+			fail("packed worklist drained first")
+		}
+		return true
+	}
+	done := func(ii int) int {
+		want, err := scheduleSingle(new(state), l, cfg, Options{}, strat, resMII, recMII, maxII)
+		if err != nil {
+			t.Fatalf("%s: lockstep scheduled at II %d, scheduleSingle failed: %v", tag, ii, err)
+		}
+		if want.II != ii || !slices.Equal(want.Time, packed.time) || !slices.Equal(want.Cluster, packed.cluster) {
+			t.Fatalf("%s: lockstep schedule (II %d) differs from scheduleSingle (II %d)", tag, ii, want.II)
+		}
+		return steps
+	}
+	for _, ii := range candidateIIs(nil, mii, maxII) {
+		if attempt(ii, nil) {
+			return done(ii)
+		}
+		packed.reset()
+		ref.reset()
+	}
+	if cfg.NumClusters() > 1 {
+		for _, allowed := range [][]int{{0, 1}, {0}} {
+			sub, err := resMIISubset(l, cfg, allowed)
+			if err != nil {
+				continue
+			}
+			if sub < mii {
+				sub = mii
+			}
+			for _, ii := range candidateIIs(nil, sub, maxII) {
+				if attempt(ii, allowed) {
+					return done(ii)
+				}
+				packed.reset()
+				ref.reset()
+			}
+		}
+	}
+	if _, err := scheduleSingle(new(state), l, cfg, Options{}, strat, resMII, recMII, maxII); err == nil {
+		t.Fatalf("%s: lockstep found no schedule, scheduleSingle did", tag)
+	}
+	return steps
+}
+
+// lockstepClusters draws a ring width: 1-8 clusters in about three trials
+// of four, 9-64 in the rest, so bit 63 of the packed masks and an all-ones
+// allMask are exercised alongside the paper-sized rings.
+func lockstepClusters(rng *rand.Rand) int {
+	if rng.Intn(4) == 0 {
+		return 9 + rng.Intn(machine.MaxClusters-8)
+	}
+	return 1 + rng.Intn(8)
+}
+
 // TestDifferentialBitsetVsReference is the harness's main property: over
-// randomized machines × stressed loops, a run whose every feasibility
-// probe goes through the scalar reference implementation must produce the
-// schedule the packed bitset path produces, op for op — same II, same
-// winning strategy, same (cycle, cluster) per op, or the identical error.
-// The seed is logged so a failure replays exactly.
+// randomized machines × stressed loops × every strategy, the packed slot
+// search and the scalar reference advance in lockstep (lockstepRun) and
+// agree on every probe, not only on the final schedule. The first trial is
+// always a 64-cluster ring. The seed is logged so a failure replays exactly.
 func TestDifferentialBitsetVsReference(t *testing.T) {
 	const seed = 20260808
 	rng := rand.New(rand.NewSource(seed))
-	t.Logf("differential seed %d", seed)
+	t.Logf("lockstep seed %d", seed)
 	loops := corpus.Stressed()
-	efforts := []Effort{EffortFast, EffortBalanced}
+	steps := 0
 	for trial := 0; trial < 32; trial++ {
-		cfg := randomConfig(rng)
+		nc := lockstepClusters(rng)
+		if trial == 0 {
+			nc = machine.MaxClusters
+		}
+		cfg := randomConfig(rng, nc)
 		l := loops[rng.Intn(len(loops))]
-		e := efforts[trial%len(efforts)]
-		opts := Options{Effort: e}
-		refOpts := opts
-		refOpts.refImpl = true
-		got, gotErr := ScheduleLoop(l, cfg, opts)
-		want, wantErr := ScheduleLoop(l, cfg, refOpts)
-		ctx := fmt.Sprintf("trial %d: %s on %s (comm=%d moves=%v effort=%s)",
-			trial, l.Name, cfg.String(), cfg.CommLatency, cfg.AllowMoves, e)
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("%s: packed err=%v, reference err=%v", ctx, gotErr, wantErr)
-		}
-		if gotErr != nil {
-			continue
-		}
-		if got.II != want.II || got.Strategy != want.Strategy {
-			t.Fatalf("%s: packed II=%d/%v, reference II=%d/%v",
-				ctx, got.II, got.Strategy, want.II, want.Strategy)
-		}
-		if !reflect.DeepEqual(got.Time, want.Time) || !reflect.DeepEqual(got.Cluster, want.Cluster) {
-			t.Fatalf("%s: placements diverge\npacked  time=%v cluster=%v\nref     time=%v cluster=%v",
-				ctx, got.Time, got.Cluster, want.Time, want.Cluster)
-		}
+		strat := Strategy(trial % int(NumStrategies))
+		shared := rng.Intn(2) == 1
+		tag := fmt.Sprintf("trial %d: %s on %s (comm=%d moves=%v strategy=%s shared=%v)",
+			trial, l.Name, cfg.Name, cfg.CommLatency, cfg.AllowMoves, strat, shared)
+		steps += lockstepRun(t, tag, l, cfg, strat, shared)
 	}
+	t.Logf("%d lockstep steps", steps)
 }
 
 // TestMRTProbeDifferential pins the per-probe agreement of the two MRT
@@ -217,7 +356,7 @@ func TestMRTProbeDifferential(t *testing.T) {
 	t.Logf("mrt probe seed %d", seed)
 	for trial := 0; trial < 64; trial++ {
 		ii := 1 + rng.Intn(64)
-		cfg := randomConfig(rng)
+		cfg := randomConfig(rng, 1+rng.Intn(8))
 		nc := cfg.NumClusters()
 		m := newMRT(ii, &cfg)
 		type res struct {

@@ -181,7 +181,8 @@ func symmetricClusters(cfg *machine.Config) bool {
 }
 
 // newExactSearcher builds the arena for one pristine loop on one machine.
-// The caller guarantees NumClusters <= 64 (the packed-mask invariant).
+// Config.Validate guarantees NumClusters <= machine.MaxClusters, so the
+// packed one-bit-per-cluster masks fit.
 func newExactSearcher(l *ir.Loop, cfg *machine.Config) *exactSearcher {
 	n := len(l.Ops)
 	ex := &exactSearcher{l: l, cfg: cfg, n: n}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 
 	"vliwq/internal/corpus"
@@ -8,15 +9,41 @@ import (
 	"vliwq/internal/machine"
 )
 
+// fuzzMachine builds a ring of nc clusters whose mixed FU widths are driven
+// by the input: 0-2 units per class, shifted per cluster so the layout is
+// irregular; cluster 0 keeps one of everything so no class is machine-wide
+// absent.
+func fuzzMachine(nc int, widths uint8) machine.Config {
+	clusters := make([]machine.Cluster, nc)
+	for i := range clusters {
+		var fus [machine.NumClasses]int
+		for cl := range fus {
+			fus[cl] = int(widths>>uint((i+cl)%7)) % 3
+			if i == 0 && fus[cl] == 0 {
+				fus[cl] = 1
+			}
+		}
+		total := 0
+		for _, n := range fus {
+			total += n
+		}
+		if total == 0 {
+			fus[machine.ALU] = 1
+		}
+		clusters[i] = machine.Cluster{FUs: fus, PrivateQueues: machine.DefaultPrivateQueues}
+	}
+	return machine.Config{Name: "fuzz", Clusters: clusters, RingQueues: machine.DefaultRingQueues}
+}
+
 // FuzzMRTBitset fuzzes the packed MRT occupancy bitmaps against the scalar
 // occupant-list reference (the same agreement TestMRTProbeDifferential
 // pins on fixed seeds). The input derives an II in [1, 64], a ring machine
-// of 1-8 clusters with mixed FU widths, and a reservation script; after
+// of 1-64 clusters with mixed FU widths, and a reservation script; after
 // every add/remove the packed free bit of each (row, cluster, class) slot
 // must match freeScalar, and firstFree windows must match a scalar walk.
 // Any divergence is a feasibility probe the scheduler would answer
-// differently on the two paths — exactly the byte-identity break the
-// differential harness exists to catch. Nightly fuzz.yml runs this target;
+// differently from the scalar reference — exactly the break the lockstep
+// test exists to catch. Nightly fuzz.yml runs this target;
 // crashers land in testdata/fuzz and are committed as regression seeds.
 func FuzzMRTBitset(f *testing.F) {
 	f.Add(uint8(3), uint8(1), uint8(0), []byte{0, 0, 0, 1, 1, 0, 2, 0, 1})
@@ -24,29 +51,8 @@ func FuzzMRTBitset(f *testing.F) {
 	f.Add(uint8(64), uint8(8), uint8(255), []byte{0, 0, 0, 63, 7, 3, 31, 4, 2, 1, 1, 1, 128, 0, 0})
 	f.Fuzz(func(t *testing.T, iiRaw, ncRaw, widths uint8, script []byte) {
 		ii := 1 + int(iiRaw)%64
-		nc := 1 + int(ncRaw)%8
-		clusters := make([]machine.Cluster, nc)
-		for i := range clusters {
-			// Mixed widths driven by the input: 0-2 units per class, shifted
-			// per cluster so the layout is irregular; cluster 0 keeps one of
-			// everything so no class is machine-wide absent.
-			var fus [machine.NumClasses]int
-			for cl := range fus {
-				fus[cl] = int(widths>>uint((i+cl)%7)) % 3
-				if i == 0 && fus[cl] == 0 {
-					fus[cl] = 1
-				}
-			}
-			total := 0
-			for _, n := range fus {
-				total += n
-			}
-			if total == 0 {
-				fus[machine.ALU] = 1
-			}
-			clusters[i] = machine.Cluster{FUs: fus, PrivateQueues: machine.DefaultPrivateQueues}
-		}
-		cfg := machine.Config{Name: "fuzz", Clusters: clusters, RingQueues: machine.DefaultRingQueues}
+		nc := 1 + int(ncRaw)%machine.MaxClusters
+		cfg := fuzzMachine(nc, widths)
 		m := newMRT(ii, &cfg)
 
 		type res struct {
@@ -106,5 +112,31 @@ func FuzzExactPropagate(f *testing.F) {
 			pos++
 			return int(script[pos-1]) % k
 		})
+	})
+}
+
+// FuzzSlotSearchLockstep fuzzes the lockstep check of
+// TestDifferentialBitsetVsReference (lockstepRun): the input picks a
+// stressed loop, a ring of 1-64 clusters with mixed FU widths (fuzzMachine),
+// a comm latency of 0-3 and, from flags, the move extension (bit 0), the
+// strategy (bits 1-3) and whether both states share one raceMemo (bit 4).
+// Every probe of the packed slot search must agree with the scalar
+// reference. Nightly fuzz.yml runs this target; crashers land in
+// testdata/fuzz and are committed as regression seeds.
+func FuzzSlotSearchLockstep(f *testing.F) {
+	f.Add(uint16(0), uint8(3), uint8(0xff), uint8(0), uint8(0))
+	f.Add(uint16(7), uint8(63), uint8(0x5a), uint8(2), uint8(0x13))
+	f.Add(uint16(300), uint8(40), uint8(0x0f), uint8(1), uint8(0x09))
+	loops := corpus.Stressed()
+	f.Fuzz(func(t *testing.T, loopSel uint16, ncRaw, widths, commRaw, flags uint8) {
+		l := loops[int(loopSel)%len(loops)]
+		cfg := fuzzMachine(1+int(ncRaw)%machine.MaxClusters, widths)
+		cfg.CommLatency = int(commRaw) % 4
+		cfg.AllowMoves = flags&1 == 1
+		strat := Strategy(int(flags>>1&7) % int(NumStrategies))
+		shared := flags>>4&1 == 1
+		tag := fmt.Sprintf("%s on %d clusters (widths=%#x comm=%d moves=%v strategy=%s shared=%v)",
+			l.Name, cfg.NumClusters(), widths, cfg.CommLatency, cfg.AllowMoves, strat, shared)
+		lockstepRun(t, tag, l, cfg, strat, shared)
 	})
 }

@@ -30,7 +30,6 @@ type state struct {
 	budgetRatio int
 	strat       Strategy // cluster-preference policy for this run
 	memo        *raceMemo
-	ref         bool // route probes through the scalar reference (ref.go)
 	mutated     bool // move ops inserted: loop/CSR detached from the input
 
 	ii       int
@@ -65,14 +64,11 @@ type state struct {
 	ownClass  []machine.FUClass          // a memo-bound header must never be refilled in place,
 	ownAdj    []uint64                   // the memo may already be pooled and rebound elsewhere
 	wl        worklist
-	prefBuf   []clusterPref // scratch for the reference preference ordering (ref.go)
-	prefOut   []int         // scratch for the returned preference order
-	pathBuf   []int         // scratch for move-chain ring paths
-	settleBuf []ir.Dep      // scratch for settle's edge snapshot
-	iiBuf     []int         // scratch for the candidate-II sequence
-	minTBuf   []int         // per-cluster earliest cycle, per findSlot call
-	adjBuf    []bool        // per-cluster ring-adjacency verdict (ref path)
-	rec       recScratch    // RecMII scratch (mii.go)
+	prefOut   []int      // scratch for the returned preference order
+	pathBuf   []int      // scratch for move-chain ring paths
+	settleBuf []ir.Dep   // scratch for settle's edge snapshot
+	iiBuf     []int      // scratch for the candidate-II sequence
+	rec       recScratch // RecMII scratch (mii.go)
 
 	stats Stats
 }
@@ -84,9 +80,8 @@ var statePool = sync.Pool{New: func() any { return new(state) }}
 
 // init binds the arena to a new input loop, reusing all prior storage.
 // memo, when non-nil, supplies the shared pristine-loop facts of a
-// portfolio race; ref routes feasibility probes through the scalar
-// reference implementation (the differential harness's toggle).
-func (st *state) init(l *ir.Loop, cfg machine.Config, budgetRatio int, strat Strategy, memo *raceMemo, ref bool) {
+// portfolio race.
+func (st *state) init(l *ir.Loop, cfg machine.Config, budgetRatio int, strat Strategy, memo *raceMemo) {
 	st.orig = l
 	st.cfg = cfg
 	st.budgetRatio = budgetRatio
@@ -102,11 +97,6 @@ func (st *state) init(l *ir.Loop, cfg machine.Config, budgetRatio int, strat Str
 	st.loop.Unroll = l.Unroll
 
 	n := len(l.Ops)
-	nc := cfg.NumClusters()
-	// The packed adjacency masks hold one bit per cluster; machines wider
-	// than a word fall back to the scalar reference wholesale (the bitset
-	// fast path gains nothing there anyway).
-	st.ref = ref || nc > 64
 	if memo != nil {
 		// Share every pristine-loop and machine fact the race computed
 		// once. The three-index cap on lat/class forces any growOp append
@@ -127,11 +117,9 @@ func (st *state) init(l *ir.Loop, cfg machine.Config, budgetRatio int, strat Str
 		st.ownClass[i] = machine.ClassOf(op.Kind)
 	}
 	st.lat, st.class = st.ownLat, st.ownClass
-	if !st.ref {
-		st.ownAdj = refill(st.ownAdj, nc, 0)
-		st.allMask, st.classMask = maskInto(st.ownAdj, &cfg)
-		st.adjMasks = st.ownAdj
-	}
+	st.ownAdj = refill(st.ownAdj, cfg.NumClusters(), 0)
+	st.allMask, st.classMask = maskInto(st.ownAdj, &cfg)
+	st.adjMasks = st.ownAdj
 	l.PredsInto(&st.ownPreds)
 	l.SuccsInto(&st.ownSuccs)
 	st.basePreds, st.baseSuccs = st.ownPreds, st.ownSuccs
@@ -140,8 +128,8 @@ func (st *state) init(l *ir.Loop, cfg machine.Config, budgetRatio int, strat Str
 
 // maskInto fills adj (length NumClusters) with the per-cluster ring
 // adjacency bitmasks and returns the all-clusters mask and the per-class
-// masks of clusters providing each FU class. Only meaningful for machines
-// of at most 64 clusters (one bit per cluster).
+// masks of clusters providing each FU class. One bit per cluster fits
+// because Config.Validate caps a ring at machine.MaxClusters = 64.
 func maskInto(adj []uint64, cfg *machine.Config) (uint64, [machine.NumClasses]uint64) {
 	nc := cfg.NumClusters()
 	for a := 0; a < nc; a++ {
@@ -279,21 +267,6 @@ func (st *state) tryII(ii int) bool {
 	return true
 }
 
-// earliestStart returns the earliest issue cycle permitted by the scheduled
-// predecessors of id (ignoring communication latency, which findSlot folds
-// into its per-cluster earliest-cycle bound).
-func (st *state) earliestStart(id int) int {
-	estart := 0
-	for _, d := range st.preds.At(id) {
-		if tf := st.time[d.From]; tf >= 0 {
-			if e := tf + st.lat[d.From] - st.ii*d.Dist; e > estart {
-				estart = e
-			}
-		}
-	}
-	return estart
-}
-
 // findSlot searches the II-wide window from the op's earliest start for a
 // (time, cluster) placement that satisfies resources, scheduled-predecessor
 // timing (including communication latency) and the ring adjacency rule.
@@ -305,24 +278,20 @@ func (st *state) earliestStart(id int) int {
 // Feasibility splits into per-op facts (earliest start, per-cluster
 // scheduled flow-neighbour counts, ring adjacency to those neighbours) and
 // the per-cycle fact (a free FU in the reservation table). The per-op
-// facts are gathered in ONE walk over the op's edge lists — the reference
-// implementation re-walks them once per candidate cluster — and the
-// adjacency verdicts compress to a word: the AND of the precomputed
+// facts are gathered in ONE walk over the op's edge lists — the scalar
+// reference (ref_test.go) re-walks them once per candidate cluster — and
+// the adjacency verdicts compress to a word: the AND of the precomputed
 // per-cluster masks of every cluster holding a scheduled flow neighbour.
 // The whole per-cycle scan collapses to one firstFree bitmap probe per
 // cluster. The historical scan visited (cycle, cluster) pairs
 // lexicographically — cycle ascending, then preference order — so taking,
 // over the candidate clusters, the minimum earliest feasible cycle (ties
 // to the earlier preference position) reproduces its choice exactly; the
-// differential harness (ref.go) pins that equivalence on every probe.
+// lockstep test (differential_test.go) pins that equivalence on every
+// probe.
 func (st *state) findSlot(id int) (int, int, int, bool) {
-	if st.ref {
-		estart := st.earliestStart(id)
-		t, c, ok := st.findSlotRef(id, estart)
-		return t, c, estart, ok
-	}
 	nc := st.cfg.NumClusters()
-	var cntArr [64]int32 // nc <= 64 on the packed path (init falls back otherwise)
+	var cntArr [machine.MaxClusters]int32 // Config.Validate bounds nc
 	cnt := cntArr[:nc]
 	estart := 0
 	for _, d := range st.preds.At(id) {
@@ -447,9 +416,9 @@ func (st *state) findSlot(id int) (int, int, int, bool) {
 
 // minTFor returns the earliest cycle at which cluster c can issue op id
 // given its scheduled predecessors, folding in the communication latency
-// of cross-cluster flow values. It is always >= earliestStart, so callers
-// on comm-latency machines use it as the per-cluster window start
-// directly.
+// of cross-cluster flow values. It is always >= findSlot's earliest start,
+// so callers on comm-latency machines use it as the per-cluster window
+// start directly.
 func (st *state) minTFor(id, c int) int {
 	req := 0
 	for _, d := range st.preds.At(id) {
@@ -532,27 +501,13 @@ func (st *state) forceSlot(id, estart int, wl *worklist) (int, int, bool) {
 		t = st.prevTime[id] + 1
 	}
 	class := st.class[id]
+	row := t % st.ii
 	if p := st.pinned[id]; p >= 0 {
-		if st.slotFree(t%st.ii, p, class) {
+		if st.table.free(row, p, class) {
 			return t, p, true
 		}
 		return st.evictLowest(t, p, class, wl)
 	}
-	if st.ref {
-		// Reference path: ordered preference list, first cluster with a
-		// free unit at this row, else evict from the top preference.
-		prefs := st.clusterPrefsRef(id)
-		if len(prefs) == 0 {
-			return 0, 0, false
-		}
-		for _, c := range prefs {
-			if st.table.freeScalar(t%st.ii, c, class) {
-				return t, c, true
-			}
-		}
-		return st.evictLowest(t, prefs[0], class, wl)
-	}
-	row := t % st.ii
 	if st.allowed != nil {
 		// Compact fallback: positional order — first subset cluster with a
 		// free unit, else evict from the subset head.
@@ -567,11 +522,11 @@ func (st *state) forceSlot(id, estart int, wl *worklist) (int, int, bool) {
 		}
 		return st.evictLowest(t, prefs[0], class, wl)
 	}
-	// Packed path: "first preference with a free unit" is the minimal key
-	// among free candidates, and "the first preference" is the minimal key
-	// overall — one unsorted scan finds both.
+	// Free placement: "first preference with a free unit" is the minimal
+	// key among free candidates, and "the first preference" is the minimal
+	// key overall — one unsorted scan finds both.
 	nc := st.cfg.NumClusters()
-	var cntArr [64]int32 // nc <= 64 on the packed path (init falls back otherwise)
+	var cntArr [machine.MaxClusters]int32 // Config.Validate bounds nc
 	cnt := cntArr[:nc]
 	for _, d := range st.preds.At(id) {
 		if d.Kind == ir.Flow && st.time[d.From] >= 0 {
@@ -623,15 +578,6 @@ func (st *state) evictLowest(t, c int, class machine.FUClass, wl *worklist) (int
 	return t, c, true
 }
 
-// slotFree probes one (row, cluster, class) slot, through the scalar
-// reference when the run is pinned to it.
-func (st *state) slotFree(row, cluster int, class machine.FUClass) bool {
-	if st.ref {
-		return st.table.freeScalar(row, cluster, class)
-	}
-	return st.table.free(row, cluster, class)
-}
-
 // place commits op id to (t, c) in the reservation table.
 func (st *state) place(id, t, c int) {
 	st.time[id] = t
@@ -669,9 +615,9 @@ func (st *state) evict(id int, wl *worklist) {
 // idempotent, and the evicted SET is the union of the same conditions.
 // The worklist orders by a total key (height desc, ID asc), so its pop
 // sequence depends only on that set, not on insertion order; the digest
-// and differential tests pin this equivalence.
+// and lockstep tests pin this equivalence.
 func (st *state) settle(id int, wl *worklist) int {
-	if st.ref || st.cfg.AllowMoves {
+	if st.cfg.AllowMoves {
 		return st.settleSlow(id, wl)
 	}
 	t, c := st.time[id], st.cluster[id]
@@ -715,10 +661,10 @@ func (st *state) settle(id int, wl *worklist) int {
 	return 0
 }
 
-// settleSlow is the reference/three-pass settle, required whenever the run
-// is pinned to the scalar reference or the machine allows move insertion
-// (insertMoveChain rebuilds the adjacency views mid-pass, which the fused
-// walk cannot tolerate).
+// settleSlow is the three-pass settle, required whenever the machine allows
+// move insertion (insertMoveChain rebuilds the adjacency views mid-pass,
+// which the fused walk cannot tolerate). The lockstep test also drives its
+// scalar reference through it, as the oracle for the fused walk.
 func (st *state) settleSlow(id int, wl *worklist) int {
 	t, c := st.time[id], st.cluster[id]
 	lat := st.lat[id]
@@ -738,7 +684,7 @@ func (st *state) settleSlow(id int, wl *worklist) int {
 		}
 	}
 	// Predecessors can only be violated through communication latency
-	// (earliestStart covered the base latency).
+	// (findSlot's earliest start covered the base latency).
 	if st.cfg.CommLatency > 0 {
 		for _, d := range st.preds.At(id) {
 			tf := st.time[d.From]

@@ -39,8 +39,7 @@ type raceMemo struct {
 
 	preds, succs ir.Adj
 
-	// Machine facts of the racing config (see maskInto); valid when the
-	// machine fits the packed one-bit-per-cluster representation.
+	// Machine facts of the racing config (see maskInto).
 	adjMasks  []uint64
 	allMask   uint64
 	classMask [machine.NumClasses]uint64
@@ -71,10 +70,8 @@ func newRaceMemo(l *ir.Loop, cfg *machine.Config) *raceMemo {
 		m.lat[i] = op.Kind.Latency()
 		m.class[i] = machine.ClassOf(op.Kind)
 	}
-	if nc := cfg.NumClusters(); nc <= 64 {
-		m.adjMasks = refill(m.adjMasks, nc, 0)
-		m.allMask, m.classMask = maskInto(m.adjMasks, cfg)
-	}
+	m.adjMasks = refill(m.adjMasks, cfg.NumClusters(), 0)
+	m.allMask, m.classMask = maskInto(m.adjMasks, cfg)
 	l.PredsInto(&m.preds)
 	l.SuccsInto(&m.succs)
 	m.used = 0

@@ -54,7 +54,7 @@ func resMIISubset(l *ir.Loop, cfg machine.Config, clusters []int) (int, error) {
 			continue
 		}
 		if fus[c] == 0 {
-			// The subset lacks the class; clusterPrefs escapes the subset
+			// The subset lacks the class; allowedPrefs escapes the subset
 			// for those ops, so approximate with one machine-wide unit.
 			total := cfg.TotalFUs()
 			if total[c] == 0 {
@@ -81,37 +81,6 @@ func resMIISubset(l *ir.Loop, cfg machine.Config, clusters []int) (int, error) {
 func RecMII(l *ir.Loop) int {
 	var scr recScratch
 	return recMIIInto(l, &scr)
-}
-
-// recMIIRef is the scalar reference for RecMII: one global binary search
-// over the whole graph, each probe a whole-graph Bellman-Ford. The SCC
-// decomposition in recMIIInto must return the same value on every valid
-// loop; the differential harness pins the agreement on randomized graphs.
-func recMIIRef(l *ir.Loop) int {
-	// Positive-cycle existence is monotonically non-increasing in II, so
-	// binary-search the smallest II free of positive cycles. One scratch
-	// buffer serves every Bellman-Ford probe of the search.
-	scratch := make([]int, len(l.Ops))
-	lo, hi := 1, l.SumLatency()
-	if hi < 1 {
-		hi = 1
-	}
-	if !hasPositiveCycle(l, hi, scratch) {
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if hasPositiveCycle(l, mid, scratch) {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-	} else {
-		// Cannot happen for validated loops (II = sum of latencies always
-		// breaks every circuit since each circuit has distance >= 1), but
-		// degrade gracefully.
-		lo = hi + 1
-	}
-	return lo
 }
 
 // recScratch is the arena for recMIIInto: Tarjan SCC state, the
@@ -346,86 +315,4 @@ func (scr *recScratch) posCycle(nodes []int32, edges []ir.Dep, ii int) bool {
 		}
 	}
 	return false
-}
-
-// hasPositiveCycle reports whether the dependence graph has a cycle of
-// positive total weight with edge weight latency(from) - II*dist
-// (Bellman-Ford longest-path relaxation from a virtual source). scratch
-// must hold len(l.Ops) elements; it is overwritten.
-func hasPositiveCycle(l *ir.Loop, ii int, scratch []int) bool {
-	n := len(l.Ops)
-	dist := scratch[:n] // virtual source connects to all with weight 0
-	for i := range dist {
-		dist[i] = 0
-	}
-	for iter := 0; iter < n; iter++ {
-		changed := false
-		for _, d := range l.Deps {
-			w := l.Ops[d.From].Kind.Latency() - ii*d.Dist
-			if nd := dist[d.From] + w; nd > dist[d.To] {
-				dist[d.To] = nd
-				changed = true
-			}
-		}
-		if !changed {
-			return false
-		}
-	}
-	// Still relaxing after n passes: positive cycle.
-	for _, d := range l.Deps {
-		w := l.Ops[d.From].Kind.Latency() - ii*d.Dist
-		if dist[d.From]+w > dist[d.To] {
-			return true
-		}
-	}
-	return false
-}
-
-// RecMIIBrute computes RecMII by enumerating all elementary circuits (DFS
-// with a bounded path length). It is exponential and exists only so tests
-// can validate RecMII on small graphs.
-func RecMIIBrute(l *ir.Loop, maxLen int) int {
-	n := len(l.Ops)
-	succ := l.Succs()
-	best := 1
-	var path []ir.Dep
-	onPath := make([]bool, n)
-	var dfs func(start, cur int)
-	dfs = func(start, cur int) {
-		if len(path) > maxLen {
-			return
-		}
-		for _, d := range succ.At(cur) {
-			if d.To == start && len(path) >= 0 {
-				lat, dist := 0, 0
-				for _, e := range path {
-					lat += l.Ops[e.From].Kind.Latency()
-					dist += e.Dist
-				}
-				lat += l.Ops[d.From].Kind.Latency()
-				dist += d.Dist
-				if dist > 0 {
-					if b := (lat + dist - 1) / dist; b > best {
-						best = b
-					}
-				}
-				continue
-			}
-			if d.To < start || onPath[d.To] {
-				// Enumerate each circuit once: only visit nodes >= start.
-				continue
-			}
-			onPath[d.To] = true
-			path = append(path, d)
-			dfs(start, d.To)
-			path = path[:len(path)-1]
-			onPath[d.To] = false
-		}
-	}
-	for s := 0; s < n; s++ {
-		onPath[s] = true
-		dfs(s, s)
-		onPath[s] = false
-	}
-	return best
 }

@@ -14,8 +14,8 @@ import (
 // Occupancy is tracked twice, deliberately:
 //
 //   - rows holds the per-slot occupant ID lists. They answer "who is in the
-//     way" (forceSlot's eviction choice) and double as the scalar reference
-//     the differential harness replays probes against.
+//     way" (forceSlot's eviction choice), and their lengths are the
+//     scalar reference the tests check the bitmaps below against.
 //   - full packs, per (cluster, class), one bit per row that is at
 //     capacity. A feasibility probe over the whole II window collapses to a
 //     rotate/mask/trailing-zeros sequence on these words instead of a
@@ -102,13 +102,6 @@ func (m *mrt) fidx(cluster int, class machine.FUClass) int {
 // at the given row (one AND of the packed occupancy word).
 func (m *mrt) free(row, cluster int, class machine.FUClass) bool {
 	return m.full[m.fidx(cluster, class)+row>>6]>>(uint(row)&63)&1 == 0
-}
-
-// freeScalar is the scalar reference for free: the occupant-list length
-// check the pre-bitset scheduler used. The differential harness schedules
-// entire corpora through it to pin the packed probes byte-identical.
-func (m *mrt) freeScalar(row, cluster int, class machine.FUClass) bool {
-	return len(m.at(row, cluster)[class]) < m.cfg.FUCount(cluster, class)
 }
 
 // firstFree returns the first cycle t in [from, to) whose row t%II has a

@@ -57,10 +57,10 @@ type attempt struct {
 // would in the single-strategy search. memo carries the race-wide shared
 // pristine-loop facts (CSR views, per-II heights); the attempt's private
 // arena holds everything placement-dependent.
-func runAttempt(l *ir.Loop, cfg machine.Config, budgetRatio int, strat Strategy, ii, ordinal int, memo *raceMemo, ref bool) attempt {
+func runAttempt(l *ir.Loop, cfg machine.Config, budgetRatio int, strat Strategy, ii, ordinal int, memo *raceMemo) attempt {
 	st := statePool.Get().(*state)
 	defer statePool.Put(st)
-	st.init(l, cfg, budgetRatio, strat, memo, ref)
+	st.init(l, cfg, budgetRatio, strat, memo)
 	st.ordinal = ordinal
 	st.stats.Attempts = 1 // this call is exactly one (II, strategy) attempt
 	if !st.tryII(ii) {
@@ -127,7 +127,7 @@ func schedulePortfolio(st *state, l *ir.Loop, cfg machine.Config, opts Options, 
 			// the race degenerates to a plain loop — same results, same
 			// MII short-circuit, none of the pool's goroutine/channel cost.
 			for i := range strats {
-				results[i] = runAttempt(l, cfg, ratio, strats[i], ii, ord+1, memo, opts.refImpl)
+				results[i] = runAttempt(l, cfg, ratio, strats[i], ii, ord+1, memo)
 				if atMII && results[i].ok {
 					break
 				}
@@ -144,7 +144,7 @@ func schedulePortfolio(st *state, l *ir.Loop, cfg machine.Config, opts Options, 
 				if atMII && minWin.Load() < int64(i) {
 					return // a strictly better winner already exists
 				}
-				results[i] = runAttempt(l, cfg, ratio, strats[i], ii, ord+1, memo, opts.refImpl)
+				results[i] = runAttempt(l, cfg, ratio, strats[i], ii, ord+1, memo)
 				if atMII && results[i].ok {
 					for {
 						cur := minWin.Load()
@@ -204,7 +204,7 @@ func schedulePortfolio(st *state, l *ir.Loop, cfg machine.Config, opts Options, 
 	// the preference ordering is irrelevant and the result reports the
 	// baseline strategy. The race has ended, so the caller's state arena
 	// (and the memo, still valid) is reused for the fallback.
-	st.init(l, cfg, ratio, StrategyBaseline, memo, opts.refImpl)
+	st.init(l, cfg, ratio, StrategyBaseline, memo)
 	// Seed the attempt counter to the ladder length so the compact
 	// attempts run at the same (capped) budget multiplier they get in
 	// scheduleSingle after its full ladder — otherwise the portfolio's

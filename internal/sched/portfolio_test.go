@@ -12,16 +12,6 @@ import (
 )
 
 func TestStrategyAndEffortNames(t *testing.T) {
-	for s := Strategy(0); s < NumStrategies; s++ {
-		got, err := ParseStrategy(s.String())
-		if err != nil || got != s {
-			t.Fatalf("ParseStrategy(%q) = %v, %v", s.String(), got, err)
-		}
-	}
-	if _, err := ParseStrategy("nope"); err == nil ||
-		!strings.Contains(err.Error(), "affinity, baseline, load-balanced, perturb, round-robin") {
-		t.Fatalf("ParseStrategy error not sorted: %v", err)
-	}
 	for e := Effort(0); e < numEfforts; e++ {
 		got, err := ParseEffort(e.String())
 		if err != nil || got != e {
@@ -54,16 +44,6 @@ func TestStrategySet(t *testing.T) {
 	if got := (Options{Effort: EffortExhaustive}).strategySet(4); len(got) != int(NumStrategies) {
 		t.Fatalf("exhaustive set = %v", got)
 	}
-	// Explicit lists are filtered, deduplicated and order-preserving.
-	got := (Options{Strategies: []Strategy{StrategyRoundRobin, Strategy(99), StrategyRoundRobin, StrategyBaseline}}).strategySet(4)
-	if !reflect.DeepEqual(got, []Strategy{StrategyRoundRobin, StrategyBaseline}) {
-		t.Fatalf("explicit set = %v", got)
-	}
-	// A fully invalid explicit list falls back to the effort portfolio.
-	got = (Options{Strategies: []Strategy{Strategy(99)}, Effort: EffortBalanced}).strategySet(4)
-	if len(got) != 3 {
-		t.Fatalf("fallback set = %v", got)
-	}
 }
 
 // identityCorpus is the 64-loop bench corpus the satellite pins: the same
@@ -74,33 +54,27 @@ func identityCorpus(t *testing.T) []*ir.Loop {
 }
 
 // TestEffortFastByteIdentity is the regression contract protecting golden
-// files and cache keys: EffortFast — spelled as the zero value, explicitly,
-// or as an explicit baseline-only portfolio — must reproduce the
-// historical scheduler's placements exactly, operation by operation.
+// files and cache keys: EffortFast — spelled as the zero value or
+// explicitly — must reproduce the historical scheduler's placements
+// exactly, operation by operation.
 func TestEffortFastByteIdentity(t *testing.T) {
 	loops := identityCorpus(t)
-	variants := []Options{
-		{Effort: EffortFast},
-		{Strategies: []Strategy{StrategyBaseline}},
-	}
 	for _, cfg := range []machine.Config{machine.SingleCluster(12), machine.Clustered(4), machine.Clustered(6)} {
 		for _, l := range loops {
 			ref, err := ScheduleLoop(l, cfg, Options{})
 			if err != nil {
 				t.Fatalf("%s on %s: %v", l.Name, cfg.Name, err)
 			}
-			for vi, opts := range variants {
-				got, err := ScheduleLoop(l, cfg, opts)
-				if err != nil {
-					t.Fatalf("%s on %s variant %d: %v", l.Name, cfg.Name, vi, err)
-				}
-				if got.II != ref.II || !reflect.DeepEqual(got.Time, ref.Time) || !reflect.DeepEqual(got.Cluster, ref.Cluster) {
-					t.Fatalf("%s on %s variant %d: schedule differs from default options", l.Name, cfg.Name, vi)
-				}
-				if got.Strategy != StrategyBaseline || got.Stats.StrategiesTried != 0 {
-					t.Fatalf("%s on %s variant %d: strategy=%v tried=%d, want baseline/0",
-						l.Name, cfg.Name, vi, got.Strategy, got.Stats.StrategiesTried)
-				}
+			got, err := ScheduleLoop(l, cfg, Options{Effort: EffortFast})
+			if err != nil {
+				t.Fatalf("%s on %s: %v", l.Name, cfg.Name, err)
+			}
+			if got.II != ref.II || !reflect.DeepEqual(got.Time, ref.Time) || !reflect.DeepEqual(got.Cluster, ref.Cluster) {
+				t.Fatalf("%s on %s: schedule differs from default options", l.Name, cfg.Name)
+			}
+			if got.Strategy != StrategyBaseline || got.Stats.StrategiesTried != 0 {
+				t.Fatalf("%s on %s: strategy=%v tried=%d, want baseline/0",
+					l.Name, cfg.Name, got.Strategy, got.Stats.StrategiesTried)
 			}
 		}
 	}
@@ -214,29 +188,6 @@ func corpusStress(n int) corpus.Params {
 	p := corpus.StressedParams()
 	p.N = n
 	return p
-}
-
-func TestPortfolioExplicitStrategy(t *testing.T) {
-	l := corpus.Daxpy()
-	cfg := machine.Clustered(4)
-	s, err := ScheduleLoop(l, cfg, Options{Strategies: []Strategy{StrategyRoundRobin}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Strategy != StrategyRoundRobin {
-		t.Fatalf("strategy = %v, want round-robin", s.Strategy)
-	}
-	// A two-strategy race records the portfolio width.
-	s, err = ScheduleLoop(l, cfg, Options{Strategies: []Strategy{StrategyLoadBalanced, StrategyRoundRobin}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Stats.StrategiesTried != 2 {
-		t.Fatalf("StrategiesTried = %d, want 2", s.Stats.StrategiesTried)
-	}
 }
 
 func TestEffortPortfolios(t *testing.T) {

@@ -44,11 +44,10 @@ type Schedule struct {
 
 	// Strategy is the cluster-assignment strategy the schedule was
 	// produced under: StrategyBaseline unless a portfolio raced
-	// alternatives or Options.Strategies pinned another. A single-strategy
-	// run reports its configured strategy even through the compact
-	// fallback (where the restricted cluster subset makes every ordering
-	// equivalent); a portfolio race that ends in the compact fallback
-	// reports baseline.
+	// alternatives. A single-strategy run reports its configured strategy
+	// even through the compact fallback (where the restricted cluster
+	// subset makes every ordering equivalent); a portfolio race that ends
+	// in the compact fallback reports baseline.
 	Strategy Strategy
 
 	// Bound is the optimality certificate of the schedule. Only
@@ -124,22 +123,10 @@ type Options struct {
 	// value, EffortFast, runs the single baseline heuristic — bit-for-bit
 	// the scheduler's historical behaviour.
 	Effort Effort
-	// Strategies, when non-empty, overrides the effort-derived portfolio
-	// with an explicit strategy list. Order matters: the position is the
-	// race's deterministic tie-break index. Duplicates and out-of-range
-	// values are dropped.
-	Strategies []Strategy
 	// RaceWorkers bounds the parallelism of a portfolio race; 0 uses
 	// GOMAXPROCS. It affects wall-clock only, never the chosen schedule,
 	// so it must not participate in any cache key.
 	RaceWorkers int
-
-	// refImpl routes every feasibility probe through the scalar reference
-	// implementation (ref.go) instead of the packed bitset one. It exists
-	// for the differential harness, which schedules corpora both ways and
-	// asserts byte identity; it is unexported because the reference is a
-	// test oracle, not a supported mode.
-	refImpl bool
 }
 
 // DefaultBudgetRatio is Rau's recommended scheduling budget multiplier.
@@ -196,26 +183,12 @@ var (
 	ErrNoSchedule = errors.New("sched: no schedule found within II and budget limits")
 )
 
-// strategySet resolves the strategies a compilation races: the explicit
-// Strategies list when given (filtered and deduplicated), otherwise the
-// effort level's portfolio. Single-cluster machines always collapse to the
+// strategySet resolves the strategies a compilation races: the effort
+// level's portfolio. Single-cluster machines always collapse to the
 // baseline — every ordering of one cluster is the same ordering.
 func (o Options) strategySet(numClusters int) []Strategy {
 	if numClusters <= 1 {
 		return []Strategy{StrategyBaseline}
-	}
-	if len(o.Strategies) > 0 {
-		out := make([]Strategy, 0, len(o.Strategies))
-		var seen [NumStrategies]bool
-		for _, s := range o.Strategies {
-			if s < NumStrategies && !seen[s] {
-				seen[s] = true
-				out = append(out, s)
-			}
-		}
-		if len(out) > 0 {
-			return out
-		}
 	}
 	return o.Effort.Strategies()
 }
@@ -274,7 +247,7 @@ func scheduleSingle(st *state, l *ir.Loop, cfg machine.Config, opts Options, str
 	if recMII > mii {
 		mii = recMII
 	}
-	st.init(l, cfg, opts.budgetRatio(), strat, nil, opts.refImpl)
+	st.init(l, cfg, opts.budgetRatio(), strat, nil)
 	finish := func(ii int) *Schedule {
 		// The state goes back to the pool, so the schedule takes copies of
 		// the placement arrays. When no move operations were inserted the

@@ -91,7 +91,7 @@ func TestRecMIIMatchesBruteForce(t *testing.T) {
 	loops := corpus.Generate(corpus.Params{Seed: 11, N: 80, MaxOps: 14, MeanLogOps: 1.8})
 	for _, l := range loops {
 		fast := RecMII(l)
-		brute := RecMIIBrute(l, 14)
+		brute := recMIIBrute(l, 14)
 		if fast != brute {
 			t.Errorf("%s: RecMII=%d brute=%d", l.Name, fast, brute)
 		}

@@ -60,32 +60,12 @@ func (s Strategy) String() string {
 	return fmt.Sprintf("Strategy(%d)", uint8(s))
 }
 
-// ParseStrategy maps a strategy name (as printed by Strategy.String) back
-// to its value. The error lists the valid names sorted, so surfacing it
-// verbatim gives a client an actionable message.
-func ParseStrategy(name string) (Strategy, error) {
-	for s, n := range strategyNames {
-		if n == name {
-			return Strategy(s), nil
-		}
-	}
-	return 0, fmt.Errorf("unknown strategy %q (valid: %s)", name, strings.Join(StrategyNames(), ", "))
-}
-
-// StrategyNames returns every strategy name, sorted.
-func StrategyNames() []string {
-	out := make([]string, 0, NumStrategies)
-	out = append(out, strategyNames[:]...)
-	sort.Strings(out)
-	return out
-}
-
 // clusterPref orders one cluster candidate by a strategy-specific key
 // vector: smaller k1 first, then k2, then k3, then cluster index. Every
 // strategy is expressed as a key assignment, so one insertion sort serves
 // the whole catalogue; the relation stays total (the index breaks every
 // tie), so the result is the unique sorted order. Both the packed
-// clusterPrefs (ims.go) and the scalar reference (ref.go) rank with these
+// prefKey (ims.go) and the scalar reference (ref_test.go) rank with these
 // keys, which is what makes their orders identical by construction.
 type clusterPref struct{ c, k1, k2, k3 int }
 

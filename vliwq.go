@@ -74,11 +74,11 @@ func ParseLoop(src string) (*Loop, error) { return ir.ParseString(src) }
 // FormatLoop renders a loop back into the text format ParseLoop reads.
 func FormatLoop(l *Loop) string { return ir.FormatString(l) }
 
-// MaxMachineSize caps the size argument ParseMachine accepts. The paper's
+// MaxMachineSize caps the FU count of a "single:<fus>" spec. The paper's
 // machines top out at 18 FUs / 6 clusters; the cap is generous headroom
-// that still keeps a hostile spec ("clustered:500000000", which would
-// allocate the cluster array before any compile starts) from sizing
-// allocations — ParseMachine is the service's trust boundary.
+// that still keeps a hostile spec from sizing allocations — ParseMachine is
+// the service's trust boundary. A "clustered:<n>" spec is held to the
+// tighter machine.MaxClusters, the widest ring the scheduler accepts.
 const MaxMachineSize = 512
 
 // ParseMachine parses a machine spec of the form "single:<fus>" or
@@ -100,6 +100,9 @@ func ParseMachine(spec string) (Machine, error) {
 	case "single":
 		return SingleCluster(n), nil
 	case "clustered":
+		if n > machine.MaxClusters {
+			return Machine{}, fmt.Errorf("machine size %d exceeds the %d-cluster limit", n, machine.MaxClusters)
+		}
 		return Clustered(n), nil
 	}
 	return Machine{}, fmt.Errorf("unknown machine kind %q", kind)

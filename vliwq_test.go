@@ -71,6 +71,26 @@ func TestCompileClusteredVerified(t *testing.T) {
 	}
 }
 
+// TestCompileWidestRing compiles every hand-written kernel on the widest
+// ring ParseMachine accepts, where the scheduler's packed cluster masks
+// use bit 63 and an all-ones cluster mask, at every effort with the
+// simulator verification on.
+func TestCompileWidestRing(t *testing.T) {
+	m, err := vliwq.ParseMachine("clustered:64")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []vliwq.Effort{vliwq.EffortFast, vliwq.EffortBalanced, vliwq.EffortExhaustive, vliwq.EffortOptimal} {
+		for _, k := range corpus.Kernels() {
+			opts := vliwq.Options{Machine: m}
+			opts.Sched.Effort = e
+			if _, err := vliwq.Compile(k, opts); err != nil {
+				t.Errorf("%s at effort %s on %s: %v", k.Name, e, m.Name, err)
+			}
+		}
+	}
+}
+
 func TestCompileOptionsValidation(t *testing.T) {
 	if _, err := vliwq.Compile(nil, vliwq.Options{}); err == nil {
 		t.Fatal("nil loop accepted")
@@ -203,7 +223,11 @@ func TestParseMachine(t *testing.T) {
 		// Sizes are bounded so a hostile spec cannot size allocations.
 		{"clustered:500000000", 0, true},
 		{"single:513", 0, true},
-		{"clustered:512", 512, false},
+		{"single:512", 1, false},
+		// A ring is capped at machine.MaxClusters, below the FU cap.
+		{"clustered:64", 64, false},
+		{"clustered:65", 0, true},
+		{"clustered:512", 0, true},
 	}
 	for _, tt := range tests {
 		m, err := vliwq.ParseMachine(tt.spec)
