@@ -57,44 +57,63 @@ func Insert(l *ir.Loop, shape Shape) (*Result, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
-	out := l.Clone()
-	res := &Result{Loop: out}
 	if shape == None {
-		return res, nil
+		return &Result{Loop: l.Clone()}, nil
 	}
 
-	// Iterate over the original producer IDs; newly added copies always
-	// have exactly two consumers by construction... except the tree
-	// interior, which we build directly with fanout 2, so one pass
-	// suffices.
-	numOrig := len(out.Ops)
+	// Every producer's flow consumers (dependence indices, in Deps order),
+	// gathered in one CSR pass.
+	numOrig := len(l.Ops)
+	off := make([]int32, numOrig+1)
+	for _, d := range l.Deps {
+		if d.Kind == ir.Flow {
+			off[d.From+1]++
+		}
+	}
+	for i := 1; i <= numOrig; i++ {
+		off[i] += off[i-1]
+	}
+	cons := make([]int32, off[numOrig])
+	for di, d := range l.Deps {
+		if d.Kind == ir.Flow {
+			cons[off[d.From]] = int32(di)
+			off[d.From]++
+		}
+	}
+	copy(off[1:], off[:numOrig])
+	off[0] = 0
+	consumers := func(id int) []int32 { return cons[off[id]:off[id+1]] }
+
+	// A value with n consumers gets n-1 copies under both shapes, each fed
+	// by one new dependence: reserve room for all of them at once.
+	extra := 0
+	for id, op := range l.Ops {
+		if n := len(consumers(id)); op.Kind.HasResult() && n > fanoutLimit(op.Kind) {
+			extra += n - 1
+		}
+	}
+	out, spare := l.CloneWithRoom(extra, extra)
+	res := &Result{Loop: out}
+	f := fanout{l: out, spare: spare, res: res}
+
+	// One pass over the original producers, reading the lists gathered
+	// above, is exact. Rewriting value id's fanout re-points only id's own
+	// flow dependences, at new copies, and adds dependences out of id and
+	// out of the new copies, so no producer still to come gains or loses a
+	// consumer. The copies need no pass of their own: each is built with
+	// exactly two consumers, the most a copy unit serves.
 	for id := 0; id < numOrig; id++ {
 		op := out.Ops[id]
 		if !op.Kind.HasResult() {
 			continue
 		}
-		// Collect this value's flow consumers (dep list indices).
-		var consumers []int
-		for di, d := range out.Deps {
-			if d.Kind == ir.Flow && d.From == id {
-				consumers = append(consumers, di)
-			}
-		}
-		n := len(consumers)
-		if n > res.MaxFanoutSeen {
-			res.MaxFanoutSeen = n
-		}
-		// Copy units write two queues, so an existing copy with two
-		// consumers is already in hardware-legal form.
-		limit := 1
-		if op.Kind == ir.KCopy {
-			limit = 2
-		}
-		if n <= limit {
+		cs := consumers(id)
+		res.MaxFanoutSeen = max(res.MaxFanoutSeen, len(cs))
+		if len(cs) <= fanoutLimit(op.Kind) {
 			continue
 		}
 		res.ValuesFanned++
-		buildFanout(out, id, consumers, shape, res)
+		f.build(id, cs, shape)
 	}
 	if err := out.Validate(); err != nil {
 		return nil, fmt.Errorf("copyins: internal error: %w", err)
@@ -102,52 +121,77 @@ func Insert(l *ir.Loop, shape Shape) (*Result, error) {
 	return res, nil
 }
 
-// buildFanout rewires the consumers of value `src` through copy operations.
+// fanoutLimit is the number of consumers a value of the kind may feed
+// directly. Copy units write two queues, so an existing copy with two
+// consumers is already in hardware-legal form.
+func fanoutLimit(k ir.OpKind) int {
+	if k == ir.KCopy {
+		return 2
+	}
+	return 1
+}
+
+// fanout rewires multi-consumer values of one loop through copies drawn
+// from ops Insert reserved up front.
+type fanout struct {
+	l     *ir.Loop
+	spare []ir.Op // reserved copy ops not yet used
+	res   *Result
+	jobs  []job // Tree's work stack, reused across values
+}
+
+// job is a Tree work item: a feeding op and the consumer dependences it
+// must serve.
+type job struct {
+	from int
+	ds   []int32
+}
+
+// newCopy adds a copy of value src fed by from and returns its ID. Copies
+// forward the source value unchanged, so they inherit the source's
+// lineage: a copy's synthetic pre-loop live-in (read by loop-carried
+// consumers in the first iterations) must equal the original producer's,
+// or the rewrite would change program semantics.
+func (f *fanout) newCopy(src *ir.Op, from int) int {
+	c := &f.spare[0]
+	f.spare = f.spare[1:]
+	*c = ir.Op{ID: len(f.l.Ops), Kind: ir.KCopy, Orig: src.EffID(), Phase: src.Phase}
+	f.l.Ops = append(f.l.Ops, c)
+	f.l.AddDep(ir.Dep{From: from, To: c.ID, Kind: ir.Flow})
+	f.res.CopiesAdded++
+	return c.ID
+}
+
+// build rewires the consumers of value `src` through copy operations.
 // Each consumer dependence keeps its original iteration distance and — by
 // patching the dependence slot in place — its position in the consumer's
 // operand list, so operand-order-sensitive semantics are preserved. The
 // internal tree edges have distance zero, and the producer feeds the root
 // copy with distance zero.
-func buildFanout(l *ir.Loop, src int, consumerDeps []int, shape Shape, res *Result) {
-	// Copies forward the source value unchanged, so they inherit the
-	// source's lineage: a copy's synthetic pre-loop live-in (read by
-	// loop-carried consumers in the first iterations) must equal the
-	// original producer's, or the rewrite would change program semantics.
-	srcOp := l.Ops[src]
-	newCopy := func(from int) int {
-		c := l.AddOp(ir.KCopy, "")
-		c.Orig = srcOp.EffID()
-		c.Phase = srcOp.Phase
-		l.AddDep(ir.Dep{From: from, To: c.ID, Kind: ir.Flow})
-		res.CopiesAdded++
-		return c.ID
-	}
+func (f *fanout) build(src int, consumerDeps []int32, shape Shape) {
+	srcOp := f.l.Ops[src]
 	// connect re-points the original dependence at its feeding copy; the
 	// slot, consumer and distance stay put.
-	connect := func(from int, depIdx int) {
-		l.Deps[depIdx].From = from
+	connect := func(from int, depIdx int32) {
+		f.l.Deps[depIdx].From = from
 	}
 
 	switch shape {
 	case Chain:
 		// src -> c1 -> c2 ... each copy feeds one consumer and the next
 		// copy; the last copy feeds the final two consumers.
-		cur := newCopy(src)
+		cur := f.newCopy(srcOp, src)
 		i := 0
 		for ; i < len(consumerDeps)-2; i++ {
 			connect(cur, consumerDeps[i])
-			cur = newCopy(cur)
+			cur = f.newCopy(srcOp, cur)
 		}
 		connect(cur, consumerDeps[i])
 		connect(cur, consumerDeps[i+1])
 	default: // Tree
-		// A work queue of (feeding op, consumer dependences to serve).
+		// A work stack of (feeding op, consumer dependences to serve).
 		// Each copy serves two subtrees of near-equal size.
-		type job struct {
-			from int
-			ds   []int
-		}
-		jobs := []job{{newCopy(src), consumerDeps}}
+		jobs := append(f.jobs[:0], job{f.newCopy(srcOp, src), consumerDeps})
 		for len(jobs) > 0 {
 			j := jobs[len(jobs)-1]
 			jobs = jobs[:len(jobs)-1]
@@ -164,14 +208,15 @@ func buildFanout(l *ir.Loop, src int, consumerDeps []int, shape Shape, res *Resu
 				if len(left) == 1 {
 					connect(j.from, left[0])
 				} else {
-					jobs = append(jobs, job{newCopy(j.from), left})
+					jobs = append(jobs, job{f.newCopy(srcOp, j.from), left})
 				}
 				if len(right) == 1 {
 					connect(j.from, right[0])
 				} else {
-					jobs = append(jobs, job{newCopy(j.from), right})
+					jobs = append(jobs, job{f.newCopy(srcOp, j.from), right})
 				}
 			}
 		}
+		f.jobs = jobs
 	}
 }

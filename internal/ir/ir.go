@@ -235,17 +235,30 @@ func (l *Loop) AddCarried(from, to *Op, dist int) {
 	l.AddDep(Dep{From: from.ID, To: to.ID, Dist: dist, Kind: Flow})
 }
 
-// Clone returns a deep copy of the loop.
+// Clone returns a deep copy of the loop. The copied ops share one backing
+// array.
 func (l *Loop) Clone() *Loop {
-	c := &Loop{Name: l.Name, Trip: l.Trip, Unroll: l.Unroll}
-	c.Ops = make([]*Op, len(l.Ops))
-	for i, op := range l.Ops {
-		cp := *op
-		c.Ops[i] = &cp
-	}
-	c.Deps = make([]Dep, len(l.Deps))
-	copy(c.Deps, l.Deps)
+	c, _ := l.CloneWithRoom(0, 0)
 	return c
+}
+
+// CloneWithRoom is Clone for a pass that grows the copy: the copy's Ops and
+// Deps have spare capacity for extraOps more ops and extraDeps more
+// dependences, and spare holds extraOps zeroed ops in the copied ops'
+// backing array, for the pass to fill and append. A pass that adds no more
+// than that allocates nothing more.
+func (l *Loop) CloneWithRoom(extraOps, extraDeps int) (c *Loop, spare []Op) {
+	n := len(l.Ops)
+	c = &Loop{Name: l.Name, Trip: l.Trip, Unroll: l.Unroll}
+	ops := make([]Op, n+extraOps)
+	c.Ops = make([]*Op, n, n+extraOps)
+	for i, op := range l.Ops {
+		ops[i] = *op
+		c.Ops[i] = &ops[i]
+	}
+	c.Deps = make([]Dep, len(l.Deps), len(l.Deps)+extraDeps)
+	copy(c.Deps, l.Deps)
+	return c, ops[n:]
 }
 
 // FlowInputs returns the flow dependences feeding op, in the order they

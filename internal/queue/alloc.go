@@ -1,10 +1,12 @@
 package queue
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
+	"vliwq/internal/ir"
+	"vliwq/internal/machine"
 	"vliwq/internal/sched"
 )
 
@@ -58,96 +60,152 @@ type Allocation struct {
 }
 
 // Allocate maps each lifetime of the schedule to a queue using greedy
-// first-fit over lifetimes sorted by (start, end): a lifetime goes to the
-// first queue of its location whose current residents are all compatible
-// with it, opening a new queue when none fits. Minimum-queue allocation is
-// a clique-cover problem; first-fit is the paper's practical stand-in.
+// first-fit over lifetimes sorted by (start, end, dependence index): a
+// lifetime goes to the first queue of its location whose current residents
+// are all compatible with it, opening a new queue when none fits.
+// Minimum-queue allocation is a clique-cover problem; first-fit is the
+// paper's practical stand-in.
+//
+// The allocator is dense (DESIGN.md §3). Files sit in a flat table indexed
+// by (producer cluster, consumer cluster), each queue's residents are an
+// intrusive list over sorted positions, every lifetime's start phase and
+// length are computed once, so no compatibility test divides, and each
+// queue's depth comes from one pass over its residents and the II phases.
 func Allocate(s *sched.Schedule) *Allocation {
-	lts := BuildLifetimes(s)
-	order := make([]int, len(lts))
-	for i := range order {
-		order[i] = i
+	ii := s.II
+	deps := s.Loop.Deps
+	keys := make([]lkey, 0, len(deps))
+	nc := 0
+	for di, d := range deps {
+		if d.Kind != ir.Flow {
+			continue
+		}
+		start, end := span(s, d)
+		keys = append(keys, lkey{start: start, end: end, dep: di})
+		nc = max(nc, s.Cluster[d.From]+1, s.Cluster[d.To]+1)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		x, y := lts[order[a]], lts[order[b]]
-		if x.Start != y.Start {
-			return x.Start < y.Start
-		}
-		if x.End != y.End {
-			return x.End < y.End
-		}
-		return x.DepIndex < y.DepIndex
-	})
+	alloc := &Allocation{II: ii}
+	n := len(keys)
+	if n == 0 {
+		return alloc
+	}
+	slices.SortFunc(keys, lkey.compare)
 
-	type file struct {
-		queues [][]Lifetime
-	}
-	files := map[Location]*file{}
-	alloc := &Allocation{II: s.II}
-	for _, idx := range order {
-		lt := lts[idx]
-		loc := locate(s, lt)
-		f := files[loc]
-		if f == nil {
-			f = &file{}
-			files[loc] = f
-		}
-		q := -1
-		for i, resident := range f.queues {
-			ok := true
-			for _, r := range resident {
-				if !Compatible(lt, r, s.II) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				q = i
+	// ph[i] and next[i] belong to the i-th lifetime in sorted order: its
+	// phase and the next older resident of its queue (-1 ends the list).
+	ph := make([]phase, n)
+	next := make([]int32, n)
+	queues := make([]fifo, 0, n) // every queue holds at least one lifetime
+	files := make([]file, nc*nc)
+	nfiles := 0
+	alloc.Assignments = make([]Assignment, n)
+	for i, k := range keys {
+		d := deps[k.dep]
+		cp, cc := s.Cluster[d.From], s.Cluster[d.To]
+		f := &files[cp*nc+cc]
+		p := phaseOf(k.start, k.end, ii)
+		ph[i] = p
+		q, qi := f.first, int32(0)
+		for ; qi < f.n; q, qi = queues[q].next, qi+1 {
+			if fits(ph, next, queues[q].head, p, ii) {
 				break
 			}
 		}
-		if q < 0 {
-			q = len(f.queues)
-			f.queues = append(f.queues, nil)
+		if qi == f.n {
+			q = int32(len(queues))
+			queues = append(queues, fifo{head: -1, next: -1})
+			if f.n == 0 {
+				f.first = q
+				nfiles++
+			} else {
+				queues[f.last].next = q
+			}
+			f.last = q
+			f.n++
 		}
-		f.queues[q] = append(f.queues[q], lt)
-		alloc.Assignments = append(alloc.Assignments, Assignment{Lifetime: lt, Loc: loc, Queue: q})
+		next[i] = queues[q].head
+		queues[q].head = int32(i)
+		loc := Location{Kind: Private, From: cp, To: cp}
+		if cp != cc {
+			loc = Location{Kind: Ring, From: cp, To: cc}
+		}
+		alloc.Assignments[i] = Assignment{
+			Lifetime: Lifetime{Dep: d, DepIndex: k.dep, Start: k.start, End: k.end},
+			Loc:      loc,
+			Queue:    int(qi),
+		}
 	}
 
-	locs := make([]Location, 0, len(files))
-	for loc := range files {
-		locs = append(locs, loc)
+	// Emit the files in (kind, from, to) order: the private QRFs on the
+	// table's diagonal, then the ring links row by row.
+	alloc.Files = make([]FileUsage, 0, nfiles)
+	depths := make([]int, len(queues))
+	diff := make([]int32, ii+1)
+	emit := func(loc Location) {
+		f := files[loc.From*nc+loc.To]
+		if f.n == 0 {
+			return
+		}
+		occ := depths[:f.n:f.n]
+		depths = depths[f.n:]
+		for j, q := 0, f.first; j < len(occ); j, q = j+1, queues[q].next {
+			base := 0
+			for r := queues[q].head; r >= 0; r = next[r] {
+				base += occupy(diff, ph[r], ii)
+			}
+			occ[j] = base + peak(diff, ii)
+		}
+		alloc.Files = append(alloc.Files, FileUsage{Loc: loc, Queues: int(f.n), MaxOccupancy: occ})
 	}
-	sort.Slice(locs, func(i, j int) bool {
-		if locs[i].Kind != locs[j].Kind {
-			return locs[i].Kind < locs[j].Kind
+	for c := 0; c < nc; c++ {
+		emit(Location{Kind: Private, From: c, To: c})
+	}
+	for from := 0; from < nc; from++ {
+		for to := 0; to < nc; to++ {
+			if from != to {
+				emit(Location{Kind: Ring, From: from, To: to})
+			}
 		}
-		if locs[i].From != locs[j].From {
-			return locs[i].From < locs[j].From
-		}
-		return locs[i].To < locs[j].To
-	})
-	for _, loc := range locs {
-		f := files[loc]
-		u := FileUsage{Loc: loc, Queues: len(f.queues)}
-		for _, resident := range f.queues {
-			u.MaxOccupancy = append(u.MaxOccupancy, MaxOccupancy(resident, s.II))
-		}
-		alloc.Files = append(alloc.Files, u)
 	}
 	return alloc
 }
 
-// locate returns the queue file that must hold the lifetime: the consumer
-// cluster's private QRF when producer and consumer share a cluster, the
-// directed ring link otherwise.
-func locate(s *sched.Schedule, lt Lifetime) Location {
-	cp := s.Cluster[lt.Dep.From]
-	cc := s.Cluster[lt.Dep.To]
-	if cp == cc {
-		return Location{Kind: Private, From: cp, To: cp}
+// lkey is a lifetime's sort key: Allocate places lifetimes in (start,
+// end, dependence index) order.
+type lkey struct {
+	start, end, dep int
+}
+
+func (x lkey) compare(y lkey) int {
+	if c := cmp.Compare(x.start, y.start); c != 0 {
+		return c
 	}
-	return Location{Kind: Ring, From: cp, To: cc}
+	if c := cmp.Compare(x.end, y.end); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.dep, y.dep)
+}
+
+// file is one queue file's entry in Allocate's table: its first and last
+// queue (indices into the allocator's queue list) and its queue count.
+type file struct {
+	first, last, n int32
+}
+
+// fifo is one queue: its newest resident and the file's next queue.
+type fifo struct {
+	head, next int32
+}
+
+// fits reports whether a lifetime of phase p is compatible with every
+// resident of the queue whose newest resident is head.
+func fits(ph []phase, next []int32, head int32, p phase, ii int) bool {
+	for r := head; r >= 0; r = next[r] {
+		if !compatible(ph[r], p, ii) {
+			return false
+		}
+	}
+	return true
 }
 
 // MaxPrivateQueues returns the largest number of queues used in any
@@ -188,68 +246,91 @@ func (a *Allocation) MaxDepth() int {
 	return max
 }
 
-// FitsMachine reports whether the allocation respects the schedule
-// machine's declared queue resources: private QRF sizes, ring queues per
-// directed link, and queue depths (a zero limit means unconstrained).
-func (a *Allocation) FitsMachine(s *sched.Schedule) error {
-	byLoc := map[Location]FileUsage{}
-	for _, f := range a.Files {
-		byLoc[f.Loc] = f
+// Verify checks that every queue's residents are pairwise compatible. It
+// buckets the assignments by queue index and then, stably, by location, so
+// the queues come out in (kind, from, to, queue) order and the queue it
+// names first is deterministic. The buckets are flat arrays over the spans
+// the assignments use; an allocation whose locations span more than
+// machine.MaxClusters clusters, or whose queue indices span more than
+// maxQueueSpan, names queues no machine has and is rejected as such.
+func (a *Allocation) Verify() error {
+	as := a.Assignments
+	n := len(as)
+	if n == 0 {
+		return nil
 	}
-	for loc, f := range byLoc {
-		switch loc.Kind {
-		case Private:
-			cl := s.Machine.Clusters[loc.From]
-			if cl.PrivateQueues > 0 && f.Queues > cl.PrivateQueues {
-				return fmt.Errorf("queue: cluster %d needs %d private queues, has %d",
-					loc.From, f.Queues, cl.PrivateQueues)
-			}
-			if cl.QueueDepth > 0 {
-				for q, d := range f.MaxOccupancy {
-					if d > cl.QueueDepth {
-						return fmt.Errorf("queue: cluster %d queue %d needs depth %d, has %d",
-							loc.From, q, d, cl.QueueDepth)
-					}
-				}
-			}
-		case Ring:
-			if s.Machine.RingQueues > 0 && f.Queues > s.Machine.RingQueues {
-				return fmt.Errorf("queue: link %v needs %d queues, has %d",
-					loc, f.Queues, s.Machine.RingQueues)
-			}
+	// mn and mx hold the least and greatest kind, from, to and queue.
+	mn, mx := as[0], as[0]
+	for i := range as {
+		x := &as[i]
+		mn.Loc.Kind, mx.Loc.Kind = min(mn.Loc.Kind, x.Loc.Kind), max(mx.Loc.Kind, x.Loc.Kind)
+		mn.Loc.From, mx.Loc.From = min(mn.Loc.From, x.Loc.From), max(mx.Loc.From, x.Loc.From)
+		mn.Loc.To, mx.Loc.To = min(mn.Loc.To, x.Loc.To), max(mx.Loc.To, x.Loc.To)
+		mn.Queue, mx.Queue = min(mn.Queue, x.Queue), max(mx.Queue, x.Queue)
+	}
+	// The spans are compared as uint so that one wider than the int range
+	// cannot wrap into a small one.
+	if uint(mx.Loc.From-mn.Loc.From) >= machine.MaxClusters || uint(mx.Loc.To-mn.Loc.To) >= machine.MaxClusters ||
+		uint(mx.Queue-mn.Queue) >= maxQueueSpan {
+		return fmt.Errorf("queue: assignments span locations %v to %v and queues %d to %d, beyond any machine",
+			mn.Loc, mx.Loc, mn.Queue, mx.Queue)
+	}
+	nf, nt, nq := mx.Loc.From-mn.Loc.From+1, mx.Loc.To-mn.Loc.To+1, mx.Queue-mn.Queue+1
+	nfiles := (int(mx.Loc.Kind-mn.Loc.Kind) + 1) * nf * nt
+	fileOf := func(x *Assignment) int {
+		return (int(x.Loc.Kind-mn.Loc.Kind)*nf+x.Loc.From-mn.Loc.From)*nt + x.Loc.To - mn.Loc.To
+	}
+	queueOf := func(x *Assignment) int { return x.Queue - mn.Queue }
+
+	// Two stable counting passes: by queue index, then by location.
+	cnt := make([]int32, max(nfiles, nq)+1)
+	buf := make([]int32, 2*n)
+	byQueue, order := buf[:n], buf[n:]
+	bucket := func(dst, src []int32, key func(*Assignment) int, keys int) {
+		clear(cnt[:keys+1])
+		for _, i := range src {
+			cnt[key(&as[i])+1]++
+		}
+		for k := 1; k <= keys; k++ {
+			cnt[k] += cnt[k-1]
+		}
+		for _, i := range src {
+			c := &cnt[key(&as[i])]
+			dst[*c] = i
+			*c++
 		}
 	}
-	return nil
-}
-
-// Verify checks that every queue's residents are pairwise compatible. It
-// groups the assignments by sorting them on (kind, from, to, queue) and
-// checks the groups in that order, so the queue it names is deterministic.
-func (a *Allocation) Verify() error {
-	order := make([]int, len(a.Assignments))
 	for i := range order {
-		order[i] = i
+		order[i] = int32(i)
 	}
-	slices.SortFunc(order, func(i, j int) int {
-		return CompareQueues(&a.Assignments[i], &a.Assignments[j])
-	})
-	lts := make([]Lifetime, len(order))
-	for i, ai := range order {
-		lts[i] = a.Assignments[ai].Lifetime
+	bucket(byQueue, order, queueOf, nq)
+	bucket(order, byQueue, fileOf, nfiles)
+
+	ph := make([]phase, n)
+	for j, i := range order {
+		ph[j] = phaseOf(as[i].Lifetime.Start, as[i].Lifetime.End, a.II)
 	}
-	for lo := 0; lo < len(order); {
-		first := &a.Assignments[order[lo]]
+	for lo := 0; lo < n; {
+		first := &as[order[lo]]
 		hi := lo + 1
-		for hi < len(order) && CompareQueues(first, &a.Assignments[order[hi]]) == 0 {
+		for hi < n && as[order[hi]].Loc == first.Loc && as[order[hi]].Queue == first.Queue {
 			hi++
 		}
-		if !CompatibleSet(lts[lo:hi], a.II) {
-			return fmt.Errorf("queue: %v queue %d holds incompatible lifetimes", first.Loc, first.Queue)
+		for i := lo; i < hi; i++ {
+			for j := i + 1; j < hi; j++ {
+				if !compatible(ph[i], ph[j], a.II) {
+					return fmt.Errorf("queue: %v queue %d holds incompatible lifetimes", first.Loc, first.Queue)
+				}
+			}
 		}
 		lo = hi
 	}
 	return nil
 }
+
+// maxQueueSpan bounds the queue indices Verify buckets: far more queues
+// than one file of any loop fills, and a bound on its scratch arrays.
+const maxQueueSpan = 1 << 20
 
 // CompareQueues orders assignments by the queue they name: location kind,
 // from, to, then queue index. It returns 0 for assignments to one queue.

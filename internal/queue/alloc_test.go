@@ -107,26 +107,6 @@ func TestFirstFitNotWasteful(t *testing.T) {
 	}
 }
 
-func TestFitsMachine(t *testing.T) {
-	s := compile(t, corpus.Daxpy(), machine.Clustered(4))
-	a := queue.Allocate(s)
-	if err := a.FitsMachine(s); err != nil {
-		t.Fatalf("daxpy exceeds the paper's cluster resources: %v", err)
-	}
-	// Shrink the declared resources below usage and expect a failure.
-	tiny := s
-	cfgCopy := s.Machine
-	cfgCopy.Clusters = append([]machine.Cluster(nil), s.Machine.Clusters...)
-	for i := range cfgCopy.Clusters {
-		cfgCopy.Clusters[i].PrivateQueues = 0 // unconstrained
-		cfgCopy.Clusters[i].QueueDepth = 0
-	}
-	tiny.Machine = cfgCopy
-	if err := a.FitsMachine(tiny); err != nil {
-		t.Fatalf("unconstrained machine rejected: %v", err)
-	}
-}
-
 func TestMaxDepthMatchesOccupancy(t *testing.T) {
 	s := compile(t, corpus.Wave2(), machine.SingleCluster(6))
 	a := queue.Allocate(s)

@@ -69,38 +69,104 @@ func CompatibleSet(lts []Lifetime, ii int) bool {
 // BuildLifetimes derives one lifetime per flow dependence of the schedule.
 // Values that are never consumed produce no lifetime.
 func BuildLifetimes(s *sched.Schedule) []Lifetime {
-	var lts []Lifetime
+	n := 0
+	for _, d := range s.Loop.Deps {
+		if d.Kind == ir.Flow {
+			n++
+		}
+	}
+	lts := make([]Lifetime, 0, n)
 	for di, d := range s.Loop.Deps {
-		if d.Kind != ir.Flow {
-			continue
+		if d.Kind == ir.Flow {
+			start, end := span(s, d)
+			lts = append(lts, Lifetime{Dep: d, DepIndex: di, Start: start, End: end})
 		}
-		start := s.Time[d.From] + s.Loop.Ops[d.From].Kind.Latency()
-		if s.Cluster[d.From] != s.Cluster[d.To] {
-			start += s.Machine.CommLatency
-		}
-		end := s.Time[d.To] + s.II*d.Dist
-		lts = append(lts, Lifetime{Dep: d, DepIndex: di, Start: start, End: end})
 	}
 	return lts
+}
+
+// span returns the write and read cycles of flow dependence d's lifetime.
+func span(s *sched.Schedule, d ir.Dep) (start, end int) {
+	start = s.Time[d.From] + s.Loop.Ops[d.From].Kind.Latency()
+	if s.Cluster[d.From] != s.Cluster[d.To] {
+		start += s.Machine.CommLatency
+	}
+	return start, s.Time[d.To] + s.II*d.Dist
+}
+
+// phase is a lifetime reduced to what Theorem 1.1 and the occupancy
+// formula read: its start modulo II, in [0, II), and its length.
+type phase struct {
+	r, l int
+}
+
+func phaseOf(start, end, ii int) phase {
+	r := start % ii
+	if r < 0 {
+		r += ii
+	}
+	return phase{r: r, l: end - start}
+}
+
+// compatible is Compatible on precomputed phases: no division.
+func compatible(a, b phase, ii int) bool {
+	if a.l < b.l {
+		a, b = b, a
+	}
+	g := b.r - a.r
+	if g < 0 {
+		g += ii
+	}
+	return a.l-b.l < g
 }
 
 // MaxOccupancy returns the largest number of values simultaneously resident
 // in a queue holding the given lifetimes, in pipeline steady state. A
 // lifetime of length L contributes ceil((L-r)/II) instances at phase
-// offset r from its start.
+// offset r from its start; see occupy for the closed form it is computed
+// by, in O(len(lts) + II).
 func MaxOccupancy(lts []Lifetime, ii int) int {
-	max := 0
-	for phase := 0; phase < ii; phase++ {
-		n := 0
-		for _, lt := range lts {
-			r := ((phase-lt.Start)%ii + ii) % ii
-			if l := lt.Len() - r; l > 0 {
-				n += (l + ii - 1) / ii
-			}
-		}
-		if n > max {
-			max = n
+	diff := make([]int32, ii+1)
+	base := 0
+	for _, lt := range lts {
+		base += occupy(diff, phaseOf(lt.Start, lt.End, ii), ii)
+	}
+	return base + peak(diff, ii)
+}
+
+// occupy adds one lifetime to a queue's occupancy profile over the II
+// phases. Writing its length as L = q·II + m (0 <= m < II), the lifetime
+// has ceil((L-r)/II) = q + [r < m] instances resident at phase offset r
+// from its start: q everywhere, plus one on the m phases from its start
+// phase on (circularly). occupy returns q and records the m-phase run in
+// the circular difference array diff (II+1 entries). Lifetimes of length
+// zero or less are never resident.
+func occupy(diff []int32, p phase, ii int) int {
+	if p.l <= 0 {
+		return 0
+	}
+	q, m := p.l/ii, p.l%ii
+	if m > 0 {
+		diff[p.r]++
+		if e := p.r + m; e <= ii {
+			diff[e]--
+		} else {
+			diff[0]++
+			diff[e-ii]--
 		}
 	}
-	return max
+	return q
+}
+
+// peak returns the largest prefix sum of diff over the II phases and
+// zeroes diff for the next queue.
+func peak(diff []int32, ii int) int {
+	var run, best int32
+	for p := 0; p < ii; p++ {
+		run += diff[p]
+		diff[p] = 0
+		best = max(best, run)
+	}
+	diff[ii] = 0
+	return int(best)
 }

@@ -1,0 +1,29 @@
+package unroll
+
+import (
+	"testing"
+
+	"vliwq/internal/corpus"
+	"vliwq/internal/machine"
+)
+
+// BenchmarkUnroll prices unrolling the first 64 standard loops by their
+// AutoFactor for clustered:4, the loops internal/queue's BenchmarkAllocate
+// schedules.
+func BenchmarkUnroll(b *testing.B) {
+	cfg := machine.Clustered(4)
+	loops := corpus.Generate(corpus.Params{Seed: corpus.DefaultSeed, N: 64})
+	factors := make([]int, len(loops))
+	for i, l := range loops {
+		factors[i] = AutoFactor(l, cfg)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, l := range loops {
+			if _, err := Unroll(l, factors[j]); err != nil {
+				b.Fatalf("%s: %v", l.Name, err)
+			}
+		}
+	}
+}

@@ -7,6 +7,7 @@ package unroll
 
 import (
 	"fmt"
+	"strconv"
 
 	"vliwq/internal/ir"
 	"vliwq/internal/machine"
@@ -35,22 +36,46 @@ func Unroll(l *ir.Loop, factor int) (*ir.Loop, error) {
 	if factor == 1 {
 		return l.Clone(), nil
 	}
+	n := len(l.Ops)
 	out := &ir.Loop{
-		Name:   fmt.Sprintf("%s.x%d", l.Name, factor),
+		Name:   l.Name + ".x" + strconv.Itoa(factor),
 		Trip:   maxInt(1, l.TripCount()/factor),
 		Unroll: factor,
+		Ops:    make([]*ir.Op, factor*n),
+		Deps:   make([]ir.Dep, 0, factor*len(l.Deps)),
 	}
-	n := len(l.Ops)
-	// Replica u of original op i gets ID u*n + i.
+	// The replicas' names, "name.u", are cut from one string.
+	nameBytes, named := 0, 0
+	for _, op := range l.Ops {
+		if op.Name != "" {
+			nameBytes += len(op.Name)
+			named++
+		}
+	}
+	buf := make([]byte, 0, factor*(nameBytes+named*(1+len(strconv.Itoa(factor)))))
 	for u := 0; u < factor; u++ {
 		for _, op := range l.Ops {
-			name := ""
 			if op.Name != "" {
-				name = fmt.Sprintf("%s.%d", op.Name, u)
+				buf = append(buf, op.Name...)
+				buf = append(buf, '.')
+				buf = strconv.AppendInt(buf, int64(u), 10)
 			}
-			c := out.AddOp(op.Kind, name)
-			c.Orig = op.EffID()
-			c.Phase = u
+		}
+	}
+	all, at := string(buf), 0
+	// Replica u of original op i gets ID u*n + i.
+	ops := make([]ir.Op, factor*n)
+	for u := 0; u < factor; u++ {
+		suffix := 1 + len(strconv.Itoa(u))
+		for i, op := range l.Ops {
+			id := u*n + i
+			ops[id] = ir.Op{ID: id, Kind: op.Kind, Orig: op.EffID(), Phase: u}
+			if op.Name != "" {
+				end := at + len(op.Name) + suffix
+				ops[id].Name = all[at:end]
+				at = end
+			}
+			out.Ops[id] = &ops[id]
 		}
 	}
 	for _, d := range l.Deps {

@@ -1,6 +1,7 @@
 package unroll
 
 import (
+	"fmt"
 	"testing"
 
 	"vliwq/internal/corpus"
@@ -172,5 +173,31 @@ func TestUnrollTripCount(t *testing.T) {
 	}
 	if u.TripCount() != 25 {
 		t.Fatalf("trip: got %d, want 25", u.TripCount())
+	}
+}
+
+// TestUnrollReplicaNames: replica u of a named op is "name.u", unnamed ops
+// stay unnamed, and the loop is "name.xU", for one- to three-digit
+// replica indices.
+func TestUnrollReplicaNames(t *testing.T) {
+	l := corpus.Hydro()
+	l.Ops[1].Name = "" // mix named and unnamed ops
+	for _, factor := range []int{2, 11, 120} {
+		u, err := Unroll(l, factor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("%s.x%d", l.Name, factor); u.Name != want {
+			t.Fatalf("loop name %q, want %q", u.Name, want)
+		}
+		for _, op := range u.Ops {
+			want := ""
+			if name := l.Ops[op.Orig].Name; name != "" {
+				want = fmt.Sprintf("%s.%d", name, op.Phase)
+			}
+			if op.Name != want {
+				t.Fatalf("x%d: replica %d named %q, want %q", factor, op.ID, op.Name, want)
+			}
+		}
 	}
 }
