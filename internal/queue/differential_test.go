@@ -78,7 +78,8 @@ func compileRef(t testing.TB, l *ir.Loop, rc refConfig) *sched.Schedule {
 // 6-byte group adds one op (kind, issue cycle, cluster) and up to two
 // dependences into it. Byte 0's low 3 bits pick the op kind, bits 3-4 the
 // kind of the first dependence (mem for 1, order for 2, flow otherwise)
-// and bits 5-7 its distance; byte 4 picks that dependence's producer, and
+// and bits 5-7 its distance; bytes 1-2 are the issue cycle, signed, so it
+// may be negative; byte 4 picks the first dependence's producer, and
 // byte 5, when odd, adds a second flow dependence of distance 0 from op
 // byte5/2.
 func scriptSchedule(ii, nc, comm int, script []byte) *sched.Schedule {
@@ -89,7 +90,7 @@ func scriptSchedule(ii, nc, comm int, script []byte) *sched.Schedule {
 	for i := 0; i < n; i++ {
 		g := script[6*i : 6*i+6]
 		l.AddOp(ir.KLoad+ir.OpKind(g[0]&7%7), "")
-		s.Time[i] = (int(g[1]) | int(g[2])<<8) % (8*ii + 32)
+		s.Time[i] = int(int16(uint16(g[1])|uint16(g[2])<<8)) % (8*ii + 32)
 		s.Cluster[i] = int(g[3]) % nc
 	}
 	for i := 0; i < n; i++ {
