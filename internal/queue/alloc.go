@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"vliwq/internal/ir"
 	"vliwq/internal/machine"
 	"vliwq/internal/sched"
 )
@@ -73,21 +72,19 @@ type Allocation struct {
 // queue's depth comes from one pass over its residents and the II phases.
 func Allocate(s *sched.Schedule) *Allocation {
 	ii := s.II
-	deps := s.Loop.Deps
-	keys := make([]lkey, 0, len(deps))
-	nc := 0
-	for di, d := range deps {
-		if d.Kind != ir.Flow {
-			continue
-		}
-		start, end := span(s, d)
-		keys = append(keys, lkey{start: start, end: end, dep: di})
-		nc = max(nc, s.Cluster[d.From]+1, s.Cluster[d.To]+1)
-	}
+	lts := BuildLifetimes(s)
+	n := len(lts)
 	alloc := &Allocation{II: ii}
-	n := len(keys)
 	if n == 0 {
 		return alloc
+	}
+	// BuildLifetimes yields lifetimes in dependence order, so a lifetime's
+	// index orders ties as its dependence index does.
+	keys := make([]lkey, n)
+	nc := 0
+	for i, lt := range lts {
+		keys[i] = lkey{start: lt.Start, end: lt.End, lt: i}
+		nc = max(nc, s.Cluster[lt.Dep.From]+1, s.Cluster[lt.Dep.To]+1)
 	}
 	slices.SortFunc(keys, lkey.compare)
 
@@ -100,10 +97,10 @@ func Allocate(s *sched.Schedule) *Allocation {
 	nfiles := 0
 	alloc.Assignments = make([]Assignment, n)
 	for i, k := range keys {
-		d := deps[k.dep]
-		cp, cc := s.Cluster[d.From], s.Cluster[d.To]
+		lt := &lts[k.lt]
+		cp, cc := s.Cluster[lt.Dep.From], s.Cluster[lt.Dep.To]
 		f := &files[cp*nc+cc]
-		p := phaseOf(k.start, k.end, ii)
+		p := phaseOf(lt.Start, lt.End, ii)
 		ph[i] = p
 		q, qi := f.first, int32(0)
 		for ; qi < f.n; q, qi = queues[q].next, qi+1 {
@@ -129,11 +126,7 @@ func Allocate(s *sched.Schedule) *Allocation {
 		if cp != cc {
 			loc = Location{Kind: Ring, From: cp, To: cc}
 		}
-		alloc.Assignments[i] = Assignment{
-			Lifetime: Lifetime{Dep: d, DepIndex: k.dep, Start: k.start, End: k.end},
-			Loc:      loc,
-			Queue:    int(qi),
-		}
+		alloc.Assignments[i] = Assignment{Lifetime: *lt, Loc: loc, Queue: int(qi)}
 	}
 
 	// Emit the files in (kind, from, to) order: the private QRFs on the
@@ -173,7 +166,7 @@ func Allocate(s *sched.Schedule) *Allocation {
 // lkey is a lifetime's sort key: Allocate places lifetimes in (start,
 // end, dependence index) order.
 type lkey struct {
-	start, end, dep int
+	start, end, lt int // lt indexes BuildLifetimes' slice
 }
 
 func (x lkey) compare(y lkey) int {
@@ -183,7 +176,7 @@ func (x lkey) compare(y lkey) int {
 	if c := cmp.Compare(x.end, y.end); c != 0 {
 		return c
 	}
-	return cmp.Compare(x.dep, y.dep)
+	return cmp.Compare(x.lt, y.lt)
 }
 
 // file is one queue file's entry in Allocate's table: its first and last

@@ -77,21 +77,17 @@ func BuildLifetimes(s *sched.Schedule) []Lifetime {
 	}
 	lts := make([]Lifetime, 0, n)
 	for di, d := range s.Loop.Deps {
-		if d.Kind == ir.Flow {
-			start, end := span(s, d)
-			lts = append(lts, Lifetime{Dep: d, DepIndex: di, Start: start, End: end})
+		if d.Kind != ir.Flow {
+			continue
 		}
+		start := s.Time[d.From] + s.Loop.Ops[d.From].Kind.Latency()
+		if s.Cluster[d.From] != s.Cluster[d.To] {
+			start += s.Machine.CommLatency
+		}
+		end := s.Time[d.To] + s.II*d.Dist
+		lts = append(lts, Lifetime{Dep: d, DepIndex: di, Start: start, End: end})
 	}
 	return lts
-}
-
-// span returns the write and read cycles of flow dependence d's lifetime.
-func span(s *sched.Schedule, d ir.Dep) (start, end int) {
-	start = s.Time[d.From] + s.Loop.Ops[d.From].Kind.Latency()
-	if s.Cluster[d.From] != s.Cluster[d.To] {
-		start += s.Machine.CommLatency
-	}
-	return start, s.Time[d.To] + s.II*d.Dist
 }
 
 // phase is a lifetime reduced to what Theorem 1.1 and the occupancy
