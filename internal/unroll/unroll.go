@@ -44,36 +44,14 @@ func Unroll(l *ir.Loop, factor int) (*ir.Loop, error) {
 		Ops:    make([]*ir.Op, factor*n),
 		Deps:   make([]ir.Dep, 0, factor*len(l.Deps)),
 	}
-	// The replicas' names, "name.u", are cut from one string.
-	nameBytes, named := 0, 0
-	for _, op := range l.Ops {
-		if op.Name != "" {
-			nameBytes += len(op.Name)
-			named++
-		}
-	}
-	buf := make([]byte, 0, factor*(nameBytes+named*(1+len(strconv.Itoa(factor)))))
-	for u := 0; u < factor; u++ {
-		for _, op := range l.Ops {
-			if op.Name != "" {
-				buf = append(buf, op.Name...)
-				buf = append(buf, '.')
-				buf = strconv.AppendInt(buf, int64(u), 10)
-			}
-		}
-	}
-	all, at := string(buf), 0
 	// Replica u of original op i gets ID u*n + i.
 	ops := make([]ir.Op, factor*n)
 	for u := 0; u < factor; u++ {
-		suffix := 1 + len(strconv.Itoa(u))
 		for i, op := range l.Ops {
 			id := u*n + i
 			ops[id] = ir.Op{ID: id, Kind: op.Kind, Orig: op.EffID(), Phase: u}
 			if op.Name != "" {
-				end := at + len(op.Name) + suffix
-				ops[id].Name = all[at:end]
-				at = end
+				ops[id].Name = op.Name + "." + strconv.Itoa(u)
 			}
 			out.Ops[id] = &ops[id]
 		}
