@@ -13,9 +13,10 @@
 # When the raw baseline and new benchmark files are also given, three more
 # gates arm:
 #   - allocs/op cap: every ScheduleLoop* benchmark in the new run must stay
-#     at or under ALLOC_CAP allocs/op (528, the pre-bitset scheduler's
-#     count — the packed core sits well under it, so crossing the cap means
-#     an allocation regression on the hot path, not noise).
+#     at or under ALLOC_CAP allocs/op (240, the count before every effort
+#     tier ran the one race driver — the scheduler now sits under it, so
+#     crossing the cap means an allocation regression on the hot path, not
+#     noise).
 #   - missing benchmarks: every benchmark named in the baseline must appear
 #     in the new run. A benchmark that silently disappears (renamed,
 #     deleted, build-tagged out) would otherwise drop out of the percentage
@@ -29,7 +30,7 @@ threshold="${2:-15}"
 baseline_file="${3:-}"
 new_file="${4:-}"
 
-ALLOC_CAP=528
+ALLOC_CAP=240
 
 awk -v max="$threshold" '
   /sec\/op/ || (/time\/op/ && /delta/) { insec = 1; next }
@@ -79,7 +80,7 @@ if [ -z "$baseline_file" ] || [ -z "$new_file" ]; then
 fi
 
 # Allocs/op cap on the scheduler hot path. Raw `go test -bench` lines look
-# like:  BenchmarkScheduleLoopClustered6   870   1234567 ns/op   27674 B/op   240 allocs/op
+# like:  BenchmarkScheduleLoopClustered6   870   1234567 ns/op   23112 B/op   192 allocs/op
 awk -v cap="$ALLOC_CAP" '
   $1 ~ /^BenchmarkScheduleLoop/ {
     for (i = 2; i < NF; i++) {
@@ -98,7 +99,7 @@ awk -v cap="$ALLOC_CAP" '
       exit 2
     }
     if (bad) {
-      print "bench gate: FAIL — scheduler-path allocation count regressed past the historical " cap " allocs/op"
+      print "bench gate: FAIL — scheduler-path allocation count regressed past the " cap " allocs/op cap"
       exit 1
     }
     print "bench gate: OK (" checked " ScheduleLoop allocs/op rows at or under " cap ")"

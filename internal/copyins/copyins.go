@@ -8,11 +8,7 @@
 // operations so that, afterwards, every value has exactly one consumer.
 package copyins
 
-import (
-	"fmt"
-
-	"vliwq/internal/ir"
-)
+import "vliwq/internal/ir"
 
 // Shape selects the fanout tree topology.
 type Shape uint8
@@ -53,10 +49,11 @@ type Result struct {
 // input loop is not modified. Loops already satisfying the single-consumer
 // property, and every loop under shape None, are returned as an unmodified
 // clone with CopiesAdded == 0.
+//
+// l must be valid (ir.(*Loop).Validate); the compile engine checks it once
+// at its entry. The rewritten loop of a valid loop is valid:
+// TestPassesKeepLoopsValid checks it over every corpus and shape.
 func Insert(l *ir.Loop, shape Shape) (*Result, error) {
-	if err := l.Validate(); err != nil {
-		return nil, err
-	}
 	if shape == None {
 		return &Result{Loop: l.Clone()}, nil
 	}
@@ -114,9 +111,6 @@ func Insert(l *ir.Loop, shape Shape) (*Result, error) {
 		}
 		res.ValuesFanned++
 		f.build(id, cs, shape)
-	}
-	if err := out.Validate(); err != nil {
-		return nil, fmt.Errorf("copyins: internal error: %w", err)
 	}
 	return res, nil
 }

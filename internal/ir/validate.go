@@ -72,9 +72,9 @@ func (l *Loop) Validate() error {
 // its next-edge cursor.
 type zdcFrame struct{ v, i int32 }
 
-// zdcScratch recycles hasZeroDistCycle's working arrays; the scheduler
-// validates every input loop, so the check runs on every compile and its
-// allocations would otherwise dominate the fixed per-call cost.
+// zdcScratch recycles hasZeroDistCycle's working arrays; the compile
+// engine validates every input loop, so the check runs on every compile
+// and its allocations would otherwise dominate the fixed per-call cost.
 type zdcScratch struct {
 	off   []int32
 	flat  []int32
@@ -87,8 +87,8 @@ var zdcPool = sync.Pool{New: func() any { return new(zdcScratch) }}
 // hasZeroDistCycle reports whether the Dist==0 subgraph contains a cycle
 // (three-colour iterative DFS). Validate used to detect this through a full
 // TopoOrder, whose deterministic smallest-ID-first ready list costs a
-// sorted insertion per node; the scheduler validates every input loop, so
-// the cycle check alone is worth an order-free implementation.
+// sorted insertion per node; the compile engine validates every input
+// loop, so the cycle check alone is worth an order-free implementation.
 func (l *Loop) hasZeroDistCycle() bool {
 	scr := zdcPool.Get().(*zdcScratch)
 	defer zdcPool.Put(scr)

@@ -5,11 +5,12 @@
 // portfolio/certified tiers, and the per-region schedules are merged back
 // into one program schedule whose total order is verified. All per-region
 // compiles run as canonical vliwq.Requests through one vliwq.Compiler
-// session, so the structural cache and Result.Bound certificates apply to
-// each region exactly as they would to a standalone request — a region's
-// compile is byte-identical to compiling its lifted loop alone, and the
-// same Requests can be posted verbatim to a vliwd /batch endpoint (see
-// DESIGN.md §15).
+// session, so the session's result cache (keyed by the exact Canonical
+// request) and Result.Bound certificates apply to each region exactly as
+// they would to a standalone request — a region's compile is
+// byte-identical to compiling its lifted loop alone, and the same Requests
+// can be posted verbatim to a vliwd /batch endpoint, whose service adds the
+// structural cache layer (see DESIGN.md §15).
 package program
 
 import (
@@ -47,8 +48,8 @@ type Options struct {
 	// SkipVerify skips the per-region simulator verification.
 	SkipVerify bool
 	// Compiler, when non-nil, is the session to compile through — callers
-	// share one session so the structural cache spans programs. When nil a
-	// private session is created.
+	// share one session so its result cache, keyed by the exact Canonical
+	// request, spans programs. When nil a private session is created.
 	Compiler *vliwq.Compiler
 }
 

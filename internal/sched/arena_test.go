@@ -10,9 +10,9 @@ import (
 
 // TestScheduleLoopAllocs locks in the scratch-arena behaviour: once the
 // pooled state has seen a loop of a given size, rescheduling stays within a
-// small constant allocation budget (the returned Schedule plus its two
-// placement arrays, Validate's topological check and the MII bounds). The
-// pre-arena scheduler allocated well over a hundred times per loop here.
+// small constant allocation budget (the returned Schedule, its two
+// placement arrays and the effort's strategy list). The pre-arena
+// scheduler allocated well over a hundred times per loop here.
 func TestScheduleLoopAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation inflates allocation counts")
@@ -33,7 +33,7 @@ func TestScheduleLoopAllocs(t *testing.T) {
 				}
 			})
 		}
-		// ~10 allocs/loop in practice; 25 leaves headroom for a GC clearing
+		// 4 allocs/loop in practice; 25 leaves headroom for a GC clearing
 		// the sync.Pool mid-measurement without masking a regression back
 		// toward the former ~180+/loop.
 		if mean := total / float64(len(loops)); mean > 25 {
@@ -82,7 +82,9 @@ func TestTryIIAttemptAllocs(t *testing.T) {
 	cfg := machine.Clustered(4)
 	st := statePool.Get().(*state)
 	defer statePool.Put(st)
-	st.init(l, cfg, DefaultBudgetRatio, StrategyBaseline, nil)
+	memo := newRaceMemo(l, &cfg)
+	defer memo.release()
+	st.init(l, cfg, DefaultBudgetRatio, StrategyBaseline, memo)
 	if !st.tryII(8) {
 		t.Fatalf("stencil3 did not schedule at II=8")
 	}
@@ -115,10 +117,12 @@ func TestForceSlotUnschedulable(t *testing.T) {
 
 	st := statePool.Get().(*state)
 	defer statePool.Put(st)
+	memo := newRaceMemo(l, &cfg)
+	defer memo.release()
 
 	// Pinned to a cluster that cannot host a move: forceSlot finds no free
 	// unit and no occupant to evict.
-	st.init(l, cfg, DefaultBudgetRatio, StrategyBaseline, nil)
+	st.init(l, cfg, DefaultBudgetRatio, StrategyBaseline, memo)
 	st.pinned[0] = 0
 	if st.tryII(1) {
 		t.Errorf("tryII succeeded for a pinned op on a cluster without its FU class")
@@ -126,7 +130,7 @@ func TestForceSlotUnschedulable(t *testing.T) {
 
 	// Unpinned with no providing cluster anywhere: the preference list is
 	// empty.
-	st.init(l, cfg, DefaultBudgetRatio, StrategyBaseline, nil)
+	st.init(l, cfg, DefaultBudgetRatio, StrategyBaseline, memo)
 	if st.tryII(1) {
 		t.Errorf("tryII succeeded for an op whose FU class no cluster offers")
 	}

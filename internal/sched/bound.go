@@ -11,7 +11,7 @@
 // certificate as Schedule.Bound (DESIGN.md §14).
 //
 // The ladder is anytime: it is cut at the node-budget boundary (a
-// deterministic per-II cap derived from Options.BudgetRatio) or at the
+// deterministic per-II cap derived from DefaultBudgetRatio) or at the
 // context deadline, and in both cases the best incumbent — always a
 // complete, verified schedule — is returned with Bound.Optimal=false.
 // Budget cuts are deterministic and therefore cacheable; deadline cuts are
@@ -54,8 +54,8 @@ type Bound struct {
 	DeadlineCut bool
 }
 
-// exactNodeBudgetPerRatio scales Options.BudgetRatio into the per-candidate-
-// II search-node cap: the default ratio of 6 allows 240k nodes per II. The
+// exactNodeBudgetPerRatio scales the budget ratio into the per-candidate-II
+// search-node cap: DefaultBudgetRatio (6) allows 240k nodes per II. The
 // cap is counted in placements tried, so it is identical at any worker
 // count and on any machine — a budget-cut certificate is deterministic.
 const exactNodeBudgetPerRatio = 40000
@@ -70,14 +70,8 @@ func exactNodeBudget(ratio int) int64 {
 // every integer II in [MII, incumbent II). Note the ladder deliberately
 // does not use candidateIIs: a proof of optimality needs every integer
 // rung, while the heuristic ladder is allowed to skip.
-func scheduleOptimal(ctx context.Context, st *state, l *ir.Loop, cfg machine.Config, opts Options, strats []Strategy, resMII, recMII, maxII int) (*Schedule, error) {
-	var s *Schedule
-	var err error
-	if len(strats) > 1 {
-		s, err = schedulePortfolio(st, l, cfg, opts, strats, resMII, recMII, maxII)
-	} else {
-		s, err = scheduleSingle(st, l, cfg, opts, strats[0], resMII, recMII, maxII)
-	}
+func scheduleOptimal(ctx context.Context, st *state, l *ir.Loop, cfg machine.Config, strats []Strategy, resMII, recMII int, lim limits) (*Schedule, error) {
+	s, err := schedulePortfolio(st, l, cfg, strats, resMII, recMII, lim)
 	if err != nil {
 		return nil, err
 	}
@@ -97,7 +91,7 @@ func scheduleOptimal(ctx context.Context, st *state, l *ir.Loop, cfg machine.Con
 		return s, nil
 	}
 	ex := newExactSearcher(l, &cfg)
-	budget := exactNodeBudget(opts.budgetRatio())
+	budget := exactNodeBudget(lim.budgetRatio)
 	for ii := mii; ii < s.II; ii++ {
 		if ctx.Err() != nil {
 			s.Bound.DeadlineCut = true

@@ -167,15 +167,136 @@ func randomConfig(rng *rand.Rand, nc int) machine.Config {
 	}
 }
 
-// lockstepRun advances two states over the attempts scheduleSingle makes
+// lockstep advances two states over the same attempts: packed through
+// findSlot, forceSlot and settle, ref through findSlotRef, forceSlotRef
+// and settleSlow. After every step both must have popped the same op,
+// chosen the same slot and hold equal time and cluster arrays. With shared
+// set, both states read one raceMemo, as the attempts of a portfolio race
+// do; otherwise each state has its own.
+type lockstep struct {
+	t           *testing.T
+	tag         string
+	l           *ir.Loop
+	cfg         machine.Config
+	packed, ref *state
+	memos       []*raceMemo
+	steps       int
+	ordinal     int
+}
+
+func newLockstep(t *testing.T, tag string, l *ir.Loop, cfg machine.Config, strat Strategy, shared bool) *lockstep {
+	ls := &lockstep{t: t, tag: tag, l: l, cfg: cfg, packed: new(state), ref: new(state)}
+	memo := newRaceMemo(l, &cfg)
+	ls.memos = append(ls.memos, memo)
+	ls.packed.init(l, cfg, DefaultBudgetRatio, strat, memo)
+	if !shared {
+		memo = newRaceMemo(l, &cfg)
+		ls.memos = append(ls.memos, memo)
+	}
+	ls.ref.init(l, cfg, DefaultBudgetRatio, strat, memo)
+	return ls
+}
+
+// release returns the memos to their pool.
+func (ls *lockstep) release() {
+	for _, m := range ls.memos {
+		m.release()
+	}
+}
+
+// attempt mirrors tryII step for step on both states, from the pristine
+// loop, with placement restricted to the allowed cluster mask (0 = free
+// placement). It reports whether the attempt scheduled every op; the
+// states keep the placement until the next attempt.
+func (ls *lockstep) attempt(ii int, allowed uint64) bool {
+	t, packed, ref := ls.t, ls.packed, ls.ref
+	t.Helper()
+	ls.ordinal++
+	for _, st := range []*state{packed, ref} {
+		st.reset()
+		st.ordinal = ls.ordinal
+		st.allowed = allowed
+		st.ii = ii
+		st.table.reset(ii, &st.cfg)
+		st.load = refill(st.load, ls.cfg.NumClusters(), 0)
+		st.computeHeights()
+		st.wl.fill(st, len(st.loop.Ops))
+	}
+	mult := min(ls.ordinal, 4)
+	budget := DefaultBudgetRatio * len(ls.l.Ops) * mult
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("%s: II %d (attempt %d, allowed %#b) step %d: "+format,
+			append([]any{ls.tag, ii, ls.ordinal, allowed, ls.steps}, args...)...)
+	}
+	for packed.wl.Len() > 0 {
+		if ref.wl.Len() == 0 {
+			fail("reference worklist drained first")
+		}
+		if budget <= 0 {
+			return false
+		}
+		budget--
+		ls.steps++
+		id, rid := packed.wl.pop(), ref.wl.pop()
+		if id != rid {
+			fail("packed popped op %d, reference op %d", id, rid)
+		}
+		pt, pc, estart, pok := packed.findSlot(id)
+		rest := ref.earliestStart(id)
+		rt, rc, rok := ref.findSlotRef(id, rest)
+		if estart != rest || pok != rok || (pok && (pt != rt || pc != rc)) {
+			fail("op %d findSlot = (%d,%d,%v) estart %d, reference (%d,%d,%v) estart %d",
+				id, pt, pc, pok, estart, rt, rc, rok, rest)
+		}
+		if !pok {
+			pt, pc, pok = packed.forceSlot(id, estart, &packed.wl)
+			rt, rc, rok = ref.forceSlotRef(id, rest, &ref.wl)
+			if pok != rok || (pok && (pt != rt || pc != rc)) {
+				fail("op %d forceSlot = (%d,%d,%v), reference (%d,%d,%v)", id, pt, pc, pok, rt, rc, rok)
+			}
+			if !pok {
+				return false
+			}
+		}
+		packed.place(id, pt, pc)
+		ref.place(id, rt, rc)
+		added, refAdded := packed.settle(id, &packed.wl), ref.settleSlow(id, &ref.wl)
+		if added != refAdded {
+			fail("op %d settle added %d ops, reference %d", id, added, refAdded)
+		}
+		if !slices.Equal(packed.time, ref.time) || !slices.Equal(packed.cluster, ref.cluster) {
+			fail("op %d placed at (%d,%d): arrays diverge\npacked time=%v cluster=%v\nref    time=%v cluster=%v",
+				id, pt, pc, packed.time, packed.cluster, ref.time, ref.cluster)
+		}
+		budget += added * DefaultBudgetRatio
+	}
+	if ref.wl.Len() != 0 {
+		fail("packed worklist drained first")
+	}
+	return true
+}
+
+// compact walks one compact subset's candidate-II ladder the way
+// compactSchedule does and returns the achieved II, or -1.
+func (ls *lockstep) compact(allowed uint64, mii, maxII int) int {
+	sub, err := resMIISubset(ls.l, ls.cfg, allowed)
+	if err != nil {
+		return -1
+	}
+	for _, ii := range candidateIIs(nil, max(sub, mii), maxII) {
+		if ls.attempt(ii, allowed) {
+			return ii
+		}
+	}
+	return -1
+}
+
+// lockstepRun runs the lockstep over the attempts the race driver makes
 // for one loop, machine and strategy: the candidate-II ladder, then the
-// compact subsets. The packed state goes through findSlot, forceSlot and
-// settle; the reference state through findSlotRef, forceSlotRef and
-// settleSlow. After every step both must have popped the same op, chosen
-// the same slot and hold equal time and cluster arrays. With shared set,
-// both states read one raceMemo, as the attempts of a portfolio race do.
-// The final outcome is checked against scheduleSingle itself, which pins
-// this driver to the production one. It returns the number of steps.
+// compact subsets. The final outcome is checked against the race driver
+// itself (schedulePortfolio with that one strategy), which pins the
+// lockstep to the production path. It returns the number of steps.
 func lockstepRun(t *testing.T, tag string, l *ir.Loop, cfg machine.Config, strat Strategy, shared bool) int {
 	t.Helper()
 	resMII, err := ResMII(l, cfg)
@@ -183,129 +304,35 @@ func lockstepRun(t *testing.T, tag string, l *ir.Loop, cfg machine.Config, strat
 		t.Fatalf("%s: %v", tag, err)
 	}
 	recMII := RecMII(l)
-	mii := resMII
-	if recMII > mii {
-		mii = recMII
-	}
-	maxII := Options{}.maxII(l, mii)
-	var memo *raceMemo
-	if shared {
-		memo = newRaceMemo(l, &cfg)
-		defer memo.release()
-	}
-	packed, ref := new(state), new(state)
-	packed.init(l, cfg, DefaultBudgetRatio, strat, memo)
-	ref.init(l, cfg, DefaultBudgetRatio, strat, memo)
+	mii := max(resMII, recMII)
+	lim := limits{maxII: iiCap(l), budgetRatio: DefaultBudgetRatio, workers: 1}
+	ls := newLockstep(t, tag, l, cfg, strat, shared)
+	defer ls.release()
 
-	steps, ordinal := 0, 0
-	// attempt mirrors tryII step for step on both states.
-	attempt := func(ii int, allowed []int) bool {
-		ordinal++
-		for _, st := range []*state{packed, ref} {
-			st.ordinal = ordinal
-			st.allowed = allowed
-			st.ii = ii
-			st.table.reset(ii, &st.cfg)
-			st.load = refill(st.load, cfg.NumClusters(), 0)
-			st.computeHeights()
-			st.wl.fill(st, len(st.loop.Ops))
+	want, wantErr := schedulePortfolio(new(state), l, cfg, []Strategy{strat}, resMII, recMII, lim)
+	ii := -1
+	for _, c := range candidateIIs(nil, mii, lim.maxII) {
+		if ls.attempt(c, 0) {
+			ii = c
+			break
 		}
-		mult := ordinal
-		if mult > 4 {
-			mult = 4
-		}
-		budget := DefaultBudgetRatio * len(l.Ops) * mult
-		fail := func(format string, args ...any) {
-			t.Helper()
-			t.Fatalf("%s: II %d (attempt %d, allowed %v) step %d: "+format,
-				append([]any{tag, ii, ordinal, allowed, steps}, args...)...)
-		}
-		for packed.wl.Len() > 0 {
-			if ref.wl.Len() == 0 {
-				fail("reference worklist drained first")
-			}
-			if budget <= 0 {
-				return false
-			}
-			budget--
-			steps++
-			id, rid := packed.wl.pop(), ref.wl.pop()
-			if id != rid {
-				fail("packed popped op %d, reference op %d", id, rid)
-			}
-			pt, pc, estart, pok := packed.findSlot(id)
-			rest := ref.earliestStart(id)
-			rt, rc, rok := ref.findSlotRef(id, rest)
-			if estart != rest || pok != rok || (pok && (pt != rt || pc != rc)) {
-				fail("op %d findSlot = (%d,%d,%v) estart %d, reference (%d,%d,%v) estart %d",
-					id, pt, pc, pok, estart, rt, rc, rok, rest)
-			}
-			if !pok {
-				pt, pc, pok = packed.forceSlot(id, estart, &packed.wl)
-				rt, rc, rok = ref.forceSlotRef(id, rest, &ref.wl)
-				if pok != rok || (pok && (pt != rt || pc != rc)) {
-					fail("op %d forceSlot = (%d,%d,%v), reference (%d,%d,%v)", id, pt, pc, pok, rt, rc, rok)
-				}
-				if !pok {
-					return false
-				}
-			}
-			packed.place(id, pt, pc)
-			ref.place(id, rt, rc)
-			added, refAdded := packed.settle(id, &packed.wl), ref.settleSlow(id, &ref.wl)
-			if added != refAdded {
-				fail("op %d settle added %d ops, reference %d", id, added, refAdded)
-			}
-			if !slices.Equal(packed.time, ref.time) || !slices.Equal(packed.cluster, ref.cluster) {
-				fail("op %d placed at (%d,%d): arrays diverge\npacked time=%v cluster=%v\nref    time=%v cluster=%v",
-					id, pt, pc, packed.time, packed.cluster, ref.time, ref.cluster)
-			}
-			budget += added * DefaultBudgetRatio
-		}
-		if ref.wl.Len() != 0 {
-			fail("packed worklist drained first")
-		}
-		return true
 	}
-	done := func(ii int) int {
-		want, err := scheduleSingle(new(state), l, cfg, Options{}, strat, resMII, recMII, maxII)
-		if err != nil {
-			t.Fatalf("%s: lockstep scheduled at II %d, scheduleSingle failed: %v", tag, ii, err)
-		}
-		if want.II != ii || !slices.Equal(want.Time, packed.time) || !slices.Equal(want.Cluster, packed.cluster) {
-			t.Fatalf("%s: lockstep schedule (II %d) differs from scheduleSingle (II %d)", tag, ii, want.II)
-		}
-		return steps
-	}
-	for _, ii := range candidateIIs(nil, mii, maxII) {
-		if attempt(ii, nil) {
-			return done(ii)
-		}
-		packed.reset()
-		ref.reset()
-	}
-	if cfg.NumClusters() > 1 {
-		for _, allowed := range [][]int{{0, 1}, {0}} {
-			sub, err := resMIISubset(l, cfg, allowed)
-			if err != nil {
-				continue
-			}
-			if sub < mii {
-				sub = mii
-			}
-			for _, ii := range candidateIIs(nil, sub, maxII) {
-				if attempt(ii, allowed) {
-					return done(ii)
-				}
-				packed.reset()
-				ref.reset()
+	if ii < 0 && cfg.NumClusters() > 1 {
+		for _, allowed := range [...]uint64{0b11, 0b1} {
+			if ii = ls.compact(allowed, mii, lim.maxII); ii >= 0 {
+				break
 			}
 		}
 	}
-	if _, err := scheduleSingle(new(state), l, cfg, Options{}, strat, resMII, recMII, maxII); err == nil {
-		t.Fatalf("%s: lockstep found no schedule, scheduleSingle did", tag)
+	switch {
+	case ii < 0 && wantErr == nil:
+		t.Fatalf("%s: lockstep found no schedule, the race driver did", tag)
+	case ii >= 0 && wantErr != nil:
+		t.Fatalf("%s: lockstep scheduled at II %d, the race driver failed: %v", tag, ii, wantErr)
+	case ii >= 0 && (want.II != ii || !slices.Equal(want.Time, ls.packed.time) || !slices.Equal(want.Cluster, ls.packed.cluster)):
+		t.Fatalf("%s: lockstep schedule (II %d) differs from the race driver's (II %d)", tag, ii, want.II)
 	}
-	return steps
+	return ls.steps
 }
 
 // lockstepClusters draws a ring width: 1-8 clusters in about three trials
@@ -341,6 +368,66 @@ func TestDifferentialBitsetVsReference(t *testing.T) {
 		tag := fmt.Sprintf("trial %d: %s on %s (comm=%d moves=%v strategy=%s shared=%v)",
 			trial, l.Name, cfg.Name, cfg.CommLatency, cfg.AllowMoves, strat, shared)
 		steps += lockstepRun(t, tag, l, cfg, strat, shared)
+	}
+	t.Logf("%d lockstep steps", steps)
+}
+
+// TestLockstepCompactEscape covers the compact fallback's class escape,
+// which the free ladder almost never leaves to reach: it runs the compact
+// attempts, {0, 1} and then {0}, in lockstep on every trial, whatever the
+// free ladder would have done. Clusters 0 and 1 of each machine lack a
+// class the loop uses, so every op of that class escapes the subset to the
+// lowest cluster providing it, and at least two clusters provide it, so an
+// escape anywhere else diverges from the reference's ordered scan.
+func TestLockstepCompactEscape(t *testing.T) {
+	const seed = 20261017
+	rng := rand.New(rand.NewSource(seed))
+	t.Logf("escape seed %d", seed)
+	loops := corpus.Stressed()
+	steps := 0
+	for trial := 0; trial < 16; trial++ {
+		l := loops[rng.Intn(len(loops))]
+		var used []machine.FUClass
+		var seen [machine.NumClasses]bool
+		for _, op := range l.Ops {
+			if c := machine.ClassOf(op.Kind); !seen[c] {
+				seen[c] = true
+				used = append(used, c)
+			}
+		}
+		lack := used[rng.Intn(len(used))]
+		nc := 4 + rng.Intn(5)
+		if trial%4 == 3 {
+			nc = 9 + rng.Intn(machine.MaxClusters-8)
+		}
+		cfg := randomConfig(rng, nc)
+		for c := 0; c < 2; c++ {
+			fus := &cfg.Clusters[c].FUs
+			fus[lack] = 0
+			if *fus == ([machine.NumClasses]int{}) {
+				fus[(lack+1)%machine.NumClasses] = 1 // Validate rejects an FU-less cluster
+			}
+		}
+		for _, c := range rng.Perm(nc - 2)[:2] {
+			cfg.Clusters[2+c].FUs[lack] = max(cfg.Clusters[2+c].FUs[lack], 1)
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		strat := Strategy(trial % int(NumStrategies))
+		shared := rng.Intn(2) == 1
+		tag := fmt.Sprintf("trial %d: %s on %s lacking %v on clusters 0-1 (comm=%d moves=%v strategy=%s shared=%v)",
+			trial, l.Name, cfg.Name, lack, cfg.CommLatency, cfg.AllowMoves, strat, shared)
+		resMII, err := ResMII(l, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		ls := newLockstep(t, tag, l, cfg, strat, shared)
+		for _, allowed := range [...]uint64{0b11, 0b1} {
+			ls.compact(allowed, max(resMII, RecMII(l)), iiCap(l))
+		}
+		ls.release()
+		steps += ls.steps
 	}
 	t.Logf("%d lockstep steps", steps)
 }

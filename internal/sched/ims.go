@@ -15,14 +15,14 @@ import (
 // statePool — across ScheduleLoop calls, so the hot path of an attempt
 // allocates only when the loop grows past any previously seen size.
 //
-// Cross-attempt reuse goes further than storage: facts that depend only on
-// the pristine loop — the CSR precedence views, the per-op latency and FU
-// class tables, the per-cluster adjacency masks — are computed once per run
-// and shared by every II attempt. The working loop aliases the input
-// (copy-on-write): only an attempt that actually inserts move operations
-// pays for private op/dep copies and a CSR rebuild (detach, moves.go).
-// When several portfolio strategies race one loop, the same facts are
-// shared across the racing states through a raceMemo (memo.go).
+// Facts that depend only on the pristine loop and the machine — the CSR
+// precedence views, the per-op latency and FU class tables, the
+// per-cluster adjacency masks, the per-II heights — live in the raceMemo
+// (memo.go) the state is bound to, computed once per ScheduleLoop call and
+// shared by every attempt and every racing strategy. The working loop
+// aliases the input (copy-on-write): only an attempt that actually inserts
+// move operations pays for private op/dep copies and a CSR rebuild
+// (detach, moves.go).
 type state struct {
 	orig        *ir.Loop
 	loop        *ir.Loop // working view; ops are shared, never mutated
@@ -40,34 +40,26 @@ type state struct {
 	never    []bool
 	pinned   []int // fixed cluster for inserted moves, -1 otherwise
 	height   []int
-	preds    ir.Adj // working views: alias basePreds/baseSuccs until detach
+	preds    ir.Adj // working views: alias the memo's CSR until detach
 	succs    ir.Adj
 	table    mrt
-	load     []int // cached per-cluster reservation counts
-	allowed  []int // compact-mode cluster subset (nil = free placement)
+	load     []int  // cached per-cluster reservation counts
+	allowed  uint64 // compact-mode cluster subset (0 = free placement)
 
-	// Pristine-loop facts, valid for every attempt until detach.
-	basePreds ir.Adj // header copies: own CSR, or the raceMemo's shared one
-	baseSuccs ir.Adj
-	ownPreds  ir.Adj // private CSR arenas for memo-less runs
-	ownSuccs  ir.Adj
 	mutPreds  ir.Adj // private CSR arenas rebuilt after move insertion
 	mutSuccs  ir.Adj
 	opsArena  []*ir.Op // copy-on-write buffers for detach
 	depsArena []ir.Dep
-	lat       []int                      // per-op latency: ownLat, or the raceMemo's shared table
-	class     []machine.FUClass          // per-op FU class: ownClass, or the raceMemo's
+	lat       []int                      // per-op latency: the memo's table until growOp
+	class     []machine.FUClass          // per-op FU class: the memo's table until growOp
 	adjMasks  []uint64                   // per-cluster bitmask of ring-adjacent clusters
 	allMask   uint64                     // low NumClusters bits set
 	classMask [machine.NumClasses]uint64 // per-class bitmask of clusters providing it
-	ownLat    []int                      // private arenas backing the above for memo-less runs:
-	ownClass  []machine.FUClass          // a memo-bound header must never be refilled in place,
-	ownAdj    []uint64                   // the memo may already be pooled and rebound elsewhere
 	wl        worklist
-	prefOut   []int      // scratch for the returned preference order
 	pathBuf   []int      // scratch for move-chain ring paths
 	settleBuf []ir.Dep   // scratch for settle's edge snapshot
 	iiBuf     []int      // scratch for the candidate-II sequence
+	results   []attempt  // one race round's attempts (schedulePortfolio)
 	rec       recScratch // RecMII scratch (mii.go)
 
 	stats Stats
@@ -78,9 +70,8 @@ type state struct {
 // the arena slices are the dominant allocation otherwise.
 var statePool = sync.Pool{New: func() any { return new(state) }}
 
-// init binds the arena to a new input loop, reusing all prior storage.
-// memo, when non-nil, supplies the shared pristine-loop facts of a
-// portfolio race.
+// init binds the arena to a new input loop, reusing all prior storage, and
+// to the memo holding that loop's shared facts on cfg.
 func (st *state) init(l *ir.Loop, cfg machine.Config, budgetRatio int, strat Strategy, memo *raceMemo) {
 	st.orig = l
 	st.cfg = cfg
@@ -96,33 +87,14 @@ func (st *state) init(l *ir.Loop, cfg machine.Config, budgetRatio int, strat Str
 	st.loop.Trip = l.Trip
 	st.loop.Unroll = l.Unroll
 
+	// The three-index cap on lat/class forces any growOp append to
+	// reallocate privately instead of writing into shared storage.
 	n := len(l.Ops)
-	if memo != nil {
-		// Share every pristine-loop and machine fact the race computed
-		// once. The three-index cap on lat/class forces any growOp append
-		// to reallocate privately instead of writing into shared storage.
-		st.lat = memo.lat[:n:n]
-		st.class = memo.class[:n:n]
-		st.adjMasks = memo.adjMasks
-		st.allMask = memo.allMask
-		st.classMask = memo.classMask
-		st.basePreds, st.baseSuccs = memo.preds, memo.succs
-		st.reset()
-		return
-	}
-	st.ownLat = refill(st.ownLat, n, 0)
-	st.ownClass = refill(st.ownClass, n, 0)
-	for i, op := range l.Ops {
-		st.ownLat[i] = op.Kind.Latency()
-		st.ownClass[i] = machine.ClassOf(op.Kind)
-	}
-	st.lat, st.class = st.ownLat, st.ownClass
-	st.ownAdj = refill(st.ownAdj, cfg.NumClusters(), 0)
-	st.allMask, st.classMask = maskInto(st.ownAdj, &cfg)
-	st.adjMasks = st.ownAdj
-	l.PredsInto(&st.ownPreds)
-	l.SuccsInto(&st.ownSuccs)
-	st.basePreds, st.baseSuccs = st.ownPreds, st.ownSuccs
+	st.lat = memo.lat[:n:n]
+	st.class = memo.class[:n:n]
+	st.adjMasks = memo.adjMasks
+	st.allMask = memo.allMask
+	st.classMask = memo.classMask
 	st.reset()
 }
 
@@ -164,7 +136,7 @@ func maskInto(adj []uint64, cfg *machine.Config) (uint64, [machine.NumClasses]ui
 // inserted move operations only has to drop its private copies (keeping
 // their storage for the next detach) and re-point at the input.
 func (st *state) reset() {
-	st.allowed = nil
+	st.allowed = 0
 	if st.mutated {
 		// Recapture the grown copy-on-write buffers so the next detach
 		// reuses their high-water capacity, then restore the pristine view.
@@ -180,8 +152,8 @@ func (st *state) reset() {
 	st.prevTime = refill(st.prevTime, n, -1)
 	st.pinned = refill(st.pinned, n, -1)
 	st.never = refill(st.never, n, true)
-	st.preds = st.basePreds
-	st.succs = st.baseSuccs
+	st.preds = st.memo.preds
+	st.succs = st.memo.succs
 }
 
 // detach gives the working loop private op and dependence storage before
@@ -325,50 +297,18 @@ func (st *state) findSlot(id int) (int, int, int, bool) {
 	}
 	end := estart + st.ii
 	comm := st.cfg.CommLatency
-	if st.allowed != nil {
-		// Compact fallback: the candidate order is the position in the
-		// mutually adjacent subset, so the historical ordered scan with its
-		// cannot-beat-the-incumbent skip applies directly.
-		prefs := st.allowedPrefs(class)
-		for pass := 0; pass < passes; pass++ {
-			requireAdj := pass == 0
-			bestT, bestC := -1, -1
-			for _, c := range prefs {
-				if pinned >= 0 && c != pinned {
-					continue
-				}
-				if requireAdj && adjMask>>uint(c)&1 == 0 {
-					continue
-				}
-				t0 := estart
-				if comm > 0 {
-					t0 = st.minTFor(id, c)
-				}
-				if bestT >= 0 && t0 >= bestT {
-					continue
-				}
-				if t, ok := st.table.firstFree(t0, end, c, class); ok && (bestT < 0 || t < bestT) {
-					bestT, bestC = t, c
-				}
-			}
-			if bestT >= 0 {
-				return bestT, bestC, estart, true
-			}
-		}
-		return 0, 0, estart, false
-	}
-	// Free placement: take the argmin over feasible candidates of
-	// (cycle, strategy key) — minimal cycle, ties to the key that sorts
-	// first. The reference scan walks (cycle, preference-position)
-	// lexicographically, and preference position is exactly key rank, so
-	// the argmin is the same slot without ever ordering the candidates;
-	// keys are computed lazily, only when a candidate survives the cycle
-	// comparison.
+	// Take the argmin over feasible candidates of (cycle, strategy key) —
+	// minimal cycle, ties to the key that sorts first. The reference scan
+	// walks (cycle, preference-position) lexicographically, and preference
+	// position is exactly key rank, so the argmin is the same slot without
+	// ever ordering the candidates; keys are computed lazily, only when a
+	// candidate survives the cycle comparison.
+	cand := st.candidates(class)
 	for pass := 0; pass < passes; pass++ {
 		requireAdj := pass == 0
 		bestT, bestC := -1, -1
 		var bestKey clusterPref
-		for m := st.classMask[class]; m != 0; m &= m - 1 {
+		for m := cand; m != 0; m &= m - 1 {
 			c := bits.TrailingZeros64(m)
 			if pinned >= 0 && c != pinned {
 				continue
@@ -440,9 +380,12 @@ func (st *state) minTFor(id, c int) int {
 // prefKey computes one cluster's strategy-specific ranking key (see the
 // Strategy catalogue in strategy.go; StrategyBaseline reproduces the
 // historical order exactly) from the per-cluster scheduled flow-neighbour
-// counts.
+// counts. The compact fallback ranks its candidates by cluster index alone.
 func (st *state) prefKey(id, c int, cnt []int32) clusterPref {
 	p := clusterPref{c: c}
+	if st.allowed != 0 {
+		return p
+	}
 	neigh := int(cnt[c])
 	switch st.strat {
 	case StrategyLoadBalanced:
@@ -466,27 +409,19 @@ func (st *state) prefKey(id, c int, cnt []int32) clusterPref {
 	return p
 }
 
-// allowedPrefs is the compact fallback's cluster ordering: placement
-// restricted to a mutually adjacent cluster subset, making the ring rule
-// trivial. If the subset lacks the class entirely, fall back to the lowest
-// cluster providing it.
-func (st *state) allowedPrefs(class machine.FUClass) []int {
-	out := st.prefOut[:0]
-	for _, c := range st.allowed {
-		if st.cfg.FUCount(c, class) > 0 {
-			out = append(out, c)
-		}
+// candidates returns the mask of clusters that may host an op of the
+// class: every cluster providing it, or in compact mode the subset's
+// providers. When the subset lacks the class entirely, the op escapes to
+// the lowest cluster providing it.
+func (st *state) candidates(class machine.FUClass) uint64 {
+	m := st.classMask[class]
+	if st.allowed == 0 {
+		return m
 	}
-	if len(out) == 0 {
-		for c := 0; c < st.cfg.NumClusters(); c++ {
-			if st.cfg.FUCount(c, class) > 0 {
-				out = append(out, c)
-				break
-			}
-		}
+	if sub := m & st.allowed; sub != 0 {
+		return sub
 	}
-	st.prefOut = out
-	return out
+	return m & -m
 }
 
 // forceSlot is Rau's conflict-driven placement: when no conflict-free slot
@@ -508,23 +443,9 @@ func (st *state) forceSlot(id, estart int, wl *worklist) (int, int, bool) {
 		}
 		return st.evictLowest(t, p, class, wl)
 	}
-	if st.allowed != nil {
-		// Compact fallback: positional order — first subset cluster with a
-		// free unit, else evict from the subset head.
-		prefs := st.allowedPrefs(class)
-		if len(prefs) == 0 {
-			return 0, 0, false
-		}
-		for _, c := range prefs {
-			if st.table.free(row, c, class) {
-				return t, c, true
-			}
-		}
-		return st.evictLowest(t, prefs[0], class, wl)
-	}
-	// Free placement: "first preference with a free unit" is the minimal
-	// key among free candidates, and "the first preference" is the minimal
-	// key overall — one unsorted scan finds both.
+	// "First preference with a free unit" is the minimal key among free
+	// candidates, and "the first preference" is the minimal key overall —
+	// one unsorted scan finds both.
 	nc := st.cfg.NumClusters()
 	var cntArr [machine.MaxClusters]int32 // Config.Validate bounds nc
 	cnt := cntArr[:nc]
@@ -540,7 +461,7 @@ func (st *state) forceSlot(id, estart int, wl *worklist) (int, int, bool) {
 	}
 	freeC, allC := -1, -1
 	var freeKey, allKey clusterPref
-	for m := st.classMask[class]; m != 0; m &= m - 1 {
+	for m := st.candidates(class); m != 0; m &= m - 1 {
 		c := bits.TrailingZeros64(m)
 		p := st.prefKey(id, c, cnt)
 		if allC < 0 || p.before(allKey) {
@@ -728,12 +649,11 @@ func (st *state) settleSlow(id int, wl *worklist) int {
 // II >= RecMII there is no positive cycle, so the fixpoint converges within
 // numOps passes.
 //
-// Heights depend only on the pristine graph and the II, so a portfolio
-// race computes them once per II in the shared raceMemo and every racing
-// strategy copies the result; only an attempt that grew the graph with
-// move operations recomputes privately.
+// Heights depend only on the pristine graph and the II, so the raceMemo
+// computes them once per II and every attempt copies the result; only an
+// attempt that grew the graph with move operations recomputes privately.
 func (st *state) computeHeights() {
-	if !st.mutated && st.memo != nil {
+	if !st.mutated {
 		st.height = append(st.height[:0], st.memo.heightsFor(st.ii)...)
 		return
 	}

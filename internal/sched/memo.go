@@ -8,11 +8,12 @@ import (
 )
 
 // raceMemo shares placement-invariant facts across the attempts of one
-// ScheduleLoop call. A portfolio race runs (strategies × candidate IIs)
-// attempts over the same pristine loop; without sharing, each attempt
-// rebuilds the CSR precedence views and recomputes the height priority
-// fixpoint from scratch. Both depend only on the pristine graph (and, for
-// heights, the II), so the race computes them once and every racing state
+// ScheduleLoop call. The race runs (strategies × candidate IIs) attempts
+// over the same pristine loop — one strategy at EffortFast — then possibly
+// the compact fallback; without sharing, each attempt rebuilds the CSR
+// precedence views and recomputes the height priority fixpoint from
+// scratch. Both depend only on the pristine graph (and, for heights, the
+// II), so the race computes them once and every state bound to the memo
 // reads them.
 //
 // The sharing is deliberately limited to placement-invariant facts.
@@ -54,8 +55,8 @@ type memoHeights struct {
 	h  []int
 }
 
-// memoPool recycles raceMemo arenas across portfolio ScheduleLoop calls,
-// like statePool does for scheduling states.
+// memoPool recycles raceMemo arenas across ScheduleLoop calls, like
+// statePool does for scheduling states.
 var memoPool = sync.Pool{New: func() any { return new(raceMemo) }}
 
 // newRaceMemo binds a pooled memo to a pristine loop and the machine the

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -52,18 +53,19 @@ func TestRaceMemoHeightsConcurrent(t *testing.T) {
 }
 
 // TestPortfolioRaceWorkerCountInvariant races every exhaustive-tier
-// strategy over the shared memo at RaceWorkers 1 (pure sequential, no memo
-// contention) and RaceWorkers 8 (maximum contention) and demands identical
+// strategy over the shared memo at a race width of 1 (pure sequential, no
+// memo contention) and 8 (maximum contention) and demands identical
 // schedules. Run under -race at -cpu 1,4 this exercises the memo table
 // from genuinely concurrent attempts; in any mode it pins the documented
-// contract that RaceWorkers affects wall-clock only, never the result.
+// contract that the race width affects wall-clock only, never the result.
 func TestPortfolioRaceWorkerCountInvariant(t *testing.T) {
 	cfgs := []machine.Config{machine.Clustered(4), machine.Clustered(6)}
 	loops := corpus.Stressed()[:16]
 	for _, cfg := range cfgs {
 		for _, l := range loops {
-			seq, seqErr := ScheduleLoop(l, cfg, Options{Effort: EffortExhaustive, RaceWorkers: 1})
-			par, parErr := ScheduleLoop(l, cfg, Options{Effort: EffortExhaustive, RaceWorkers: 8})
+			opts := Options{Effort: EffortExhaustive}
+			seq, seqErr := scheduleLoop(context.Background(), l, cfg, opts, limitsFor(l, 1))
+			par, parErr := scheduleLoop(context.Background(), l, cfg, opts, limitsFor(l, 8))
 			if (seqErr == nil) != (parErr == nil) {
 				t.Fatalf("%s on %s: workers=1 err=%v, workers=8 err=%v", l.Name, cfg.Name, seqErr, parErr)
 			}

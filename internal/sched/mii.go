@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math/bits"
 
 	"vliwq/internal/ir"
 	"vliwq/internal/machine"
@@ -32,15 +33,16 @@ func ResMII(l *ir.Loop, cfg machine.Config) (int, error) {
 	return mii, nil
 }
 
-// resMIISubset computes ResMII using only the FUs of the given cluster
-// subset (the compact fallback's resource bound).
-func resMIISubset(l *ir.Loop, cfg machine.Config, clusters []int) (int, error) {
+// resMIISubset computes ResMII using only the FUs of the cluster subset
+// given as a mask (the compact fallback's resource bound).
+func resMIISubset(l *ir.Loop, cfg machine.Config, clusters uint64) (int, error) {
 	var ops [machine.NumClasses]int
 	for _, op := range l.Ops {
 		ops[machine.ClassOf(op.Kind)]++
 	}
 	var fus [machine.NumClasses]int
-	for _, c := range clusters {
+	for m := clusters; m != 0; m &= m - 1 {
+		c := bits.TrailingZeros64(m)
 		if c >= cfg.NumClusters() {
 			continue
 		}
@@ -54,8 +56,8 @@ func resMIISubset(l *ir.Loop, cfg machine.Config, clusters []int) (int, error) {
 			continue
 		}
 		if fus[c] == 0 {
-			// The subset lacks the class; allowedPrefs escapes the subset
-			// for those ops, so approximate with one machine-wide unit.
+			// The subset lacks the class; findSlot escapes the subset for
+			// those ops, so approximate with one machine-wide unit.
 			total := cfg.TotalFUs()
 			if total[c] == 0 {
 				return 0, fmt.Errorf("%w: %v", ErrNoFU, c)

@@ -108,12 +108,11 @@ func TestOptimalCancellation(t *testing.T) {
 func TestOptimalBudgetCutDeterministic(t *testing.T) {
 	cfg := machine.Clustered(6)
 	l := findGappedLoop(t, cfg)
-	opts := Options{Effort: EffortOptimal, BudgetRatio: 1}
 	var ref *Schedule
 	for _, workers := range []int{1, 4} {
-		o := opts
-		o.RaceWorkers = workers
-		s, err := ScheduleLoop(l, cfg, o)
+		lim := limitsFor(l, workers)
+		lim.budgetRatio = 1
+		s, err := scheduleLoop(context.Background(), l, cfg, Options{Effort: EffortOptimal}, lim)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

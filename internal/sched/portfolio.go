@@ -32,7 +32,6 @@ package sched
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 
 	"vliwq/internal/ir"
@@ -51,12 +50,11 @@ type attempt struct {
 	length  int // single-iteration span, the last tie-break metric
 }
 
-// runAttempt schedules l at one II under one strategy on a private arena.
+// runAttempt schedules l at one II under one strategy on a pooled arena.
 // ordinal is the 1-based position of ii on the candidate ladder; it seeds
-// the budget multiplier so each strategy sees the same budget growth it
-// would in the single-strategy search. memo carries the race-wide shared
-// pristine-loop facts (CSR views, per-II heights); the attempt's private
-// arena holds everything placement-dependent.
+// the budget multiplier, so every strategy sees the same budget growth.
+// memo carries the race-wide pristine-loop facts (CSR views, per-II
+// heights); the attempt's arena holds everything placement-dependent.
 func runAttempt(l *ir.Loop, cfg machine.Config, budgetRatio int, strat Strategy, ii, ordinal int, memo *raceMemo) attempt {
 	st := statePool.Get().(*state)
 	defer statePool.Put(st)
@@ -66,9 +64,16 @@ func runAttempt(l *ir.Loop, cfg machine.Config, budgetRatio int, strat Strategy,
 	if !st.tryII(ii) {
 		return attempt{stats: st.stats}
 	}
-	a := attempt{ok: true, stats: st.stats, moves: st.stats.MovesInserted}
-	a.loop = l
-	if len(st.loop.Ops) != len(l.Ops) {
+	return st.result(l)
+}
+
+// result copies a successful attempt out of the arena, which goes back to
+// the pool. When no move operations were inserted the working loop is
+// identical to the input and the input is kept (downstream passes treat
+// Schedule.Loop as read-only); otherwise the grown working copy is cloned.
+func (st *state) result(l *ir.Loop) attempt {
+	a := attempt{ok: true, stats: st.stats, loop: l, moves: len(st.loop.Ops) - len(l.Ops)}
+	if a.moves > 0 {
 		a.loop = st.loop.Clone()
 	}
 	a.time = append([]int(nil), st.time...)
@@ -91,71 +96,60 @@ func (a attempt) better(b attempt) bool {
 	return a.length < b.length
 }
 
-func (o Options) raceWorkers() int {
-	if o.RaceWorkers > 0 {
-		return o.RaceWorkers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // schedulePortfolio walks the candidate-II ladder racing every strategy at
-// each step. See the package comment above for the selection rule and its
-// determinism argument.
-func schedulePortfolio(st *state, l *ir.Loop, cfg machine.Config, opts Options, strats []Strategy, resMII, recMII, maxII int) (*Schedule, error) {
+// each step, then the compact fallback. Every effort tier runs it; the
+// fast tier's ladder has one strategy. See the package comment above for
+// the selection rule and its determinism argument. st is the caller's
+// arena: it holds the machine, the round's results and, after the race,
+// the compact fallback's attempts.
+func schedulePortfolio(st *state, l *ir.Loop, cfg machine.Config, strats []Strategy, resMII, recMII int, lim limits) (*Schedule, error) {
 	mii := resMII
 	if recMII > mii {
 		mii = recMII
 	}
-	ratio := opts.budgetRatio()
-	workers := opts.raceWorkers()
-	st.iiBuf = candidateIIs(st.iiBuf, mii, maxII)
+	st.cfg = cfg
+	st.iiBuf = candidateIIs(st.iiBuf, mii, lim.maxII)
 	iis := st.iiBuf
 	// The memo is shared by every racing attempt and released only after
 	// the last race round has completed (pool.Run is a barrier per round).
-	memo := newRaceMemo(l, &cfg)
+	memo := newRaceMemo(l, &st.cfg)
 	defer memo.release()
 
 	var total Stats
-	results := make([]attempt, len(strats))
-	for ord, ii := range iis {
-		for i := range results {
-			results[i] = attempt{}
+	if len(strats) > 1 {
+		total.StrategiesTried = len(strats)
+	}
+	finish := func(ii int, strat Strategy, a attempt) *Schedule {
+		total.MovesInserted = a.moves
+		return &Schedule{
+			Loop:     a.loop,
+			Machine:  cfg,
+			II:       ii,
+			Time:     a.time,
+			Cluster:  a.cluster,
+			ResMII:   resMII,
+			RecMII:   recMII,
+			Strategy: strat,
+			Stats:    total,
 		}
+	}
+	results := uninit(st.results, len(strats)) // cleared per round
+	st.results = results
+	for ord, ii := range iis {
+		clear(results)
 		atMII := ii == mii
-		if workers == 1 {
+		if lim.workers == 1 || len(strats) == 1 {
 			// A single worker runs the strategies in index order anyway, so
 			// the race degenerates to a plain loop — same results, same
 			// MII short-circuit, none of the pool's goroutine/channel cost.
 			for i := range strats {
-				results[i] = runAttempt(l, cfg, ratio, strats[i], ii, ord+1, memo)
+				results[i] = runAttempt(l, st.cfg, lim.budgetRatio, strats[i], ii, ord+1, memo)
 				if atMII && results[i].ok {
 					break
 				}
 			}
 		} else {
-			ctx, cancel := context.WithCancel(context.Background())
-			// minWin tracks the lowest strategy index that has scheduled at
-			// MII. Feeding is in index order, so by the time strategy i runs,
-			// every index below i has at least started and will complete;
-			// cancellation can only drop indices that cannot win.
-			minWin := atomic.Int64{}
-			minWin.Store(int64(len(strats)))
-			pool.Run(ctx, len(strats), workers, func(i int) {
-				if atMII && minWin.Load() < int64(i) {
-					return // a strictly better winner already exists
-				}
-				results[i] = runAttempt(l, cfg, ratio, strats[i], ii, ord+1, memo)
-				if atMII && results[i].ok {
-					for {
-						cur := minWin.Load()
-						if int64(i) >= cur || minWin.CompareAndSwap(cur, int64(i)) {
-							break
-						}
-					}
-					cancel()
-				}
-			}, nil)
-			cancel()
+			raceRound(st, l, strats, ii, ord+1, atMII, memo, lim)
 		}
 
 		win := -1
@@ -179,60 +173,57 @@ func schedulePortfolio(st *state, l *ir.Loop, cfg machine.Config, opts Options, 
 				win = i
 			}
 		}
-		if win < 0 {
-			continue
+		if win >= 0 {
+			s := finish(ii, strats[win], results[win])
+			clear(results) // drop the pooled arena's references
+			return s, nil
 		}
-		a := results[win]
-		total.MovesInserted = a.moves
-		total.StrategiesTried = len(strats)
-		return &Schedule{
-			Loop:     a.loop,
-			Machine:  cfg,
-			II:       ii,
-			Time:     a.time,
-			Cluster:  a.cluster,
-			ResMII:   resMII,
-			RecMII:   recMII,
-			Strategy: strats[win],
-			Stats:    total,
-		}, nil
 	}
 
 	// No strategy scheduled anywhere on the ladder: fall back to the
 	// compact cluster-subset search, which cannot fail on a valid loop.
-	// Compact mode restricts placement to a mutually adjacent subset, so
-	// the preference ordering is irrelevant and the result reports the
-	// baseline strategy. The race has ended, so the caller's state arena
-	// (and the memo, still valid) is reused for the fallback.
-	st.init(l, cfg, ratio, StrategyBaseline, memo)
+	// Compact mode ranks clusters by index under every strategy, so the
+	// result reports the baseline strategy. The race has ended, so the
+	// caller's arena (and the memo, still valid) serves the fallback.
+	st.init(l, cfg, lim.budgetRatio, StrategyBaseline, memo)
 	// Seed the attempt counter to the ladder length so the compact
-	// attempts run at the same (capped) budget multiplier they get in
-	// scheduleSingle after its full ladder — otherwise the portfolio's
-	// fallback would search with a smaller budget than the fast path and
-	// could land a strictly worse II. Only the attempts the fallback
-	// itself makes are added to the reported stats.
+	// attempts continue the ladder's budget growth (the multiplier caps
+	// at the fourth attempt). Only the attempts the fallback itself makes
+	// are added to the reported stats.
 	st.stats.Attempts = len(iis)
-	if ii := st.compactSchedule(mii, maxII); ii >= 0 {
-		resLoop := l
-		if len(st.loop.Ops) != len(l.Ops) {
-			resLoop = st.loop.Clone()
-		}
+	if ii := st.compactSchedule(mii, lim.maxII); ii >= 0 {
 		total.Attempts += st.stats.Attempts - len(iis)
 		total.Placements += st.stats.Placements
 		total.Evictions += st.stats.Evictions
-		total.MovesInserted = st.stats.MovesInserted
-		total.StrategiesTried = len(strats)
-		return &Schedule{
-			Loop:     resLoop,
-			Machine:  cfg,
-			II:       ii,
-			Time:     append([]int(nil), st.time...),
-			Cluster:  append([]int(nil), st.cluster...),
-			ResMII:   resMII,
-			RecMII:   recMII,
-			Strategy: StrategyBaseline,
-			Stats:    total,
-		}, nil
+		return finish(ii, StrategyBaseline, st.result(l)), nil
 	}
-	return nil, fmt.Errorf("%w: %q on %s (MII=%d, maxII=%d)", ErrNoSchedule, l.Name, cfg.Name, mii, maxII)
+	return nil, fmt.Errorf("%w: %q on %s (MII=%d, maxII=%d)", ErrNoSchedule, l.Name, cfg.Name, mii, lim.maxII)
+}
+
+// raceRound runs one rung of the ladder on the worker pool, writing each
+// strategy's attempt into st.results.
+func raceRound(st *state, l *ir.Loop, strats []Strategy, ii, ordinal int, atMII bool, memo *raceMemo, lim limits) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// minWin tracks the lowest strategy index that has scheduled at MII.
+	// Feeding is in index order, so by the time strategy i runs, every
+	// index below i has at least started and will complete; cancellation
+	// can only drop indices that cannot win.
+	minWin := atomic.Int64{}
+	minWin.Store(int64(len(strats)))
+	pool.Run(ctx, len(strats), lim.workers, func(i int) {
+		if atMII && minWin.Load() < int64(i) {
+			return // a strictly better winner already exists
+		}
+		st.results[i] = runAttempt(l, st.cfg, lim.budgetRatio, strats[i], ii, ordinal, memo)
+		if atMII && st.results[i].ok {
+			for {
+				cur := minWin.Load()
+				if int64(i) >= cur || minWin.CompareAndSwap(cur, int64(i)) {
+					break
+				}
+			}
+			cancel()
+		}
+	}, nil)
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"hash/fnv"
 	"reflect"
 	"strings"
@@ -131,7 +132,7 @@ func TestPortfolioDeterministic(t *testing.T) {
 	for _, l := range loops {
 		var ref *Schedule
 		for _, workers := range []int{1, 2, 8} {
-			s, err := ScheduleLoop(l, cfg, Options{Effort: EffortExhaustive, RaceWorkers: workers})
+			s, err := scheduleLoop(context.Background(), l, cfg, Options{Effort: EffortExhaustive}, limitsFor(l, workers))
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", l.Name, workers, err)
 			}

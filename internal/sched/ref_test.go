@@ -141,14 +141,26 @@ func (st *state) forceSlotRef(id, estart int, wl *worklist) (int, int, bool) {
 // clusterPrefsRef is the scalar reference for the preference order prefKey
 // ranks: it re-walks the op's edge lists once per candidate cluster instead
 // of gathering the per-cluster counters in one pass, then insertion-sorts
-// the key vectors. The compact fallback's positional order (allowedPrefs)
-// is shared with the packed path.
+// the key vectors. In compact mode it is an ordered scan of its own: the
+// subset's clusters offering the class, in index order, or else the lowest
+// cluster offering it.
 func (st *state) clusterPrefsRef(id int) []int {
 	class := machine.ClassOf(st.loop.Ops[id].Kind)
-	if st.allowed != nil {
-		return st.allowedPrefs(class)
-	}
 	nc := st.cfg.NumClusters()
+	if st.allowed != 0 {
+		var out []int
+		for c := 0; c < nc; c++ {
+			if st.allowed>>uint(c)&1 == 1 && st.cfg.FUCount(c, class) > 0 {
+				out = append(out, c)
+			}
+		}
+		for c := 0; c < nc && len(out) == 0; c++ {
+			if st.cfg.FUCount(c, class) > 0 {
+				out = append(out, c)
+			}
+		}
+		return out
+	}
 	var prefs []clusterPref
 	for c := 0; c < nc; c++ {
 		if st.cfg.FUCount(c, class) == 0 {

@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 
 	"vliwq/internal/ir"
 	"vliwq/internal/machine"
@@ -44,10 +45,8 @@ type Schedule struct {
 
 	// Strategy is the cluster-assignment strategy the schedule was
 	// produced under: StrategyBaseline unless a portfolio raced
-	// alternatives. A single-strategy run reports its configured strategy
-	// even through the compact fallback (where the restricted cluster
-	// subset makes every ordering equivalent); a portfolio race that ends
-	// in the compact fallback reports baseline.
+	// alternatives. A schedule from the compact fallback reports baseline,
+	// because the fallback ranks clusters by index under every strategy.
 	Strategy Strategy
 
 	// Bound is the optimality certificate of the schedule. Only
@@ -112,42 +111,32 @@ type Stats struct {
 
 // Options control the scheduler's effort.
 type Options struct {
-	// MaxII caps the search; 0 derives a safe default that always admits a
-	// fully sequential schedule.
-	MaxII int
-	// BudgetRatio bounds placements per II attempt at BudgetRatio*numOps
-	// (Rau's budget); 0 means DefaultBudgetRatio.
-	BudgetRatio int
 	// Effort selects the portfolio of cluster-assignment strategies raced
 	// per candidate II on clustered machines (portfolio.go). The zero
 	// value, EffortFast, runs the single baseline heuristic — bit-for-bit
 	// the scheduler's historical behaviour.
 	Effort Effort
-	// RaceWorkers bounds the parallelism of a portfolio race; 0 uses
-	// GOMAXPROCS. It affects wall-clock only, never the chosen schedule,
-	// so it must not participate in any cache key.
-	RaceWorkers int
 }
 
-// DefaultBudgetRatio is Rau's recommended scheduling budget multiplier.
+// DefaultBudgetRatio is Rau's recommended scheduling budget multiplier:
+// an II attempt may make DefaultBudgetRatio placements per operation.
 const DefaultBudgetRatio = 6
 
-func (o Options) budgetRatio() int {
-	if o.BudgetRatio > 0 {
-		return o.BudgetRatio
-	}
-	return DefaultBudgetRatio
+// limits bound one scheduling call. ScheduleLoopContext derives them; the
+// tests that pin ErrNoSchedule, budget cuts and worker-count invariance
+// pass their own to scheduleLoop.
+type limits struct {
+	maxII       int // top of the candidate-II ladder
+	budgetRatio int // placements per op and II attempt (Rau's budget)
+	workers     int // race width; wall-clock only, never the result
 }
 
-func (o Options) maxII(l *ir.Loop, mii int) int {
-	if o.MaxII > 0 {
-		return o.MaxII
-	}
-	m := l.SumLatency() + len(l.Ops)
-	if mii > m {
-		m = mii
-	}
-	return m + 8
+// iiCap is the top of the candidate-II ladder: far enough above MII that a
+// near-sequential schedule always exists. For a valid loop RecMII is at
+// most the summed latency (every circuit has distance >= 1) and ResMII at
+// most the op count, so the cap is always at least MII + 8.
+func iiCap(l *ir.Loop) int {
+	return l.SumLatency() + len(l.Ops) + 8
 }
 
 // candidateIIs enumerates the IIs to attempt: every value near MII (where
@@ -179,7 +168,7 @@ var (
 	// ErrNoFU indicates the machine lacks a functional unit class that the
 	// loop needs (e.g. a copy operation on a machine without COPY units).
 	ErrNoFU = errors.New("sched: loop needs an FU class the machine does not have")
-	// ErrNoSchedule indicates no schedule was found up to MaxII.
+	// ErrNoSchedule indicates no schedule was found up to the II cap.
 	ErrNoSchedule = errors.New("sched: no schedule found within II and budget limits")
 )
 
@@ -207,86 +196,42 @@ func ScheduleLoop(l *ir.Loop, cfg machine.Config, opts Options) (*Schedule, erro
 // with Bound.Optimal=false and Bound.DeadlineCut=true (the anytime
 // contract, DESIGN.md §14). Every other effort level ignores ctx, so the
 // heuristic tiers stay deterministic under any deadline.
+//
+// The loop must be valid (ir.(*Loop).Validate): the compile engine checks
+// it once at its entry, and every pass before the scheduler preserves
+// validity. The machine is checked here.
 func ScheduleLoopContext(ctx context.Context, l *ir.Loop, cfg machine.Config, opts Options) (*Schedule, error) {
-	if err := l.Validate(); err != nil {
-		return nil, err
-	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	return scheduleLoop(ctx, l, cfg, opts, limits{
+		maxII:       iiCap(l),
+		budgetRatio: DefaultBudgetRatio,
+		workers:     runtime.GOMAXPROCS(0),
+	})
+}
+
+// scheduleLoop computes the lower bounds and runs the strategy race of the
+// effort tier (a one-strategy ladder at EffortFast), then, at
+// EffortOptimal, the exact search that certifies or improves the race's
+// schedule.
+func scheduleLoop(ctx context.Context, l *ir.Loop, cfg machine.Config, opts Options, lim limits) (*Schedule, error) {
 	resMII, err := ResMII(l, cfg)
 	if err != nil {
 		return nil, err
 	}
-	// The scheduling state is acquired before the lower bounds so RecMII
-	// runs out of the same arena (recScratch) instead of allocating; the
-	// state then serves the single-strategy search or the portfolio's
-	// compact fallback directly.
+	// The driver's state is acquired before the lower bounds so RecMII
+	// runs out of its arena (recScratch) instead of allocating; the race
+	// then keeps its round results there and reuses it for the compact
+	// fallback.
 	st := statePool.Get().(*state)
 	defer statePool.Put(st)
 	recMII := recMIIInto(l, &st.rec)
-	mii := resMII
-	if recMII > mii {
-		mii = recMII
-	}
-	maxII := opts.maxII(l, mii)
 	strats := opts.strategySet(cfg.NumClusters())
 	if opts.Effort == EffortOptimal {
-		return scheduleOptimal(ctx, st, l, cfg, opts, strats, resMII, recMII, maxII)
+		return scheduleOptimal(ctx, st, l, cfg, strats, resMII, recMII, lim)
 	}
-	if len(strats) > 1 {
-		return schedulePortfolio(st, l, cfg, opts, strats, resMII, recMII, maxII)
-	}
-	return scheduleSingle(st, l, cfg, opts, strats[0], resMII, recMII, maxII)
-}
-
-// scheduleSingle is the historical single-strategy search: the candidate-II
-// ladder under one cluster-preference policy, then the compact fallbacks.
-func scheduleSingle(st *state, l *ir.Loop, cfg machine.Config, opts Options, strat Strategy, resMII, recMII, maxII int) (*Schedule, error) {
-	mii := resMII
-	if recMII > mii {
-		mii = recMII
-	}
-	st.init(l, cfg, opts.budgetRatio(), strat, nil)
-	finish := func(ii int) *Schedule {
-		// The state goes back to the pool, so the schedule takes copies of
-		// the placement arrays. When no move operations were inserted the
-		// working loop is identical to the input and the input is returned
-		// (downstream passes treat Schedule.Loop as read-only); otherwise
-		// the grown working copy is cloned out of the arena.
-		resLoop := l
-		if len(st.loop.Ops) != len(l.Ops) {
-			resLoop = st.loop.Clone()
-		}
-		time := make([]int, len(st.time))
-		copy(time, st.time)
-		cluster := make([]int, len(st.cluster))
-		copy(cluster, st.cluster)
-		return &Schedule{
-			Loop:     resLoop,
-			Machine:  cfg,
-			II:       ii,
-			Time:     time,
-			Cluster:  cluster,
-			ResMII:   resMII,
-			RecMII:   recMII,
-			Strategy: strat,
-			Stats:    st.stats,
-		}
-	}
-	st.iiBuf = candidateIIs(st.iiBuf, mii, maxII)
-	for _, ii := range st.iiBuf {
-		st.stats.Attempts++
-		st.ordinal = st.stats.Attempts
-		if st.tryII(ii) {
-			return finish(ii), nil
-		}
-		st.reset()
-	}
-	if ii := st.compactSchedule(mii, maxII); ii >= 0 {
-		return finish(ii), nil
-	}
-	return nil, fmt.Errorf("%w: %q on %s (MII=%d, maxII=%d)", ErrNoSchedule, l.Name, cfg.Name, mii, maxII)
+	return schedulePortfolio(st, l, cfg, strats, resMII, recMII, lim)
 }
 
 // compactSchedule runs the compact fallbacks, for the rare loops whose
@@ -303,8 +248,8 @@ func (st *state) compactSchedule(mii, maxII int) int {
 	if st.cfg.NumClusters() <= 1 {
 		return -1
 	}
-	subsets := [][]int{{0, 1}, {0}}
-	for _, allowed := range subsets {
+	// The subsets as cluster masks: {0, 1}, then {0}.
+	for _, allowed := range [...]uint64{0b11, 0b1} {
 		sub, err := resMIISubset(st.orig, st.cfg, allowed)
 		if err != nil {
 			continue

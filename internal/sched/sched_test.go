@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -228,11 +229,19 @@ func TestScheduleDeterminism(t *testing.T) {
 	}
 }
 
+// limitsFor returns the limits ScheduleLoopContext derives for l, at the
+// given race width.
+func limitsFor(l *ir.Loop, workers int) limits {
+	return limits{maxII: iiCap(l), budgetRatio: DefaultBudgetRatio, workers: workers}
+}
+
 func TestOptionsMaxIIRespected(t *testing.T) {
 	l := corpus.DivNorm() // RecMII 9
-	_, err := ScheduleLoop(l, machine.SingleCluster(4), Options{MaxII: 3})
+	lim := limitsFor(l, 1)
+	lim.maxII = 3
+	_, err := scheduleLoop(context.Background(), l, machine.SingleCluster(4), Options{}, lim)
 	if !errors.Is(err, ErrNoSchedule) {
-		t.Fatalf("expected ErrNoSchedule with MaxII below RecMII, got %v", err)
+		t.Fatalf("expected ErrNoSchedule with the II cap below RecMII, got %v", err)
 	}
 }
 
@@ -246,10 +255,10 @@ func TestCommLatencyRespected(t *testing.T) {
 	}
 }
 
+// TestInvalidInputsRejected: the scheduler checks the machine. Loops are
+// checked once, at the compile engine's entry (TestCompileRejectsInvalidLoops
+// in the root package).
 func TestInvalidInputsRejected(t *testing.T) {
-	if _, err := ScheduleLoop(ir.New("empty"), machine.SingleCluster(4), Options{}); err == nil {
-		t.Fatal("empty loop accepted")
-	}
 	bad := machine.Config{Name: "none"}
 	if _, err := ScheduleLoop(corpus.Daxpy(), bad, Options{}); err == nil {
 		t.Fatal("machine without clusters accepted")

@@ -138,9 +138,8 @@ func (r Request) Options() (Options, error) { return Prepare(r).Options() }
 // Request: the loop through FormatLoop, the machine through Machine.Spec.
 // Only machines built by SingleCluster/Clustered/ParseMachine have a spec,
 // so hand-assembled Configs with custom cluster mixes do not survive the
-// trip; neither do Options.VerifyIterations or an explicit
-// Options.Sched.Strategies list, which are session-level knobs with no
-// wire representation.
+// trip; neither does Options.VerifyIterations, a session-level knob with
+// no wire representation.
 func NewRequest(l *Loop, opts Options) Request {
 	m := opts.Machine
 	if m.NumClusters() == 0 {

@@ -105,6 +105,46 @@ func TestCompileOptionsValidation(t *testing.T) {
 	}
 }
 
+// TestCompileRejectsInvalidLoops: the engine's entry check is the one
+// validation a hand-built loop gets before unrolling, copy insertion and
+// scheduling, so every ir validation error must surface from Compile,
+// with and without unrolling.
+func TestCompileRejectsInvalidLoops(t *testing.T) {
+	chain := func() *ir.Loop {
+		l := ir.New("chain")
+		a := l.AddOp(ir.KLoad, "a")
+		b := l.AddOp(ir.KMul, "b")
+		l.AddFlow(a, b)
+		l.AddFlow(l.AddOp(ir.KLoad, "x"), b)
+		l.AddFlow(b, l.AddOp(ir.KStore, "c"))
+		return l
+	}
+	cases := []struct {
+		name string
+		mut  func(*ir.Loop)
+		want error
+	}{
+		{"empty", func(l *ir.Loop) { l.Ops, l.Deps = nil, nil }, ir.ErrEmptyLoop},
+		{"misnumbered", func(l *ir.Loop) { l.Ops[1] = &ir.Op{ID: 7, Kind: ir.KMul} }, ir.ErrMisnumberedOps},
+		{"bad-kind", func(l *ir.Loop) { l.Ops[0] = &ir.Op{ID: 0, Kind: ir.KInvalid} }, ir.ErrBadKind},
+		{"bad-dep-target", func(l *ir.Loop) { l.Deps[0].To = 99 }, ir.ErrBadOpID},
+		{"negative-dist", func(l *ir.Loop) { l.Deps[0].Dist = -1 }, ir.ErrNegativeDist},
+		{"self-dep", func(l *ir.Loop) { l.AddDep(ir.Dep{From: 1, To: 1, Kind: ir.Flow}) }, ir.ErrSelfDep},
+		{"store-produces", func(l *ir.Loop) { l.AddDep(ir.Dep{From: 3, To: 1, Dist: 1, Kind: ir.Flow}) }, ir.ErrStoreProduces},
+		{"too-many-inputs", func(l *ir.Loop) { l.AddFlow(l.AddOp(ir.KLoad, "y"), l.Ops[1]) }, ir.ErrTooManyInputs},
+		{"zero-dist-cycle", func(l *ir.Loop) { l.AddDep(ir.Dep{From: 1, To: 0, Kind: ir.Order}) }, ir.ErrZeroDistCycle},
+	}
+	for _, c := range cases {
+		for _, opts := range []vliwq.Options{{}, {Machine: vliwq.Clustered(4), UnrollFactor: 4}} {
+			l := chain()
+			c.mut(l)
+			if _, err := vliwq.Compile(l, opts); !errors.Is(err, c.want) {
+				t.Errorf("%s (unroll factor %d): Compile error %v, want %v", c.name, opts.UnrollFactor, err, c.want)
+			}
+		}
+	}
+}
+
 func TestCompileUnrollFactorApplied(t *testing.T) {
 	loop := corpus.KernelByName("stencil3")
 	res, err := vliwq.Compile(loop, vliwq.Options{Machine: vliwq.SingleCluster(6), UnrollFactor: 2})
