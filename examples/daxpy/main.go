@@ -26,10 +26,7 @@ func main() {
 	fmt.Printf("kernel %s: %d ops, max fanout %d\n\n", loop.Name, len(loop.Ops), loop.MaxFanout())
 
 	// What copy insertion does to the graph.
-	ins, err := copyins.Insert(loop, copyins.Tree)
-	if err != nil {
-		log.Fatal(err)
-	}
+	ins := copyins.Insert(loop, copyins.Tree)
 	fmt.Printf("copy insertion: %d values fanned out through %d copies\n",
 		ins.ValuesFanned, ins.CopiesAdded)
 	for _, op := range ins.Loop.Ops {

@@ -53,9 +53,9 @@ type Result struct {
 // l must be valid (ir.(*Loop).Validate); the compile engine checks it once
 // at its entry. The rewritten loop of a valid loop is valid:
 // TestPassesKeepLoopsValid checks it over every corpus and shape.
-func Insert(l *ir.Loop, shape Shape) (*Result, error) {
+func Insert(l *ir.Loop, shape Shape) *Result {
 	if shape == None {
-		return &Result{Loop: l.Clone()}, nil
+		return &Result{Loop: l.Clone()}
 	}
 
 	// Every producer's flow consumers (dependence indices, in Deps order),
@@ -112,7 +112,7 @@ func Insert(l *ir.Loop, shape Shape) (*Result, error) {
 		res.ValuesFanned++
 		f.build(id, cs, shape)
 	}
-	return res, nil
+	return res
 }
 
 // fanoutLimit is the number of consumers a value of the kind may feed

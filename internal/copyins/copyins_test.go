@@ -10,10 +10,7 @@ import (
 
 func TestInsertSingleConsumerUntouched(t *testing.T) {
 	l := corpus.Daxpy() // straight chain, fanout 1 everywhere
-	res, err := Insert(l, Tree)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Insert(l, Tree)
 	if res.CopiesAdded != 0 || res.ValuesFanned != 0 {
 		t.Fatalf("chain loop got %d copies", res.CopiesAdded)
 	}
@@ -28,10 +25,7 @@ func TestInsertFanoutProperty(t *testing.T) {
 	loops := append(corpus.Kernels(), corpus.Generate(corpus.Params{Seed: 31, N: 80})...)
 	for _, shape := range []Shape{Tree, Chain} {
 		for _, l := range loops {
-			res, err := Insert(l, shape)
-			if err != nil {
-				t.Fatalf("%s: %v", l.Name, err)
-			}
+			res := Insert(l, shape)
 			for _, op := range res.Loop.Ops {
 				fan := res.Loop.Fanout(op)
 				limit := 1
@@ -57,10 +51,7 @@ func TestInsertCopyCount(t *testing.T) {
 			l.AddFlow(src, st)
 		}
 		for _, shape := range []Shape{Tree, Chain} {
-			res, err := Insert(l, shape)
-			if err != nil {
-				t.Fatalf("n=%d %v: %v", n, shape, err)
-			}
+			res := Insert(l, shape)
 			if res.CopiesAdded != n-1 {
 				t.Errorf("n=%d %v: %d copies, want %d", n, shape, res.CopiesAdded, n-1)
 			}
@@ -79,10 +70,7 @@ func TestTreeDepthBeatsChain(t *testing.T) {
 		l.AddFlow(src, st)
 	}
 	depth := func(shape Shape) int {
-		res, err := Insert(l, shape)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := Insert(l, shape)
 		// Longest zero-distance path from src to any store, in copy hops.
 		lp := make([]int, len(res.Loop.Ops))
 		order, err := res.Loop.TopoOrder()
@@ -117,10 +105,7 @@ func TestInsertPreservesSemantics(t *testing.T) {
 	loops := append(corpus.Kernels(), corpus.Generate(corpus.Params{Seed: 32, N: 60})...)
 	for _, shape := range []Shape{Tree, Chain} {
 		for _, l := range loops {
-			res, err := Insert(l, shape)
-			if err != nil {
-				t.Fatalf("%s: %v", l.Name, err)
-			}
+			res := Insert(l, shape)
 			refA, err := sim.Reference(l, 30)
 			if err != nil {
 				t.Fatalf("%s: %v", l.Name, err)
@@ -147,10 +132,7 @@ func TestInsertDistancesMoveToLeaves(t *testing.T) {
 	l.AddFlow(a, st1)
 	st2 := l.AddOp(ir.KStore, "s2")
 	l.AddFlow(b, st2)
-	res, err := Insert(l, Tree)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Insert(l, Tree)
 	for _, d := range res.Loop.Deps {
 		if res.Loop.Ops[d.To].Kind == ir.KCopy && d.Dist != 0 {
 			t.Fatalf("copy input edge carries distance %d", d.Dist)
@@ -170,14 +152,8 @@ func TestInsertDistancesMoveToLeaves(t *testing.T) {
 
 func TestInsertIdempotent(t *testing.T) {
 	l := corpus.ComplexMul()
-	res1, err := Insert(l, Tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := Insert(res1.Loop, Tree)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res1 := Insert(l, Tree)
+	res2 := Insert(res1.Loop, Tree)
 	if res2.CopiesAdded != 0 {
 		t.Fatalf("second insertion added %d copies", res2.CopiesAdded)
 	}

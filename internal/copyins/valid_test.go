@@ -40,10 +40,7 @@ func TestPassesKeepLoopsValid(t *testing.T) {
 			}
 			for _, in := range inputs {
 				for _, shape := range []Shape{Tree, Chain, None} {
-					res, err := Insert(in, shape)
-					if err != nil {
-						t.Fatalf("%s/%s: Insert(%v): %v", name, in.Name, shape, err)
-					}
+					res := Insert(in, shape)
 					if err := res.Loop.Validate(); err != nil {
 						t.Fatalf("%s/%s: Insert(%v) output invalid: %v", name, in.Name, shape, err)
 					}

@@ -36,10 +36,7 @@ func kernelVariants(t testing.TB, i int, l *ir.Loop, rng *rand.Rand) []*ir.Loop 
 	if err != nil {
 		t.Fatalf("%s: unroll: %v", l.Name, err)
 	}
-	c, err := copyins.Insert(l, copyins.Tree)
-	if err != nil {
-		t.Fatalf("%s: copyins: %v", l.Name, err)
-	}
+	c := copyins.Insert(l, copyins.Tree)
 	var out []*ir.Loop
 	for _, v := range []*ir.Loop{l, u, c.Loop} {
 		out = append(out, v, renamed(v), permuted(v, rng))

@@ -16,10 +16,7 @@ func TestRealOpsExcludesOverhead(t *testing.T) {
 	if got, want := RealOps(l), len(l.Ops); got != want {
 		t.Fatalf("RealOps = %d, want %d", got, want)
 	}
-	ins, err := copyins.Insert(l, copyins.Tree)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ins := copyins.Insert(l, copyins.Tree)
 	if got := RealOps(ins.Loop); got != len(l.Ops) {
 		t.Fatalf("RealOps after copy insertion = %d, want %d (copies excluded)", got, len(l.Ops))
 	}

@@ -13,10 +13,7 @@ import (
 
 func compile(t testing.TB, l *ir.Loop, cfg machine.Config) *sched.Schedule {
 	t.Helper()
-	ins, err := copyins.Insert(l, copyins.Tree)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ins := copyins.Insert(l, copyins.Tree)
 	s, err := sched.ScheduleLoop(ins.Loop, cfg, sched.Options{})
 	if err != nil {
 		t.Fatalf("%s: %v", l.Name, err)

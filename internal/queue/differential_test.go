@@ -63,10 +63,7 @@ func compileRef(t testing.TB, l *ir.Loop, rc refConfig) *sched.Schedule {
 		}
 		work = u
 	}
-	ins, err := copyins.Insert(work, rc.shape)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ins := copyins.Insert(work, rc.shape)
 	s, err := sched.ScheduleLoop(ins.Loop, rc.cfg, sched.Options{})
 	if err != nil {
 		t.Fatalf("%s on %s: %v", l.Name, rc.name, err)

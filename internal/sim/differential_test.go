@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+
 	"fmt"
 	"maps"
 	"math"
@@ -54,10 +56,7 @@ func compileFor(l *ir.Loop, dc diffConfig) (*sched.Schedule, *queue.Allocation, 
 		}
 		work = u
 	}
-	ins, err := copyins.Insert(work, dc.shape)
-	if err != nil {
-		return nil, nil, err
-	}
+	ins := copyins.Insert(work, dc.shape)
 	s, err := sched.ScheduleLoop(ins.Loop, dc.cfg, sched.Options{})
 	if err != nil {
 		return nil, nil, err
@@ -65,7 +64,19 @@ func compileFor(l *ir.Loop, dc diffConfig) (*sched.Schedule, *queue.Allocation, 
 	return s, queue.Allocate(s), nil
 }
 
-// verifyIters is the engine's iteration count: the trip count, capped at 64.
+// diffLoops is every kernel plus every 8th standard and stressed loop.
+func diffLoops() []*ir.Loop {
+	loops := corpus.Kernels()
+	for _, set := range [][]*ir.Loop{corpus.Standard(), corpus.Stressed()} {
+		for i := 0; i < len(set); i += 8 {
+			loops = append(loops, set[i])
+		}
+	}
+	return loops
+}
+
+// verifyIters is the long replay's iteration count, the engine's before it
+// stopped at the horizon: the trip count, capped at 64.
 func verifyIters(s *sched.Schedule) int { return min(s.Loop.TripCount(), 64) }
 
 // faultKind is one way to break a valid schedule or allocation.
@@ -263,7 +274,7 @@ func diffRun(t testing.TB, label string, s *sched.Schedule, a *queue.Allocation,
 		if verr == nil {
 			verr = CompareStores(ref.Stores, want.Stores, false)
 		}
-		sameFailure(t, label+": VerifyPipeline", VerifyPipeline(s, a, n), verr)
+		sameFailure(t, label+": VerifyPipeline", VerifyPipeline(context.Background(), s, a, n), verr)
 	}
 	return class
 }
@@ -273,13 +284,7 @@ func diffRun(t testing.TB, label string, s *sched.Schedule, a *queue.Allocation,
 // loop, under five configurations, clean and with every fault kind. The
 // nightly FuzzPipelinedDifferential explores further.
 func TestPipelinedDifferential(t *testing.T) {
-	var loops []*ir.Loop
-	loops = append(loops, corpus.Kernels()...)
-	for _, set := range [][]*ir.Loop{corpus.Standard(), corpus.Stressed()} {
-		for i := 0; i < len(set); i += 8 {
-			loops = append(loops, set[i])
-		}
-	}
+	loops := diffLoops()
 	for _, dc := range diffConfigs() {
 		t.Run(dc.name, func(t *testing.T) {
 			t.Parallel()

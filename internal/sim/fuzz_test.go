@@ -37,9 +37,10 @@ type fuzzCompile struct {
 // configurations, and up to four faults, two bytes each (kind, target),
 // applied in order. When both sides pass they must agree on Cycles,
 // Issues, MaxDepth and Stores; when both fail, on the error class (and on
-// the message wherever the oracle's is deterministic). Nightly fuzz.yml
-// runs this target; crashers land in testdata/fuzz and are committed as
-// regression seeds.
+// the message wherever the oracle's is deterministic). The engine's
+// replay, min(trip, 64, Horizon) iterations, must reach the verdict class
+// of that 64-iteration one. Nightly fuzz.yml runs this target; crashers
+// land in testdata/fuzz and are committed as regression seeds.
 func FuzzPipelinedDifferential(f *testing.F) {
 	f.Add(uint8(0), uint8(0), []byte{})
 	f.Add(uint8(5), uint8(1), []byte{byte(faultDepth1), 0})
@@ -72,6 +73,11 @@ func FuzzPipelinedDifferential(f *testing.F) {
 				label += fmt.Sprintf(" +%v(%d)", fk, faults[i+1])
 			}
 		}
-		diffRun(t, label, s, a, verifyIters(s), dcs[ci].multi)
+		n, multi := verifyIters(s), dcs[ci].multi
+		diffRun(t, label, s, a, n, multi)
+		short := min(n, Horizon(s))
+		if got, want := replayClass(s, a, short, multi), replayClass(s, a, n, multi); got != want {
+			t.Errorf("%s: %d iterations (horizon) gives %s, %d gives %s", label, short, got, n, want)
+		}
 	})
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -42,18 +43,20 @@ func Pipelined(s *sched.Schedule, alloc *queue.Allocation, opt PipeOptions) (*Pi
 		n = s.Loop.TripCount()
 	}
 	res := &PipeResult{Stores: map[StoreKey]int64{}}
-	if _, err := pipelined(s, alloc, n, opt.AllowMultiWrite, res); err != nil {
+	if _, err := pipelined(context.Background(), s, alloc, n, opt.AllowMultiWrite, res); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
 // VerifyPipeline runs both executions and compares their stores. It is the
-// end-to-end check used by tests and cmd/vliwsched. Both runs execute the
-// same loop for the same n, so their store instances pair up one to one by
-// (op, body iteration) and are compared directly, without building either
-// side's Stores map.
-func VerifyPipeline(s *sched.Schedule, alloc *queue.Allocation, n int) error {
+// end-to-end check the compile engine runs, for min(trip, 64, Horizon(s))
+// iterations unless told otherwise. Both runs execute the same loop for the
+// same n, so their store instances pair up one to one by (op, body
+// iteration) and are compared directly, without building either side's
+// Stores map. The pipelined run checks ctx once per II-cycle window and
+// returns ctx.Err() as soon as it is non-nil.
+func VerifyPipeline(ctx context.Context, s *sched.Schedule, alloc *queue.Allocation, n int) error {
 	if n <= 0 {
 		n = s.Loop.TripCount()
 	}
@@ -62,7 +65,7 @@ func VerifyPipeline(s *sched.Schedule, alloc *queue.Allocation, n int) error {
 	if err != nil {
 		return err
 	}
-	got, err := pipelined(s, alloc, n, false, &PipeResult{})
+	got, err := pipelined(ctx, s, alloc, n, false, &PipeResult{})
 	if err != nil {
 		return err
 	}
@@ -111,8 +114,8 @@ type fifo struct {
 // tests diff it against, so both name the same event in every error.
 // Values live in one flat [op*n+k] slice, which it returns. res receives
 // Cycles, Issues and MaxDepth, and each store instance when res.Stores is
-// non-nil.
-func pipelined(s *sched.Schedule, alloc *queue.Allocation, n int, allowMultiWrite bool, res *PipeResult) ([]int64, error) {
+// non-nil. ctx is checked once per visited window.
+func pipelined(ctx context.Context, s *sched.Schedule, alloc *queue.Allocation, n int, allowMultiWrite bool, res *PipeResult) ([]int64, error) {
 	l := s.Loop
 	if err := s.Verify(); err != nil {
 		return nil, err
@@ -196,12 +199,9 @@ func pipelined(s *sched.Schedule, alloc *queue.Allocation, n int, allowMultiWrit
 		if d.Kind != ir.Flow {
 			continue
 		}
-		wbase := s.Time[d.From] + l.Ops[d.From].Kind.Latency()
-		if s.Cluster[d.From] != s.Cluster[d.To] {
-			wbase += s.Machine.CommLatency
-		}
+		wbase := writeBase(s, d)
 		// Keep d*II, and so every cycle of the run, far from overflow.
-		if d.Dist > maxCarry/ii || d.Dist < -maxCarry/ii {
+		if beyondCarry(d.Dist, ii) {
 			return nil, fmt.Errorf("sim: dependence %v: distance %d at II %d is beyond the simulated cycle range", d, d.Dist, ii)
 		}
 		writeRow[di], writeWin[di] = int32(mod(wbase, ii)), floorDiv(wbase, ii)
@@ -247,6 +247,9 @@ func pipelined(s *sched.Schedule, alloc *queue.Allocation, n int, allowMultiWrit
 		}
 		for ; next < len(starts) && starts[next] <= w; next++ {
 			hi = max(hi, starts[next]+n-1)
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
 		for _, row := range rows {
 			t := w*ii + int(row)
@@ -344,6 +347,60 @@ func pipelined(s *sched.Schedule, alloc *queue.Allocation, n int, allowMultiWrit
 	}
 	return vals, nil
 }
+
+// Horizon is the least iteration count from which every longer replay of s
+// reaches the same verdict and error class. A run of n >= Horizon(s)
+// iterations has a full window: an II-cycle window in which every op issues
+// and every flow dependence writes. Past it the run repeats itself with
+// every value tag one iteration later, and its drain is a shorter run's
+// drain shifted by whole windows (DESIGN.md §6). Horizon is the spread of
+// the first-event windows plus one. An op's first window is
+// floorDiv(Time, II); a flow dependence's is floorDiv of its write base,
+// Time[from]+lat(+comm), minus its distance. On a valid loop, a schedule
+// that passes Schedule.Verify has Horizon <= StageCount + the largest flow
+// distance. A distance or spread beyond the simulated cycle range
+// saturates to math.MaxInt.
+func Horizon(s *sched.Schedule) int {
+	ii := s.II
+	lo, hi := math.MaxInt, math.MinInt
+	for _, t := range s.Time {
+		w := floorDiv(t, ii)
+		lo, hi = min(lo, w), max(hi, w)
+	}
+	for _, d := range s.Loop.Deps {
+		if d.Kind != ir.Flow {
+			continue
+		}
+		if beyondCarry(d.Dist, ii) {
+			return math.MaxInt
+		}
+		w := floorDiv(writeBase(s, d), ii) - d.Dist
+		lo, hi = min(lo, w), max(hi, w)
+	}
+	switch span := hi - lo; {
+	case hi < lo: // no ops
+		return 1
+	case span < 0 || span >= maxCarry: // the subtraction wrapped, or past the cycle range
+		return math.MaxInt
+	default:
+		return span + 1
+	}
+}
+
+// writeBase is the cycle in which flow dependence d writes producer
+// iteration 0: the producer's issue plus its latency, plus the ring's comm
+// latency when the value crosses clusters.
+func writeBase(s *sched.Schedule, d ir.Dep) int {
+	wbase := s.Time[d.From] + s.Loop.Ops[d.From].Kind.Latency()
+	if s.Cluster[d.From] != s.Cluster[d.To] {
+		wbase += s.Machine.CommLatency
+	}
+	return wbase
+}
+
+// beyondCarry reports a distance whose live-in writes, dist*II cycles early,
+// fall outside the simulated cycle range.
+func beyondCarry(dist, ii int) bool { return dist > maxCarry/ii || dist < -maxCarry/ii }
 
 // drained checks that every queue emptied: a non-empty queue means a value
 // was produced and never consumed (allocation/schedule mismatch). Queues

@@ -1,6 +1,8 @@
 package sim_test
 
 import (
+	"context"
+
 	"testing"
 
 	"vliwq/internal/copyins"
@@ -25,10 +27,7 @@ func TestUnrolledPipelineEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ins, err := copyins.Insert(u, copyins.Tree)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ins := copyins.Insert(u, copyins.Tree)
 		s, err := sched.ScheduleLoop(ins.Loop, cfg, sched.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -55,16 +54,13 @@ func TestPipelineWithCommLatency(t *testing.T) {
 	cfg := machine.Clustered(4)
 	cfg.CommLatency = 2
 	for _, l := range corpus.Generate(corpus.Params{Seed: 61, N: 20}) {
-		ins, err := copyins.Insert(l, copyins.Tree)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ins := copyins.Insert(l, copyins.Tree)
 		s, err := sched.ScheduleLoop(ins.Loop, cfg, sched.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", l.Name, err)
 		}
 		a := queue.Allocate(s)
-		if err := sim.VerifyPipeline(s, a, 16); err != nil {
+		if err := sim.VerifyPipeline(context.Background(), s, a, 16); err != nil {
 			t.Fatalf("%s: %v", l.Name, err)
 		}
 	}
@@ -77,10 +73,7 @@ func TestPipelineWithMoves(t *testing.T) {
 	cfg.AllowMoves = true
 	verified, withMoves := 0, 0
 	for _, l := range corpus.Generate(corpus.Params{Seed: 62, N: 40}) {
-		ins, err := copyins.Insert(l, copyins.Tree)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ins := copyins.Insert(l, copyins.Tree)
 		s, err := sched.ScheduleLoop(ins.Loop, cfg, sched.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", l.Name, err)
@@ -92,7 +85,7 @@ func TestPipelineWithMoves(t *testing.T) {
 			}
 		}
 		a := queue.Allocate(s)
-		if err := sim.VerifyPipeline(s, a, 12); err != nil {
+		if err := sim.VerifyPipeline(context.Background(), s, a, 12); err != nil {
 			t.Fatalf("%s: %v", l.Name, err)
 		}
 		verified++
@@ -148,10 +141,7 @@ func TestPipelinedQueueDepthEnforced(t *testing.T) {
 	l := corpus.Wave2()
 	cfg := machine.SingleCluster(6)
 	cfg.Clusters[0].QueueDepth = 1
-	ins, err := copyins.Insert(l, copyins.Tree)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ins := copyins.Insert(l, copyins.Tree)
 	s, err := sched.ScheduleLoop(ins.Loop, cfg, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -172,10 +162,7 @@ func TestPipelinedQueueDepthEnforced(t *testing.T) {
 // pipelined length within one stage (drain details).
 func TestPipelinedReportsCycles(t *testing.T) {
 	l := corpus.KernelByName("daxpy")
-	ins, err := copyins.Insert(l, copyins.Tree)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ins := copyins.Insert(l, copyins.Tree)
 	s, err := sched.ScheduleLoop(ins.Loop, machine.SingleCluster(6), sched.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,8 @@
 package sim_test
 
 import (
+	"context"
+
 	"strings"
 	"testing"
 
@@ -16,10 +18,7 @@ import (
 // compile runs the full pipeline: copy insertion, scheduling, allocation.
 func compile(t testing.TB, l *ir.Loop, cfg machine.Config) (*sched.Schedule, *queue.Allocation) {
 	t.Helper()
-	ins, err := copyins.Insert(l, copyins.Tree)
-	if err != nil {
-		t.Fatalf("copyins(%s): %v", l.Name, err)
-	}
+	ins := copyins.Insert(l, copyins.Tree)
 	s, err := sched.ScheduleLoop(ins.Loop, cfg, sched.Options{})
 	if err != nil {
 		t.Fatalf("schedule(%s on %s): %v", l.Name, cfg.Name, err)
@@ -58,7 +57,7 @@ func TestKernelsEndToEndSingleCluster(t *testing.T) {
 		l := l
 		t.Run(l.Name, func(t *testing.T) {
 			s, a := compile(t, l, cfg)
-			if err := sim.VerifyPipeline(s, a, 40); err != nil {
+			if err := sim.VerifyPipeline(context.Background(), s, a, 40); err != nil {
 				t.Fatalf("pipeline(%s): %v", l.Name, err)
 			}
 		})
@@ -71,7 +70,7 @@ func TestKernelsEndToEndClustered(t *testing.T) {
 		l := l
 		t.Run(l.Name, func(t *testing.T) {
 			s, a := compile(t, l, cfg)
-			if err := sim.VerifyPipeline(s, a, 40); err != nil {
+			if err := sim.VerifyPipeline(context.Background(), s, a, 40); err != nil {
 				t.Fatalf("pipeline(%s): %v", l.Name, err)
 			}
 		})
@@ -84,7 +83,7 @@ func TestCorpusSampleEndToEnd(t *testing.T) {
 	for _, cfg := range configs {
 		for _, l := range loops {
 			s, a := compile(t, l, cfg)
-			if err := sim.VerifyPipeline(s, a, 24); err != nil {
+			if err := sim.VerifyPipeline(context.Background(), s, a, 24); err != nil {
 				t.Fatalf("pipeline(%s on %s): %v", l.Name, cfg.Name, err)
 			}
 		}
@@ -122,10 +121,7 @@ func TestPipelinedCatchesBadAllocation(t *testing.T) {
 	// valid allocation; the simulator must flag the FIFO violation.
 	l := corpus.FIR5()
 	cfg := machine.SingleCluster(6)
-	ins, err := copyins.Insert(l, copyins.Tree)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ins := copyins.Insert(l, copyins.Tree)
 	s, err := sched.ScheduleLoop(ins.Loop, cfg, sched.Options{})
 	if err != nil {
 		t.Fatal(err)

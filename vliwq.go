@@ -158,7 +158,10 @@ type Options struct {
 	// SkipVerify skips the simulator-based verification pass (useful for
 	// bulk experiments; the paper-scale harness verifies samples instead).
 	SkipVerify bool
-	// VerifyIterations bounds the verification run (0 = min(trip, 64)).
+	// VerifyIterations sets the verification run's iteration count. 0
+	// replays min(trip, 64, the schedule's horizon): past its horizon a
+	// modulo schedule repeats itself, so no longer replay can reach
+	// another verdict (DESIGN.md §6).
 	VerifyIterations int
 	// Sched tunes the scheduler's search effort.
 	Sched sched.Options
@@ -223,8 +226,9 @@ func Compile(l *Loop, opts Options) (*Result, error) {
 }
 
 // CompileContext is Compile with cancellation: the context is checked
-// between pipeline stages, so a cancelled request abandons the remaining
-// (scheduling, allocation, verification) work and returns ctx.Err(). Long
+// between pipeline stages and during verification, so a cancelled request
+// abandons the remaining (scheduling, allocation, verification) work and
+// returns ctx.Err(). Long
 // batch runs — the service's /batch endpoint, Compiler.RunBatch — rely on
 // this to stop promptly when the client goes away.
 //
@@ -243,15 +247,16 @@ func CompileContext(ctx context.Context, l *Loop, opts Options) (*Result, error)
 // verification — stamping each executed stage's wall-clock cost into
 // Result.Stages and its artifact into the Result, and stops after `until`
 // (StageVerify = the full pipeline; SkipVerify ends a full run at
-// StageAlloc). The context is checked on entry and at every stage boundary
-// from scheduling on (schedule, alloc, verify) — the boundaries where a
-// propagated request deadline cancels abandoned work.
+// StageAlloc). The context is checked on entry, at every stage boundary
+// from scheduling on (schedule, alloc, verify) and once per simulated
+// window during verification — the points where a propagated request
+// deadline cancels abandoned work.
 //
 // EffortOptimal inverts that contract: the deadline bounds the optimality
 // proof, never the compilation. The scheduler's anytime ladder observes ctx
 // itself and returns its best incumbent with Bound.DeadlineCut set, and the
-// pipeline's own boundary checks are skipped so even an already-expired
-// context yields a complete (and still verified) result rather than an
+// pipeline's own checks are skipped (verification runs to completion) so
+// even an already-expired context yields a complete (and still verified) result rather than an
 // error — the serving layer turns that into a 200 with bound.optimal=false
 // instead of a timeout.
 func compileStaged(ctx context.Context, l *Loop, opts Options, until Stage) (*Result, error) {
@@ -298,10 +303,7 @@ func compileStaged(ctx context.Context, l *Loop, opts Options, until Stage) (*Re
 	}
 
 	t0 = time.Now()
-	ins, err := copyins.Insert(work, opts.CopyShape)
-	if err != nil {
-		return nil, err
-	}
+	ins := copyins.Insert(work, opts.CopyShape)
 	res.AfterCopies = ins.Loop
 	stamp(StageCopies, t0)
 	if until <= StageCopies {
@@ -360,12 +362,19 @@ func compileStaged(ctx context.Context, l *Loop, opts Options, until Stage) (*Re
 		t0 = time.Now()
 		n := opts.VerifyIterations
 		if n <= 0 {
-			n = s.Loop.TripCount()
-			if n > 64 {
-				n = 64
-			}
+			// A replay past the schedule's horizon reaches the same verdict
+			// as any longer one (DESIGN.md §6).
+			n = min(s.Loop.TripCount(), 64, sim.Horizon(s))
 		}
-		if err := sim.VerifyPipeline(s, alloc, n); err != nil {
+		// An EffortOptimal result is verified whatever its deadline.
+		vctx := ctx
+		if anytime {
+			vctx = context.Background()
+		}
+		if err := sim.VerifyPipeline(vctx, s, alloc, n); err != nil {
+			if cerr := vctx.Err(); cerr != nil {
+				return nil, cerr
+			}
 			return nil, fmt.Errorf("vliwq: verification failed: %w", err)
 		}
 		stamp(StageVerify, t0)
