@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-
 	"fmt"
 	"maps"
 	"math"
@@ -558,7 +557,8 @@ func TestDifferentialLongCarry(t *testing.T) {
 	}
 
 	// Past maxCarry the cycles of the run no longer fit an int, where the
-	// map simulator wraps them around, so the dense one refuses the input.
+	// map simulator wraps them around, so the dense one refuses the input
+	// and Horizon saturates.
 	s, a, err := compileFor(carry(math.MaxInt), diffConfigs()[0])
 	if err != nil {
 		t.Fatal(err)
@@ -566,6 +566,9 @@ func TestDifferentialLongCarry(t *testing.T) {
 	_, err = Pipelined(s, a, PipeOptions{N: verifyIters(s)})
 	if err == nil || !strings.Contains(err.Error(), "beyond the simulated cycle range") {
 		t.Fatalf("distance MaxInt: got %v, want a cycle range error", err)
+	}
+	if h := Horizon(s); h != math.MaxInt {
+		t.Fatalf("distance MaxInt: Horizon = %d, want math.MaxInt", h)
 	}
 }
 

@@ -116,26 +116,6 @@ func TestHorizonBound(t *testing.T) {
 	}
 }
 
-// TestHorizonSaturates: a distance whose live-in writes leave the simulated
-// cycle range has no horizon, so Horizon saturates and the engine's replay
-// falls back to its 64-iteration cap (Pipelined refuses such a schedule at
-// any length; see TestDifferentialLongCarry).
-func TestHorizonSaturates(t *testing.T) {
-	l := ir.New("far")
-	ld, acc, st := l.AddOp(ir.KLoad, "ld"), l.AddOp(ir.KAdd, "acc"), l.AddOp(ir.KStore, "st")
-	l.AddFlow(ld, acc)
-	l.AddFlow(acc, st)
-	l.AddCarried(acc, acc, 1)
-	s := handBuilt(l, 1, 0, 2, 3)
-	if h := Horizon(s); h != 4 {
-		t.Fatalf("distance 1: Horizon = %d, want 4 (windows 0..3)", h)
-	}
-	s.Loop.Deps[2].Dist = math.MaxInt
-	if h := Horizon(s); h != math.MaxInt {
-		t.Fatalf("distance MaxInt: Horizon = %d, want math.MaxInt", h)
-	}
-}
-
 // countdown is a context whose Err turns to context.Canceled on the call
 // after the first `after` calls.
 type countdown struct {

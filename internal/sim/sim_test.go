@@ -2,7 +2,6 @@ package sim_test
 
 import (
 	"context"
-
 	"strings"
 	"testing"
 

@@ -228,9 +228,9 @@ func Compile(l *Loop, opts Options) (*Result, error) {
 // CompileContext is Compile with cancellation: the context is checked
 // between pipeline stages and during verification, so a cancelled request
 // abandons the remaining (scheduling, allocation, verification) work and
-// returns ctx.Err(). Long
-// batch runs — the service's /batch endpoint, Compiler.RunBatch — rely on
-// this to stop promptly when the client goes away.
+// returns ctx.Err(). Long batch runs — the service's /batch endpoint,
+// Compiler.RunBatch — rely on this to stop promptly when the client goes
+// away.
 //
 // CompileContext is a thin shim over the staged engine Compiler sessions
 // drive (compileStaged): both paths run identical code, which is what pins
@@ -256,9 +256,9 @@ func CompileContext(ctx context.Context, l *Loop, opts Options) (*Result, error)
 // proof, never the compilation. The scheduler's anytime ladder observes ctx
 // itself and returns its best incumbent with Bound.DeadlineCut set, and the
 // pipeline's own checks are skipped (verification runs to completion) so
-// even an already-expired context yields a complete (and still verified) result rather than an
-// error — the serving layer turns that into a 200 with bound.optimal=false
-// instead of a timeout.
+// even an already-expired context yields a complete (and still verified)
+// result rather than an error — the serving layer turns that into a 200
+// with bound.optimal=false instead of a timeout.
 func compileStaged(ctx context.Context, l *Loop, opts Options, until Stage) (*Result, error) {
 	if l == nil {
 		return nil, fmt.Errorf("vliwq: nil loop")

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -344,6 +345,49 @@ func TestCompileContextCancelled(t *testing.T) {
 	_, err := vliwq.CompileContext(ctx, corpus.KernelByName("daxpy"), vliwq.Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// countingCtx counts Err calls and reports context.Canceled from the call
+// after the first `after`.
+type countingCtx struct {
+	context.Context
+	calls atomic.Int64
+	after int64
+}
+
+func (c *countingCtx) Err() error {
+	if c.calls.Add(1) > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCompileCancelledDuringVerification: the engine passes its context
+// into verification, which checks it once per simulated window, and a
+// compile cancelled mid-replay returns the context's error itself, not a
+// verification failure.
+func TestCompileCancelledDuringVerification(t *testing.T) {
+	loop := corpus.KernelByName("daxpy")
+	calls := func(opts vliwq.Options) int64 {
+		ctx := &countingCtx{Context: context.Background(), after: 1 << 62}
+		if _, err := vliwq.CompileContext(ctx, loop, opts); err != nil {
+			t.Fatal(err)
+		}
+		return ctx.calls.Load()
+	}
+	opts := vliwq.Options{Machine: vliwq.Clustered(4)}
+	before := calls(vliwq.Options{Machine: opts.Machine, SkipVerify: true})
+	total := calls(opts)
+	if total <= before {
+		t.Fatalf("verification read the context %d times", total-before)
+	}
+	for after := before; after < total; after++ {
+		ctx := &countingCtx{Context: context.Background(), after: after}
+		res, err := vliwq.CompileContext(ctx, loop, opts)
+		if res != nil || err != context.Canceled {
+			t.Fatalf("cancelled at check %d of %d: res %v, err %v; want the bare context.Canceled", after+1, total, res, err)
+		}
 	}
 }
 
