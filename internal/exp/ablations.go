@@ -36,9 +36,9 @@ func AblationCopyShape(opts Options) *Table {
 		}
 		return res{
 			ok:  true,
-			iiT: tr.Sched.II, iiC: ch.Sched.II,
-			scT: tr.Sched.StageCount(), scC: ch.Sched.StageCount(),
-			qT: tr.Alloc.MaxPrivateQueues(), qC: ch.Alloc.MaxPrivateQueues(),
+			iiT: tr.II, iiC: ch.II,
+			scT: tr.StageCount, scC: ch.StageCount,
+			qT: tr.Private, qC: ch.Private,
 		}
 	})
 	var ok, winT, winC int
@@ -99,17 +99,11 @@ func AblationMoveOps(opts Options) *Table {
 			if ref.Err != nil || off.Err != nil || on.Err != nil {
 				return res{}
 			}
-			moves := 0
-			for _, op := range on.Sched.Loop.Ops {
-				if op.Kind == ir.KMove {
-					moves++
-				}
-			}
 			return res{
 				ok:      true,
-				sameOff: off.Sched.II <= ref.Sched.II,
-				sameOn:  on.Sched.II <= ref.Sched.II,
-				moves:   moves,
+				sameOff: off.II <= ref.II,
+				sameOn:  on.II <= ref.II,
+				moves:   on.Moves,
 			}
 		})
 		var ok, sameOff, sameOn, moves int
@@ -166,7 +160,7 @@ func AblationCommLatency(opts Options) *Table {
 			if c.Err != nil {
 				return res{}
 			}
-			r.iis[i] = c.Sched.II
+			r.iis[i] = c.II
 		}
 		return r
 	})

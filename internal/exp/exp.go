@@ -20,8 +20,8 @@ import (
 	"vliwq/internal/copyins"
 	"vliwq/internal/corpus"
 	"vliwq/internal/ir"
+	"vliwq/internal/metrics"
 	"vliwq/internal/pool"
-	"vliwq/internal/queue"
 	"vliwq/internal/sched"
 )
 
@@ -103,14 +103,29 @@ func (t *Table) Fprint(w io.Writer) {
 }
 
 // compiled is what the experiments read of one loop through the engine:
-// the schedule, the allocation and the unroll factor applied, or the error
-// that stopped it. The memo keeps only these, not the engine's whole
-// Result with its per-stage loop bodies.
+// the numbers the figures reduce, derived once when the loop compiles, or
+// the error that stopped it. The memo keeps only these, not the engine's
+// Result, schedule or allocation, so a full RunAll pass holds a few dozen
+// bytes per entry instead of every compiled loop body.
 type compiled struct {
-	Sched    *sched.Schedule
-	Alloc    *queue.Allocation
+	II, MII, StageCount int
+	// Unrolled is the unroll factor the engine applied (Result.Unrolled).
 	Unrolled int
-	Err      error
+	// RealOps, Copies and Moves count the scheduled body's program
+	// operations and the copy and move operations the compiler added.
+	RealOps, Copies, Moves int
+	// Private, Ring and Depth are the allocation's queue maxima.
+	Private, Ring, Depth int
+	// IPC is the static issue rate, and Iters and Cycles the executions of
+	// the scheduled body over the loop's trip count and the cycles they
+	// take, prologue and epilogue included (Figs. 8 and 9).
+	IPC           float64
+	Iters, Cycles int
+
+	Bound       sched.Bound
+	Strategy    sched.Strategy
+	PrunedNodes int64
+	Err         error
 }
 
 // binding is one figure's compile configuration: everything but the loop.
@@ -138,11 +153,12 @@ type memoKey struct {
 // keyed by pointer: all experiments sharing a Pipeline also share their
 // corpus slice (RunAll uses one Options value; corpus.Standard is
 // memoized), so pointer identity is exactly loop identity and avoids
-// hashing whole dependence graphs. Results are shared pointers and must be
-// treated as read-only — which every experiment already does. The storage
-// is a sharded internal/cache.Cache, so concurrent workers contend per
-// shard and each distinct compilation runs exactly once behind its entry's
-// sync.Once.
+// hashing whole dependence graphs. An entry is a compiled value: numbers
+// only, nothing shared. The storage is a sharded internal/cache.Cache, so
+// concurrent workers contend per shard, and its singleflight runs each
+// distinct compilation exactly once: the first caller computes, and a
+// caller that arrives meanwhile waits on a done channel the entry makes
+// only for waiters.
 type Pipeline struct {
 	c *cache.Cache[memoKey, compiled]
 
@@ -177,8 +193,9 @@ func (p *Pipeline) StageNanos() map[string]int64 {
 	return out
 }
 
-// run compiles l through the engine and adds the stages it ran to p's
-// clock; a nil p drops them.
+// run compiles l through the engine, adds the stages it ran to p's clock
+// (a nil p drops them) and reduces the result to the numbers the figures
+// read.
 func (p *Pipeline) run(l *ir.Loop, o vliwq.Options) compiled {
 	res, err := vliwq.CompileContext(context.Background(), l, o)
 	if err != nil {
@@ -189,7 +206,39 @@ func (p *Pipeline) run(l *ir.Loop, o vliwq.Options) compiled {
 			p.stageNanos[st.Stage].Add(st.Duration.Nanoseconds())
 		}
 	}
-	return compiled{Sched: res.Sched, Alloc: res.Alloc, Unrolled: res.Unrolled}
+	s, a := res.Sched, res.Alloc
+	// The dynamic IPC of Figs. 8/9 runs the body trip/U times (at least
+	// once), U original iterations per body.
+	iters := max(l.TripCount()/s.Loop.UnrollFactor(), 1)
+	return compiled{
+		II:          s.II,
+		MII:         s.MII(),
+		StageCount:  s.StageCount(),
+		Unrolled:    res.Unrolled,
+		RealOps:     metrics.RealOps(s.Loop),
+		Copies:      countKind(s.Loop, ir.KCopy),
+		Moves:       countKind(s.Loop, ir.KMove),
+		Private:     a.MaxPrivateQueues(),
+		Ring:        a.MaxRingQueues(),
+		Depth:       a.MaxDepth(),
+		IPC:         metrics.IPCStatic(s),
+		Iters:       iters,
+		Cycles:      metrics.Cycles(s, iters),
+		Bound:       s.Bound,
+		Strategy:    s.Strategy,
+		PrunedNodes: s.Stats.PrunedNodes,
+	}
+}
+
+// countKind counts l's operations of kind k.
+func countKind(l *ir.Loop, k ir.OpKind) int {
+	n := 0
+	for _, op := range l.Ops {
+		if op.Kind == k {
+			n++
+		}
+	}
+	return n
 }
 
 // bind applies the sweep-wide effort to a binding that does not pin its own

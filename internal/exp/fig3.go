@@ -36,7 +36,7 @@ func Fig3(opts Options) *Table {
 				if c.Err != nil {
 					return res{failed: true}
 				}
-				return res{queues: c.Alloc.MaxPrivateQueues()}
+				return res{queues: c.Private}
 			})
 			counts := make([]int, len(queueThresholds))
 			failed := 0
@@ -94,18 +94,12 @@ func CopyCost(opts Options) *Table {
 			if base.Err != nil || with.Err != nil {
 				return res{}
 			}
-			nCopies := 0
-			for _, op := range with.Sched.Loop.Ops {
-				if op.Kind == ir.KCopy {
-					nCopies++
-				}
-			}
 			return res{
 				ok:       true,
-				sameII:   with.Sched.II == base.Sched.II,
-				sameSC:   with.Sched.StageCount() == base.Sched.StageCount(),
-				iiGrowth: float64(with.Sched.II) / float64(base.Sched.II),
-				copies:   nCopies,
+				sameII:   with.II == base.II,
+				sameSC:   with.StageCount == base.StageCount,
+				iiGrowth: float64(with.II) / float64(base.II),
+				copies:   with.Copies,
 			}
 		})
 		var ok, sameII, sameSC, copies int

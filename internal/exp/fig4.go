@@ -38,7 +38,7 @@ func Fig4(opts Options) *Table {
 			}
 			return res{
 				ok:       true,
-				speedup:  metrics.IISpeedup(base.Sched.II, un.Unrolled, un.Sched.II),
+				speedup:  metrics.IISpeedup(base.II, un.Unrolled, un.II),
 				factor:   un.Unrolled,
 				unrolled: un.Unrolled > 1,
 			}
@@ -96,7 +96,7 @@ func UnrollQueues(opts Options) *Table {
 			if base.Err != nil || un.Err != nil {
 				return res{}
 			}
-			return res{ok: true, qBase: base.Alloc.MaxPrivateQueues(), qUnrl: un.Alloc.MaxPrivateQueues()}
+			return res{ok: true, qBase: base.Private, qUnrl: un.Private}
 		})
 		counts := make([]int, len(queueThresholds))
 		var ok, sumBase, sumUnrl int

@@ -41,7 +41,7 @@ func Fig6(opts Options) *Table {
 			if s2.Err != nil {
 				return res{failed: true}
 			}
-			return res{ok: true, delta: s2.Sched.II - s1.Sched.II}
+			return res{ok: true, delta: s2.II - s1.II}
 		})
 		var ok, same, plus1, more, failed int
 		for _, r := range results {
@@ -99,7 +99,7 @@ func ClusterResources(opts Options) *Table {
 			if c.Err != nil {
 				return res{}
 			}
-			return res{ok: true, priv: c.Alloc.MaxPrivateQueues(), ring: c.Alloc.MaxRingQueues(), depth: c.Alloc.MaxDepth()}
+			return res{ok: true, priv: c.Private, ring: c.Ring, depth: c.Depth}
 		})
 		var ok, privOK, ringOK, bothOK, privSum, ringSum, depthMax int
 		for _, r := range results {

@@ -35,16 +35,11 @@ func ipcSeries(opts Options, loops []*ir.Loop, title, id string) *Table {
 			if c.Err != nil {
 				return point{}
 			}
-			u := c.Sched.Loop.UnrollFactor()
-			iters := l.TripCount() / u
-			if iters < 1 {
-				iters = 1
-			}
 			return point{
-				static: metrics.IPCStatic(c.Sched),
+				static: c.IPC,
 				ok:     true,
-				ops:    float64(metrics.RealOps(c.Sched.Loop) * iters),
-				cycles: float64(metrics.Cycles(c.Sched, iters)),
+				ops:    float64(c.RealOps * c.Iters),
+				cycles: float64(c.Cycles),
 			}
 		})
 		var m metrics.Mean

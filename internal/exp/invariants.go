@@ -55,8 +55,8 @@ func AblationInvariants(opts Options) *Table {
 			return res{
 				ok:       true,
 				has:      true,
-				improves: hc.Sched.II < base.Sched.II,
-				ratio:    float64(hc.Sched.II) / float64(base.Sched.II),
+				improves: hc.II < base.II,
+				ratio:    float64(hc.II) / float64(base.II),
 				removed:  removed,
 			}
 		})

@@ -55,13 +55,12 @@ func Optimal(opts Options) *Table {
 			if ex.Err != nil || opt.Err != nil {
 				return res{}
 			}
-			b := opt.Sched.Bound
 			return res{
 				ok:       true,
-				gapped:   ex.Sched.II > ex.Sched.MII(),
-				proved:   b.Optimal && opt.Sched.II == ex.Sched.II,
-				improved: opt.Sched.II < ex.Sched.II,
-				pruned:   opt.Sched.Stats.PrunedNodes,
+				gapped:   ex.II > ex.MII,
+				proved:   opt.Bound.Optimal && opt.II == ex.II,
+				improved: opt.II < ex.II,
+				pruned:   opt.PrunedNodes,
 			}
 		})
 		var ok, atMII, gapped, proved, improved, unproved int

@@ -2,11 +2,18 @@ package exp
 
 import (
 	"bytes"
+	"context"
+	"fmt"
+	"io"
 	"testing"
 
+	"vliwq"
+	"vliwq/internal/cache"
 	"vliwq/internal/copyins"
 	"vliwq/internal/corpus"
 	"vliwq/internal/ir"
+	"vliwq/internal/metrics"
+	"vliwq/internal/sched"
 )
 
 func render(t *Table) string {
@@ -68,53 +75,157 @@ func TestRunAllDeterministic(t *testing.T) {
 
 // TestPipelineKeySeparation ensures the binding keeps distinct machines and
 // pipeline options apart: a cache shared across experiments must never
-// serve a compilation for the wrong configuration.
+// serve a compilation for the wrong configuration. Each distinct binding
+// is one miss and one entry, the repeat is a hit, and every entry holds
+// the numbers of a direct engine compile under its binding's options.
 func TestPipelineKeySeparation(t *testing.T) {
 	p := NewPipeline()
-	l := corpus.Daxpy()
-	a := compileVia(p, l, binding{spec: "single:4", shape: copyins.Tree})
-	b := compileVia(p, l, binding{spec: "single:12", shape: copyins.Tree})
-	if a.Err != nil || b.Err != nil {
-		t.Fatalf("compile errors: %v, %v", a.Err, b.Err)
+	l, fan := corpus.Daxpy(), corpus.ComplexMul()
+	cases := []struct {
+		l *ir.Loop
+		b binding
+	}{
+		{l, binding{spec: "single:4", shape: copyins.Tree}},
+		{l, binding{spec: "single:12", shape: copyins.Tree}},
+		{l, binding{spec: "clustered:4", shape: copyins.Tree}},
+		{l, binding{spec: "clustered:4", moves: true, shape: copyins.Tree}},
+		{l, binding{spec: "clustered:4", commLat: 1, shape: copyins.Tree}},
+		// Copies off and a tree on one machine are two entries; on a
+		// fanout loop only the tree compile carries copy operations.
+		{fan, binding{spec: "single:4", shape: copyins.None}},
+		{fan, binding{spec: "single:4", shape: copyins.Tree}},
 	}
-	if a.Sched.II == b.Sched.II {
-		t.Fatalf("4-FU and 12-FU compilations collided in the cache (II %d == %d)", a.Sched.II, b.Sched.II)
+	got := make([]compiled, len(cases))
+	for i, tc := range cases {
+		got[i] = compileVia(p, tc.l, tc.b)
+		if st := p.Stats(); st.Misses != int64(i+1) || st.Entries != int64(i+1) || st.Hits != 0 {
+			t.Fatalf("%+v: stats %+v, want one miss and one entry per distinct binding", tc.b, st)
+		}
+		_, vo := Options{}.bind(tc.b)
+		res, err := vliwq.CompileContext(context.Background(), tc.l, vo)
+		if err != nil || got[i].Err != nil {
+			t.Fatalf("%+v: compile errors: %v, %v", tc.b, err, got[i].Err)
+		}
+		if m := res.Sched.Machine; m.CommLatency != tc.b.commLat || m.AllowMoves != tc.b.moves {
+			t.Fatalf("%+v: direct compile ran on comm latency %d, moves %v", tc.b, m.CommLatency, m.AllowMoves)
+		}
+		checkNumbers(t, fmt.Sprintf("%+v", tc.b), tc.l, got[i], res)
 	}
-	c := compileVia(p, l, binding{spec: "clustered:4", shape: copyins.Tree})
-	d := compileVia(p, l, binding{spec: "clustered:4", moves: true, shape: copyins.Tree})
-	if c.Sched == d.Sched {
-		t.Fatalf("AllowMoves variant shares the base machine's cache entry")
+	if got[0].II == got[1].II {
+		t.Fatalf("4-FU and 12-FU compilations collided in the cache (II %d == %d)", got[0].II, got[1].II)
 	}
-	lat1 := compileVia(p, l, binding{spec: "clustered:4", commLat: 1, shape: copyins.Tree})
-	if lat1.Sched == c.Sched || lat1.Sched.Machine.CommLatency != 1 {
-		t.Fatalf("comm latency 1 shares the latency-0 cache entry")
+	if got[5].Copies != 0 || got[6].Copies == 0 {
+		t.Fatalf("copies-off/tree entries collided: %d and %d copy ops", got[5].Copies, got[6].Copies)
 	}
-	// Copies off and a tree on one machine are two entries; on a fanout
-	// loop only the tree compile carries copy operations.
-	fan := corpus.ComplexMul()
-	off := compileVia(p, fan, binding{spec: "single:4", shape: copyins.None})
-	tree := compileVia(p, fan, binding{spec: "single:4", shape: copyins.Tree})
-	if off.Err != nil || tree.Err != nil {
-		t.Fatalf("compile errors: %v, %v", off.Err, tree.Err)
+	// Identical inputs must share one entry.
+	if again := compileVia(p, l, cases[0].b); again != got[0] {
+		t.Fatalf("repeat compile returned %+v, want the entry's %+v", again, got[0])
 	}
-	if copyOps(off) != 0 || copyOps(tree) == 0 {
-		t.Fatalf("copies-off/tree entries collided: %d and %d copy ops", copyOps(off), copyOps(tree))
-	}
-	// Identical inputs must share one entry (pointer-equal results).
-	e := compileVia(p, l, binding{spec: "single:4", shape: copyins.Tree})
-	if e.Sched != a.Sched {
-		t.Fatalf("identical compilation did not hit the cache")
+	if st := p.Stats(); st.Hits != 1 || st.Misses != int64(len(cases)) || st.Entries != int64(len(cases)) {
+		t.Fatalf("stats after the repeat = %+v, want 1 hit over %d entries", st, len(cases))
 	}
 }
 
-func copyOps(c compiled) int {
-	n := 0
-	for _, op := range c.Sched.Loop.Ops {
-		if op.Kind == ir.KCopy {
-			n++
+// checkNumbers holds c, what the memo keeps of compiling l, to the engine's
+// full result of that compile: every number a figure reads must be the one
+// the schedule and the allocation give. The dynamic IPC is checked against
+// metrics.DynamicAggregate, which counts the body's executions itself.
+func checkNumbers(t *testing.T, what string, l *ir.Loop, c compiled, res *vliwq.Result) {
+	t.Helper()
+	s, a := res.Sched, res.Alloc
+	var real, copies, moves int
+	for _, op := range s.Loop.Ops {
+		switch op.Kind {
+		case ir.KCopy:
+			copies++
+		case ir.KMove:
+			moves++
+		default:
+			real++
 		}
 	}
-	return n
+	want := compiled{
+		II: s.II, MII: s.MII(), StageCount: s.StageCount(),
+		Unrolled: res.Unrolled,
+		RealOps:  real, Copies: copies, Moves: moves,
+		Private: a.MaxPrivateQueues(), Ring: a.MaxRingQueues(), Depth: a.MaxDepth(),
+		IPC:   float64(real) / float64(s.II),
+		Iters: c.Iters, Cycles: metrics.Cycles(s, c.Iters),
+		Bound: s.Bound, Strategy: s.Strategy, PrunedNodes: s.Stats.PrunedNodes,
+	}
+	if c != want {
+		t.Fatalf("%s on %s: memo keeps %+v, the full result gives %+v", what, l.Name, c, want)
+	}
+	var dyn metrics.DynamicAggregate
+	dyn.Add(s, l.TripCount())
+	if ipc := float64(c.RealOps*c.Iters) / float64(c.Cycles); ipc != dyn.IPC() {
+		t.Fatalf("%s on %s: dynamic IPC %v from %d body runs, want %v", what, l.Name, ipc, c.Iters, dyn.IPC())
+	}
+}
+
+// memoEntries lists every kept entry of p, read through the cache's
+// snapshot walk.
+func memoEntries(t *testing.T, p *Pipeline) map[memoKey]compiled {
+	t.Helper()
+	out := map[memoKey]compiled{}
+	var k memoKey
+	codec := cache.Codec[memoKey, compiled]{
+		EncodeKey:   func(key memoKey) ([]byte, error) { k = key; return nil, nil },
+		EncodeValue: func(c compiled) ([]byte, error) { out[k] = c; return nil, nil },
+	}
+	if _, err := p.c.Save(io.Discard, codec); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestCompiledMatchesFullResult recompiles every entry RunAll leaves in its
+// memo, plus the certified sweep's exhaustive and optimal entries (the
+// only ones carrying a Bound, a raced Strategy and pruned nodes), directly
+// through the engine, and holds each entry's numbers to the full result.
+func TestCompiledMatchesFullResult(t *testing.T) {
+	sp := corpus.StressedParams()
+	sp.N = 6
+	opts := Options{
+		Loops:         corpus.Generate(corpus.Params{Seed: 5, N: 10}),
+		StressedLoops: corpus.Generate(sp),
+		Pipeline:      NewPipeline(),
+	}
+	RunAll(io.Discard, opts)
+	Optimal(opts)
+	entries := memoEntries(t, opts.Pipeline)
+	if n := opts.Pipeline.Stats().Entries; int64(len(entries)) != n {
+		t.Fatalf("walked %d of %d memo entries", len(entries), n)
+	}
+	bindings := map[binding]bool{}
+	var bounded, raced, errs int
+	for k, c := range entries {
+		bindings[k.binding] = true
+		_, vo := Options{}.bind(k.binding)
+		res, err := vliwq.CompileContext(context.Background(), k.loop, vo)
+		if err != nil || c.Err != nil {
+			if err == nil || c.Err == nil || err.Error() != c.Err.Error() {
+				t.Fatalf("%+v on %s: memo error %v, direct compile error %v", k.binding, k.loop.Name, c.Err, err)
+			}
+			if c != (compiled{Err: c.Err}) {
+				t.Fatalf("%+v on %s: failed compile kept numbers %+v", k.binding, k.loop.Name, c)
+			}
+			errs++
+			continue
+		}
+		checkNumbers(t, fmt.Sprintf("%+v", k.binding), k.loop, c, res)
+		if c.Bound.Lower > 0 {
+			bounded++
+		}
+		if c.Strategy != sched.StrategyBaseline {
+			raced++
+		}
+	}
+	t.Logf("%d entries over %d bindings: %d with a Bound, %d won by another strategy, %d failed",
+		len(entries), len(bindings), bounded, raced, errs)
+	if bounded == 0 || raced == 0 {
+		t.Fatalf("the certified entries carried no Bound (%d) or no raced strategy (%d)", bounded, raced)
+	}
 }
 
 // TestStandardCorpusMemoized verifies corpus.Standard returns the shared

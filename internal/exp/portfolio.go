@@ -55,7 +55,7 @@ func Portfolio(opts Options) *Table {
 					if c.Err != nil {
 						return res{}
 					}
-					return res{ok: true, gap: c.Sched.II - c.Sched.MII(), strategy: c.Sched.Strategy}
+					return res{ok: true, gap: c.II - c.MII, strategy: c.Strategy}
 				})
 				var ok, g0, g1, g2, gMore, gapSum, failed int
 				wins := map[sched.Strategy]int{}

@@ -1,66 +1,67 @@
 // Package pool provides the one worker-pool primitive every fan-out in the
 // repo shares: the experiment sweeps (internal/exp), the facade's
-// Compiler.RunBatch and the service's /batch endpoint all fan index sets
-// over a fixed set of workers with deterministic, index-addressed output.
+// Compiler.RunBatch, the service's /batch endpoint and the scheduler's
+// portfolio race all fan index sets over a fixed set of workers with
+// deterministic, index-addressed output. Workers claim indices from one
+// atomic counter, in increasing order, and the calling goroutine is one of
+// them.
 package pool
 
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 )
 
-// Run calls fn(i) for every i in [0, n) on a fixed pool of workers pulling
-// indices from a channel. A fixed pool spawns `workers` goroutines total
-// instead of one per item — corpora run to a thousand-plus loops and each
-// experiment sweeps them several times, so goroutine-per-item churn adds
-// up. workers is clamped to [1, n].
+// Run calls fn(i) for every i in [0, n) on a fixed pool of workers: the
+// calling goroutine plus workers-1 goroutines, each claiming the next index
+// from a shared atomic counter. A claim is one atomic add, not a goroutine
+// handoff, so a sweep of a thousand cheap items keeps every worker busy;
+// with workers == 1 every fn runs on the calling goroutine and no goroutine
+// starts. workers is clamped to [1, n].
 //
-// When ctx is cancelled, feeding stops and every unstarted index is handed
-// to skipped instead (in-flight fn calls run to completion; a nil skipped
-// drops them silently). Run returns only after all started work finishes.
-// fn and skipped run concurrently and must write disjoint, index-addressed
-// state; that discipline is also what keeps output order deterministic
-// regardless of worker interleaving.
+// Indices are claimed in increasing order: when fn(i) starts, every j < i
+// has been claimed and fn(j) will run. Callers that cancel on a result (the
+// portfolio race) rely on this to know that no lower index can be dropped.
+//
+// When ctx is cancelled, the first worker to see it takes every unclaimed
+// index in one swap and hands each to skipped instead (calls already
+// running finish; a nil skipped drops them silently). Each index goes
+// exactly once to fn or to skipped. Run returns only after all started work
+// finishes, also when fn panics on the calling goroutine: the panic
+// propagates once the other workers are done. fn and skipped run
+// concurrently and must write disjoint, index-addressed state; that
+// discipline is also what keeps output order deterministic regardless of
+// worker interleaving.
 func Run(ctx context.Context, n, workers int, fn func(i int), skipped func(i int)) {
 	if n <= 0 {
 		return
 	}
-	if workers > n {
-		workers = n
+	workers = min(max(workers, 1), n)
+	var next atomic.Int64
+	work := func() {
+		for {
+			if ctx.Err() != nil {
+				skipRest(skipped, int(next.Swap(int64(n))), n)
+				return
+			}
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
+			}
+			fn(i)
+		}
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	idx := make(chan int)
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	defer wg.Wait()
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				fn(i)
-			}
+			work()
 		}()
 	}
-	done := ctx.Done()
-feed:
-	for i := 0; i < n; i++ {
-		// Check before the select: with an idle worker AND a cancelled
-		// context both ready, select would pick randomly and dispatch
-		// indices the caller expects to be skipped.
-		if ctx.Err() != nil {
-			skipRest(skipped, i, n)
-			break
-		}
-		select {
-		case idx <- i:
-		case <-done:
-			skipRest(skipped, i, n)
-			break feed
-		}
-	}
-	close(idx)
-	wg.Wait()
+	work()
 }
 
 func skipRest(skipped func(i int), from, n int) {

@@ -141,7 +141,7 @@ func schedulePortfolio(st *state, l *ir.Loop, cfg machine.Config, strats []Strat
 		if lim.workers == 1 || len(strats) == 1 {
 			// A single worker runs the strategies in index order anyway, so
 			// the race degenerates to a plain loop — same results, same
-			// MII short-circuit, none of the pool's goroutine/channel cost.
+			// MII short-circuit, none of the race's cancellable context.
 			for i := range strats {
 				results[i] = runAttempt(l, st.cfg, lim.budgetRatio, strats[i], ii, ord+1, memo)
 				if atMII && results[i].ok {
@@ -206,9 +206,9 @@ func raceRound(st *state, l *ir.Loop, strats []Strategy, ii, ordinal int, atMII 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	// minWin tracks the lowest strategy index that has scheduled at MII.
-	// Feeding is in index order, so by the time strategy i runs, every
-	// index below i has at least started and will complete; cancellation
-	// can only drop indices that cannot win.
+	// The pool's workers claim indices in increasing order, so by the time
+	// strategy i runs, every index below i has been claimed and will run to
+	// completion; cancellation can only drop indices that cannot win.
 	minWin := atomic.Int64{}
 	minWin.Store(int64(len(strats)))
 	pool.Run(ctx, len(strats), lim.workers, func(i int) {

@@ -342,14 +342,18 @@ type joinCase struct {
 	joined         func(*Server) int64
 }
 
-// joinCases builds both cases around a heavy request whose compile takes
-// well over the budgets the join tests set: heavyRequest(128) compiles
-// 8192 ops in ~0.6 s on one 2.1 GHz Xeon core; under -race the 4096 ops of
-// heavyRequest(64) take ~1.4 s there.
+// joinCases builds both cases around a heavy request whose compile
+// outlasts the join by a wide margin even at one processor. There the
+// second caller's handler starts only once the Go scheduler preempts the
+// leader's compile, 50–100 ms after it began on one 2.1 GHz Xeon core.
+// heavyRequest(384) compiles 24,576 ops in ~0.9 s there: scheduling ends
+// at ~30 ms and queue allocation, which no deadline check interrupts, at
+// ~0.6 s. Under -race the 8192 ops of heavyRequest(128) take ~1 s, with
+// scheduling done at ~0.1 s and allocation at ~0.6 s.
 func joinCases(t *testing.T) []joinCase {
-	req := heavyRequest(128)
+	req := heavyRequest(384)
 	if raceEnabled {
-		req = heavyRequest(64)
+		req = heavyRequest(128)
 	}
 	renamed := req
 	renamed.Loop = renameSpelling(t, req.Loop, "z")
@@ -362,20 +366,23 @@ func joinCases(t *testing.T) []joinCase {
 // TestDeadlinedLeaderDoesNotFailJoiner: a leader whose short deadline
 // cancels its compile is answered 504, and a concurrent caller that set no
 // deadline is answered 200 from a compile of its own instead of sharing
-// the leader's 504.
+// the leader's 504. The leader's budget runs out after scheduling, so its
+// compile runs on to the end of queue allocation (joinCases), long after
+// the second caller has joined it.
 func TestDeadlinedLeaderDoesNotFailJoiner(t *testing.T) {
+	const budget = 300 * time.Millisecond
 	for _, tc := range joinCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			srv := New(Config{})
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
 
-			leader := sendTimed(ts, tc.leader, "20ms")
+			leader := sendTimed(ts, tc.leader, budget.String())
 			waitFor(t, "the leader's compile to start", func() bool { return srv.compiles.Load() == 1 })
 			joiner := sendTimed(ts, tc.joiner, "")
 			waitFor(t, "the second caller to join the leader's compile", func() bool { return tc.joined(srv) == 1 })
 			l, j := <-leader, <-joiner
-			t.Logf("leader (20ms budget) %d after %v; joiner (no budget) %d after %v", l.status, l.elapsed, j.status, j.elapsed)
+			t.Logf("leader (%v budget) %d after %v; joiner (no budget) %d after %v", budget, l.status, l.elapsed, j.status, j.elapsed)
 			if l.err != nil || l.status != http.StatusGatewayTimeout || !strings.Contains(l.body, context.DeadlineExceeded.Error()) {
 				t.Fatalf("leader: status %d err %v body %s, want 504 with its context error", l.status, l.err, l.body)
 			}
