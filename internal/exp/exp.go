@@ -105,8 +105,8 @@ func (t *Table) Fprint(w io.Writer) {
 // compiled is what the experiments read of one loop through the engine:
 // the numbers the figures reduce, derived once when the loop compiles, or
 // the error that stopped it. The memo keeps only these, not the engine's
-// Result, schedule or allocation, so a full RunAll pass holds a few dozen
-// bytes per entry instead of every compiled loop body.
+// Result, schedule or allocation, so an entry costs a few hundred bytes
+// instead of a compiled loop body and its queue allocation.
 type compiled struct {
 	II, MII, StageCount int
 	// Unrolled is the unroll factor the engine applied (Result.Unrolled).
