@@ -264,3 +264,41 @@ func BenchmarkRender(b *testing.B) {
 		sink = res.KernelSchedule()
 	}
 }
+
+// BenchmarkRemapResult measures vliwq.RemapResult per op, cycling through
+// compiles of the first 64 paper-corpus loops on clustered:4 with
+// unrolling, each remapped onto one renamed spelling built beforehand:
+// the remap cost of every renamed or permuted structural hit.
+func BenchmarkRemapResult(b *testing.B) {
+	loops := corpus.Standard()[:64]
+	results := make([]*vliwq.Result, len(loops))
+	renamed := make([]*vliwq.Loop, len(loops))
+	for i, l := range loops {
+		// Parsed from its text, as a served request is, so every op is named.
+		parsed, err := vliwq.ParseLoop(vliwq.FormatLoop(l))
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := vliwq.Compile(parsed, vliwq.Options{Machine: vliwq.Clustered(4), Unroll: true, SkipVerify: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		results[i] = res
+		r := parsed.Clone()
+		r.Name = "r_" + r.Name
+		for _, op := range r.Ops {
+			op.Name = "r_" + op.Name
+		}
+		renamed[i] = r
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(results)
+		res, err := vliwq.RemapResult(results[k], renamed[k])
+		if err != nil {
+			b.Fatal(err)
+		}
+		sink = res.Input.Name
+	}
+}

@@ -137,7 +137,7 @@ func runTrace(path, machineSpec string, batch bool, dump int, stdout, stderr io.
 			p.Name, len(p.Regions), len(p.Glue()), m.Spec())
 		for i, r := range p.Regions {
 			class := "trivial"
-			if program.Hard(r.Loop, m, 0) {
+			if program.Hard(r.Loop, m) {
 				class = "hard"
 			}
 			fmt.Fprintf(stdout, "  region %d %-8s trip %-5d %2d ops, %2d deps (%d discharged), %s\n",

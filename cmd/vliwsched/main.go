@@ -116,8 +116,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		Unroll:       *doUnroll,
 		UnrollFactor: *factor,
 		SkipVerify:   *noVerify,
+		Effort:       eff,
 	}
-	opts.Sched.Effort = eff
 	if *shape == "chain" {
 		opts.CopyShape = copyins.Chain
 	}

@@ -10,19 +10,12 @@ import (
 )
 
 // CompilerConfig tunes a Compiler session. The zero value is a sensible
-// session: library defaults ("single:6", fast effort), an unbounded result
-// cache, GOMAXPROCS batch workers. Long-running sessions fed by untrusted
-// request streams should bound the cache (the vliwd service layers its own
+// session: an unbounded result cache and GOMAXPROCS batch workers; a
+// request that omits its machine or effort takes the library defaults
+// ("single:6", fast). Long-running sessions fed by untrusted request
+// streams should bound the cache (the vliwd service layers its own
 // bounded whole-response cache instead and runs its Compiler uncached).
 type CompilerConfig struct {
-	// Machine is the session's default machine spec ("single:<n>" /
-	// "clustered:<n>"), applied to requests that omit one; "" falls
-	// through to the library default "single:6". An unparseable default
-	// surfaces as a per-Run error.
-	Machine string
-	// Effort is the session's default scheduler effort, applied to
-	// requests that omit one; "" falls through to "fast".
-	Effort string
 	// CacheEntries bounds the session's result cache: 0 means unbounded,
 	// a negative value disables caching (every Run compiles). The cache is
 	// keyed by Request.Canonical() plus the RunUntil cutoff, so identical
@@ -40,8 +33,8 @@ type runOutcome struct {
 	err error
 }
 
-// Compiler is a configured compilation session: session defaults plus an
-// optional shared result cache over the staged pipeline engine. It is safe
+// Compiler is a configured compilation session: an optional shared result
+// cache and a batch worker bound over the staged pipeline engine. It is safe
 // for concurrent use; cached Results are shared pointers and must be
 // treated as read-only. Create one with NewCompiler.
 type Compiler struct {
@@ -49,10 +42,7 @@ type Compiler struct {
 	cache *cache.Cache[string, runOutcome] // nil when caching is disabled
 }
 
-// NewCompiler builds a session from cfg. It never fails: an invalid
-// session default (a bad Machine or Effort spec) surfaces as an error from
-// the first Run that relies on it, exactly as if the request had carried
-// the bad value itself.
+// NewCompiler builds a session from cfg.
 func NewCompiler(cfg CompilerConfig) *Compiler {
 	c := &Compiler{cfg: cfg}
 	if cfg.CacheEntries >= 0 {
@@ -60,19 +50,6 @@ func NewCompiler(cfg CompilerConfig) *Compiler {
 			cache.Options{MaxEntries: cfg.CacheEntries}, cache.StringHash)
 	}
 	return c
-}
-
-// Prepare applies the session defaults to a request — an omitted machine
-// or effort takes the session's — and then prepares it (vliwq.Prepare):
-// the form RunPrepared consumes.
-func (c *Compiler) Prepare(req Request) *Prepared {
-	if req.Machine == "" {
-		req.Machine = c.cfg.Machine
-	}
-	if req.Effort == "" {
-		req.Effort = c.cfg.Effort
-	}
-	return Prepare(req)
 }
 
 // Run compiles one request through the full pipeline: parse, unroll, copy
@@ -86,11 +63,9 @@ func (c *Compiler) Run(ctx context.Context, req Request) (*Result, error) {
 	return c.RunUntil(ctx, req, StageVerify)
 }
 
-// RunPrepared is Run for a request this session already prepared
-// (Compiler.Prepare): it compiles the loop p parsed for its keys instead
-// of parsing the text again, and keys the session cache on p's memoized
-// Canonical. A Prepared built elsewhere runs as prepared, without this
-// session's defaults.
+// RunPrepared is Run for a request already prepared (Prepare): it
+// compiles the loop p parsed for its keys instead of parsing the text
+// again, and keys the session cache on p's memoized Canonical.
 func (c *Compiler) RunPrepared(ctx context.Context, p *Prepared) (*Result, error) {
 	return c.run(ctx, p, StageVerify)
 }
@@ -104,7 +79,7 @@ func (c *Compiler) RunUntil(ctx context.Context, req Request, until Stage) (*Res
 	if until >= NumStages {
 		return nil, fmt.Errorf("vliwq: unknown stage %d", uint8(until))
 	}
-	return c.run(ctx, c.Prepare(req), until)
+	return c.run(ctx, Prepare(req), until)
 }
 
 // run compiles a prepared request up to `until`, through the session

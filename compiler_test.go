@@ -196,33 +196,6 @@ func TestCompilerSessionCache(t *testing.T) {
 	}
 }
 
-// TestCompilerSessionDefaults: a session's Machine/Effort apply to
-// requests that omit them and are overridden by explicit request fields;
-// a bad session default surfaces as a Run error.
-func TestCompilerSessionDefaults(t *testing.T) {
-	compiler := vliwq.NewCompiler(vliwq.CompilerConfig{Machine: "clustered:4", Effort: "balanced", CacheEntries: -1})
-	ctx := context.Background()
-	res, err := compiler.Run(ctx, vliwq.Request{Loop: testLoop, SkipVerify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.Sched.Machine.Spec(); got != "clustered:4" {
-		t.Fatalf("session default machine not applied (got %s)", got)
-	}
-	res, err = compiler.Run(ctx, vliwq.Request{Loop: testLoop, Machine: "single:4", SkipVerify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.Sched.Machine.Spec(); got != "single:4" {
-		t.Fatalf("explicit request machine lost to the session default (got %s)", got)
-	}
-
-	bad := vliwq.NewCompiler(vliwq.CompilerConfig{Machine: "mesh:4"})
-	if _, err := bad.Run(ctx, vliwq.Request{Loop: testLoop}); err == nil || !strings.Contains(err.Error(), "unknown machine kind") {
-		t.Fatalf("bad session default machine: err %v", err)
-	}
-}
-
 // budgetCtx is a poll-only context whose Err starts reporting
 // context.Canceled after a fixed number of calls — a deterministic way to
 // cancel "mid-batch": the pipeline polls Err at its stage boundaries (3

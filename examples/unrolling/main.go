@@ -27,7 +27,8 @@ import (
 
 func main() {
 	machine := vliwq.SingleCluster(6)
-	compiler := vliwq.NewCompiler(vliwq.CompilerConfig{Machine: machine.Spec()})
+	spec := machine.Spec()
+	compiler := vliwq.NewCompiler(vliwq.CompilerConfig{})
 	ctx := context.Background()
 
 	sweep := func(name string) {
@@ -36,14 +37,14 @@ func main() {
 			log.Fatalf("kernel %s missing", name)
 		}
 		src := vliwq.FormatLoop(loop)
-		base, err := compiler.Run(ctx, vliwq.Request{Loop: src})
+		base, err := compiler.Run(ctx, vliwq.Request{Loop: src, Machine: spec})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%s on %s: base II=%d (ResMII=%d RecMII=%d)\n",
 			name, machine.Name, base.II, base.Sched.ResMII, base.Sched.RecMII)
 		for factor := 2; factor <= 6; factor++ {
-			res, err := compiler.Run(ctx, vliwq.Request{Loop: src, UnrollFactor: factor})
+			res, err := compiler.Run(ctx, vliwq.Request{Loop: src, Machine: spec, UnrollFactor: factor})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -57,7 +58,7 @@ func main() {
 		// The staged API stops the pipeline after unrolling: the partial
 		// Result carries the replicated body but no schedule yet.
 		partial, err := compiler.RunUntil(ctx,
-			vliwq.Request{Loop: src, Unroll: true}, vliwq.StageUnroll)
+			vliwq.Request{Loop: src, Machine: spec, Unroll: true}, vliwq.StageUnroll)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -258,9 +258,7 @@ func (o Options) bind(b binding) (binding, vliwq.Options) {
 		panic("exp: " + err.Error())
 	}
 	m.CommLatency, m.AllowMoves = b.commLat, b.moves
-	vo := vliwq.Options{Machine: m, Unroll: b.unroll, CopyShape: b.shape, SkipVerify: true}
-	vo.Sched.Effort = b.effort
-	return b, vo
+	return b, vliwq.Options{Machine: m, Unroll: b.unroll, CopyShape: b.shape, SkipVerify: true, Effort: b.effort}
 }
 
 // compiler returns binding b's per-loop compile function, memoized in

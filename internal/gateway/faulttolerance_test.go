@@ -459,6 +459,63 @@ func TestGatewayDeadlinePropagation(t *testing.T) {
 	}
 }
 
+// TestGatewayDeadlineFloor: the gateway floors a client budget exactly as
+// the backend does (service.RequestContext), so a sub-millisecond budget
+// is forwarded, tightened to what is left of the floor, instead of
+// expiring inside the gateway before any backend sees the request. The
+// request is an exact hit in its owner's cache, so the gateway relays
+// whatever the owner answers; the first hop can still outlast the
+// floor on a loaded host, so the test allows a few tries.
+func TestGatewayDeadlineFloor(t *testing.T) {
+	var sawBudget atomic.Value // string
+	backend := service.New(service.Config{}).Handler()
+	observer := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if v := r.Header.Get(service.DeadlineHeader); v != "" {
+			sawBudget.Store(v)
+		}
+		backend.ServeHTTP(w, r)
+	})
+	b0 := httptest.NewServer(observer)
+	defer b0.Close()
+	gw, err := New(Config{Backends: []string{b0.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(gw.Handler())
+	defer ts.Close()
+
+	req := service.CompileRequest{Loop: vliwq.FormatLoop(corpus.KernelByName("daxpy"))}
+	if resp, body := postJSON(t, ts.Client(), ts.URL+"/compile", req); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warm-up status %d: %s", resp.StatusCode, body)
+	}
+	buf, _ := json.Marshal(req)
+	var statuses []int
+	for try := 0; try < 5 && sawBudget.Load() == nil; try++ {
+		hr, err := http.NewRequest(http.MethodPost, ts.URL+"/compile", strings.NewReader(string(buf)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr.Header.Set(service.DeadlineHeader, "1us")
+		resp, err := ts.Client().Do(hr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		statuses = append(statuses, resp.StatusCode)
+	}
+	got, _ := sawBudget.Load().(string)
+	if got == "" {
+		t.Fatalf("a 1us budget never reached the backend (gateway answered %v)", statuses)
+	}
+	d, err := time.ParseDuration(got)
+	if err != nil {
+		t.Fatalf("propagated budget %q unparsable: %v", got, err)
+	}
+	if d <= 0 || d > time.Millisecond {
+		t.Fatalf("propagated budget %v not within (0, 1ms]", d)
+	}
+}
+
 // TestGatewayBadDeadlineHeaderIs400 mirrors the backend's contract at the
 // proxy edge, on every endpoint that parses the header.
 func TestGatewayBadDeadlineHeaderIs400(t *testing.T) {

@@ -54,16 +54,8 @@ type Config struct {
 	// failover. Capped at len(Backends)-1 — there is no one left after a
 	// full lap.
 	Retries int
-	// Client issues backend requests; nil uses a client with pooled
-	// per-host connections and Timeout as its overall timeout. Supplying
-	// a Client is for tests — production callers should prefer Timeout so
-	// they keep the tuned transport.
-	Client *http.Client
-	// Timeout bounds one backend request when Client is nil; 0 means 60 s.
+	// Timeout bounds one backend request; 0 means 60 s.
 	Timeout time.Duration
-	// MaxBodyBytes caps an incoming request body; 0 means 8 MiB (the
-	// gateway fronts /batch, so it allows more than one backend request).
-	MaxBodyBytes int64
 	// MaxBatch caps the request count of one /batch call before it is
 	// split, mirroring the backend limit so the gateway answers 413 the
 	// same way a single vliwd would; 0 means 1024.
@@ -146,7 +138,7 @@ func New(cfg Config) (*Gateway, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, errors.New("gateway: no backends configured")
 	}
-	g := &Gateway{cfg: cfg, client: cfg.Client, start: time.Now(),
+	g := &Gateway{cfg: cfg, start: time.Now(),
 		latWindow: metrics.NewWindow(512),
 		flights:   cache.New[string, reply](cache.Options{}, cache.StringHash)}
 	threshold := cfg.BreakerThreshold
@@ -169,18 +161,16 @@ func New(cfg Config) (*Gateway, error) {
 			breaker: newBreaker(threshold, cooldown, nil),
 		})
 	}
-	if g.client == nil {
-		timeout := cfg.Timeout
-		if timeout <= 0 {
-			timeout = 60 * time.Second
-		}
-		g.client = &http.Client{
-			Timeout: timeout,
-			Transport: &http.Transport{
-				MaxIdleConns:        64,
-				MaxIdleConnsPerHost: 16,
-			},
-		}
+	timeout := cfg.Timeout
+	if timeout <= 0 {
+		timeout = 60 * time.Second
+	}
+	g.client = &http.Client{
+		Timeout: timeout,
+		Transport: &http.Transport{
+			MaxIdleConns:        64,
+			MaxIdleConnsPerHost: 16,
+		},
 	}
 	g.mux = http.NewServeMux()
 	g.mux.HandleFunc("/compile", g.handleCompile)
@@ -208,12 +198,9 @@ func (g *Gateway) retries() int {
 	return r
 }
 
-func (g *Gateway) maxBody() int64 {
-	if g.cfg.MaxBodyBytes > 0 {
-		return g.cfg.MaxBodyBytes
-	}
-	return 8 << 20
-}
+// maxBodyBytes caps an incoming request body. The gateway fronts /batch,
+// so it allows more than one backend request.
+const maxBodyBytes = 8 << 20
 
 func (g *Gateway) maxBatch() int {
 	if g.cfg.MaxBatch > 0 {
@@ -494,18 +481,15 @@ func (g *Gateway) hedgeDelay() time.Duration {
 }
 
 // requestContext applies the client's propagated DeadlineHeader budget, if
-// any, as the request context's deadline; forward() re-propagates whatever
-// is left of it to each backend hop. A malformed header is answered 400.
+// any, as the request context's deadline, with the backend's floor
+// (service.RequestContext); forward() re-propagates whatever is left of it
+// to each backend hop. A malformed header is answered 400.
 func (g *Gateway) requestContext(w http.ResponseWriter, r *http.Request) (context.Context, context.CancelFunc, bool) {
-	d, ok, err := service.ParseDeadline(r.Header)
+	ctx, cancel, err := service.RequestContext(r)
 	if err != nil {
 		g.fail(w, http.StatusBadRequest, err.Error())
 		return nil, nil, false
 	}
-	if !ok {
-		return r.Context(), func() {}, true
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), d)
 	return ctx, cancel, true
 }
 
@@ -536,7 +520,7 @@ func (g *Gateway) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.maxBody()))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		g.failRead(w, err)
 		return
@@ -593,7 +577,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.maxBody()))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		g.failRead(w, err)
 		return

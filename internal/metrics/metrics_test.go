@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -25,7 +26,7 @@ func TestRealOpsExcludesOverhead(t *testing.T) {
 func TestIPCStaticAndDynamicRelation(t *testing.T) {
 	cfg := machine.SingleCluster(6)
 	for _, l := range corpus.Kernels() {
-		s, err := sched.ScheduleLoop(l, cfg, sched.Options{})
+		s, err := sched.ScheduleLoop(context.Background(), l, cfg, sched.EffortFast)
 		if err != nil {
 			t.Fatalf("%s: %v", l.Name, err)
 		}
@@ -49,7 +50,7 @@ func TestIPCStaticAndDynamicRelation(t *testing.T) {
 
 func TestCycles(t *testing.T) {
 	l := corpus.Daxpy()
-	s, err := sched.ScheduleLoop(l, machine.SingleCluster(12), sched.Options{})
+	s, err := sched.ScheduleLoop(context.Background(), l, machine.SingleCluster(12), sched.EffortFast)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +75,11 @@ func TestIISpeedup(t *testing.T) {
 
 func TestDynamicAggregateWeighting(t *testing.T) {
 	cfg := machine.SingleCluster(6)
-	small, err := sched.ScheduleLoop(corpus.Daxpy(), cfg, sched.Options{})
+	small, err := sched.ScheduleLoop(context.Background(), corpus.Daxpy(), cfg, sched.EffortFast)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := sched.ScheduleLoop(corpus.Hydro(), cfg, sched.Options{})
+	big, err := sched.ScheduleLoop(context.Background(), corpus.Hydro(), cfg, sched.EffortFast)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestDynamicAggregateUnrolled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := sched.ScheduleLoop(u, cfg, sched.Options{})
+	s, err := sched.ScheduleLoop(context.Background(), u, cfg, sched.EffortFast)
 	if err != nil {
 		t.Fatal(err)
 	}

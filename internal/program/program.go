@@ -5,12 +5,13 @@
 // portfolio/certified tiers, and the per-region schedules are merged back
 // into one program schedule whose total order is verified. All per-region
 // compiles run as canonical vliwq.Requests through one vliwq.Compiler
-// session, so the session's result cache (keyed by the exact Canonical
-// request) and Result.Bound certificates apply to each region exactly as
-// they would to a standalone request — a region's compile is
-// byte-identical to compiling its lifted loop alone, and the same Requests
-// can be posted verbatim to a vliwd /batch endpoint, whose service adds the
-// structural cache layer (see DESIGN.md §15).
+// session per call, so the session's result cache (keyed by the exact
+// Canonical request) dedups identical regions and Result.Bound
+// certificates apply to each region exactly as they would to a standalone
+// request — a region's compile is byte-identical to compiling its lifted
+// loop alone, and the same Requests can be posted verbatim to a vliwd
+// /batch endpoint, whose service adds the structural cache layer (see
+// DESIGN.md §15).
 package program
 
 import (
@@ -28,29 +29,21 @@ import (
 // smallest clustered configuration.
 const DefaultMachine = "clustered:4"
 
-// DefaultHardOps is the region-size floor for the hard class.
-const DefaultHardOps = 10
+// hardOps is the region-size floor for the hard class.
+const hardOps = 10
 
 // Options configures a whole-program schedule.
 type Options struct {
 	// Machine is the target machine spec ("" = DefaultMachine).
 	Machine string
 	// HardEffort is the tier hard regions compile with ("" = optimal, so
-	// hard regions carry Bound certificates by default).
+	// hard regions carry Bound certificates by default). Trivial regions
+	// compile at fast.
 	HardEffort string
-	// TrivialEffort is the tier trivial regions compile with ("" = fast).
-	TrivialEffort string
-	// HardOps is the op-count floor for the hard class (0 = DefaultHardOps).
-	HardOps int
-	// Workers bounds the per-region compile parallelism when this call
-	// creates its own Compiler (0 = GOMAXPROCS).
+	// Workers bounds the per-region compile parallelism (0 = GOMAXPROCS).
 	Workers int
 	// SkipVerify skips the per-region simulator verification.
 	SkipVerify bool
-	// Compiler, when non-nil, is the session to compile through — callers
-	// share one session so its result cache, keyed by the exact Canonical
-	// request, spans programs. When nil a private session is created.
-	Compiler *vliwq.Compiler
 }
 
 func (o Options) withDefaults() Options {
@@ -60,25 +53,16 @@ func (o Options) withDefaults() Options {
 	if o.HardEffort == "" {
 		o.HardEffort = "optimal"
 	}
-	if o.TrivialEffort == "" {
-		o.TrivialEffort = "fast"
-	}
-	if o.HardOps <= 0 {
-		o.HardOps = DefaultHardOps
-	}
 	return o
 }
 
 // Hard classifies a lifted region: hard regions are big enough to be
-// worth the expensive tiers AND resource-bound (RecMII <= ResMII — no
-// recurrence already dictates the II, so cluster assignment quality and
-// the certified search have room to matter). Singleton or recurrence-
-// bound regions gain nothing from the expensive tiers: the fast tier
-// already meets their RecMII-dominated lower bound.
-func Hard(l *ir.Loop, m vliwq.Machine, hardOps int) bool {
-	if hardOps <= 0 {
-		hardOps = DefaultHardOps
-	}
+// worth the expensive tiers (at least 10 ops) AND resource-bound (RecMII
+// <= ResMII — no recurrence already dictates the II, so cluster assignment
+// quality and the certified search have room to matter). Small or
+// recurrence-bound regions gain nothing from the expensive tiers: the
+// fast tier already meets their RecMII-dominated lower bound.
+func Hard(l *ir.Loop, m vliwq.Machine) bool {
 	if len(l.Ops) < hardOps {
 		return false
 	}
@@ -108,8 +92,8 @@ func classify(p *frontend.Program, o Options) ([]vliwq.Request, []bool, error) {
 	reqs := make([]vliwq.Request, len(p.Regions))
 	hard := make([]bool, len(p.Regions))
 	for i, r := range p.Regions {
-		hard[i] = Hard(r.Loop, m, o.HardOps)
-		eff := o.TrivialEffort
+		hard[i] = Hard(r.Loop, m)
+		eff := "fast"
 		if hard[i] {
 			eff = o.HardEffort
 		}
@@ -153,11 +137,7 @@ func ScheduleProgram(ctx context.Context, p *frontend.Program, opts Options) (*S
 		return nil, err
 	}
 	m, _ := vliwq.ParseMachine(o.Machine)
-	c := o.Compiler
-	if c == nil {
-		c = vliwq.NewCompiler(vliwq.CompilerConfig{Workers: o.Workers})
-	}
-	results := c.RunBatch(ctx, reqs)
+	results := vliwq.NewCompiler(vliwq.CompilerConfig{Workers: o.Workers}).RunBatch(ctx, reqs)
 	s := &Schedule{Program: p, Machine: m.Spec(), Regions: make([]RegionSchedule, len(reqs))}
 	for i, br := range results {
 		if br.Err != nil {

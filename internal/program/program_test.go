@@ -127,24 +127,3 @@ func TestRequestsErrors(t *testing.T) {
 		t.Fatal("region-free trace accepted")
 	}
 }
-
-// TestSharedCompilerSession: a caller-provided session is reused, so a
-// second program schedule hits the session cache instead of recompiling.
-func TestSharedCompilerSession(t *testing.T) {
-	p := loadKernelTrace(t)
-	c := vliwq.NewCompiler(vliwq.CompilerConfig{})
-	if _, err := ScheduleProgram(context.Background(), p, Options{Compiler: c}); err != nil {
-		t.Fatal(err)
-	}
-	first := c.Stats()
-	if _, err := ScheduleProgram(context.Background(), p, Options{Compiler: c}); err != nil {
-		t.Fatal(err)
-	}
-	second := c.Stats()
-	if second.Misses != first.Misses {
-		t.Fatalf("second schedule recompiled: misses %d -> %d", first.Misses, second.Misses)
-	}
-	if second.Hits <= first.Hits {
-		t.Fatalf("second schedule did not hit the session cache: hits %d -> %d", first.Hits, second.Hits)
-	}
-}

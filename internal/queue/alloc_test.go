@@ -1,6 +1,7 @@
 package queue_test
 
 import (
+	"context"
 	"testing"
 
 	"vliwq/internal/copyins"
@@ -14,7 +15,7 @@ import (
 func compile(t testing.TB, l *ir.Loop, cfg machine.Config) *sched.Schedule {
 	t.Helper()
 	ins := copyins.Insert(l, copyins.Tree)
-	s, err := sched.ScheduleLoop(ins.Loop, cfg, sched.Options{})
+	s, err := sched.ScheduleLoop(context.Background(), ins.Loop, cfg, sched.EffortFast)
 	if err != nil {
 		t.Fatalf("%s: %v", l.Name, err)
 	}

@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -64,7 +65,7 @@ func compileRef(t testing.TB, l *ir.Loop, rc refConfig) *sched.Schedule {
 		work = u
 	}
 	ins := copyins.Insert(work, rc.shape)
-	s, err := sched.ScheduleLoop(ins.Loop, rc.cfg, sched.Options{})
+	s, err := sched.ScheduleLoop(context.Background(), ins.Loop, rc.cfg, sched.EffortFast)
 	if err != nil {
 		t.Fatalf("%s on %s: %v", l.Name, rc.name, err)
 	}

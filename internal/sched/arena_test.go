@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"testing"
 
 	"vliwq/internal/corpus"
@@ -21,14 +22,14 @@ func TestScheduleLoopAllocs(t *testing.T) {
 	for _, cfg := range []machine.Config{machine.SingleCluster(12), machine.Clustered(4)} {
 		// Warm the pool so every arena reaches its high-water size.
 		for _, l := range loops {
-			if _, err := ScheduleLoop(l, cfg, Options{}); err != nil {
+			if _, err := ScheduleLoop(context.Background(), l, cfg, EffortFast); err != nil {
 				t.Fatalf("%s on %s: %v", l.Name, cfg.Name, err)
 			}
 		}
 		var total float64
 		for _, l := range loops {
 			total += testing.AllocsPerRun(10, func() {
-				if _, err := ScheduleLoop(l, cfg, Options{}); err != nil {
+				if _, err := ScheduleLoop(context.Background(), l, cfg, EffortFast); err != nil {
 					t.Fatalf("%s on %s: %v", l.Name, cfg.Name, err)
 				}
 			})
@@ -145,7 +146,7 @@ func TestScheduleLoopReusedStateDeterminism(t *testing.T) {
 	run := func() []int {
 		var out []int
 		for _, l := range loops {
-			s, err := ScheduleLoop(l, cfg, Options{})
+			s, err := ScheduleLoop(context.Background(), l, cfg, EffortFast)
 			if err != nil {
 				t.Fatalf("%s: %v", l.Name, err)
 			}

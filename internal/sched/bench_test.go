@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"testing"
 
 	"vliwq/internal/corpus"
@@ -22,7 +23,7 @@ func benchScheduleLoop(b *testing.B, cfg machine.Config) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, l := range loops {
-			if _, err := ScheduleLoop(l, cfg, Options{}); err != nil {
+			if _, err := ScheduleLoop(context.Background(), l, cfg, EffortFast); err != nil {
 				b.Fatalf("%s: %v", l.Name, err)
 			}
 		}
@@ -51,7 +52,7 @@ func BenchmarkSchedulePortfolioExhaustive(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, l := range loops {
-			if _, err := ScheduleLoop(l, cfg, Options{Effort: EffortExhaustive}); err != nil {
+			if _, err := ScheduleLoop(context.Background(), l, cfg, EffortExhaustive); err != nil {
 				b.Fatalf("%s: %v", l.Name, err)
 			}
 		}
@@ -70,7 +71,7 @@ func BenchmarkScheduleOptimalSmall(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, l := range loops {
-			if _, err := ScheduleLoop(l, cfg, Options{Effort: EffortOptimal}); err != nil {
+			if _, err := ScheduleLoop(context.Background(), l, cfg, EffortOptimal); err != nil {
 				b.Fatalf("%s: %v", l.Name, err)
 			}
 		}
@@ -91,7 +92,7 @@ func BenchmarkScheduleOptimalStressed(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, l := range loops {
-			if _, err := ScheduleLoop(l, cfg, Options{Effort: EffortOptimal}); err != nil {
+			if _, err := ScheduleLoop(context.Background(), l, cfg, EffortOptimal); err != nil {
 				b.Fatalf("%s: %v", l.Name, err)
 			}
 		}

@@ -27,8 +27,8 @@ import (
 	"vliwq/internal/machine"
 )
 
-// Bound is the optimality certificate of a schedule produced under
-// Options.Effort: optimal. The zero value (Lower == 0) means no certificate
+// Bound is the optimality certificate of a schedule produced at
+// EffortOptimal. The zero value (Lower == 0) means no certificate
 // was computed — the heuristic tiers never set one, which keeps their
 // reports, golden files and cache entries byte-identical.
 type Bound struct {
@@ -64,7 +64,7 @@ func exactNodeBudget(ratio int) int64 {
 	return int64(ratio) * exactNodeBudgetPerRatio
 }
 
-// scheduleOptimal implements Options.Effort: optimal. It obtains an
+// scheduleOptimal implements EffortOptimal. It obtains an
 // incumbent from the heuristic portfolio (the same race the exhaustive tier
 // runs), then certifies or improves it with the exact searcher, walking
 // every integer II in [MII, incumbent II). Note the ladder deliberately

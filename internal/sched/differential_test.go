@@ -16,6 +16,7 @@ package sched
 // refreshed while any test in here is red.
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -44,7 +45,7 @@ func effortDigest(t *testing.T, loops []*ir.Loop, cfgs []machine.Config, e Effor
 	}
 	for _, cfg := range cfgs {
 		for _, l := range loops {
-			s, err := ScheduleLoop(l, cfg, Options{Effort: e})
+			s, err := ScheduleLoop(context.Background(), l, cfg, e)
 			if err != nil {
 				t.Fatalf("%s on %s: %v", l.Name, cfg.Name, err)
 			}

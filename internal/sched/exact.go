@@ -1,4 +1,4 @@
-// The exact branch-and-bound searcher behind Options.Effort: optimal.
+// The exact branch-and-bound searcher behind EffortOptimal.
 //
 // For one candidate II the searcher answers the exact decision question:
 // does ANY partitioned modulo schedule at this II exist? It branches over

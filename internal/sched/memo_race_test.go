@@ -63,9 +63,8 @@ func TestPortfolioRaceWorkerCountInvariant(t *testing.T) {
 	loops := corpus.Stressed()[:16]
 	for _, cfg := range cfgs {
 		for _, l := range loops {
-			opts := Options{Effort: EffortExhaustive}
-			seq, seqErr := scheduleLoop(context.Background(), l, cfg, opts, limitsFor(l, 1))
-			par, parErr := scheduleLoop(context.Background(), l, cfg, opts, limitsFor(l, 8))
+			seq, seqErr := scheduleLoop(context.Background(), l, cfg, EffortExhaustive, limitsFor(l, 1))
+			par, parErr := scheduleLoop(context.Background(), l, cfg, EffortExhaustive, limitsFor(l, 8))
 			if (seqErr == nil) != (parErr == nil) {
 				t.Fatalf("%s on %s: workers=1 err=%v, workers=8 err=%v", l.Name, cfg.Name, seqErr, parErr)
 			}

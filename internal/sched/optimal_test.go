@@ -28,11 +28,11 @@ func TestOptimalBoundContract(t *testing.T) {
 	improvedOrProved := 0
 	for _, cfg := range []machine.Config{machine.Clustered(4), machine.Clustered(6)} {
 		for _, l := range loops {
-			ex, err := ScheduleLoop(l, cfg, Options{Effort: EffortExhaustive})
+			ex, err := ScheduleLoop(context.Background(), l, cfg, EffortExhaustive)
 			if err != nil {
 				t.Fatalf("%s on %s exhaustive: %v", l.Name, cfg.Name, err)
 			}
-			opt, err := ScheduleLoop(l, cfg, Options{Effort: EffortOptimal})
+			opt, err := ScheduleLoop(context.Background(), l, cfg, EffortOptimal)
 			if err != nil {
 				t.Fatalf("%s on %s optimal: %v", l.Name, cfg.Name, err)
 			}
@@ -75,7 +75,7 @@ func TestOptimalCancellation(t *testing.T) {
 	l := findGappedLoop(t, cfg)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	s, err := ScheduleLoopContext(ctx, l, cfg, Options{Effort: EffortOptimal})
+	s, err := ScheduleLoop(ctx, l, cfg, EffortOptimal)
 	if err != nil {
 		t.Fatalf("cancelled optimal compile failed: %v", err)
 	}
@@ -93,7 +93,7 @@ func TestOptimalCancellation(t *testing.T) {
 	}
 	// The incumbent must equal the exhaustive tier's schedule: cancellation
 	// may only cost the certificate, never placement quality.
-	ex, err := ScheduleLoop(l, cfg, Options{Effort: EffortExhaustive})
+	ex, err := ScheduleLoop(context.Background(), l, cfg, EffortExhaustive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestOptimalBudgetCutDeterministic(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		lim := limitsFor(l, workers)
 		lim.budgetRatio = 1
-		s, err := scheduleLoop(context.Background(), l, cfg, Options{Effort: EffortOptimal}, lim)
+		s, err := scheduleLoop(context.Background(), l, cfg, EffortOptimal, lim)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -136,7 +136,7 @@ func TestOptimalTrivialCertificates(t *testing.T) {
 	// A heuristic MII hit is proved optimal with zero search nodes.
 	l := corpus.Daxpy()
 	cfg := machine.Clustered(4)
-	s, err := ScheduleLoop(l, cfg, Options{Effort: EffortOptimal})
+	s, err := ScheduleLoop(context.Background(), l, cfg, EffortOptimal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestOptimalTrivialCertificates(t *testing.T) {
 	}
 	// Heuristic tiers never set a certificate.
 	for _, e := range []Effort{EffortFast, EffortBalanced, EffortExhaustive} {
-		s, err := ScheduleLoop(l, cfg, Options{Effort: e})
+		s, err := ScheduleLoop(context.Background(), l, cfg, e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +160,7 @@ func TestOptimalTrivialCertificates(t *testing.T) {
 	mv := machine.Clustered(6)
 	mv.AllowMoves = true
 	for _, l := range corpus.Generate(corpusStress(8)) {
-		s, err := ScheduleLoop(l, mv, Options{Effort: EffortOptimal})
+		s, err := ScheduleLoop(context.Background(), l, mv, EffortOptimal)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +237,7 @@ func TestExactFoundScheduleVerifies(t *testing.T) {
 func findGappedLoop(t *testing.T, cfg machine.Config) *ir.Loop {
 	t.Helper()
 	for _, l := range corpus.Generate(corpusStress(64)) {
-		s, err := ScheduleLoop(l, cfg, Options{Effort: EffortExhaustive})
+		s, err := ScheduleLoop(context.Background(), l, cfg, EffortExhaustive)
 		if err != nil {
 			continue
 		}

@@ -36,13 +36,13 @@ func TestStrategyAndEffortNames(t *testing.T) {
 
 func TestStrategySet(t *testing.T) {
 	// Single-cluster machines collapse to baseline at any effort.
-	if got := (Options{Effort: EffortExhaustive}).strategySet(1); !reflect.DeepEqual(got, []Strategy{StrategyBaseline}) {
+	if got := strategySet(EffortExhaustive, 1); !reflect.DeepEqual(got, []Strategy{StrategyBaseline}) {
 		t.Fatalf("single cluster set = %v", got)
 	}
-	if got := (Options{}).strategySet(4); !reflect.DeepEqual(got, []Strategy{StrategyBaseline}) {
+	if got := strategySet(EffortFast, 4); !reflect.DeepEqual(got, []Strategy{StrategyBaseline}) {
 		t.Fatalf("fast set = %v", got)
 	}
-	if got := (Options{Effort: EffortExhaustive}).strategySet(4); len(got) != int(NumStrategies) {
+	if got := strategySet(EffortExhaustive, 4); len(got) != int(NumStrategies) {
 		t.Fatalf("exhaustive set = %v", got)
 	}
 }
@@ -62,16 +62,17 @@ func TestEffortFastByteIdentity(t *testing.T) {
 	loops := identityCorpus(t)
 	for _, cfg := range []machine.Config{machine.SingleCluster(12), machine.Clustered(4), machine.Clustered(6)} {
 		for _, l := range loops {
-			ref, err := ScheduleLoop(l, cfg, Options{})
+			var zero Effort
+			ref, err := ScheduleLoop(context.Background(), l, cfg, zero)
 			if err != nil {
 				t.Fatalf("%s on %s: %v", l.Name, cfg.Name, err)
 			}
-			got, err := ScheduleLoop(l, cfg, Options{Effort: EffortFast})
+			got, err := ScheduleLoop(context.Background(), l, cfg, EffortFast)
 			if err != nil {
 				t.Fatalf("%s on %s: %v", l.Name, cfg.Name, err)
 			}
 			if got.II != ref.II || !reflect.DeepEqual(got.Time, ref.Time) || !reflect.DeepEqual(got.Cluster, ref.Cluster) {
-				t.Fatalf("%s on %s: schedule differs from default options", l.Name, cfg.Name)
+				t.Fatalf("%s on %s: schedule differs from the zero effort's", l.Name, cfg.Name)
 			}
 			if got.Strategy != StrategyBaseline || got.Stats.StrategiesTried != 0 {
 				t.Fatalf("%s on %s: strategy=%v tried=%d, want baseline/0",
@@ -96,7 +97,7 @@ func scheduleDigest(t *testing.T, loops []*ir.Loop, cfgs []machine.Config) uint6
 	}
 	for _, cfg := range cfgs {
 		for _, l := range loops {
-			s, err := ScheduleLoop(l, cfg, Options{})
+			s, err := ScheduleLoop(context.Background(), l, cfg, EffortFast)
 			if err != nil {
 				t.Fatalf("%s on %s: %v", l.Name, cfg.Name, err)
 			}
@@ -132,7 +133,7 @@ func TestPortfolioDeterministic(t *testing.T) {
 	for _, l := range loops {
 		var ref *Schedule
 		for _, workers := range []int{1, 2, 8} {
-			s, err := scheduleLoop(context.Background(), l, cfg, Options{Effort: EffortExhaustive}, limitsFor(l, workers))
+			s, err := scheduleLoop(context.Background(), l, cfg, EffortExhaustive, limitsFor(l, workers))
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", l.Name, workers, err)
 			}
@@ -160,11 +161,11 @@ func TestPortfolioNeverWorse(t *testing.T) {
 	cfg := machine.Clustered(6)
 	improved := 0
 	for _, l := range loops {
-		base, err := ScheduleLoop(l, cfg, Options{})
+		base, err := ScheduleLoop(context.Background(), l, cfg, EffortFast)
 		if err != nil {
 			t.Fatalf("%s: %v", l.Name, err)
 		}
-		port, err := ScheduleLoop(l, cfg, Options{Effort: EffortExhaustive})
+		port, err := ScheduleLoop(context.Background(), l, cfg, EffortExhaustive)
 		if err != nil {
 			t.Fatalf("%s: %v", l.Name, err)
 		}

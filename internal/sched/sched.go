@@ -50,7 +50,7 @@ type Schedule struct {
 	Strategy Strategy
 
 	// Bound is the optimality certificate of the schedule. Only
-	// Options.Effort: optimal sets it (Lower >= 1); for every other tier
+	// EffortOptimal sets it (Lower >= 1); for every other tier
 	// it stays the zero value, keeping historical outputs byte-identical.
 	// See bound.go for the contract.
 	Bound Bound
@@ -109,20 +109,11 @@ type Stats struct {
 	PrunedNodes int64
 }
 
-// Options control the scheduler's effort.
-type Options struct {
-	// Effort selects the portfolio of cluster-assignment strategies raced
-	// per candidate II on clustered machines (portfolio.go). The zero
-	// value, EffortFast, runs the single baseline heuristic — bit-for-bit
-	// the scheduler's historical behaviour.
-	Effort Effort
-}
-
 // DefaultBudgetRatio is Rau's recommended scheduling budget multiplier:
 // an II attempt may make DefaultBudgetRatio placements per operation.
 const DefaultBudgetRatio = 6
 
-// limits bound one scheduling call. ScheduleLoopContext derives them; the
+// limits bound one scheduling call. ScheduleLoop derives them; the
 // tests that pin ErrNoSchedule, budget cuts and worker-count invariance
 // pass their own to scheduleLoop.
 type limits struct {
@@ -175,36 +166,32 @@ var (
 // strategySet resolves the strategies a compilation races: the effort
 // level's portfolio. Single-cluster machines always collapse to the
 // baseline — every ordering of one cluster is the same ordering.
-func (o Options) strategySet(numClusters int) []Strategy {
+func strategySet(effort Effort, numClusters int) []Strategy {
 	if numClusters <= 1 {
 		return []Strategy{StrategyBaseline}
 	}
-	return o.Effort.Strategies()
+	return effort.Strategies()
 }
 
 // ScheduleLoop modulo-schedules the loop on the given machine. It works for
 // both single-cluster and clustered configurations; for the latter it runs
 // the paper's partitioned IMS — as a single heuristic at EffortFast, or as
 // a strategy portfolio raced per candidate II at the higher effort levels.
-func ScheduleLoop(l *ir.Loop, cfg machine.Config, opts Options) (*Schedule, error) {
-	return ScheduleLoopContext(context.Background(), l, cfg, opts)
-}
-
-// ScheduleLoopContext is ScheduleLoop with a context. Only the optimal
-// tier's proof search observes the context: a deadline or cancellation cuts
-// the exact branch-and-bound ladder, which then returns the best incumbent
-// with Bound.Optimal=false and Bound.DeadlineCut=true (the anytime
-// contract, DESIGN.md §14). Every other effort level ignores ctx, so the
-// heuristic tiers stay deterministic under any deadline.
+//
+// Only the optimal tier's proof search observes the context: a deadline or
+// cancellation cuts the exact branch-and-bound ladder, which then returns
+// the best incumbent with Bound.Optimal=false and Bound.DeadlineCut=true
+// (the anytime contract, DESIGN.md §14). Every other effort level ignores
+// ctx, so the heuristic tiers stay deterministic under any deadline.
 //
 // The loop must be valid (ir.(*Loop).Validate): the compile engine checks
 // it once at its entry, and every pass before the scheduler preserves
 // validity. The machine is checked here.
-func ScheduleLoopContext(ctx context.Context, l *ir.Loop, cfg machine.Config, opts Options) (*Schedule, error) {
+func ScheduleLoop(ctx context.Context, l *ir.Loop, cfg machine.Config, effort Effort) (*Schedule, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return scheduleLoop(ctx, l, cfg, opts, limits{
+	return scheduleLoop(ctx, l, cfg, effort, limits{
 		maxII:       iiCap(l),
 		budgetRatio: DefaultBudgetRatio,
 		workers:     runtime.GOMAXPROCS(0),
@@ -215,7 +202,7 @@ func ScheduleLoopContext(ctx context.Context, l *ir.Loop, cfg machine.Config, op
 // effort tier (a one-strategy ladder at EffortFast), then, at
 // EffortOptimal, the exact search that certifies or improves the race's
 // schedule.
-func scheduleLoop(ctx context.Context, l *ir.Loop, cfg machine.Config, opts Options, lim limits) (*Schedule, error) {
+func scheduleLoop(ctx context.Context, l *ir.Loop, cfg machine.Config, effort Effort, lim limits) (*Schedule, error) {
 	resMII, err := ResMII(l, cfg)
 	if err != nil {
 		return nil, err
@@ -227,8 +214,8 @@ func scheduleLoop(ctx context.Context, l *ir.Loop, cfg machine.Config, opts Opti
 	st := statePool.Get().(*state)
 	defer statePool.Put(st)
 	recMII := recMIIInto(l, &st.rec)
-	strats := opts.strategySet(cfg.NumClusters())
-	if opts.Effort == EffortOptimal {
+	strats := strategySet(effort, cfg.NumClusters())
+	if effort == EffortOptimal {
 		return scheduleOptimal(ctx, st, l, cfg, strats, resMII, recMII, lim)
 	}
 	return schedulePortfolio(st, l, cfg, strats, resMII, recMII, lim)

@@ -12,7 +12,7 @@ import (
 
 func mustSchedule(t *testing.T, l *ir.Loop, cfg machine.Config) *Schedule {
 	t.Helper()
-	s, err := ScheduleLoop(l, cfg, Options{})
+	s, err := ScheduleLoop(context.Background(), l, cfg, EffortFast)
 	if err != nil {
 		t.Fatalf("schedule %s on %s: %v", l.Name, cfg.Name, err)
 	}
@@ -229,7 +229,7 @@ func TestScheduleDeterminism(t *testing.T) {
 	}
 }
 
-// limitsFor returns the limits ScheduleLoopContext derives for l, at the
+// limitsFor returns the limits ScheduleLoop derives for l, at the
 // given race width.
 func limitsFor(l *ir.Loop, workers int) limits {
 	return limits{maxII: iiCap(l), budgetRatio: DefaultBudgetRatio, workers: workers}
@@ -239,7 +239,7 @@ func TestOptionsMaxIIRespected(t *testing.T) {
 	l := corpus.DivNorm() // RecMII 9
 	lim := limitsFor(l, 1)
 	lim.maxII = 3
-	_, err := scheduleLoop(context.Background(), l, machine.SingleCluster(4), Options{}, lim)
+	_, err := scheduleLoop(context.Background(), l, machine.SingleCluster(4), EffortFast, lim)
 	if !errors.Is(err, ErrNoSchedule) {
 		t.Fatalf("expected ErrNoSchedule with the II cap below RecMII, got %v", err)
 	}
@@ -260,7 +260,7 @@ func TestCommLatencyRespected(t *testing.T) {
 // in the root package).
 func TestInvalidInputsRejected(t *testing.T) {
 	bad := machine.Config{Name: "none"}
-	if _, err := ScheduleLoop(corpus.Daxpy(), bad, Options{}); err == nil {
+	if _, err := ScheduleLoop(context.Background(), corpus.Daxpy(), bad, EffortFast); err == nil {
 		t.Fatal("machine without clusters accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -430,6 +431,55 @@ func TestJoinerDeadlineEndsItsWait(t *testing.T) {
 					r.status, srv.Stats().Sched.Compiles)
 			}
 		})
+	}
+}
+
+// TestDeadlineFloor: a budget under minDeadline is raised to it, not
+// applied as given. The context RequestContext derives ends minDeadline
+// after the call at the earliest, and an exact-cache hit sent with a 1µs
+// budget answers 200 with the bytes of the same answer sent without one.
+func TestDeadlineFloor(t *testing.T) {
+	hr := httptest.NewRequest(http.MethodPost, "/compile", nil)
+	hr.Header.Set(DeadlineHeader, "1us")
+	before := time.Now()
+	ctx, cancel, err := RequestContext(hr)
+	after := time.Now()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	dl, ok := ctx.Deadline()
+	if !ok || dl.Before(before.Add(minDeadline)) || dl.After(after.Add(minDeadline)) {
+		t.Fatalf("1us budget: deadline %v after the call (set=%v), want %v", dl.Sub(before), ok, minDeadline)
+	}
+
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+	req := CompileRequest{Loop: vliwq.FormatLoop(corpus.KernelByName("daxpy"))}
+	resp, want := postJSON(t, ts.Client(), ts.URL+"/compile", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("warm-up status %d: %s", resp.StatusCode, want)
+	}
+	buf, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr, err = http.NewRequest(http.MethodPost, ts.URL+"/compile", bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr.Header.Set(DeadlineHeader, "1us")
+	resp, err = ts.Client().Do(hr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("exact hit under a 1us budget: status %d, body %s; want 200 with %s", resp.StatusCode, got, want)
 	}
 }
 

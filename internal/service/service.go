@@ -57,25 +57,29 @@ const DeadlineHeader = "X-Vliw-Deadline"
 // turning a misconfigured client into a self-inflicted outage.
 const minDeadline = time.Millisecond
 
-// ParseDeadline extracts the DeadlineHeader budget: the duration, whether
-// the header was present, and a parse error a handler should answer 400.
-func ParseDeadline(h http.Header) (time.Duration, bool, error) {
-	v := h.Get(DeadlineHeader)
+// RequestContext applies r's DeadlineHeader budget, if any, to r's
+// context, floored at minDeadline. The backend and the gateway both derive
+// their request contexts here, so a budget means the same at either hop.
+// An error is a malformed or non-positive header, which the caller
+// answers 400 before any work runs.
+func RequestContext(r *http.Request) (context.Context, context.CancelFunc, error) {
+	v := r.Header.Get(DeadlineHeader)
 	if v == "" {
-		return 0, false, nil
+		return r.Context(), func() {}, nil
 	}
 	d, err := time.ParseDuration(v)
 	if err != nil {
-		return 0, false, fmt.Errorf("bad %s header %q: %w", DeadlineHeader, v, err)
+		return nil, nil, fmt.Errorf("bad %s header %q: %w", DeadlineHeader, v, err)
 	}
 	if d <= 0 {
-		return 0, false, fmt.Errorf("bad %s header %q: budget must be positive", DeadlineHeader, v)
+		return nil, nil, fmt.Errorf("bad %s header %q: budget must be positive", DeadlineHeader, v)
 	}
-	return d, true, nil
+	ctx, cancel := context.WithTimeout(r.Context(), max(d, minDeadline))
+	return ctx, cancel, nil
 }
 
 // Config tunes a Server. The zero value serves correctly — unbounded
-// cache, GOMAXPROCS batch workers, 4 MiB body cap — but a long-running
+// cache, GOMAXPROCS batch workers — but a long-running
 // deployment should bound the cache: entries are keyed by client request
 // bodies, so unbounded mode grows with every distinct request (cmd/vliwd
 // defaults to a 65536-entry bound for exactly that reason).
@@ -89,8 +93,6 @@ type Config struct {
 	// MaxBatch caps the request count of one /batch call; 0 means
 	// DefaultMaxBatch.
 	MaxBatch int
-	// MaxBodyBytes caps the request body; 0 means 4 MiB.
-	MaxBodyBytes int64
 	// MaxInflight bounds concurrently admitted /compile and /batch calls;
 	// calls beyond the bound are shed immediately with 429 and a
 	// Retry-After header instead of queueing behind a saturated worker
@@ -431,18 +433,14 @@ func (s *Server) workers() int {
 // backend accepts after splitting.
 const DefaultMaxBatch = 1024
 
+// maxBodyBytes caps a /compile or /batch request body.
+const maxBodyBytes = 4 << 20
+
 func (s *Server) maxBatch() int {
 	if s.cfg.MaxBatch > 0 {
 		return s.cfg.MaxBatch
 	}
 	return DefaultMaxBatch
-}
-
-func (s *Server) maxBody() int64 {
-	if s.cfg.MaxBodyBytes > 0 {
-		return s.cfg.MaxBodyBytes
-	}
-	return 4 << 20
 }
 
 // runPipeline executes one compile for a prepared request and feeds
@@ -715,14 +713,14 @@ type timeoutError struct{ error }
 // but never kept. A waiting caller whose own deadline ends stops waiting
 // and is answered 504 while the compile runs on for the others.
 func (s *Server) compileOne(ctx context.Context, req *CompileRequest) (*CompileResponse, error) {
-	p := s.compiler.Prepare(*req)
+	p := vliwq.Prepare(*req)
 	if err := p.Err(); err != nil {
 		return nil, clientError{err}
 	}
 	r := p.Request()
 	requested, didDegrade := s.degrade(&r)
 	if didDegrade {
-		p = s.compiler.Prepare(r)
+		p = vliwq.Prepare(r)
 	}
 	var oc outcome
 	if s.cache != nil {
@@ -794,22 +792,13 @@ func (s *Server) admit(w http.ResponseWriter) (release func(), ok bool) {
 }
 
 // requestContext applies the propagated DeadlineHeader budget, if any, to
-// the request context. A malformed header is answered 400 before any work
-// runs; the budget is floored at minDeadline so a broken client cannot
-// configure itself into a 100% self-cancel rate.
+// the request context (RequestContext); a malformed header is answered 400.
 func (s *Server) requestContext(w http.ResponseWriter, r *http.Request) (context.Context, context.CancelFunc, bool) {
-	d, ok, err := ParseDeadline(r.Header)
+	ctx, cancel, err := RequestContext(r)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err.Error())
 		return nil, nil, false
 	}
-	if !ok {
-		return r.Context(), func() {}, true
-	}
-	if d < minDeadline {
-		d = minDeadline
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), d)
 	return ctx, cancel, true
 }
 
@@ -979,7 +968,7 @@ func (s *Server) Stats() StatsResponse {
 }
 
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) error {
-	body := http.MaxBytesReader(w, r.Body, s.maxBody())
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {

@@ -357,9 +357,9 @@ func TestRequestErrors(t *testing.T) {
 // TestOversizeBodyIs413 distinguishes "shrink your request" from
 // "malformed JSON": blowing the body cap must answer 413, not 400.
 func TestOversizeBodyIs413(t *testing.T) {
-	ts := httptest.NewServer(New(Config{MaxBodyBytes: 128}).Handler())
+	ts := httptest.NewServer(New(Config{}).Handler())
 	defer ts.Close()
-	big := CompileRequest{Loop: strings.Repeat("# pad\n", 100) + "loop x\ntrip 4\nop a load"}
+	big := CompileRequest{Loop: strings.Repeat("# pad\n", maxBodyBytes/6+1) + "loop x\ntrip 4\nop a load"}
 	resp, body := postJSON(t, ts.Client(), ts.URL+"/compile", big)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d, want 413 (body %s)", resp.StatusCode, body)

@@ -56,7 +56,7 @@ func compileFor(l *ir.Loop, dc diffConfig) (*sched.Schedule, *queue.Allocation, 
 		work = u
 	}
 	ins := copyins.Insert(work, dc.shape)
-	s, err := sched.ScheduleLoop(ins.Loop, dc.cfg, sched.Options{})
+	s, err := sched.ScheduleLoop(context.Background(), ins.Loop, dc.cfg, sched.EffortFast)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -27,7 +27,7 @@ func TestUnrolledPipelineEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		ins := copyins.Insert(u, copyins.Tree)
-		s, err := sched.ScheduleLoop(ins.Loop, cfg, sched.Options{})
+		s, err := sched.ScheduleLoop(context.Background(), ins.Loop, cfg, sched.EffortFast)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -54,7 +54,7 @@ func TestPipelineWithCommLatency(t *testing.T) {
 	cfg.CommLatency = 2
 	for _, l := range corpus.Generate(corpus.Params{Seed: 61, N: 20}) {
 		ins := copyins.Insert(l, copyins.Tree)
-		s, err := sched.ScheduleLoop(ins.Loop, cfg, sched.Options{})
+		s, err := sched.ScheduleLoop(context.Background(), ins.Loop, cfg, sched.EffortFast)
 		if err != nil {
 			t.Fatalf("%s: %v", l.Name, err)
 		}
@@ -73,7 +73,7 @@ func TestPipelineWithMoves(t *testing.T) {
 	verified, withMoves := 0, 0
 	for _, l := range corpus.Generate(corpus.Params{Seed: 62, N: 40}) {
 		ins := copyins.Insert(l, copyins.Tree)
-		s, err := sched.ScheduleLoop(ins.Loop, cfg, sched.Options{})
+		s, err := sched.ScheduleLoop(context.Background(), ins.Loop, cfg, sched.EffortFast)
 		if err != nil {
 			t.Fatalf("%s: %v", l.Name, err)
 		}
@@ -141,7 +141,7 @@ func TestPipelinedQueueDepthEnforced(t *testing.T) {
 	cfg := machine.SingleCluster(6)
 	cfg.Clusters[0].QueueDepth = 1
 	ins := copyins.Insert(l, copyins.Tree)
-	s, err := sched.ScheduleLoop(ins.Loop, cfg, sched.Options{})
+	s, err := sched.ScheduleLoop(context.Background(), ins.Loop, cfg, sched.EffortFast)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestPipelinedQueueDepthEnforced(t *testing.T) {
 func TestPipelinedReportsCycles(t *testing.T) {
 	l := corpus.KernelByName("daxpy")
 	ins := copyins.Insert(l, copyins.Tree)
-	s, err := sched.ScheduleLoop(ins.Loop, machine.SingleCluster(6), sched.Options{})
+	s, err := sched.ScheduleLoop(context.Background(), ins.Loop, machine.SingleCluster(6), sched.EffortFast)
 	if err != nil {
 		t.Fatal(err)
 	}

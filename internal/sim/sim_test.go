@@ -18,7 +18,7 @@ import (
 func compile(t testing.TB, l *ir.Loop, cfg machine.Config) (*sched.Schedule, *queue.Allocation) {
 	t.Helper()
 	ins := copyins.Insert(l, copyins.Tree)
-	s, err := sched.ScheduleLoop(ins.Loop, cfg, sched.Options{})
+	s, err := sched.ScheduleLoop(context.Background(), ins.Loop, cfg, sched.EffortFast)
 	if err != nil {
 		t.Fatalf("schedule(%s on %s): %v", l.Name, cfg.Name, err)
 	}
@@ -92,7 +92,7 @@ func TestCorpusSampleEndToEnd(t *testing.T) {
 func TestPipelinedRejectsFanoutWithoutCopies(t *testing.T) {
 	l := corpus.ComplexMul() // every input value consumed twice
 	cfg := machine.SingleCluster(6)
-	s, err := sched.ScheduleLoop(l, cfg, sched.Options{})
+	s, err := sched.ScheduleLoop(context.Background(), l, cfg, sched.EffortFast)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestPipelinedCatchesBadAllocation(t *testing.T) {
 	l := corpus.FIR5()
 	cfg := machine.SingleCluster(6)
 	ins := copyins.Insert(l, copyins.Tree)
-	s, err := sched.ScheduleLoop(ins.Loop, cfg, sched.Options{})
+	s, err := sched.ScheduleLoop(context.Background(), ins.Loop, cfg, sched.EffortFast)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -131,6 +131,6 @@ func oracleOptions(r Request) (Options, error) {
 	if err != nil {
 		return Options{}, err
 	}
-	opts.Sched.Effort = eff
+	opts.Effort = eff
 	return opts, nil
 }

@@ -17,8 +17,7 @@ import (
 // Request.Canonical, StructuralKey and Options are thin wrappers over it.
 //
 // A Prepared lives for one request; nothing is memoized across requests.
-// It is not safe for concurrent use. Build one with Prepare, or with
-// Compiler.Prepare to apply a session's defaults first.
+// It is not safe for concurrent use. Build one with Prepare.
 type Prepared struct {
 	req     Request // normalized; on error, as far as Normalize got
 	err     error   // Normalize's verdict
@@ -138,10 +137,10 @@ func (p *Prepared) Options() (Options, error) {
 		Unroll:       p.req.Unroll,
 		UnrollFactor: p.req.UnrollFactor,
 		SkipVerify:   p.req.SkipVerify,
+		Effort:       p.effort,
 	}
 	if p.req.CopyShape == "chain" {
 		opts.CopyShape = copyins.Chain
 	}
-	opts.Sched.Effort = p.effort
 	return opts, nil
 }

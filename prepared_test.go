@@ -109,20 +109,17 @@ func TestPreparedParsesOnce(t *testing.T) {
 	}
 }
 
-// TestCompilerRunPreparedMatchesRun: a session compiles a request it
-// prepared exactly as Run compiles the raw request, session defaults
-// included, and reuses the loop the prepared request parsed.
+// TestCompilerRunPreparedMatchesRun: a session compiles a prepared request
+// exactly as Run compiles the raw request, and reuses the loop the
+// prepared request parsed.
 func TestCompilerRunPreparedMatchesRun(t *testing.T) {
-	c := NewCompiler(CompilerConfig{Machine: "clustered:4", Effort: "balanced", CacheEntries: -1})
-	req := Request{Loop: reqTestLoop, Unroll: true}
+	c := NewCompiler(CompilerConfig{CacheEntries: -1})
+	req := Request{Loop: reqTestLoop, Machine: "clustered:4", Effort: "balanced", Unroll: true}
 	want, err := c.Run(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := c.Prepare(req)
-	if p.Request().Machine != "clustered:4" || p.Request().Effort != "balanced" {
-		t.Fatalf("session defaults not applied: %+v", p.Request())
-	}
+	p := Prepare(req)
 	loop, _ := p.Loop()
 	got, err := c.RunPrepared(context.Background(), p)
 	if err != nil {
@@ -134,7 +131,7 @@ func TestCompilerRunPreparedMatchesRun(t *testing.T) {
 	if got.Report() != want.Report() || got.KernelSchedule() != want.KernelSchedule() {
 		t.Fatalf("RunPrepared and Run disagree:\n%s\nvs\n%s", got.Report(), want.Report())
 	}
-	if _, err := c.RunPrepared(context.Background(), c.Prepare(Request{Loop: "garbage"})); err == nil ||
+	if _, err := c.RunPrepared(context.Background(), Prepare(Request{Loop: "garbage"})); err == nil ||
 		!strings.Contains(err.Error(), "unknown directive") {
 		t.Fatalf("unparseable loop: err = %v", err)
 	}
@@ -165,8 +162,7 @@ func TestRenderMatchesOracle(t *testing.T) {
 		for _, m := range machines {
 			for _, unroll := range []bool{false, true} {
 				for _, l := range set {
-					opts := Options{Machine: m, Unroll: unroll, SkipVerify: true}
-					opts.Sched.Effort = eff
+					opts := Options{Machine: m, Unroll: unroll, SkipVerify: true, Effort: eff}
 					res, err := Compile(l, opts)
 					if err != nil {
 						t.Fatalf("%s on %s: %v", l.Name, m.Name, err)

@@ -138,8 +138,7 @@ func (r Request) Options() (Options, error) { return Prepare(r).Options() }
 // Request: the loop through FormatLoop, the machine through Machine.Spec.
 // Only machines built by SingleCluster/Clustered/ParseMachine have a spec,
 // so hand-assembled Configs with custom cluster mixes do not survive the
-// trip; neither does Options.VerifyIterations, a session-level knob with
-// no wire representation.
+// trip.
 func NewRequest(l *Loop, opts Options) Request {
 	m := opts.Machine
 	if m.NumClusters() == 0 {
@@ -154,6 +153,6 @@ func NewRequest(l *Loop, opts Options) Request {
 		AllowMoves:   m.AllowMoves,
 		CommLatency:  m.CommLatency,
 		SkipVerify:   opts.SkipVerify,
-		Effort:       opts.Sched.Effort.String(),
+		Effort:       opts.Effort.String(),
 	}
 }

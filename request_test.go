@@ -144,8 +144,7 @@ func TestNewRequestRoundTrip(t *testing.T) {
 	m := Clustered(4)
 	m.AllowMoves = true
 	m.CommLatency = 2
-	in := Options{Machine: m, Unroll: true, SkipVerify: true}
-	in.Sched.Effort = EffortBalanced
+	in := Options{Machine: m, Unroll: true, SkipVerify: true, Effort: EffortBalanced}
 
 	req := NewRequest(loop, in)
 	if req.Machine != "clustered:4" || !req.AllowMoves || req.CommLatency != 2 || req.Effort != "balanced" {
@@ -158,7 +157,7 @@ func TestNewRequestRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(out.Machine, m) {
 		t.Fatalf("machine did not round-trip:\n%+v\nvs\n%+v", out.Machine, m)
 	}
-	if out.Unroll != in.Unroll || out.SkipVerify != in.SkipVerify || out.Sched.Effort != in.Sched.Effort {
+	if out.Unroll != in.Unroll || out.SkipVerify != in.SkipVerify || out.Effort != in.Effort {
 		t.Fatalf("options did not round-trip: %+v vs %+v", out, in)
 	}
 	back, err := ParseLoop(req.Loop)

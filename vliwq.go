@@ -119,7 +119,7 @@ func ReadLoop(r io.Reader) (*Loop, error) { return ir.Parse(r) }
 // historical scheduler.
 type Effort = sched.Effort
 
-// Effort levels, re-exported for callers configuring Options.Sched.
+// Effort levels, re-exported for callers configuring Options.Effort.
 const (
 	EffortFast       = sched.EffortFast
 	EffortBalanced   = sched.EffortBalanced
@@ -136,9 +136,6 @@ type Bound = sched.Bound
 // "optimal"; "" means fast) to its value. The error lists the valid names
 // sorted — the service and the cmds surface it verbatim.
 func ParseEffort(name string) (Effort, error) { return sched.ParseEffort(name) }
-
-// EffortNames returns every effort name, sorted.
-func EffortNames() []string { return sched.EffortNames() }
 
 // Options control the compilation pipeline.
 type Options struct {
@@ -157,14 +154,13 @@ type Options struct {
 	CopyShape copyins.Shape
 	// SkipVerify skips the simulator-based verification pass (useful for
 	// bulk experiments; the paper-scale harness verifies samples instead).
+	// Verification replays min(trip, 64, the schedule's horizon)
+	// iterations: past its horizon a modulo schedule repeats itself, so no
+	// longer replay can reach another verdict (DESIGN.md §6).
 	SkipVerify bool
-	// VerifyIterations sets the verification run's iteration count. 0
-	// replays min(trip, 64, the schedule's horizon): past its horizon a
-	// modulo schedule repeats itself, so no longer replay can reach
-	// another verdict (DESIGN.md §6).
-	VerifyIterations int
-	// Sched tunes the scheduler's search effort.
-	Sched sched.Options
+	// Effort selects the scheduler's search breadth; the zero value is
+	// EffortFast.
+	Effort Effort
 }
 
 // Result is a compiled loop: the transformed body, its modulo schedule,
@@ -263,7 +259,7 @@ func compileStaged(ctx context.Context, l *Loop, opts Options, until Stage) (*Re
 	if l == nil {
 		return nil, fmt.Errorf("vliwq: nil loop")
 	}
-	anytime := opts.Sched.Effort == sched.EffortOptimal
+	anytime := opts.Effort == EffortOptimal
 	if err := ctx.Err(); err != nil && !anytime {
 		return nil, err
 	}
@@ -314,7 +310,7 @@ func compileStaged(ctx context.Context, l *Loop, opts Options, until Stage) (*Re
 	}
 
 	t0 = time.Now()
-	s, err := sched.ScheduleLoopContext(ctx, ins.Loop, cfg, opts.Sched)
+	s, err := sched.ScheduleLoop(ctx, ins.Loop, cfg, opts.Effort)
 	if err != nil {
 		return nil, err
 	}
@@ -360,12 +356,9 @@ func compileStaged(ctx context.Context, l *Loop, opts Options, until Stage) (*Re
 	}
 	if !opts.SkipVerify {
 		t0 = time.Now()
-		n := opts.VerifyIterations
-		if n <= 0 {
-			// A replay past the schedule's horizon reaches the same verdict
-			// as any longer one (DESIGN.md §6).
-			n = min(s.Loop.TripCount(), 64, sim.Horizon(s))
-		}
+		// A replay past the schedule's horizon reaches the same verdict as
+		// any longer one (DESIGN.md §6).
+		n := min(s.Loop.TripCount(), 64, sim.Horizon(s))
 		// An EffortOptimal result is verified whatever its deadline.
 		vctx := ctx
 		if anytime {

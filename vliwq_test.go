@@ -83,9 +83,7 @@ func TestCompileWidestRing(t *testing.T) {
 	}
 	for _, e := range []vliwq.Effort{vliwq.EffortFast, vliwq.EffortBalanced, vliwq.EffortExhaustive, vliwq.EffortOptimal} {
 		for _, k := range corpus.Kernels() {
-			opts := vliwq.Options{Machine: m}
-			opts.Sched.Effort = e
-			if _, err := vliwq.Compile(k, opts); err != nil {
+			if _, err := vliwq.Compile(k, vliwq.Options{Machine: m, Effort: e}); err != nil {
 				t.Errorf("%s at effort %s on %s: %v", k.Name, e, m.Name, err)
 			}
 		}
@@ -404,8 +402,7 @@ func TestOptimalEffortCancellation(t *testing.T) {
 	cfg.CommLatency = 2
 	p := corpus.StressedParams()
 	p.N = 48
-	exOpts := vliwq.Options{Machine: cfg, SkipVerify: true}
-	exOpts.Sched.Effort = vliwq.EffortExhaustive
+	exOpts := vliwq.Options{Machine: cfg, SkipVerify: true, Effort: vliwq.EffortExhaustive}
 	var loop *vliwq.Loop
 	for _, l := range corpus.Generate(p) {
 		res, err := vliwq.Compile(l, exOpts)
@@ -422,9 +419,7 @@ func TestOptimalEffortCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	opts := vliwq.Options{Machine: cfg}
-	opts.Sched.Effort = vliwq.EffortOptimal
-	res, err := vliwq.CompileContext(ctx, loop, opts)
+	res, err := vliwq.CompileContext(ctx, loop, vliwq.Options{Machine: cfg, Effort: vliwq.EffortOptimal})
 	if err != nil {
 		t.Fatalf("cancelled optimal compile failed: %v", err)
 	}
