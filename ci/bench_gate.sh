@@ -10,13 +10,18 @@
 # "│ sec/op │ ... vs base" header and the legacy
 # "name  old time/op  new time/op  delta" style.
 #
-# When the raw baseline and new benchmark files are also given, three more
+# When the raw baseline and new benchmark files are also given, four more
 # gates arm:
 #   - allocs/op cap: every ScheduleLoop* benchmark in the new run must stay
 #     at or under ALLOC_CAP allocs/op (240, the count before every effort
 #     tier ran the one race driver — the scheduler now sits under it, so
 #     crossing the cap means an allocation regression on the hot path, not
 #     noise).
+#   - queue-stage allocs/op cap: BenchmarkAllocate must stay at or under
+#     QUEUE_ALLOC_CAP allocs/op (256: the four objects each of its 64
+#     allocations returns, with every working array pooled; 896 before the
+#     pooling). This cap was added alongside the pooling; it loosens no
+#     other gate.
 #   - missing benchmarks: every benchmark named in the baseline must appear
 #     in the new run. A benchmark that silently disappears (renamed,
 #     deleted, build-tagged out) would otherwise drop out of the percentage
@@ -31,6 +36,7 @@ baseline_file="${3:-}"
 new_file="${4:-}"
 
 ALLOC_CAP=240
+QUEUE_ALLOC_CAP=256
 
 awk -v max="$threshold" '
   /sec\/op/ || (/time\/op/ && /delta/) { insec = 1; next }
@@ -79,32 +85,38 @@ if [ -z "$baseline_file" ] || [ -z "$new_file" ]; then
   exit 0
 fi
 
-# Allocs/op cap on the scheduler hot path. Raw `go test -bench` lines look
-# like:  BenchmarkScheduleLoopClustered6   870   1234567 ns/op   23112 B/op   192 allocs/op
-awk -v cap="$ALLOC_CAP" '
-  $1 ~ /^BenchmarkScheduleLoop/ {
-    for (i = 2; i < NF; i++) {
-      if ($(i + 1) == "allocs/op") {
-        checked++
-        if ($i + 0 > cap) {
-          bad = 1
-          printf "allocs/op over the %d cap: %s = %s allocs/op\n", cap, $1, $i
+# cap_allocs <name-regex> <label> <cap> <what>: every row of the new run
+# whose benchmark name matches must report at most cap allocs/op, and at
+# least one row must match. Raw `go test -bench` lines look like:
+#   BenchmarkScheduleLoopClustered6   870   1234567 ns/op   23112 B/op   192 allocs/op
+cap_allocs() {
+  awk -v re="$1" -v label="$2" -v cap="$3" -v what="$4" '
+    $1 ~ re {
+      for (i = 2; i < NF; i++) {
+        if ($(i + 1) == "allocs/op") {
+          checked++
+          if ($i + 0 > cap) {
+            bad = 1
+            printf "allocs/op over the %d cap: %s = %s allocs/op\n", cap, $1, $i
+          }
         }
       }
     }
-  }
-  END {
-    if (checked == 0) {
-      print "bench gate: BROKEN — no ScheduleLoop allocs/op rows found in the new run (was -benchmem dropped, or the benchmarks renamed?)"
-      exit 2
+    END {
+      if (checked == 0) {
+        print "bench gate: BROKEN — no " label " allocs/op rows found in the new run (was -benchmem dropped, or the benchmarks renamed?)"
+        exit 2
+      }
+      if (bad) {
+        print "bench gate: FAIL — " what " allocation count regressed past the " cap " allocs/op cap"
+        exit 1
+      }
+      print "bench gate: OK (" checked " " label " allocs/op rows at or under " cap ")"
     }
-    if (bad) {
-      print "bench gate: FAIL — scheduler-path allocation count regressed past the " cap " allocs/op cap"
-      exit 1
-    }
-    print "bench gate: OK (" checked " ScheduleLoop allocs/op rows at or under " cap ")"
-  }
-' "$new_file"
+  ' "$new_file"
+}
+cap_allocs '^BenchmarkScheduleLoop' ScheduleLoop "$ALLOC_CAP" scheduler-path
+cap_allocs '^BenchmarkAllocate(-[0-9]+)?$' Allocate "$QUEUE_ALLOC_CAP" queue-stage
 
 # The baseline and the new run must name the same benchmarks.
 base_names="$(awk '$1 ~ /^Benchmark/ { print $1 }' "$baseline_file" | sort -u)"

@@ -22,13 +22,23 @@ func compile(t testing.TB, l *ir.Loop, cfg machine.Config) *sched.Schedule {
 	return s
 }
 
+// allocate runs queue.Allocate with no deadline, where it cannot fail.
+func allocate(t testing.TB, s *sched.Schedule) *queue.Allocation {
+	t.Helper()
+	a, err := queue.Allocate(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 func TestAllocateVerifiesOnCorpus(t *testing.T) {
 	loops := corpus.Generate(corpus.Params{Seed: 51, N: 80})
 	for _, cfg := range []machine.Config{machine.SingleCluster(6), machine.Clustered(4)} {
 		for _, l := range loops {
 			s := compile(t, l, cfg)
-			a := queue.Allocate(s)
-			if err := a.Verify(); err != nil {
+			a := allocate(t, s)
+			if err := a.Verify(context.Background()); err != nil {
 				t.Fatalf("%s on %s: %v", l.Name, cfg.Name, err)
 			}
 			if len(a.Assignments) != countFlow(s.Loop) {
@@ -57,7 +67,7 @@ func TestAllocationLocations(t *testing.T) {
 	cfg := machine.Clustered(4)
 	for _, l := range loops {
 		s := compile(t, l, cfg)
-		a := queue.Allocate(s)
+		a := allocate(t, s)
 		for _, as := range a.Assignments {
 			cp := s.Cluster[as.Lifetime.Dep.From]
 			cc := s.Cluster[as.Lifetime.Dep.To]
@@ -80,8 +90,8 @@ func TestAllocationLocations(t *testing.T) {
 // TestAllocationDeterministic: same schedule, same allocation.
 func TestAllocationDeterministic(t *testing.T) {
 	s := compile(t, corpus.Hydro(), machine.Clustered(4))
-	a := queue.Allocate(s)
-	b := queue.Allocate(s)
+	a := allocate(t, s)
+	b := allocate(t, s)
 	if len(a.Assignments) != len(b.Assignments) {
 		t.Fatal("assignment counts differ")
 	}
@@ -97,7 +107,7 @@ func TestAllocationDeterministic(t *testing.T) {
 // lifetimes must not use one queue per value.
 func TestFirstFitNotWasteful(t *testing.T) {
 	s := compile(t, corpus.FIR5(), machine.SingleCluster(12))
-	a := queue.Allocate(s)
+	a := allocate(t, s)
 	flow := countFlow(s.Loop)
 	if a.MaxPrivateQueues() >= flow {
 		t.Fatalf("first-fit used %d queues for %d lifetimes (no sharing at all)",
@@ -107,7 +117,7 @@ func TestFirstFitNotWasteful(t *testing.T) {
 
 func TestMaxDepthMatchesOccupancy(t *testing.T) {
 	s := compile(t, corpus.Wave2(), machine.SingleCluster(6))
-	a := queue.Allocate(s)
+	a := allocate(t, s)
 	if a.MaxDepth() < 1 {
 		t.Fatal("wave2 must keep at least one value resident")
 	}

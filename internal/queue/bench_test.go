@@ -1,6 +1,7 @@
 package queue_test
 
 import (
+	"context"
 	"testing"
 
 	"vliwq/internal/corpus"
@@ -27,7 +28,11 @@ func BenchmarkAllocate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, s := range scheds {
-			if err := queue.Allocate(s).Verify(); err != nil {
+			a, err := queue.Allocate(context.Background(), s)
+			if err == nil {
+				err = a.Verify(context.Background())
+			}
+			if err != nil {
 				b.Fatalf("%s: %v", s.Loop.Name, err)
 			}
 		}

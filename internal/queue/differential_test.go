@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"vliwq/internal/copyins"
@@ -52,6 +53,16 @@ func refLoops() []*ir.Loop {
 		}
 	}
 	return loops
+}
+
+// allocate runs Allocate with no deadline, where it cannot fail.
+func allocate(t testing.TB, s *sched.Schedule) *Allocation {
+	t.Helper()
+	a, err := Allocate(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
 }
 
 func compileRef(t testing.TB, l *ir.Loop, rc refConfig) *sched.Schedule {
@@ -128,11 +139,11 @@ func randomSchedule(rng *rand.Rand) *sched.Schedule {
 // on the schedule's lifetimes.
 func checkAllocate(t *testing.T, label string, s *sched.Schedule) *Allocation {
 	t.Helper()
-	got, want := Allocate(s), allocateRef(s)
+	got, want := allocate(t, s), allocateRef(s)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: Allocate differs from the reference\n got %+v\nwant %+v", label, got, want)
 	}
-	if err := got.Verify(); err != nil {
+	if err := got.Verify(context.Background()); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
 	lts := BuildLifetimes(s)
@@ -142,22 +153,42 @@ func checkAllocate(t *testing.T, label string, s *sched.Schedule) *Allocation {
 	return got
 }
 
+// refInput is one schedule the reference comparison allocates.
+type refInput struct {
+	label string
+	s     *sched.Schedule
+}
+
+var (
+	refInputsOnce sync.Once
+	refInputsList []refInput
+)
+
+// refInputs returns the corpus compiled under every reference
+// configuration, then 1,500 seeded random schedules that need not be
+// feasible. The list is built once per test binary and never modified.
+func refInputs(t testing.TB) []refInput {
+	refInputsOnce.Do(func() {
+		for _, rc := range refConfigs() {
+			for _, l := range refLoops() {
+				refInputsList = append(refInputsList, refInput{rc.name + "/" + l.Name, compileRef(t, l, rc)})
+			}
+		}
+		rng := rand.New(rand.NewSource(61))
+		for trial := 0; trial < 1500; trial++ {
+			refInputsList = append(refInputsList, refInput{"random", randomSchedule(rng)})
+		}
+	})
+	return refInputsList
+}
+
 // TestAllocateMatchesReference: the dense allocator yields the reference
 // first-fit's allocation, equal under reflect.DeepEqual (same assignments
 // in the same order, same queue numbers, same files in the same order,
-// same depths), on the corpus under every reference configuration and on
-// seeded random schedules that need not be feasible.
+// same depths), on every reference input.
 func TestAllocateMatchesReference(t *testing.T) {
-	loops := refLoops()
-	for _, rc := range refConfigs() {
-		for _, l := range loops {
-			checkAllocate(t, rc.name+"/"+l.Name, compileRef(t, l, rc))
-		}
-	}
-	rng := rand.New(rand.NewSource(61))
-	for trial := 0; trial < 1500; trial++ {
-		s := randomSchedule(rng)
-		checkAllocate(t, "random", s)
+	for _, in := range refInputs(t) {
+		checkAllocate(t, in.label, in.s)
 	}
 }
 
@@ -199,7 +230,7 @@ func TestVerifyMatchesReference(t *testing.T) {
 			for f := rng.Intn(3); f > 0; f-- {
 				b = corrupt(b, rng)
 			}
-			got, want := b.Verify(), verifyRef(b)
+			got, want := b.Verify(context.Background()), verifyRef(b)
 			if (got == nil) != (want == nil) || got != nil && got.Error() != want.Error() {
 				t.Fatalf("%s: Verify = %v, reference %v", label, got, want)
 			}
@@ -209,10 +240,10 @@ func TestVerifyMatchesReference(t *testing.T) {
 		}
 	}
 	for _, l := range corpus.Kernels() {
-		check(l.Name, Allocate(compileRef(t, l, refConfigs()[1])))
+		check(l.Name, allocate(t, compileRef(t, l, refConfigs()[1])))
 	}
 	for trial := 0; trial < 300; trial++ {
-		check("random", Allocate(randomSchedule(rng)))
+		check("random", allocate(t, randomSchedule(rng)))
 	}
 	if rejected == 0 {
 		t.Fatal("no corrupted allocation was rejected; the faults test nothing")
@@ -229,7 +260,7 @@ func TestVerifyRejectsSpansBeyondAnyMachine(t *testing.T) {
 		{{Lifetime: lt, Loc: Location{Kind: Ring, From: -1 << 62, To: 1}}, {Lifetime: lt, Loc: Location{From: 1 << 62}}},
 		{{Lifetime: lt, Queue: maxQueueSpan}, {Lifetime: lt}},
 	} {
-		if err := (&Allocation{II: 2, Assignments: as}).Verify(); err == nil {
+		if err := (&Allocation{II: 2, Assignments: as}).Verify(context.Background()); err == nil {
 			t.Fatalf("Verify accepted %v", as)
 		}
 	}
@@ -250,7 +281,7 @@ func FuzzAllocateDifferential(f *testing.F) {
 		s := scriptSchedule(ii, nc, int(commRaw)%4, script)
 		a := checkAllocate(t, "fuzz", s)
 		b := corrupt(a, rand.New(rand.NewSource(fault)))
-		got, want := b.Verify(), verifyRef(b)
+		got, want := b.Verify(context.Background()), verifyRef(b)
 		if (got == nil) != (want == nil) || got != nil && got.Error() != want.Error() {
 			t.Fatalf("Verify = %v, reference %v", got, want)
 		}

@@ -8,6 +8,7 @@ package queue
 
 import (
 	"fmt"
+	"slices"
 
 	"vliwq/internal/ir"
 	"vliwq/internal/sched"
@@ -69,13 +70,19 @@ func CompatibleSet(lts []Lifetime, ii int) bool {
 // BuildLifetimes derives one lifetime per flow dependence of the schedule.
 // Values that are never consumed produce no lifetime.
 func BuildLifetimes(s *sched.Schedule) []Lifetime {
+	return appendLifetimes(nil, s)
+}
+
+// appendLifetimes appends the schedule's lifetimes to lts, growing it at
+// most once: Allocate builds them into its pooled scratch.
+func appendLifetimes(lts []Lifetime, s *sched.Schedule) []Lifetime {
 	n := 0
 	for _, d := range s.Loop.Deps {
 		if d.Kind == ir.Flow {
 			n++
 		}
 	}
-	lts := make([]Lifetime, 0, n)
+	lts = slices.Grow(lts, n)
 	for di, d := range s.Loop.Deps {
 		if d.Kind != ir.Flow {
 			continue

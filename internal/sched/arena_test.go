@@ -2,6 +2,8 @@ package sched
 
 import (
 	"context"
+	"slices"
+	"sync"
 	"testing"
 
 	"vliwq/internal/corpus"
@@ -165,4 +167,43 @@ func TestScheduleLoopReusedStateDeterminism(t *testing.T) {
 			t.Fatalf("placement diverged at %d: %d vs %d", i, a[i], b[i])
 		}
 	}
+}
+
+// TestRecMIIPooledMatchesFresh: RecMII runs in the recScratch of a pooled
+// state. Over the kernels, the standard and the stressed corpus, ordered
+// largest, smallest, second largest and so on, four goroutines starting
+// at different points of that order each get, for every loop, the RecMII
+// a fresh recScratch computes: nothing one call leaves in a pooled arena
+// reaches the next, and under -race no two calls share one.
+func TestRecMIIPooledMatchesFresh(t *testing.T) {
+	loops := append(append(corpus.Kernels(), corpus.Standard()...), corpus.Stressed()...)
+	size := func(l *ir.Loop) int { return len(l.Ops) + len(l.Deps) }
+	slices.SortStableFunc(loops, func(a, b *ir.Loop) int { return size(a) - size(b) })
+	order := make([]*ir.Loop, 0, len(loops))
+	for lo, hi := 0, len(loops)-1; lo <= hi; lo, hi = lo+1, hi-1 {
+		order = append(order, loops[hi])
+		if lo < hi {
+			order = append(order, loops[lo])
+		}
+	}
+	want := make([]int, len(order))
+	for i, l := range order {
+		var fresh recScratch
+		want[i] = recMIIInto(l, &fresh)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range order {
+				i := (k + g*len(order)/4) % len(order)
+				if got := RecMII(order[i]); got != want[i] {
+					t.Errorf("goroutine %d, %s: RecMII = %d, fresh scratch %d", g, order[i].Name, got, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

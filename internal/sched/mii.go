@@ -80,15 +80,19 @@ func resMIISubset(l *ir.Loop, cfg machine.Config, clusters uint64) (int, error) 
 // Equivalently, max over elementary circuits of
 // ceil(total latency / total distance). Loops without dependence cycles
 // have RecMII 1.
+//
+// It runs in a pooled scheduling state's recScratch, so a call allocates
+// nothing once its processor's arena has seen a loop as large.
 func RecMII(l *ir.Loop) int {
-	var scr recScratch
-	return recMIIInto(l, &scr)
+	st := statePool.Get().(*state)
+	defer statePool.Put(st)
+	return recMIIInto(l, &st.rec)
 }
 
 // recScratch is the arena for recMIIInto: Tarjan SCC state, the
 // component-grouped node/edge views and the Bellman-Ford distance array.
-// It lives in the scheduling state (ims.go) so the RecMII of every
-// ScheduleLoop call reuses one set of buffers.
+// It lives in the scheduling state (ims.go), so RecMII and the lower
+// bounds of every ScheduleLoop call reuse the buffers of a pooled state.
 type recScratch struct {
 	lat   []int
 	sOff  []int32 // successor CSR offsets (n+1)

@@ -347,10 +347,11 @@ type joinCase struct {
 // outlasts the join by a wide margin even at one processor. There the
 // second caller's handler starts only once the Go scheduler preempts the
 // leader's compile, 50–100 ms after it began on one 2.1 GHz Xeon core.
-// heavyRequest(384) compiles 24,576 ops in ~0.9 s there: scheduling ends
-// at ~30 ms and queue allocation, which no deadline check interrupts, at
-// ~0.6 s. Under -race the 8192 ops of heavyRequest(128) take ~1 s, with
-// scheduling done at ~0.1 s and allocation at ~0.6 s.
+// heavyRequest(384) compiles 24,576 ops in ~0.45 s there: scheduling ends
+// at ~20 ms, queue allocation at ~0.3 s and verification at ~0.45 s, and
+// both of the later stages stop within a few tens of milliseconds of a
+// deadline. Under -race the 8192 ops of heavyRequest(128) take ~0.4 s,
+// with scheduling done at ~0.04 s and allocation at ~0.25 s.
 func joinCases(t *testing.T) []joinCase {
 	req := heavyRequest(384)
 	if raceEnabled {
@@ -367,9 +368,9 @@ func joinCases(t *testing.T) []joinCase {
 // TestDeadlinedLeaderDoesNotFailJoiner: a leader whose short deadline
 // cancels its compile is answered 504, and a concurrent caller that set no
 // deadline is answered 200 from a compile of its own instead of sharing
-// the leader's 504. The leader's budget runs out after scheduling, so its
-// compile runs on to the end of queue allocation (joinCases), long after
-// the second caller has joined it.
+// the leader's 504. The leader's budget runs out after scheduling, and
+// its compile stops in queue allocation or verification (joinCases), long
+// after the second caller has joined it.
 func TestDeadlinedLeaderDoesNotFailJoiner(t *testing.T) {
 	const budget = 300 * time.Millisecond
 	for _, tc := range joinCases(t) {

@@ -60,7 +60,16 @@ func compileFor(l *ir.Loop, dc diffConfig) (*sched.Schedule, *queue.Allocation, 
 	if err != nil {
 		return nil, nil, err
 	}
-	return s, queue.Allocate(s), nil
+	return s, allocate(s), nil
+}
+
+// allocate runs queue.Allocate with no deadline, where it cannot fail.
+func allocate(s *sched.Schedule) *queue.Allocation {
+	a, err := queue.Allocate(context.Background(), s)
+	if err != nil {
+		panic(err)
+	}
+	return a
 }
 
 // diffLoops is every kernel plus every 8th standard and stressed loop.
@@ -249,7 +258,7 @@ func diffRun(t testing.TB, label string, s *sched.Schedule, a *queue.Allocation,
 	if got, want := s.Verify(), oracleScheduleVerify(s); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("%s: Schedule.Verify = %v, map version %v", label, got, want)
 	}
-	sameFailure(t, label+": Allocation.Verify", a.Verify(), oracleAllocVerify(a))
+	sameFailure(t, label+": Allocation.Verify", a.Verify(context.Background()), oracleAllocVerify(a))
 	opt := PipeOptions{N: n, AllowMultiWrite: multi}
 	got, gerr := Pipelined(s, a, opt)
 	want, werr := oraclePipelined(s, a, opt)
@@ -338,7 +347,7 @@ func twoLongLifetimes() (*sched.Schedule, *queue.Allocation) {
 	l.Trip = 8
 	s := handBuilt(l, 1, 0, 0, 5, 5)
 	s.Machine.Clusters[0].QueueDepth = 1
-	return s, queue.Allocate(s)
+	return s, allocate(s)
 }
 
 // TestFailureMessagesDeterministic: where several queues break a check at
@@ -404,8 +413,8 @@ func TestFailureMessagesDeterministic(t *testing.T) {
 			{Lifetime: lt(2, 2, 3), Loc: loc, Queue: 0},
 			{Lifetime: lt(3, 2, 5), Loc: loc, Queue: 0},
 		}}
-		once(t, "Allocation.Verify", a.Verify)
-		if err, want := a.Verify(), "queue: qrf0 queue 0 holds incompatible lifetimes"; err.Error() != want {
+		once(t, "Allocation.Verify", func() error { return a.Verify(context.Background()) })
+		if err, want := a.Verify(context.Background()), "queue: qrf0 queue 0 holds incompatible lifetimes"; err.Error() != want {
 			t.Fatalf("got %q, want %q", err, want)
 		}
 	})
@@ -442,7 +451,7 @@ func TestErrorClassesByHand(t *testing.T) {
 		ld, st := l.AddOp(ir.KLoad, "ld"), l.AddOp(ir.KStore, "st")
 		l.AddDep(ir.Dep{From: ld.ID, To: st.ID, Dist: -1, Kind: ir.Flow})
 		s := handBuilt(l, 1, 0, 3)
-		both(t, s, queue.Allocate(s), "before-compute")
+		both(t, s, allocate(s), "before-compute")
 	})
 
 	// empty-pop: unreachable once Schedule.Verify passes. Let dependence
@@ -485,7 +494,7 @@ func TestDifferentialNegativeStart(t *testing.T) {
 	l.AddFlow(cp, st)
 	l.AddCarried(cp, add, 3) // cp finishes at 5, minus 3*II = -1
 	s := handBuilt(l, 2, 0, 2, 5, 4)
-	a := queue.Allocate(s)
+	a := allocate(s)
 	got, err := Pipelined(s, a, PipeOptions{N: 7})
 	if err != nil {
 		t.Fatal(err)

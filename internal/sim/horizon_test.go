@@ -132,7 +132,8 @@ func (c *countdown) Err() error {
 }
 
 // TestVerifyPipelineCancels: VerifyPipeline checks its context once per
-// visited window and stops at the first check that reports cancellation.
+// queue (in the allocation's Verify) and once per visited window, and
+// stops at the first check that reports cancellation.
 func TestVerifyPipelineCancels(t *testing.T) {
 	s, a, err := compileFor(corpus.Daxpy(), diffConfigs()[1])
 	if err != nil {
@@ -145,8 +146,12 @@ func TestVerifyPipelineCancels(t *testing.T) {
 	}
 	// With n >= Horizon the first windows leave no gap, so the run visits
 	// every window from the first op's or dependence's to the last one's.
-	if want := Horizon(s) - 1 + n; full.calls != want {
-		t.Fatalf("%d context checks over %d windows", full.calls, want)
+	queues := 0
+	for _, f := range a.Files {
+		queues += f.Queues
+	}
+	if want := queues + Horizon(s) - 1 + n; full.calls != want {
+		t.Fatalf("%d context checks over %d queues and %d windows", full.calls, queues, Horizon(s)-1+n)
 	}
 	for after := 0; after < full.calls; after++ {
 		ctx := &countdown{Context: context.Background(), after: after}

@@ -114,13 +114,14 @@ type fifo struct {
 // tests diff it against, so both name the same event in every error.
 // Values live in one flat [op*n+k] slice, which it returns. res receives
 // Cycles, Issues and MaxDepth, and each store instance when res.Stores is
-// non-nil. ctx is checked once per visited window.
+// non-nil. ctx is checked once per visited window, and by the
+// allocation's Verify once per queue.
 func pipelined(ctx context.Context, s *sched.Schedule, alloc *queue.Allocation, n int, allowMultiWrite bool, res *PipeResult) ([]int64, error) {
 	l := s.Loop
 	if err := s.Verify(); err != nil {
 		return nil, err
 	}
-	if err := alloc.Verify(); err != nil {
+	if err := alloc.Verify(ctx); err != nil {
 		return nil, err
 	}
 

@@ -8,7 +8,6 @@ import (
 	"vliwq/internal/corpus"
 	"vliwq/internal/ir"
 	"vliwq/internal/machine"
-	"vliwq/internal/queue"
 	"vliwq/internal/sched"
 	"vliwq/internal/sim"
 	"vliwq/internal/unroll"
@@ -31,7 +30,7 @@ func TestUnrolledPipelineEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		a := queue.Allocate(s)
+		a := allocate(s)
 		const bodyIters = 12
 		pipe, err := sim.Pipelined(s, a, sim.PipeOptions{N: bodyIters})
 		if err != nil {
@@ -58,7 +57,7 @@ func TestPipelineWithCommLatency(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", l.Name, err)
 		}
-		a := queue.Allocate(s)
+		a := allocate(s)
 		if err := sim.VerifyPipeline(context.Background(), s, a, 16); err != nil {
 			t.Fatalf("%s: %v", l.Name, err)
 		}
@@ -83,7 +82,7 @@ func TestPipelineWithMoves(t *testing.T) {
 				break
 			}
 		}
-		a := queue.Allocate(s)
+		a := allocate(s)
 		if err := sim.VerifyPipeline(context.Background(), s, a, 12); err != nil {
 			t.Fatalf("%s: %v", l.Name, err)
 		}
@@ -145,7 +144,7 @@ func TestPipelinedQueueDepthEnforced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := queue.Allocate(s)
+	a := allocate(s)
 	_, errPipe := sim.Pipelined(s, a, sim.PipeOptions{N: 20})
 	// Depth 1 may or may not suffice depending on the schedule; if the
 	// allocator says deeper queues are needed, the simulator must agree.
@@ -166,7 +165,7 @@ func TestPipelinedReportsCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := queue.Allocate(s)
+	a := allocate(s)
 	n := 30
 	res, err := sim.Pipelined(s, a, sim.PipeOptions{N: n})
 	if err != nil {

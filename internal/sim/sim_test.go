@@ -25,11 +25,20 @@ func compile(t testing.TB, l *ir.Loop, cfg machine.Config) (*sched.Schedule, *qu
 	if err := s.Verify(); err != nil {
 		t.Fatalf("schedule verify(%s): %v", l.Name, err)
 	}
-	a := queue.Allocate(s)
-	if err := a.Verify(); err != nil {
+	a := allocate(s)
+	if err := a.Verify(context.Background()); err != nil {
 		t.Fatalf("alloc verify(%s): %v", l.Name, err)
 	}
 	return s, a
+}
+
+// allocate runs queue.Allocate with no deadline, where it cannot fail.
+func allocate(s *sched.Schedule) *queue.Allocation {
+	a, err := queue.Allocate(context.Background(), s)
+	if err != nil {
+		panic(err)
+	}
+	return a
 }
 
 func TestReferenceDeterministic(t *testing.T) {
@@ -96,7 +105,7 @@ func TestPipelinedRejectsFanoutWithoutCopies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := queue.Allocate(s)
+	a := allocate(s)
 	_, err = sim.Pipelined(s, a, sim.PipeOptions{N: 10})
 	if err == nil || !strings.Contains(err.Error(), "simultaneous writes") {
 		t.Fatalf("expected simultaneous-write rejection, got %v", err)
@@ -125,7 +134,7 @@ func TestPipelinedCatchesBadAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := queue.Allocate(s)
+	a := allocate(s)
 	// Move every lifetime into queue 0 of its location.
 	bad := *a
 	bad.Assignments = append([]queue.Assignment(nil), a.Assignments...)
@@ -139,7 +148,7 @@ func TestPipelinedCatchesBadAllocation(t *testing.T) {
 	if !changed {
 		t.Skip("allocation already single-queue; nothing to corrupt")
 	}
-	if err := bad.Verify(); err == nil {
+	if err := bad.Verify(context.Background()); err == nil {
 		t.Fatal("corrupted allocation passed Verify")
 	}
 	if _, err := sim.Pipelined(s, &bad, sim.PipeOptions{N: 12}); err == nil {

@@ -27,3 +27,17 @@ func BenchmarkUnroll(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAutoFactor prices choosing the unroll factor, RecMII included,
+// for the loops BenchmarkUnroll unrolls: every unrolled compile runs it.
+func BenchmarkAutoFactor(b *testing.B) {
+	cfg := machine.Clustered(4)
+	loops := corpus.Generate(corpus.Params{Seed: corpus.DefaultSeed, N: 64})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, l := range loops {
+			AutoFactor(l, cfg)
+		}
+	}
+}

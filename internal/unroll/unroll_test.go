@@ -201,3 +201,22 @@ func TestUnrollReplicaNames(t *testing.T) {
 		}
 	}
 }
+
+// TestAutoFactorAllocs: AutoFactor's RecMII runs in a pooled scheduler
+// arena, so once the pool has seen BenchmarkAutoFactor's loops a call
+// allocates nothing.
+func TestAutoFactorAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop entries at random")
+	}
+	cfg := machine.Clustered(4)
+	loops := corpus.Generate(corpus.Params{Seed: corpus.DefaultSeed, N: 64})
+	for _, l := range loops {
+		AutoFactor(l, cfg)
+	}
+	for _, l := range loops {
+		if n := testing.AllocsPerRun(20, func() { AutoFactor(l, cfg) }); n != 0 {
+			t.Errorf("%s: AutoFactor allocates %v times, want 0", l.Name, n)
+		}
+	}
+}

@@ -244,17 +244,18 @@ func CompileContext(ctx context.Context, l *Loop, opts Options) (*Result, error)
 // Result.Stages and its artifact into the Result, and stops after `until`
 // (StageVerify = the full pipeline; SkipVerify ends a full run at
 // StageAlloc). The context is checked on entry, at every stage boundary
-// from scheduling on (schedule, alloc, verify) and once per simulated
-// window during verification — the points where a propagated request
-// deadline cancels abandoned work.
+// from scheduling on (schedule, alloc, verify), inside queue allocation
+// (every few thousand lifetimes placed, and once per queue checked) and
+// once per simulated window during verification — the points where a
+// propagated request deadline cancels abandoned work.
 //
 // EffortOptimal inverts that contract: the deadline bounds the optimality
 // proof, never the compilation. The scheduler's anytime ladder observes ctx
 // itself and returns its best incumbent with Bound.DeadlineCut set, and the
-// pipeline's own checks are skipped (verification runs to completion) so
-// even an already-expired context yields a complete (and still verified)
-// result rather than an error — the serving layer turns that into a 200
-// with bound.optimal=false instead of a timeout.
+// pipeline's own checks are skipped (allocation and verification run to
+// completion) so even an already-expired context yields a complete (and
+// still verified) result rather than an error — the serving layer turns
+// that into a 200 with bound.optimal=false instead of a timeout.
 func compileStaged(ctx context.Context, l *Loop, opts Options, until Stage) (*Result, error) {
 	if l == nil {
 		return nil, fmt.Errorf("vliwq: nil loop")
@@ -331,9 +332,22 @@ func compileStaged(ctx context.Context, l *Loop, opts Options, until Stage) (*Re
 	if err := ctx.Err(); err != nil && !anytime {
 		return nil, err
 	}
+	// Allocation and verification stop on the deadline, except at
+	// EffortOptimal, whose result is allocated and verified whatever its
+	// deadline.
+	sctx := ctx
+	if anytime {
+		sctx = context.Background()
+	}
 	t0 = time.Now()
-	alloc := queue.Allocate(s)
-	if err := alloc.Verify(); err != nil {
+	alloc, err := queue.Allocate(sctx, s)
+	if err != nil {
+		return nil, err
+	}
+	if err := alloc.Verify(sctx); err != nil {
+		if cerr := sctx.Err(); cerr != nil {
+			return nil, cerr
+		}
 		return nil, fmt.Errorf("vliwq: internal error: %w", err)
 	}
 	res.Alloc = alloc
@@ -359,13 +373,8 @@ func compileStaged(ctx context.Context, l *Loop, opts Options, until Stage) (*Re
 		// A replay past the schedule's horizon reaches the same verdict as
 		// any longer one (DESIGN.md §6).
 		n := min(s.Loop.TripCount(), 64, sim.Horizon(s))
-		// An EffortOptimal result is verified whatever its deadline.
-		vctx := ctx
-		if anytime {
-			vctx = context.Background()
-		}
-		if err := sim.VerifyPipeline(vctx, s, alloc, n); err != nil {
-			if cerr := vctx.Err(); cerr != nil {
+		if err := sim.VerifyPipeline(sctx, s, alloc, n); err != nil {
+			if cerr := sctx.Err(); cerr != nil {
 				return nil, cerr
 			}
 			return nil, fmt.Errorf("vliwq: verification failed: %w", err)

@@ -214,7 +214,7 @@ func TestCopyShapeNone(t *testing.T) {
 		if err := res.Sched.Verify(); err != nil {
 			t.Fatalf("%v: %v", shape, err)
 		}
-		if err := res.Alloc.Verify(); err != nil {
+		if err := res.Alloc.Verify(context.Background()); err != nil {
 			t.Fatalf("%v: %v", shape, err)
 		}
 		n := 0
@@ -383,6 +383,34 @@ func TestCompileCancelledDuringVerification(t *testing.T) {
 	for after := before; after < total; after++ {
 		ctx := &countingCtx{Context: context.Background(), after: after}
 		res, err := vliwq.CompileContext(ctx, loop, opts)
+		if res != nil || err != context.Canceled {
+			t.Fatalf("cancelled at check %d of %d: res %v, err %v; want the bare context.Canceled", after+1, total, res, err)
+		}
+	}
+}
+
+// TestCompileCancelledDuringAllocation: the engine passes its context into
+// queue allocation, which reads it before it places the first lifetime
+// and once per queue it verifies, and a compile cancelled there returns
+// the context's error itself, not an internal error.
+func TestCompileCancelledDuringAllocation(t *testing.T) {
+	req := vliwq.NewRequest(corpus.KernelByName("daxpy"), vliwq.Options{Machine: vliwq.Clustered(4)})
+	compiler := vliwq.NewCompiler(vliwq.CompilerConfig{CacheEntries: -1})
+	calls := func(until vliwq.Stage) int64 {
+		ctx := &countingCtx{Context: context.Background(), after: 1 << 62}
+		if _, err := compiler.RunUntil(ctx, req, until); err != nil {
+			t.Fatal(err)
+		}
+		return ctx.calls.Load()
+	}
+	// The engine reads the context once more before it allocates.
+	before, total := calls(vliwq.StageSchedule), calls(vliwq.StageAlloc)
+	if total <= before+1 {
+		t.Fatalf("allocation read the context %d times", total-before-1)
+	}
+	for after := before; after < total; after++ {
+		ctx := &countingCtx{Context: context.Background(), after: after}
+		res, err := compiler.RunUntil(ctx, req, vliwq.StageAlloc)
 		if res != nil || err != context.Canceled {
 			t.Fatalf("cancelled at check %d of %d: res %v, err %v; want the bare context.Canceled", after+1, total, res, err)
 		}
