@@ -28,6 +28,9 @@ func BenchmarkUnroll(b *testing.B) {
 	}
 }
 
+// factorSink keeps BenchmarkAutoFactor's calls from being optimized away.
+var factorSink int
+
 // BenchmarkAutoFactor prices choosing the unroll factor, RecMII included,
 // for the loops BenchmarkUnroll unrolls: every unrolled compile runs it.
 func BenchmarkAutoFactor(b *testing.B) {
@@ -37,7 +40,7 @@ func BenchmarkAutoFactor(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, l := range loops {
-			AutoFactor(l, cfg)
+			factorSink = AutoFactor(l, cfg)
 		}
 	}
 }

@@ -245,7 +245,7 @@ func CompileContext(ctx context.Context, l *Loop, opts Options) (*Result, error)
 // (StageVerify = the full pipeline; SkipVerify ends a full run at
 // StageAlloc). The context is checked on entry, at every stage boundary
 // from scheduling on (schedule, alloc, verify), inside queue allocation
-// (every few thousand lifetimes placed, and once per queue checked) and
+// (every 2,048 lifetimes placed, and once per queue checked) and
 // once per simulated window during verification — the points where a
 // propagated request deadline cancels abandoned work.
 //
