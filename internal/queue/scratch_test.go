@@ -148,7 +148,7 @@ func (c *countdown) Err() error {
 }
 
 // longChain is a one-cluster schedule of n adds in a dependence chain,
-// each issued two cycles after the one before: n-1 lifetimes of length
+// each placed two cycles after the one before: n-1 lifetimes of length
 // one whose start phases cycle through the II's odd phases, so first-fit
 // fills each queue with II/2 of them.
 func longChain(n, ii int) *sched.Schedule {
