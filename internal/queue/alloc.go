@@ -103,7 +103,8 @@ func (scr *scratch) allocate(ctx context.Context, s *sched.Schedule) (*Allocatio
 	nc := 0
 	for i, lt := range lts {
 		keys[i] = lkey{start: lt.Start, end: lt.End, lt: i}
-		nc = max(nc, s.Cluster[lt.Dep.From]+1, s.Cluster[lt.Dep.To]+1)
+		d := s.Loop.Deps[lt.DepIndex]
+		nc = max(nc, s.Cluster[d.From]+1, s.Cluster[d.To]+1)
 	}
 	slices.SortFunc(keys, lkey.compare)
 
@@ -126,7 +127,8 @@ func (scr *scratch) allocate(ctx context.Context, s *sched.Schedule) (*Allocatio
 			}
 		}
 		lt := &lts[k.lt]
-		cp, cc := s.Cluster[lt.Dep.From], s.Cluster[lt.Dep.To]
+		d := s.Loop.Deps[lt.DepIndex]
+		cp, cc := s.Cluster[d.From], s.Cluster[d.To]
 		f := &files[cp*nc+cc]
 		p := phaseOf(lt.Start, lt.End, ii)
 		ph[i] = p

@@ -69,8 +69,8 @@ func TestAllocationLocations(t *testing.T) {
 		s := compile(t, l, cfg)
 		a := allocate(t, s)
 		for _, as := range a.Assignments {
-			cp := s.Cluster[as.Lifetime.Dep.From]
-			cc := s.Cluster[as.Lifetime.Dep.To]
+			d := s.Loop.Deps[as.Lifetime.DepIndex]
+			cp, cc := s.Cluster[d.From], s.Cluster[d.To]
 			if cp == cc {
 				if as.Loc.Kind != queue.Private || as.Loc.From != cp {
 					t.Fatalf("%s: same-cluster lifetime mapped to %v", l.Name, as.Loc)

@@ -19,18 +19,21 @@ import (
 // crosses clusters) to the cycle its consumer reads it (consumer issue time,
 // plus II*distance for loop-carried dependences). Each flow dependence is
 // one lifetime, because reading a queue destroys the value.
+//
+// DepIndex is the one reference to the dependence: the lifetime carries
+// Loop.Deps[DepIndex] of the schedule's loop. An index rather than a copy
+// keeps Assignment small and tells duplicate dependences apart.
 type Lifetime struct {
-	Dep      ir.Dep // the flow dependence this lifetime carries
-	DepIndex int    // index of Dep in Loop.Deps (distinguishes duplicates)
-	Start    int    // write cycle
-	End      int    // read cycle (End >= Start)
+	DepIndex int // index in Loop.Deps of the flow dependence carried
+	Start    int // write cycle
+	End      int // read cycle (End >= Start)
 }
 
 // Len returns the lifetime length in cycles.
 func (lt Lifetime) Len() int { return lt.End - lt.Start }
 
 func (lt Lifetime) String() string {
-	return fmt.Sprintf("[%d,%d) %v", lt.Start, lt.End, lt.Dep)
+	return fmt.Sprintf("[%d,%d) dep %d", lt.Start, lt.End, lt.DepIndex)
 }
 
 // Compatible implements Theorem 1.1: two lifetimes may share a FIFO queue
@@ -92,7 +95,7 @@ func appendLifetimes(lts []Lifetime, s *sched.Schedule) []Lifetime {
 			start += s.Machine.CommLatency
 		}
 		end := s.Time[d.To] + s.II*d.Dist
-		lts = append(lts, Lifetime{Dep: d, DepIndex: di, Start: start, End: end})
+		lts = append(lts, Lifetime{DepIndex: di, Start: start, End: end})
 	}
 	return lts
 }

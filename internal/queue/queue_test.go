@@ -235,8 +235,8 @@ func TestDepIndexDistinguishesDuplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Both x->m lifetimes have identical times; they must be incompatible.
-	a := Lifetime{Dep: l.Deps[0], DepIndex: 0, Start: 2, End: 4}
-	b := Lifetime{Dep: l.Deps[1], DepIndex: 1, Start: 2, End: 4}
+	a := Lifetime{DepIndex: 0, Start: 2, End: 4}
+	b := Lifetime{DepIndex: 1, Start: 2, End: 4}
 	if Compatible(a, b, 3) {
 		t.Fatal("duplicate lifetimes reported compatible")
 	}

@@ -94,8 +94,8 @@ func allocateRef(s *sched.Schedule) *Allocation {
 // consumer cluster's private QRF when producer and consumer share a
 // cluster, the directed ring link otherwise.
 func locateRef(s *sched.Schedule, lt Lifetime) Location {
-	cp := s.Cluster[lt.Dep.From]
-	cc := s.Cluster[lt.Dep.To]
+	d := s.Loop.Deps[lt.DepIndex]
+	cp, cc := s.Cluster[d.From], s.Cluster[d.To]
 	if cp == cc {
 		return Location{Kind: Private, From: cp, To: cp}
 	}

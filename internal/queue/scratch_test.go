@@ -51,7 +51,7 @@ func fill[T any](s []T, v T) {
 // poison overwrites every array of the scratch, to its capacity, with
 // values no call leaves behind.
 func (scr *scratch) poison() {
-	fill(scr.lts, Lifetime{Dep: ir.Dep{From: -3, To: -5}, DepIndex: -1, Start: 9, End: -9})
+	fill(scr.lts, Lifetime{DepIndex: -1, Start: 9, End: -9})
 	fill(scr.keys, lkey{start: -1, end: -2, lt: -3})
 	fill(scr.ph, phase{r: 5, l: -5})
 	fill(scr.next, 7)

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -45,6 +46,49 @@ func TestScheduleLoopAllocs(t *testing.T) {
 	}
 }
 
+// TestPortfolioAllocsIndependentOfGOMAXPROCS pins the allocations of an
+// exhaustive ScheduleLoop, whose five strategies run on the calling
+// goroutine: over the 48 loops BenchmarkSchedulePortfolioExhaustive
+// schedules on clustered:6, a pass allocates as much at GOMAXPROCS 4 as at
+// 1. (Racing the strategies on pool workers tripled the count at four
+// processors.) testing.AllocsPerRun cannot measure this, because it pins
+// GOMAXPROCS to 1 while it counts, so the test reads the malloc counter
+// itself.
+func TestPortfolioAllocsIndependentOfGOMAXPROCS(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation inflates allocation counts")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	loops := corpus.Generate(corpus.Params{Seed: corpus.DefaultSeed, N: 48})
+	cfg := machine.Clustered(6)
+	pass := func() {
+		for _, l := range loops {
+			if _, err := ScheduleLoop(context.Background(), l, cfg, EffortExhaustive); err != nil {
+				t.Fatalf("%s: %v", l.Name, err)
+			}
+		}
+	}
+	const runs = 10
+	var perPass [2]float64
+	for i, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		pass() // warm the pools at this processor count
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for r := 0; r < runs; r++ {
+			pass()
+		}
+		runtime.ReadMemStats(&after)
+		perPass[i] = float64(after.Mallocs-before.Mallocs) / runs
+	}
+	t.Logf("allocs per pass: %.0f at GOMAXPROCS 1, %.0f at 4", perPass[0], perPass[1])
+	// A GC that empties a sync.Pool mid-measurement costs a few arenas;
+	// 5% absorbs that without hiding a per-strategy cost.
+	if perPass[1] > perPass[0]*1.05 {
+		t.Errorf("an exhaustive pass allocates %.0f times at GOMAXPROCS 4, %.0f at 1", perPass[1], perPass[0])
+	}
+}
+
 // TestMRTReuseAllocs verifies the modulo reservation table reuses its rows
 // and per-cell reservation slices across reset cycles: steady-state use
 // allocates nothing.
@@ -85,7 +129,7 @@ func TestTryIIAttemptAllocs(t *testing.T) {
 	cfg := machine.Clustered(4)
 	st := statePool.Get().(*state)
 	defer statePool.Put(st)
-	memo := newRaceMemo(l, &cfg)
+	memo := newLoopMemo(l, &cfg)
 	defer memo.release()
 	st.init(l, cfg, DefaultBudgetRatio, StrategyBaseline, memo)
 	if !st.tryII(8) {
@@ -120,7 +164,7 @@ func TestForceSlotUnschedulable(t *testing.T) {
 
 	st := statePool.Get().(*state)
 	defer statePool.Put(st)
-	memo := newRaceMemo(l, &cfg)
+	memo := newLoopMemo(l, &cfg)
 	defer memo.release()
 
 	// Pinned to a cluster that cannot host a move: forceSlot finds no free

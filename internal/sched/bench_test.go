@@ -42,7 +42,7 @@ func BenchmarkScheduleLoopClustered6(b *testing.B) {
 	benchScheduleLoop(b, machine.Clustered(6))
 }
 
-// BenchmarkSchedulePortfolioExhaustive prices the full strategy race: the
+// BenchmarkSchedulePortfolioExhaustive prices the full strategy portfolio: the
 // same clustered-6 workload as above under EffortExhaustive, so the bench
 // trajectory records what the portfolio costs relative to the fast path.
 func BenchmarkSchedulePortfolioExhaustive(b *testing.B) {
@@ -62,7 +62,7 @@ func BenchmarkSchedulePortfolioExhaustive(b *testing.B) {
 // BenchmarkScheduleOptimalSmall prices the certified tier on the
 // hand-written kernels. Every kernel closes at MII on clustered:4, so the
 // certificate is the trivial one and the exact search never runs: this
-// records what the tier costs on top of the exhaustive race it contains.
+// records what the tier costs on top of the exhaustive portfolio it contains.
 // BenchmarkScheduleOptimalStressed prices the exact search itself.
 func BenchmarkScheduleOptimalSmall(b *testing.B) {
 	loops := corpus.Kernels()

@@ -56,8 +56,8 @@ type Bound struct {
 
 // exactNodeBudgetPerRatio scales the budget ratio into the per-candidate-II
 // search-node cap: DefaultBudgetRatio (6) allows 240k nodes per II. The
-// cap is counted in placements tried, so it is identical at any worker
-// count and on any machine — a budget-cut certificate is deterministic.
+// cap is counted in placements tried, not in time, so it is identical on
+// any machine — a budget-cut certificate is deterministic.
 const exactNodeBudgetPerRatio = 40000
 
 func exactNodeBudget(ratio int) int64 {
@@ -65,7 +65,7 @@ func exactNodeBudget(ratio int) int64 {
 }
 
 // scheduleOptimal implements EffortOptimal. It obtains an
-// incumbent from the heuristic portfolio (the same race the exhaustive tier
+// incumbent from the heuristic portfolio (the same one the exhaustive tier
 // runs), then certifies or improves it with the exact searcher, walking
 // every integer II in [MII, incumbent II). Note the ladder deliberately
 // does not use candidateIIs: a proof of optimality needs every integer

@@ -172,7 +172,7 @@ func randomConfig(rng *rand.Rand, nc int) machine.Config {
 // findSlot, forceSlot and settle, ref through findSlotRef, forceSlotRef
 // and settleSlow. After every step both must have popped the same op,
 // chosen the same slot and hold equal time and cluster arrays. With shared
-// set, both states read one raceMemo, as the attempts of a portfolio race
+// set, both states read one loopMemo, as the attempts of a portfolio
 // do; otherwise each state has its own.
 type lockstep struct {
 	t           *testing.T
@@ -180,18 +180,18 @@ type lockstep struct {
 	l           *ir.Loop
 	cfg         machine.Config
 	packed, ref *state
-	memos       []*raceMemo
+	memos       []*loopMemo
 	steps       int
 	ordinal     int
 }
 
 func newLockstep(t *testing.T, tag string, l *ir.Loop, cfg machine.Config, strat Strategy, shared bool) *lockstep {
 	ls := &lockstep{t: t, tag: tag, l: l, cfg: cfg, packed: new(state), ref: new(state)}
-	memo := newRaceMemo(l, &cfg)
+	memo := newLoopMemo(l, &cfg)
 	ls.memos = append(ls.memos, memo)
 	ls.packed.init(l, cfg, DefaultBudgetRatio, strat, memo)
 	if !shared {
-		memo = newRaceMemo(l, &cfg)
+		memo = newLoopMemo(l, &cfg)
 		ls.memos = append(ls.memos, memo)
 	}
 	ls.ref.init(l, cfg, DefaultBudgetRatio, strat, memo)
@@ -293,9 +293,9 @@ func (ls *lockstep) compact(allowed uint64, mii, maxII int) int {
 	return -1
 }
 
-// lockstepRun runs the lockstep over the attempts the race driver makes
-// for one loop, machine and strategy: the candidate-II ladder, then the
-// compact subsets. The final outcome is checked against the race driver
+// lockstepRun runs the lockstep over the attempts the portfolio driver
+// makes for one loop, machine and strategy: the candidate-II ladder, then
+// the compact subsets. The final outcome is checked against the driver
 // itself (schedulePortfolio with that one strategy), which pins the
 // lockstep to the production path. It returns the number of steps.
 func lockstepRun(t *testing.T, tag string, l *ir.Loop, cfg machine.Config, strat Strategy, shared bool) int {
@@ -306,7 +306,7 @@ func lockstepRun(t *testing.T, tag string, l *ir.Loop, cfg machine.Config, strat
 	}
 	recMII := RecMII(l)
 	mii := max(resMII, recMII)
-	lim := limits{maxII: iiCap(l), budgetRatio: DefaultBudgetRatio, workers: 1}
+	lim := limits{maxII: iiCap(l), budgetRatio: DefaultBudgetRatio}
 	ls := newLockstep(t, tag, l, cfg, strat, shared)
 	defer ls.release()
 
@@ -327,11 +327,11 @@ func lockstepRun(t *testing.T, tag string, l *ir.Loop, cfg machine.Config, strat
 	}
 	switch {
 	case ii < 0 && wantErr == nil:
-		t.Fatalf("%s: lockstep found no schedule, the race driver did", tag)
+		t.Fatalf("%s: lockstep found no schedule, the portfolio driver did", tag)
 	case ii >= 0 && wantErr != nil:
-		t.Fatalf("%s: lockstep scheduled at II %d, the race driver failed: %v", tag, ii, wantErr)
+		t.Fatalf("%s: lockstep scheduled at II %d, the portfolio driver failed: %v", tag, ii, wantErr)
 	case ii >= 0 && (want.II != ii || !slices.Equal(want.Time, ls.packed.time) || !slices.Equal(want.Cluster, ls.packed.cluster)):
-		t.Fatalf("%s: lockstep schedule (II %d) differs from the race driver's (II %d)", tag, ii, want.II)
+		t.Fatalf("%s: lockstep schedule (II %d) differs from the portfolio driver's (II %d)", tag, ii, want.II)
 	}
 	return ls.steps
 }

@@ -38,7 +38,7 @@
 //
 // Determinism: the static op order (height desc, ID asc), the candidate
 // order (cluster asc, row asc) and the node budget are all independent of
-// timing and worker count, so identical inputs explore the identical tree.
+// timing, so identical inputs explore the identical tree.
 // Rotation symmetry is broken once: the first placed op is pinned to row 0,
 // and — on machines whose clusters are identical — to cluster 0, since any
 // schedule can be rotated in time and around the ring to such a

@@ -119,7 +119,7 @@ func FuzzExactPropagate(f *testing.F) {
 // TestDifferentialBitsetVsReference (lockstepRun): the input picks a
 // stressed loop, a ring of 1-64 clusters with mixed FU widths (fuzzMachine),
 // a comm latency of 0-3 and, from flags, the move extension (bit 0), the
-// strategy (bits 1-3) and whether both states share one raceMemo (bit 4).
+// strategy (bits 1-3) and whether both states share one loopMemo (bit 4).
 // Every probe of the packed slot search must agree with the scalar
 // reference. Nightly fuzz.yml runs this target; crashers land in
 // testdata/fuzz and are committed as regression seeds.

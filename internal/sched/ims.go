@@ -17,9 +17,9 @@ import (
 //
 // Facts that depend only on the pristine loop and the machine — the CSR
 // precedence views, the per-op latency and FU class tables, the
-// per-cluster adjacency masks, the per-II heights — live in the raceMemo
+// per-cluster adjacency masks, the per-II heights — live in the loopMemo
 // (memo.go) the state is bound to, computed once per ScheduleLoop call and
-// shared by every attempt and every racing strategy. The working loop
+// shared by every attempt of every strategy. The working loop
 // aliases the input (copy-on-write): only an attempt that actually inserts
 // move operations pays for private op/dep copies and a CSR rebuild
 // (detach, moves.go).
@@ -29,7 +29,7 @@ type state struct {
 	cfg         machine.Config
 	budgetRatio int
 	strat       Strategy // cluster-preference policy for this run
-	memo        *raceMemo
+	memo        *loopMemo
 	mutated     bool // move ops inserted: loop/CSR detached from the input
 
 	ii       int
@@ -59,7 +59,6 @@ type state struct {
 	pathBuf   []int      // scratch for move-chain ring paths
 	settleBuf []ir.Dep   // scratch for settle's edge snapshot
 	iiBuf     []int      // scratch for the candidate-II sequence
-	results   []attempt  // one race round's attempts (schedulePortfolio)
 	rec       recScratch // RecMII scratch (mii.go)
 
 	stats Stats
@@ -72,7 +71,7 @@ var statePool = sync.Pool{New: func() any { return new(state) }}
 
 // init binds the arena to a new input loop, reusing all prior storage, and
 // to the memo holding that loop's shared facts on cfg.
-func (st *state) init(l *ir.Loop, cfg machine.Config, budgetRatio int, strat Strategy, memo *raceMemo) {
+func (st *state) init(l *ir.Loop, cfg machine.Config, budgetRatio int, strat Strategy, memo *loopMemo) {
 	st.orig = l
 	st.cfg = cfg
 	st.budgetRatio = budgetRatio
@@ -649,7 +648,7 @@ func (st *state) settleSlow(id int, wl *worklist) int {
 // II >= RecMII there is no positive cycle, so the fixpoint converges within
 // numOps passes.
 //
-// Heights depend only on the pristine graph and the II, so the raceMemo
+// Heights depend only on the pristine graph and the II, so the loopMemo
 // computes them once per II and every attempt copies the result; only an
 // attempt that grew the graph with move operations recomputes privately.
 func (st *state) computeHeights() {

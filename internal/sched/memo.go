@@ -7,14 +7,14 @@ import (
 	"vliwq/internal/machine"
 )
 
-// raceMemo shares placement-invariant facts across the attempts of one
-// ScheduleLoop call. The race runs (strategies × candidate IIs) attempts
-// over the same pristine loop — one strategy at EffortFast — then possibly
-// the compact fallback; without sharing, each attempt rebuilds the CSR
-// precedence views and recomputes the height priority fixpoint from
+// loopMemo shares placement-invariant facts across the attempts of one
+// ScheduleLoop call. The portfolio runs (strategies × candidate IIs)
+// attempts over the same pristine loop — one strategy at EffortFast — then
+// possibly the compact fallback; without sharing, each attempt rebuilds the
+// CSR precedence views and recomputes the height priority fixpoint from
 // scratch. Both depend only on the pristine graph (and, for heights, the
-// II), so the race computes them once and every state bound to the memo
-// reads them.
+// II), so the memo computes them once and every state bound to it reads
+// them.
 //
 // The sharing is deliberately limited to placement-invariant facts.
 // Placement-dependent candidates — per-op earliest-slot floors carried from
@@ -26,13 +26,13 @@ import (
 // are cached, snapshotted and remapped under (DESIGN.md §13 spells out the
 // invalidation rules).
 //
-// Concurrency: preds/succs/lat/deps are built before the race starts and
-// are read-only afterwards. The heights table is guarded by mu; a height
-// vector is written once, under the lock, by the first attempt to need its
-// II, and only read (copied out) after that. An attempt that mutates its
-// working loop (move insertion) detaches from the memo entirely and
-// recomputes privately.
-type raceMemo struct {
+// The attempts of one call run one after another on one goroutine, so the
+// memo needs no lock: preds/succs/lat/deps are built before the first
+// attempt and are read-only afterwards, and a height vector is written once,
+// by the first attempt to need its II, and only read (copied out) after
+// that. An attempt that mutates its working loop (move insertion) detaches
+// from the memo entirely and recomputes privately.
+type loopMemo struct {
 	n     int
 	deps  []ir.Dep // aliases the pristine loop's list, never mutated
 	lat   []int
@@ -40,12 +40,11 @@ type raceMemo struct {
 
 	preds, succs ir.Adj
 
-	// Machine facts of the racing config (see maskInto).
+	// Machine facts of the target config (see maskInto).
 	adjMasks  []uint64
 	allMask   uint64
 	classMask [machine.NumClasses]uint64
 
-	mu      sync.Mutex
 	used    int // live prefix of heights (stale entries keep their storage)
 	heights []memoHeights
 }
@@ -55,14 +54,14 @@ type memoHeights struct {
 	h  []int
 }
 
-// memoPool recycles raceMemo arenas across ScheduleLoop calls, like
+// memoPool recycles loopMemo arenas across ScheduleLoop calls, like
 // statePool does for scheduling states.
-var memoPool = sync.Pool{New: func() any { return new(raceMemo) }}
+var memoPool = sync.Pool{New: func() any { return new(loopMemo) }}
 
-// newRaceMemo binds a pooled memo to a pristine loop and the machine the
-// race targets.
-func newRaceMemo(l *ir.Loop, cfg *machine.Config) *raceMemo {
-	m := memoPool.Get().(*raceMemo)
+// newLoopMemo binds a pooled memo to a pristine loop and the machine the
+// compile targets.
+func newLoopMemo(l *ir.Loop, cfg *machine.Config) *loopMemo {
+	m := memoPool.Get().(*loopMemo)
 	m.n = len(l.Ops)
 	m.deps = l.Deps
 	m.lat = refill(m.lat, m.n, 0)
@@ -79,23 +78,20 @@ func newRaceMemo(l *ir.Loop, cfg *machine.Config) *raceMemo {
 	return m
 }
 
-// release returns the memo to the pool. The caller must guarantee no racing
-// state still references it (the race's pool.Run has completed).
-func (m *raceMemo) release() {
+// release returns the memo to the pool. The caller must guarantee no state
+// still references it (its last attempt has returned).
+func (m *loopMemo) release() {
 	m.deps = nil
 	memoPool.Put(m)
 }
 
 // heightsFor returns the shared height vector for ii, computing it at most
-// once per (loop, II) across every racing strategy. The returned slice is
+// once per (loop, II) across every strategy. The returned slice is
 // immutable; callers copy it into their own arena.
-func (m *raceMemo) heightsFor(ii int) []int {
-	m.mu.Lock()
+func (m *loopMemo) heightsFor(ii int) []int {
 	for i := 0; i < m.used; i++ {
 		if m.heights[i].ii == ii {
-			h := m.heights[i].h
-			m.mu.Unlock()
-			return h
+			return m.heights[i].h
 		}
 	}
 	if m.used == len(m.heights) {
@@ -105,7 +101,5 @@ func (m *raceMemo) heightsFor(ii int) []int {
 	e.ii = ii
 	e.h = heightsInto(e.h, m.lat, m.deps, ii, m.n)
 	m.used++
-	h := e.h
-	m.mu.Unlock()
-	return h
+	return e.h
 }

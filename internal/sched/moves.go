@@ -38,9 +38,9 @@ func (st *state) insertMoveChain(d ir.Dep, wl *worklist) int {
 	st.pathBuf = path
 
 	// About to mutate the op and dependence lists: give the working loop
-	// private storage. Until here they alias the pristine input (and, in a
-	// portfolio race, the CSR views may be shared by every racing
-	// strategy), so mutating in place would corrupt the other attempts.
+	// private storage. Until here they alias the pristine input (and the
+	// CSR views are the memo's, shared by every attempt of the compile),
+	// so mutating in place would corrupt the later attempts.
 	st.detach()
 
 	// Remove the offending dependence (first value match).
@@ -80,7 +80,7 @@ func (st *state) insertMoveChain(d ir.Dep, wl *worklist) int {
 	// The graph changed shape: rebuild adjacency and priorities, and
 	// restore the heap invariant under the new heights. The rebuild goes
 	// into the state's private mutPreds/mutSuccs arenas — never into the
-	// base views, whose storage may be shared with other racing attempts.
+	// base views, whose storage the compile's other attempts share.
 	st.loop.PredsInto(&st.mutPreds)
 	st.loop.SuccsInto(&st.mutSuccs)
 	st.preds = st.mutPreds

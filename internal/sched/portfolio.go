@@ -1,4 +1,4 @@
-// Portfolio scheduling: race several cluster-assignment strategies per
+// Portfolio scheduling: try several cluster-assignment strategies per
 // candidate II and keep the best schedule.
 //
 // The paper's partitioned IMS commits to one cluster-preference heuristic,
@@ -12,31 +12,25 @@
 //   - The first candidate II at which any strategy schedules wins (the II
 //     ladder is walked from MII upward, so this is the lowest achievable II
 //     over the portfolio).
-//   - At II > MII every strategy completes and the best schedule is chosen
-//     by fewest inserted move operations, then shortest schedule, then
-//     lowest strategy index.
-//   - At II == MII the race short-circuits: the lowest-indexed strategy to
-//     schedule wins outright and strategies with higher indices are
-//     abandoned. Every strategy below the winner always runs to
-//     completion, so the winner is independent of timing, worker count and
-//     interleaving — raced and sequential execution return the identical
-//     schedule.
+//   - At II > MII every strategy runs and the best schedule is chosen by
+//     fewest inserted move operations, then shortest schedule, then lowest
+//     strategy index.
+//   - At II == MII the first strategy to schedule wins outright and the
+//     strategies after it are not tried.
 //
-// Racing uses the repo-wide worker pool (internal/pool). Attempts are fed
-// in strategy order; cancellation after an MII hit can therefore only skip
-// strategies above the first winner, which is what makes the short-circuit
-// deterministic.
+// The strategies of a rung run one after another, in index order, on the
+// calling goroutine. A compile's schedule and its work (Stats) are
+// therefore a function of the loop and the machine alone; parallelism
+// lives one level up, across compiles (the service's requests, /batch
+// items, Compiler.RunBatch and the experiment sweeps).
 
 package sched
 
 import (
-	"context"
 	"fmt"
-	"sync/atomic"
 
 	"vliwq/internal/ir"
 	"vliwq/internal/machine"
-	"vliwq/internal/pool"
 )
 
 // attempt is the outcome of one (strategy, II) scheduling try.
@@ -53,9 +47,10 @@ type attempt struct {
 // runAttempt schedules l at one II under one strategy on a pooled arena.
 // ordinal is the 1-based position of ii on the candidate ladder; it seeds
 // the budget multiplier, so every strategy sees the same budget growth.
-// memo carries the race-wide pristine-loop facts (CSR views, per-II
-// heights); the attempt's arena holds everything placement-dependent.
-func runAttempt(l *ir.Loop, cfg machine.Config, budgetRatio int, strat Strategy, ii, ordinal int, memo *raceMemo) attempt {
+// memo carries the pristine-loop facts every attempt of the compile shares
+// (CSR views, per-II heights); the attempt's arena holds everything
+// placement-dependent.
+func runAttempt(l *ir.Loop, cfg machine.Config, budgetRatio int, strat Strategy, ii, ordinal int, memo *loopMemo) attempt {
 	st := statePool.Get().(*state)
 	defer statePool.Put(st)
 	st.init(l, cfg, budgetRatio, strat, memo)
@@ -88,7 +83,7 @@ func (st *state) result(l *ir.Loop) attempt {
 
 // better reports whether a beats b under the II-equal comparison: fewer
 // inserted moves, then shorter schedule. Index order breaks ties because
-// the caller scans attempts in strategy order and keeps the incumbent.
+// the caller tries strategies in index order and keeps the incumbent.
 func (a attempt) better(b attempt) bool {
 	if a.moves != b.moves {
 		return a.moves < b.moves
@@ -96,28 +91,28 @@ func (a attempt) better(b attempt) bool {
 	return a.length < b.length
 }
 
-// schedulePortfolio walks the candidate-II ladder racing every strategy at
-// each step, then the compact fallback. Every effort tier runs it; the
+// schedulePortfolio walks the candidate-II ladder trying every strategy at
+// each rung, then the compact fallback. Every effort tier runs it; the
 // fast tier's ladder has one strategy. See the package comment above for
-// the selection rule and its determinism argument. st is the caller's
-// arena: it holds the machine, the round's results and, after the race,
-// the compact fallback's attempts.
+// the selection rule. st is the caller's arena: it holds the machine and
+// the II ladder and, once the ladder has failed, the compact fallback's
+// attempts.
 func schedulePortfolio(st *state, l *ir.Loop, cfg machine.Config, strats []Strategy, resMII, recMII int, lim limits) (*Schedule, error) {
-	mii := resMII
-	if recMII > mii {
-		mii = recMII
-	}
+	mii := max(resMII, recMII)
 	st.cfg = cfg
 	st.iiBuf = candidateIIs(st.iiBuf, mii, lim.maxII)
 	iis := st.iiBuf
-	// The memo is shared by every racing attempt and released only after
-	// the last race round has completed (pool.Run is a barrier per round).
-	memo := newRaceMemo(l, &st.cfg)
+	memo := newLoopMemo(l, &st.cfg)
 	defer memo.release()
 
 	var total Stats
 	if len(strats) > 1 {
 		total.StrategiesTried = len(strats)
+	}
+	add := func(s Stats) {
+		total.Attempts += s.Attempts
+		total.Placements += s.Placements
+		total.Evictions += s.Evictions
 	}
 	finish := func(ii int, strat Strategy, a attempt) *Schedule {
 		total.MovesInserted = a.moves
@@ -133,58 +128,32 @@ func schedulePortfolio(st *state, l *ir.Loop, cfg machine.Config, strats []Strat
 			Stats:    total,
 		}
 	}
-	results := uninit(st.results, len(strats)) // cleared per round
-	st.results = results
 	for ord, ii := range iis {
-		clear(results)
-		atMII := ii == mii
-		if lim.workers == 1 || len(strats) == 1 {
-			// A single worker runs the strategies in index order anyway, so
-			// the race degenerates to a plain loop — same results, same
-			// MII short-circuit, none of the race's cancellable context.
-			for i := range strats {
-				results[i] = runAttempt(l, st.cfg, lim.budgetRatio, strats[i], ii, ord+1, memo)
-				if atMII && results[i].ok {
-					break
-				}
-			}
-		} else {
-			raceRound(st, l, strats, ii, ord+1, atMII, memo, lim)
-		}
-
+		var best attempt
 		win := -1
-		for i := range results {
-			total.Attempts += results[i].stats.Attempts
-			total.Placements += results[i].stats.Placements
-			total.Evictions += results[i].stats.Evictions
-		}
-		for i := range results {
-			if !results[i].ok {
+		for i, strat := range strats {
+			a := runAttempt(l, st.cfg, lim.budgetRatio, strat, ii, ord+1, memo)
+			add(a.stats)
+			if !a.ok {
 				continue
 			}
-			if atMII {
-				// Lowest index wins outright: indices below i either ran
-				// and failed (deterministically) or succeeded and already
-				// claimed the race.
-				win = i
-				break
+			if win < 0 || a.better(best) {
+				best, win = a, i
 			}
-			if win < 0 || results[i].better(results[win]) {
-				win = i
+			if ii == mii {
+				break // the first strategy to schedule at MII wins
 			}
 		}
 		if win >= 0 {
-			s := finish(ii, strats[win], results[win])
-			clear(results) // drop the pooled arena's references
-			return s, nil
+			return finish(ii, strats[win], best), nil
 		}
 	}
 
 	// No strategy scheduled anywhere on the ladder: fall back to the
 	// compact cluster-subset search, which cannot fail on a valid loop.
 	// Compact mode ranks clusters by index under every strategy, so the
-	// result reports the baseline strategy. The race has ended, so the
-	// caller's arena (and the memo, still valid) serves the fallback.
+	// result reports the baseline strategy. The caller's arena (and the
+	// memo, still valid) serves the fallback.
 	st.init(l, cfg, lim.budgetRatio, StrategyBaseline, memo)
 	// Seed the attempt counter to the ladder length so the compact
 	// attempts continue the ladder's budget growth (the multiplier caps
@@ -192,38 +161,9 @@ func schedulePortfolio(st *state, l *ir.Loop, cfg machine.Config, strats []Strat
 	// are added to the reported stats.
 	st.stats.Attempts = len(iis)
 	if ii := st.compactSchedule(mii, lim.maxII); ii >= 0 {
-		total.Attempts += st.stats.Attempts - len(iis)
-		total.Placements += st.stats.Placements
-		total.Evictions += st.stats.Evictions
+		st.stats.Attempts -= len(iis)
+		add(st.stats)
 		return finish(ii, StrategyBaseline, st.result(l)), nil
 	}
 	return nil, fmt.Errorf("%w: %q on %s (MII=%d, maxII=%d)", ErrNoSchedule, l.Name, cfg.Name, mii, lim.maxII)
-}
-
-// raceRound runs one rung of the ladder on the worker pool, writing each
-// strategy's attempt into st.results.
-func raceRound(st *state, l *ir.Loop, strats []Strategy, ii, ordinal int, atMII bool, memo *raceMemo, lim limits) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	// minWin tracks the lowest strategy index that has scheduled at MII.
-	// The pool's workers claim indices in increasing order, so by the time
-	// strategy i runs, every index below i has been claimed and will run to
-	// completion; cancellation can only drop indices that cannot win.
-	minWin := atomic.Int64{}
-	minWin.Store(int64(len(strats)))
-	pool.Run(ctx, len(strats), lim.workers, func(i int) {
-		if atMII && minWin.Load() < int64(i) {
-			return // a strictly better winner already exists
-		}
-		st.results[i] = runAttempt(l, st.cfg, lim.budgetRatio, strats[i], ii, ordinal, memo)
-		if atMII && st.results[i].ok {
-			for {
-				cur := minWin.Load()
-				if int64(i) >= cur || minWin.CompareAndSwap(cur, int64(i)) {
-					break
-				}
-			}
-			cancel()
-		}
-	}, nil)
 }

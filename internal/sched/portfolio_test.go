@@ -2,8 +2,11 @@ package sched
 
 import (
 	"context"
+	"fmt"
 	"hash/fnv"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -124,30 +127,74 @@ func TestFastScheduleDigestPinned(t *testing.T) {
 	}
 }
 
-// TestPortfolioDeterministic: the race must return the identical schedule
-// sequentially and at any worker count — the determinism guarantee
-// DESIGN.md §9 documents.
+// TestPortfolioDeterministic: the portfolio's schedule verifies, and a
+// repeat run returns the identical schedule and work — the determinism
+// guarantee DESIGN.md §9 documents.
 func TestPortfolioDeterministic(t *testing.T) {
 	loops := corpus.Generate(corpus.Params{Seed: 11, N: 24, MinOps: 8})
 	cfg := machine.Clustered(4)
 	for _, l := range loops {
-		var ref *Schedule
-		for _, workers := range []int{1, 2, 8} {
-			s, err := scheduleLoop(context.Background(), l, cfg, EffortExhaustive, limitsFor(l, workers))
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", l.Name, workers, err)
-			}
-			if err := s.Verify(); err != nil {
-				t.Fatalf("%s workers=%d: %v", l.Name, workers, err)
-			}
-			if ref == nil {
-				ref = s
-				continue
-			}
-			if s.II != ref.II || s.Strategy != ref.Strategy ||
-				!reflect.DeepEqual(s.Time, ref.Time) || !reflect.DeepEqual(s.Cluster, ref.Cluster) {
-				t.Fatalf("%s: workers=%d disagrees with workers=1 (II %d vs %d, strategy %v vs %v)",
-					l.Name, workers, s.II, ref.II, s.Strategy, ref.Strategy)
+		ref, err := ScheduleLoop(context.Background(), l, cfg, EffortExhaustive)
+		if err != nil {
+			t.Fatalf("%s: %v", l.Name, err)
+		}
+		if err := ref.Verify(); err != nil {
+			t.Fatalf("%s: %v", l.Name, err)
+		}
+		s, err := ScheduleLoop(context.Background(), l, cfg, EffortExhaustive)
+		if err != nil {
+			t.Fatalf("%s: %v", l.Name, err)
+		}
+		if d := scheduleDiff(s, ref); d != "" {
+			t.Fatalf("%s: repeat run differs: %s", l.Name, d)
+		}
+	}
+}
+
+// scheduleDiff names the first way got differs from want in the schedule,
+// its certificate or its work, or returns "" when they agree.
+func scheduleDiff(got, want *Schedule) string {
+	switch {
+	case got.II != want.II:
+		return fmt.Sprintf("II %d, want %d", got.II, want.II)
+	case got.Strategy != want.Strategy:
+		return fmt.Sprintf("strategy %v, want %v", got.Strategy, want.Strategy)
+	case len(got.Loop.Ops) != len(want.Loop.Ops):
+		return fmt.Sprintf("%d ops, want %d", len(got.Loop.Ops), len(want.Loop.Ops))
+	case !slices.Equal(got.Time, want.Time) || !slices.Equal(got.Cluster, want.Cluster):
+		return "placements differ"
+	case got.Bound != want.Bound:
+		return fmt.Sprintf("bound %+v, want %+v", got.Bound, want.Bound)
+	case got.Stats != want.Stats:
+		return fmt.Sprintf("stats %+v, want %+v", got.Stats, want.Stats)
+	}
+	return ""
+}
+
+// TestScheduleSameAtAnyGOMAXPROCS: the strategies of a rung run one after
+// another on the calling goroutine, so a compile's schedule and its work
+// are a function of the loop and the machine alone. Over the first 16
+// stressed loops on clustered:4 and clustered:6, at the exhaustive and the
+// optimal tier, a compile at GOMAXPROCS 4 returns the schedule, certificate
+// and Stats of the same compile at GOMAXPROCS 1.
+func TestScheduleSameAtAnyGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	loops := corpus.Stressed()[:16]
+	for _, effort := range []Effort{EffortExhaustive, EffortOptimal} {
+		for _, cfg := range []machine.Config{machine.Clustered(4), machine.Clustered(6)} {
+			for _, l := range loops {
+				var got [2]*Schedule
+				for i, procs := range []int{1, 4} {
+					runtime.GOMAXPROCS(procs)
+					s, err := ScheduleLoop(context.Background(), l, cfg, effort)
+					if err != nil {
+						t.Fatalf("%s on %s at %v, GOMAXPROCS %d: %v", l.Name, cfg.Name, effort, procs, err)
+					}
+					got[i] = s
+				}
+				if d := scheduleDiff(got[1], got[0]); d != "" {
+					t.Errorf("%s on %s at %v: GOMAXPROCS 4 against 1: %s", l.Name, cfg.Name, effort, d)
+				}
 			}
 		}
 	}
@@ -180,7 +227,7 @@ func TestPortfolioNeverWorse(t *testing.T) {
 		}
 	}
 	if improved == 0 {
-		t.Fatalf("exhaustive portfolio improved no loop of the stressed slice; the race is not racing")
+		t.Fatalf("exhaustive portfolio improved no loop of the stressed slice; the portfolio tries only the baseline")
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 
 	"vliwq/internal/ir"
 	"vliwq/internal/machine"
@@ -44,7 +43,7 @@ type Schedule struct {
 	RecMII int
 
 	// Strategy is the cluster-assignment strategy the schedule was
-	// produced under: StrategyBaseline unless a portfolio raced
+	// produced under: StrategyBaseline unless a portfolio tried
 	// alternatives. A schedule from the compact fallback reports baseline,
 	// because the fallback ranks clusters by index under every strategy.
 	Strategy Strategy
@@ -98,7 +97,7 @@ type Stats struct {
 	MovesInserted int // move operations added (AllowMoves only)
 
 	// StrategiesTried is the portfolio width: the number of strategies
-	// raced for this schedule. Zero means no portfolio ran (the fast
+	// tried per candidate II for this schedule. Zero means no portfolio ran (the fast
 	// single-strategy path), which is how downstream reporting knows not
 	// to print portfolio detail for historical outputs.
 	StrategiesTried int
@@ -114,12 +113,11 @@ type Stats struct {
 const DefaultBudgetRatio = 6
 
 // limits bound one scheduling call. ScheduleLoop derives them; the
-// tests that pin ErrNoSchedule, budget cuts and worker-count invariance
-// pass their own to scheduleLoop.
+// tests that pin ErrNoSchedule and budget cuts pass their own to
+// scheduleLoop.
 type limits struct {
 	maxII       int // top of the candidate-II ladder
 	budgetRatio int // placements per op and II attempt (Rau's budget)
-	workers     int // race width; wall-clock only, never the result
 }
 
 // iiCap is the top of the candidate-II ladder: far enough above MII that a
@@ -163,7 +161,7 @@ var (
 	ErrNoSchedule = errors.New("sched: no schedule found within II and budget limits")
 )
 
-// strategySet resolves the strategies a compilation races: the effort
+// strategySet resolves the strategies a compilation tries: the effort
 // level's portfolio. Single-cluster machines always collapse to the
 // baseline — every ordering of one cluster is the same ordering.
 func strategySet(effort Effort, numClusters int) []Strategy {
@@ -176,7 +174,7 @@ func strategySet(effort Effort, numClusters int) []Strategy {
 // ScheduleLoop modulo-schedules the loop on the given machine. It works for
 // both single-cluster and clustered configurations; for the latter it runs
 // the paper's partitioned IMS — as a single heuristic at EffortFast, or as
-// a strategy portfolio raced per candidate II at the higher effort levels.
+// a strategy portfolio tried per candidate II at the higher effort levels.
 //
 // Only the optimal tier's proof search observes the context: a deadline or
 // cancellation cuts the exact branch-and-bound ladder, which then returns
@@ -191,26 +189,22 @@ func ScheduleLoop(ctx context.Context, l *ir.Loop, cfg machine.Config, effort Ef
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return scheduleLoop(ctx, l, cfg, effort, limits{
-		maxII:       iiCap(l),
-		budgetRatio: DefaultBudgetRatio,
-		workers:     runtime.GOMAXPROCS(0),
-	})
+	return scheduleLoop(ctx, l, cfg, effort, limits{maxII: iiCap(l), budgetRatio: DefaultBudgetRatio})
 }
 
-// scheduleLoop computes the lower bounds and runs the strategy race of the
-// effort tier (a one-strategy ladder at EffortFast), then, at
-// EffortOptimal, the exact search that certifies or improves the race's
-// schedule.
+// scheduleLoop computes the lower bounds and runs the strategy portfolio of
+// the effort tier (a one-strategy ladder at EffortFast), then, at
+// EffortOptimal, the exact search that certifies or improves the
+// portfolio's schedule.
 func scheduleLoop(ctx context.Context, l *ir.Loop, cfg machine.Config, effort Effort, lim limits) (*Schedule, error) {
 	resMII, err := ResMII(l, cfg)
 	if err != nil {
 		return nil, err
 	}
 	// The driver's state is acquired before the lower bounds so RecMII
-	// runs out of its arena (recScratch) instead of allocating; the race
-	// then keeps its round results there and reuses it for the compact
-	// fallback.
+	// runs out of its arena (recScratch) instead of allocating; the
+	// portfolio then keeps its II ladder there and reuses it for the
+	// compact fallback.
 	st := statePool.Get().(*state)
 	defer statePool.Put(st)
 	recMII := recMIIInto(l, &st.rec)

@@ -229,15 +229,14 @@ func TestScheduleDeterminism(t *testing.T) {
 	}
 }
 
-// limitsFor returns the limits ScheduleLoop derives for l, at the
-// given race width.
-func limitsFor(l *ir.Loop, workers int) limits {
-	return limits{maxII: iiCap(l), budgetRatio: DefaultBudgetRatio, workers: workers}
+// limitsFor returns the limits ScheduleLoop derives for l.
+func limitsFor(l *ir.Loop) limits {
+	return limits{maxII: iiCap(l), budgetRatio: DefaultBudgetRatio}
 }
 
 func TestOptionsMaxIIRespected(t *testing.T) {
 	l := corpus.DivNorm() // RecMII 9
-	lim := limitsFor(l, 1)
+	lim := limitsFor(l)
 	lim.maxII = 3
 	_, err := scheduleLoop(context.Background(), l, machine.SingleCluster(4), EffortFast, lim)
 	if !errors.Is(err, ErrNoSchedule) {

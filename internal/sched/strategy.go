@@ -10,9 +10,9 @@ import (
 // scheduler's slot search walks clusters in a preference order; a strategy
 // is exactly that ordering policy. No single ordering wins across loop
 // shapes — communication-bound loops want affinity, throughput-bound loops
-// want balance — which is why the portfolio scheduler (portfolio.go) races
+// want balance — which is why the portfolio scheduler (portfolio.go) tries
 // several per candidate II. Strategy values are dense small integers: the
-// value doubles as the deterministic tie-break index of a race.
+// value doubles as the deterministic tie-break index of a portfolio.
 type Strategy uint8
 
 const (
@@ -96,7 +96,7 @@ func prefHash(id, c int) uint64 {
 }
 
 // Effort selects how much scheduling work a compilation may spend: it
-// decides the strategy portfolio raced per candidate II. The zero value is
+// decides the strategy portfolio tried per candidate II. The zero value is
 // EffortFast — the single baseline heuristic, bit-for-bit the scheduler's
 // historical behaviour — so existing callers, golden files and cache keys
 // are untouched by the portfolio machinery.
@@ -105,11 +105,11 @@ type Effort uint8
 const (
 	// EffortFast runs the baseline strategy only.
 	EffortFast Effort = iota
-	// EffortBalanced races the three affinity/load heuristics.
+	// EffortBalanced tries the three affinity/load heuristics.
 	EffortBalanced
-	// EffortExhaustive races every strategy in the catalogue.
+	// EffortExhaustive tries every strategy in the catalogue.
 	EffortExhaustive
-	// EffortOptimal runs the exhaustive race for an incumbent, then the
+	// EffortOptimal runs the exhaustive portfolio for an incumbent, then the
 	// exact branch-and-bound searcher (exact.go) to certify or improve it.
 	// The result carries an optimality certificate in Schedule.Bound; see
 	// DESIGN.md §14 for the anytime/cancellation contract.
@@ -154,7 +154,7 @@ func EffortNames() []string {
 	return out
 }
 
-// Strategies returns the strategy portfolio an effort level races, in
+// Strategies returns the strategy portfolio an effort level tries, in
 // tie-break order. The slice is freshly allocated; callers may keep it.
 func (e Effort) Strategies() []Strategy {
 	switch e {
@@ -162,7 +162,7 @@ func (e Effort) Strategies() []Strategy {
 		return []Strategy{StrategyBaseline, StrategyLoadBalanced, StrategyAffinity}
 	case EffortExhaustive, EffortOptimal:
 		// The optimal tier's heuristic incumbent comes from the same full
-		// catalogue the exhaustive tier races; the exact search then
+		// catalogue the exhaustive tier tries; the exact search then
 		// certifies or improves it.
 		return []Strategy{StrategyBaseline, StrategyLoadBalanced, StrategyAffinity, StrategyRoundRobin, StrategyPerturb}
 	}

@@ -404,7 +404,7 @@ func TestFailureMessagesDeterministic(t *testing.T) {
 		// Two queues of one file each hold two lifetimes written in the
 		// same cycle, which no FIFO can share.
 		lt := func(di, start, end int) queue.Lifetime {
-			return queue.Lifetime{Dep: ir.Dep{From: di, To: di + 4}, DepIndex: di, Start: start, End: end}
+			return queue.Lifetime{DepIndex: di, Start: start, End: end}
 		}
 		loc := queue.Location{Kind: queue.Private}
 		a := &queue.Allocation{II: 4, Assignments: []queue.Assignment{
