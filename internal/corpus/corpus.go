@@ -119,7 +119,7 @@ const StressedSeed = 19980331
 // heavy deliberate value reuse (wide fanout, so copy trees and
 // multi-consumer values everywhere) and dense cross-iteration flow. These
 // are the loops whose partition quality decides whether the modulo
-// schedule reaches MII — exactly the regime where racing several
+// schedule reaches MII — exactly the regime where trying several
 // partition heuristics pays (see internal/sched's portfolio and the exp
 // portfolio sweep).
 func StressedParams() Params {

@@ -14,7 +14,7 @@ import (
 // and the stressed preset (corpus.Stressed — wide fanout, heavy
 // cross-cluster pressure), it compiles every loop on clustered machines at
 // EffortFast (the single baseline heuristic) and EffortExhaustive (the
-// full strategy race) and reports the II-gap histogram — how far each
+// full strategy portfolio) and reports the II-gap histogram — how far each
 // schedule lands from its MII lower bound. The exhaustive rows also tally
 // which strategy won, so the catalogue's diversity is visible, not
 // assumed. Everything is deterministic: same corpora, same report,

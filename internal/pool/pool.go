@@ -1,8 +1,9 @@
 // Package pool provides the one worker-pool primitive every fan-out in the
 // repo shares: the experiment sweeps (internal/exp), the facade's
-// Compiler.RunBatch, the service's /batch endpoint and the scheduler's
-// portfolio race all fan index sets over a fixed set of workers with
-// deterministic, index-addressed output. Workers claim indices from one
+// Compiler.RunBatch and the service's /batch endpoint all fan index sets
+// over a fixed set of workers with deterministic, index-addressed output.
+// Parallelism lives at this one level, across compiles: a single compile
+// runs on one goroutine. Workers claim indices from one
 // atomic counter, in increasing order, and the calling goroutine is one of
 // them.
 package pool
@@ -21,8 +22,8 @@ import (
 // starts. workers is clamped to [1, n].
 //
 // Indices are claimed in increasing order: when fn(i) starts, every j < i
-// has been claimed and fn(j) will run. Callers that cancel on a result (the
-// portfolio race) rely on this to know that no lower index can be dropped.
+// has been claimed and fn(j) will run, so a caller that cancels from fn(i)
+// never loses a lower index.
 //
 // When ctx is cancelled, the first worker to see it takes every unclaimed
 // index in one swap and hands each to skipped instead (calls already

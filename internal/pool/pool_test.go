@@ -102,8 +102,8 @@ func TestRunEachIndexOnce(t *testing.T) {
 }
 
 // TestRunClaimsInIndexOrder: when fn(i) starts, every j < i has already
-// been claimed for fn, so a cancel from fn(i) — the portfolio race's MII
-// short-circuit — can never skip a lower index. The calls below the
+// been claimed for fn, so a cancel from fn(i) can never skip a lower
+// index. The calls below the
 // cancelling one are slowed down, so a pool that handed out indices in
 // any other order (per-worker ranges, strides) would reach the cancelling
 // index while lower ones were still unclaimed.

@@ -50,10 +50,8 @@ func TestScheduleLoopAllocs(t *testing.T) {
 // exhaustive ScheduleLoop, whose five strategies run on the calling
 // goroutine: over the 48 loops BenchmarkSchedulePortfolioExhaustive
 // schedules on clustered:6, a pass allocates as much at GOMAXPROCS 4 as at
-// 1. (Racing the strategies on pool workers tripled the count at four
-// processors.) testing.AllocsPerRun cannot measure this, because it pins
-// GOMAXPROCS to 1 while it counts, so the test reads the malloc counter
-// itself.
+// 1. testing.AllocsPerRun cannot measure this, because it pins GOMAXPROCS
+// to 1 while it counts, so the test reads the malloc counter itself.
 func TestPortfolioAllocsIndependentOfGOMAXPROCS(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation inflates allocation counts")

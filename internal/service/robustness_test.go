@@ -20,7 +20,7 @@ import (
 
 // heavyRequest builds a request whose compile reliably outlasts a
 // millisecond budget before the scheduling stage boundary: a chain of n
-// dependent ops unrolled 64 times (4096 ops for n = 64), racing the full
+// dependent ops unrolled 64 times (4096 ops for n = 64), trying the full
 // strategy portfolio on a clustered machine, verify on. The factor is
 // deliberately large — the bitset scheduler is fast enough that smaller
 // unrolls reach the last cancellation checkpoint inside the budget.

@@ -112,7 +112,7 @@ func ParseMachine(spec string) (Machine, error) {
 func ReadLoop(r io.Reader) (*Loop, error) { return ir.Parse(r) }
 
 // Effort selects the scheduler's search breadth: how many partition
-// strategies the portfolio scheduler races per candidate II (see
+// strategies the portfolio scheduler tries per candidate II (see
 // internal/sched), and — at EffortOptimal — whether the exact
 // branch-and-bound backend certifies the result. The zero value,
 // EffortFast, is the single baseline heuristic — bit-for-bit the
@@ -200,7 +200,7 @@ type Result struct {
 	RingQueues int // max ring queues used on any directed link
 
 	// Strategy names the cluster-assignment strategy that produced the
-	// schedule ("baseline" unless a portfolio raced alternatives), so
+	// schedule ("baseline" unless a portfolio tried alternatives), so
 	// portfolio wins are observable wherever results flow — reports, the
 	// service's responses and /stats, the experiment sweeps.
 	Strategy string
