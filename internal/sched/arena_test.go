@@ -14,9 +14,9 @@ import (
 
 // TestScheduleLoopAllocs locks in the scratch-arena behaviour: once the
 // pooled state has seen a loop of a given size, rescheduling stays within a
-// small constant allocation budget (the returned Schedule, its two
-// placement arrays and the effort's strategy list). The pre-arena
-// scheduler allocated well over a hundred times per loop here.
+// small constant allocation budget (the returned Schedule and its two
+// placement arrays). The pre-arena scheduler allocated well over a
+// hundred times per loop here.
 func TestScheduleLoopAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation inflates allocation counts")
@@ -37,7 +37,7 @@ func TestScheduleLoopAllocs(t *testing.T) {
 				}
 			})
 		}
-		// 4 allocs/loop in practice; 25 leaves headroom for a GC clearing
+		// 3 allocs/loop in practice; 25 leaves headroom for a GC clearing
 		// the sync.Pool mid-measurement without masking a regression back
 		// toward the former ~180+/loop.
 		if mean := total / float64(len(loops)); mean > 25 {
@@ -51,7 +51,10 @@ func TestScheduleLoopAllocs(t *testing.T) {
 // goroutine: over the 48 loops BenchmarkSchedulePortfolioExhaustive
 // schedules on clustered:6, a pass allocates as much at GOMAXPROCS 4 as at
 // 1. testing.AllocsPerRun cannot measure this, because it pins GOMAXPROCS
-// to 1 while it counts, so the test reads the malloc counter itself.
+// to 1 while it counts, so the test reads the malloc counter itself. It
+// keeps the cheapest of ten passes: a pass whose goroutine moved to
+// another processor misses that processor's sync.Pool entries and
+// allocates fresh arenas, which says nothing about the scheduler.
 func TestPortfolioAllocsIndependentOfGOMAXPROCS(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation inflates allocation counts")
@@ -66,24 +69,22 @@ func TestPortfolioAllocsIndependentOfGOMAXPROCS(t *testing.T) {
 			}
 		}
 	}
-	const runs = 10
-	var perPass [2]float64
+	var perPass [2]uint64
 	for i, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
 		pass() // warm the pools at this processor count
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for r := 0; r < runs; r++ {
+		perPass[i] = ^uint64(0)
+		for r := 0; r < 10; r++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			pass()
+			runtime.ReadMemStats(&after)
+			perPass[i] = min(perPass[i], after.Mallocs-before.Mallocs)
 		}
-		runtime.ReadMemStats(&after)
-		perPass[i] = float64(after.Mallocs-before.Mallocs) / runs
 	}
-	t.Logf("allocs per pass: %.0f at GOMAXPROCS 1, %.0f at 4", perPass[0], perPass[1])
-	// A GC that empties a sync.Pool mid-measurement costs a few arenas;
-	// 5% absorbs that without hiding a per-strategy cost.
-	if perPass[1] > perPass[0]*1.05 {
-		t.Errorf("an exhaustive pass allocates %.0f times at GOMAXPROCS 4, %.0f at 1", perPass[1], perPass[0])
+	t.Logf("allocs per pass: %d at GOMAXPROCS 1, %d at 4", perPass[0], perPass[1])
+	if perPass[1] > perPass[0]+perPass[0]/20 {
+		t.Errorf("an exhaustive pass allocates %d times at GOMAXPROCS 4, %d at 1", perPass[1], perPass[0])
 	}
 }
 
