@@ -39,7 +39,11 @@ func (l *Loop) Validate() error {
 			return fmt.Errorf("%w: %v", ErrBadKind, op)
 		}
 	}
-	nIn := make([]int, len(l.Ops))
+	scr := zdcPool.Get().(*zdcScratch)
+	defer zdcPool.Put(scr)
+	nIn := resize(scr.nIn, len(l.Ops))
+	scr.nIn = nIn
+	clear(nIn)
 	for _, d := range l.Deps {
 		if d.From < 0 || d.From >= len(l.Ops) || d.To < 0 || d.To >= len(l.Ops) {
 			return fmt.Errorf("%w: %v", ErrBadOpID, d)
@@ -58,11 +62,11 @@ func (l *Loop) Validate() error {
 		}
 	}
 	for i, op := range l.Ops {
-		if nIn[i] > op.Kind.MaxInputs() {
+		if int(nIn[i]) > op.Kind.MaxInputs() {
 			return fmt.Errorf("%w: %v has %d", ErrTooManyInputs, op, nIn[i])
 		}
 	}
-	if l.hasZeroDistCycle() {
+	if l.hasZeroDistCycle(scr) {
 		return fmt.Errorf("%w: loop %q", ErrZeroDistCycle, l.Name)
 	}
 	return nil
@@ -72,10 +76,13 @@ func (l *Loop) Validate() error {
 // its next-edge cursor.
 type zdcFrame struct{ v, i int32 }
 
-// zdcScratch recycles hasZeroDistCycle's working arrays; the compile
-// engine validates every input loop, so the check runs on every compile
-// and its allocations would otherwise dominate the fixed per-call cost.
+// zdcScratch recycles Validate's working arrays: the flow-input counts
+// and hasZeroDistCycle's CSR, colours and stack. The compile engine
+// validates every input loop and the simulator's reference run the loop
+// it replays, so the check runs twice per compile, and its allocations
+// would otherwise dominate its fixed per-call cost.
 type zdcScratch struct {
+	nIn   []int32
 	off   []int32
 	flat  []int32
 	color []int8
@@ -89,9 +96,8 @@ var zdcPool = sync.Pool{New: func() any { return new(zdcScratch) }}
 // TopoOrder, whose deterministic smallest-ID-first ready list costs a
 // sorted insertion per node; the compile engine validates every input
 // loop, so the cycle check alone is worth an order-free implementation.
-func (l *Loop) hasZeroDistCycle() bool {
-	scr := zdcPool.Get().(*zdcScratch)
-	defer zdcPool.Put(scr)
+// It runs on Validate's scratch.
+func (l *Loop) hasZeroDistCycle(scr *zdcScratch) bool {
 	n := len(l.Ops)
 	off := resize(scr.off, n+1)
 	scr.off = off

@@ -60,6 +60,7 @@ type state struct {
 	settleBuf []ir.Dep   // scratch for settle's edge snapshot
 	iiBuf     []int      // scratch for the candidate-II sequence
 	rec       recScratch // RecMII scratch (mii.go)
+	fuTable   []int32    // Schedule.Verify's [row][cluster][class] FU counts
 
 	stats Stats
 }

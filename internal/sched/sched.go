@@ -281,9 +281,13 @@ func (s *Schedule) Verify() error {
 		}
 	}
 	// Resources: at most FUs[class] issues per (cluster, class, row),
-	// counted in a flat [row][cluster][class] table in op-ID order.
+	// counted in a flat [row][cluster][class] table in op-ID order. The
+	// table lives in a pooled scheduling state, as RecMII's scratch does.
 	clusters, classes := s.Machine.NumClusters(), int(machine.NumClasses)
-	used := make([]int32, s.II*clusters*classes)
+	st := statePool.Get().(*state)
+	defer statePool.Put(st)
+	used := refill(st.fuTable, s.II*clusters*classes, 0)
+	st.fuTable = used
 	for id, op := range l.Ops {
 		row, c, class := s.Time[id]%s.II, s.Cluster[id], machine.ClassOf(op.Kind)
 		k := (row*clusters+c)*classes + int(class)

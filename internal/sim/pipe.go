@@ -4,7 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
+	"sync"
 
 	"vliwq/internal/ir"
 	"vliwq/internal/machine"
@@ -42,8 +43,10 @@ func Pipelined(s *sched.Schedule, alloc *queue.Allocation, opt PipeOptions) (*Pi
 	if n <= 0 {
 		n = s.Loop.TripCount()
 	}
+	scr := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(scr)
 	res := &PipeResult{Stores: map[StoreKey]int64{}}
-	if _, err := pipelined(context.Background(), s, alloc, n, opt.AllowMultiWrite, res); err != nil {
+	if _, err := scr.pipelined(context.Background(), s, alloc, n, opt.AllowMultiWrite, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -54,18 +57,28 @@ func Pipelined(s *sched.Schedule, alloc *queue.Allocation, opt PipeOptions) (*Pi
 // iterations unless told otherwise. Both runs execute the same loop for the
 // same n, so their store instances pair up one to one by (op, body
 // iteration) and are compared directly, without building either side's
-// Stores map. The pipelined run checks ctx once per II-cycle window and
-// returns ctx.Err() as soon as it is non-nil.
+// Stores map. The pipelined run checks ctx once per II-cycle window it
+// visits and returns ctx.Err() as soon as it is non-nil. Both runs take
+// their working arrays from one pooled scratch, so a call allocates
+// nothing once its processor has replayed a loop as large.
 func VerifyPipeline(ctx context.Context, s *sched.Schedule, alloc *queue.Allocation, n int) error {
+	scr := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(scr)
+	return scr.verifyPipeline(ctx, s, alloc, n)
+}
+
+// verifyPipeline is VerifyPipeline on the given scratch, whatever it holds.
+func (scr *scratch) verifyPipeline(ctx context.Context, s *sched.Schedule, alloc *queue.Allocation, n int) error {
 	if n <= 0 {
 		n = s.Loop.TripCount()
 	}
 	l := s.Loop
-	want, err := reference(l, n, nil)
+	want, err := scr.reference(l, n, nil)
 	if err != nil {
 		return err
 	}
-	got, err := pipelined(ctx, s, alloc, n, false, &PipeResult{})
+	var res PipeResult
+	got, err := scr.pipelined(ctx, s, alloc, n, false, &res)
 	if err != nil {
 		return err
 	}
@@ -80,6 +93,53 @@ func VerifyPipeline(ctx context.Context, s *sched.Schedule, alloc *queue.Allocat
 		}
 	}
 	return nil
+}
+
+// scratch is the working storage of one replay: every array the reference
+// and the pipelined run use, recycled through scratchPool as the queue
+// stage and the scheduler recycle theirs. Each array grows to the largest
+// replay its processor has seen and is reused from then on, and every
+// entry a run reads it has written or cleared first. Nothing a pooled
+// scratch holds outlives the call that took it; Reference, whose result
+// keeps its values, runs on a scratch of its own.
+type scratch struct {
+	// Both runs: each op's flow-input dependences (inputs) and the operand
+	// buffer.
+	inOff, inDep []int32
+	args         []int64
+
+	// The reference run: its topological order, the in-degrees and
+	// zero-distance successor lists that build it, and its values.
+	order, indeg, succOff, succ []int32
+	want                        []int64
+
+	// The pipelined run.
+	fan              []int32 // flow fanout per op
+	asOf             []int32 // each dependence's assignment, -1 = none
+	flows            []int32 // the flow dependences in Deps order
+	byQueue, grouped []int32 // layoutQueues' two counting passes
+	cnt              []int32 // counting-sort cursors
+	qOf              []int32 // each flow dependence's queue
+	qs               []fifo
+	buf              []entry
+	got              []int64
+	unranked, ev     []walkEvent // events in Deps-then-op-ID order, then by rank
+	byStart, radix   []int32     // ranks in order of their first window, and its sort buffer
+	live             []uint64
+	written          []int32
+	fuCap, fuUsed    []int32
+	fuStamp          []int
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// resize returns s with length n, reusing its storage when it is large
+// enough. The contents are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // entry is one value resident in a queue, named by the instance that
@@ -105,18 +165,34 @@ type fifo struct {
 	wrote, read int
 }
 
+// walkEvent is one flow dependence's write or one op's issue, an event of
+// every window it is live in. It happens in row row of each window and, in
+// window w, writes producer iteration (or issues instance) w-win; it is
+// live for the n windows from start on. idx is the dependence index of a
+// write and the op ID of an issue, and aux the write's queue or the
+// issue's FU slot.
+type walkEvent struct {
+	start, win int
+	row        int32
+	idx, aux   int32
+	write      bool
+}
+
 // pipelined is the dense pipelined execution behind Pipelined and
-// VerifyPipeline. It walks the cycles that can hold an event and, at cycle
-// t, visits only the ops and flow dependences whose issue or write cycles
-// are congruent to t modulo II (one list per modulo row): first all writes
-// in Deps order, then all issues in op-ID order, each popping its operands
-// in FlowInputs order. That is the event order of the map-based oracle the
-// tests diff it against, so both name the same event in every error.
-// Values live in one flat [op*n+k] slice, which it returns. res receives
-// Cycles, Issues and MaxDepth, and each store instance when res.Stores is
-// non-nil. ctx is checked once per visited window, and by the
-// allocation's Verify once per queue.
-func pipelined(ctx context.Context, s *sched.Schedule, alloc *queue.Allocation, n int, allowMultiWrite bool, res *PipeResult) ([]int64, error) {
+// VerifyPipeline, for n >= 1 iterations. Every op and flow dependence has
+// one event in each of n consecutive II-cycle windows; the run ranks those
+// events once in the order a window runs them (rows ascending; in a row,
+// writes in Deps order, then issues in op-ID order, each popping its
+// operands in FlowInputs order), which is the event order of the map-based
+// oracle the tests diff it against, so both name the same event in every
+// error. A bitset over the ranks holds the live events: each one enters at
+// its first window and retires n windows later, so a window costs its
+// bitset words and its live events, and windows and rows with no event
+// cost nothing. Values live in one flat [op*n+k] slice, which it returns.
+// res receives Cycles, Issues and MaxDepth, and each store instance when
+// res.Stores is non-nil. ctx is checked once per visited window, and by
+// the allocation's Verify once per queue.
+func (scr *scratch) pipelined(ctx context.Context, s *sched.Schedule, alloc *queue.Allocation, n int, allowMultiWrite bool, res *PipeResult) ([]int64, error) {
 	l := s.Loop
 	if err := s.Verify(); err != nil {
 		return nil, err
@@ -128,14 +204,16 @@ func pipelined(ctx context.Context, s *sched.Schedule, alloc *queue.Allocation, 
 	// Static check: without multi-write support, only copy operations may
 	// feed two queues; everything else must have fanout <= 1.
 	if !allowMultiWrite {
-		fan := make([]int, len(l.Ops))
+		fan := resize(scr.fan, len(l.Ops))
+		scr.fan = fan
+		clear(fan)
 		for _, d := range l.Deps {
 			if d.Kind == ir.Flow {
 				fan[d.From]++
 			}
 		}
 		for id, op := range l.Ops {
-			limit := 1
+			limit := int32(1)
 			if op.Kind == ir.KCopy {
 				limit = 2
 			}
@@ -148,16 +226,17 @@ func pipelined(ctx context.Context, s *sched.Schedule, alloc *queue.Allocation, 
 
 	// Queue of every flow dependence: the last assignment naming it wins,
 	// as an index-keyed lookup would.
-	asOf := make([]int32, len(l.Deps))
+	asOf := resize(scr.asOf, len(l.Deps))
+	scr.asOf = asOf
 	for i := range asOf {
 		asOf[i] = -1
 	}
-	for i, as := range alloc.Assignments {
-		if di := as.Lifetime.DepIndex; di >= 0 && di < len(l.Deps) {
+	for i := range alloc.Assignments {
+		if di := alloc.Assignments[i].Lifetime.DepIndex; di >= 0 && di < len(l.Deps) {
 			asOf[di] = int32(i)
 		}
 	}
-	var flows []int32
+	flows := scr.flows[:0]
 	for di, d := range l.Deps {
 		if d.Kind != ir.Flow {
 			continue
@@ -167,8 +246,10 @@ func pipelined(ctx context.Context, s *sched.Schedule, alloc *queue.Allocation, 
 		}
 		flows = append(flows, int32(di))
 	}
-	qs, qOf := layoutQueues(s, alloc, asOf, flows, n)
-	buf := make([]entry, len(flows)*n)
+	scr.flows = flows
+	qs, qOf := scr.layoutQueues(s, alloc, n)
+	buf := resize(scr.buf, len(flows)*n)
+	scr.buf = buf
 
 	// The timeline. An op issues instance k at Time+k*II for k in [0,n); a
 	// flow dependence of distance d writes producer iteration k at
@@ -179,114 +260,117 @@ func pipelined(ctx context.Context, s *sched.Schedule, alloc *queue.Allocation, 
 	// consecutive II-cycle windows, starting at the window of its first
 	// event.
 	ii := s.II
-	starts := make([]int, 0, len(l.Ops)+len(flows)) // window of each one's first event
+	const classes = int32(machine.NumClasses)
+	nev := len(flows) + len(l.Ops)
+	unranked := resize(scr.unranked, nev)[:0]
 	tmin, tmax := math.MaxInt, math.MinInt
-	span := func(first int) {
-		starts = append(starts, floorDiv(first, ii))
+	span := func(first int) int {
 		tmin, tmax = min(tmin, first), max(tmax, first+(n-1)*ii)
+		return floorDiv(first, ii)
 	}
-	// An op issues in row issueRow and, in window w, issues instance
-	// w-issueWin; a flow dependence writes in row writeRow and, in window
-	// w, writes producer iteration w-writeWin.
-	issueRow, issueWin := make([]int32, len(l.Ops)), make([]int, len(l.Ops))
-	for id := range l.Ops {
-		t := s.Time[id]
-		issueRow[id], issueWin[id] = int32(mod(t, ii)), floorDiv(t, ii)
-		span(t)
-	}
-	writeRow, writeWin := make([]int32, len(l.Deps)), make([]int, len(l.Deps))
-	for di, d := range l.Deps {
-		writeRow[di] = -1
-		if d.Kind != ir.Flow {
-			continue
-		}
-		wbase := writeBase(s, d)
+	for _, di := range flows {
+		d := &l.Deps[di]
 		// Keep d*II, and so every cycle of the run, far from overflow.
 		if beyondCarry(d.Dist, ii) {
-			return nil, fmt.Errorf("sim: dependence %v: distance %d at II %d is beyond the simulated cycle range", d, d.Dist, ii)
+			return nil, fmt.Errorf("sim: dependence %v: distance %d at II %d is beyond the simulated cycle range", *d, d.Dist, ii)
 		}
-		writeRow[di], writeWin[di] = int32(mod(wbase, ii)), floorDiv(wbase, ii)
-		span(wbase - d.Dist*ii)
+		wbase := writeBase(s, *d)
+		unranked = append(unranked, walkEvent{start: span(wbase - d.Dist*ii), win: floorDiv(wbase, ii),
+			row: int32(mod(wbase, ii)), idx: di, aux: qOf[di], write: true})
 	}
-	slices.Sort(starts)
-	issues := groupBy(ii, issueRow)
-	writes := groupBy(ii, writeRow)
-	rows := make([]int32, 0, ii) // the rows some op issues in or some dependence writes in
-	for r := 0; r < ii; r++ {
-		if len(issues.at(r)) > 0 || len(writes.at(r)) > 0 {
-			rows = append(rows, int32(r))
-		}
-	}
-	inputs := flowInputs(l)
-	// FU slots are (cluster, class) pairs, counted per cycle.
-	const classes = int(machine.NumClasses)
-	slot := make([]int, len(l.Ops))
 	for id, op := range l.Ops {
-		slot[id] = s.Cluster[id]*classes + int(machine.ClassOf(op.Kind))
+		t := s.Time[id]
+		unranked = append(unranked, walkEvent{start: span(t), win: floorDiv(t, ii),
+			row: int32(mod(t, ii)), idx: int32(id), aux: int32(s.Cluster[id])*classes + int32(machine.ClassOf(op.Kind))})
 	}
-	fuCap := make([]int, s.Machine.NumClusters()*classes)
-	for cl, c := range s.Machine.Clusters {
-		copy(fuCap[cl*classes:], c.FUs[:])
-	}
-	fuStamp := make([]int, len(fuCap))
-	fuUsed := make([]int, len(fuCap))
-	vals := make([]int64, len(l.Ops)*n)
-	args := make([]int64, 0, 2)
-	written := make([]int32, 0, len(qs))
+	scr.unranked = unranked
+	ev, byStart := scr.rank(ii)
+	scr.flowInputs(l)
+	inOff, inDep := scr.inOff, scr.inDep
 
-	// The run visits only windows that hold an event, and in them only the
-	// rows some op or dependence uses, so its cost follows the number of
-	// windows with events times the rows in use, never the span from first
-	// to last. hi is the last window of the ops and dependences started so
-	// far and next the first one not yet started; past hi the run jumps to
-	// next's first window. stamp numbers the visited cycles from 1, so a
-	// zero port or FU stamp means "never used".
-	stamp := 0
-	for w, hi, next := 0, math.MinInt, 0; next < len(starts) || w <= hi; w++ {
-		if w > hi {
-			w = starts[next]
+	// FU slots are (cluster, class) pairs, counted per cycle.
+	nslots := s.Machine.NumClusters() * int(classes)
+	fuCap := resize(scr.fuCap, nslots)
+	fuStamp := resize(scr.fuStamp, nslots)
+	fuUsed := resize(scr.fuUsed, nslots)
+	scr.fuCap, scr.fuStamp, scr.fuUsed = fuCap, fuStamp, fuUsed
+	for cl, c := range s.Machine.Clusters {
+		for class, units := range c.FUs {
+			fuCap[int32(cl)*classes+int32(class)] = int32(units)
 		}
-		for ; next < len(starts) && starts[next] <= w; next++ {
-			hi = max(hi, starts[next]+n-1)
+	}
+	clear(fuStamp)
+	vals := resize(scr.got, len(l.Ops)*n)
+	scr.got = vals
+	args := scr.args[:0]
+	defer func() { scr.args = args }()
+	written := scr.written[:0]
+	defer func() { scr.written = written }()
+	live := resize(scr.live, (nev+63)/64)
+	scr.live = live
+	clear(live)
+
+	// The window walk. in and out count the ranks (in byStart order) that
+	// have entered and retired; when none is live the walk jumps to the
+	// next one's first window. stamp numbers the visited cycles from 1, so
+	// a zero port or FU stamp means "never used".
+	stamp := 0
+	for w, in, out := 0, 0, 0; ; w++ {
+		for ; out < in && ev[byStart[out]].start+n <= w; out++ {
+			r := byStart[out]
+			live[r>>6] &^= 1 << (r & 63)
+		}
+		if out == in {
+			if in == nev {
+				break
+			}
+			w = ev[byStart[in]].start
+		}
+		for ; in < nev && ev[byStart[in]].start <= w; in++ {
+			r := byStart[in]
+			live[r>>6] |= 1 << (r & 63)
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		for _, row := range rows {
-			t := w*ii + int(row)
-			stamp++
-			// Writes first: a value may be written and read in the same
-			// cycle (zero-length lifetime, hardware bypass), but FIFO order
-			// still applies because pops always take the head.
-			written = written[:0]
-			for _, di := range writes.at(int(row)) {
-				d := l.Deps[di]
-				k := w - writeWin[di]
-				if k < -d.Dist || k >= n-d.Dist {
+		row, t := int32(-1), 0
+		for i, word := range live {
+			for ; word != 0; word &= word - 1 {
+				e := &ev[i<<6|bits.TrailingZeros64(word)]
+				if e.row != row {
+					// A new cycle: settle the last one.
+					if err := settle(qs, written, t, res); err != nil {
+						return nil, err
+					}
+					written = written[:0]
+					row, t = e.row, w*ii+int(e.row)
+					stamp++
+				}
+				k := w - e.win
+				if e.write {
+					// Writes first: a value may be written and read in the
+					// same cycle (zero-length lifetime, hardware bypass),
+					// but FIFO order still applies because pops always take
+					// the head.
+					from := l.Deps[e.idx].From
+					q := &qs[e.aux]
+					if q.wrote == stamp {
+						return nil, fmt.Errorf("sim: cycle %d: two writes to %v queue %d (write-port conflict)", t, q.loc, q.q)
+					}
+					q.wrote = stamp
+					if k >= 0 && (k >= n || s.Time[from]+k*ii >= t) {
+						return nil, fmt.Errorf("sim: cycle %d: write of %v iteration %d before it was computed",
+							t, l.Ops[from], k)
+					}
+					buf[q.tail] = entry{prod: int32(from), iter: k}
+					q.tail++
+					written = append(written, e.aux)
 					continue
 				}
-				qi := qOf[di]
-				q := &qs[qi]
-				if q.wrote == stamp {
-					return nil, fmt.Errorf("sim: cycle %d: two writes to %v queue %d (write-port conflict)", t, q.loc, q.q)
-				}
-				q.wrote = stamp
-				if k >= 0 && (k >= n || s.Time[d.From]+k*ii >= t) {
-					return nil, fmt.Errorf("sim: cycle %d: write of %v iteration %d before it was computed",
-						t, l.Ops[d.From], k)
-				}
-				buf[q.tail] = entry{prod: int32(d.From), iter: k}
-				q.tail++
-				written = append(written, qi)
-			}
-			// Issues: pop operands, check tags, evaluate.
-			for _, id := range issues.at(int(row)) {
-				k := w - issueWin[id]
-				if k < 0 || k >= n {
-					continue
-				}
+				// Issues: pop operands, check tags, evaluate.
+				id := int(e.idx)
 				op := l.Ops[id]
-				c := slot[id]
+				c := e.aux
 				if fuStamp[c] != stamp {
 					fuStamp[c], fuUsed[c] = stamp, 0
 				}
@@ -295,8 +379,8 @@ func pipelined(ctx context.Context, s *sched.Schedule, alloc *queue.Allocation, 
 						t, s.Cluster[id], machine.ClassOf(op.Kind))
 				}
 				args = args[:0]
-				for _, di := range inputs.at(int(id)) {
-					d := l.Deps[di]
+				for _, di := range inDep[inOff[id]:inOff[id+1]] {
+					d := &l.Deps[di]
 					q := &qs[qOf[di]]
 					if q.read == stamp {
 						return nil, fmt.Errorf("sim: cycle %d: two reads from %v queue %d (read-port conflict)", t, q.loc, q.q)
@@ -320,25 +404,17 @@ func pipelined(ctx context.Context, s *sched.Schedule, alloc *queue.Allocation, 
 					}
 				}
 				v := ir.Eval(op, l.OrigIter(op, k), args)
-				vals[int(id)*n+k] = v
+				vals[id*n+k] = v
 				res.Issues++
 				if res.Stores != nil && op.Kind == ir.KStore {
 					res.Stores[StoreKey{op.EffID(), l.OrigIter(op, k)}] = v
 				}
 			}
-			// Occupancy accounting and depth limits, after the cycle
-			// settles. Only a write grows a queue, so the queues written
-			// this cycle are the only ones whose depth can be a new maximum
-			// or break a limit.
-			for _, qi := range written {
-				q := &qs[qi]
-				depth := q.tail - q.head
-				res.MaxDepth = max(res.MaxDepth, depth)
-				if q.limit > 0 && depth > q.limit {
-					return nil, fmt.Errorf("sim: cycle %d: %v queue %d exceeds depth %d", t, q.loc, q.q, q.limit)
-				}
-			}
 		}
+		if err := settle(qs, written, t, res); err != nil {
+			return nil, err
+		}
+		written = written[:0]
 	}
 	if tmax >= tmin {
 		res.Cycles = tmax - tmin + 1
@@ -347,6 +423,89 @@ func pipelined(ctx context.Context, s *sched.Schedule, alloc *queue.Allocation, 
 		return nil, err
 	}
 	return vals, nil
+}
+
+// settle checks occupancy and depth limits once cycle t has run. Only a
+// write grows a queue, so the queues written in the cycle are the only
+// ones whose depth can be a new maximum or break a limit.
+func settle(qs []fifo, written []int32, t int, res *PipeResult) error {
+	for _, qi := range written {
+		q := &qs[qi]
+		depth := q.tail - q.head
+		res.MaxDepth = max(res.MaxDepth, depth)
+		if q.limit > 0 && depth > q.limit {
+			return fmt.Errorf("sim: cycle %d: %v queue %d exceeds depth %d", t, q.loc, q.q, q.limit)
+		}
+	}
+	return nil
+}
+
+// rank puts scr.unranked in event order, returning the events by rank and
+// the ranks in order of their first window. A stable counting pass on
+// 2*row (a write) or 2*row+1 (an issue) keeps the writes in Deps order and
+// the issues in op-ID order within a row. An LSD radix sort of the first
+// windows' offsets from the earliest, one stable counting pass per byte
+// the largest offset has, orders the ranks for entering; every event is
+// live for the same n windows, so that is also the order they retire in.
+func (scr *scratch) rank(ii int) ([]walkEvent, []int32) {
+	unranked := scr.unranked
+	nev := len(unranked)
+	if nev == 0 {
+		return nil, nil
+	}
+	cnt := resize(scr.cnt, 2*ii+1)
+	scr.cnt = cnt
+	clear(cnt)
+	key := func(e *walkEvent) int32 {
+		if e.write {
+			return 2 * e.row
+		}
+		return 2*e.row + 1
+	}
+	lo, hi := math.MaxInt, math.MinInt
+	for i := range unranked {
+		e := &unranked[i]
+		cnt[key(e)+1]++
+		lo, hi = min(lo, e.start), max(hi, e.start)
+	}
+	for k := 1; k < len(cnt); k++ {
+		cnt[k] += cnt[k-1]
+	}
+	ev := resize(scr.ev, nev)
+	scr.ev = ev
+	for i := range unranked {
+		c := &cnt[key(&unranked[i])]
+		ev[*c] = unranked[i]
+		*c++
+	}
+
+	order, tmp := resize(scr.byStart, nev), resize(scr.radix, nev)
+	for r := range order {
+		order[r] = int32(r)
+	}
+	// A pass's digits run to 0xff, or to the largest offset's in the top
+	// pass, which is the only pass when the first windows span fewer than
+	// 256.
+	var digits [257]int32
+	for shift, span := uint(0), uint64(hi-lo); shift < 64 && span>>shift != 0; shift += 8 {
+		digit := func(r int32) int { return int(uint64(ev[r].start-lo) >> shift & 0xff) }
+		cnt := digits[:min(span>>shift, 0xff)+2]
+		clear(cnt)
+		for _, r := range order {
+			cnt[digit(r)+1]++
+		}
+		for d := 1; d < len(cnt); d++ {
+			cnt[d] += cnt[d-1]
+		}
+		for _, r := range order {
+			c := &cnt[digit(r)]
+			tmp[*c] = r
+			*c++
+		}
+		order, tmp = tmp, order
+	}
+	scr.byStart, scr.radix = order, tmp
+	return ev, order
 }
 
 // Horizon is the least iteration count from which every longer replay of s
@@ -416,19 +575,63 @@ func drained(qs []fifo) error {
 }
 
 // layoutQueues gives every distinct (location, queue) pair the flow
-// dependences use a dense ID, in queue.CompareQueues order, and returns the
-// queues and each dependence's queue ID. Sorted that way, the dependences
-// of one queue are adjacent, so the queue's segment of the shared buffer
-// starts at its first dependence's position times n.
-func layoutQueues(s *sched.Schedule, alloc *queue.Allocation, asOf, flows []int32, n int) ([]fifo, []int32) {
+// dependences in scr.flows use a dense ID, in (kind, from, to, queue)
+// order, and returns the queues and each dependence's queue ID. Two stable
+// counting passes, by queue index and then by location, group the
+// dependences by queue as Allocation.Verify groups its assignments, and
+// over spans that Verify has already bounded. The dependences of one queue
+// are then adjacent, so the queue's segment of the shared buffer starts at
+// its first dependence's position times n.
+func (scr *scratch) layoutQueues(s *sched.Schedule, alloc *queue.Allocation, n int) ([]fifo, []int32) {
+	flows, asOf := scr.flows, scr.asOf
+	qOf := resize(scr.qOf, len(asOf))
+	qs := scr.qs[:0]
+	defer func() { scr.qOf, scr.qs = qOf, qs }()
+	if len(flows) == 0 {
+		return qs, qOf
+	}
 	as := func(di int32) *queue.Assignment { return &alloc.Assignments[asOf[di]] }
-	byQueue := slices.Clone(flows)
-	slices.SortFunc(byQueue, func(x, y int32) int { return queue.CompareQueues(as(x), as(y)) })
-	qOf := make([]int32, len(asOf))
-	var qs []fifo
-	for i, di := range byQueue {
-		if i == 0 || queue.CompareQueues(as(byQueue[i-1]), as(di)) != 0 {
-			q := fifo{loc: as(di).Loc, q: as(di).Queue, head: i * n, tail: i * n}
+	// mn and mx hold the least and greatest kind, from, to and queue.
+	mn, mx := *as(flows[0]), *as(flows[0])
+	for _, di := range flows {
+		x := as(di)
+		mn.Loc.Kind, mx.Loc.Kind = min(mn.Loc.Kind, x.Loc.Kind), max(mx.Loc.Kind, x.Loc.Kind)
+		mn.Loc.From, mx.Loc.From = min(mn.Loc.From, x.Loc.From), max(mx.Loc.From, x.Loc.From)
+		mn.Loc.To, mx.Loc.To = min(mn.Loc.To, x.Loc.To), max(mx.Loc.To, x.Loc.To)
+		mn.Queue, mx.Queue = min(mn.Queue, x.Queue), max(mx.Queue, x.Queue)
+	}
+	nf, nt, nq := mx.Loc.From-mn.Loc.From+1, mx.Loc.To-mn.Loc.To+1, mx.Queue-mn.Queue+1
+	nfiles := (int(mx.Loc.Kind-mn.Loc.Kind) + 1) * nf * nt
+	fileOf := func(x *queue.Assignment) int {
+		return (int(x.Loc.Kind-mn.Loc.Kind)*nf+x.Loc.From-mn.Loc.From)*nt + x.Loc.To - mn.Loc.To
+	}
+	queueOf := func(x *queue.Assignment) int { return x.Queue - mn.Queue }
+
+	cnt := resize(scr.cnt, max(nfiles, nq)+1)
+	byQueue, grouped := resize(scr.byQueue, len(flows)), resize(scr.grouped, len(flows))
+	scr.cnt, scr.byQueue, scr.grouped = cnt, byQueue, grouped
+	bucket := func(dst, src []int32, key func(*queue.Assignment) int, keys int) {
+		clear(cnt[:keys+1])
+		for _, di := range src {
+			cnt[key(as(di))+1]++
+		}
+		for k := 1; k <= keys; k++ {
+			cnt[k] += cnt[k-1]
+		}
+		for _, di := range src {
+			c := &cnt[key(as(di))]
+			dst[*c] = di
+			*c++
+		}
+	}
+	bucket(byQueue, flows, queueOf, nq)
+	bucket(grouped, byQueue, fileOf, nfiles)
+
+	var prev *queue.Assignment
+	for i, di := range grouped {
+		x := as(di)
+		if prev == nil || x.Loc != prev.Loc || x.Queue != prev.Queue {
+			q := fifo{loc: x.Loc, q: x.Queue, head: i * n, tail: i * n}
 			switch q.loc.Kind {
 			case queue.Private:
 				q.limit = s.Machine.Clusters[q.loc.From].QueueDepth
@@ -438,6 +641,7 @@ func layoutQueues(s *sched.Schedule, alloc *queue.Allocation, asOf, flows []int3
 			qs = append(qs, q)
 		}
 		qOf[di] = int32(len(qs) - 1)
+		prev = x
 	}
 	return qs, qOf
 }

@@ -16,7 +16,6 @@ package sim
 
 import (
 	"fmt"
-	"slices"
 
 	"vliwq/internal/ir"
 )
@@ -38,10 +37,11 @@ type Ref struct {
 	Stores map[StoreKey]int64
 }
 
-// Reference executes n iterations of the loop body sequentially.
+// Reference executes n iterations of the loop body sequentially. It runs
+// on a scratch of its own, whose values the result keeps.
 func Reference(l *ir.Loop, n int) (*Ref, error) {
 	r := &Ref{Loop: l, N: n, Stores: make(map[StoreKey]int64)}
-	vals, err := reference(l, n, r.Stores)
+	vals, err := new(scratch).reference(l, n, r.Stores)
 	if err != nil {
 		return nil, err
 	}
@@ -53,25 +53,28 @@ func Reference(l *ir.Loop, n int) (*Ref, error) {
 }
 
 // reference is the sequential execution behind Reference. It returns every
-// instance's value in one flat [op*n+k] slice and records each store
-// instance in stores when stores is non-nil.
-func reference(l *ir.Loop, n int, stores map[StoreKey]int64) ([]int64, error) {
+// instance's value in one flat [op*n+k] slice of the scratch and records
+// each store instance in stores when stores is non-nil.
+func (scr *scratch) reference(l *ir.Loop, n int, stores map[StoreKey]int64) ([]int64, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
-	order, err := l.TopoOrder()
+	order, err := scr.topoOrder(l)
 	if err != nil {
 		return nil, err
 	}
-	inputs := flowInputs(l)
-	vals := make([]int64, len(l.Ops)*n)
-	args := make([]int64, 0, 2)
+	scr.flowInputs(l)
+	inOff, inDep := scr.inOff, scr.inDep
+	vals := resize(scr.want, len(l.Ops)*n)
+	scr.want = vals
+	args := scr.args[:0]
+	defer func() { scr.args = args }()
 	for k := 0; k < n; k++ {
 		for _, id := range order {
 			op := l.Ops[id]
 			args = args[:0]
-			for _, di := range inputs.at(id) {
-				d := l.Deps[di]
+			for _, di := range inDep[inOff[id]:inOff[id+1]] {
+				d := &l.Deps[di]
 				// Negative iterations yield the synthetic live-in values
 				// that exist before the loop starts.
 				if j := k - d.Dist; j >= 0 {
@@ -82,13 +85,66 @@ func reference(l *ir.Loop, n int, stores map[StoreKey]int64) ([]int64, error) {
 				}
 			}
 			v := ir.Eval(op, l.OrigIter(op, k), args)
-			vals[id*n+k] = v
+			vals[int(id)*n+k] = v
 			if stores != nil && op.Kind == ir.KStore {
 				stores[StoreKey{op.EffID(), l.OrigIter(op, k)}] = v
 			}
 		}
 	}
 	return vals, nil
+}
+
+// topoOrder returns the op IDs in an order in which every zero-distance
+// dependence runs forward (Kahn's algorithm over a CSR of zero-distance
+// successors, first-in first-out), or an error on a zero-distance cycle.
+// Every such order gives each instance the same value, so the reference
+// need not follow the smallest-ID-first order of ir.Loop.TopoOrder.
+func (scr *scratch) topoOrder(l *ir.Loop) ([]int32, error) {
+	n := len(l.Ops)
+	indeg, off := resize(scr.indeg, n), resize(scr.succOff, n+1)
+	scr.indeg, scr.succOff = indeg, off
+	clear(indeg)
+	clear(off)
+	m := 0
+	for _, d := range l.Deps {
+		if d.Dist == 0 {
+			off[d.From+1]++
+			indeg[d.To]++
+			m++
+		}
+	}
+	for i := 1; i <= n; i++ {
+		off[i] += off[i-1]
+	}
+	succ := resize(scr.succ, m)
+	scr.succ = succ
+	for _, d := range l.Deps {
+		if d.Dist == 0 {
+			succ[off[d.From]] = int32(d.To)
+			off[d.From]++
+		}
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	order := resize(scr.order, n)[:0]
+	for id := range n {
+		if indeg[id] == 0 {
+			order = append(order, int32(id))
+		}
+	}
+	for i := 0; i < len(order); i++ {
+		id := order[i]
+		for _, s := range succ[off[id]:off[id+1]] {
+			if indeg[s]--; indeg[s] == 0 {
+				order = append(order, s)
+			}
+		}
+	}
+	scr.order = order
+	if len(order) != n {
+		return nil, fmt.Errorf("ir: loop %q has a zero-distance dependence cycle", l.Name)
+	}
+	return order, nil
 }
 
 // CompareStores checks that two executions stored exactly the same values
@@ -118,47 +174,31 @@ func CompareStores(a, b map[StoreKey]int64, onlyCommon bool) error {
 	return nil
 }
 
-// csr groups item indices by a small integer key: at(key) lists the items
-// with that key in increasing order.
-type csr struct {
-	off  []int32
-	item []int32
-}
-
-func (c csr) at(key int) []int32 { return c.item[c.off[key]:c.off[key+1]] }
-
-// groupBy builds the csr of keys[i] over keys in [0, nkeys); items keyed -1
-// are left out.
-func groupBy(nkeys int, keys []int32) csr {
-	c := csr{off: make([]int32, nkeys+1)}
-	for _, k := range keys {
-		if k >= 0 {
-			c.off[k+1]++
-		}
-	}
-	for k := 1; k <= nkeys; k++ {
-		c.off[k] += c.off[k-1]
-	}
-	c.item = make([]int32, c.off[nkeys])
-	next := slices.Clone(c.off[:nkeys])
-	for i, k := range keys {
-		if k >= 0 {
-			c.item[next[k]] = int32(i)
-			next[k]++
-		}
-	}
-	return c
-}
-
-// flowInputs lists each op's flow-input dependence indices in Deps order,
-// the operand order of ir.Eval.
-func flowInputs(l *ir.Loop) csr {
-	to := make([]int32, len(l.Deps))
-	for di, d := range l.Deps {
-		to[di] = -1
+// flowInputs fills scr.inOff and scr.inDep with each op's flow-input
+// dependence indices in Deps order, the operand order of ir.Eval: op id's
+// are inDep[inOff[id]:inOff[id+1]].
+func (scr *scratch) flowInputs(l *ir.Loop) {
+	n := len(l.Ops)
+	off := resize(scr.inOff, n+1)
+	clear(off)
+	m := 0
+	for _, d := range l.Deps {
 		if d.Kind == ir.Flow {
-			to[di] = int32(d.To)
+			off[d.To+1]++
+			m++
 		}
 	}
-	return groupBy(len(l.Ops), to)
+	for i := 1; i <= n; i++ {
+		off[i] += off[i-1]
+	}
+	dep := resize(scr.inDep, m)
+	for di, d := range l.Deps {
+		if d.Kind == ir.Flow {
+			dep[off[d.To]] = int32(di)
+			off[d.To]++
+		}
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	scr.inOff, scr.inDep = off, dep
 }
