@@ -405,17 +405,3 @@ func (scr *scratch) verify(ctx context.Context, a *Allocation) error {
 // maxQueueSpan bounds the queue indices Verify buckets: far more queues
 // than one file of any loop fills, and a bound on its scratch arrays.
 const maxQueueSpan = 1 << 20
-
-// CompareQueues orders assignments by the queue they name: location kind,
-// from, to, then queue index. It returns 0 for assignments to one queue.
-func CompareQueues(x, y *Assignment) int {
-	switch {
-	case x.Loc.Kind != y.Loc.Kind:
-		return int(x.Loc.Kind) - int(y.Loc.Kind)
-	case x.Loc.From != y.Loc.From:
-		return x.Loc.From - y.Loc.From
-	case x.Loc.To != y.Loc.To:
-		return x.Loc.To - y.Loc.To
-	}
-	return x.Queue - y.Queue
-}

@@ -121,6 +121,20 @@ func maxOccupancyRef(lts []Lifetime, ii int) int {
 	return max
 }
 
+// compareQueues orders assignments by the queue they name: location kind,
+// from, to, then queue index. It returns 0 for assignments to one queue.
+func compareQueues(x, y *Assignment) int {
+	switch {
+	case x.Loc.Kind != y.Loc.Kind:
+		return int(x.Loc.Kind) - int(y.Loc.Kind)
+	case x.Loc.From != y.Loc.From:
+		return x.Loc.From - y.Loc.From
+	case x.Loc.To != y.Loc.To:
+		return x.Loc.To - y.Loc.To
+	}
+	return x.Queue - y.Queue
+}
+
 // verifyRef groups the assignments by sorting them on (kind, from, to,
 // queue) and checks the groups in that order.
 func verifyRef(a *Allocation) error {
@@ -129,7 +143,7 @@ func verifyRef(a *Allocation) error {
 		order[i] = i
 	}
 	slices.SortFunc(order, func(i, j int) int {
-		return CompareQueues(&a.Assignments[i], &a.Assignments[j])
+		return compareQueues(&a.Assignments[i], &a.Assignments[j])
 	})
 	lts := make([]Lifetime, len(order))
 	for i, ai := range order {
@@ -138,7 +152,7 @@ func verifyRef(a *Allocation) error {
 	for lo := 0; lo < len(order); {
 		first := &a.Assignments[order[lo]]
 		hi := lo + 1
-		for hi < len(order) && CompareQueues(first, &a.Assignments[order[hi]]) == 0 {
+		for hi < len(order) && compareQueues(first, &a.Assignments[order[hi]]) == 0 {
 			hi++
 		}
 		if !CompatibleSet(lts[lo:hi], a.II) {
