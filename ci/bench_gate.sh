@@ -10,7 +10,7 @@
 # "│ sec/op │ ... vs base" header and the legacy
 # "name  old time/op  new time/op  delta" style.
 #
-# When the raw baseline and new benchmark files are also given, four more
+# When the raw baseline and new benchmark files are also given, five more
 # gates arm:
 #   - allocs/op cap: every ScheduleLoop* benchmark in the new run must stay
 #     at or under ALLOC_CAP allocs/op (240, the count before every effort
@@ -22,6 +22,11 @@
 #     allocations returns, with every working array pooled; 896 before the
 #     pooling). This cap was added alongside the pooling; it loosens no
 #     other gate.
+#   - verification allocs/op cap: BenchmarkVerifyServed and
+#     BenchmarkVerifyPipeline must stay at or under VERIFY_ALLOC_CAP
+#     allocs/op (64: one per replayed loop; a warmed replay allocates
+#     none, and ~3,120 before the simulator pooled its scratch). This cap
+#     was added alongside that pooling; it loosens no other gate.
 #   - missing benchmarks: every benchmark named in the baseline must appear
 #     in the new run. A benchmark that silently disappears (renamed,
 #     deleted, build-tagged out) would otherwise drop out of the percentage
@@ -37,6 +42,7 @@ new_file="${4:-}"
 
 ALLOC_CAP=240
 QUEUE_ALLOC_CAP=256
+VERIFY_ALLOC_CAP=64
 
 awk -v max="$threshold" '
   /sec\/op/ || (/time\/op/ && /delta/) { insec = 1; next }
@@ -117,6 +123,7 @@ cap_allocs() {
 }
 cap_allocs '^BenchmarkScheduleLoop' ScheduleLoop "$ALLOC_CAP" scheduler-path
 cap_allocs '^BenchmarkAllocate(-[0-9]+)?$' Allocate "$QUEUE_ALLOC_CAP" queue-stage
+cap_allocs '^BenchmarkVerify(Served|Pipeline)(-[0-9]+)?$' Verify "$VERIFY_ALLOC_CAP" verification
 
 # The baseline and the new run must name the same benchmarks.
 base_names="$(awk '$1 ~ /^Benchmark/ { print $1 }' "$baseline_file" | sort -u)"

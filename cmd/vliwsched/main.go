@@ -55,7 +55,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		emit        = fs.Bool("emit", false, "emit the complete pipelined program (prologue/kernel/epilogue)")
 		moves       = fs.Bool("moves", false, "enable the move-operation extension on clustered machines")
 		commLat     = fs.Int("commlat", 0, "inter-cluster communication latency in cycles")
-		effort      = fs.String("effort", "fast", "scheduler effort: fast, balanced, exhaustive (races partition strategies) or optimal (adds a branch-and-bound optimality certificate)")
+		effort      = fs.String("effort", "fast", "scheduler effort: fast, balanced, exhaustive (tries every partition strategy in turn) or optimal (adds a branch-and-bound optimality certificate)")
 		dumpAfter   = fs.String("dump-after", "", "stop after a pipeline stage and print its artifact: "+strings.Join(vliwq.StageNames(), ", "))
 		fromTrace   = fs.String("from-trace", "", "schedule a whole RISC instruction trace (every recovered loop region) instead of one loop")
 	)

@@ -59,9 +59,11 @@ op st store s
 	golden(t, "fir2_single6_unroll", stdout.Bytes())
 }
 
-// TestRunEffortPortfolio: -effort exhaustive races the strategy catalogue
-// and reports the winner; the default fast path must not print that line
-// (that is what keeps the goldens above stable).
+// TestRunEffortPortfolio: -effort exhaustive tries the strategy catalogue
+// in order and reports the winner; the default fast path must not print
+// that line (that is what keeps the goldens above stable). The report
+// still words it "strategies raced": response bytes the goldens and
+// cache snapshots pin.
 func TestRunEffortPortfolio(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	code := run([]string{"-kernel", "daxpy", "-machine", "clustered:4", "-effort", "exhaustive"},

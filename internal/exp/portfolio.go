@@ -103,7 +103,7 @@ func Portfolio(opts Options) *Table {
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("stressed preset: %d loops, seed %d (wide fanout, dense cross-iteration flow)",
 			len(corpora[1].loops), corpus.StressedSeed),
-		"exhaustive races every strategy per candidate II and can only match or lower the II of the baseline heuristic")
+		"exhaustive tries every strategy per candidate II and can only match or lower the II of the baseline heuristic")
 	return t
 }
 
