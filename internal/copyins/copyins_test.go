@@ -73,7 +73,7 @@ func TestTreeDepthBeatsChain(t *testing.T) {
 		res := Insert(l, shape)
 		// Longest zero-distance path from src to any store, in copy hops.
 		lp := make([]int, len(res.Loop.Ops))
-		order, err := res.Loop.TopoOrder()
+		order, err := res.Loop.TopoOrder(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,10 +11,7 @@
 // bound the initiation interval of any modulo schedule.
 package ir
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // OpKind identifies the operation class. The class determines both the
 // functional unit that executes the operation and its latency.
@@ -396,62 +393,19 @@ func (l *Loop) SumLatency() int {
 	return sum
 }
 
-// TopoOrder returns the op IDs in a topological order of the
-// zero-distance subgraph. It returns an error if the zero-distance subgraph
-// contains a cycle (which would make the loop unexecutable). The successor
-// lists live in one flat CSR array rather than a slice per op, keeping the
-// check cheap on the scheduling hot path.
-func (l *Loop) TopoOrder() ([]int, error) {
-	n := len(l.Ops)
-	indeg := make([]int, n)
-	off := make([]int32, n+1)
-	for _, d := range l.Deps {
-		if d.Dist == 0 {
-			off[d.From+1]++
-			indeg[d.To]++
-		}
-	}
-	for i := 1; i <= n; i++ {
-		off[i] += off[i-1]
-	}
-	flat := make([]int32, off[n])
-	for _, d := range l.Deps {
-		if d.Dist == 0 {
-			flat[off[d.From]] = int32(d.To)
-			off[d.From]++
-		}
-	}
-	for i := n; i > 0; i-- {
-		off[i] = off[i-1]
-	}
-	off[0] = 0
-	// Deterministic order: smallest ready ID first.
-	ready := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			ready = append(ready, i)
-		}
-	}
-	sort.Ints(ready)
-	order := make([]int, 0, n)
-	for len(ready) > 0 {
-		id := ready[0]
-		ready = ready[1:]
-		order = append(order, id)
-		inserted := false
-		for _, s := range flat[off[id]:off[id+1]] {
-			indeg[s]--
-			if indeg[s] == 0 {
-				ready = append(ready, int(s))
-				inserted = true
-			}
-		}
-		if inserted {
-			sort.Ints(ready)
-		}
-	}
-	if len(order) != n {
-		return nil, fmt.Errorf("ir: loop %q has a zero-distance dependence cycle", l.Name)
+// TopoOrder returns the op IDs in an order in which every zero-distance
+// dependence runs forward, reusing order's storage. It is Kahn's algorithm,
+// first in first out, on the pooled scratch Validate uses; every such order
+// gives each instance of the body the same value. It returns an error
+// wrapping ErrZeroDistCycle if the zero-distance subgraph contains a cycle
+// (which would make the loop unexecutable). Dependence endpoints must name
+// ops of the loop, as Validate checks.
+func (l *Loop) TopoOrder(order []int32) ([]int32, error) {
+	scr := zdcPool.Get().(*zdcScratch)
+	defer zdcPool.Put(scr)
+	order = l.zeroDistOrder(scr, order)
+	if len(order) != len(l.Ops) {
+		return nil, fmt.Errorf("%w: loop %q", ErrZeroDistCycle, l.Name)
 	}
 	return order, nil
 }

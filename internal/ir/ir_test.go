@@ -2,6 +2,7 @@ package ir
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -64,7 +65,7 @@ func TestValidateAllowsCarriedCycle(t *testing.T) {
 
 func TestTopoOrderRespectsDeps(t *testing.T) {
 	l := chain(t)
-	order, err := l.TopoOrder()
+	order, err := l.TopoOrder(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,6 +76,53 @@ func TestTopoOrderRespectsDeps(t *testing.T) {
 	for _, d := range l.Deps {
 		if d.Dist == 0 && pos[d.From] >= pos[d.To] {
 			t.Fatalf("topo order violates %v", d)
+		}
+	}
+}
+
+// TestTopoOrderRejectsCycle: a zero-distance cycle is ErrZeroDistCycle,
+// a carried one is not.
+func TestTopoOrderRejectsCycle(t *testing.T) {
+	l := chain(t)
+	l.AddDep(Dep{From: 2, To: 0, Dist: 1, Kind: Order})
+	if _, err := l.TopoOrder(nil); err != nil {
+		t.Fatalf("carried cycle: %v", err)
+	}
+	l.AddDep(Dep{From: 1, To: 0, Kind: Order})
+	if _, err := l.TopoOrder(nil); !errors.Is(err, ErrZeroDistCycle) {
+		t.Fatalf("zero-distance cycle: got %v, want %v", err, ErrZeroDistCycle)
+	}
+}
+
+// TestZeroDistOrderPoisonedScratch: on a scratch and an order buffer that
+// a larger loop sized and junk then filled to their capacity, the order
+// equals a fresh scratch's, so nothing a call leaves behind reaches the
+// next.
+func TestZeroDistOrderPoisonedScratch(t *testing.T) {
+	wide := New("wide")
+	var prev *Op
+	for i := 0; i < 40; i++ {
+		op := wide.AddOp(KAdd, "")
+		if prev != nil && i%3 != 0 {
+			wide.AddFlow(prev, op)
+		}
+		prev = op
+	}
+	cyclic := chain(t)
+	cyclic.Name = "cyclic"
+	cyclic.AddDep(Dep{From: 1, To: 0, Kind: Order})
+	var scr zdcScratch
+	order := wide.zeroDistOrder(&scr, nil)
+	for _, l := range []*Loop{chain(t), cyclic, wide} {
+		for _, a := range [][]int32{scr.nIn, scr.off, scr.flat, scr.indeg, scr.order, order} {
+			a = a[:cap(a)]
+			for i := range a {
+				a[i] = -7
+			}
+		}
+		want := l.zeroDistOrder(new(zdcScratch), nil)
+		if order = l.zeroDistOrder(&scr, order); !slices.Equal(order, want) {
+			t.Fatalf("%s: order on a poisoned scratch %v, on a fresh one %v", l.Name, order, want)
 		}
 	}
 }

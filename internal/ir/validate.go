@@ -3,6 +3,7 @@ package ir
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -66,47 +67,45 @@ func (l *Loop) Validate() error {
 			return fmt.Errorf("%w: %v has %d", ErrTooManyInputs, op, nIn[i])
 		}
 	}
-	if l.hasZeroDistCycle(scr) {
+	// The order falls short of the loop exactly on a zero-distance cycle.
+	if scr.order = l.zeroDistOrder(scr, scr.order); len(scr.order) != len(l.Ops) {
 		return fmt.Errorf("%w: loop %q", ErrZeroDistCycle, l.Name)
 	}
 	return nil
 }
 
-// zdcFrame is one explicit DFS stack entry of hasZeroDistCycle: a node and
-// its next-edge cursor.
-type zdcFrame struct{ v, i int32 }
-
-// zdcScratch recycles Validate's working arrays: the flow-input counts
-// and hasZeroDistCycle's CSR, colours and stack. The compile engine
-// validates every input loop and the simulator's reference run the loop
-// it replays, so the check runs twice per compile, and its allocations
-// would otherwise dominate its fixed per-call cost.
+// zdcScratch recycles the working arrays of Validate and TopoOrder: the
+// flow-input counts and zeroDistOrder's CSR of zero-distance successors,
+// in-degrees and order. The compile engine validates every input loop and
+// the simulator's reference run validates and orders the loop it replays,
+// so these run several times per compile, and their allocations would
+// otherwise dominate their fixed per-call cost.
 type zdcScratch struct {
 	nIn   []int32
 	off   []int32
 	flat  []int32
-	color []int8
-	stack []zdcFrame
+	indeg []int32
+	order []int32
 }
 
 var zdcPool = sync.Pool{New: func() any { return new(zdcScratch) }}
 
-// hasZeroDistCycle reports whether the Dist==0 subgraph contains a cycle
-// (three-colour iterative DFS). Validate used to detect this through a full
-// TopoOrder, whose deterministic smallest-ID-first ready list costs a
-// sorted insertion per node; the compile engine validates every input
-// loop, so the cycle check alone is worth an order-free implementation.
-// It runs on Validate's scratch.
-func (l *Loop) hasZeroDistCycle(scr *zdcScratch) bool {
+// zeroDistOrder returns order's storage holding the op IDs in an order in
+// which every zero-distance dependence runs forward, by Kahn's algorithm,
+// first in first out, over a CSR of zero-distance successors on scr. Ops
+// on or behind a zero-distance cycle never become ready and are left out,
+// so the order is shorter than the loop exactly when the zero-distance
+// subgraph has a cycle.
+func (l *Loop) zeroDistOrder(scr *zdcScratch, order []int32) []int32 {
 	n := len(l.Ops)
-	off := resize(scr.off, n+1)
-	scr.off = off
-	for i := range off {
-		off[i] = 0
-	}
+	indeg, off := resize(scr.indeg, n), resize(scr.off, n+1)
+	scr.indeg, scr.off = indeg, off
+	clear(indeg)
+	clear(off)
 	for _, d := range l.Deps {
 		if d.Dist == 0 {
 			off[d.From+1]++
+			indeg[d.To]++
 		}
 	}
 	for i := 1; i <= n; i++ {
@@ -120,43 +119,25 @@ func (l *Loop) hasZeroDistCycle(scr *zdcScratch) bool {
 			off[d.From]++
 		}
 	}
-	for i := n; i > 0; i-- {
-		off[i] = off[i-1]
-	}
+	copy(off[1:], off[:n])
 	off[0] = 0
-	// color: 0 unvisited, 1 on the current DFS path, 2 done.
-	color := resize(scr.color, n)
-	scr.color = color
-	for i := range color {
-		color[i] = 0
-	}
-	stack := scr.stack[:0]
-	defer func() { scr.stack = stack }()
-	for s := 0; s < n; s++ {
-		if color[s] != 0 {
-			continue
+	// The order is also the ready queue: the ops before i have released
+	// their successors, the ops from i on wait to.
+	order = slices.Grow(order[:0], n)
+	for id := range n {
+		if indeg[id] == 0 {
+			order = append(order, int32(id))
 		}
-		color[s] = 1
-		stack = append(stack, zdcFrame{v: int32(s), i: off[s]})
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			if f.i == off[f.v+1] {
-				color[f.v] = 2
-				stack = stack[:len(stack)-1]
-				continue
-			}
-			w := flat[f.i]
-			f.i++
-			switch color[w] {
-			case 0:
-				color[w] = 1
-				stack = append(stack, zdcFrame{v: w, i: off[w]})
-			case 1:
-				return true
+	}
+	for i := 0; i < len(order); i++ {
+		id := order[i]
+		for _, s := range flat[off[id]:off[id+1]] {
+			if indeg[s]--; indeg[s] == 0 {
+				order = append(order, s)
 			}
 		}
 	}
-	return false
+	return order
 }
 
 // resize returns s with length n, reusing its backing array when large

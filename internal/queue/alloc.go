@@ -207,15 +207,16 @@ const allocCheckEvery = 2048
 // Nothing a call returns points into it. An idle scratch lives as long as
 // any sync.Pool entry, at most two collections.
 type scratch struct {
-	lts    []Lifetime
-	keys   []lkey
-	ph     []phase
-	next   []int32
-	queues []fifo
-	files  []file  // Allocate's nc·nc file table, cleared per call
-	diff   []int32 // the II+1 occupancy difference array, cleared per call
-	cnt    []int32 // Verify's counting-sort cursors
-	order  []int32 // Verify's two bucket orders
+	lts     []Lifetime
+	keys    []lkey
+	ph      []phase
+	next    []int32
+	queues  []fifo
+	files   []file  // Allocate's nc·nc file table, cleared per call
+	diff    []int32 // the II+1 occupancy difference array, cleared per call
+	cnt     []int32 // GroupByQueue's counting-sort cursors
+	byQueue []int32 // GroupByQueue's first pass
+	order   []int32 // Verify's assignments, grouped by queue
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -306,15 +307,12 @@ func (a *Allocation) MaxDepth() int {
 }
 
 // Verify checks that every queue's residents are pairwise compatible. It
-// buckets the assignments by queue index and then, stably, by location, so
-// the queues come out in (kind, from, to, queue) order and the queue it
-// names first is deterministic. The buckets are flat arrays over the spans
-// the assignments use, taken from the pooled scratch Allocate uses; an
-// allocation whose locations span more than machine.MaxClusters clusters,
-// or whose queue indices span more than maxQueueSpan, names queues no
-// machine has and is rejected as such. The pairwise test grows
-// quadratically with a queue's residents, so Verify reads ctx once per
-// queue and returns its error, unwrapped, once it is done.
+// groups the assignments by queue as GroupByQueue does, so the queues come
+// out in (kind, from, to, queue) order and the queue it names first is
+// deterministic, and rejects an allocation that names queues no machine
+// has as GroupByQueue does. The pairwise test grows quadratically with a
+// queue's residents, so Verify reads ctx once per queue and returns its
+// error, unwrapped, once it is done.
 func (a *Allocation) Verify(ctx context.Context) error {
 	scr := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(scr)
@@ -325,59 +323,16 @@ func (a *Allocation) Verify(ctx context.Context) error {
 func (scr *scratch) verify(ctx context.Context, a *Allocation) error {
 	as := a.Assignments
 	n := len(as)
-	if n == 0 {
-		return nil
-	}
-	// mn and mx hold the least and greatest kind, from, to and queue.
-	mn, mx := as[0], as[0]
-	for i := range as {
-		x := &as[i]
-		mn.Loc.Kind, mx.Loc.Kind = min(mn.Loc.Kind, x.Loc.Kind), max(mx.Loc.Kind, x.Loc.Kind)
-		mn.Loc.From, mx.Loc.From = min(mn.Loc.From, x.Loc.From), max(mx.Loc.From, x.Loc.From)
-		mn.Loc.To, mx.Loc.To = min(mn.Loc.To, x.Loc.To), max(mx.Loc.To, x.Loc.To)
-		mn.Queue, mx.Queue = min(mn.Queue, x.Queue), max(mx.Queue, x.Queue)
-	}
-	// The spans are compared as uint so that one wider than the int range
-	// cannot wrap into a small one.
-	if uint(mx.Loc.From-mn.Loc.From) >= machine.MaxClusters || uint(mx.Loc.To-mn.Loc.To) >= machine.MaxClusters ||
-		uint(mx.Queue-mn.Queue) >= maxQueueSpan {
-		return fmt.Errorf("queue: assignments span locations %v to %v and queues %d to %d, beyond any machine",
-			mn.Loc, mx.Loc, mn.Queue, mx.Queue)
-	}
-	nf, nt, nq := mx.Loc.From-mn.Loc.From+1, mx.Loc.To-mn.Loc.To+1, mx.Queue-mn.Queue+1
-	nfiles := (int(mx.Loc.Kind-mn.Loc.Kind) + 1) * nf * nt
-	fileOf := func(x *Assignment) int {
-		return (int(x.Loc.Kind-mn.Loc.Kind)*nf+x.Loc.From-mn.Loc.From)*nt + x.Loc.To - mn.Loc.To
-	}
-	queueOf := func(x *Assignment) int { return x.Queue - mn.Queue }
-
-	// Two stable counting passes: by queue index, then by location. bucket
-	// clears the cursors it uses, and every other entry is written before
-	// it is read.
-	scr.cnt = resize(scr.cnt, max(nfiles, nq)+1)
-	scr.order = resize(scr.order, 2*n)
-	scr.ph = resize(scr.ph, n)
-	cnt, byQueue, order, ph := scr.cnt, scr.order[:n], scr.order[n:], scr.ph
-	bucket := func(dst, src []int32, key func(*Assignment) int, keys int) {
-		clear(cnt[:keys+1])
-		for _, i := range src {
-			cnt[key(&as[i])+1]++
-		}
-		for k := 1; k <= keys; k++ {
-			cnt[k] += cnt[k-1]
-		}
-		for _, i := range src {
-			c := &cnt[key(&as[i])]
-			dst[*c] = i
-			*c++
-		}
-	}
+	scr.order = resize(scr.order, n)
+	order := scr.order
 	for i := range order {
 		order[i] = int32(i)
 	}
-	bucket(byQueue, order, queueOf, nq)
-	bucket(order, byQueue, fileOf, nfiles)
-
+	if err := scr.groupByQueue(as, order, order); err != nil {
+		return err
+	}
+	scr.ph = resize(scr.ph, n)
+	ph := scr.ph
 	for j, i := range order {
 		ph[j] = phaseOf(as[i].Lifetime.Start, as[i].Lifetime.End, a.II)
 	}
@@ -402,6 +357,74 @@ func (scr *scratch) verify(ctx context.Context, a *Allocation) error {
 	return nil
 }
 
-// maxQueueSpan bounds the queue indices Verify buckets: far more queues
-// than one file of any loop fills, and a bound on its scratch arrays.
+// GroupByQueue writes the assignment indices idx to dst, which is as long
+// and may be idx itself, grouped by queue: the queues in (kind, from, to,
+// queue) order, and each queue's indices in their order in idx. Two
+// stable counting passes, by queue index and then by location, run on the
+// pooled scratch Allocate uses, over flat arrays as long as the spans the
+// indexed assignments use. Assignments whose locations span more than
+// machine.MaxClusters clusters, or whose queue indices span more than
+// maxQueueSpan, name queues no machine has: GroupByQueue rejects them
+// with an error and leaves dst unspecified.
+func GroupByQueue(as []Assignment, idx, dst []int32) error {
+	scr := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(scr)
+	return scr.groupByQueue(as, idx, dst)
+}
+
+// groupByQueue is GroupByQueue on the given scratch, whatever it holds.
+func (scr *scratch) groupByQueue(as []Assignment, idx, dst []int32) error {
+	if len(idx) == 0 {
+		return nil
+	}
+	// mn and mx hold the least and greatest kind, from, to and queue.
+	mn, mx := as[idx[0]], as[idx[0]]
+	for _, i := range idx {
+		x := &as[i]
+		mn.Loc.Kind, mx.Loc.Kind = min(mn.Loc.Kind, x.Loc.Kind), max(mx.Loc.Kind, x.Loc.Kind)
+		mn.Loc.From, mx.Loc.From = min(mn.Loc.From, x.Loc.From), max(mx.Loc.From, x.Loc.From)
+		mn.Loc.To, mx.Loc.To = min(mn.Loc.To, x.Loc.To), max(mx.Loc.To, x.Loc.To)
+		mn.Queue, mx.Queue = min(mn.Queue, x.Queue), max(mx.Queue, x.Queue)
+	}
+	// The spans are compared as uint so that one wider than the int range
+	// cannot wrap into a small one.
+	if uint(mx.Loc.From-mn.Loc.From) >= machine.MaxClusters || uint(mx.Loc.To-mn.Loc.To) >= machine.MaxClusters ||
+		uint(mx.Queue-mn.Queue) >= maxQueueSpan {
+		return fmt.Errorf("queue: assignments span locations %v to %v and queues %d to %d, beyond any machine",
+			mn.Loc, mx.Loc, mn.Queue, mx.Queue)
+	}
+	nf, nt, nq := mx.Loc.From-mn.Loc.From+1, mx.Loc.To-mn.Loc.To+1, mx.Queue-mn.Queue+1
+	nfiles := (int(mx.Loc.Kind-mn.Loc.Kind) + 1) * nf * nt
+	fileOf := func(x *Assignment) int {
+		return (int(x.Loc.Kind-mn.Loc.Kind)*nf+x.Loc.From-mn.Loc.From)*nt + x.Loc.To - mn.Loc.To
+	}
+	queueOf := func(x *Assignment) int { return x.Queue - mn.Queue }
+
+	// bucket clears the cursors it uses, and every other entry is written
+	// before it is read.
+	scr.cnt = resize(scr.cnt, max(nfiles, nq)+1)
+	scr.byQueue = resize(scr.byQueue, len(idx))
+	cnt, byQueue := scr.cnt, scr.byQueue
+	bucket := func(dst, src []int32, key func(*Assignment) int, keys int) {
+		clear(cnt[:keys+1])
+		for _, i := range src {
+			cnt[key(&as[i])+1]++
+		}
+		for k := 1; k <= keys; k++ {
+			cnt[k] += cnt[k-1]
+		}
+		for _, i := range src {
+			c := &cnt[key(&as[i])]
+			dst[*c] = i
+			*c++
+		}
+	}
+	bucket(byQueue, idx, queueOf, nq)
+	bucket(dst, byQueue, fileOf, nfiles)
+	return nil
+}
+
+// maxQueueSpan bounds the queue indices GroupByQueue buckets: far more
+// queues than one file of any loop fills, and a bound on its scratch
+// arrays.
 const maxQueueSpan = 1 << 20

@@ -266,6 +266,33 @@ func TestVerifyRejectsSpansBeyondAnyMachine(t *testing.T) {
 	}
 }
 
+// TestGroupByQueueMatchesStableSort: on random subsets of corrupted
+// allocations' assignments, in random order, GroupByQueue gives the order
+// a stable comparison sort on (kind, from, to, queue) gives, into a
+// separate destination and in place.
+func TestGroupByQueueMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	for trial := 0; trial < 300; trial++ {
+		a := corrupt(allocate(t, randomSchedule(rng)), rng)
+		as := a.Assignments
+		idx := make([]int32, 0, len(as))
+		for _, i := range rng.Perm(len(as)) {
+			if rng.Intn(3) != 0 {
+				idx = append(idx, int32(i))
+			}
+		}
+		want := slices.Clone(idx)
+		slices.SortStableFunc(want, func(i, j int32) int { return compareQueues(&as[i], &as[j]) })
+		dst := make([]int32, len(idx))
+		if err := GroupByQueue(as, idx, dst); err != nil || !slices.Equal(dst, want) {
+			t.Fatalf("trial %d: GroupByQueue = %v, %v; stable sort %v", trial, dst, err, want)
+		}
+		if err := GroupByQueue(as, idx, idx); err != nil || !slices.Equal(idx, want) {
+			t.Fatalf("trial %d: in place, GroupByQueue = %v, %v; stable sort %v", trial, idx, err, want)
+		}
+	}
+}
+
 // FuzzAllocateDifferential runs checkAllocate on a script schedule
 // (scriptSchedule) with an II of 1-4096, 1-64 clusters and a comm latency
 // of 0-3, then requires Verify to agree with the reference on one

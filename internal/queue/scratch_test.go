@@ -59,6 +59,7 @@ func (scr *scratch) poison() {
 	fill(scr.files, file{first: 1, last: 2, n: 3})
 	fill(scr.diff, 11)
 	fill(scr.cnt, 13)
+	fill(scr.byQueue, 19)
 	fill(scr.order, 17)
 }
 

@@ -21,7 +21,7 @@ func oracleReference(l *ir.Loop, n int) (*Ref, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
-	order, err := l.TopoOrder()
+	order, err := l.TopoOrder(nil)
 	if err != nil {
 		return nil, err
 	}

@@ -108,27 +108,26 @@ type scratch struct {
 	inOff, inDep []int32
 	args         []int64
 
-	// The reference run: its topological order, the in-degrees and
-	// zero-distance successor lists that build it, and its values.
-	order, indeg, succOff, succ []int32
-	want                        []int64
+	// The reference run: its topological order and its values.
+	order []int32
+	want  []int64
 
 	// The pipelined run.
-	fan              []int32 // flow fanout per op
-	asOf             []int32 // each dependence's assignment, -1 = none
-	flows            []int32 // the flow dependences in Deps order
-	byQueue, grouped []int32 // layoutQueues' two counting passes
-	cnt              []int32 // counting-sort cursors
-	qOf              []int32 // each flow dependence's queue
-	qs               []fifo
-	buf              []entry
-	got              []int64
-	unranked, ev     []walkEvent // events in Deps-then-op-ID order, then by rank
-	byStart, radix   []int32     // ranks in order of their first window, and its sort buffer
-	live             []uint64
-	written          []int32
-	fuCap, fuUsed    []int32
-	fuStamp          []int
+	fan            []int32 // flow fanout per op
+	asOf           []int32 // each dependence's assignment, -1 = none
+	flows          []int32 // the flow dependences in Deps order
+	grouped        []int32 // the flows' assignments, grouped by queue
+	cnt            []int32 // rank's counting-sort cursors
+	qOf            []int32 // each flow dependence's queue
+	qs             []fifo
+	buf            []entry
+	got            []int64
+	unranked, ev   []walkEvent // events in Deps-then-op-ID order, then by rank
+	byStart, radix []int32     // ranks in order of their first window, and its sort buffer
+	live           []uint64
+	written        []int32
+	fuCap, fuUsed  []int32
+	fuStamp        []int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -247,7 +246,10 @@ func (scr *scratch) pipelined(ctx context.Context, s *sched.Schedule, alloc *que
 		flows = append(flows, int32(di))
 	}
 	scr.flows = flows
-	qs, qOf := scr.layoutQueues(s, alloc, n)
+	qs, qOf, err := scr.layoutQueues(s, alloc, n)
+	if err != nil {
+		return nil, err
+	}
 	buf := resize(scr.buf, len(flows)*n)
 	scr.buf = buf
 
@@ -576,60 +578,25 @@ func drained(qs []fifo) error {
 
 // layoutQueues gives every distinct (location, queue) pair the flow
 // dependences in scr.flows use a dense ID, in (kind, from, to, queue)
-// order, and returns the queues and each dependence's queue ID. Two stable
-// counting passes, by queue index and then by location, group the
-// dependences by queue as Allocation.Verify groups its assignments, and
-// over spans that Verify has already bounded. The dependences of one queue
-// are then adjacent, so the queue's segment of the shared buffer starts at
-// its first dependence's position times n.
-func (scr *scratch) layoutQueues(s *sched.Schedule, alloc *queue.Allocation, n int) ([]fifo, []int32) {
+// order, and returns the queues and each dependence's queue ID.
+// queue.GroupByQueue, the grouping Allocation.Verify checks queues in,
+// makes the dependences of one queue adjacent, so the queue's segment of
+// the shared buffer starts at its first dependence's position times n.
+func (scr *scratch) layoutQueues(s *sched.Schedule, alloc *queue.Allocation, n int) ([]fifo, []int32, error) {
 	flows, asOf := scr.flows, scr.asOf
 	qOf := resize(scr.qOf, len(asOf))
+	grouped := resize(scr.grouped, len(flows))
 	qs := scr.qs[:0]
-	defer func() { scr.qOf, scr.qs = qOf, qs }()
-	if len(flows) == 0 {
-		return qs, qOf
+	defer func() { scr.qOf, scr.grouped, scr.qs = qOf, grouped, qs }()
+	for i, di := range flows {
+		grouped[i] = asOf[di]
 	}
-	as := func(di int32) *queue.Assignment { return &alloc.Assignments[asOf[di]] }
-	// mn and mx hold the least and greatest kind, from, to and queue.
-	mn, mx := *as(flows[0]), *as(flows[0])
-	for _, di := range flows {
-		x := as(di)
-		mn.Loc.Kind, mx.Loc.Kind = min(mn.Loc.Kind, x.Loc.Kind), max(mx.Loc.Kind, x.Loc.Kind)
-		mn.Loc.From, mx.Loc.From = min(mn.Loc.From, x.Loc.From), max(mx.Loc.From, x.Loc.From)
-		mn.Loc.To, mx.Loc.To = min(mn.Loc.To, x.Loc.To), max(mx.Loc.To, x.Loc.To)
-		mn.Queue, mx.Queue = min(mn.Queue, x.Queue), max(mx.Queue, x.Queue)
+	if err := queue.GroupByQueue(alloc.Assignments, grouped, grouped); err != nil {
+		return nil, nil, err
 	}
-	nf, nt, nq := mx.Loc.From-mn.Loc.From+1, mx.Loc.To-mn.Loc.To+1, mx.Queue-mn.Queue+1
-	nfiles := (int(mx.Loc.Kind-mn.Loc.Kind) + 1) * nf * nt
-	fileOf := func(x *queue.Assignment) int {
-		return (int(x.Loc.Kind-mn.Loc.Kind)*nf+x.Loc.From-mn.Loc.From)*nt + x.Loc.To - mn.Loc.To
-	}
-	queueOf := func(x *queue.Assignment) int { return x.Queue - mn.Queue }
-
-	cnt := resize(scr.cnt, max(nfiles, nq)+1)
-	byQueue, grouped := resize(scr.byQueue, len(flows)), resize(scr.grouped, len(flows))
-	scr.cnt, scr.byQueue, scr.grouped = cnt, byQueue, grouped
-	bucket := func(dst, src []int32, key func(*queue.Assignment) int, keys int) {
-		clear(cnt[:keys+1])
-		for _, di := range src {
-			cnt[key(as(di))+1]++
-		}
-		for k := 1; k <= keys; k++ {
-			cnt[k] += cnt[k-1]
-		}
-		for _, di := range src {
-			c := &cnt[key(as(di))]
-			dst[*c] = di
-			*c++
-		}
-	}
-	bucket(byQueue, flows, queueOf, nq)
-	bucket(grouped, byQueue, fileOf, nfiles)
-
 	var prev *queue.Assignment
-	for i, di := range grouped {
-		x := as(di)
+	for i, ai := range grouped {
+		x := &alloc.Assignments[ai]
 		if prev == nil || x.Loc != prev.Loc || x.Queue != prev.Queue {
 			q := fifo{loc: x.Loc, q: x.Queue, head: i * n, tail: i * n}
 			switch q.loc.Kind {
@@ -640,10 +607,12 @@ func (scr *scratch) layoutQueues(s *sched.Schedule, alloc *queue.Allocation, n i
 			}
 			qs = append(qs, q)
 		}
-		qOf[di] = int32(len(qs) - 1)
+		// asOf names the assignment of each flow dependence, so the
+		// assignment names the dependence back.
+		qOf[x.Lifetime.DepIndex] = int32(len(qs) - 1)
 		prev = x
 	}
-	return qs, qOf
+	return qs, qOf, nil
 }
 
 // mod is x modulo m, in [0, m) for any sign of x.

@@ -59,10 +59,11 @@ func (scr *scratch) reference(l *ir.Loop, n int, stores map[StoreKey]int64) ([]i
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
-	order, err := scr.topoOrder(l)
+	order, err := l.TopoOrder(scr.order)
 	if err != nil {
 		return nil, err
 	}
+	scr.order = order
 	scr.flowInputs(l)
 	inOff, inDep := scr.inOff, scr.inDep
 	vals := resize(scr.want, len(l.Ops)*n)
@@ -92,59 +93,6 @@ func (scr *scratch) reference(l *ir.Loop, n int, stores map[StoreKey]int64) ([]i
 		}
 	}
 	return vals, nil
-}
-
-// topoOrder returns the op IDs in an order in which every zero-distance
-// dependence runs forward (Kahn's algorithm over a CSR of zero-distance
-// successors, first-in first-out), or an error on a zero-distance cycle.
-// Every such order gives each instance the same value, so the reference
-// need not follow the smallest-ID-first order of ir.Loop.TopoOrder.
-func (scr *scratch) topoOrder(l *ir.Loop) ([]int32, error) {
-	n := len(l.Ops)
-	indeg, off := resize(scr.indeg, n), resize(scr.succOff, n+1)
-	scr.indeg, scr.succOff = indeg, off
-	clear(indeg)
-	clear(off)
-	m := 0
-	for _, d := range l.Deps {
-		if d.Dist == 0 {
-			off[d.From+1]++
-			indeg[d.To]++
-			m++
-		}
-	}
-	for i := 1; i <= n; i++ {
-		off[i] += off[i-1]
-	}
-	succ := resize(scr.succ, m)
-	scr.succ = succ
-	for _, d := range l.Deps {
-		if d.Dist == 0 {
-			succ[off[d.From]] = int32(d.To)
-			off[d.From]++
-		}
-	}
-	copy(off[1:], off[:n])
-	off[0] = 0
-	order := resize(scr.order, n)[:0]
-	for id := range n {
-		if indeg[id] == 0 {
-			order = append(order, int32(id))
-		}
-	}
-	for i := 0; i < len(order); i++ {
-		id := order[i]
-		for _, s := range succ[off[id]:off[id+1]] {
-			if indeg[s]--; indeg[s] == 0 {
-				order = append(order, s)
-			}
-		}
-	}
-	scr.order = order
-	if len(order) != n {
-		return nil, fmt.Errorf("ir: loop %q has a zero-distance dependence cycle", l.Name)
-	}
-	return order, nil
 }
 
 // CompareStores checks that two executions stored exactly the same values

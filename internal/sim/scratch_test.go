@@ -31,14 +31,10 @@ func (scr *scratch) poison() {
 	fill(scr.inDep, -3)
 	fill(scr.args, -1)
 	fill(scr.order, 5)
-	fill(scr.indeg, -2)
-	fill(scr.succOff, 9)
-	fill(scr.succ, 11)
 	fill(scr.want, 0x5a5a)
 	fill(scr.fan, 13)
 	fill(scr.asOf, 17)
 	fill(scr.flows, 19)
-	fill(scr.byQueue, 23)
 	fill(scr.grouped, 29)
 	fill(scr.cnt, 31)
 	fill(scr.qOf, 37)
