@@ -392,20 +392,3 @@ func (l *Loop) SumLatency() int {
 	}
 	return sum
 }
-
-// TopoOrder returns the op IDs in an order in which every zero-distance
-// dependence runs forward, reusing order's storage. It is Kahn's algorithm,
-// first in first out, on the pooled scratch Validate uses; every such order
-// gives each instance of the body the same value. It returns an error
-// wrapping ErrZeroDistCycle if the zero-distance subgraph contains a cycle
-// (which would make the loop unexecutable). Dependence endpoints must name
-// ops of the loop, as Validate checks.
-func (l *Loop) TopoOrder(order []int32) ([]int32, error) {
-	scr := zdcPool.Get().(*zdcScratch)
-	defer zdcPool.Put(scr)
-	order = l.zeroDistOrder(scr, order)
-	if len(order) != len(l.Ops) {
-		return nil, fmt.Errorf("%w: loop %q", ErrZeroDistCycle, l.Name)
-	}
-	return order, nil
-}

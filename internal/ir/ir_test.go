@@ -2,6 +2,7 @@ package ir
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -52,6 +53,9 @@ func TestValidateRejects(t *testing.T) {
 		if err := l.Validate(); !errors.Is(err, c.want) {
 			t.Errorf("%s: got %v, want %v", c.name, err, c.want)
 		}
+		if order, err := l.TopoOrder(nil); order != nil || !errors.Is(err, c.want) {
+			t.Errorf("%s: TopoOrder = %v, %v; want %v", c.name, order, err, c.want)
+		}
 	}
 }
 
@@ -80,49 +84,41 @@ func TestTopoOrderRespectsDeps(t *testing.T) {
 	}
 }
 
-// TestTopoOrderRejectsCycle: a zero-distance cycle is ErrZeroDistCycle,
-// a carried one is not.
-func TestTopoOrderRejectsCycle(t *testing.T) {
-	l := chain(t)
-	l.AddDep(Dep{From: 2, To: 0, Dist: 1, Kind: Order})
-	if _, err := l.TopoOrder(nil); err != nil {
-		t.Fatalf("carried cycle: %v", err)
-	}
-	l.AddDep(Dep{From: 1, To: 0, Kind: Order})
-	if _, err := l.TopoOrder(nil); !errors.Is(err, ErrZeroDistCycle) {
-		t.Fatalf("zero-distance cycle: got %v, want %v", err, ErrZeroDistCycle)
-	}
-}
-
-// TestZeroDistOrderPoisonedScratch: on a scratch and an order buffer that
-// a larger loop sized and junk then filled to their capacity, the order
-// equals a fresh scratch's, so nothing a call leaves behind reaches the
-// next.
-func TestZeroDistOrderPoisonedScratch(t *testing.T) {
-	wide := New("wide")
-	var prev *Op
-	for i := 0; i < 40; i++ {
-		op := wide.AddOp(KAdd, "")
-		if prev != nil && i%3 != 0 {
-			wide.AddFlow(prev, op)
+// TestValidatePoisonedScratch: on a scratch and an order buffer that a
+// larger loop sized and junk then filled to their capacity, validate
+// gives the verdict and order a fresh scratch gives, so nothing a call
+// leaves behind reaches the next.
+func TestValidatePoisonedScratch(t *testing.T) {
+	line := func(name string, n int) *Loop {
+		l := New(name)
+		for i := 0; i < n; i++ {
+			op := l.AddOp(KAdd, "")
+			if i%3 != 0 {
+				l.AddFlow(l.Ops[i-1], op)
+			}
+			if i >= 2 {
+				l.AddDep(Dep{From: i - 2, To: i, Kind: Order})
+			}
 		}
-		prev = op
+		return l
 	}
 	cyclic := chain(t)
 	cyclic.Name = "cyclic"
 	cyclic.AddDep(Dep{From: 1, To: 0, Kind: Order})
 	var scr zdcScratch
-	order := wide.zeroDistOrder(&scr, nil)
-	for _, l := range []*Loop{chain(t), cyclic, wide} {
+	order, _ := line("sizing", 400).validate(&scr, nil)
+	for _, l := range []*Loop{chain(t), cyclic, line("line", 40)} {
 		for _, a := range [][]int32{scr.nIn, scr.off, scr.flat, scr.indeg, scr.order, order} {
 			a = a[:cap(a)]
 			for i := range a {
-				a[i] = -7
+				a[i] = 9
 			}
 		}
-		want := l.zeroDistOrder(new(zdcScratch), nil)
-		if order = l.zeroDistOrder(&scr, order); !slices.Equal(order, want) {
-			t.Fatalf("%s: order on a poisoned scratch %v, on a fresh one %v", l.Name, order, want)
+		want, wantErr := l.validate(new(zdcScratch), nil)
+		var err error
+		order, err = l.validate(&scr, order)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || !slices.Equal(order, want) {
+			t.Fatalf("%s: on a poisoned scratch %v, %v; on a fresh one %v, %v", l.Name, order, err, want, wantErr)
 		}
 	}
 }

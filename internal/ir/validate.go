@@ -29,57 +29,80 @@ var (
 //   - stores never act as value producers;
 //   - no operation has more flow inputs than its kind can read.
 func (l *Loop) Validate() error {
+	scr := zdcPool.Get().(*zdcScratch)
+	defer zdcPool.Put(scr)
+	var err error
+	scr.order, err = l.validate(scr, scr.order)
+	return err
+}
+
+// TopoOrder validates the loop as Validate does and returns its op IDs in
+// an order in which every zero-distance dependence runs forward, reusing
+// order's storage. The order is Kahn's algorithm, first in first out, the
+// pass that comes up short of the loop exactly on the zero-distance cycle
+// Validate rejects; every such order gives each instance of the body the
+// same value.
+func (l *Loop) TopoOrder(order []int32) ([]int32, error) {
+	scr := zdcPool.Get().(*zdcScratch)
+	defer zdcPool.Put(scr)
+	order, err := l.validate(scr, order)
+	if err != nil {
+		return nil, err
+	}
+	return order, nil
+}
+
+// validate is Validate on the given scratch. It returns order's storage,
+// which holds the loop's zero-distance order when the loop is valid.
+func (l *Loop) validate(scr *zdcScratch, order []int32) ([]int32, error) {
 	if len(l.Ops) == 0 {
-		return ErrEmptyLoop
+		return order, ErrEmptyLoop
 	}
 	for i, op := range l.Ops {
 		if op == nil || op.ID != i {
-			return fmt.Errorf("%w: index %d", ErrMisnumberedOps, i)
+			return order, fmt.Errorf("%w: index %d", ErrMisnumberedOps, i)
 		}
 		if !op.Kind.Valid() {
-			return fmt.Errorf("%w: %v", ErrBadKind, op)
+			return order, fmt.Errorf("%w: %v", ErrBadKind, op)
 		}
 	}
-	scr := zdcPool.Get().(*zdcScratch)
-	defer zdcPool.Put(scr)
 	nIn := resize(scr.nIn, len(l.Ops))
 	scr.nIn = nIn
 	clear(nIn)
 	for _, d := range l.Deps {
 		if d.From < 0 || d.From >= len(l.Ops) || d.To < 0 || d.To >= len(l.Ops) {
-			return fmt.Errorf("%w: %v", ErrBadOpID, d)
+			return order, fmt.Errorf("%w: %v", ErrBadOpID, d)
 		}
 		if d.Dist < 0 {
-			return fmt.Errorf("%w: %v", ErrNegativeDist, d)
+			return order, fmt.Errorf("%w: %v", ErrNegativeDist, d)
 		}
 		if d.From == d.To && d.Dist == 0 {
-			return fmt.Errorf("%w: %v", ErrSelfDep, d)
+			return order, fmt.Errorf("%w: %v", ErrSelfDep, d)
 		}
 		if d.Kind == Flow {
 			if !l.Ops[d.From].Kind.HasResult() {
-				return fmt.Errorf("%w: %v", ErrStoreProduces, d)
+				return order, fmt.Errorf("%w: %v", ErrStoreProduces, d)
 			}
 			nIn[d.To]++
 		}
 	}
 	for i, op := range l.Ops {
 		if int(nIn[i]) > op.Kind.MaxInputs() {
-			return fmt.Errorf("%w: %v has %d", ErrTooManyInputs, op, nIn[i])
+			return order, fmt.Errorf("%w: %v has %d", ErrTooManyInputs, op, nIn[i])
 		}
 	}
-	// The order falls short of the loop exactly on a zero-distance cycle.
-	if scr.order = l.zeroDistOrder(scr, scr.order); len(scr.order) != len(l.Ops) {
-		return fmt.Errorf("%w: loop %q", ErrZeroDistCycle, l.Name)
+	if order = l.zeroDistOrder(scr, order); len(order) != len(l.Ops) {
+		return order, fmt.Errorf("%w: loop %q", ErrZeroDistCycle, l.Name)
 	}
-	return nil
+	return order, nil
 }
 
 // zdcScratch recycles the working arrays of Validate and TopoOrder: the
 // flow-input counts and zeroDistOrder's CSR of zero-distance successors,
-// in-degrees and order. The compile engine validates every input loop and
-// the simulator's reference run validates and orders the loop it replays,
-// so these run several times per compile, and their allocations would
-// otherwise dominate their fixed per-call cost.
+// in-degrees and order (Validate's own). The compile engine validates
+// every input loop and the simulator's reference run orders the loop it
+// replays, so the check runs twice per compile, and its allocations would
+// otherwise dominate its fixed per-call cost.
 type zdcScratch struct {
 	nIn   []int32
 	off   []int32

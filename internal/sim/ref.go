@@ -56,9 +56,7 @@ func Reference(l *ir.Loop, n int) (*Ref, error) {
 // instance's value in one flat [op*n+k] slice of the scratch and records
 // each store instance in stores when stores is non-nil.
 func (scr *scratch) reference(l *ir.Loop, n int, stores map[StoreKey]int64) ([]int64, error) {
-	if err := l.Validate(); err != nil {
-		return nil, err
-	}
+	// TopoOrder validates the loop as it orders it.
 	order, err := l.TopoOrder(scr.order)
 	if err != nil {
 		return nil, err
