@@ -40,6 +40,17 @@ func TestRunSingleFigureGolden(t *testing.T) {
 	golden(t, "fig3_n24_seed5", stdout.Bytes())
 }
 
+// TestRunAllFiguresGolden locks in every table of the paper's evaluation
+// (-fig all) on a small deterministic corpus.
+func TestRunAllFiguresGolden(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-fig", "all", "-n", "24", "-seed", "5"}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("exit code %d, stderr: %s", code, stderr.String())
+	}
+	golden(t, "all_n24_seed5", stdout.Bytes())
+}
+
 // TestRunAllFiguresSmoke runs every experiment end to end on a tiny corpus;
 // the output shape (one table per experiment) is asserted, not the bytes.
 func TestRunAllFiguresSmoke(t *testing.T) {

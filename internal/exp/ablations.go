@@ -4,9 +4,15 @@ import (
 	"fmt"
 
 	"vliwq/internal/copyins"
-	"vliwq/internal/ir"
 	"vliwq/internal/machine"
 )
+
+// copyShapeBindings are the two copy topologies on 6 FUs: the balanced
+// tree (binding 0) and the chain (binding 1).
+var copyShapeBindings = []binding{
+	on(machine.SingleCluster(6), copyins.Tree),
+	on(machine.SingleCluster(6), copyins.Chain),
+}
 
 // AblationCopyShape compares the two copy-tree topologies (DESIGN.md A1):
 // balanced trees add O(log n) latency to fanned-out values, chains O(n).
@@ -19,45 +25,31 @@ func AblationCopyShape(opts Options) *Table {
 		Title:  "Copy fanout shape: balanced tree vs chain (6 FUs)",
 		Header: []string{"shape", "mean II", "mean stage count", "mean queues", "II wins vs other"},
 	}
-	cfg := machine.SingleCluster(6)
 	type res struct {
-		ok       bool
-		iiT, iiC int
-		scT, scC int
-		qT, qC   int
+		ok        bool
+		ii, sc, q int
 	}
-	compTree := opts.compiler(binding{spec: cfg.Spec(), shape: copyins.Tree})
-	compChain := opts.compiler(binding{spec: cfg.Spec(), shape: copyins.Chain})
-	results := forEach(loops, opts.workers(), func(l *ir.Loop) res {
-		tr := compTree(l)
-		ch := compChain(l)
-		if tr.Err != nil || ch.Err != nil {
-			return res{}
-		}
-		return res{
-			ok:  true,
-			iiT: tr.II, iiC: ch.II,
-			scT: tr.StageCount, scC: ch.StageCount,
-			qT: tr.Private, qC: ch.Private,
-		}
+	results := sweep(opts, loops, copyShapeBindings, func(c compiled) res {
+		return res{ok: c.Err == nil, ii: c.II, sc: c.StageCount, q: c.Private}
 	})
 	var ok, winT, winC int
 	var iiT, iiC, scT, scC, qT, qC float64
 	for _, r := range results {
-		if !r.ok {
+		tr, ch := r[0], r[1]
+		if !tr.ok || !ch.ok {
 			continue
 		}
 		ok++
-		iiT += float64(r.iiT)
-		iiC += float64(r.iiC)
-		scT += float64(r.scT)
-		scC += float64(r.scC)
-		qT += float64(r.qT)
-		qC += float64(r.qC)
-		if r.iiT < r.iiC {
+		iiT += float64(tr.ii)
+		iiC += float64(ch.ii)
+		scT += float64(tr.sc)
+		scC += float64(ch.sc)
+		qT += float64(tr.q)
+		qC += float64(ch.q)
+		if tr.ii < ch.ii {
 			winT++
 		}
-		if r.iiC < r.iiT {
+		if ch.ii < tr.ii {
 			winC++
 		}
 	}
@@ -70,6 +62,19 @@ func AblationCopyShape(opts Options) *Table {
 	return t
 }
 
+// moveBindings are the move-op ablation's machines: for n =
+// machine.PaperClusterCounts[i], binding 3i is the reference
+// SingleCluster(3n), and bindings 3i+1 and 3i+2 are Clustered(n) with
+// moves off and on.
+var moveBindings = func() (bs []binding) {
+	for _, nc := range machine.PaperClusterCounts {
+		on := unrolled(machine.Clustered(nc))
+		on.moves = true
+		bs = append(bs, unrolled(machine.SingleCluster(3*nc)), unrolled(machine.Clustered(nc)), on)
+	}
+	return bs
+}()
+
 // AblationMoveOps evaluates the paper's proposed future extension (§5):
 // move operations carrying values between non-adjacent clusters. The paper
 // conjectures this recovers the II lost at 5 and 6 clusters; the ablation
@@ -81,44 +86,28 @@ func AblationMoveOps(opts Options) *Table {
 		Title:  "Move-op extension: same-II fraction vs single cluster",
 		Header: []string{"clusters", "moves off", "moves on", "mean moves/loop (on)"},
 	}
-	for _, nc := range machine.PaperClusterCounts {
-		single := machine.SingleCluster(3 * nc)
-		clustered := machine.Clustered(nc)
-		type res struct {
-			ok              bool
-			sameOff, sameOn bool
-			moves           int
-		}
-		compRef := opts.compiler(binding{spec: single.Spec(), unroll: true, shape: copyins.Tree})
-		compOff := opts.compiler(binding{spec: clustered.Spec(), unroll: true, shape: copyins.Tree})
-		compOn := opts.compiler(binding{spec: clustered.Spec(), moves: true, unroll: true, shape: copyins.Tree})
-		results := forEach(loops, opts.workers(), func(l *ir.Loop) res {
-			ref := compRef(l)
-			off := compOff(l)
-			on := compOn(l)
-			if ref.Err != nil || off.Err != nil || on.Err != nil {
-				return res{}
-			}
-			return res{
-				ok:      true,
-				sameOff: off.II <= ref.II,
-				sameOn:  on.II <= ref.II,
-				moves:   on.Moves,
-			}
-		})
+	type res struct {
+		ok        bool
+		ii, moves int
+	}
+	results := sweep(opts, loops, moveBindings, func(c compiled) res {
+		return res{ok: c.Err == nil, ii: c.II, moves: c.Moves}
+	})
+	for i, nc := range machine.PaperClusterCounts {
 		var ok, sameOff, sameOn, moves int
 		for _, r := range results {
-			if !r.ok {
+			ref, off, on := r[3*i], r[3*i+1], r[3*i+2]
+			if !ref.ok || !off.ok || !on.ok {
 				continue
 			}
 			ok++
-			if r.sameOff {
+			if off.ii <= ref.ii {
 				sameOff++
 			}
-			if r.sameOn {
+			if on.ii <= ref.ii {
 				sameOn++
 			}
-			moves += r.moves
+			moves += on.moves
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", nc),
@@ -132,6 +121,19 @@ func AblationMoveOps(opts Options) *Table {
 	return t
 }
 
+// commLats are the communication latencies the latency ablation sweeps.
+var commLats = []int{0, 1, 2}
+
+// commLatBindings are Clustered(4) at each of commLats, in order.
+var commLatBindings = func() (bs []binding) {
+	for _, lat := range commLats {
+		b := unrolled(machine.Clustered(4))
+		b.commLat = lat
+		bs = append(bs, b)
+	}
+	return bs
+}()
+
 // AblationCommLatency measures sensitivity to inter-cluster communication
 // latency (the paper's ring writes into the neighbour's queue directly;
 // real implementations may need a cycle or two).
@@ -142,40 +144,34 @@ func AblationCommLatency(opts Options) *Table {
 		Title:  "Inter-cluster communication latency sensitivity (4 clusters)",
 		Header: []string{"comm latency", "same II as lat 0", "mean II"},
 	}
-	type res struct {
-		ok  bool
-		iis [3]int
-	}
-	lats := []int{0, 1, 2}
-	comps := make([]func(*ir.Loop) compiled, len(lats))
-	cfg := machine.Clustered(4)
-	for i, lat := range lats {
-		comps[i] = opts.compiler(binding{spec: cfg.Spec(), commLat: lat, unroll: true, shape: copyins.Tree})
-	}
-	results := forEach(loops, opts.workers(), func(l *ir.Loop) res {
-		var r res
-		r.ok = true
-		for i := range lats {
-			c := comps[i](l)
-			if c.Err != nil {
-				return res{}
-			}
-			r.iis[i] = c.II
+	// The II of each compile, or -1 where it failed; a loop counts only
+	// where it compiled at every latency.
+	iis := sweep(opts, loops, commLatBindings, func(c compiled) int {
+		if c.Err != nil {
+			return -1
 		}
-		return r
+		return c.II
 	})
-	for i, lat := range lats {
+	allOK := func(r []int) bool {
+		for _, ii := range r {
+			if ii < 0 {
+				return false
+			}
+		}
+		return true
+	}
+	for i, lat := range commLats {
 		var ok, same int
 		var sum float64
-		for _, r := range results {
-			if !r.ok {
+		for _, r := range iis {
+			if !allOK(r) {
 				continue
 			}
 			ok++
-			if r.iis[i] <= r.iis[0] {
+			if r[i] <= r[0] {
 				same++
 			}
-			sum += float64(r.iis[i])
+			sum += float64(r[i])
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d cycles", lat),

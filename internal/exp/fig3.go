@@ -4,12 +4,22 @@ import (
 	"fmt"
 
 	"vliwq/internal/copyins"
-	"vliwq/internal/ir"
 	"vliwq/internal/machine"
 )
 
 // queueThresholds are Fig. 3's x-axis: private QRF sizes.
 var queueThresholds = []int{4, 8, 16, 32}
+
+// copyBindings are the paper's single-cluster machines, each without and
+// then with copy operations: bindings 2i and 2i+1 are
+// machine.PaperSingleClusterFUs[i]. Fig. 3 and CopyCost compile them.
+var copyBindings = func() (bs []binding) {
+	for _, nfu := range machine.PaperSingleClusterFUs {
+		m := machine.SingleCluster(nfu)
+		bs = append(bs, on(m, copyins.None), on(m, copyins.Tree))
+	}
+	return bs
+}()
 
 // Fig3 reproduces "Figure 3. Number of Queues": the cumulative fraction of
 // loops whose queue allocation fits within 4/8/16/32 queues, for machines
@@ -23,45 +33,37 @@ func Fig3(opts Options) *Table {
 		Title:  "Number of queues required (cumulative % of loops)",
 		Header: []string{"machine", "copy ops", "<=4", "<=8", "<=16", "<=32", "unschedulable"},
 	}
-	for _, nfu := range machine.PaperSingleClusterFUs {
-		cfg := machine.SingleCluster(nfu)
-		for _, shape := range []copyins.Shape{copyins.None, copyins.Tree} {
-			type res struct {
-				queues int
-				failed bool
-			}
-			comp := opts.compiler(binding{spec: cfg.Spec(), shape: shape})
-			results := forEach(loops, opts.workers(), func(l *ir.Loop) res {
-				c := comp(l)
-				if c.Err != nil {
-					return res{failed: true}
-				}
-				return res{queues: c.Private}
-			})
-			counts := make([]int, len(queueThresholds))
-			failed := 0
-			for _, r := range results {
-				if r.failed {
-					failed++
-					continue
-				}
-				for i, q := range queueThresholds {
-					if r.queues <= q {
-						counts[i]++
-					}
-				}
-			}
-			label := "with"
-			if shape == copyins.None {
-				label = "without"
-			}
-			row := []string{fmt.Sprintf("%d FUs", nfu), label}
-			for _, c := range counts {
-				row = append(row, pct(c, len(loops)))
-			}
-			row = append(row, fmt.Sprintf("%d", failed))
-			t.Rows = append(t.Rows, row)
+	// The private queues each compile needs, or -1 where it failed.
+	queues := sweep(opts, loops, copyBindings, func(c compiled) int {
+		if c.Err != nil {
+			return -1
 		}
+		return c.Private
+	})
+	for j, b := range copyBindings {
+		counts := make([]int, len(queueThresholds))
+		failed := 0
+		for _, r := range queues {
+			if r[j] < 0 {
+				failed++
+				continue
+			}
+			for i, q := range queueThresholds {
+				if r[j] <= q {
+					counts[i]++
+				}
+			}
+		}
+		label := "with"
+		if b.shape == copyins.None {
+			label = "without"
+		}
+		row := []string{fmt.Sprintf("%d FUs", machine.PaperSingleClusterFUs[j/2]), label}
+		for _, c := range counts {
+			row = append(row, pct(c, len(loops)))
+		}
+		row = append(row, fmt.Sprintf("%d", failed))
+		t.Rows = append(t.Rows, row)
 	}
 	t.Notes = append(t.Notes,
 		"paper: 32 queues schedule most loops on every machine; copy ops do not significantly increase queue demand",
@@ -78,45 +80,30 @@ func CopyCost(opts Options) *Table {
 		Title:  "Cost of copy operations (vs. schedule without copies)",
 		Header: []string{"machine", "same II", "same stage count", "mean II growth", "mean copies/loop"},
 	}
-	for _, nfu := range machine.PaperSingleClusterFUs {
-		cfg := machine.SingleCluster(nfu)
-		type res struct {
-			ok             bool
-			sameII, sameSC bool
-			iiGrowth       float64
-			copies         int
-		}
-		compBase := opts.compiler(binding{spec: cfg.Spec(), shape: copyins.None})
-		compWith := opts.compiler(binding{spec: cfg.Spec(), shape: copyins.Tree})
-		results := forEach(loops, opts.workers(), func(l *ir.Loop) res {
-			base := compBase(l)
-			with := compWith(l)
-			if base.Err != nil || with.Err != nil {
-				return res{}
-			}
-			return res{
-				ok:       true,
-				sameII:   with.II == base.II,
-				sameSC:   with.StageCount == base.StageCount,
-				iiGrowth: float64(with.II) / float64(base.II),
-				copies:   with.Copies,
-			}
-		})
+	type res struct {
+		ok             bool
+		ii, sc, copies int
+	}
+	results := sweep(opts, loops, copyBindings, func(c compiled) res {
+		return res{ok: c.Err == nil, ii: c.II, sc: c.StageCount, copies: c.Copies}
+	})
+	for i, nfu := range machine.PaperSingleClusterFUs {
 		var ok, sameII, sameSC, copies int
 		var growth float64
 		for _, r := range results {
-			if !r.ok {
+			base, with := r[2*i], r[2*i+1]
+			if !base.ok || !with.ok {
 				continue
 			}
 			ok++
-			if r.sameII {
+			if with.ii == base.ii {
 				sameII++
 			}
-			if r.sameSC {
+			if with.sc == base.sc {
 				sameSC++
 			}
-			growth += r.iiGrowth
-			copies += r.copies
+			growth += float64(with.ii) / float64(base.ii)
+			copies += with.copies
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d FUs", nfu),

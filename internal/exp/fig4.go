@@ -4,10 +4,21 @@ import (
 	"fmt"
 
 	"vliwq/internal/copyins"
-	"vliwq/internal/ir"
 	"vliwq/internal/machine"
 	"vliwq/internal/metrics"
 )
+
+// unrollBindings are the paper's single-cluster machines with copy
+// operations, each without and then with loop unrolling: bindings 2i and
+// 2i+1 are machine.PaperSingleClusterFUs[i]. Fig. 4 and UnrollQueues
+// compile them.
+var unrollBindings = func() (bs []binding) {
+	for _, nfu := range machine.PaperSingleClusterFUs {
+		m := machine.SingleCluster(nfu)
+		bs = append(bs, on(m, copyins.Tree), unrolled(m))
+	}
+	return bs
+}()
 
 // Fig4 reproduces "Figure 4. Initiation Interval Speedup": the fraction of
 // loops achieving II_speedup > 1 when loop unrolling is applied, per
@@ -20,43 +31,29 @@ func Fig4(opts Options) *Table {
 		Title:  "II speedup from loop unrolling (no extra FUs)",
 		Header: []string{"machine", "speedup > 1", "mean speedup (improved)", "mean unroll factor", "unrolled loops"},
 	}
-	for _, nfu := range machine.PaperSingleClusterFUs {
-		cfg := machine.SingleCluster(nfu)
-		type res struct {
-			ok       bool
-			speedup  float64
-			factor   int
-			unrolled bool
-		}
-		compBase := opts.compiler(binding{spec: cfg.Spec(), shape: copyins.Tree})
-		compUnrl := opts.compiler(binding{spec: cfg.Spec(), unroll: true, shape: copyins.Tree})
-		results := forEach(loops, opts.workers(), func(l *ir.Loop) res {
-			base := compBase(l)
-			un := compUnrl(l)
-			if base.Err != nil || un.Err != nil {
-				return res{}
-			}
-			return res{
-				ok:       true,
-				speedup:  metrics.IISpeedup(base.II, un.Unrolled, un.II),
-				factor:   un.Unrolled,
-				unrolled: un.Unrolled > 1,
-			}
-		})
+	type res struct {
+		ok           bool
+		ii, unrolled int
+	}
+	results := sweep(opts, loops, unrollBindings, func(c compiled) res {
+		return res{ok: c.Err == nil, ii: c.II, unrolled: c.Unrolled}
+	})
+	for i, nfu := range machine.PaperSingleClusterFUs {
 		var ok, improved, unrolled, factors int
 		var gain metrics.Mean
 		for _, r := range results {
-			if !r.ok {
+			base, un := r[2*i], r[2*i+1]
+			if !base.ok || !un.ok {
 				continue
 			}
 			ok++
-			factors += r.factor
-			if r.unrolled {
+			factors += un.unrolled
+			if un.unrolled > 1 {
 				unrolled++
 			}
-			if r.speedup > 1 {
+			if speedup := metrics.IISpeedup(base.ii, un.unrolled, un.ii); speedup > 1 {
 				improved++
-				gain.Add(r.speedup)
+				gain.Add(speedup)
 			}
 		}
 		t.Rows = append(t.Rows, []string{
@@ -82,34 +79,27 @@ func UnrollQueues(opts Options) *Table {
 		Title:  "Queue demand after unrolling (cumulative % of loops)",
 		Header: []string{"machine", "<=4", "<=8", "<=16", "<=32", "mean queues (unrolled vs not)"},
 	}
-	for _, nfu := range machine.PaperSingleClusterFUs {
-		cfg := machine.SingleCluster(nfu)
-		type res struct {
-			ok           bool
-			qBase, qUnrl int
-		}
-		compBase := opts.compiler(binding{spec: cfg.Spec(), shape: copyins.Tree})
-		compUnrl := opts.compiler(binding{spec: cfg.Spec(), unroll: true, shape: copyins.Tree})
-		results := forEach(loops, opts.workers(), func(l *ir.Loop) res {
-			base := compBase(l)
-			un := compUnrl(l)
-			if base.Err != nil || un.Err != nil {
-				return res{}
-			}
-			return res{ok: true, qBase: base.Private, qUnrl: un.Private}
-		})
+	type res struct {
+		ok     bool
+		queues int
+	}
+	results := sweep(opts, loops, unrollBindings, func(c compiled) res {
+		return res{ok: c.Err == nil, queues: c.Private}
+	})
+	for i, nfu := range machine.PaperSingleClusterFUs {
 		counts := make([]int, len(queueThresholds))
 		var ok, sumBase, sumUnrl int
 		for _, r := range results {
-			if !r.ok {
+			base, un := r[2*i], r[2*i+1]
+			if !base.ok || !un.ok {
 				continue
 			}
 			ok++
-			sumBase += r.qBase
-			sumUnrl += r.qUnrl
-			for i, q := range queueThresholds {
-				if r.qUnrl <= q {
-					counts[i]++
+			sumBase += base.queues
+			sumUnrl += un.queues
+			for k, q := range queueThresholds {
+				if un.queues <= q {
+					counts[k]++
 				}
 			}
 		}

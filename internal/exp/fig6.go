@@ -3,10 +3,27 @@ package exp
 import (
 	"fmt"
 
-	"vliwq/internal/copyins"
-	"vliwq/internal/ir"
 	"vliwq/internal/machine"
 )
+
+// fig6Bindings pair each of the paper's cluster counts with the
+// single-cluster machine of the same size: bindings 2i and 2i+1 are
+// SingleCluster(3n) and Clustered(n) for n = machine.PaperClusterCounts[i].
+var fig6Bindings = func() (bs []binding) {
+	for _, nc := range machine.PaperClusterCounts {
+		bs = append(bs, unrolled(machine.SingleCluster(3*nc)), unrolled(machine.Clustered(nc)))
+	}
+	return bs
+}()
+
+// clusterBindings are the paper's clustered machines: binding i is
+// Clustered(machine.PaperClusterCounts[i]).
+var clusterBindings = func() (bs []binding) {
+	for _, nc := range machine.PaperClusterCounts {
+		bs = append(bs, unrolled(machine.Clustered(nc)))
+	}
+	return bs
+}()
 
 // Fig6 reproduces "Figure 6. Initiation Interval Variation": the fraction
 // of loops that the partitioned scheduler places on a clustered machine at
@@ -20,43 +37,28 @@ func Fig6(opts Options) *Table {
 		Title:  "Partitioned vs single-cluster II (IMS partitioning)",
 		Header: []string{"clusters", "FUs", "same II", "+1 cycle", ">+1", "unschedulable"},
 	}
-	for _, nc := range machine.PaperClusterCounts {
-		single := machine.SingleCluster(3 * nc)
-		clustered := machine.Clustered(nc)
-		type res struct {
-			ok     bool
-			delta  int
-			failed bool
+	// The II of each compile, or -1 where it failed. The same transformed
+	// body is scheduled on both machines of a pair: their total FU mixes
+	// match, so AutoFactor picks one factor for both.
+	iis := sweep(opts, loops, fig6Bindings, func(c compiled) int {
+		if c.Err != nil {
+			return -1
 		}
-		compSingle := opts.compiler(binding{spec: single.Spec(), unroll: true, shape: copyins.Tree})
-		compClustered := opts.compiler(binding{spec: clustered.Spec(), unroll: true, shape: copyins.Tree})
-		results := forEach(loops, opts.workers(), func(l *ir.Loop) res {
-			// The same transformed body is scheduled on both machines: their
-			// total FU mixes match, so AutoFactor picks one factor for both.
-			s1 := compSingle(l)
-			if s1.Err != nil {
-				return res{failed: true}
-			}
-			s2 := compClustered(l)
-			if s2.Err != nil {
-				return res{failed: true}
-			}
-			return res{ok: true, delta: s2.II - s1.II}
-		})
+		return c.II
+	})
+	for i, nc := range machine.PaperClusterCounts {
 		var ok, same, plus1, more, failed int
-		for _, r := range results {
-			if r.failed {
+		for _, r := range iis {
+			single, clustered := r[2*i], r[2*i+1]
+			if single < 0 || clustered < 0 {
 				failed++
 				continue
 			}
-			if !r.ok {
-				continue
-			}
 			ok++
-			switch {
-			case r.delta <= 0:
+			switch delta := clustered - single; {
+			case delta <= 0:
 				same++
-			case r.delta == 1:
+			case delta == 1:
 				plus1++
 			default:
 				more++
@@ -86,23 +88,17 @@ func ClusterResources(opts Options) *Table {
 		Title:  "Cluster queue resources (unrolled, copy ops, partitioned)",
 		Header: []string{"clusters", "private<=8", "ring<=8/dir", "both", "mean private", "mean ring", "max depth"},
 	}
-	for _, nc := range machine.PaperClusterCounts {
-		clustered := machine.Clustered(nc)
-		type res struct {
-			ok         bool
-			priv, ring int
-			depth      int
-		}
-		comp := opts.compiler(binding{spec: clustered.Spec(), unroll: true, shape: copyins.Tree})
-		results := forEach(loops, opts.workers(), func(l *ir.Loop) res {
-			c := comp(l)
-			if c.Err != nil {
-				return res{}
-			}
-			return res{ok: true, priv: c.Private, ring: c.Ring, depth: c.Depth}
-		})
+	type res struct {
+		ok                bool
+		priv, ring, depth int
+	}
+	results := sweep(opts, loops, clusterBindings, func(c compiled) res {
+		return res{ok: c.Err == nil, priv: c.Private, ring: c.Ring, depth: c.Depth}
+	})
+	for i, nc := range machine.PaperClusterCounts {
 		var ok, privOK, ringOK, bothOK, privSum, ringSum, depthMax int
-		for _, r := range results {
+		for _, row := range results {
+			r := row[i]
 			if !r.ok {
 				continue
 			}

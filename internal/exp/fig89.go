@@ -3,12 +3,28 @@ package exp
 import (
 	"fmt"
 
-	"vliwq/internal/copyins"
 	"vliwq/internal/ir"
 	"vliwq/internal/machine"
 	"vliwq/internal/metrics"
 	"vliwq/internal/sched"
 )
+
+// ipcBindings are the machines of Figs. 8 and 9: binding nfu-4 is
+// SingleCluster(nfu) for nfu in 4..18, and binding ipcClustered+nc-2 is
+// Clustered(nc) for nc in 2..6 — clustered machines exist at multiples of
+// 3 FUs (>= 2 clusters).
+var ipcBindings = func() (bs []binding) {
+	for nfu := 4; nfu <= 18; nfu++ {
+		bs = append(bs, unrolled(machine.SingleCluster(nfu)))
+	}
+	for nc := 2; nc <= 6; nc++ {
+		bs = append(bs, unrolled(machine.Clustered(nc)))
+	}
+	return bs
+}()
+
+// ipcClustered is the index of Clustered(2) in ipcBindings.
+const ipcClustered = 15
 
 // ipcSeries computes the four curves of Figs. 8/9 — static and dynamic IPC
 // for single-cluster and clustered machines — across the FU axis. Static
@@ -23,28 +39,26 @@ func ipcSeries(opts Options, loops []*ir.Loop, title, id string) *Table {
 	}
 	type point struct {
 		static float64
-		hasDyn bool
 		ops    float64
 		cycles float64
 		ok     bool
 	}
-	measure := func(cfg machine.Config) (staticMean float64, dynIPC float64) {
-		comp := opts.compiler(binding{spec: cfg.Spec(), unroll: true, shape: copyins.Tree})
-		results := forEach(loops, opts.workers(), func(l *ir.Loop) point {
-			c := comp(l)
-			if c.Err != nil {
-				return point{}
-			}
-			return point{
-				static: c.IPC,
-				ok:     true,
-				ops:    float64(c.RealOps * c.Iters),
-				cycles: float64(c.Cycles),
-			}
-		})
+	results := sweep(opts, loops, ipcBindings, func(c compiled) point {
+		if c.Err != nil {
+			return point{}
+		}
+		return point{
+			static: c.IPC,
+			ok:     true,
+			ops:    float64(c.RealOps * c.Iters),
+			cycles: float64(c.Cycles),
+		}
+	})
+	measure := func(j int) (staticMean float64, dynIPC float64) {
 		var m metrics.Mean
 		var ops, cycles float64
-		for _, p := range results {
+		for _, r := range results {
+			p := r[j]
 			if !p.ok {
 				continue
 			}
@@ -58,16 +72,11 @@ func ipcSeries(opts Options, loops []*ir.Loop, title, id string) *Table {
 		return m.Value(), ops / cycles
 	}
 
-	// Clustered machines exist at multiples of 3 FUs (>= 2 clusters).
-	clusteredAt := map[int]machine.Config{}
-	for nc := 2; nc <= 6; nc++ {
-		clusteredAt[3*nc] = machine.Clustered(nc)
-	}
 	for nfu := 4; nfu <= 18; nfu++ {
-		sStat, sDyn := measure(machine.SingleCluster(nfu))
+		sStat, sDyn := measure(nfu - 4)
 		row := []string{fmt.Sprintf("%d", nfu), fmt.Sprintf("%.2f", sStat), "", fmt.Sprintf("%.2f", sDyn), ""}
-		if cfg, ok := clusteredAt[nfu]; ok {
-			cStat, cDyn := measure(cfg)
+		if nfu >= 6 && nfu%3 == 0 {
+			cStat, cDyn := measure(ipcClustered + nfu/3 - 2)
 			row[2] = fmt.Sprintf("%.2f", cStat)
 			row[4] = fmt.Sprintf("%.2f", cDyn)
 		}

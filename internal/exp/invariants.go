@@ -1,11 +1,25 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
+	"vliwq"
 	"vliwq/internal/copyins"
 	"vliwq/internal/ir"
 	"vliwq/internal/machine"
+)
+
+// invariantFUs are the machines the invariant ablation compiles on, and
+// invariantBindings their bindings, in order.
+var (
+	invariantFUs      = []int{4, 6, 12}
+	invariantBindings = func() (bs []binding) {
+		for _, nfu := range invariantFUs {
+			bs = append(bs, on(machine.SingleCluster(nfu), copyins.Tree))
+		}
+		return bs
+	}()
 )
 
 // AblationInvariants quantifies the paper's §5 work-in-progress item,
@@ -27,53 +41,51 @@ func AblationInvariants(opts Options) *Table {
 		Title:  "Loop-invariant hoisting bound (leaf loads removed)",
 		Header: []string{"machine", "loops w/ invariants", "II improves", "mean II ratio (hoisted/base)", "mean loads removed"},
 	}
-	for _, nfu := range []int{4, 6, 12} {
-		cfg := machine.SingleCluster(nfu)
-		type res struct {
-			ok       bool
-			has      bool
-			improves bool
-			ratio    float64
-			removed  int
+	// The IIs of a loop and of its hoisted variant on each machine, -1
+	// where a compile failed; a loop without invariants compiles nothing.
+	type res struct {
+		removed       int // invariant loads hoisted
+		base, hoisted []int
+	}
+	pl := opts.plan(invariantBindings)
+	ii := func(c compiled) int {
+		if c.Err != nil {
+			return -1
 		}
-		b := binding{spec: cfg.Spec(), shape: copyins.Tree}
-		compBase := opts.compiler(b)
-		_, hoistedOpts := opts.bind(b)
-		results := forEach(loops, opts.workers(), func(l *ir.Loop) res {
-			hoisted, removed := hoistInvariants(l)
-			if removed == 0 {
-				return res{ok: true}
-			}
-			base := compBase(l)
-			// The hoisted variant is a fresh per-call loop: its pointer could
-			// never hit the memo again, so it compiles uncached — still on
-			// the Pipeline's stage clock.
-			hc := opts.Pipeline.run(hoisted, hoistedOpts)
-			if base.Err != nil || hc.Err != nil {
-				return res{}
-			}
-			return res{
-				ok:       true,
-				has:      true,
-				improves: hc.II < base.II,
-				ratio:    float64(hc.II) / float64(base.II),
-				removed:  removed,
-			}
-		})
+		return c.II
+	}
+	results := forEach(loops, opts.workers(), func(l *ir.Loop) res {
+		hoisted, removed := hoistInvariants(l)
+		if removed == 0 {
+			return res{}
+		}
+		r := res{removed: removed, base: make([]int, len(pl.keys)), hoisted: make([]int, len(pl.keys))}
+		pl.each(l, func(j int, c compiled) { r.base[j] = ii(c) })
+		// The hoisted variant is a fresh loop per call: its pointer could
+		// never hit the memo again, so it compiles uncached, once under
+		// every machine, still on the Pipeline's stage clock.
+		for j, hr := range vliwq.CompileEach(context.Background(), hoisted, pl.opts) {
+			r.hoisted[j] = ii(opts.Pipeline.outcome(hoisted, hr))
+		}
+		return r
+	})
+	for j, nfu := range invariantFUs {
 		var ok, has, improves, removed int
 		var ratio float64
 		for _, r := range results {
-			if !r.ok {
+			if r.removed == 0 {
+				ok++
+				continue
+			}
+			base, hoisted := r.base[j], r.hoisted[j]
+			if base < 0 || hoisted < 0 {
 				continue
 			}
 			ok++
-			if !r.has {
-				continue
-			}
 			has++
 			removed += r.removed
-			ratio += r.ratio
-			if r.improves {
+			ratio += float64(hoisted) / float64(base)
+			if hoisted < base {
 				improves++
 			}
 		}

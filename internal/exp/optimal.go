@@ -5,9 +5,25 @@ import (
 
 	"vliwq/internal/copyins"
 	"vliwq/internal/corpus"
-	"vliwq/internal/ir"
 	"vliwq/internal/machine"
 	"vliwq/internal/sched"
+)
+
+// optimalMachines are the certified sweep's ring machines, and
+// optimalBindings each of them at EffortExhaustive and then EffortOptimal:
+// bindings 2i and 2i+1 are optimalMachines[i].
+var (
+	optimalMachines = []struct{ nc, cl int }{{4, 2}, {6, 2}}
+	optimalBindings = func() (bs []binding) {
+		for _, mc := range optimalMachines {
+			for _, eff := range []sched.Effort{sched.EffortExhaustive, sched.EffortOptimal} {
+				b := on(machine.Clustered(mc.nc), copyins.Tree)
+				b.commLat, b.effort = mc.cl, eff
+				bs = append(bs, b)
+			}
+		}
+		return bs
+	}()
 )
 
 // Optimal is the certified-optimality sweep: it takes the stressed preset
@@ -37,49 +53,33 @@ func Optimal(opts Options) *Table {
 	base.Effort = sched.EffortFast
 	loops := opts.stressedLoops()
 	type res struct {
-		ok       bool
-		gapped   bool
-		proved   bool
-		improved bool
-		pruned   int64
+		ok      bool
+		ii, mii int
+		optimal bool // Bound.Optimal
+		pruned  int64
 	}
-	for _, mc := range []struct {
-		nc, cl int
-	}{{4, 2}, {6, 2}} {
-		cfg := machine.Clustered(mc.nc)
-		exC := base.compiler(binding{spec: cfg.Spec(), commLat: mc.cl, shape: copyins.Tree, effort: sched.EffortExhaustive})
-		optC := base.compiler(binding{spec: cfg.Spec(), commLat: mc.cl, shape: copyins.Tree, effort: sched.EffortOptimal})
-		results := forEach(loops, base.workers(), func(l *ir.Loop) res {
-			ex := exC(l)
-			opt := optC(l)
-			if ex.Err != nil || opt.Err != nil {
-				return res{}
-			}
-			return res{
-				ok:       true,
-				gapped:   ex.II > ex.MII,
-				proved:   opt.Bound.Optimal && opt.II == ex.II,
-				improved: opt.II < ex.II,
-				pruned:   opt.PrunedNodes,
-			}
-		})
+	results := sweep(base, loops, optimalBindings, func(c compiled) res {
+		return res{ok: c.Err == nil, ii: c.II, mii: c.MII, optimal: c.Bound.Optimal, pruned: c.PrunedNodes}
+	})
+	for i, mc := range optimalMachines {
 		var ok, atMII, gapped, proved, improved, unproved int
 		var pruned int64
 		for _, r := range results {
-			if !r.ok {
+			ex, opt := r[2*i], r[2*i+1]
+			if !ex.ok || !opt.ok {
 				continue
 			}
 			ok++
-			pruned += r.pruned
-			if !r.gapped {
+			pruned += opt.pruned
+			if ex.ii <= ex.mii {
 				atMII++
 				continue
 			}
 			gapped++
 			switch {
-			case r.improved:
+			case opt.ii < ex.ii:
 				improved++
-			case r.proved:
+			case opt.optimal && opt.ii == ex.ii:
 				proved++
 			default:
 				unproved++

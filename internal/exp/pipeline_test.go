@@ -23,8 +23,9 @@ func render(t *Table) string {
 }
 
 // compileVia compiles l under b through p's memo.
-func compileVia(p *Pipeline, l *ir.Loop, b binding) compiled {
-	return Options{Pipeline: p}.compiler(b)(l)
+func compileVia(p *Pipeline, l *ir.Loop, b binding) (c compiled) {
+	Options{Pipeline: p}.plan([]binding{b}).each(l, func(_ int, got compiled) { c = got })
+	return c
 }
 
 // TestPipelineCacheMatchesUncached is the cache's determinism contract:
@@ -57,6 +58,54 @@ func TestPipelineCacheMatchesUncached(t *testing.T) {
 		// agree.
 		if again := render(f.fn(cached)); again != want {
 			t.Errorf("%s: cache-hit output differs from uncached", f.name)
+		}
+	}
+}
+
+// TestRunAllMatchesFiguresOneAtATime: RunAll's output is the twelve
+// paper figures' tables, each computed alone on a fresh pipeline, in
+// order. RunAll's shared pass over every figure's bindings must change no
+// number of any figure.
+func TestRunAllMatchesFiguresOneAtATime(t *testing.T) {
+	loops := corpus.Generate(corpus.Params{Seed: 13, N: 16})
+	var want bytes.Buffer
+	for _, fn := range []func(Options) *Table{
+		Fig3, CopyCost, Fig4, UnrollQueues, Fig6, ClusterResources, Fig8, Fig9,
+		AblationCopyShape, AblationMoveOps, AblationCommLatency, AblationInvariants,
+	} {
+		fn(Options{Loops: loops, Pipeline: NewPipeline()}).Fprint(&want)
+	}
+	var got bytes.Buffer
+	RunAll(&got, Options{Loops: loops})
+	if got.String() != want.String() {
+		t.Fatalf("RunAll differs from the figures run one at a time:\n--- RunAll ---\n%s--- one at a time ---\n%s", got.String(), want.String())
+	}
+}
+
+// TestRunAllCompilesEachBindingOnce: RunAll compiles every loop once under
+// each distinct binding the paper figures declare, all in its first pass,
+// and no figure's own pass then compiles anything. A figure that compiled
+// a binding outside its declared list would miss the memo here, and its
+// compiles would share no body with the other figures'.
+func TestRunAllCompilesEachBindingOnce(t *testing.T) {
+	loops := corpus.Generate(corpus.Params{Seed: 9, N: 10})
+	opts := Options{Loops: loops, Pipeline: NewPipeline()}
+	RunAll(io.Discard, opts)
+	distinct := int64(len(paperBindings()))
+	if st := opts.Pipeline.Stats(); st.Misses != int64(len(loops))*distinct {
+		t.Fatalf("RunAll made %d compiles, want %d loops x %d bindings", st.Misses, len(loops), distinct)
+	}
+
+	opts.Pipeline = NewPipeline()
+	opts.plan(paperBindings()).warm(loops, opts.workers())
+	misses := opts.Pipeline.Stats().Misses
+	if misses != int64(len(loops))*distinct {
+		t.Fatalf("the shared pass made %d compiles, want %d", misses, int64(len(loops))*distinct)
+	}
+	for _, f := range paperFigures {
+		tab := f.fn(opts)
+		if again := opts.Pipeline.Stats().Misses; again != misses {
+			t.Fatalf("%s compiled %d bindings the shared pass had not", tab.ID, again-misses)
 		}
 	}
 }

@@ -10,6 +10,23 @@ import (
 	"vliwq/internal/sched"
 )
 
+// portfolioClusters are the portfolio sweep's clustered machines, and
+// portfolioBindings each of them at EffortFast and then EffortExhaustive:
+// bindings 2i and 2i+1 are Clustered(portfolioClusters[i]).
+var (
+	portfolioClusters = []int{4, 6}
+	portfolioBindings = func() (bs []binding) {
+		for _, nc := range portfolioClusters {
+			for _, eff := range []sched.Effort{sched.EffortFast, sched.EffortExhaustive} {
+				b := on(machine.Clustered(nc), copyins.Tree)
+				b.effort = eff
+				bs = append(bs, b)
+			}
+		}
+		return bs
+	}()
+)
+
 // Portfolio is the portfolio-vs-baseline sweep: for the standard corpus
 // and the stressed preset (corpus.Stressed — wide fanout, heavy
 // cross-cluster pressure), it compiles every loop on clustered machines at
@@ -30,7 +47,7 @@ func Portfolio(opts Options) *Table {
 		Header: []string{"corpus", "clusters", "effort", "II=MII", "+1", "+2", ">+2", "mean gap", "failed"},
 	}
 	// Rows pin their effort explicitly, so the sweep-wide Options.Effort
-	// must not leak into the fast rows through the compiler's injection.
+	// must not leak into the fast rows when bind applies it.
 	base := opts
 	base.Effort = sched.EffortFast
 	corpora := []struct {
@@ -46,57 +63,54 @@ func Portfolio(opts Options) *Table {
 		strategy sched.Strategy
 	}
 	for _, co := range corpora {
-		for _, nc := range []int{4, 6} {
-			cfg := machine.Clustered(nc)
-			for _, eff := range []sched.Effort{sched.EffortFast, sched.EffortExhaustive} {
-				comp := base.compiler(binding{spec: cfg.Spec(), shape: copyins.Tree, effort: eff})
-				results := forEach(co.loops, base.workers(), func(l *ir.Loop) res {
-					c := comp(l)
-					if c.Err != nil {
-						return res{}
-					}
-					return res{ok: true, gap: c.II - c.MII, strategy: c.Strategy}
-				})
-				var ok, g0, g1, g2, gMore, gapSum, failed int
-				wins := map[sched.Strategy]int{}
-				for _, r := range results {
-					if !r.ok {
-						failed++
-						continue
-					}
-					ok++
-					gapSum += r.gap
-					wins[r.strategy]++
-					switch {
-					case r.gap <= 0:
-						g0++
-					case r.gap == 1:
-						g1++
-					case r.gap == 2:
-						g2++
-					default:
-						gMore++
-					}
+		results := sweep(base, co.loops, portfolioBindings, func(c compiled) res {
+			if c.Err != nil {
+				return res{}
+			}
+			return res{ok: true, gap: c.II - c.MII, strategy: c.Strategy}
+		})
+		for j, b := range portfolioBindings {
+			var ok, g0, g1, g2, gMore, gapSum, failed int
+			wins := map[sched.Strategy]int{}
+			for _, row := range results {
+				r := row[j]
+				if !r.ok {
+					failed++
+					continue
 				}
-				mean := "n/a"
-				if ok > 0 {
-					mean = fmt.Sprintf("%.3f", float64(gapSum)/float64(ok))
+				ok++
+				gapSum += r.gap
+				wins[r.strategy]++
+				switch {
+				case r.gap <= 0:
+					g0++
+				case r.gap == 1:
+					g1++
+				case r.gap == 2:
+					g2++
+				default:
+					gMore++
 				}
-				t.Rows = append(t.Rows, []string{
-					co.name,
-					fmt.Sprintf("%d", nc),
-					eff.String(),
-					pct(g0, ok),
-					pct(g1, ok),
-					pct(g2, ok),
-					pct(gMore, ok),
-					mean,
-					fmt.Sprintf("%d", failed),
-				})
-				if eff == sched.EffortExhaustive {
-					t.Notes = append(t.Notes, fmt.Sprintf(
-						"%s/%d-cluster exhaustive wins: %s", co.name, nc, winsByStrategy(wins)))
-				}
+			}
+			mean := "n/a"
+			if ok > 0 {
+				mean = fmt.Sprintf("%.3f", float64(gapSum)/float64(ok))
+			}
+			nc := portfolioClusters[j/2]
+			t.Rows = append(t.Rows, []string{
+				co.name,
+				fmt.Sprintf("%d", nc),
+				b.effort.String(),
+				pct(g0, ok),
+				pct(g1, ok),
+				pct(g2, ok),
+				pct(gMore, ok),
+				mean,
+				fmt.Sprintf("%d", failed),
+			})
+			if b.effort == sched.EffortExhaustive {
+				t.Notes = append(t.Notes, fmt.Sprintf(
+					"%s/%d-cluster exhaustive wins: %s", co.name, nc, winsByStrategy(wins)))
 			}
 		}
 	}

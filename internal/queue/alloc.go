@@ -96,17 +96,12 @@ func (scr *scratch) allocate(ctx context.Context, s *sched.Schedule) (*Allocatio
 	if n == 0 {
 		return alloc, nil
 	}
-	// BuildLifetimes yields lifetimes in dependence order, so a lifetime's
-	// index orders ties as its dependence index does.
-	scr.keys = resize(scr.keys, n)
-	keys := scr.keys
 	nc := 0
-	for i, lt := range lts {
-		keys[i] = lkey{start: lt.Start, end: lt.End, lt: i}
+	for _, lt := range lts {
 		d := s.Loop.Deps[lt.DepIndex]
 		nc = max(nc, s.Cluster[d.From]+1, s.Cluster[d.To]+1)
 	}
-	slices.SortFunc(keys, lkey.compare)
+	keys := scr.placementOrder(lts)
 
 	// ph[i] and next[i] belong to the i-th lifetime in sorted order: its
 	// phase and the next older resident of its queue (-1 ends the list).
@@ -208,7 +203,8 @@ const allocCheckEvery = 2048
 // any sync.Pool entry, at most two collections.
 type scratch struct {
 	lts     []Lifetime
-	keys    []lkey
+	keys    []lkey // Allocate's placement order
+	radix   []lkey // placementOrder's sort buffer
 	ph      []phase
 	next    []int32
 	queues  []fifo
@@ -236,14 +232,65 @@ type lkey struct {
 	start, end, lt int // lt indexes BuildLifetimes' slice
 }
 
-func (x lkey) compare(y lkey) int {
-	if c := cmp.Compare(x.start, y.start); c != 0 {
-		return c
-	}
+// byEnd orders two keys of one start by end, then by lifetime index.
+func (x lkey) byEnd(y lkey) int {
 	if c := cmp.Compare(x.end, y.end); c != 0 {
 		return c
 	}
 	return cmp.Compare(x.lt, y.lt)
+}
+
+// placementOrder returns the keys of lts, which BuildLifetimes yields in
+// dependence order, in (start, end, dependence index) order, in the
+// scratch's keys array. An LSD radix sort of each start's offset from the
+// earliest, one stable counting pass per byte the largest offset has,
+// orders them by start and keeps equal starts in dependence order; each
+// run of one start is then ordered by end, ties by index. A run is
+// usually a lifetime or two, and one value read by k consumers makes a
+// run of k, which the run's sort orders in O(k log k) comparisons.
+func (scr *scratch) placementOrder(lts []Lifetime) []lkey {
+	n := len(lts)
+	keys, tmp := resize(scr.keys, n), resize(scr.radix, n)
+	lo, hi := lts[0].Start, lts[0].Start
+	for i, lt := range lts {
+		keys[i] = lkey{start: lt.Start, end: lt.End, lt: i}
+		lo, hi = min(lo, lt.Start), max(hi, lt.Start)
+	}
+	// A pass's digits run to 0xff, or to the largest offset's in the top
+	// pass, which is the only pass when the starts span fewer than 256
+	// cycles. The offsets are taken as uint64, which holds any span of
+	// two ints exactly.
+	var digits [257]int32
+	span := uint64(hi) - uint64(lo)
+	for shift := uint(0); shift < 64 && span>>shift != 0; shift += 8 {
+		digit := func(k *lkey) int { return int((uint64(k.start) - uint64(lo)) >> shift & 0xff) }
+		cnt := digits[:min(span>>shift, 0xff)+2]
+		clear(cnt)
+		for i := range keys {
+			cnt[digit(&keys[i])+1]++
+		}
+		for d := 1; d < len(cnt); d++ {
+			cnt[d] += cnt[d-1]
+		}
+		for i := range keys {
+			c := &cnt[digit(&keys[i])]
+			tmp[*c] = keys[i]
+			*c++
+		}
+		keys, tmp = tmp, keys
+	}
+	scr.keys, scr.radix = keys, tmp
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && keys[j].start == keys[i].start {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(keys[i:j], lkey.byEnd)
+		}
+		i = j
+	}
+	return keys
 }
 
 // file is one queue file's entry in Allocate's table: its first and last

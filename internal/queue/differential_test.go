@@ -2,6 +2,8 @@ package queue
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -44,7 +46,9 @@ func refConfigs() []refConfig {
 	}
 }
 
-// refLoops is every kernel and every 8th standard and stressed loop.
+// refLoops is every kernel, every 8th standard and stressed loop, a
+// value with hundreds of consumers and a loop whose carried distances
+// put its lifetimes' ends beyond 32 bits.
 func refLoops() []*ir.Loop {
 	loops := corpus.Kernels()
 	for _, set := range [][]*ir.Loop{corpus.Standard(), corpus.Stressed()} {
@@ -52,7 +56,44 @@ func refLoops() []*ir.Loop {
 			loops = append(loops, set[i])
 		}
 	}
-	return loops
+	return append(loops, fanoutLoop(300), farLoop())
+}
+
+// fanoutLoop is one load read by n adds. Without copy operations every
+// add reads the load from a queue of its own, so the load's n lifetimes
+// share one start: Allocate orders them by end within that start.
+func fanoutLoop(n int) *ir.Loop {
+	l := ir.New(fmt.Sprintf("fanout%d", n))
+	ld := l.AddOp(ir.KLoad, "x")
+	for i := 0; i < n; i++ {
+		a := l.AddOp(ir.KAdd, "")
+		l.AddFlow(ld, a)
+		l.AddFlow(a, l.AddOp(ir.KStore, ""))
+	}
+	return l
+}
+
+// farLoop is a chain of adds, each fed by a load and by the add before it
+// and carrying its value to every later add at distances of 2^33 and more,
+// so its carried lifetimes end beyond 32 bits, several of them per start.
+func farLoop() *ir.Loop {
+	l := ir.New("far")
+	var adds []*ir.Op
+	for i := 0; i < 8; i++ {
+		a := l.AddOp(ir.KAdd, "")
+		l.AddFlow(l.AddOp(ir.KLoad, ""), a)
+		if i > 0 {
+			l.AddFlow(adds[i-1], a)
+		}
+		adds = append(adds, a)
+	}
+	for i, a := range adds {
+		for j := i + 1; j < len(adds); j++ {
+			l.AddCarried(a, adds[j], 1<<33+(j-i)*1_000_003)
+		}
+	}
+	l.AddFlow(adds[len(adds)-1], l.AddOp(ir.KStore, ""))
+	return l
 }
 
 // allocate runs Allocate with no deadline, where it cannot fail.
@@ -189,6 +230,59 @@ func refInputs(t testing.TB) []refInput {
 func TestAllocateMatchesReference(t *testing.T) {
 	for _, in := range refInputs(t) {
 		checkAllocate(t, in.label, in.s)
+	}
+}
+
+// TestPlacementOrderMatchesComparatorSort: placementOrder gives the order
+// a comparison sort on (start, end, dependence index) gives, on a scratch
+// poisoned before each call. The inputs are every reference input's
+// lifetimes, then random lifetimes whose starts span from one cycle to
+// the whole int range (one to eight radix passes), fall into runs of one
+// start as long as 20,000, and end anywhere in the int range.
+func TestPlacementOrderMatchesComparatorSort(t *testing.T) {
+	var scr scratch
+	check := func(label string, lts []Lifetime) {
+		t.Helper()
+		want := make([]lkey, len(lts))
+		for i, lt := range lts {
+			want[i] = lkey{start: lt.Start, end: lt.End, lt: i}
+		}
+		slices.SortFunc(want, lkey.compare)
+		scr.poison()
+		if got := scr.placementOrder(lts); !slices.Equal(got, want) {
+			t.Fatalf("%s: placementOrder = %v, comparison sort %v", label, got, want)
+		}
+	}
+	for _, in := range refInputs(t) {
+		if lts := BuildLifetimes(in.s); len(lts) > 0 {
+			check(in.label, lts)
+		}
+	}
+	rng := rand.New(rand.NewSource(79))
+	spans := []uint64{1, 2, 255, 256, 257, 1 << 16, 1 << 33, math.MaxUint64}
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(300)
+		if trial == 0 {
+			n = 20000
+		}
+		span := spans[rng.Intn(len(spans))]
+		starts := 1 + rng.Intn(n) // distinct starts at most, so runs form
+		if trial == 0 {
+			starts = 1
+		}
+		base := int(rng.Uint64())
+		picks := make([]int, starts)
+		for i := range picks {
+			picks[i] = base + int(rng.Uint64()%span)
+		}
+		lts := make([]Lifetime, n)
+		for i := range lts {
+			lts[i] = Lifetime{DepIndex: i, Start: picks[rng.Intn(starts)], End: int(rng.Uint64())}
+			if rng.Intn(2) == 0 {
+				lts[i].End = lts[i].Start + rng.Intn(8) // many equal ends
+			}
+		}
+		check(fmt.Sprintf("trial %d (%d lifetimes, span %d)", trial, n, span), lts)
 	}
 }
 

@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -12,6 +13,13 @@ import (
 // test oracle of Allocate, MaxOccupancy and Verify: map-keyed files, queues
 // of copied lifetimes, an O(n·II) occupancy count and a comparison-sorted
 // Verify. Production has no hook into it.
+
+// compare is the order Allocate places lifetimes in: start, then end, then
+// dependence index. A comparison sort with it is the oracle of
+// placementOrder's radix passes and per-start sorts.
+func (x lkey) compare(y lkey) int {
+	return cmp.Or(cmp.Compare(x.start, y.start), cmp.Compare(x.end, y.end), cmp.Compare(x.lt, y.lt))
+}
 
 // allocateRef is the map-based first-fit allocator.
 func allocateRef(s *sched.Schedule) *Allocation {

@@ -53,6 +53,7 @@ func fill[T any](s []T, v T) {
 func (scr *scratch) poison() {
 	fill(scr.lts, Lifetime{DepIndex: -1, Start: 9, End: -9})
 	fill(scr.keys, lkey{start: -1, end: -2, lt: -3})
+	fill(scr.radix, lkey{start: -4, end: -5, lt: -6})
 	fill(scr.ph, phase{r: 5, l: -5})
 	fill(scr.next, 7)
 	fill(scr.queues, fifo{head: 3, next: 2})

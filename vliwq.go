@@ -235,17 +235,63 @@ func CompileContext(ctx context.Context, l *Loop, opts Options) (*Result, error)
 	return compileStaged(ctx, l, opts, StageVerify)
 }
 
-// compileStaged is the pipeline engine, the one place outside tests and
-// examples that runs the stage functions: Compiler sessions, the
-// loop-first shims and the experiment sweeps (internal/exp, through
-// CompileContext with SkipVerify) all reach it. It runs the stages in
-// order — unroll, copy insertion, scheduling, queue allocation,
-// verification — stamping each executed stage's wall-clock cost into
-// Result.Stages and its artifact into the Result, and stops after `until`
-// (StageVerify = the full pipeline; SkipVerify ends a full run at
-// StageAlloc). The context is checked on entry, at every stage boundary
-// from scheduling on (schedule, alloc, verify), inside queue allocation
-// (every 2,048 lifetimes placed, and once per queue checked) and
+// CompileEach compiles one loop under each option set, in order: out[i]
+// holds what CompileContext(ctx, l, opts[i]) returns, error text included.
+// The loop is validated once, and options that apply the same unroll
+// factor and copy shape share one transformed body, built by the first of
+// them: their Results' AfterUnroll and AfterCopies are the same read-only
+// pointers, and the unroll and copy stages of every later one record in
+// Result.Stages only the time to find it. Scheduling, queue allocation,
+// their checks and, unless skipped, verification run for every option.
+// The experiment sweeps (internal/exp) compile each loop under all of a
+// figure's machines through it.
+func CompileEach(ctx context.Context, l *Loop, opts []Options) []BatchResult {
+	out := make([]BatchResult, len(opts))
+	e := engine{l: l}
+	for i, o := range opts {
+		out[i].Result, out[i].Err = e.compile(ctx, o, StageVerify)
+	}
+	return out
+}
+
+// compileStaged compiles one loop under one option set, stopping after
+// `until` (StageVerify = the full pipeline; SkipVerify ends a full run at
+// StageAlloc): Compiler sessions and CompileContext call it, and
+// CompileEach runs the same engine over several option sets.
+func compileStaged(ctx context.Context, l *Loop, opts Options, until Stage) (*Result, error) {
+	e := engine{l: l}
+	return e.compile(ctx, opts, until)
+}
+
+// engine is the pipeline engine, the one place outside tests and examples
+// that runs the stage functions: Compiler sessions, the loop-first entries
+// and the experiment sweeps (internal/exp, through CompileEach with
+// SkipVerify) all reach it. An engine compiles one loop, under as many
+// option sets as its caller asks for. It validates the loop on its first
+// compile and keeps every body it transforms, so a later compile that
+// applies the same unroll factor and copy shape reuses that body instead
+// of building it again.
+type engine struct {
+	l         *Loop
+	validated bool
+	err       error  // l.Validate's verdict, once validated
+	unrolled  []body // the unrolled bodies, one per factor above 1
+	copied    []body // the bodies after copy insertion, one per (factor, shape)
+}
+
+// body is a transformed loop body and the transformation that made it.
+type body struct {
+	factor int
+	shape  copyins.Shape // unused for an unrolled body
+	loop   *Loop
+}
+
+// compile runs the stages in order — unroll, copy insertion, scheduling,
+// queue allocation, verification — stamping each executed stage's
+// wall-clock cost into Result.Stages and its artifact into the Result, and
+// stops after `until`. The context is checked on entry, at every stage
+// boundary from scheduling on (schedule, alloc, verify), inside queue
+// allocation (every 2,048 lifetimes placed, and once per queue checked) and
 // once per simulated window during verification — the points where a
 // propagated request deadline cancels abandoned work.
 //
@@ -256,7 +302,8 @@ func CompileContext(ctx context.Context, l *Loop, opts Options) (*Result, error)
 // completion) so even an already-expired context yields a complete (and
 // still verified) result rather than an error — the serving layer turns
 // that into a 200 with bound.optimal=false instead of a timeout.
-func compileStaged(ctx context.Context, l *Loop, opts Options, until Stage) (*Result, error) {
+func (e *engine) compile(ctx context.Context, opts Options, until Stage) (*Result, error) {
+	l := e.l
 	if l == nil {
 		return nil, fmt.Errorf("vliwq: nil loop")
 	}
@@ -268,8 +315,11 @@ func compileStaged(ctx context.Context, l *Loop, opts Options, until Stage) (*Re
 	if cfg.NumClusters() == 0 {
 		cfg = SingleCluster(6)
 	}
-	if err := l.Validate(); err != nil {
-		return nil, err
+	if !e.validated {
+		e.err, e.validated = l.Validate(), true
+	}
+	if e.err != nil {
+		return nil, e.err
 	}
 	res := &Result{Input: l, Unrolled: 1}
 	stamp := func(st Stage, t0 time.Time) {
@@ -277,7 +327,6 @@ func compileStaged(ctx context.Context, l *Loop, opts Options, until Stage) (*Re
 	}
 
 	t0 := time.Now()
-	work := l
 	factor := 1
 	switch {
 	case opts.UnrollFactor >= 2:
@@ -285,12 +334,9 @@ func compileStaged(ctx context.Context, l *Loop, opts Options, until Stage) (*Re
 	case opts.Unroll:
 		factor = unroll.AutoFactor(l, cfg)
 	}
-	if factor > 1 {
-		u, err := unroll.Unroll(l, factor)
-		if err != nil {
-			return nil, err
-		}
-		work = u
+	work, err := e.unroll(factor)
+	if err != nil {
+		return nil, err
 	}
 	res.Unrolled = factor
 	res.AfterUnroll = work
@@ -300,8 +346,7 @@ func compileStaged(ctx context.Context, l *Loop, opts Options, until Stage) (*Re
 	}
 
 	t0 = time.Now()
-	ins := copyins.Insert(work, opts.CopyShape)
-	res.AfterCopies = ins.Loop
+	res.AfterCopies = e.insertCopies(work, factor, opts.CopyShape)
 	stamp(StageCopies, t0)
 	if until <= StageCopies {
 		return res, nil
@@ -311,7 +356,7 @@ func compileStaged(ctx context.Context, l *Loop, opts Options, until Stage) (*Re
 	}
 
 	t0 = time.Now()
-	s, err := sched.ScheduleLoop(ctx, ins.Loop, cfg, opts.Effort)
+	s, err := sched.ScheduleLoop(ctx, res.AfterCopies, cfg, opts.Effort)
 	if err != nil {
 		return nil, err
 	}
@@ -382,6 +427,40 @@ func compileStaged(ctx context.Context, l *Loop, opts Options, until Stage) (*Re
 		stamp(StageVerify, t0)
 	}
 	return res, nil
+}
+
+// unroll returns the loop unrolled factor times (the loop itself at factor
+// 1), building it on the first call for that factor. A failed unroll is
+// not kept, so every compile that asks for it gets the same error.
+func (e *engine) unroll(factor int) (*Loop, error) {
+	if factor <= 1 {
+		return e.l, nil
+	}
+	for _, b := range e.unrolled {
+		if b.factor == factor {
+			return b.loop, nil
+		}
+	}
+	u, err := unroll.Unroll(e.l, factor)
+	if err != nil {
+		return nil, err
+	}
+	e.unrolled = append(e.unrolled, body{factor: factor, loop: u})
+	return u, nil
+}
+
+// insertCopies returns work, the body unroll built for factor, with copy
+// operations inserted in the given shape, building it on the first call
+// for that factor and shape.
+func (e *engine) insertCopies(work *Loop, factor int, shape copyins.Shape) *Loop {
+	for _, b := range e.copied {
+		if b.factor == factor && b.shape == shape {
+			return b.loop
+		}
+	}
+	c := copyins.Insert(work, shape).Loop
+	e.copied = append(e.copied, body{factor: factor, shape: shape, loop: c})
+	return c
 }
 
 // BatchResult is the outcome for the request at the same index of a
