@@ -26,7 +26,8 @@
 // stops the pipeline at a chosen Stage and exposes its artifacts, and
 // RunBatch fans a request set over a worker pool. The loop-first helpers
 // Compile and CompileContext remain as thin shims over the same staged
-// engine:
+// engine, and CompileEach runs it for one loop under several option sets,
+// building each transformed body once for all of them:
 //
 //	loop, _ := vliwq.ParseLoop(src)
 //	res, err := vliwq.Compile(loop, vliwq.Options{Machine: vliwq.Clustered(4), Unroll: true})
