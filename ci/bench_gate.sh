@@ -10,7 +10,7 @@
 # "│ sec/op │ ... vs base" header and the legacy
 # "name  old time/op  new time/op  delta" style.
 #
-# When the raw baseline and new benchmark files are also given, six more
+# When the raw baseline and new benchmark files are also given, eight more
 # gates arm:
 #   - allocs/op cap: every ScheduleLoop* benchmark in the new run must stay
 #     at or under ALLOC_CAP allocs/op (240, the count before every effort
@@ -32,6 +32,18 @@
 #     loop's transformed bodies once per pass and its figures compile
 #     loop-major, 54,500-55,900 before). This cap was added alongside that
 #     sharing; it loosens no other gate.
+#   - parse allocs/op cap: BenchmarkParse must stay at or under
+#     PARSE_ALLOC_CAP allocs/op (12: the 11 objects of a parsed loop, plus
+#     one; its Validate keeps the flow-input counts, zero-distance
+#     in-degrees and zero-distance successor index in a pooled scratch, so
+#     a Validate that built them per call would cross it). This cap was
+#     added alongside the shared dependence index (ir.DepIndex); it loosens
+#     no other gate.
+#   - copy-insertion allocs/op cap: BenchmarkCopyInsert must stay at or
+#     under COPYINS_ALLOC_CAP allocs/op (560: 501 over its 64 loops, about
+#     eight per loop, the clone, its consumer index and the result, so one
+#     more allocation per loop crosses it). This cap was added alongside
+#     the shared dependence index; it loosens no other gate.
 #   - missing benchmarks: every benchmark named in the baseline must appear
 #     in the new run. A benchmark that silently disappears (renamed,
 #     deleted, build-tagged out) would otherwise drop out of the percentage
@@ -49,6 +61,8 @@ ALLOC_CAP=240
 QUEUE_ALLOC_CAP=256
 VERIFY_ALLOC_CAP=64
 RUNALL_ALLOC_CAP=42000
+PARSE_ALLOC_CAP=12
+COPYINS_ALLOC_CAP=560
 
 awk -v max="$threshold" '
   /sec\/op/ || (/time\/op/ && /delta/) { insec = 1; next }
@@ -131,6 +145,8 @@ cap_allocs '^BenchmarkScheduleLoop' ScheduleLoop "$ALLOC_CAP" scheduler-path
 cap_allocs '^BenchmarkAllocate(-[0-9]+)?$' Allocate "$QUEUE_ALLOC_CAP" queue-stage
 cap_allocs '^BenchmarkVerify(Served|Pipeline)(-[0-9]+)?$' Verify "$VERIFY_ALLOC_CAP" verification
 cap_allocs '^BenchmarkRunAll(-[0-9]+)?$' RunAll "$RUNALL_ALLOC_CAP" sweep
+cap_allocs '^BenchmarkParse(-[0-9]+)?$' Parse "$PARSE_ALLOC_CAP" parse
+cap_allocs '^BenchmarkCopyInsert(-[0-9]+)?$' CopyInsert "$COPYINS_ALLOC_CAP" copy-insertion
 
 # The baseline and the new run must name the same benchmarks.
 base_names="$(awk '$1 ~ /^Benchmark/ { print $1 }' "$baseline_file" | sort -u)"

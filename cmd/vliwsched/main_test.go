@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"vliwq/internal/corpus"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -93,8 +95,11 @@ func TestRunEffortOptimal(t *testing.T) {
 
 // TestRunDumpAfter drives the staged pipeline (-dump-after → RunUntil)
 // through every cutoff: the unroll and copies artifacts must come back in
-// the loop text format (re-parseable), the schedule dump must carry the
-// kernel table, and an unknown stage fails with the sorted stage list.
+// the loop text format, which the tool reads back, compiles and verifies
+// for every built-in kernel (copy insertion numbers each copy after the
+// consumers it feeds, so most copies dumps hold a consumer ahead of its
+// producer in ID order), the schedule dump must carry the kernel table,
+// and an unknown stage fails with the sorted stage list.
 func TestRunDumpAfter(t *testing.T) {
 	base := []string{"-kernel", "daxpy", "-machine", "clustered:4", "-unroll"}
 	run1 := func(args ...string) (int, string, string) {
@@ -117,6 +122,24 @@ func TestRunDumpAfter(t *testing.T) {
 	code, out, _ = run1("-dump-after", "copies")
 	if code != 0 || !strings.Contains(out, "after copy insertion") || !strings.Contains(out, "copy") {
 		t.Fatalf("copies dump (exit %d):\n%s", code, out)
+	}
+
+	for _, k := range corpus.Kernels() {
+		for _, stage := range []string{"unroll", "copies"} {
+			var dump, stderr bytes.Buffer
+			args := []string{"-kernel", k.Name, "-machine", "clustered:4", "-unroll", "-dump-after", stage}
+			if code := run(args, strings.NewReader(""), &dump, &stderr); code != 0 {
+				t.Fatalf("%s: dump after %s: exit %d, stderr %s", k.Name, stage, code, stderr.String())
+			}
+			var back bytes.Buffer
+			stderr.Reset()
+			if code := run([]string{"-machine", "clustered:4"}, bytes.NewReader(dump.Bytes()), &back, &stderr); code != 0 {
+				t.Fatalf("%s: %s dump does not compile back (exit %d): %s\n%s", k.Name, stage, code, stderr.String(), dump.String())
+			}
+			if !strings.Contains(back.String(), "verified: pipelined execution matches sequential reference") {
+				t.Fatalf("%s: %s dump compiled back unverified:\n%s", k.Name, stage, back.String())
+			}
+		}
 	}
 
 	code, out, _ = run1("-dump-after", "schedule")

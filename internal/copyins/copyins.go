@@ -58,34 +58,15 @@ func Insert(l *ir.Loop, shape Shape) *Result {
 		return &Result{Loop: l.Clone()}
 	}
 
-	// Every producer's flow consumers (dependence indices, in Deps order),
-	// gathered in one CSR pass.
-	numOrig := len(l.Ops)
-	off := make([]int32, numOrig+1)
-	for _, d := range l.Deps {
-		if d.Kind == ir.Flow {
-			off[d.From+1]++
-		}
-	}
-	for i := 1; i <= numOrig; i++ {
-		off[i] += off[i-1]
-	}
-	cons := make([]int32, off[numOrig])
-	for di, d := range l.Deps {
-		if d.Kind == ir.Flow {
-			cons[off[d.From]] = int32(di)
-			off[d.From]++
-		}
-	}
-	copy(off[1:], off[:numOrig])
-	off[0] = 0
-	consumers := func(id int) []int32 { return cons[off[id]:off[id+1]] }
+	// Every producer's flow consumers (dependence indices, in Deps order).
+	var consumers ir.DepIndex
+	l.IndexDeps(&consumers, ir.FlowDeps, true)
 
 	// A value with n consumers gets n-1 copies under both shapes, each fed
 	// by one new dependence: reserve room for all of them at once.
 	extra := 0
 	for id, op := range l.Ops {
-		if n := len(consumers(id)); op.Kind.HasResult() && n > fanoutLimit(op.Kind) {
+		if n := len(consumers.At(id)); op.Kind.HasResult() && n > fanoutLimit(op.Kind) {
 			extra += n - 1
 		}
 	}
@@ -99,12 +80,12 @@ func Insert(l *ir.Loop, shape Shape) *Result {
 	// out of the new copies, so no producer still to come gains or loses a
 	// consumer. The copies need no pass of their own: each is built with
 	// exactly two consumers, the most a copy unit serves.
-	for id := 0; id < numOrig; id++ {
+	for id := range l.Ops {
 		op := out.Ops[id]
 		if !op.Kind.HasResult() {
 			continue
 		}
-		cs := consumers(id)
+		cs := consumers.At(id)
 		res.MaxFanoutSeen = max(res.MaxFanoutSeen, len(cs))
 		if len(cs) <= fanoutLimit(op.Kind) {
 			continue

@@ -112,32 +112,28 @@ func AblationInvariants(opts Options) *Table {
 // leave a store with no inputs are kept.
 func hoistInvariants(l *ir.Loop) (*ir.Loop, int) {
 	// Identify candidates on the original indices.
-	inputs := make([]int, len(l.Ops))
-	for _, d := range l.Deps {
-		if d.Kind == ir.Flow {
-			inputs[d.To]++
-		}
-	}
+	var inputs ir.DepIndex
+	l.IndexDeps(&inputs, ir.FlowDeps, false)
 	candidate := make([]bool, len(l.Ops))
 	for id, op := range l.Ops {
-		if op.Kind == ir.KLoad && inputs[id] == 0 {
+		if op.Kind == ir.KLoad && len(inputs.At(id)) == 0 {
 			candidate[id] = true
 		}
 	}
 	// A store must keep at least one operand (it has to store something).
-	for _, op := range l.Ops {
+	for id, op := range l.Ops {
 		if op.Kind != ir.KStore {
 			continue
 		}
-		deps := l.FlowInputs(op)
-		all := len(deps) > 0
-		for _, d := range deps {
-			if !candidate[d.From] {
+		es := inputs.At(id)
+		all := len(es) > 0
+		for _, e := range es {
+			if !candidate[l.Deps[e].From] {
 				all = false
 			}
 		}
 		if all {
-			candidate[deps[0].From] = false
+			candidate[l.Deps[es[0]].From] = false
 		}
 	}
 	removedCount := 0

@@ -14,9 +14,10 @@ import (
 // parsed without a `loop` header have no name and format as "loop \n",
 // which the parser rightly rejects, so the round-trip check applies to
 // named loops) — and agreement with the Scanner-based oracle parser: same
-// accept/reject, same error text, same loop. Accepted loops whose
-// refinement converges within the round cap must also skeleton and
-// fingerprint exactly as the oracles do.
+// accept/reject, same error text, same loop. Every accepted loop's
+// dependence index must match the direct scans (checkIndex), and accepted
+// loops whose refinement converges within the round cap must also
+// skeleton and fingerprint exactly as the oracles do.
 func FuzzParseLoop(f *testing.F) {
 	f.Add("loop daxpy\ntrip 200\nop a load\nop x load\nop m mul a\nop s add m x\nop st store s\n")
 	f.Add("loop rec\ntrip 64\nop a load\nop s add a\nop st store s\ncarried s s 1\n")
@@ -44,6 +45,7 @@ func FuzzParseLoop(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkIndex(t, l)
 		out := FormatString(l)
 		if out != FormatString(ol) {
 			t.Fatalf("formatted loops differ\ninput: %q", src)

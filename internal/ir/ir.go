@@ -259,8 +259,9 @@ func (l *Loop) CloneWithRoom(extraOps, extraDeps int) (c *Loop, spare []Op) {
 }
 
 // FlowInputs returns the flow dependences feeding op, in the order they
-// appear in l.Deps. This order defines the operand order everywhere
-// (scheduling, allocation and simulation agree on it).
+// appear in l.Deps: op's operands, in the order ir.Eval reads them. It
+// scans every dependence; a pass that walks many ops' operands reads one
+// IndexDeps(FlowDeps) index instead.
 func (l *Loop) FlowInputs(op *Op) []Dep {
 	var in []Dep
 	for _, d := range l.Deps {
@@ -296,45 +297,102 @@ func (l *Loop) Fanout(op *Op) int {
 
 // MaxFanout returns the largest fanout of any value in the loop.
 func (l *Loop) MaxFanout() int {
-	max := 0
-	for _, op := range l.Ops {
-		if f := l.Fanout(op); f > max {
-			max = f
-		}
+	var out DepIndex
+	l.IndexDeps(&out, FlowDeps, true)
+	most := 0
+	for id := range l.Ops {
+		most = max(most, len(out.At(id)))
 	}
-	return max
+	return most
 }
 
-// Adj is a compressed sparse row (CSR) adjacency view of a loop's
-// dependence edges: one flat offset array plus one backing edge array,
-// instead of a slice-of-slices. Per-op edge lists preserve Deps order.
-// The view is a snapshot — it does not track later loop mutations.
+// DepSet selects the dependences a DepIndex lists.
+type DepSet uint8
+
+const (
+	AllDeps      DepSet = iota // every dependence
+	FlowDeps                   // flow dependences: the values ops read
+	ZeroDistDeps               // distance-zero dependences: the order inside an iteration
+)
+
+// has reports whether d belongs to the set.
+func (s DepSet) has(d *Dep) bool {
+	switch s {
+	case FlowDeps:
+		return d.Kind == Flow
+	case ZeroDistDeps:
+		return d.Dist == 0
+	}
+	return true
+}
+
+// DepIndex groups one set of a loop's dependences by operation: At(id)
+// lists the positions in Loop.Deps of the set's dependences entering op
+// id, or leaving it, in Deps order. It is one offset array plus one array
+// of dependence indices, the layout every pass that walks dependences op
+// by op reads: operands, consumers, predecessors and successors. An index
+// is a snapshot; it does not follow later changes to the loop.
+type DepIndex struct {
+	off []int32 // op id's list is dep[off[id]:off[id+1]]
+	dep []int32
+}
+
+// At returns the dependence indices listed under op id. The slice aliases
+// the index's storage: it must not be appended to or kept across a
+// rebuild.
+func (x *DepIndex) At(id int) []int32 { return x.dep[x.off[id]:x.off[id+1]] }
+
+// IndexDeps rebuilds x over the dependences of set, each listed under its
+// producer when byFrom is set and under its consumer otherwise, reusing
+// x's storage: once x has held a loop as large, a rebuild allocates
+// nothing. Every endpoint must be an op of l, as Validate checks.
+func (l *Loop) IndexDeps(x *DepIndex, set DepSet, byFrom bool) {
+	n := len(l.Ops)
+	off := resize(x.off, n+1)
+	clear(off)
+	for i := range l.Deps {
+		if d := &l.Deps[i]; set.has(d) {
+			off[d.end(byFrom)]++
+		}
+	}
+	// The prefix sums turn the counts into each list's end; the backward
+	// fill walks every end down to its list's start, in Deps order.
+	for i := 1; i <= n; i++ {
+		off[i] += off[i-1]
+	}
+	dep := resize(x.dep, int(off[n]))
+	for e := len(l.Deps) - 1; e >= 0; e-- {
+		if d := &l.Deps[e]; set.has(d) {
+			k := d.end(byFrom)
+			off[k]--
+			dep[off[k]] = int32(e)
+		}
+	}
+	x.off, x.dep = off, dep
+}
+
+// end returns d's producer when byFrom is set, its consumer otherwise.
+func (d *Dep) end(byFrom bool) int {
+	if byFrom {
+		return d.From
+	}
+	return d.To
+}
+
+// Adj is the scheduler's view of a loop's dependences by op: a DepIndex
+// over every dependence with the Deps it lists gathered beside it, so a
+// walk over an op's edges reads one run of memory. Per-op edge lists
+// preserve Deps order. The view is a snapshot — it does not track later
+// loop mutations.
 type Adj struct {
-	off  []int32
+	idx  DepIndex
 	deps []Dep
 }
 
-// At returns the edges of op id. The returned slice aliases the CSR backing
-// array and must not be appended to or retained across a rebuild.
+// At returns the edges of op id. The returned slice aliases the view's
+// storage and must not be appended to or retained across a rebuild.
 func (a *Adj) At(id int) []Dep {
-	return a.deps[a.off[id]:a.off[id+1]]
-}
-
-// Len returns the number of ops the view covers.
-func (a *Adj) Len() int { return len(a.off) - 1 }
-
-// Preds returns a CSR view of the dependences entering each op.
-func (l *Loop) Preds() Adj {
-	var a Adj
-	l.PredsInto(&a)
-	return a
-}
-
-// Succs returns a CSR view of the dependences leaving each op.
-func (l *Loop) Succs() Adj {
-	var a Adj
-	l.SuccsInto(&a)
-	return a
+	return a.deps[a.idx.off[id]:a.idx.off[id+1]]
 }
 
 // PredsInto rebuilds a as the predecessor view, reusing its storage.
@@ -343,44 +401,12 @@ func (l *Loop) PredsInto(a *Adj) { l.adjInto(a, false) }
 // SuccsInto rebuilds a as the successor view, reusing its storage.
 func (l *Loop) SuccsInto(a *Adj) { l.adjInto(a, true) }
 
-func (l *Loop) adjInto(a *Adj, bySource bool) {
-	n := len(l.Ops)
-	if cap(a.off) < n+1 {
-		a.off = make([]int32, n+1)
-	} else {
-		a.off = a.off[:n+1]
-		for i := range a.off {
-			a.off[i] = 0
-		}
+func (l *Loop) adjInto(a *Adj, byFrom bool) {
+	l.IndexDeps(&a.idx, AllDeps, byFrom)
+	a.deps = resize(a.deps, len(a.idx.dep))
+	for i, e := range a.idx.dep {
+		a.deps[i] = l.Deps[e]
 	}
-	if cap(a.deps) < len(l.Deps) {
-		a.deps = make([]Dep, len(l.Deps))
-	} else {
-		a.deps = a.deps[:len(l.Deps)]
-	}
-	key := func(d Dep) int {
-		if bySource {
-			return d.From
-		}
-		return d.To
-	}
-	// Counting sort: bucket counts, prefix-sum to starts, stable fill (the
-	// cursor pass turns starts into ends), then shift ends back to offsets.
-	for _, d := range l.Deps {
-		a.off[key(d)+1]++
-	}
-	for i := 1; i <= n; i++ {
-		a.off[i] += a.off[i-1]
-	}
-	for _, d := range l.Deps {
-		k := key(d)
-		a.deps[a.off[k]] = d
-		a.off[k]++
-	}
-	for i := n; i > 0; i-- {
-		a.off[i] = a.off[i-1]
-	}
-	a.off[0] = 0
 }
 
 // SumLatency returns the sum of all operation latencies; it is a safe upper

@@ -108,7 +108,7 @@ func TestValidatePoisonedScratch(t *testing.T) {
 	var scr zdcScratch
 	order, _ := line("sizing", 400).validate(&scr, nil)
 	for _, l := range []*Loop{chain(t), cyclic, line("line", 40)} {
-		for _, a := range [][]int32{scr.nIn, scr.off, scr.flat, scr.indeg, scr.order, order} {
+		for _, a := range [][]int32{scr.nIn, scr.indeg, scr.succ.off, scr.succ.dep, scr.order, order} {
 			a = a[:cap(a)]
 			for i := range a {
 				a[i] = 9
@@ -208,6 +208,40 @@ mem st a 1
 		if l.Ops[i].Kind != l2.Ops[i].Kind {
 			t.Fatalf("op %d kind changed", i)
 		}
+	}
+}
+
+// TestFormatWritesProducersFirst: a loop whose ID order puts consumers
+// ahead of their zero-distance producers, as copy insertion leaves it,
+// formats to text that parses back to the same loop up to numbering, and
+// that text keeps its spelling through a second round trip.
+func TestFormatWritesProducersFirst(t *testing.T) {
+	l := New("backwards")
+	st := l.AddOp(KStore, "st")
+	s := l.AddOp(KAdd, "")
+	c := l.AddOp(KCopy, "")
+	a := l.AddOp(KLoad, "a")
+	m := l.AddOp(KMul, "")
+	l.AddFlow(s, st)
+	l.AddFlow(c, s)
+	l.AddFlow(m, s)
+	l.AddFlow(a, c)
+	l.AddFlow(c, m)
+	l.AddCarried(s, m, 1)
+	l.AddDep(Dep{From: st.ID, To: a.ID, Dist: 1, Kind: Mem})
+	if err := l.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	text := FormatString(l)
+	back, err := ParseString(text)
+	if err != nil {
+		t.Fatalf("formatted text does not parse: %v\n%s", err, text)
+	}
+	if got, want := Fingerprint(back), Fingerprint(l); got != want {
+		t.Fatalf("round trip changed the loop: fingerprint %s, want %s\n%s", got, want, text)
+	}
+	if again := FormatString(back); again != text {
+		t.Fatalf("reparsed text formats differently:\n%s\nfirst:\n%s", again, text)
 	}
 }
 

@@ -175,6 +175,27 @@ func TestKernelsMatchOracle(t *testing.T) {
 	}
 }
 
+// TestIndexDepsOnCorpora holds the dependence index, in every set and
+// direction, to direct scans of every corpus loop, unrolled and
+// copy-inserted, each also permuted; copy insertion numbers copies after
+// the consumers they feed. Renamed spellings share their loop's
+// dependences, so they are skipped.
+func TestIndexDepsOnCorpora(t *testing.T) {
+	for name, loops := range kernelCorpora() {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewSource(1))
+			for i, l := range loops {
+				for j, v := range kernelVariants(t, i, l, rng) {
+					if j%3 != 1 {
+						ir.CheckIndex(t, v)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestParseMatchesOracleOnMalformed: every rejection keeps the oracle's
 // error text, including the Scanner's line-length limit on both sides of
 // the boundary, and the Unicode whitespace strings.Fields splits on.

@@ -256,6 +256,13 @@ func parseKind(s string) (OpKind, bool) {
 // Format writes the loop back in the text format. Flow dependences with
 // distance zero become operand lists; everything else becomes explicit
 // directives. Ops without names are given op<ID> names.
+//
+// Ops are written in ID order when that puts every zero-distance flow
+// producer before its consumers, as it does in every loop that was
+// parsed, generated, unrolled or lifted from a trace, so their text keeps
+// its spelling. Otherwise, as after copy insertion, which appends each
+// copy after the consumers it feeds, an op's zero-distance flow producers
+// not yet written are written just before it, so the text parses back.
 func Format(w io.Writer, l *Loop) error {
 	bw := bufio.NewWriter(w)
 	name := func(op *Op) string {
@@ -268,14 +275,32 @@ func Format(w io.Writer, l *Loop) error {
 	if l.Trip > 0 {
 		fmt.Fprintf(bw, "trip %d\n", l.Trip)
 	}
-	for _, op := range l.Ops {
+	var in DepIndex
+	l.IndexDeps(&in, FlowDeps, false)
+	// written is set on entry, so a zero-distance cycle, which Validate
+	// rejects, ends the recursion instead of looping.
+	written := make([]bool, len(l.Ops))
+	var write func(id int)
+	write = func(id int) {
+		written[id] = true
+		for _, e := range in.At(id) {
+			if d := &l.Deps[e]; d.Dist == 0 && !written[d.From] {
+				write(d.From)
+			}
+		}
+		op := l.Ops[id]
 		fmt.Fprintf(bw, "op %s %s", name(op), op.Kind)
-		for _, d := range l.FlowInputs(op) {
-			if d.Dist == 0 {
+		for _, e := range in.At(id) {
+			if d := &l.Deps[e]; d.Dist == 0 {
 				fmt.Fprintf(bw, " %s", name(l.Ops[d.From]))
 			}
 		}
 		fmt.Fprintln(bw)
+	}
+	for id := range l.Ops {
+		if !written[id] {
+			write(id)
+		}
 	}
 	for _, d := range l.Deps {
 		switch {

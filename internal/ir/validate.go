@@ -66,9 +66,10 @@ func (l *Loop) validate(scr *zdcScratch, order []int32) ([]int32, error) {
 			return order, fmt.Errorf("%w: %v", ErrBadKind, op)
 		}
 	}
-	nIn := resize(scr.nIn, len(l.Ops))
-	scr.nIn = nIn
+	nIn, indeg := resize(scr.nIn, len(l.Ops)), resize(scr.indeg, len(l.Ops))
+	scr.nIn, scr.indeg = nIn, indeg
 	clear(nIn)
+	clear(indeg)
 	for _, d := range l.Deps {
 		if d.From < 0 || d.From >= len(l.Ops) || d.To < 0 || d.To >= len(l.Ops) {
 			return order, fmt.Errorf("%w: %v", ErrBadOpID, d)
@@ -85,6 +86,9 @@ func (l *Loop) validate(scr *zdcScratch, order []int32) ([]int32, error) {
 			}
 			nIn[d.To]++
 		}
+		if d.Dist == 0 {
+			indeg[d.To]++
+		}
 	}
 	for i, op := range l.Ops {
 		if int(nIn[i]) > op.Kind.MaxInputs() {
@@ -98,16 +102,15 @@ func (l *Loop) validate(scr *zdcScratch, order []int32) ([]int32, error) {
 }
 
 // zdcScratch recycles the working arrays of Validate and TopoOrder: the
-// flow-input counts and zeroDistOrder's CSR of zero-distance successors,
-// in-degrees and order (Validate's own). The compile engine validates
-// every input loop and the simulator's reference run orders the loop it
-// replays, so the check runs twice per compile, and its allocations would
-// otherwise dominate its fixed per-call cost.
+// flow-input counts, the zero-distance in-degrees, zeroDistOrder's index
+// of zero-distance successors and order (Validate's own). The compile
+// engine validates every input loop and the simulator's reference run
+// orders the loop it replays, so the check runs twice per compile, and
+// its allocations would otherwise dominate its fixed per-call cost.
 type zdcScratch struct {
 	nIn   []int32
-	off   []int32
-	flat  []int32
 	indeg []int32
+	succ  DepIndex
 	order []int32
 }
 
@@ -115,35 +118,15 @@ var zdcPool = sync.Pool{New: func() any { return new(zdcScratch) }}
 
 // zeroDistOrder returns order's storage holding the op IDs in an order in
 // which every zero-distance dependence runs forward, by Kahn's algorithm,
-// first in first out, over a CSR of zero-distance successors on scr. Ops
-// on or behind a zero-distance cycle never become ready and are left out,
-// so the order is shorter than the loop exactly when the zero-distance
-// subgraph has a cycle.
+// first in first out, over the zero-distance successors, from the
+// in-degrees validate counted into scr.indeg. Ops on or behind a
+// zero-distance cycle never become ready and are left out, so the order
+// is shorter than the loop exactly when the zero-distance subgraph has a
+// cycle.
 func (l *Loop) zeroDistOrder(scr *zdcScratch, order []int32) []int32 {
 	n := len(l.Ops)
-	indeg, off := resize(scr.indeg, n), resize(scr.off, n+1)
-	scr.indeg, scr.off = indeg, off
-	clear(indeg)
-	clear(off)
-	for _, d := range l.Deps {
-		if d.Dist == 0 {
-			off[d.From+1]++
-			indeg[d.To]++
-		}
-	}
-	for i := 1; i <= n; i++ {
-		off[i] += off[i-1]
-	}
-	flat := resize(scr.flat, int(off[n]))
-	scr.flat = flat
-	for _, d := range l.Deps {
-		if d.Dist == 0 {
-			flat[off[d.From]] = int32(d.To)
-			off[d.From]++
-		}
-	}
-	copy(off[1:], off[:n])
-	off[0] = 0
+	l.IndexDeps(&scr.succ, ZeroDistDeps, true)
+	succ, indeg := scr.succ, scr.indeg
 	// The order is also the ready queue: the ops before i have released
 	// their successors, the ops from i on wait to.
 	order = slices.Grow(order[:0], n)
@@ -153,10 +136,10 @@ func (l *Loop) zeroDistOrder(scr *zdcScratch, order []int32) []int32 {
 		}
 	}
 	for i := 0; i < len(order); i++ {
-		id := order[i]
-		for _, s := range flat[off[id]:off[id+1]] {
+		for _, e := range succ.At(int(order[i])) {
+			s := l.Deps[e].To
 			if indeg[s]--; indeg[s] == 0 {
-				order = append(order, s)
+				order = append(order, int32(s))
 			}
 		}
 	}

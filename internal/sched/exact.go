@@ -30,8 +30,9 @@
 // proof that no schedule at this II exists, not merely that none was found
 // within a horizon.
 //
-// Per node the searcher walks one int32 CSR of dependence indices (per-op
-// in- and out-lists over flat from/to/dist/flow columns), and each
+// Per node the searcher walks the loop's ir.DepIndex in each direction
+// (per-op in- and out-lists of dependence indices over flat
+// from/to/dist/flow columns), and each
 // dependence's stage weight is computed once, when its second endpoint is
 // placed: it depends only on the two endpoints' rows and clusters, so it
 // stays valid, with no undo, for as long as both remain placed.
@@ -107,52 +108,26 @@ type exactSearcher struct {
 }
 
 // depTable is the searcher's flat view of the loop's dependences: one
-// column per field, indexed by position in Loop.Deps, and per-op CSR lists
-// of the indices entering (in) and leaving (out) each op, in Deps order.
+// column per field, indexed by position in Loop.Deps, and the dependence
+// indices entering (in) and leaving (out) each op, in Deps order.
 type depTable struct {
 	from, to []int32
 	dist     []int
 	flow     []bool // flow dependence: pays the hop latency, constrains the partition
-	in, out  csr
+	in, out  ir.DepIndex
 }
 
-// csr lists, per op, the dependence indices of one direction.
-type csr struct {
-	off []int32 // len n+1
-	dep []int32
-}
-
-// at returns op y's dependence indices.
-func (c *csr) at(y int) []int32 { return c.dep[c.off[y]:c.off[y+1]] }
-
-// newCSR lists each dependence under its endpoint end(d), in Deps order.
-func newCSR(n int, deps []ir.Dep, end func(ir.Dep) int) csr {
-	c := csr{off: make([]int32, n+1), dep: make([]int32, len(deps))}
-	for _, d := range deps {
-		c.off[end(d)]++
-	}
-	for i := 1; i <= n; i++ {
-		c.off[i] += c.off[i-1]
-	}
-	for e := len(deps) - 1; e >= 0; e-- {
-		v := end(deps[e])
-		c.off[v]--
-		c.dep[c.off[v]] = int32(e)
-	}
-	return c
-}
-
-// newDepTable builds the columns and both CSR directions for l.
+// newDepTable builds the columns and both directions of the index for l.
 func newDepTable(l *ir.Loop) depTable {
-	n, m := len(l.Ops), len(l.Deps)
+	m := len(l.Deps)
 	t := depTable{
 		from: make([]int32, m),
 		to:   make([]int32, m),
 		dist: make([]int, m),
 		flow: make([]bool, m),
-		in:   newCSR(n, l.Deps, func(d ir.Dep) int { return d.To }),
-		out:  newCSR(n, l.Deps, func(d ir.Dep) int { return d.From }),
 	}
+	l.IndexDeps(&t.in, ir.AllDeps, false)
+	l.IndexDeps(&t.out, ir.AllDeps, true)
 	for e, d := range l.Deps {
 		t.from[e], t.to[e] = int32(d.From), int32(d.To)
 		t.dist[e] = d.Dist
@@ -242,12 +217,12 @@ func (ex *exactSearcher) search(ctx context.Context, ii int, budget int64) exact
 func (ex *exactSearcher) clusterMask(y int) uint64 {
 	t := &ex.deps
 	mask := ex.classMask[ex.class[y]]
-	for _, e := range t.in.at(y) {
+	for _, e := range t.in.At(y) {
 		if p := t.from[e]; t.flow[e] && int(p) != y && ex.placed[p] {
 			mask &= ex.adjMasks[ex.cluOf[p]]
 		}
 	}
-	for _, e := range t.out.at(y) {
+	for _, e := range t.out.At(y) {
 		if v := t.to[e]; t.flow[e] && int(v) != y && ex.placed[v] {
 			mask &= ex.adjMasks[ex.cluOf[v]]
 		}
@@ -368,7 +343,7 @@ func (ex *exactSearcher) propagate(x int) bool {
 	placed, pot, w, queued := ex.placed, ex.pot, ex.w, ex.queued
 	ex.undo = append(ex.undo, potUndo{int32(x), pot[x]})
 	px := 0
-	for _, e := range t.in.at(x) {
+	for _, e := range t.in.At(x) {
 		p := t.from[e]
 		if !placed[p] {
 			continue
@@ -381,7 +356,7 @@ func (ex *exactSearcher) propagate(x int) bool {
 		}
 	}
 	pot[x] = px
-	for _, e := range t.out.at(x) {
+	for _, e := range t.out.At(x) {
 		if v := t.to[e]; placed[v] && int(v) != x {
 			w[e] = ex.weight(e)
 		}
@@ -392,7 +367,7 @@ func (ex *exactSearcher) propagate(x int) bool {
 		y := q[head]
 		queued[y] = false
 		py := pot[y]
-		for _, e := range t.out.at(int(y)) {
+		for _, e := range t.out.At(int(y)) {
 			v := t.to[e]
 			if !placed[v] {
 				continue
@@ -427,12 +402,12 @@ func (ex *exactSearcher) propagate(x int) bool {
 // no completion of the current partial placement exists.
 func (ex *exactSearcher) lookahead(x int) bool {
 	t := &ex.deps
-	for _, e := range t.in.at(x) {
+	for _, e := range t.in.At(x) {
 		if p := t.from[e]; t.flow[e] && int(p) != x && !ex.placed[p] && !ex.viable(int(p)) {
 			return false
 		}
 	}
-	for _, e := range t.out.at(x) {
+	for _, e := range t.out.At(x) {
 		if v := t.to[e]; t.flow[e] && int(v) != x && !ex.placed[v] && !ex.viable(int(v)) {
 			return false
 		}

@@ -89,16 +89,16 @@ func RecMII(l *ir.Loop) int {
 	return recMIIInto(l, &st.rec)
 }
 
-// recScratch is the arena for recMIIInto: Tarjan SCC state, the
-// component-grouped node/edge views and the Bellman-Ford distance array.
-// It lives in the scheduling state (ims.go), so RecMII and the lower
-// bounds of every ScheduleLoop call reuse the buffers of a pooled state.
+// recScratch is the arena for recMIIInto: the successor index, Tarjan SCC
+// state, the component-grouped node/edge views and the Bellman-Ford
+// distance array. It lives in the scheduling state (ims.go), so RecMII and
+// the lower bounds of every ScheduleLoop call reuse the buffers of a
+// pooled state.
 type recScratch struct {
 	lat   []int
-	sOff  []int32 // successor CSR offsets (n+1)
-	sTo   []int32 // successor CSR targets
-	cur   []int32 // counting-sort cursors
-	index []int32 // Tarjan discovery index, 0 = unvisited
+	succ  ir.DepIndex // dependences leaving each op
+	cur   []int32     // counting-sort cursors
+	index []int32     // Tarjan discovery index, 0 = unvisited
 	low   []int32
 	comp  []int32 // SCC id per node
 	stack []int32
@@ -131,22 +131,8 @@ func recMIIInto(l *ir.Loop, scr *recScratch) int {
 	for i, op := range l.Ops {
 		scr.lat[i] = op.Kind.Latency()
 	}
-	// Successor CSR (counting sort, same shape as ir.adjInto).
-	scr.sOff = refill(scr.sOff, n+1, 0)
-	for _, d := range l.Deps {
-		scr.sOff[d.From+1]++
-	}
-	for i := 0; i < n; i++ {
-		scr.sOff[i+1] += scr.sOff[i]
-	}
-	scr.sTo = uninit(scr.sTo, len(l.Deps))
-	scr.cur = uninit(scr.cur, n)
-	copy(scr.cur, scr.sOff[:n])
-	for _, d := range l.Deps {
-		scr.sTo[scr.cur[d.From]] = int32(d.To)
-		scr.cur[d.From]++
-	}
-	// Tarjan SCC.
+	// Tarjan SCC over the successor index.
+	l.IndexDeps(&scr.succ, ir.AllDeps, true)
 	scr.index = refill(scr.index, n, 0)
 	scr.low = uninit(scr.low, n)
 	scr.comp = uninit(scr.comp, n)
@@ -156,7 +142,7 @@ func recMIIInto(l *ir.Loop, scr *recScratch) int {
 	scr.ncomp = 0
 	for v := 0; v < n; v++ {
 		if scr.index[v] == 0 {
-			scr.strongconnect(int32(v))
+			scr.strongconnect(l.Deps, int32(v))
 		}
 	}
 	// Group nodes and intra-SCC edges by component.
@@ -260,18 +246,19 @@ func recMIIInto(l *ir.Loop, scr *recScratch) int {
 	return best
 }
 
-// strongconnect is Tarjan's recursive DFS over the scratch CSR. Depth is
-// bounded by the op count (loops are at most a few hundred ops), so plain
-// recursion beats an explicit frame stack.
-func (scr *recScratch) strongconnect(v int32) {
+// strongconnect is Tarjan's recursive DFS over the scratch's successor
+// index of deps. Depth is bounded by the op count (loops are at most a few
+// hundred ops), so plain recursion beats an explicit frame stack.
+func (scr *recScratch) strongconnect(deps []ir.Dep, v int32) {
 	scr.index[v] = scr.next
 	scr.low[v] = scr.next
 	scr.next++
 	scr.stack = append(scr.stack, v)
 	scr.onStk[v] = true
-	for _, w := range scr.sTo[scr.sOff[v]:scr.sOff[v+1]] {
+	for _, e := range scr.succ.At(int(v)) {
+		w := int32(deps[e].To)
 		if scr.index[w] == 0 {
-			scr.strongconnect(w)
+			scr.strongconnect(deps, w)
 			if scr.low[w] < scr.low[v] {
 				scr.low[v] = scr.low[w]
 			}

@@ -284,7 +284,8 @@ func hasPositiveCycle(l *ir.Loop, ii int, scratch []int) bool {
 // small graphs.
 func recMIIBrute(l *ir.Loop, maxLen int) int {
 	n := len(l.Ops)
-	succ := l.Succs()
+	var succ ir.Adj
+	l.SuccsInto(&succ)
 	best := 1
 	var path []ir.Dep
 	onPath := make([]bool, n)

@@ -253,9 +253,10 @@ func (st *state) compactSchedule(mii, maxII int) int {
 }
 
 // Verify checks that the schedule satisfies every dependence, every
-// resource constraint and the cluster communication rule. It is used by
-// tests and by cmd tools; a correct scheduler never produces a schedule
-// that fails Verify.
+// resource constraint and the cluster communication rule. The compile
+// engine runs it on every schedule it produces, and the simulator on every
+// schedule it replays; a correct scheduler never produces a schedule that
+// fails Verify.
 func (s *Schedule) Verify() error {
 	l := s.Loop
 	if len(s.Time) != len(l.Ops) || len(s.Cluster) != len(l.Ops) {

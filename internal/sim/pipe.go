@@ -103,10 +103,10 @@ func (scr *scratch) verifyPipeline(ctx context.Context, s *sched.Schedule, alloc
 // scratch holds outlives the call that took it; Reference, whose result
 // keeps its values, runs on a scratch of its own.
 type scratch struct {
-	// Both runs: each op's flow-input dependences (inputs) and the operand
-	// buffer.
-	inOff, inDep []int32
-	args         []int64
+	// Both runs: each op's flow-input dependences, in operand order, and
+	// the operand buffer.
+	in   ir.DepIndex
+	args []int64
 
 	// The reference run: its topological order and its values.
 	order []int32
@@ -287,8 +287,8 @@ func (scr *scratch) pipelined(ctx context.Context, s *sched.Schedule, alloc *que
 	}
 	scr.unranked = unranked
 	ev, byStart := scr.rank(ii)
-	scr.flowInputs(l)
-	inOff, inDep := scr.inOff, scr.inDep
+	l.IndexDeps(&scr.in, ir.FlowDeps, false)
+	inputs := scr.in
 
 	// FU slots are (cluster, class) pairs, counted per cycle.
 	nslots := s.Machine.NumClusters() * int(classes)
@@ -381,7 +381,7 @@ func (scr *scratch) pipelined(ctx context.Context, s *sched.Schedule, alloc *que
 						t, s.Cluster[id], machine.ClassOf(op.Kind))
 				}
 				args = args[:0]
-				for _, di := range inDep[inOff[id]:inOff[id+1]] {
+				for _, di := range inputs.At(id) {
 					d := &l.Deps[di]
 					q := &qs[qOf[di]]
 					if q.read == stamp {

@@ -62,8 +62,8 @@ func (scr *scratch) reference(l *ir.Loop, n int, stores map[StoreKey]int64) ([]i
 		return nil, err
 	}
 	scr.order = order
-	scr.flowInputs(l)
-	inOff, inDep := scr.inOff, scr.inDep
+	l.IndexDeps(&scr.in, ir.FlowDeps, false)
+	inputs := scr.in
 	vals := resize(scr.want, len(l.Ops)*n)
 	scr.want = vals
 	args := scr.args[:0]
@@ -72,7 +72,7 @@ func (scr *scratch) reference(l *ir.Loop, n int, stores map[StoreKey]int64) ([]i
 		for _, id := range order {
 			op := l.Ops[id]
 			args = args[:0]
-			for _, di := range inDep[inOff[id]:inOff[id+1]] {
+			for _, di := range inputs.At(int(id)) {
 				d := &l.Deps[di]
 				// Negative iterations yield the synthetic live-in values
 				// that exist before the loop starts.
@@ -118,33 +118,4 @@ func CompareStores(a, b map[StoreKey]int64, onlyCommon bool) error {
 		}
 	}
 	return nil
-}
-
-// flowInputs fills scr.inOff and scr.inDep with each op's flow-input
-// dependence indices in Deps order, the operand order of ir.Eval: op id's
-// are inDep[inOff[id]:inOff[id+1]].
-func (scr *scratch) flowInputs(l *ir.Loop) {
-	n := len(l.Ops)
-	off := resize(scr.inOff, n+1)
-	clear(off)
-	m := 0
-	for _, d := range l.Deps {
-		if d.Kind == ir.Flow {
-			off[d.To+1]++
-			m++
-		}
-	}
-	for i := 1; i <= n; i++ {
-		off[i] += off[i-1]
-	}
-	dep := resize(scr.inDep, m)
-	for di, d := range l.Deps {
-		if d.Kind == ir.Flow {
-			dep[off[d.To]] = int32(di)
-			off[d.To]++
-		}
-	}
-	copy(off[1:], off[:n])
-	off[0] = 0
-	scr.inOff, scr.inDep = off, dep
 }
