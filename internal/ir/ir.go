@@ -347,11 +347,11 @@ func (x *DepIndex) At(id int) []int32 { return x.dep[x.off[id]:x.off[id+1]] }
 // x's storage: once x has held a loop as large, a rebuild allocates
 // nothing. Every endpoint must be an op of l, as Validate checks.
 func (l *Loop) IndexDeps(x *DepIndex, set DepSet, byFrom bool) {
-	n := len(l.Ops)
+	deps, n := l.Deps, len(l.Ops)
 	off := resize(x.off, n+1)
 	clear(off)
-	for i := range l.Deps {
-		if d := &l.Deps[i]; set.has(d) {
+	for i := range deps {
+		if d := &deps[i]; set.has(d) {
 			off[d.end(byFrom)]++
 		}
 	}
@@ -361,8 +361,8 @@ func (l *Loop) IndexDeps(x *DepIndex, set DepSet, byFrom bool) {
 		off[i] += off[i-1]
 	}
 	dep := resize(x.dep, int(off[n]))
-	for e := len(l.Deps) - 1; e >= 0; e-- {
-		if d := &l.Deps[e]; set.has(d) {
+	for e := len(deps) - 1; e >= 0; e-- {
+		if d := &deps[e]; set.has(d) {
 			k := d.end(byFrom)
 			off[k]--
 			dep[off[k]] = int32(e)
@@ -403,10 +403,12 @@ func (l *Loop) SuccsInto(a *Adj) { l.adjInto(a, true) }
 
 func (l *Loop) adjInto(a *Adj, byFrom bool) {
 	l.IndexDeps(&a.idx, AllDeps, byFrom)
-	a.deps = resize(a.deps, len(a.idx.dep))
-	for i, e := range a.idx.dep {
-		a.deps[i] = l.Deps[e]
+	src, idx := l.Deps, a.idx.dep
+	deps := resize(a.deps, len(idx))
+	for i, e := range idx {
+		deps[i] = src[e]
 	}
+	a.deps = deps
 }
 
 // SumLatency returns the sum of all operation latencies; it is a safe upper

@@ -32,10 +32,10 @@
 //
 // Per node the searcher walks the loop's ir.DepIndex in each direction
 // (per-op in- and out-lists of dependence indices over flat
-// from/to/dist/flow columns), and each
-// dependence's stage weight is computed once, when its second endpoint is
-// placed: it depends only on the two endpoints' rows and clusters, so it
-// stays valid, with no undo, for as long as both remain placed.
+// from/to/dist/flow columns), and each dependence's stage weight is
+// computed once, when its second endpoint is placed: it depends only on
+// the two endpoints' rows and clusters, so it stays valid, with no undo,
+// for as long as both remain placed.
 //
 // Determinism: the static op order (height desc, ID asc), the candidate
 // order (cluster asc, row asc) and the node budget are all independent of
