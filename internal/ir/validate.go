@@ -126,7 +126,7 @@ var zdcPool = sync.Pool{New: func() any { return new(zdcScratch) }}
 func (l *Loop) zeroDistOrder(scr *zdcScratch, order []int32) []int32 {
 	n := len(l.Ops)
 	l.IndexDeps(&scr.succ, ZeroDistDeps, true)
-	succ, indeg := scr.succ, scr.indeg
+	deps, succ, indeg := l.Deps, scr.succ, scr.indeg
 	// The order is also the ready queue: the ops before i have released
 	// their successors, the ops from i on wait to.
 	order = slices.Grow(order[:0], n)
@@ -137,7 +137,7 @@ func (l *Loop) zeroDistOrder(scr *zdcScratch, order []int32) []int32 {
 	}
 	for i := 0; i < len(order); i++ {
 		for _, e := range succ.At(int(order[i])) {
-			s := l.Deps[e].To
+			s := deps[e].To
 			if indeg[s]--; indeg[s] == 0 {
 				order = append(order, int32(s))
 			}
