@@ -52,7 +52,7 @@ func main() {
 
 	fmt.Println("\nwithout copies this loop cannot run on a QRF machine:")
 	fmt.Println("  each doubly-consumed value would need two simultaneous queue writes")
-	fmt.Println("  (the simulator rejects it; see sim.PipeOptions.AllowMultiWrite)")
+	fmt.Println("  (the simulator rejects it before the run; see sim.Pipelined)")
 
 	// Fanout 2 barely distinguishes the shapes; a value consumed eight
 	// times does: the chain puts seven copies in series on the critical

@@ -26,7 +26,10 @@ type diffConfig struct {
 	cfg    machine.Config
 	unroll bool
 	shape  copyins.Shape
-	// multi runs the simulators with AllowMultiWrite (copies off).
+	// multi marks copies off: a value with several consumers needs
+	// simultaneous queue writes, which only the map oracle models (see
+	// multiWriteClass). The dense simulator runs the paper's single-write
+	// machine alone, so it rejects those values.
 	multi bool
 }
 
@@ -248,48 +251,78 @@ func cyclePrefix(err error) string {
 	return msg
 }
 
+// denseStores is every store instance of an n-iteration run, read from
+// the values it left in [op*n+k] order and keyed as the oracles key them.
+func denseStores(l *ir.Loop, n int, vals []int64) map[StoreKey]int64 {
+	stores := map[StoreKey]int64{}
+	for id, op := range l.Ops {
+		if op.Kind != ir.KStore {
+			continue
+		}
+		for k := 0; k < n; k++ {
+			stores[StoreKey{op.EffID(), l.OrigIter(op, k)}] = vals[id*n+k]
+		}
+	}
+	return stores
+}
+
 // diffRun runs the dense code and its oracles on one input and reports
-// every disagreement: the two checks Pipelined starts with, Pipelined
-// itself (verdict, error class, and Cycles, Issues, MaxDepth and Stores
-// when both pass) and, with copies on, VerifyPipeline against the oracle
-// reference's stores. It returns the Pipelined verdict class.
-func diffRun(t testing.TB, label string, s *sched.Schedule, a *queue.Allocation, n int, multi bool) string {
+// every disagreement: the two checks Pipelined starts with, the pipelined
+// run itself (verdict, error class, and Cycles, Issues, MaxDepth and every
+// store instance when both pass) and VerifyPipeline against the oracle
+// reference's stores. It returns the pipelined run's verdict class.
+func diffRun(t testing.TB, label string, s *sched.Schedule, a *queue.Allocation, n int) string {
 	t.Helper()
 	if got, want := s.Verify(), oracleScheduleVerify(s); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("%s: Schedule.Verify = %v, map version %v", label, got, want)
 	}
 	sameFailure(t, label+": Allocation.Verify", a.Verify(context.Background()), oracleAllocVerify(a))
-	opt := PipeOptions{N: n, AllowMultiWrite: multi}
-	got, gerr := Pipelined(s, a, opt)
-	want, werr := oraclePipelined(s, a, opt)
+	var got PipeResult
+	vals, gerr := new(scratch).pipelined(context.Background(), s, a, n, &got)
+	want, wantStores, werr := oraclePipelined(s, a, n, false)
 	class := sameFailure(t, label+": Pipelined", gerr, werr)
 	if gerr == nil && werr == nil {
-		if got.Cycles != want.Cycles || got.Issues != want.Issues || got.MaxDepth != want.MaxDepth {
+		if got != *want {
 			t.Errorf("%s: dense cycles/issues/depth %d/%d/%d, oracle %d/%d/%d", label,
 				got.Cycles, got.Issues, got.MaxDepth, want.Cycles, want.Issues, want.MaxDepth)
 		}
-		if !maps.Equal(got.Stores, want.Stores) {
-			t.Errorf("%s: stores differ (%d dense, %d oracle)", label, len(got.Stores), len(want.Stores))
+		if gotStores := denseStores(s.Loop, n, vals); !maps.Equal(gotStores, wantStores) {
+			t.Errorf("%s: stores differ (%d dense, %d oracle)", label, len(gotStores), len(wantStores))
 		}
 	}
-	if !multi {
-		// The map-based VerifyPipeline: reference, then the pipelined run
-		// above, then CompareStores over both Stores maps.
-		ref, verr := oracleReference(s.Loop, n)
-		if verr == nil {
-			verr = werr
-		}
-		if verr == nil {
-			verr = CompareStores(ref.Stores, want.Stores, false)
-		}
-		sameFailure(t, label+": VerifyPipeline", VerifyPipeline(context.Background(), s, a, n), verr)
+	// The map-based VerifyPipeline: reference, then the pipelined run
+	// above, then CompareStores over both stores maps.
+	ref, verr := oracleReference(s.Loop, n)
+	if verr == nil {
+		verr = werr
 	}
+	if verr == nil {
+		verr = CompareStores(ref.Stores, wantStores, false)
+	}
+	sameFailure(t, label+": VerifyPipeline", VerifyPipeline(context.Background(), s, a, n), verr)
 	return class
+}
+
+// multiWriteClass is the verdict class of an n-iteration replay with copies
+// off: the map oracle, with simultaneous writes allowed, and then its
+// stores against Reference's. The dense simulator models only the
+// single-write machine, so this independent run is what executes the
+// allocations Fig. 3's "without" rows count.
+func multiWriteClass(s *sched.Schedule, a *queue.Allocation, n int) string {
+	_, stores, err := oraclePipelined(s, a, n, true)
+	if err == nil {
+		var ref *Ref
+		if ref, err = Reference(s.Loop, n); err == nil {
+			err = CompareStores(ref.Stores, stores, false)
+		}
+	}
+	return errClass(err)
 }
 
 // TestPipelinedDifferential pins the dense simulator and checks to their
 // map-based oracles on every kernel plus every 8th standard and stressed
-// loop, under five configurations, clean and with every fault kind. The
+// loop, under five configurations, clean and with every fault kind. With
+// copies off, a clean compile must also pass the multi-write oracle. The
 // nightly FuzzPipelinedDifferential explores further.
 func TestPipelinedDifferential(t *testing.T) {
 	loops := diffLoops()
@@ -303,20 +336,22 @@ func TestPipelinedDifferential(t *testing.T) {
 					continue
 				}
 				n := verifyIters(s)
-				if c := diffRun(t, l.Name, s, a, n, dc.multi); c != "ok" {
-					t.Errorf("%s: valid compile fails: %s", l.Name, c)
-				}
 				if dc.multi {
-					// Without AllowMultiWrite, every value with two
+					if c := multiWriteClass(s, a, n); c != "ok" {
+						t.Errorf("%s: valid compile fails on the multi-write oracle: %s", l.Name, c)
+					}
+					// On the single-write machine, every value with two
 					// consumers must fail the fanout check on both sides.
-					classes[diffRun(t, l.Name+"/single-write", s, a, n, false)]++
+					classes[diffRun(t, l.Name+"/single-write", s, a, n)]++
+				} else if c := diffRun(t, l.Name, s, a, n); c != "ok" {
+					t.Errorf("%s: valid compile fails: %s", l.Name, c)
 				}
 				for f := faultKind(0); f < numFaults; f++ {
 					fs, fa, ok := applyFault(s, a, f, li)
 					if !ok {
 						continue
 					}
-					classes[diffRun(t, fmt.Sprintf("%s/%v", l.Name, f), fs, fa, n, dc.multi)]++
+					classes[diffRun(t, fmt.Sprintf("%s/%v", l.Name, f), fs, fa, n)]++
 				}
 				if t.Failed() {
 					t.FailNow()
@@ -428,7 +463,7 @@ func TestErrorClassesByHand(t *testing.T) {
 	both := func(t *testing.T, s *sched.Schedule, a *queue.Allocation, class string) {
 		t.Helper()
 		_, gerr := Pipelined(s, a, PipeOptions{N: 6})
-		_, werr := oraclePipelined(s, a, PipeOptions{N: 6})
+		_, _, werr := oraclePipelined(s, a, 6, false)
 		if got := sameFailure(t, class, gerr, werr); got != class {
 			t.Fatalf("want class %s, got %s (%v)", class, got, gerr)
 		}
@@ -499,7 +534,7 @@ func TestDifferentialNegativeStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := oraclePipelined(s, a, PipeOptions{N: 7})
+	want, _, err := oraclePipelined(s, a, 7, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,7 +594,7 @@ func TestDifferentialLongCarry(t *testing.T) {
 			case <-time.After(10 * time.Second):
 				t.Fatalf("%s: Pipelined still running after 10s", label)
 			}
-			if c := diffRun(t, label, s, a, n, dc.multi); c != "ok" {
+			if c := diffRun(t, label, s, a, n); c != "ok" {
 				t.Fatalf("%s: valid compile fails: %s", label, c)
 			}
 		}

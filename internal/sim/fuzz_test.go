@@ -36,10 +36,11 @@ type fuzzCompile struct {
 // inputs. The input picks a loop from fuzzLoops, one of the differential
 // configurations, and up to four faults, two bytes each (kind, target),
 // applied in order. When both sides pass they must agree on Cycles,
-// Issues, MaxDepth and Stores; when both fail, on the error class (and on
-// the message wherever the oracle's is deterministic). The engine's
-// replay, min(trip, 64, Horizon) iterations, must reach the verdict class
-// of that 64-iteration one. Nightly fuzz.yml runs this target; crashers
+// Issues, MaxDepth and every store instance; when both fail, on the error
+// class (and on the message wherever the oracle's is deterministic). The
+// engine's replay, min(trip, 64, Horizon) iterations, must reach the
+// verdict class of that 64-iteration one (with copies off, on the
+// multi-write oracle). Nightly fuzz.yml runs this target; crashers
 // land in testdata/fuzz and are committed as regression seeds.
 func FuzzPipelinedDifferential(f *testing.F) {
 	f.Add(uint8(0), uint8(0), []byte{})
@@ -74,7 +75,7 @@ func FuzzPipelinedDifferential(f *testing.F) {
 			}
 		}
 		n, multi := verifyIters(s), dcs[ci].multi
-		diffRun(t, label, s, a, n, multi)
+		diffRun(t, label, s, a, n)
 		short := min(n, Horizon(s))
 		if got, want := replayClass(s, a, short, multi), replayClass(s, a, n, multi); got != want {
 			t.Errorf("%s: %d iterations (horizon) gives %s, %d gives %s", label, short, got, n, want)

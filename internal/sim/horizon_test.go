@@ -16,13 +16,12 @@ import (
 )
 
 // replayClass is the verdict class of an n-iteration replay: VerifyPipeline,
-// the engine's check, or with copies off (multi) Pipelined under
-// AllowMultiWrite, since VerifyPipeline's fanout check rejects those
-// schedules before they run.
+// the engine's check, or with copies off (multi) the multi-write oracle,
+// since VerifyPipeline's fanout check rejects those schedules before they
+// run.
 func replayClass(s *sched.Schedule, a *queue.Allocation, n int, multi bool) string {
 	if multi {
-		_, err := Pipelined(s, a, PipeOptions{N: n, AllowMultiWrite: true})
-		return errClass(err)
+		return multiWriteClass(s, a, n)
 	}
 	return errClass(VerifyPipeline(context.Background(), s, a, n))
 }

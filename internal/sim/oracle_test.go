@@ -157,20 +157,20 @@ type event struct {
 	k  int
 }
 
-// oraclePipelined is the map-based simulator Pipelined replaced, kept
-// verbatim except that it starts with the map versions of the two checks
-// below instead of Schedule.Verify and Allocation.Verify.
-func oraclePipelined(s *sched.Schedule, alloc *queue.Allocation, opt PipeOptions) (*PipeResult, error) {
+// oraclePipelined is the map-based simulator Pipelined replaced, run for
+// n iterations, returning every store instance next to the result. It is
+// kept verbatim except that it starts with the map versions of the two
+// checks below instead of Schedule.Verify and Allocation.Verify. Unlike
+// the dense simulator it has a multi-write mode: with multi, an ordinary
+// operation may write several queues in one cycle, the copies-off
+// machine of the paper's Fig. 1(c).
+func oraclePipelined(s *sched.Schedule, alloc *queue.Allocation, n int, multi bool) (*PipeResult, map[StoreKey]int64, error) {
 	l := s.Loop
 	if err := oracleScheduleVerify(s); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := oracleAllocVerify(alloc); err != nil {
-		return nil, err
-	}
-	n := opt.N
-	if n <= 0 {
-		n = l.TripCount()
+		return nil, nil, err
 	}
 
 	// Map dependence index -> queue assignment.
@@ -181,7 +181,7 @@ func oraclePipelined(s *sched.Schedule, alloc *queue.Allocation, opt PipeOptions
 
 	// Static check: without multi-write support, only copy operations may
 	// feed two queues; everything else must have fanout <= 1.
-	if !opt.AllowMultiWrite {
+	if !multi {
 		for id, op := range l.Ops {
 			fan := l.Fanout(op)
 			limit := 1
@@ -189,7 +189,7 @@ func oraclePipelined(s *sched.Schedule, alloc *queue.Allocation, opt PipeOptions
 				limit = 2
 			}
 			if fan > limit {
-				return nil, fmt.Errorf("sim: %v has fanout %d: value needs %d simultaneous writes (run copy insertion or set AllowMultiWrite)",
+				return nil, nil, fmt.Errorf("sim: %v has fanout %d: value needs %d simultaneous writes (run copy insertion)",
 					l.Ops[id], fan, fan)
 			}
 		}
@@ -210,7 +210,7 @@ func oraclePipelined(s *sched.Schedule, alloc *queue.Allocation, opt PipeOptions
 		}
 		as, ok := byDep[di]
 		if !ok {
-			return nil, fmt.Errorf("sim: dependence %v (index %d) has no queue assignment", d, di)
+			return nil, nil, fmt.Errorf("sim: dependence %v (index %d) has no queue assignment", d, di)
 		}
 		lat := l.Ops[d.From].Kind.Latency()
 		comm := 0
@@ -232,7 +232,8 @@ func oraclePipelined(s *sched.Schedule, alloc *queue.Allocation, opt PipeOptions
 	type instKey struct{ op, k int }
 	values := map[instKey]int64{}
 	queues := map[qid][]tagged{}
-	res := &PipeResult{Stores: map[StoreKey]int64{}}
+	res := &PipeResult{}
+	stores := map[StoreKey]int64{}
 	inputs := make([][]int, len(l.Ops)) // flow-input dep indices per op
 	for di, d := range l.Deps {
 		if d.Kind == ir.Flow {
@@ -253,7 +254,7 @@ func oraclePipelined(s *sched.Schedule, alloc *queue.Allocation, opt PipeOptions
 			}
 			wrote[e.q]++
 			if wrote[e.q] > 1 {
-				return nil, fmt.Errorf("sim: cycle %d: two writes to %v queue %d (write-port conflict)", t, e.q.loc, e.q.q)
+				return nil, nil, fmt.Errorf("sim: cycle %d: two writes to %v queue %d (write-port conflict)", t, e.q.loc, e.q.q)
 			}
 			var v int64
 			if e.prodK < 0 {
@@ -263,7 +264,7 @@ func oraclePipelined(s *sched.Schedule, alloc *queue.Allocation, opt PipeOptions
 				var ok bool
 				v, ok = values[instKey{e.dep.From, e.prodK}]
 				if !ok {
-					return nil, fmt.Errorf("sim: cycle %d: write of %v iteration %d before it was computed",
+					return nil, nil, fmt.Errorf("sim: cycle %d: write of %v iteration %d before it was computed",
 						t, l.Ops[e.dep.From], e.prodK)
 				}
 			}
@@ -284,7 +285,7 @@ func oraclePipelined(s *sched.Schedule, alloc *queue.Allocation, opt PipeOptions
 			}
 			busy[class][cl]++
 			if busy[class][cl] > s.Machine.FUCount(cl, class) {
-				return nil, fmt.Errorf("sim: cycle %d: cluster %d issues more %v ops than units", t, cl, class)
+				return nil, nil, fmt.Errorf("sim: cycle %d: cluster %d issues more %v ops than units", t, cl, class)
 			}
 			args = args[:0]
 			for _, di := range inputs[e.op] {
@@ -293,17 +294,17 @@ func oraclePipelined(s *sched.Schedule, alloc *queue.Allocation, opt PipeOptions
 				q := qid{as.Loc, as.Queue}
 				read[q]++
 				if read[q] > 1 {
-					return nil, fmt.Errorf("sim: cycle %d: two reads from %v queue %d (read-port conflict)", t, q.loc, q.q)
+					return nil, nil, fmt.Errorf("sim: cycle %d: two reads from %v queue %d (read-port conflict)", t, q.loc, q.q)
 				}
 				fifo := queues[q]
 				if len(fifo) == 0 {
-					return nil, fmt.Errorf("sim: cycle %d: %v pops empty %v queue %d", t, op, q.loc, q.q)
+					return nil, nil, fmt.Errorf("sim: cycle %d: %v pops empty %v queue %d", t, op, q.loc, q.q)
 				}
 				head := fifo[0]
 				queues[q] = fifo[1:]
 				wantIter := e.k - d.Dist
 				if head.prod != d.From || head.iter != wantIter {
-					return nil, fmt.Errorf("sim: cycle %d: %v iteration %d expected value (%v,%d), FIFO delivered (%v,%d): Q-compatibility violated",
+					return nil, nil, fmt.Errorf("sim: cycle %d: %v iteration %d expected value (%v,%d), FIFO delivered (%v,%d): Q-compatibility violated",
 						t, op, e.k, l.Ops[d.From], wantIter, l.Ops[head.prod], head.iter)
 				}
 				args = append(args, head.val)
@@ -312,7 +313,7 @@ func oraclePipelined(s *sched.Schedule, alloc *queue.Allocation, opt PipeOptions
 			values[instKey{e.op, e.k}] = v
 			res.Issues++
 			if op.Kind == ir.KStore {
-				res.Stores[StoreKey{op.EffID(), l.OrigIter(op, e.k)}] = v
+				stores[StoreKey{op.EffID(), l.OrigIter(op, e.k)}] = v
 			}
 		}
 		// Occupancy accounting and depth limits, after the cycle settles.
@@ -328,7 +329,7 @@ func oraclePipelined(s *sched.Schedule, alloc *queue.Allocation, opt PipeOptions
 				depth = s.Machine.Clusters[q.loc.To].QueueDepth
 			}
 			if depth > 0 && len(fifo) > depth {
-				return nil, fmt.Errorf("sim: cycle %d: %v queue %d exceeds depth %d", t, q.loc, q.q, depth)
+				return nil, nil, fmt.Errorf("sim: cycle %d: %v queue %d exceeds depth %d", t, q.loc, q.q, depth)
 			}
 		}
 	}
@@ -339,8 +340,8 @@ func oraclePipelined(s *sched.Schedule, alloc *queue.Allocation, opt PipeOptions
 	// and never consumed (allocation/schedule mismatch).
 	for q, fifo := range queues {
 		if len(fifo) != 0 {
-			return nil, fmt.Errorf("sim: %v queue %d still holds %d values after drain", q.loc, q.q, len(fifo))
+			return nil, nil, fmt.Errorf("sim: %v queue %d still holds %d values after drain", q.loc, q.q, len(fifo))
 		}
 	}
-	return res, nil
+	return res, stores, nil
 }

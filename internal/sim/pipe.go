@@ -18,26 +18,21 @@ type PipeOptions struct {
 	// N is the number of body iterations to execute; 0 uses the loop's
 	// trip count.
 	N int
-	// AllowMultiWrite permits an ordinary operation to write more than one
-	// queue in the same cycle. This models the paper's Fig. 1(c) baseline
-	// (multi-consumer values without copy operations, needing simultaneous
-	// writes); with copy insertion in the pipeline it should stay false so
-	// the simulator enforces the single-write property.
-	AllowMultiWrite bool
 }
 
 // PipeResult is the outcome of a pipelined execution.
 type PipeResult struct {
 	Cycles   int // cycles from first event to pipeline drain
 	Issues   int // operation instances issued
-	Stores   map[StoreKey]int64
 	MaxDepth int // deepest queue occupancy observed
 }
 
 // Pipelined executes n iterations of the modulo schedule on a cycle-level
 // model of the queue-register-file machine. Every queue pop checks that
 // FIFO order delivers the exact (producer, iteration) instance the
-// dependence requires.
+// dependence requires. A queue read destroys its value, so only a copy
+// operation may feed two queues (paper §2): an ordinary operation whose
+// value has two consumers is rejected before the run.
 func Pipelined(s *sched.Schedule, alloc *queue.Allocation, opt PipeOptions) (*PipeResult, error) {
 	n := opt.N
 	if n <= 0 {
@@ -45,8 +40,8 @@ func Pipelined(s *sched.Schedule, alloc *queue.Allocation, opt PipeOptions) (*Pi
 	}
 	scr := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(scr)
-	res := &PipeResult{Stores: map[StoreKey]int64{}}
-	if _, err := scr.pipelined(context.Background(), s, alloc, n, opt.AllowMultiWrite, res); err != nil {
+	res := &PipeResult{}
+	if _, err := scr.pipelined(context.Background(), s, alloc, n, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -56,8 +51,8 @@ func Pipelined(s *sched.Schedule, alloc *queue.Allocation, opt PipeOptions) (*Pi
 // end-to-end check the compile engine runs, for min(trip, 64, Horizon(s))
 // iterations unless told otherwise. Both runs execute the same loop for the
 // same n, so their store instances pair up one to one by (op, body
-// iteration) and are compared directly, without building either side's
-// Stores map. The pipelined run checks ctx once per II-cycle window it
+// iteration) and are compared directly, without building a Stores map for
+// either side. The pipelined run checks ctx once per II-cycle window it
 // visits and returns ctx.Err() as soon as it is non-nil. Both runs take
 // their working arrays from one pooled scratch, so a call allocates
 // nothing once its processor has replayed a loop as large.
@@ -73,12 +68,12 @@ func (scr *scratch) verifyPipeline(ctx context.Context, s *sched.Schedule, alloc
 		n = s.Loop.TripCount()
 	}
 	l := s.Loop
-	want, err := scr.reference(l, n, nil)
+	want, err := scr.reference(l, n)
 	if err != nil {
 		return err
 	}
 	var res PipeResult
-	got, err := scr.pipelined(ctx, s, alloc, n, false, &res)
+	got, err := scr.pipelined(ctx, s, alloc, n, &res)
 	if err != nil {
 		return err
 	}
@@ -188,10 +183,9 @@ type walkEvent struct {
 // its first window and retires n windows later, so a window costs its
 // bitset words and its live events, and windows and rows with no event
 // cost nothing. Values live in one flat [op*n+k] slice, which it returns.
-// res receives Cycles, Issues and MaxDepth, and each store instance when
-// res.Stores is non-nil. ctx is checked once per visited window, and by
-// the allocation's Verify once per queue.
-func (scr *scratch) pipelined(ctx context.Context, s *sched.Schedule, alloc *queue.Allocation, n int, allowMultiWrite bool, res *PipeResult) ([]int64, error) {
+// res receives Cycles, Issues and MaxDepth. ctx is checked once per
+// visited window, and by the allocation's Verify once per queue.
+func (scr *scratch) pipelined(ctx context.Context, s *sched.Schedule, alloc *queue.Allocation, n int, res *PipeResult) ([]int64, error) {
 	l := s.Loop
 	if err := s.Verify(); err != nil {
 		return nil, err
@@ -200,26 +194,25 @@ func (scr *scratch) pipelined(ctx context.Context, s *sched.Schedule, alloc *que
 		return nil, err
 	}
 
-	// Static check: without multi-write support, only copy operations may
-	// feed two queues; everything else must have fanout <= 1.
-	if !allowMultiWrite {
-		fan := resize(scr.fan, len(l.Ops))
-		scr.fan = fan
-		clear(fan)
-		for _, d := range l.Deps {
-			if d.Kind == ir.Flow {
-				fan[d.From]++
-			}
+	// Static check: a queue read destroys its value, so a value with two
+	// consumers needs two queue writes in one cycle, which only a copy
+	// operation makes; everything else must have fanout <= 1.
+	fan := resize(scr.fan, len(l.Ops))
+	scr.fan = fan
+	clear(fan)
+	for _, d := range l.Deps {
+		if d.Kind == ir.Flow {
+			fan[d.From]++
 		}
-		for id, op := range l.Ops {
-			limit := int32(1)
-			if op.Kind == ir.KCopy {
-				limit = 2
-			}
-			if fan[id] > limit {
-				return nil, fmt.Errorf("sim: %v has fanout %d: value needs %d simultaneous writes (run copy insertion or set AllowMultiWrite)",
-					op, fan[id], fan[id])
-			}
+	}
+	for id, op := range l.Ops {
+		limit := int32(1)
+		if op.Kind == ir.KCopy {
+			limit = 2
+		}
+		if fan[id] > limit {
+			return nil, fmt.Errorf("sim: %v has fanout %d: value needs %d simultaneous writes (run copy insertion)",
+				op, fan[id], fan[id])
 		}
 	}
 
@@ -405,12 +398,8 @@ func (scr *scratch) pipelined(ctx context.Context, s *sched.Schedule, alloc *que
 						args = append(args, vals[d.From*n+want])
 					}
 				}
-				v := ir.Eval(op, l.OrigIter(op, k), args)
-				vals[id*n+k] = v
+				vals[id*n+k] = ir.Eval(op, l.OrigIter(op, k), args)
 				res.Issues++
-				if res.Stores != nil && op.Kind == ir.KStore {
-					res.Stores[StoreKey{op.EffID(), l.OrigIter(op, k)}] = v
-				}
 			}
 		}
 		if err := settle(qs, written, t, res); err != nil {

@@ -38,24 +38,29 @@ type Ref struct {
 }
 
 // Reference executes n iterations of the loop body sequentially. It runs
-// on a scratch of its own, whose values the result keeps.
+// on a scratch of its own, whose values the result keeps, and fills Stores
+// from them after the run.
 func Reference(l *ir.Loop, n int) (*Ref, error) {
-	r := &Ref{Loop: l, N: n, Stores: make(map[StoreKey]int64)}
-	vals, err := new(scratch).reference(l, n, r.Stores)
+	vals, err := new(scratch).reference(l, n)
 	if err != nil {
 		return nil, err
 	}
-	r.Values = make([][]int64, len(l.Ops))
-	for id := range r.Values {
+	r := &Ref{Loop: l, N: n, Values: make([][]int64, len(l.Ops)), Stores: make(map[StoreKey]int64)}
+	for id, op := range l.Ops {
 		r.Values[id] = vals[id*n : (id+1)*n : (id+1)*n]
+		if op.Kind != ir.KStore {
+			continue
+		}
+		for k, v := range r.Values[id] {
+			r.Stores[StoreKey{op.EffID(), l.OrigIter(op, k)}] = v
+		}
 	}
 	return r, nil
 }
 
 // reference is the sequential execution behind Reference. It returns every
-// instance's value in one flat [op*n+k] slice of the scratch and records
-// each store instance in stores when stores is non-nil.
-func (scr *scratch) reference(l *ir.Loop, n int, stores map[StoreKey]int64) ([]int64, error) {
+// instance's value in one flat [op*n+k] slice of the scratch.
+func (scr *scratch) reference(l *ir.Loop, n int) ([]int64, error) {
 	// TopoOrder validates the loop as it orders it.
 	order, err := l.TopoOrder(scr.order)
 	if err != nil {
@@ -83,11 +88,7 @@ func (scr *scratch) reference(l *ir.Loop, n int, stores map[StoreKey]int64) ([]i
 					args = append(args, ir.LeafValue(from.EffID(), l.OrigIter(from, j)))
 				}
 			}
-			v := ir.Eval(op, l.OrigIter(op, k), args)
-			vals[int(id)*n+k] = v
-			if stores != nil && op.Kind == ir.KStore {
-				stores[StoreKey{op.EffID(), l.OrigIter(op, k)}] = v
-			}
+			vals[int(id)*n+k] = ir.Eval(op, l.OrigIter(op, k), args)
 		}
 	}
 	return vals, nil

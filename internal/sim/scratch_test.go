@@ -53,14 +53,12 @@ func (scr *scratch) poison() {
 }
 
 // replayInput is one schedule and allocation the scratch tests replay,
-// with the replay length and write mode TestPipelinedDifferential gives
-// it.
+// with the replay length TestPipelinedDifferential gives it.
 type replayInput struct {
 	label string
 	s     *sched.Schedule
 	a     *queue.Allocation
 	n     int
-	multi bool
 }
 
 // replayInputs is every loop of diffLoops under every differential
@@ -77,10 +75,10 @@ func replayInputs(t *testing.T) []replayInput {
 			}
 			n := verifyIters(s)
 			label := fmt.Sprintf("%s on %s", l.Name, dc.name)
-			ins = append(ins, replayInput{label, s, a, n, dc.multi})
+			ins = append(ins, replayInput{label, s, a, n})
 			for f := faultKind(0); f < numFaults; f++ {
 				if fs, fa, ok := applyFault(s, a, f, li); ok {
-					ins = append(ins, replayInput{fmt.Sprintf("%s/%v", label, f), fs, fa, n, dc.multi})
+					ins = append(ins, replayInput{fmt.Sprintf("%s/%v", label, f), fs, fa, n})
 				}
 			}
 		}
@@ -92,17 +90,20 @@ func replayInputs(t *testing.T) []replayInput {
 }
 
 // replayOutcome is what one scratch makes of an input: VerifyPipeline's
-// verdict and the pipelined run's result and verdict.
+// verdict and the pipelined run's result, store instances and verdict.
 type replayOutcome struct {
 	verify, pipe string
 	res          PipeResult
+	stores       map[StoreKey]int64
 }
 
 func replayOn(scr *scratch, in replayInput) replayOutcome {
 	o := replayOutcome{verify: fmt.Sprint(scr.verifyPipeline(context.Background(), in.s, in.a, in.n))}
-	o.res.Stores = map[StoreKey]int64{}
-	_, err := scr.pipelined(context.Background(), in.s, in.a, in.n, in.multi, &o.res)
+	vals, err := scr.pipelined(context.Background(), in.s, in.a, in.n, &o.res)
 	o.pipe = fmt.Sprint(err)
+	if err == nil {
+		o.stores = denseStores(in.s.Loop, in.n, vals)
+	}
 	return o
 }
 
@@ -115,9 +116,9 @@ func sameOutcome(t *testing.T, label string, got, want replayOutcome) {
 		t.Fatalf("%s: pipelined run = %s, on a fresh scratch %s", label, got.pipe, want.pipe)
 	}
 	g, w := got.res, want.res
-	if g.Cycles != w.Cycles || g.Issues != w.Issues || g.MaxDepth != w.MaxDepth || !maps.Equal(g.Stores, w.Stores) {
+	if g != w || !maps.Equal(got.stores, want.stores) {
 		t.Fatalf("%s: cycles/issues/depth/stores %d/%d/%d/%d, on a fresh scratch %d/%d/%d/%d", label,
-			g.Cycles, g.Issues, g.MaxDepth, len(g.Stores), w.Cycles, w.Issues, w.MaxDepth, len(w.Stores))
+			g.Cycles, g.Issues, g.MaxDepth, len(got.stores), w.Cycles, w.Issues, w.MaxDepth, len(want.stores))
 	}
 }
 

@@ -110,18 +110,6 @@ func TestPipelinedRejectsFanoutWithoutCopies(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "simultaneous writes") {
 		t.Fatalf("expected simultaneous-write rejection, got %v", err)
 	}
-	// With AllowMultiWrite the same schedule must execute correctly.
-	res, err := sim.Pipelined(s, a, sim.PipeOptions{N: 10, AllowMultiWrite: true})
-	if err != nil {
-		t.Fatalf("multi-write execution failed: %v", err)
-	}
-	ref, err := sim.Reference(l, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.CompareStores(ref.Stores, res.Stores, false); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestPipelinedCatchesBadAllocation(t *testing.T) {
