@@ -14,7 +14,8 @@ import (
 // request that omits its machine or effort takes the library defaults
 // ("single:6", fast). Long-running sessions fed by untrusted request
 // streams should bound the cache (the vliwd service layers its own
-// bounded whole-response cache instead and runs its Compiler uncached).
+// bounded whole-response cache instead and compiles through
+// CompileContext, holding no session).
 type CompilerConfig struct {
 	// CacheEntries bounds the session's result cache: 0 means unbounded,
 	// a negative value disables caching (every Run compiles). The cache is
@@ -61,13 +62,6 @@ func NewCompiler(cfg CompilerConfig) *Compiler {
 // cannot poison the shared entry.
 func (c *Compiler) Run(ctx context.Context, req Request) (*Result, error) {
 	return c.RunUntil(ctx, req, StageVerify)
-}
-
-// RunPrepared is Run for a request already prepared (Prepare): it
-// compiles the loop p parsed for its keys instead of parsing the text
-// again, and keys the session cache on p's memoized Canonical.
-func (c *Compiler) RunPrepared(ctx context.Context, p *Prepared) (*Result, error) {
-	return c.run(ctx, p, StageVerify)
 }
 
 // RunUntil compiles a request but stops the pipeline after the named
@@ -135,24 +129,4 @@ func (c *Compiler) RunBatch(ctx context.Context, reqs []Request) []BatchResult {
 		out[i] = BatchResult{Err: ctx.Err()}
 	})
 	return out
-}
-
-// CompilerStats snapshots a session's result-cache counters. It mirrors
-// the internal cache counters so the facade's exported surface stays
-// self-contained.
-type CompilerStats struct {
-	Hits      int64 // Run found an existing entry
-	Misses    int64 // Run compiled (and cached) the entry
-	Evictions int64 // entries dropped by the size bound
-	Entries   int64 // current entry count
-}
-
-// Stats snapshots the session cache counters; a zero CompilerStats is
-// returned when caching is disabled.
-func (c *Compiler) Stats() CompilerStats {
-	if c.cache == nil {
-		return CompilerStats{}
-	}
-	st := c.cache.Stats()
-	return CompilerStats{Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions, Entries: st.Entries}
 }

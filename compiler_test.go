@@ -180,9 +180,6 @@ func TestCompilerSessionCache(t *testing.T) {
 	if a != b {
 		t.Fatal("default spellings of one request compiled twice in one session")
 	}
-	if st := compiler.Stats(); st.Misses != 1 || st.Hits != 1 {
-		t.Fatalf("session cache misses=%d hits=%d, want 1/1", st.Misses, st.Hits)
-	}
 	// A partial run is a distinct cached artifact, never replayed as full.
 	p, err := compiler.RunUntil(ctx, req, vliwq.StageUnroll)
 	if err != nil {
@@ -191,8 +188,11 @@ func TestCompilerSessionCache(t *testing.T) {
 	if p == a || p.Sched != nil {
 		t.Fatal("partial run replayed the full-run entry")
 	}
-	if st := compiler.Stats(); st.Misses != 2 {
-		t.Fatalf("cutoff did not partition the cache key (misses=%d)", st.Misses)
+	if again, err := compiler.RunUntil(ctx, req, vliwq.StageUnroll); err != nil || again != p {
+		t.Fatalf("a repeated partial run compiled again (err %v)", err)
+	}
+	if again, err := compiler.Run(ctx, req); err != nil || again != a {
+		t.Fatalf("the full run after a partial one compiled again (err %v)", err)
 	}
 }
 

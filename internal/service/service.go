@@ -334,9 +334,8 @@ func fate(ctxErr, unkept bool) cache.Fate {
 // Server is the vliwd HTTP service. Create one with New; it is safe for
 // concurrent use by any number of requests.
 type Server struct {
-	cfg      Config
-	compiler *vliwq.Compiler               // uncached session; the response cache below dedups
-	cache    *cache.Cache[string, outcome] // nil when caching is disabled
+	cfg   Config
+	cache *cache.Cache[string, outcome] // nil when caching is disabled
 	// structs is the structural (isomorphism-class) cache beneath the exact
 	// cache: StructuralKey -> compiled Result. In-memory only — it holds
 	// live Result graphs, which the snapshot codec deliberately does not
@@ -386,15 +385,14 @@ type Server struct {
 	machines   map[string]int64 // compiles per normalized machine spec
 }
 
-// New builds a Server from cfg. The server runs an uncached
-// vliwq.Compiler session — the service caches whole rendered responses
-// (report and kernel strings included) under the same canonical key the
-// compiler would use, so a second cache underneath would only duplicate
-// every entry.
+// New builds a Server from cfg. The server holds no vliwq.Compiler
+// session: it caches whole rendered responses (report and kernel strings
+// included) under the request's canonical key, so a session cache
+// underneath would only duplicate every entry, and it compiles each
+// request through vliwq.CompileContext.
 func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
-		compiler: vliwq.NewCompiler(vliwq.CompilerConfig{CacheEntries: -1}),
 		machines: make(map[string]int64),
 		latEWMA:  metrics.NewEWMA(0.2),
 		start:    time.Now(),
@@ -443,6 +441,21 @@ func (s *Server) maxBatch() int {
 	return DefaultMaxBatch
 }
 
+// compile runs the pipeline on the loop p parsed for its keys, so a
+// request's text is parsed at most once. A request Normalize rejected
+// fails with that error before its loop is parsed.
+func compile(ctx context.Context, p *vliwq.Prepared) (*vliwq.Result, error) {
+	opts, err := p.Options()
+	if err != nil {
+		return nil, err
+	}
+	l, err := p.Loop()
+	if err != nil {
+		return nil, err
+	}
+	return vliwq.CompileContext(ctx, l, opts)
+}
+
 // runPipeline executes one compile for a prepared request and feeds
 // every scheduler counter — including the per-stage wall-clock and
 // per-machine-spec tallies the staged engine exposes; cached paths (exact
@@ -451,7 +464,7 @@ func (s *Server) maxBatch() int {
 func (s *Server) runPipeline(ctx context.Context, p *vliwq.Prepared) (*vliwq.Result, string, bool) {
 	s.compiles.Add(1)
 	t0 := time.Now()
-	res, err := s.compiler.RunPrepared(ctx, p)
+	res, err := compile(ctx, p)
 	if err != nil {
 		s.compileErrors.Add(1)
 		return nil, err.Error(), errors.Is(err, context.Canceled) ||

@@ -108,6 +108,38 @@ func TestServerMatchesDirectCompile(t *testing.T) {
 	}
 }
 
+// TestServedCompileReusesPreparedLoop: a served compile runs on the loop
+// the prepared request parsed for its keys, not on a second parse of its
+// text, and reports what a session's Run of the raw request reports. A
+// loop that does not parse fails with the parser's error.
+func TestServedCompileReusesPreparedLoop(t *testing.T) {
+	srv := New(Config{})
+	ctx := context.Background()
+	req := CompileRequest{Loop: vliwq.FormatLoop(testCorpus(t, 1)[0]), Machine: "clustered:4", Effort: "balanced", Unroll: true}
+	p := vliwq.Prepare(req)
+	loop, err := p.Loop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, msg, _ := srv.runPipeline(ctx, p)
+	if got == nil {
+		t.Fatalf("served compile failed: %s", msg)
+	}
+	if got.Input != loop {
+		t.Fatal("the served compile parsed the loop again")
+	}
+	want, err := vliwq.NewCompiler(vliwq.CompilerConfig{CacheEntries: -1}).Run(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Report() != want.Report() || got.KernelSchedule() != want.KernelSchedule() {
+		t.Fatalf("served compile and Run disagree:\n%s\nvs\n%s", got.Report(), want.Report())
+	}
+	if _, msg, _ := srv.runPipeline(ctx, vliwq.Prepare(CompileRequest{Loop: "garbage"})); !strings.Contains(msg, "unknown directive") {
+		t.Fatalf("unparseable loop: error %q", msg)
+	}
+}
+
 func assertMatchesResult(t *testing.T, i int, got *CompileResponse, want *vliwq.Result) {
 	t.Helper()
 	if got.Report != want.Report() {

@@ -12,8 +12,8 @@ import (
 // rendered at most once, and its loop parsed at most once, lazily — a
 // request answered from an exact-key cache never parses. It is the one
 // canonical instance of a request (DESIGN.md §10): the vliwgate gateway
-// routes and coalesces on its keys, the vliwd service carries it from
-// decode to compile, and a Compiler runs it without parsing again.
+// routes and coalesces on its keys, and the vliwd service carries it from
+// decode to compile, where CompileContext compiles the loop Loop parsed.
 // Request.Canonical, StructuralKey and Options are thin wrappers over it.
 //
 // A Prepared lives for one request; nothing is memoized across requests.

@@ -1,7 +1,6 @@
 package vliwq
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -106,34 +105,6 @@ func TestPreparedParsesOnce(t *testing.T) {
 	}
 	if p.StructuralKey() != skey || !strings.HasPrefix(skey, "sq1;m=clustered:4;") {
 		t.Fatalf("structural key %q not memoized or malformed", skey)
-	}
-}
-
-// TestCompilerRunPreparedMatchesRun: a session compiles a prepared request
-// exactly as Run compiles the raw request, and reuses the loop the
-// prepared request parsed.
-func TestCompilerRunPreparedMatchesRun(t *testing.T) {
-	c := NewCompiler(CompilerConfig{CacheEntries: -1})
-	req := Request{Loop: reqTestLoop, Machine: "clustered:4", Effort: "balanced", Unroll: true}
-	want, err := c.Run(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := Prepare(req)
-	loop, _ := p.Loop()
-	got, err := c.RunPrepared(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Input != loop {
-		t.Fatal("RunPrepared parsed the loop again")
-	}
-	if got.Report() != want.Report() || got.KernelSchedule() != want.KernelSchedule() {
-		t.Fatalf("RunPrepared and Run disagree:\n%s\nvs\n%s", got.Report(), want.Report())
-	}
-	if _, err := c.RunPrepared(context.Background(), Prepare(Request{Loop: "garbage"})); err == nil ||
-		!strings.Contains(err.Error(), "unknown directive") {
-		t.Fatalf("unparseable loop: err = %v", err)
 	}
 }
 

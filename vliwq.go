@@ -229,9 +229,11 @@ func Compile(l *Loop, opts Options) (*Result, error) {
 // Compiler.RunBatch — rely on this to stop promptly when the client goes
 // away.
 //
-// CompileContext is a thin shim over the staged engine Compiler sessions
-// drive (compileStaged): both paths run identical code, which is what pins
-// Compiler.Run output byte-for-byte to the historical Compile output.
+// CompileContext runs the staged engine Compiler sessions drive
+// (compileStaged): both paths run identical code, which is what pins
+// Compiler.Run output byte-for-byte to the historical Compile output. The
+// vliwd service compiles each request through it, on the loop its
+// Prepared parsed.
 func CompileContext(ctx context.Context, l *Loop, opts Options) (*Result, error) {
 	return compileStaged(ctx, l, opts, StageVerify)
 }
