@@ -24,16 +24,13 @@ import (
 	"sync/atomic"
 )
 
-// Options configure a Cache. The zero value selects the defaults documented
-// on each field.
+// Options configure a Cache. The zero value is an unbounded cache.
 type Options struct {
-	// Shards is the number of independently locked shards; 0 selects 16.
-	// Rounded up to a power of two so shard selection is a mask.
-	Shards int
 	// MaxEntries bounds the total entry count across all shards; 0 means
 	// unbounded. Per-shard caps sum exactly to MaxEntries, and the shard
-	// count shrinks for small bounds (at least 8 entries per shard) so a
-	// hot shard does not evict while the cache is far below the bound.
+	// count shrinks from shards for small bounds (at least 8 entries per
+	// shard) so a hot shard does not evict while the cache is far below
+	// the bound.
 	// When a shard is at its cap, an insertion evicts a random completed
 	// entry from that shard (entries whose compute is still in flight are
 	// never evicted, so the bound can be exceeded transiently by the
@@ -102,18 +99,14 @@ const (
 	inFlight
 )
 
+// shards is the number of independently locked shards of an unbounded
+// cache, a power of two so shard selection is a mask.
+const shards = 16
+
 // New returns an empty cache. hash maps a key to its shard and must be
 // safe for concurrent use (pure functions are).
 func New[K comparable, V any](opts Options, hash func(K) uint64) *Cache[K, V] {
-	n := opts.Shards
-	if n <= 0 {
-		n = 16
-	}
-	// Round up to a power of two for mask-based shard selection.
-	p := 1
-	for p < n {
-		p <<= 1
-	}
+	p := shards
 	// A bounded cache splits the bound across shards, so fold shards until
 	// each holds a useful slice (>= 8 entries where the bound allows it):
 	// many tiny shards would evict hot entries while the cache as a whole

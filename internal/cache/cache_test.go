@@ -54,7 +54,7 @@ func TestGet(t *testing.T) {
 // TestConcurrentSameKey verifies the singleflight contract: many
 // goroutines racing on one key observe a single compute and one value.
 func TestConcurrentSameKey(t *testing.T) {
-	c := New[string, int](Options{Shards: 4}, StringHash)
+	c := New[string, int](Options{}, StringHash)
 	var computes atomic.Int64
 	var wg sync.WaitGroup
 	const workers = 32
@@ -87,7 +87,7 @@ func TestConcurrentSameKey(t *testing.T) {
 // TestConcurrentManyKeys exercises shard contention across distinct keys;
 // run under -race this is the cache's main data-race check.
 func TestConcurrentManyKeys(t *testing.T) {
-	c := New[string, int](Options{Shards: 8}, StringHash)
+	c := New[string, int](Options{}, StringHash)
 	const keys, workers = 64, 16
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -112,7 +112,7 @@ func TestConcurrentManyKeys(t *testing.T) {
 
 func TestBoundedEviction(t *testing.T) {
 	const bound = 8
-	c := New[int, int](Options{Shards: 1, MaxEntries: bound}, func(k int) uint64 { return uint64(k) })
+	c := New[int, int](Options{MaxEntries: bound}, func(k int) uint64 { return uint64(k) })
 	for i := 0; i < 4*bound; i++ {
 		c.Do(i, func() int { return i })
 	}
@@ -127,21 +127,6 @@ func TestBoundedEviction(t *testing.T) {
 	for i := 0; i < 4*bound; i++ {
 		if got := c.Do(i, func() int { return i }); got != i {
 			t.Fatalf("post-eviction Do(%d) = %d", i, got)
-		}
-	}
-}
-
-func TestShardRounding(t *testing.T) {
-	// A non-power-of-two shard request must still place and find keys.
-	c := New[string, int](Options{Shards: 5}, StringHash)
-	for i := 0; i < 100; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		c.Do(k, func() int { return i })
-	}
-	for i := 0; i < 100; i++ {
-		v, ok := c.Get(fmt.Sprintf("key-%d", i))
-		if !ok || v != i {
-			t.Fatalf("Get(key-%d) = %d, %t", i, v, ok)
 		}
 	}
 }
@@ -173,7 +158,7 @@ func TestBoundedExactCap(t *testing.T) {
 // use, Joined while the compute is in flight, neither on a completed-entry
 // hit — and the Coalesced counter tracking exactly the Joined calls.
 func TestDoWithInfoClassification(t *testing.T) {
-	c := New[string, int](Options{Shards: 1}, StringHash)
+	c := New[string, int](Options{}, StringHash)
 
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -220,7 +205,7 @@ func TestDoWithInfoClassification(t *testing.T) {
 // either the one miss, a coalesced hit, or a plain hit; coalesced never
 // exceeds hits and the sum of classifications covers every call.
 func TestCoalescedSubsetOfHits(t *testing.T) {
-	c := New[string, int](Options{Shards: 4}, StringHash)
+	c := New[string, int](Options{}, StringHash)
 	var wg sync.WaitGroup
 	const workers = 64
 	for w := 0; w < workers; w++ {
@@ -453,7 +438,7 @@ func TestPanickingComputeReleasesJoiners(t *testing.T) {
 // not capacity pressure, so it leaves Evictions alone and Entries where it
 // was before the compute.
 func TestDroppedEntryIsNotAnEviction(t *testing.T) {
-	c := New[string, int](Options{Shards: 1, MaxEntries: 8}, StringHash)
+	c := New[string, int](Options{MaxEntries: 8}, StringHash)
 	c.Do("kept", func() int { return 1 })
 	for _, fate := range []Fate{Share, Retry} {
 		c.DoWithInfo(context.Background(), "dropped", func() (int, Fate) { return 2, fate })
@@ -469,7 +454,7 @@ func TestDroppedEntryIsNotAnEviction(t *testing.T) {
 // got its own value, a Retry value reaches only the caller that computed
 // it, and every value left in the cache was kept.
 func TestFatesUnderContention(t *testing.T) {
-	c := New[string, int](Options{Shards: 1, MaxEntries: 2}, StringHash)
+	c := New[string, int](Options{MaxEntries: 2}, StringHash)
 	var mu sync.Mutex
 	fateOf := map[int]Fate{} // value -> the fate its compute returned
 	var next atomic.Int64

@@ -25,7 +25,7 @@ func FuzzSnapshot(f *testing.F) {
 	f.Add(valid[:len(valid)-5])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const capacity = 1
-		bounded := New[string, string](Options{Shards: 1, MaxEntries: capacity}, StringHash)
+		bounded := New[string, string](Options{MaxEntries: capacity}, StringHash)
 		n, err := bounded.Load(bytes.NewReader(data), stringCodec())
 		if err != nil {
 			if !errors.Is(err, ErrCorruptSnapshot) {

@@ -27,7 +27,7 @@ func fillCache(c *Cache[string, string], n int) {
 // and checks every entry survives byte-identically — and that re-saving the
 // loaded cache reproduces the exact same file (the format is deterministic).
 func TestSnapshotRoundTrip(t *testing.T) {
-	src := New[string, string](Options{Shards: 4}, StringHash)
+	src := New[string, string](Options{}, StringHash)
 	fillCache(src, 37)
 
 	var buf bytes.Buffer
@@ -39,7 +39,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("Save wrote %d entries, want 37", wrote)
 	}
 
-	dst := New[string, string](Options{Shards: 4}, StringHash)
+	dst := New[string, string](Options{}, StringHash)
 	loaded, err := dst.Load(bytes.NewReader(buf.Bytes()), stringCodec())
 	if err != nil {
 		t.Fatalf("Load: %v", err)

@@ -56,10 +56,6 @@ type Config struct {
 	Retries int
 	// Timeout bounds one backend request; 0 means 60 s.
 	Timeout time.Duration
-	// MaxBatch caps the request count of one /batch call before it is
-	// split, mirroring the backend limit so the gateway answers 413 the
-	// same way a single vliwd would; 0 means 1024.
-	MaxBatch int
 
 	// BreakerThreshold is how many consecutive tripping failures (transport
 	// errors and 5xx other than 504) open a backend's circuit breaker; while
@@ -201,13 +197,6 @@ func (g *Gateway) retries() int {
 // maxBodyBytes caps an incoming request body. The gateway fronts /batch,
 // so it allows more than one backend request.
 const maxBodyBytes = 8 << 20
-
-func (g *Gateway) maxBatch() int {
-	if g.cfg.MaxBatch > 0 {
-		return g.cfg.MaxBatch
-	}
-	return service.DefaultMaxBatch
-}
 
 // Route reports the ring slot owning one compile request: a stable mix of
 // the structural key's (vliwq.Request.StructuralKey) FNV-1a hash, modulo
@@ -587,9 +576,11 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		g.fail(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
-	if len(req.Requests) > g.maxBatch() {
+	// The backend's default limit, so the gateway answers 413 the same way
+	// a single vliwd would, before splitting anything.
+	if len(req.Requests) > service.DefaultMaxBatch {
 		g.fail(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d exceeds the %d-request limit", len(req.Requests), g.maxBatch()))
+			fmt.Sprintf("batch of %d exceeds the %d-request limit", len(req.Requests), service.DefaultMaxBatch))
 		return
 	}
 	g.batchItems.Add(int64(len(req.Requests)))

@@ -327,8 +327,12 @@ func TestGatewayBatchDeadSlot(t *testing.T) {
 // TestGatewayBatchLimit: the gateway answers an oversized batch with the
 // same 413 a single vliwd would, before splitting anything.
 func TestGatewayBatchLimit(t *testing.T) {
-	gw, ts, _ := fleet(t, 2, Config{MaxBatch: 4})
-	reqs := testRequests(t, 5)
+	gw, ts, _ := fleet(t, 2, Config{})
+	one := testRequests(t, 1)[0]
+	reqs := make([]service.CompileRequest, service.DefaultMaxBatch+1)
+	for i := range reqs {
+		reqs[i] = one
+	}
 	resp, body := postJSON(t, ts.Client(), ts.URL+"/batch", service.BatchRequest{Requests: reqs})
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized batch: status %d, want 413: %s", resp.StatusCode, body)
