@@ -32,10 +32,11 @@ type Options struct {
 	Loops []*ir.Loop
 	// Workers bounds parallel loop compilation; 0 uses GOMAXPROCS.
 	Workers int
-	// Pipeline, when non-nil, memoizes compilations across experiments
-	// sharing it: the figures compile heavily overlapping (loop, machine,
-	// options) sets, and the cache collapses every repeat into a map hit.
-	// RunAll installs one automatically. Nil compiles uncached.
+	// Pipeline memoizes compilations across experiments sharing it: the
+	// figures compile heavily overlapping (loop, machine, options) sets,
+	// and the cache collapses every repeat into a map hit. RunAll installs
+	// one automatically; a figure called without one compiles on a fresh
+	// one of its own.
 	Pipeline *Pipeline
 	// Effort raises the scheduler effort of every experiment that does not
 	// pin its own (the portfolio sweep pins effort per row). The zero
@@ -177,9 +178,9 @@ type Pipeline struct {
 	c *cache.Cache[memoKey, compiled]
 
 	// stageNanos sums, per vliwq.Stage, the Result.Stages of every
-	// compilation the experiments actually ran through Pipeline.run (memo
-	// misses and uncached compiles alike), so `vliwexp -stage-times` can
-	// show where a figure run's time went.
+	// compilation the experiments actually ran (memo misses and the
+	// hoisted invariant variants' unmemoized compiles alike), so
+	// `vliwexp -stage-times` can show where a figure run's time went.
 	stageNanos [vliwq.NumStages]atomic.Int64
 }
 
@@ -191,9 +192,6 @@ func NewPipeline() *Pipeline {
 	hash := func(k memoKey) uint64 { return cache.StringHash(k.loop.Name) ^ cache.StringHash(k.spec) }
 	return &Pipeline{c: cache.New[memoKey, compiled](cache.Options{}, hash)}
 }
-
-// Stats snapshots the cache counters (hits, misses, entries).
-func (p *Pipeline) Stats() cache.Stats { return p.c.Stats() }
 
 // StageNanos reports the accumulated per-stage compile time, keyed by
 // stage name (vliwq.Stage.String). Only stages with nonzero time appear.
@@ -207,34 +205,32 @@ func (p *Pipeline) StageNanos() map[string]int64 {
 	return out
 }
 
-// outcome adds the stages one compile of l ran to p's clock (a nil p
-// drops them) and reduces its result to the numbers the figures read.
+// outcome adds the stages one compile of l ran to p's clock and reduces
+// its result to the numbers the figures read.
 func (p *Pipeline) outcome(l *ir.Loop, r vliwq.BatchResult) compiled {
 	if r.Err != nil {
 		return compiled{Err: r.Err}
 	}
 	res := r.Result
-	if p != nil {
-		for _, st := range res.Stages {
-			p.stageNanos[st.Stage].Add(st.Duration.Nanoseconds())
-		}
+	for _, st := range res.Stages {
+		p.stageNanos[st.Stage].Add(st.Duration.Nanoseconds())
 	}
-	s, a := res.Sched, res.Alloc
+	s := res.Sched
 	// The dynamic IPC of Figs. 8/9 runs the body trip/U times (at least
 	// once), U original iterations per body.
 	iters := max(l.TripCount()/s.Loop.UnrollFactor(), 1)
 	return compiled{
-		II:          s.II,
-		MII:         s.MII(),
-		StageCount:  s.StageCount(),
+		II:          res.II,
+		MII:         res.MII,
+		StageCount:  res.StageCount,
 		Unrolled:    res.Unrolled,
 		RealOps:     metrics.RealOps(s.Loop),
 		Copies:      countKind(s.Loop, ir.KCopy),
 		Moves:       countKind(s.Loop, ir.KMove),
-		Private:     a.MaxPrivateQueues(),
-		Ring:        a.MaxRingQueues(),
-		Depth:       a.MaxDepth(),
-		IPC:         metrics.IPCStatic(s),
+		Private:     res.Queues,
+		Ring:        res.RingQueues,
+		Depth:       res.Alloc.MaxDepth(),
+		IPC:         res.IPCStatic,
 		Iters:       iters,
 		Cycles:      metrics.Cycles(s, iters),
 		Bound:       s.Bound,
@@ -274,18 +270,23 @@ func (o Options) bind(b binding) (binding, vliwq.Options) {
 	return b, vliwq.Options{Machine: m, Unroll: b.unroll, CopyShape: b.shape, SkipVerify: true, Effort: b.effort}
 }
 
-// plan is a figure's bindings under one Options: the memo key each
-// binding is kept under and the engine options it denotes, built once per
-// figure.
+// plan is a figure's bindings under one Options: the pipeline that
+// memoizes them, the memo key each binding is kept under and the engine
+// options it denotes, built once per figure.
 type plan struct {
 	p    *Pipeline
 	keys []binding
 	opts []vliwq.Options
 }
 
-// plan binds every binding of bs (see bind).
+// plan binds every binding of bs (see bind) on o's pipeline, or on a fresh
+// one when o has none.
 func (o Options) plan(bs []binding) *plan {
-	pl := &plan{p: o.Pipeline, keys: make([]binding, len(bs)), opts: make([]vliwq.Options, len(bs))}
+	p := o.Pipeline
+	if p == nil {
+		p = NewPipeline()
+	}
+	pl := &plan{p: p, keys: make([]binding, len(bs)), opts: make([]vliwq.Options, len(bs))}
 	for j, b := range bs {
 		pl.keys[j], pl.opts[j] = o.bind(b)
 	}
@@ -293,19 +294,12 @@ func (o Options) plan(bs []binding) *plan {
 }
 
 // each calls fn with l's outcome under every binding of the plan, in the
-// plan's order. Without a pipeline one vliwq.CompileEach call compiles
-// them all, so bindings that unroll and insert copies alike share l's
-// transformed bodies. With one, each binding is one memo lookup, and the
-// first that misses compiles, in one such call, itself and every later
-// binding the memo does not hold yet; their lookups then find those
+// plan's order. Each binding is one memo lookup, and the first that misses
+// compiles, in one vliwq.CompileEach call, itself and every later binding
+// the memo does not hold yet, so bindings that unroll and insert copies
+// alike share l's transformed bodies; their lookups then find those
 // outcomes.
 func (pl *plan) each(l *ir.Loop, fn func(j int, c compiled)) {
-	if pl.p == nil {
-		for j, r := range vliwq.CompileEach(context.Background(), l, pl.opts) {
-			fn(j, pl.p.outcome(l, r))
-		}
-		return
-	}
 	var fresh []compiled
 	var ready []bool // ready[j]: fresh[j] holds l's outcome under binding j
 	for j, b := range pl.keys {

@@ -65,7 +65,7 @@ func AblationInvariants(opts Options) *Table {
 		// never hit the memo again, so it compiles uncached, once under
 		// every machine, still on the Pipeline's stage clock.
 		for j, hr := range vliwq.CompileEach(context.Background(), hoisted, pl.opts) {
-			r.hoisted[j] = ii(opts.Pipeline.outcome(hoisted, hr))
+			r.hoisted[j] = ii(pl.p.outcome(hoisted, hr))
 		}
 		return r
 	})

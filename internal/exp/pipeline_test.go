@@ -30,7 +30,8 @@ func compileVia(p *Pipeline, l *ir.Loop, b binding) (c compiled) {
 
 // TestPipelineCacheMatchesUncached is the cache's determinism contract:
 // every experiment must produce table-for-table identical output whether
-// its compilations come from a shared Pipeline or run uncached.
+// its compilations come from a Pipeline shared across figures or from the
+// fresh one a figure called without a Pipeline compiles on.
 func TestPipelineCacheMatchesUncached(t *testing.T) {
 	loops := corpus.Generate(corpus.Params{Seed: 11, N: 16})
 	figs := []struct {
@@ -92,19 +93,19 @@ func TestRunAllCompilesEachBindingOnce(t *testing.T) {
 	opts := Options{Loops: loops, Pipeline: NewPipeline()}
 	RunAll(io.Discard, opts)
 	distinct := int64(len(paperBindings()))
-	if st := opts.Pipeline.Stats(); st.Misses != int64(len(loops))*distinct {
+	if st := opts.Pipeline.c.Stats(); st.Misses != int64(len(loops))*distinct {
 		t.Fatalf("RunAll made %d compiles, want %d loops x %d bindings", st.Misses, len(loops), distinct)
 	}
 
 	opts.Pipeline = NewPipeline()
 	opts.plan(paperBindings()).warm(loops, opts.workers())
-	misses := opts.Pipeline.Stats().Misses
+	misses := opts.Pipeline.c.Stats().Misses
 	if misses != int64(len(loops))*distinct {
 		t.Fatalf("the shared pass made %d compiles, want %d", misses, int64(len(loops))*distinct)
 	}
 	for _, f := range paperFigures {
 		tab := f.fn(opts)
-		if again := opts.Pipeline.Stats().Misses; again != misses {
+		if again := opts.Pipeline.c.Stats().Misses; again != misses {
 			t.Fatalf("%s compiled %d bindings the shared pass had not", tab.ID, again-misses)
 		}
 	}
@@ -147,7 +148,7 @@ func TestPipelineKeySeparation(t *testing.T) {
 	got := make([]compiled, len(cases))
 	for i, tc := range cases {
 		got[i] = compileVia(p, tc.l, tc.b)
-		if st := p.Stats(); st.Misses != int64(i+1) || st.Entries != int64(i+1) || st.Hits != 0 {
+		if st := p.c.Stats(); st.Misses != int64(i+1) || st.Entries != int64(i+1) || st.Hits != 0 {
 			t.Fatalf("%+v: stats %+v, want one miss and one entry per distinct binding", tc.b, st)
 		}
 		_, vo := Options{}.bind(tc.b)
@@ -170,7 +171,7 @@ func TestPipelineKeySeparation(t *testing.T) {
 	if again := compileVia(p, l, cases[0].b); again != got[0] {
 		t.Fatalf("repeat compile returned %+v, want the entry's %+v", again, got[0])
 	}
-	if st := p.Stats(); st.Hits != 1 || st.Misses != int64(len(cases)) || st.Entries != int64(len(cases)) {
+	if st := p.c.Stats(); st.Hits != 1 || st.Misses != int64(len(cases)) || st.Entries != int64(len(cases)) {
 		t.Fatalf("stats after the repeat = %+v, want 1 hit over %d entries", st, len(cases))
 	}
 }
@@ -243,7 +244,7 @@ func TestCompiledMatchesFullResult(t *testing.T) {
 	RunAll(io.Discard, opts)
 	Optimal(opts)
 	entries := memoEntries(t, opts.Pipeline)
-	if n := opts.Pipeline.Stats().Entries; int64(len(entries)) != n {
+	if n := opts.Pipeline.c.Stats().Entries; int64(len(entries)) != n {
 		t.Fatalf("walked %d of %d memo entries", len(entries), n)
 	}
 	bindings := map[binding]bool{}
@@ -291,14 +292,14 @@ func TestStandardCorpusMemoized(t *testing.T) {
 	}
 }
 
-// TestPipelineStatsCounters checks the Pipeline exposes the shared cache's
-// counters: a second identical compile is a hit, not a recompute.
+// TestPipelineStatsCounters checks the Pipeline's memo counters: a second
+// identical compile is a hit, not a recompute.
 func TestPipelineStatsCounters(t *testing.T) {
 	p := NewPipeline()
 	l := corpus.Daxpy()
 	compileVia(p, l, binding{spec: "single:4"})
 	compileVia(p, l, binding{spec: "single:4"})
-	st := p.Stats()
+	st := p.c.Stats()
 	if st.Misses != 1 || st.Hits != 1 || st.Entries != 1 {
 		t.Fatalf("stats = %+v, want 1 miss, 1 hit, 1 entry", st)
 	}
@@ -329,12 +330,12 @@ func TestAblationInvariantsClocksHoistedCompiles(t *testing.T) {
 	opts.Pipeline = NewPipeline()
 	AblationInvariants(opts)
 	first := opts.Pipeline.StageNanos()["schedule"]
-	misses := opts.Pipeline.Stats().Misses
+	misses := opts.Pipeline.c.Stats().Misses
 	AblationInvariants(opts)
 	if again := opts.Pipeline.StageNanos()["schedule"]; again <= first {
 		t.Fatalf("second run did not clock the hoisted compiles: schedule %d -> %d ns", first, again)
 	}
-	if again := opts.Pipeline.Stats().Misses; again != misses {
+	if again := opts.Pipeline.c.Stats().Misses; again != misses {
 		t.Fatalf("hoisted compiles entered the memo: misses %d -> %d", misses, again)
 	}
 }

@@ -90,7 +90,7 @@ func TestOptionsEffortThreadsThroughCompiler(t *testing.T) {
 	opts := small()
 	opts.Pipeline = NewPipeline()
 	Fig6(opts)
-	base := opts.Pipeline.Stats().Misses
+	base := opts.Pipeline.c.Stats().Misses
 	if base == 0 {
 		t.Fatal("fig6 compiled nothing")
 	}
@@ -98,7 +98,7 @@ func TestOptionsEffortThreadsThroughCompiler(t *testing.T) {
 	// under its new key instead of hitting the fast entries.
 	opts.Effort = sched.EffortExhaustive
 	Fig6(opts)
-	if again := opts.Pipeline.Stats().Misses; again <= base {
+	if again := opts.Pipeline.c.Stats().Misses; again <= base {
 		t.Fatalf("effort change added no cache misses (%d -> %d); effort is outside the pipe key", base, again)
 	}
 }

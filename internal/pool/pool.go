@@ -16,9 +16,11 @@ import (
 
 // Run calls fn(i) for every i in [0, n) on a fixed pool of workers: the
 // calling goroutine plus workers-1 goroutines, each claiming the next index
-// from a shared atomic counter. A claim is one atomic add, not a goroutine
-// handoff, so a sweep of a thousand cheap items keeps every worker busy;
-// with workers == 1 every fn runs on the calling goroutine and no goroutine
+// from a shared atomic counter. A claim is one atomic add on that contended
+// counter, so each item must cost well above it: on items of ~20 ns, two
+// workers run slower than one (BenchmarkPoolRun). The callers' items are
+// whole compiles, or one loop's memo lookups under a figure's bindings.
+// With workers == 1 every fn runs on the calling goroutine and no goroutine
 // starts. workers is clamped to [1, n].
 //
 // Indices are claimed in increasing order: when fn(i) starts, every j < i
