@@ -23,6 +23,7 @@ import (
 	"slices"
 	"testing"
 
+	"vliwq/internal/copyins"
 	"vliwq/internal/corpus"
 	"vliwq/internal/ir"
 	"vliwq/internal/machine"
@@ -107,14 +108,36 @@ func TestScheduleDigestPinnedAllEfforts(t *testing.T) {
 // cheaper must leave every verdict, every budget cut and every pruned-node
 // count where it was. The third word is the certified vliwbench
 // configuration (clustered:6, comm latency 2), where the search runs
-// longest. Regenerate the constants only for a deliberate, reviewed change
-// to the search tree, never to make a refactor pass.
+// longest. The fourth runs the same stressed loops, raw and with tree
+// copies, on rings of 2, 3, 5 and 8 clusters at comm latency 1 and 3 and
+// on two seeded uneven rings without moves: the hop latency and the
+// cluster widths shape the dependence weights the search compares between
+// sibling rows. Regenerate the constants only for a deliberate, reviewed
+// change to the search tree, never to make a refactor pass.
 func TestScheduleDigestPinnedOptimal(t *testing.T) {
 	cfgs := []machine.Config{machine.SingleCluster(12), machine.Clustered(4), machine.Clustered(6)}
 	comm := machine.Clustered(6)
 	comm.CommLatency = 2
 	bench := identityCorpus(t)
 	stressed := corpus.Stressed()[:48]
+	rings := slices.Clone(stressed)
+	for _, l := range stressed {
+		rings = append(rings, copyins.Insert(l, copyins.Tree).Loop)
+	}
+	var ringCfgs []machine.Config
+	for _, nc := range []int{2, 3, 5, 8} {
+		for _, lat := range []int{1, 3} {
+			cfg := machine.Clustered(nc)
+			cfg.CommLatency = lat
+			ringCfgs = append(ringCfgs, cfg)
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, nc := range []int{4, 7} {
+		cfg := randomConfig(rng, nc)
+		cfg.AllowMoves = false
+		ringCfgs = append(ringCfgs, cfg)
+	}
 	for _, c := range []struct {
 		name  string
 		loops []*ir.Loop
@@ -124,6 +147,7 @@ func TestScheduleDigestPinnedOptimal(t *testing.T) {
 		{"bench-corpus", bench, cfgs, 0xe37b45a549f77f56},
 		{"stressed-corpus", stressed, cfgs, 0xc649c75f0560a86a},
 		{"stressed-comm2", stressed, []machine.Config{comm}, 0xc70ac6e48e4c2537},
+		{"stressed-rings", rings, ringCfgs, 0xa448e371d0549ba0},
 	} {
 		if got := effortDigest(t, c.loops, c.cfgs, EffortOptimal, true); got != c.want {
 			t.Errorf("effort=optimal %s digest = %#x, want %#x", c.name, got, c.want)
