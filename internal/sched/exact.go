@@ -37,6 +37,17 @@
 // the two endpoints' rows and clusters, so it stays valid, with no undo,
 // for as long as both remain placed.
 //
+// Sibling reuse: the rows dfs tries for one op in one cluster at one node
+// see the same placed ops and, once unwound, the same potentials, and the
+// relaxation reads the row only through the op's incident weights, a step
+// function of the row. So a row whose incident weights all equal the
+// previous sibling's takes that sibling's verdict without relaxing: a
+// rejection again, or the same least potentials, which stay on pot and the
+// undo log until a row with other weights, or the next cluster, unwinds
+// them. Such a reuse is keyed by every input the relaxation reads and
+// never crosses a node or a cluster, so the tree, its counts and every
+// certificate are those of propagating every row.
+//
 // Determinism: the static op order (height desc, ID asc), the candidate
 // order (cluster asc, row asc) and the node budget are all independent of
 // timing, so identical inputs explore the identical tree.
@@ -234,6 +245,13 @@ func (ex *exactSearcher) clusterMask(y int) uint64 {
 // exactInfeasible from a subtree means "keep trying siblings"; exactFound
 // and exactAborted unwind immediately (exactFound leaves the placement
 // intact for schedule).
+//
+// The rows of one cluster are siblings that differ only in x's row, and
+// propagate reads that row only through the weights activate writes, so a
+// row whose weights equal the previous sibling's takes that sibling's
+// verdict instead of relaxing again (DESIGN.md §14 rule 4). An accepted
+// sibling's potentials stay on pot and the undo log until a row with other
+// weights, or the next cluster, unwinds them.
 func (ex *exactSearcher) dfs(depth int) exactStatus {
 	if depth == ex.n {
 		return exactFound
@@ -255,8 +273,10 @@ func (ex *exactSearcher) dfs(depth int) exactStatus {
 		return exactInfeasible
 	}
 	class := ex.class[x]
+	mark := len(ex.undo)
 	for m := mask; m != 0; m &= m - 1 {
 		c := bits.TrailingZeros64(m)
+		tried, ok := false, false // a row of c was propagated; ok is its verdict
 		for r := 0; r < rows; r++ {
 			if !ex.table.free(r, c, class) {
 				ex.pruned++
@@ -274,19 +294,22 @@ func (ex *exactSearcher) dfs(depth int) exactStatus {
 			ex.placed[x] = true
 			ex.rowOf[x] = int32(r)
 			ex.cluOf[x] = int32(c)
-			mark := len(ex.undo)
-			ok := ex.propagate(x) && ex.lookahead(x)
-			if ok {
+			if same := ex.activate(x); !tried || !same {
+				ex.unwind(mark)
+				ok = ex.propagate(x)
+				tried = true
+			}
+			if ok && ex.lookahead(x) {
 				if st := ex.dfs(depth + 1); st != exactInfeasible {
 					return st
 				}
 			} else {
 				ex.pruned++
 			}
-			ex.unwind(mark)
 			ex.placed[x] = false
 			ex.table.remove(r, c, class, x)
 		}
+		ex.unwind(mark)
 	}
 	return exactInfeasible
 }
@@ -322,13 +345,42 @@ func ceilDiv(a, b int) int {
 	return -((-a) / b)
 }
 
-// propagate activates the constraints between x and the placed ops —
-// writing each one's weight into ex.w — and restores the invariant
-// pot[to] >= pot[from] + weight by queue-driven longest-path relaxation.
-// It returns false when the placed subgraph acquires a positive-weight
-// cycle — no stage assignment exists, so the placement is infeasible.
-// Every potential overwrite lands in ex.undo; the caller unwinds to its
-// mark on backtrack (including after a false return).
+// activate writes into ex.w the weight of every dependence between x and
+// a placed op, at x's current row and cluster, and reports whether each
+// equals the value ex.w held for it before. Such a dependence is written
+// only when x is placed, since its other end was placed first, so when x
+// moves to another row at the same node those values are the previous
+// row's: equal weights mean propagate would repeat that row's work.
+func (ex *exactSearcher) activate(x int) bool {
+	t := &ex.deps
+	placed, w := ex.placed, ex.w
+	same := true
+	for _, e := range t.in.At(x) {
+		if placed[t.from[e]] {
+			if k := ex.weight(e); k != w[e] {
+				w[e] = k
+				same = false
+			}
+		}
+	}
+	for _, e := range t.out.At(x) {
+		if v := t.to[e]; placed[v] && int(v) != x {
+			if k := ex.weight(e); k != w[e] {
+				w[e] = k
+				same = false
+			}
+		}
+	}
+	return same
+}
+
+// propagate adds x, whose constraints activate has written, to the placed
+// subgraph and restores the invariant pot[to] >= pot[from] + weight by
+// queue-driven longest-path relaxation. It returns false when the placed
+// subgraph acquires a positive-weight cycle — no stage assignment exists,
+// so the placement is infeasible. Every potential overwrite lands in
+// ex.undo; the caller unwinds to its mark on backtrack (including after a
+// false return).
 //
 // Cycle detection: before x was placed the placed ops had no positive
 // cycle and pot was their least solution, so any positive cycle now runs
@@ -344,23 +396,13 @@ func (ex *exactSearcher) propagate(x int) bool {
 	ex.undo = append(ex.undo, potUndo{int32(x), pot[x]})
 	px := 0
 	for _, e := range t.in.At(x) {
-		p := t.from[e]
-		if !placed[p] {
-			continue
-		}
-		w[e] = ex.weight(e)
-		if int(p) != x {
+		if p := t.from[e]; placed[p] && int(p) != x {
 			if nd := pot[p] + w[e]; nd > px {
 				px = nd
 			}
 		}
 	}
 	pot[x] = px
-	for _, e := range t.out.At(x) {
-		if v := t.to[e]; placed[v] && int(v) != x {
-			w[e] = ex.weight(e)
-		}
-	}
 	q := append(ex.queue[:0], int32(x))
 	queued[x] = true
 	for head := 0; head < len(q); head++ {

@@ -92,7 +92,9 @@ func FuzzMRTBitset(f *testing.F) {
 // TestExactPropagateMatchesOracle: the input picks a stressed loop or a
 // hand-written kernel, a ring of 1-8 clusters, a comm latency of 0-3 and
 // a candidate II in [1, MII+2], and its script is the placement walk —
-// each byte one choice of backtrack-or-place, op, row or cluster. Nightly
+// each byte one choice of backtrack, move or place, op, row or cluster; a
+// move that keeps the op's weights takes the sibling-reuse path
+// (testdata/fuzz/FuzzExactPropagate/seed-reuse reaches it). Nightly
 // fuzz.yml runs this target; crashers land in testdata/fuzz and are
 // committed as regression seeds.
 func FuzzExactPropagate(f *testing.F) {

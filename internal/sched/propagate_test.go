@@ -58,15 +58,32 @@ func oracleStagePotentials(l *ir.Loop, cfg machine.Config, ii int, placed []bool
 	return pot, !relax()
 }
 
-// propagateWalk places and removes ops of l on cfg at ii through one
+// walkStats counts what one propagateWalk did: placements (fresh or moved),
+// rejections among them, and the moves that reused the previous row's
+// propagation, with the rejections among those.
+type walkStats struct {
+	placements, rejected, reused, reusedRejected int
+}
+
+func (w *walkStats) add(o walkStats) {
+	w.placements += o.placements
+	w.rejected += o.rejected
+	w.reused += o.reused
+	w.reusedRejected += o.reusedRejected
+}
+
+// propagateWalk places, moves and removes ops of l on cfg at ii through one
 // exactSearcher, choosing each step with pick(k), which returns a choice
-// in [0, k) or -1 to end the walk. After every placement it checks that
-// propagate rejects exactly when the oracle finds a positive cycle, that
-// an accepted placement leaves every placed potential at the oracle's
-// least solution with no op left queued, and that unwinding a placement
-// restores pot exactly. It returns the number of placements and of
-// rejections.
-func propagateWalk(t *testing.T, l *ir.Loop, cfg machine.Config, ii int, pick func(k int) int) (placements, rejected int) {
+// in [0, k) or -1 to end the walk. It drives the searcher as dfs does: a
+// placement activates x's weights and then propagates, and a move puts the
+// top op on another row of its cluster, where equal weights keep the
+// previous row's verdict and potentials without propagating (DESIGN.md §14
+// rule 4) and other weights unwind and propagate afresh. After every
+// placement and move it checks that the verdict is the oracle's (a
+// positive cycle exactly when it rejects), that an accepted placement
+// leaves every placed potential at the oracle's least solution with no op
+// left queued, and that unwinding a placement restores pot exactly.
+func propagateWalk(t *testing.T, l *ir.Loop, cfg machine.Config, ii int, pick func(k int) int) walkStats {
 	t.Helper()
 	ex := newExactSearcher(l, &cfg)
 	ex.ii = ii
@@ -74,8 +91,10 @@ func propagateWalk(t *testing.T, l *ir.Loop, cfg machine.Config, ii int, pick fu
 	type frame struct {
 		x, mark int
 		before  []int
+		ok      bool // the op's current row was accepted
 	}
 	var stack []frame
+	var st walkStats
 	pop := func() {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -85,60 +104,94 @@ func propagateWalk(t *testing.T, l *ir.Loop, cfg machine.Config, ii int, pick fu
 			t.Fatalf("%s at II=%d: unwinding op %d left pot=%v, want %v", l.Name, ii, f.x, ex.pot, f.before)
 		}
 	}
-	for {
-		c := pick(4)
-		if c < 0 {
-			break
-		}
-		if len(stack) == n || (len(stack) > 0 && c == 0) {
-			pop()
-			continue
-		}
-		k := pick(n - len(stack))
-		r, cl := pick(ii), pick(nc)
-		if k < 0 || r < 0 || cl < 0 {
-			break
-		}
-		x := 0
-		for ; ; x++ {
-			if !ex.placed[x] {
-				if k == 0 {
-					break
-				}
-				k--
-			}
-		}
-		stack = append(stack, frame{x: x, mark: len(ex.undo), before: append([]int(nil), ex.pot...)})
-		ex.placed[x] = true
-		ex.rowOf[x], ex.cluOf[x] = int32(r), int32(cl)
-		got := ex.propagate(x)
-		placements++
+	// check holds the top frame's verdict and potentials to the oracle.
+	check := func(how string) {
+		f := &stack[len(stack)-1]
+		x, r, cl := f.x, ex.rowOf[f.x], ex.cluOf[f.x]
+		st.placements++
 		want, feasible := oracleStagePotentials(l, cfg, ii, ex.placed, ex.rowOf, ex.cluOf)
-		if got != feasible {
-			t.Fatalf("%s on %s (comm %d) at II=%d: placing op %d at (row %d, cluster %d) with %d ops placed: propagate=%v, oracle feasible=%v",
-				l.Name, cfg.Name, cfg.CommLatency, ii, x, r, cl, len(stack), got, feasible)
+		if f.ok != feasible {
+			t.Fatalf("%s on %s (comm %d) at II=%d: %s op %d at (row %d, cluster %d) with %d ops placed: accepted=%v, oracle feasible=%v",
+				l.Name, cfg.Name, cfg.CommLatency, ii, how, x, r, cl, len(stack), f.ok, feasible)
 		}
 		for i, q := range ex.queued {
 			if q {
 				t.Fatalf("%s at II=%d: op %d still queued after propagate", l.Name, ii, i)
 			}
 		}
-		if !got {
-			rejected++
-			pop()
-			continue
+		if !f.ok {
+			st.rejected++
+			ex.placed[x] = false
+			return
 		}
 		for i := range want {
 			if ex.placed[i] && ex.pot[i] != want[i] {
-				t.Fatalf("%s on %s (comm %d) at II=%d: after placing op %d, pot[%d]=%d, least solution %d",
-					l.Name, cfg.Name, cfg.CommLatency, ii, x, i, ex.pot[i], want[i])
+				t.Fatalf("%s on %s (comm %d) at II=%d: after %s op %d, pot[%d]=%d, least solution %d",
+					l.Name, cfg.Name, cfg.CommLatency, ii, how, x, i, ex.pot[i], want[i])
 			}
+		}
+	}
+	for {
+		c := pick(4)
+		if c < 0 {
+			break
+		}
+		top := len(stack) - 1
+		switch {
+		case top >= 0 && c == 1 && ii > 1:
+			// Move the top op to another row of its cluster: the next
+			// sibling dfs would try at this node.
+			f := &stack[top]
+			d := pick(ii - 1)
+			if d < 0 {
+				return st
+			}
+			x := f.x
+			ex.placed[x] = true
+			ex.rowOf[x] = int32((int(ex.rowOf[x]) + 1 + d) % ii)
+			if ex.activate(x) {
+				st.reused++
+				if !f.ok {
+					st.reusedRejected++
+				}
+				check("reusing the previous row's propagation for")
+				continue
+			}
+			ex.unwind(f.mark)
+			if !reflect.DeepEqual(ex.pot, f.before) {
+				t.Fatalf("%s at II=%d: unwinding op %d before moving it left pot=%v, want %v", l.Name, ii, x, ex.pot, f.before)
+			}
+			f.ok = ex.propagate(x)
+			check("moving")
+		case top >= 0 && (c == 0 || len(stack) == n || !stack[top].ok):
+			pop()
+		default:
+			k := pick(n - len(stack))
+			r, cl := pick(ii), pick(nc)
+			if k < 0 || r < 0 || cl < 0 {
+				return st
+			}
+			x := 0
+			for ; ; x++ {
+				if !ex.placed[x] {
+					if k == 0 {
+						break
+					}
+					k--
+				}
+			}
+			stack = append(stack, frame{x: x, mark: len(ex.undo), before: append([]int(nil), ex.pot...)})
+			ex.placed[x] = true
+			ex.rowOf[x], ex.cluOf[x] = int32(r), int32(cl)
+			ex.activate(x)
+			stack[len(stack)-1].ok = ex.propagate(x)
+			check("placing")
 		}
 	}
 	for len(stack) > 0 {
 		pop()
 	}
-	return placements, rejected
+	return st
 }
 
 // walkII draws a candidate II for l on cfg in [1, MII+2]: low enough that
@@ -161,7 +214,7 @@ func TestExactPropagateMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(seed))
 	t.Logf("propagate walk seed %d", seed)
 	loops := corpus.Stressed()
-	placements, rejected := 0, 0
+	var st walkStats
 	for _, nc := range []int{4, 6} {
 		for comm := 0; comm <= 2; comm++ {
 			cfg := machine.Clustered(nc)
@@ -169,19 +222,20 @@ func TestExactPropagateMatchesOracle(t *testing.T) {
 			for walk := 0; walk < 24; walk++ {
 				l := loops[rng.Intn(len(loops))]
 				steps := 0
-				p, r := propagateWalk(t, l, cfg, walkII(l, cfg, rng.Intn(1<<16)), func(k int) int {
+				st.add(propagateWalk(t, l, cfg, walkII(l, cfg, rng.Intn(1<<16)), func(k int) int {
 					if steps++; steps > 1600 {
 						return -1
 					}
 					return rng.Intn(k)
-				})
-				placements += p
-				rejected += r
+				}))
 			}
 		}
 	}
-	t.Logf("%d placements, %d rejected", placements, rejected)
-	if rejected == 0 || rejected == placements {
-		t.Fatalf("walks never exercised both verdicts: %d placements, %d rejected", placements, rejected)
+	t.Logf("%+v", st)
+	if st.rejected == 0 || st.rejected == st.placements {
+		t.Fatalf("walks never exercised both verdicts: %+v", st)
+	}
+	if st.reusedRejected == 0 || st.reusedRejected == st.reused {
+		t.Fatalf("walks never reused both verdicts: %+v", st)
 	}
 }
