@@ -48,8 +48,8 @@
 #     stay at or under OPTIMAL_ALLOC_CAP allocs/op (1,120: 1,083-1,086 over
 #     its 32 loops once the exact search reuses a sibling row's
 #     propagation, about 34 per loop; the search keeps that row's result on
-#     its undo log, so a reuse that grew buffers per search depth, 1,592 in
-#     a prototype, crosses it). This cap was added alongside the reuse; it
+#     its undo log, so a variant that grew buffers per search depth, which
+#     read 1,592, crosses it). This cap was added alongside the reuse; it
 #     loosens no other gate.
 #   - missing benchmarks: every benchmark named in the baseline must appear
 #     in the new run. A benchmark that silently disappears (renamed,

@@ -106,7 +106,7 @@ type exactSearcher struct {
 
 	// Stage-potential state for the difference-constraint propagation.
 	pot    []int  // k[i]: stage counter witness, >= 0
-	w      []int  // per dependence: its weight, valid while both ends are placed
+	w      []int  // per dependence: its last activated weight, valid while both ends are placed
 	queued []bool // op is waiting in queue
 	queue  []int32
 	undo   []potUndo
@@ -246,12 +246,10 @@ func (ex *exactSearcher) clusterMask(y int) uint64 {
 // and exactAborted unwind immediately (exactFound leaves the placement
 // intact for schedule).
 //
-// The rows of one cluster are siblings that differ only in x's row, and
-// propagate reads that row only through the weights activate writes, so a
-// row whose weights equal the previous sibling's takes that sibling's
-// verdict instead of relaxing again (DESIGN.md §14 rule 4). An accepted
-// sibling's potentials stay on pot and the undo log until a row with other
-// weights, or the next cluster, unwinds them.
+// The rows of one cluster are siblings (package comment, DESIGN.md §14
+// rule 4): a row whose weights repeat the previous sibling's keeps that
+// sibling's verdict, so an accepted sibling's potentials stay on pot and
+// the undo log until the next propagate or the next cluster unwinds them.
 func (ex *exactSearcher) dfs(depth int) exactStatus {
 	if depth == ex.n {
 		return exactFound
