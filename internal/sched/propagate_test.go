@@ -82,7 +82,8 @@ func (w *walkStats) add(o walkStats) {
 // placement and move it checks that the verdict is the oracle's (a
 // positive cycle exactly when it rejects), that an accepted placement
 // leaves every placed potential at the oracle's least solution with no op
-// left queued, and that unwinding a placement restores pot exactly.
+// left queued, and that unwinding a placement restores pot exactly; every
+// walk ends by unwinding each placement still on its stack.
 func propagateWalk(t *testing.T, l *ir.Loop, cfg machine.Config, ii int, pick func(k int) int) walkStats {
 	t.Helper()
 	ex := newExactSearcher(l, &cfg)
@@ -131,6 +132,7 @@ func propagateWalk(t *testing.T, l *ir.Loop, cfg machine.Config, ii int, pick fu
 			}
 		}
 	}
+walk:
 	for {
 		c := pick(4)
 		if c < 0 {
@@ -144,7 +146,7 @@ func propagateWalk(t *testing.T, l *ir.Loop, cfg machine.Config, ii int, pick fu
 			f := &stack[top]
 			d := pick(ii - 1)
 			if d < 0 {
-				return st
+				break walk
 			}
 			x := f.x
 			ex.placed[x] = true
@@ -169,7 +171,7 @@ func propagateWalk(t *testing.T, l *ir.Loop, cfg machine.Config, ii int, pick fu
 			k := pick(n - len(stack))
 			r, cl := pick(ii), pick(nc)
 			if k < 0 || r < 0 || cl < 0 {
-				return st
+				break walk
 			}
 			x := 0
 			for ; ; x++ {
