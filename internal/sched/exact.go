@@ -244,12 +244,8 @@ func (ex *exactSearcher) clusterMask(y int) uint64 {
 // dfs places order[depth] in every viable (cluster, row) slot and recurses.
 // exactInfeasible from a subtree means "keep trying siblings"; exactFound
 // and exactAborted unwind immediately (exactFound leaves the placement
-// intact for schedule).
-//
-// The rows of one cluster are siblings (package comment, DESIGN.md §14
-// rule 4): a row whose weights repeat the previous sibling's keeps that
-// sibling's verdict, so an accepted sibling's potentials stay on pot and
-// the undo log until the next propagate or the next cluster unwinds them.
+// intact for schedule). Rows of one cluster share a propagation as the
+// package comment's sibling reuse describes.
 func (ex *exactSearcher) dfs(depth int) exactStatus {
 	if depth == ex.n {
 		return exactFound
