@@ -459,18 +459,28 @@ func TestLockstepCompactEscape(t *testing.T) {
 
 // TestMRTProbeDifferential pins the per-probe agreement of the two MRT
 // occupancy views directly: after every add/remove of a randomized
-// reservation script, the packed bitmap (free, firstFree) must answer
-// exactly like the scalar occupant-list reference (freeScalar, a linear
-// window walk). FuzzMRTBitset extends this script shape to fuzzing.
+// reservation script, the packed bitmap (free, anyFree, firstFree) must
+// answer exactly like the scalar occupant-list reference (freeScalar, a
+// linear row or window walk), and the exact search's count table, given
+// the same script, exactly like the MRT. IIs range over [1, 130], and the
+// first trials sit on either side of the 64-row word boundaries, so rows
+// span one, two and three bitmap words. FuzzMRTBitset extends this script
+// shape to fuzzing.
 func TestMRTProbeDifferential(t *testing.T) {
 	const seed = 8081998
 	rng := rand.New(rand.NewSource(seed))
 	t.Logf("mrt probe seed %d", seed)
+	edges := []int{64, 65, 128, 129, 130}
 	for trial := 0; trial < 64; trial++ {
-		ii := 1 + rng.Intn(64)
+		ii := 1 + rng.Intn(130)
+		if trial < len(edges) {
+			ii = edges[trial]
+		}
 		cfg := randomConfig(rng, 1+rng.Intn(8))
 		nc := cfg.NumClusters()
 		m := newMRT(ii, &cfg)
+		var ct countTable
+		ct.reset(ii, &cfg)
 		type res struct {
 			row, c int
 			class  machine.FUClass
@@ -483,17 +493,19 @@ func TestMRTProbeDifferential(t *testing.T) {
 				k := rng.Intn(len(live))
 				r := live[k]
 				m.remove(r.row, r.c, r.class, r.id)
+				ct.remove(r.row, r.c, r.class)
 				live = append(live[:k], live[k+1:]...)
 			} else {
 				row, c := rng.Intn(ii), rng.Intn(nc)
 				class := machine.FUClass(rng.Intn(int(machine.NumClasses)))
 				if m.freeScalar(row, c, class) {
 					m.add(row, c, class, nextID)
+					ct.add(row, c, class)
 					live = append(live, res{row, c, class, nextID})
 					nextID++
 				}
 			}
-			mrtViewsAgree(t, m, &cfg, ii)
+			mrtViewsAgree(t, m, &ct, &cfg, ii)
 			if t.Failed() {
 				t.Fatalf("trial %d step %d (ii=%d, %s): packed and scalar MRT views diverged", trial, step, ii, cfg.Name)
 			}
@@ -501,18 +513,40 @@ func TestMRTProbeDifferential(t *testing.T) {
 	}
 }
 
-// mrtViewsAgree asserts free == freeScalar on every slot and firstFree ==
-// a scalar window walk on a spread of windows.
-func mrtViewsAgree(t *testing.T, m *mrt, cfg *machine.Config, ii int) {
+// mrtViewsAgree asserts free == freeScalar on every slot, anyFree == a
+// scalar row walk on every (cluster, class) pair and firstFree == a scalar
+// window walk on a spread of windows; and that ct, the count table that
+// saw the same reservations as m, holds each slot's occupant count and
+// answers free and anyFree exactly as m does.
+func mrtViewsAgree(t *testing.T, m *mrt, ct *countTable, cfg *machine.Config, ii int) {
 	t.Helper()
 	nc := cfg.NumClusters()
 	for c := 0; c < nc; c++ {
 		for class := machine.FUClass(0); class < machine.NumClasses; class++ {
+			anyRow := false
 			for row := 0; row < ii; row++ {
-				if got, want := m.free(row, c, class), m.freeScalar(row, c, class); got != want {
+				want := m.freeScalar(row, c, class)
+				anyRow = anyRow || want
+				if got := m.free(row, c, class); got != want {
 					t.Errorf("free(%d,%d,%v) = %v, scalar reference says %v", row, c, class, got, want)
 					return
 				}
+				if got, occ := ct.used[ct.slot(row, c, class)], len(m.occupants(row, c, class)); int(got) != occ {
+					t.Errorf("count table holds %d units at (%d,%d,%v), the MRT %d occupants", got, row, c, class, occ)
+					return
+				}
+				if got := ct.free(row, c, class); got != m.free(row, c, class) {
+					t.Errorf("count table free(%d,%d,%v) = %v, MRT says %v", row, c, class, got, m.free(row, c, class))
+					return
+				}
+			}
+			if got := m.anyFree(c, class); got != anyRow {
+				t.Errorf("anyFree(%d,%v) = %v, scalar reference says %v", c, class, got, anyRow)
+				return
+			}
+			if got := ct.anyFree(c, class); got != m.anyFree(c, class) {
+				t.Errorf("count table anyFree(%d,%v) = %v, MRT says %v", c, class, got, m.anyFree(c, class))
+				return
 			}
 			for _, from := range []int{0, ii / 2, ii - 1, ii, 3*ii + 1} {
 				for _, span := range []int{1, ii / 2, ii} {

@@ -6,8 +6,10 @@
 // prunes with the same packed machinery the heuristic scheduler uses
 // (DESIGN.md §14):
 //
-//   - the bitset MRT row-full words (§13) reject saturated (row, cluster,
-//     class) slots with one AND;
+//   - the row-full words of the bitset MRT (§13) reject saturated (row,
+//     cluster, class) slots with one AND; the search's own table keeps
+//     them next to a count of reserved units per slot (countTable), since
+//     it never asks which ops hold one;
 //   - the ring-adjacency cluster masks cut the cluster dimension to the
 //     intersection of the placed flow neighbours' adjacency words;
 //   - a forward occupancy check prunes a placement whose unplaced flow
@@ -32,21 +34,32 @@
 //
 // Per node the searcher walks the loop's ir.DepIndex in each direction
 // (per-op in- and out-lists of dependence indices over flat
-// from/to/dist/flow columns), and each dependence's stage weight is
-// computed once, when its second endpoint is placed: it depends only on
-// the two endpoints' rows and clusters, so it stays valid, with no undo,
-// for as long as both remain placed.
+// from/to/dist/flow columns). A dependence's stage weight depends only on
+// its two endpoints' rows and clusters, so it is written when its second
+// endpoint is placed and stays valid, with no undo, for as long as both
+// remain placed.
 //
 // Sibling reuse: the rows dfs tries for one op in one cluster at one node
-// see the same placed ops and, once unwound, the same potentials, and the
-// relaxation reads the row only through the op's incident weights, a step
-// function of the row. So a row whose incident weights all equal the
-// previous sibling's takes that sibling's verdict without relaxing: a
-// rejection again, or the same least potentials, which stay on pot and the
-// undo log until a row with other weights, or the next cluster, unwinds
-// them. Such a reuse is keyed by every input the relaxation reads and
-// never crosses a node or a cluster, so the tree, its counts and every
-// certificate are those of propagating every row.
+// see the same placed ops and, once unwound, the same potentials, so three
+// pieces of per-row work are done once per cluster:
+//
+//   - weights: as the row rises through a cluster each incident weight
+//     steps at most once, so activate writes them at the cluster's first
+//     free row together with the row where each steps, and advance applies
+//     only the steps a later row has reached;
+//   - propagation: the relaxation reads the row only through those
+//     weights, so a row with no step since the last propagated row takes
+//     that row's verdict without relaxing — a rejection again, or the same
+//     least potentials, which stay on pot and the undo log until a row
+//     with a step, or the next cluster, unwinds them;
+//   - lookahead: it reads the op's cluster, the placed set and the table,
+//     and the op's own reservation empties its (cluster, class) only when
+//     it takes the class's last free row there, the one row of the cluster
+//     dfs then tries, so the verdict at the cluster's first accepted row
+//     holds for all of its rows.
+//
+// None of this crosses a node or a cluster, so the tree, its counts and
+// every certificate are those of doing all of it at every row.
 //
 // Determinism: the static op order (height desc, ID asc), the candidate
 // order (cluster asc, row asc) and the node budget are all independent of
@@ -99,15 +112,16 @@ type exactSearcher struct {
 	order  []int32 // static placement order: height desc, then ID asc
 	height []int
 
-	table  mrt
+	table  countTable
 	placed []bool
 	rowOf  []int32
 	cluOf  []int32
 
 	// Stage-potential state for the difference-constraint propagation.
-	pot    []int  // k[i]: stage counter witness, >= 0
-	w      []int  // per dependence: its last activated weight, valid while both ends are placed
-	queued []bool // op is waiting in queue
+	pot    []int   // k[i]: stage counter witness, >= 0
+	w      []int   // per dependence: its last activated weight, valid while both ends are placed
+	step   []int32 // per dependence: the row of its later end's cluster where w next changes, >= ii if none
+	queued []bool  // op is waiting in queue
 	queue  []int32
 	undo   []potUndo
 
@@ -188,6 +202,7 @@ func newExactSearcher(l *ir.Loop, cfg *machine.Config) *exactSearcher {
 	ex.cluOf = make([]int32, n)
 	ex.pot = make([]int, n)
 	ex.w = make([]int, len(l.Deps))
+	ex.step = make([]int32, len(l.Deps))
 	ex.queued = make([]bool, n)
 	return ex
 }
@@ -244,8 +259,9 @@ func (ex *exactSearcher) clusterMask(y int) uint64 {
 // dfs places order[depth] in every viable (cluster, row) slot and recurses.
 // exactInfeasible from a subtree means "keep trying siblings"; exactFound
 // and exactAborted unwind immediately (exactFound leaves the placement
-// intact for schedule). Rows of one cluster share a propagation as the
-// package comment's sibling reuse describes.
+// intact for schedule). The rows of one cluster share their weights, their
+// propagations and their lookahead as the package comment's sibling reuse
+// describes.
 func (ex *exactSearcher) dfs(depth int) exactStatus {
 	if depth == ex.n {
 		return exactFound
@@ -270,7 +286,13 @@ func (ex *exactSearcher) dfs(depth int) exactStatus {
 	mark := len(ex.undo)
 	for m := mask; m != 0; m &= m - 1 {
 		c := bits.TrailingZeros64(m)
-		tried, ok := false, false // a row of c was propagated; ok is its verdict
+		ex.cluOf[x] = int32(c)
+		// next is the lowest row at which one of x's weights steps (-1
+		// until the cluster's first free row activates them), ok the
+		// verdict of the last propagated row, and look the cluster's
+		// lookahead verdict once looked.
+		next, ok := -1, false
+		look, looked := false, false
 		for r := 0; r < rows; r++ {
 			if !ex.table.free(r, c, class) {
 				ex.pruned++
@@ -284,16 +306,22 @@ func (ex *exactSearcher) dfs(depth int) exactStatus {
 				ex.ctxCut = true
 				return exactAborted
 			}
-			ex.table.add(r, c, class, x)
+			ex.table.add(r, c, class)
 			ex.placed[x] = true
 			ex.rowOf[x] = int32(r)
-			ex.cluOf[x] = int32(c)
-			if same := ex.activate(x); !tried || !same {
+			if r >= next {
+				if next < 0 {
+					next = ex.activate(x)
+				} else {
+					next = ex.advance(x, r)
+				}
 				ex.unwind(mark)
 				ok = ex.propagate(x)
-				tried = true
 			}
-			if ok && ex.lookahead(x) {
+			if ok && !looked {
+				look, looked = ex.lookahead(x), true
+			}
+			if ok && look {
 				if st := ex.dfs(depth + 1); st != exactInfeasible {
 					return st
 				}
@@ -301,7 +329,7 @@ func (ex *exactSearcher) dfs(depth int) exactStatus {
 				ex.pruned++
 			}
 			ex.placed[x] = false
-			ex.table.remove(r, c, class, x)
+			ex.table.remove(r, c, class)
 		}
 		ex.unwind(mark)
 	}
@@ -318,54 +346,114 @@ func (ex *exactSearcher) unwind(mark int) {
 	}
 }
 
-// weight is the stage-difference coefficient of dependence e between
-// placed endpoints: the schedule needs pot[to] - pot[from] >= weight(e),
-// with weight = ceil((L + row[from] - row[to]) / II) - dist and L
-// including the cross-cluster communication latency for flow dependences.
-func (ex *exactSearcher) weight(e int32) int {
-	t := &ex.deps
-	f, v := t.from[e], t.to[e]
-	l := ex.lat[f] + int(ex.rowOf[f]) - int(ex.rowOf[v])
-	if t.flow[e] && ex.cluOf[f] != ex.cluOf[v] {
-		l += ex.cfg.CommLatency
+// floorDivMod returns q and m with a = q*b + m and 0 <= m < b, for b > 0.
+func floorDivMod(a, b int) (q, m int) {
+	q, m = a/b, a%b
+	if m < 0 {
+		q, m = q-1, m+b
 	}
-	return ceilDiv(l, ex.ii) - t.dist[e]
-}
-
-func ceilDiv(a, b int) int {
-	if a >= 0 {
-		return (a + b - 1) / b
-	}
-	return -((-a) / b)
+	return q, m
 }
 
 // activate writes into ex.w the weight of every dependence between x and
-// a placed op, at x's current row and cluster, and reports whether each
-// equals the value ex.w held for it before. Such a dependence is written
-// only when x is placed, since its other end was placed first, so when x
-// moves to another row at the same node those values are the previous
-// row's: equal weights mean propagate would repeat that row's work.
-func (ex *exactSearcher) activate(x int) bool {
+// a placed op at x's current row r, the first free row of x's cluster that
+// dfs tries, and into ex.step the row of that cluster at which the weight
+// steps. It returns the lowest such row, or more than any row if no weight
+// steps above r.
+//
+// A dependence's weight is ceil(span / II) - dist, with span = L +
+// row[from] - row[to] and L including the hop latency when a flow
+// dependence crosses clusters. As x's row rises through one cluster by one
+// per row, the span of a dependence into x falls and its weight drops by
+// one at the row where the span reaches a multiple of II; the span of a
+// dependence out of x rises and its weight rises by one at the row just
+// past a multiple. Over II rows each weight steps at most once. A self
+// dependence spans lat(x) at every row. A dependence is written only when
+// its second end is placed, so between two rows of x at one node its
+// weight is x's alone to change.
+func (ex *exactSearcher) activate(x int) int {
 	t := &ex.deps
-	placed, w := ex.placed, ex.w
-	same := true
+	placed, w, step := ex.placed, ex.w, ex.step
+	ii, r, c := ex.ii, int(ex.rowOf[x]), ex.cluOf[x]
+	next := ii
 	for _, e := range t.in.At(x) {
-		if placed[t.from[e]] {
-			if k := ex.weight(e); k != w[e] {
-				w[e] = k
-				same = false
+		p := t.from[e]
+		if !placed[p] {
+			continue
+		}
+		span := ex.lat[p] + int(ex.rowOf[p]) - r
+		if t.flow[e] && ex.cluOf[p] != c {
+			span += ex.cfg.CommLatency
+		}
+		q, m := floorDivMod(span, ii)
+		w[e] = q - t.dist[e]
+		s := ii
+		if m != 0 {
+			w[e]++
+			if int(p) != x {
+				s = r + m
 			}
+		}
+		step[e] = int32(s)
+		if s < next {
+			next = s
 		}
 	}
 	for _, e := range t.out.At(x) {
-		if v := t.to[e]; placed[v] && int(v) != x {
-			if k := ex.weight(e); k != w[e] {
-				w[e] = k
-				same = false
-			}
+		v := t.to[e]
+		if !placed[v] || int(v) == x {
+			continue
+		}
+		span := ex.lat[x] + r - int(ex.rowOf[v])
+		if t.flow[e] && ex.cluOf[v] != c {
+			span += ex.cfg.CommLatency
+		}
+		q, m := floorDivMod(span, ii)
+		w[e] = q - t.dist[e]
+		s := r + 1
+		if m != 0 {
+			w[e]++
+			s = r + ii + 1 - m
+		}
+		step[e] = int32(s)
+		if s < next {
+			next = s
 		}
 	}
-	return same
+	return next
+}
+
+// advance moves x's weights from the last row of its cluster that
+// propagated up to row r: it applies each step activate recorded at or
+// below r, -1 for a dependence into x and +1 for one out of it, retires
+// it, and returns the lowest step still above r, like activate.
+func (ex *exactSearcher) advance(x, r int) int {
+	t := &ex.deps
+	placed, w, step := ex.placed, ex.w, ex.step
+	next, row, none := int32(ex.ii), int32(r), int32(ex.ii)
+	for _, e := range t.in.At(x) {
+		if !placed[t.from[e]] {
+			continue
+		}
+		if s := step[e]; s <= row {
+			w[e]--
+			step[e] = none
+		} else if s < next {
+			next = s
+		}
+	}
+	for _, e := range t.out.At(x) {
+		if v := t.to[e]; !placed[v] || int(v) == x {
+			continue
+		}
+		if s := step[e]; s <= row {
+			w[e]++
+			step[e] = none
+		} else if s < next {
+			next = s
+		}
+	}
+	return int(next)
 }
 
 // propagate adds x, whose constraints activate has written, to the placed

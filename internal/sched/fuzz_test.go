@@ -36,24 +36,30 @@ func fuzzMachine(nc int, widths uint8) machine.Config {
 }
 
 // FuzzMRTBitset fuzzes the packed MRT occupancy bitmaps against the scalar
-// occupant-list reference (the same agreement TestMRTProbeDifferential
-// pins on fixed seeds). The input derives an II in [1, 64], a ring machine
-// of 1-64 clusters with mixed FU widths, and a reservation script; after
-// every add/remove the packed free bit of each (row, cluster, class) slot
-// must match freeScalar, and firstFree windows must match a scalar walk.
-// Any divergence is a feasibility probe the scheduler would answer
-// differently from the scalar reference — exactly the break the lockstep
-// test exists to catch. Nightly fuzz.yml runs this target;
+// occupant-list reference, and the exact search's count table against the
+// MRT (the same agreement TestMRTProbeDifferential pins on fixed seeds).
+// The input derives an II in [1, 130], so rows span up to three bitmap
+// words, a ring machine of 1-64 clusters with mixed FU widths, and a
+// reservation script that both tables apply; after every add/remove the
+// packed free bit of each (row, cluster, class) slot must match
+// freeScalar, anyFree and firstFree windows must match a scalar walk, and
+// the count table must answer free and anyFree as the MRT does. Any
+// divergence is a feasibility probe the scheduler or the exact search
+// would answer differently from the scalar reference — exactly the break
+// the lockstep test exists to catch. Nightly fuzz.yml runs this target;
 // crashers land in testdata/fuzz and are committed as regression seeds.
 func FuzzMRTBitset(f *testing.F) {
 	f.Add(uint8(3), uint8(1), uint8(0), []byte{0, 0, 0, 1, 1, 0, 2, 0, 1})
 	f.Add(uint8(63), uint8(5), uint8(7), []byte{10, 2, 0, 11, 3, 1, 10, 2, 0, 200, 0, 0})
 	f.Add(uint8(64), uint8(8), uint8(255), []byte{0, 0, 0, 63, 7, 3, 31, 4, 2, 1, 1, 1, 128, 0, 0})
+	f.Add(uint8(129), uint8(2), uint8(0x5a), []byte{63, 0, 0, 64, 0, 0, 127, 1, 1, 128, 1, 1, 129, 0, 2, 0, 0, 200, 64, 1, 0})
 	f.Fuzz(func(t *testing.T, iiRaw, ncRaw, widths uint8, script []byte) {
-		ii := 1 + int(iiRaw)%64
+		ii := 1 + int(iiRaw)%130
 		nc := 1 + int(ncRaw)%machine.MaxClusters
 		cfg := fuzzMachine(nc, widths)
 		m := newMRT(ii, &cfg)
+		var ct countTable
+		ct.reset(ii, &cfg)
 
 		type res struct {
 			row, c int
@@ -68,17 +74,19 @@ func FuzzMRTBitset(f *testing.F) {
 				k := (int(a)<<8 | int(b)) % len(live)
 				r := live[k]
 				m.remove(r.row, r.c, r.class, r.id)
+				ct.remove(r.row, r.c, r.class)
 				live = append(live[:k], live[k+1:]...)
 			} else {
 				row, c := int(a)%ii, int(b)%nc
 				class := machine.FUClass(op % uint8(machine.NumClasses))
 				if m.freeScalar(row, c, class) {
 					m.add(row, c, class, nextID)
+					ct.add(row, c, class)
 					live = append(live, res{row, c, class, nextID})
 					nextID++
 				}
 			}
-			mrtViewsAgree(t, m, &cfg, ii)
+			mrtViewsAgree(t, m, &ct, &cfg, ii)
 			if t.Failed() {
 				t.Fatalf("packed and scalar MRT views diverged at script offset %d (ii=%d, nc=%d, widths=%#x)",
 					i, ii, nc, widths)
@@ -93,10 +101,11 @@ func FuzzMRTBitset(f *testing.F) {
 // hand-written kernel, a ring of 1-8 clusters, a comm latency of 0-3 and
 // a candidate II in [1, MII+2], and its script is the placement walk —
 // each byte one choice of backtrack, move or place, op, row or cluster; a
-// move that keeps the op's weights takes the sibling-reuse path
-// (testdata/fuzz/FuzzExactPropagate/seed-reuse reaches it). Nightly
-// fuzz.yml runs this target; crashers land in testdata/fuzz and are
-// committed as regression seeds.
+// move to a higher row with no weight step at or below it takes the
+// sibling-reuse path, and an accepted move re-checks its cluster's
+// lookahead (testdata/fuzz/FuzzExactPropagate/seed-reuse reaches both
+// verdicts of each). Nightly fuzz.yml runs this target; crashers land in
+// testdata/fuzz and are committed as regression seeds.
 func FuzzExactPropagate(f *testing.F) {
 	f.Add(uint16(0), uint8(3), uint8(2), uint8(0), []byte{1, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 0})
 	f.Add(uint16(17), uint8(5), uint8(1), uint8(3), []byte{1, 5, 2, 4, 2, 9, 1, 3, 3, 1, 0, 5, 1, 2, 7, 1, 0, 0, 2, 4, 4, 4})

@@ -5,9 +5,12 @@ package sched
 // questions incrementally — does the placed subgraph have a positive
 // cycle, and if not, what is its least non-negative stage assignment — and
 // the oracle answers both from scratch with a plain Bellman–Ford over the
-// placed subgraph. Random placement walks, backtracking through the undo
-// log the way dfs does, drive the searcher directly, so the check covers
-// placements and orders the search itself would never try.
+// placed subgraph. The weights it relaxes are kept incrementally across a
+// cluster's rows (activate, advance) and are held to weight, which
+// computes each one from scratch. Random placement walks, backtracking
+// through the undo log and moving up a cluster's rows the way dfs does,
+// drive the searcher directly, so the check covers placements and orders
+// the search itself would never try.
 
 import (
 	"math/rand"
@@ -58,11 +61,36 @@ func oracleStagePotentials(l *ir.Loop, cfg machine.Config, ii int, placed []bool
 	return pot, !relax()
 }
 
+// weight is the reference for the incremental weights activate and advance
+// keep in ex.w: the stage-difference coefficient of dependence e between
+// placed endpoints, which the schedule needs pot[to] - pot[from] to reach,
+// computed from the endpoints' rows and clusters alone as
+// ceil((L + row[from] - row[to]) / II) - dist, with L including the
+// cross-cluster communication latency for flow dependences.
+func weight(ex *exactSearcher, e int32) int {
+	t := &ex.deps
+	f, v := t.from[e], t.to[e]
+	l := ex.lat[f] + int(ex.rowOf[f]) - int(ex.rowOf[v])
+	if t.flow[e] && ex.cluOf[f] != ex.cluOf[v] {
+		l += ex.cfg.CommLatency
+	}
+	return ceilDiv(l, ex.ii) - t.dist[e]
+}
+
+func ceilDiv(a, b int) int {
+	if a >= 0 {
+		return (a + b - 1) / b
+	}
+	return -((-a) / b)
+}
+
 // walkStats counts what one propagateWalk did: placements (fresh or moved),
-// rejections among them, and the moves that reused the previous row's
-// propagation, with the rejections among those.
+// rejections among them, the moves that reused the previous row's
+// propagation, with the rejections among those, and the accepted moves
+// whose lookahead was held to the verdict of their cluster's first accepted
+// row, with the failed verdicts among those.
 type walkStats struct {
-	placements, rejected, reused, reusedRejected int
+	placements, rejected, reused, reusedRejected, looked, lookFailed int
 }
 
 func (w *walkStats) add(o walkStats) {
@@ -70,29 +98,42 @@ func (w *walkStats) add(o walkStats) {
 	w.rejected += o.rejected
 	w.reused += o.reused
 	w.reusedRejected += o.reusedRejected
+	w.looked += o.looked
+	w.lookFailed += o.lookFailed
 }
 
 // propagateWalk places, moves and removes ops of l on cfg at ii through one
 // exactSearcher, choosing each step with pick(k), which returns a choice
-// in [0, k) or -1 to end the walk. It drives the searcher as dfs does: a
-// placement activates x's weights and then propagates, and a move puts the
-// top op on another row of its cluster, where equal weights keep the
-// previous row's verdict and potentials without propagating (DESIGN.md §14
-// rule 4) and other weights unwind and propagate afresh. After every
-// placement and move it checks that the verdict is the oracle's (a
-// positive cycle exactly when it rejects), that an accepted placement
-// leaves every placed potential at the oracle's least solution with no op
-// left queued, and that unwinding a placement restores pot exactly; every
-// walk ends by unwinding each placement still on its stack.
+// in [0, k) or -1 to end the walk. It drives the searcher as dfs does, and
+// reserves every placed op's slot in the search's table, skipping a full
+// one. A placement activates x's weights and the rows where they step,
+// then propagates. A move puts the top op on a higher free row of its
+// cluster, the next sibling dfs would try: with no step at or below that
+// row it keeps the previous row's verdict and potentials without
+// propagating (DESIGN.md §14 rule 4); otherwise it applies only those
+// steps, unwinds and propagates afresh. From a cluster's top free row the
+// op moves to another (cluster, row) and activates from scratch. After
+// every placement and move it checks each weight between placed ops
+// against weight, the verdict against the oracle's (a positive cycle
+// exactly when it rejects), that an accepted placement leaves every placed
+// potential at the oracle's least solution with no op left queued, that an
+// accepted move's lookahead matches its cluster's first accepted row's,
+// and that unwinding a placement restores pot exactly; every walk ends by
+// unwinding each placement still on its stack.
 func propagateWalk(t *testing.T, l *ir.Loop, cfg machine.Config, ii int, pick func(k int) int) walkStats {
 	t.Helper()
 	ex := newExactSearcher(l, &cfg)
 	ex.ii = ii
+	ex.table.reset(ii, &cfg)
 	n, nc := ex.n, cfg.NumClusters()
 	type frame struct {
 		x, mark int
 		before  []int
+		next    int  // lowest row at which one of x's weights steps
 		ok      bool // the op's current row was accepted
+		// look is the lookahead verdict at the first accepted row of the
+		// op's current cluster, once looked.
+		look, looked bool
 	}
 	var stack []frame
 	var st walkStats
@@ -101,15 +142,23 @@ func propagateWalk(t *testing.T, l *ir.Loop, cfg machine.Config, ii int, pick fu
 		stack = stack[:len(stack)-1]
 		ex.unwind(f.mark)
 		ex.placed[f.x] = false
+		ex.table.remove(int(ex.rowOf[f.x]), int(ex.cluOf[f.x]), ex.class[f.x])
 		if !reflect.DeepEqual(ex.pot, f.before) {
 			t.Fatalf("%s at II=%d: unwinding op %d left pot=%v, want %v", l.Name, ii, f.x, ex.pot, f.before)
 		}
 	}
-	// check holds the top frame's verdict and potentials to the oracle.
+	// check holds the top frame's weights, verdict, potentials and
+	// lookahead to their references.
 	check := func(how string) {
 		f := &stack[len(stack)-1]
 		x, r, cl := f.x, ex.rowOf[f.x], ex.cluOf[f.x]
 		st.placements++
+		for e := range l.Deps {
+			if d := l.Deps[e]; ex.placed[d.From] && ex.placed[d.To] && ex.w[e] != weight(ex, int32(e)) {
+				t.Fatalf("%s on %s (comm %d) at II=%d: after %s op %d at (row %d, cluster %d), dependence %d (%d->%d) has weight %d, want %d",
+					l.Name, cfg.Name, cfg.CommLatency, ii, how, x, r, cl, e, d.From, d.To, ex.w[e], weight(ex, int32(e)))
+			}
+		}
 		want, feasible := oracleStagePotentials(l, cfg, ii, ex.placed, ex.rowOf, ex.cluOf)
 		if f.ok != feasible {
 			t.Fatalf("%s on %s (comm %d) at II=%d: %s op %d at (row %d, cluster %d) with %d ops placed: accepted=%v, oracle feasible=%v",
@@ -131,6 +180,33 @@ func propagateWalk(t *testing.T, l *ir.Loop, cfg machine.Config, ii int, pick fu
 					l.Name, cfg.Name, cfg.CommLatency, ii, how, x, i, ex.pot[i], want[i])
 			}
 		}
+		look := ex.lookahead(x)
+		if !f.looked {
+			f.look, f.looked = look, true
+			return
+		}
+		st.looked++
+		if !look {
+			st.lookFailed++
+		}
+		if look != f.look {
+			t.Fatalf("%s on %s (comm %d) at II=%d: after %s op %d to row %d of cluster %d, lookahead=%v, but %v at the cluster's first accepted row",
+				l.Name, cfg.Name, cfg.CommLatency, ii, how, x, r, cl, look, f.look)
+		}
+	}
+	// fresh activates the top op from scratch at its row and cluster, as
+	// dfs does at a cluster's first free row, and propagates.
+	fresh := func(how string) {
+		f := &stack[len(stack)-1]
+		ex.placed[f.x] = true
+		f.next = ex.activate(f.x)
+		f.looked = false
+		ex.unwind(f.mark)
+		if !reflect.DeepEqual(ex.pot, f.before) {
+			t.Fatalf("%s at II=%d: unwinding op %d before %s it left pot=%v, want %v", l.Name, ii, f.x, how, ex.pot, f.before)
+		}
+		f.ok = ex.propagate(f.x)
+		check(how)
 	}
 walk:
 	for {
@@ -140,18 +216,45 @@ walk:
 		}
 		top := len(stack) - 1
 		switch {
-		case top >= 0 && c == 1 && ii > 1:
-			// Move the top op to another row of its cluster: the next
-			// sibling dfs would try at this node.
+		case top >= 0 && c == 1:
 			f := &stack[top]
-			d := pick(ii - 1)
-			if d < 0 {
-				break walk
+			x, class := f.x, ex.class[f.x]
+			r0, c0 := int(ex.rowOf[x]), int(ex.cluOf[x])
+			r := -1
+			if r0+1 < ii {
+				d := pick(ii - 1 - r0)
+				if d < 0 {
+					break walk
+				}
+				for q := r0 + 1 + d; q < ii && r < 0; q++ {
+					if ex.table.free(q, c0, class) {
+						r = q
+					}
+				}
 			}
-			x := f.x
+			if r < 0 {
+				// No free row above: like dfs at its next cluster, take
+				// another slot and activate from scratch.
+				r, cl := pick(ii), pick(nc)
+				if r < 0 || cl < 0 {
+					break walk
+				}
+				ex.table.remove(r0, c0, class)
+				if !ex.table.free(r, cl, class) {
+					ex.table.add(r0, c0, class)
+					continue
+				}
+				ex.table.add(r, cl, class)
+				ex.rowOf[x], ex.cluOf[x] = int32(r), int32(cl)
+				fresh("moving to another cluster")
+				continue
+			}
+			// The next sibling dfs would try at this node.
+			ex.table.remove(r0, c0, class)
+			ex.table.add(r, c0, class)
 			ex.placed[x] = true
-			ex.rowOf[x] = int32((int(ex.rowOf[x]) + 1 + d) % ii)
-			if ex.activate(x) {
+			ex.rowOf[x] = int32(r)
+			if r < f.next {
 				st.reused++
 				if !f.ok {
 					st.reusedRejected++
@@ -159,6 +262,7 @@ walk:
 				check("reusing the previous row's propagation for")
 				continue
 			}
+			f.next = ex.advance(x, r)
 			ex.unwind(f.mark)
 			if !reflect.DeepEqual(ex.pot, f.before) {
 				t.Fatalf("%s at II=%d: unwinding op %d before moving it left pot=%v, want %v", l.Name, ii, x, ex.pot, f.before)
@@ -182,12 +286,13 @@ walk:
 					k--
 				}
 			}
-			stack = append(stack, frame{x: x, mark: len(ex.undo), before: append([]int(nil), ex.pot...)})
-			ex.placed[x] = true
+			if !ex.table.free(r, cl, ex.class[x]) {
+				continue
+			}
+			ex.table.add(r, cl, ex.class[x])
 			ex.rowOf[x], ex.cluOf[x] = int32(r), int32(cl)
-			ex.activate(x)
-			stack[len(stack)-1].ok = ex.propagate(x)
-			check("placing")
+			stack = append(stack, frame{x: x, mark: len(ex.undo), before: append([]int(nil), ex.pot...)})
+			fresh("placing")
 		}
 	}
 	for len(stack) > 0 {
@@ -209,7 +314,8 @@ func walkII(l *ir.Loop, cfg machine.Config, r int) int {
 
 // TestExactPropagateMatchesOracle runs seeded random placement walks over
 // stressed loops on clustered:4 and clustered:6 at comm latency 0-2 and
-// holds propagate to the Bellman–Ford oracle at every step. The seed is
+// holds the weights to weight, propagate to the Bellman–Ford oracle and
+// lookahead to its cluster's first verdict at every step. The seed is
 // logged so a failure replays exactly.
 func TestExactPropagateMatchesOracle(t *testing.T) {
 	const seed = 20261017
@@ -239,5 +345,8 @@ func TestExactPropagateMatchesOracle(t *testing.T) {
 	}
 	if st.reusedRejected == 0 || st.reusedRejected == st.reused {
 		t.Fatalf("walks never reused both verdicts: %+v", st)
+	}
+	if st.lookFailed == 0 || st.lookFailed == st.looked {
+		t.Fatalf("walks never held both lookahead verdicts to their cluster's first: %+v", st)
 	}
 }
