@@ -4,14 +4,13 @@
 // hard, trivial regions take the fast tier, hard regions go through the
 // portfolio/certified tiers, and the per-region schedules are merged back
 // into one program schedule whose total order is verified. All per-region
-// compiles run as canonical vliwq.Requests through one vliwq.Compiler
-// session per call, so the session's result cache (keyed by the exact
-// Canonical request) dedups identical regions and Result.Bound
-// certificates apply to each region exactly as they would to a standalone
-// request — a region's compile is byte-identical to compiling its lifted
-// loop alone, and the same Requests can be posted verbatim to a vliwd
-// /batch endpoint, whose service adds the structural cache layer (see
-// DESIGN.md §15).
+// compiles run as canonical vliwq.Requests through one uncached
+// vliwq.Compiler session per call, each under the caller's context, and
+// Result.Bound certificates apply to each region exactly as they would to
+// a standalone request — a region's compile is byte-identical to compiling
+// its lifted loop alone, and the same Requests can be posted verbatim to a
+// vliwd /batch endpoint, whose service adds its exact and structural cache
+// layers (see DESIGN.md §15).
 package program
 
 import (
@@ -137,7 +136,11 @@ func ScheduleProgram(ctx context.Context, p *frontend.Program, opts Options) (*S
 		return nil, err
 	}
 	m, _ := vliwq.ParseMachine(o.Machine)
-	results := vliwq.NewCompiler(vliwq.CompilerConfig{Workers: o.Workers}).RunBatch(ctx, reqs)
+	// No session cache: a program's regions are rarely the same loop
+	// (those of corpus.Traced() never are), so a cache would only add an
+	// entry and a singleflight per region, and it would compile detached
+	// from ctx.
+	results := vliwq.NewCompiler(vliwq.CompilerConfig{CacheEntries: -1, Workers: o.Workers}).RunBatch(ctx, reqs)
 	s := &Schedule{Program: p, Machine: m.Spec(), Regions: make([]RegionSchedule, len(reqs))}
 	for i, br := range results {
 		if br.Err != nil {
