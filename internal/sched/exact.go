@@ -430,14 +430,15 @@ func (ex *exactSearcher) activate(x int) int {
 func (ex *exactSearcher) advance(x, r int) int {
 	t := &ex.deps
 	placed, w, step := ex.placed, ex.w, ex.step
-	next, row, none := int32(ex.ii), int32(r), int32(ex.ii)
+	ii, row := int32(ex.ii), int32(r)
+	next := ii
 	for _, e := range t.in.At(x) {
 		if !placed[t.from[e]] {
 			continue
 		}
 		if s := step[e]; s <= row {
 			w[e]--
-			step[e] = none
+			step[e] = ii
 		} else if s < next {
 			next = s
 		}
@@ -448,7 +449,7 @@ func (ex *exactSearcher) advance(x, r int) int {
 		}
 		if s := step[e]; s <= row {
 			w[e]++
-			step[e] = none
+			step[e] = ii
 		} else if s < next {
 			next = s
 		}
@@ -456,13 +457,13 @@ func (ex *exactSearcher) advance(x, r int) int {
 	return int(next)
 }
 
-// propagate adds x, whose constraints activate has written, to the placed
-// subgraph and restores the invariant pot[to] >= pot[from] + weight by
-// queue-driven longest-path relaxation. It returns false when the placed
-// subgraph acquires a positive-weight cycle — no stage assignment exists,
-// so the placement is infeasible. Every potential overwrite lands in
-// ex.undo; the caller unwinds to its mark on backtrack (including after a
-// false return).
+// propagate adds x, whose constraints activate and advance have written,
+// to the placed subgraph and restores the invariant pot[to] >= pot[from] +
+// weight by queue-driven longest-path relaxation. It returns false when
+// the placed subgraph acquires a positive-weight cycle — no stage
+// assignment exists, so the placement is infeasible. Every potential
+// overwrite lands in ex.undo; the caller unwinds to its mark on backtrack
+// (including after a false return).
 //
 // Cycle detection: before x was placed the placed ops had no positive
 // cycle and pot was their least solution, so any positive cycle now runs
