@@ -56,7 +56,9 @@
 //     and the op's own reservation empties its (cluster, class) only when
 //     it takes the class's last free row there, the one row of the cluster
 //     dfs then tries, so the verdict at the cluster's first accepted row
-//     holds for all of its rows.
+//     holds for all of its rows. Once it has failed, each later row of the
+//     cluster is pruned whatever propagation says, so dfs only probes and
+//     counts it: a free row is still a node, against the budget.
 //
 // None of this crosses a node or a cluster, so the tree, its counts and
 // every certificate are those of doing all of it at every row.
@@ -305,6 +307,12 @@ func (ex *exactSearcher) dfs(depth int) exactStatus {
 			if ex.nodes&1023 == 0 && ex.ctx.Err() != nil {
 				ex.ctxCut = true
 				return exactAborted
+			}
+			if looked && !look {
+				// The cluster's lookahead verdict prunes this row whatever
+				// propagation says, so it needs no reservation or weights.
+				ex.pruned++
+				continue
 			}
 			ex.table.add(r, c, class)
 			ex.placed[x] = true
