@@ -250,3 +250,28 @@ func TestRecMIIPooledMatchesFresh(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestRingRuleAllocs: the ring rule keeps its longest-path matrix, groups
+// and windows in the RecMII scratch, so once that scratch has seen the
+// loops, asking the rule about them allocates nothing.
+func TestRingRuleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation inflates allocation counts")
+	}
+	cfg := machine.Clustered(6)
+	cfg.CommLatency = 2
+	loops := corpus.Stressed()[:32]
+	var scr recScratch
+	pass := func() {
+		for _, l := range loops {
+			rec := recMIIInto(l, &scr)
+			for ii := rec; ii < rec+3; ii++ {
+				scr.ringRefutes(l, &cfg, ii)
+			}
+		}
+	}
+	pass()
+	if n := testing.AllocsPerRun(5, pass); n != 0 {
+		t.Errorf("a warmed pass of the ring rule allocates %.0f times, want 0", n)
+	}
+}

@@ -1,9 +1,11 @@
 package sched
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
+	"vliwq/internal/copyins"
 	"vliwq/internal/corpus"
 	"vliwq/internal/ir"
 	"vliwq/internal/machine"
@@ -150,4 +152,60 @@ func FuzzSlotSearchLockstep(f *testing.F) {
 			l.Name, cfg.NumClusters(), widths, cfg.CommLatency, cfg.AllowMoves, strat, shared)
 		lockstepRun(t, tag, l, cfg, strat, shared)
 	})
+}
+
+// FuzzRingBound holds the ring rule (ringRefutes) to the exact search:
+// wherever the rule refutes one of a tiny loop's first three IIs from MII
+// up, a search of that II at a 2²² node budget must not find a schedule.
+// The input seeds the stressed corpus's generator for one loop of at most
+// 12 ops, raw or with tree copies (flags bit 0), and builds a uniform ring
+// of 2-6 clusters or, with flags bit 1, a fuzzMachine ring of mixed widths,
+// at comm latency 1-3. Nightly fuzz.yml runs this target; crashers land in
+// testdata/fuzz and are committed as regression seeds.
+func FuzzRingBound(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(1), uint8(4), uint8(1), uint8(0))
+	f.Add(int64(3), uint8(3), uint8(2), uint8(2), uint8(0x5a))
+	f.Fuzz(func(t *testing.T, seed int64, flags, ncRaw, commRaw, widths uint8) {
+		l, cfg := ringBoundCase(seed, flags, ncRaw, commRaw, widths)
+		if l == nil {
+			return
+		}
+		resMII, err := ResMII(l, cfg)
+		if err != nil {
+			return // the fuzzed ring lacks a class the loop uses
+		}
+		var scr recScratch
+		mii := max(resMII, recMIIInto(l, &scr))
+		for ii := mii; ii < mii+3; ii++ {
+			if !scr.ringRefutes(l, &cfg, ii) {
+				continue
+			}
+			if ex := newExactSearcher(l, &cfg); ex.search(context.Background(), ii, 1<<22) == exactFound {
+				t.Fatalf("%s (%d ops) on %s (comm %d): the rule refutes II %d, the search finds a schedule",
+					l.Name, len(l.Ops), cfg.Name, cfg.CommLatency, ii)
+			}
+		}
+	})
+}
+
+// ringBoundCase decodes one FuzzRingBound input into a loop and a ring, or
+// a nil loop when the generator draws more than 12 ops.
+func ringBoundCase(seed int64, flags, ncRaw, commRaw, widths uint8) (*ir.Loop, machine.Config) {
+	p := corpus.StressedParams()
+	p.Seed, p.N, p.MinOps, p.MaxOps, p.MeanLogOps = seed, 1, 3, 12, 2.0
+	l := corpus.Generate(p)[0]
+	if len(l.Ops) > 12 {
+		return nil, machine.Config{}
+	}
+	if flags&1 == 1 {
+		l = copyins.Insert(l, copyins.Tree).Loop
+	}
+	nc := 2 + int(ncRaw)%5
+	cfg := machine.Clustered(nc)
+	if flags&2 != 0 {
+		cfg = fuzzMachine(nc, widths)
+	}
+	cfg.CommLatency = 1 + int(commRaw)%3
+	return l, cfg
 }

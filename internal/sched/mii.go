@@ -93,7 +93,8 @@ func RecMII(l *ir.Loop) int {
 // state, the component-grouped node/edge views and the Bellman-Ford
 // distance array. It lives in the scheduling state (ims.go), so RecMII and
 // the lower bounds of every ScheduleLoop call reuse the buffers of a
-// pooled state.
+// pooled state. The ring rule (bound.go) reads the component grouping a
+// call leaves behind and keeps its own buffers here as well.
 type recScratch struct {
 	lat   []int
 	succ  ir.DepIndex // dependences leaving each op
@@ -110,6 +111,15 @@ type recScratch struct {
 	dist  []int
 	next  int32 // Tarjan index counter
 	ncomp int32
+
+	// The ring rule's arena (bound.go), over one component at a time.
+	pos     []int32     // op id -> position in its component's nodes
+	lp      []int       // all-pairs longest paths, row-major by position
+	grp     []int32     // must-share union-find, then each position's root
+	members []int32     // one group's positions
+	same    []int32     // the group's positions of one class
+	win     []rowWindow // their row windows relative to an anchor
+	keys    []int
 }
 
 // recMIIInto computes RecMII with the work confined to where cycles can
@@ -125,6 +135,7 @@ type recScratch struct {
 func recMIIInto(l *ir.Loop, scr *recScratch) int {
 	n := len(l.Ops)
 	if n == 0 || len(l.Deps) == 0 {
+		scr.ncomp = 0 // no grouping of an earlier loop outlives this call
 		return 1
 	}
 	scr.lat = uninit(scr.lat, n)

@@ -15,6 +15,7 @@ import (
 	"reflect"
 	"testing"
 
+	"vliwq/internal/copyins"
 	"vliwq/internal/corpus"
 	"vliwq/internal/ir"
 	"vliwq/internal/machine"
@@ -248,4 +249,134 @@ func findGappedLoop(t *testing.T, cfg machine.Config) *ir.Loop {
 	}
 	t.Fatal("no gapped loop in the stressed slice")
 	return nil
+}
+
+// TestRingBoundNeverRefutesScheduledII holds the ring rule (ringRefutes)
+// to the schedules the tiers find, which it must never contradict: over
+// the four loop/machine sets of TestScheduleDigestPinnedOptimal, at every
+// effort, the rule must not refute the II a tier achieved. It also demands
+// that the rule refutes MII on some loop of the certified vliwbench compile
+// set (the first 128 stressed loops with tree copies, clustered:6, comm
+// latency 2), so a rule gone dead fails here too.
+func TestRingBoundNeverRefutesScheduledII(t *testing.T) {
+	var scr recScratch
+	points := 0
+	for _, set := range pinnedOptimalSets(t) {
+		for _, cfg := range set.cfgs {
+			for _, l := range set.loops {
+				recMIIInto(l, &scr)
+				for _, e := range []Effort{EffortFast, EffortBalanced, EffortExhaustive, EffortOptimal} {
+					s, err := ScheduleLoop(context.Background(), l, cfg, e)
+					if err != nil {
+						t.Fatalf("%s %s on %s at %s: %v", set.name, l.Name, cfg.Name, e, err)
+					}
+					if len(s.Loop.Ops) != len(l.Ops) {
+						t.Fatalf("%s %s on %s at %s: inserted moves on a machine without them", set.name, l.Name, cfg.Name, e)
+					}
+					if scr.ringRefutes(l, &cfg, s.II) {
+						t.Errorf("%s %s on %s (comm %d): the rule refutes II %d, which %s scheduled",
+							set.name, l.Name, cfg.Name, cfg.CommLatency, s.II, e)
+					}
+					points++
+				}
+			}
+		}
+	}
+	cfg := machine.Clustered(6)
+	cfg.CommLatency = 2
+	refuted := 0
+	for _, l := range corpus.Stressed()[:128] {
+		l = copyins.Insert(l, copyins.Tree).Loop
+		resMII, err := ResMII(l, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scr.ringRefutes(l, &cfg, max(resMII, recMIIInto(l, &scr))) {
+			refuted++
+		}
+	}
+	t.Logf("%d scheduled IIs checked; the rule refutes MII on %d certified loops", points, refuted)
+	if refuted == 0 {
+		t.Fatal("the ring rule refutes no MII of the certified compile set")
+	}
+}
+
+// TestRingBoundClosesGapWithoutSearch: a hand-built recurrence the rule
+// refutes at MII. Two multiplies feed each other, a→b in the iteration and
+// b→a two iterations on, so RecMII = (2+2)/2 = 2 and, at II 2, b issues
+// exactly one II after a: the same row. Crossing clusters would add the hop
+// to a cycle with no slack, so they share a cluster, whose one multiplier
+// cannot take both. The certificate must rise to MII+1 = II with no
+// search node spent.
+func TestRingBoundClosesGapWithoutSearch(t *testing.T) {
+	l := ir.New("mulpair")
+	l.Trip = 16
+	a := l.AddOp(ir.KMul, "a")
+	b := l.AddOp(ir.KMul, "b")
+	l.AddFlow(a, b)
+	l.AddCarried(b, a, 2)
+	if err := l.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := machine.Clustered(2)
+	cfg.CommLatency = 1
+	s, err := ScheduleLoop(context.Background(), l, cfg, EffortOptimal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mii := s.MII(); mii != 2 || s.II != mii+1 {
+		t.Fatalf("II %d, MII %d: want MII 2 and II 3", s.II, mii)
+	}
+	if want := (Bound{Lower: s.II, Optimal: true}); s.Bound != want || s.Stats.PrunedNodes != 0 {
+		t.Fatalf("bound %+v with %d pruned nodes, want %+v with none", s.Bound, s.Stats.PrunedNodes, want)
+	}
+	// Without the hop the two may cross clusters, and II 2 schedules.
+	cfg.CommLatency = 0
+	if s, err = ScheduleLoop(context.Background(), l, cfg, EffortOptimal); err != nil {
+		t.Fatal(err)
+	}
+	if s.II != 2 {
+		t.Fatalf("without comm latency: II %d, want 2", s.II)
+	}
+}
+
+// TestRingBoundKeepsTightSchedules: a hand-built loop that sits exactly on
+// both of the rule's thresholds at a II that schedules, so the rule must
+// not refute it. Three adds u→x→y→u form a cycle with no slack at II 3:
+// their rows are fixed, and they fill the three add rows of their cluster,
+// exactly r·F ops in r rows. A fourth add v reads u and returns to u by an
+// ordering dependence one iteration on, so it can cross clusters only by
+// issuing exactly the hop after u's result: a crossing with no slack,
+// which the must-share test must allow. So v crosses, and II 3 schedules.
+func TestRingBoundKeepsTightSchedules(t *testing.T) {
+	l := ir.New("tight")
+	l.Trip = 16
+	u := l.AddOp(ir.KAdd, "u")
+	x := l.AddOp(ir.KAdd, "x")
+	y := l.AddOp(ir.KAdd, "y")
+	v := l.AddOp(ir.KAdd, "v")
+	l.AddFlow(u, x)
+	l.AddFlow(x, y)
+	l.AddCarried(y, u, 1)
+	l.AddFlow(u, v)
+	l.AddDep(ir.Dep{From: v.ID, To: u.ID, Dist: 1, Kind: ir.Order})
+	if err := l.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := machine.Clustered(2)
+	cfg.CommLatency = 1
+	var scr recScratch
+	if rec := recMIIInto(l, &scr); rec != 3 {
+		t.Fatalf("RecMII %d, want 3", rec)
+	}
+	if scr.ringRefutes(l, &cfg, 3) {
+		t.Fatal("the rule refutes II 3, which schedules")
+	}
+	s, err := ScheduleLoop(context.Background(), l, cfg, EffortOptimal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Bound{Lower: 3, Optimal: true}); s.II != 3 || s.Bound != want {
+		t.Fatalf("II %d with bound %+v, want II 3 with %+v", s.II, s.Bound, want)
+	}
 }
