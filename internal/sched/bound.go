@@ -193,7 +193,8 @@ func (scr *recScratch) ringRefutes(l *ir.Loop, cfg *machine.Config, ii int) bool
 		if scr.longestPaths(nodes, edges, ii) {
 			return true
 		}
-		if scr.shareGroups(nodes, edges, cfg.CommLatency, ii) && scr.hallRefutes(l, nodes, &most, ii) {
+		scr.shareGroups(nodes, edges, cfg.CommLatency, ii)
+		if scr.hallRefutes(l, nodes, &most, ii) {
 			return true
 		}
 	}
@@ -236,9 +237,9 @@ func (scr *recScratch) longestPaths(nodes []int32, edges []ir.Dep, ii int) bool 
 }
 
 // shareGroups unions the component's ops that must share a cluster at ii
-// into scr.grp (a union-find forest over positions in nodes) and reports
-// whether any pair was joined.
-func (scr *recScratch) shareGroups(nodes []int32, edges []ir.Dep, comm, ii int) bool {
+// in scr.grp, a union-find forest over positions in nodes, and leaves each
+// position's root there.
+func (scr *recScratch) shareGroups(nodes []int32, edges []ir.Dep, comm, ii int) {
 	m := len(nodes)
 	grp := uninit(scr.grp, m)
 	scr.grp = grp
@@ -252,23 +253,18 @@ func (scr *recScratch) shareGroups(nodes []int32, edges []ir.Dep, comm, ii int) 
 		}
 		return i
 	}
-	joined := false
 	for _, d := range edges {
 		if d.Kind != ir.Flow || d.From == d.To {
 			continue
 		}
 		u, v := scr.pos[d.From], scr.pos[d.To]
 		if scr.lat[d.From]-ii*d.Dist+comm+scr.lp[int(v)*m+int(u)] > 0 {
-			if a, b := find(u), find(v); a != b {
-				grp[a] = b
-				joined = true
-			}
+			grp[find(u)] = find(v)
 		}
 	}
 	for i := range grp {
 		grp[i] = find(int32(i))
 	}
-	return joined
 }
 
 // hallRefutes applies Hall's condition to every group shareGroups built:

@@ -167,10 +167,21 @@ func FuzzRingBound(f *testing.F) {
 	f.Add(int64(2), uint8(1), uint8(4), uint8(1), uint8(0))
 	f.Add(int64(3), uint8(3), uint8(2), uint8(2), uint8(0x5a))
 	f.Fuzz(func(t *testing.T, seed int64, flags, ncRaw, commRaw, widths uint8) {
-		l, cfg := ringBoundCase(seed, flags, ncRaw, commRaw, widths)
-		if l == nil {
+		p := corpus.StressedParams()
+		p.Seed, p.N, p.MinOps, p.MaxOps, p.MeanLogOps = seed, 1, 3, 12, 2.0
+		l := corpus.Generate(p)[0]
+		if len(l.Ops) > 12 {
 			return
 		}
+		if flags&1 == 1 {
+			l = copyins.Insert(l, copyins.Tree).Loop
+		}
+		nc := 2 + int(ncRaw)%5
+		cfg := machine.Clustered(nc)
+		if flags&2 != 0 {
+			cfg = fuzzMachine(nc, widths)
+		}
+		cfg.CommLatency = 1 + int(commRaw)%3
 		resMII, err := ResMII(l, cfg)
 		if err != nil {
 			return // the fuzzed ring lacks a class the loop uses
@@ -187,25 +198,4 @@ func FuzzRingBound(f *testing.F) {
 			}
 		}
 	})
-}
-
-// ringBoundCase decodes one FuzzRingBound input into a loop and a ring, or
-// a nil loop when the generator draws more than 12 ops.
-func ringBoundCase(seed int64, flags, ncRaw, commRaw, widths uint8) (*ir.Loop, machine.Config) {
-	p := corpus.StressedParams()
-	p.Seed, p.N, p.MinOps, p.MaxOps, p.MeanLogOps = seed, 1, 3, 12, 2.0
-	l := corpus.Generate(p)[0]
-	if len(l.Ops) > 12 {
-		return nil, machine.Config{}
-	}
-	if flags&1 == 1 {
-		l = copyins.Insert(l, copyins.Tree).Loop
-	}
-	nc := 2 + int(ncRaw)%5
-	cfg := machine.Clustered(nc)
-	if flags&2 != 0 {
-		cfg = fuzzMachine(nc, widths)
-	}
-	cfg.CommLatency = 1 + int(commRaw)%3
-	return l, cfg
 }
