@@ -82,8 +82,10 @@ func BenchmarkScheduleOptimalSmall(b *testing.B) {
 // search: the certified vliwbench configuration (clustered:6, comm latency
 // 2, EffortOptimal) over the first 32 stressed loops, where the hop
 // latency leaves II gaps the search proves, closes or cuts at its node
-// budget. Its nodes are counted in placements, so the tree it walks is
-// fixed and only the cost per node moves this number.
+// budget. Its nodes are counted in placements, so the tree each searched
+// II walks is fixed: the cost per node moves this number, and so does a
+// proof rule that refutes an II before its search runs (the ring rule,
+// bound.go), by removing that search.
 func BenchmarkScheduleOptimalStressed(b *testing.B) {
 	loops := corpus.Stressed()[:32]
 	cfg := machine.Clustered(6)
