@@ -255,9 +255,6 @@ func (c *Cache[K, V]) evictLocked(sh *shard[K, V]) {
 	}
 }
 
-// Len returns the current entry count.
-func (c *Cache[K, V]) Len() int { return int(c.entries.Load()) }
-
 // Stats snapshots the counters.
 func (c *Cache[K, V]) Stats() Stats {
 	return Stats{

@@ -105,8 +105,8 @@ func TestConcurrentManyKeys(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if c.Len() != keys {
-		t.Fatalf("Len = %d, want %d", c.Len(), keys)
+	if n := c.Stats().Entries; n != keys {
+		t.Fatalf("Entries = %d, want %d", n, keys)
 	}
 }
 
@@ -116,7 +116,7 @@ func TestBoundedEviction(t *testing.T) {
 	for i := 0; i < 4*bound; i++ {
 		c.Do(i, func() int { return i })
 	}
-	if n := c.Len(); n > bound {
+	if n := c.Stats().Entries; n > bound {
 		t.Fatalf("bounded cache holds %d entries, want <= %d", n, bound)
 	}
 	s := c.Stats()
@@ -149,7 +149,7 @@ func TestBoundedExactCap(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		c.Do(fmt.Sprintf("key-%d", i), func() int { return i })
 	}
-	if n := c.Len(); n != bound {
+	if n := c.Stats().Entries; n != bound {
 		t.Fatalf("bounded cache settled at %d entries, want exactly %d", n, bound)
 	}
 }
@@ -426,8 +426,8 @@ func TestPanickingComputeReleasesJoiners(t *testing.T) {
 		defer func() { recover() }()
 		c.Do("p", func() int { panic("again") })
 	}()
-	if _, ok := c.Get("p"); ok || c.Len() != 1 {
-		t.Fatalf("panicked compute left an entry: Get ok=%t, Len=%d (want false, 1)", ok, c.Len())
+	if _, ok := c.Get("p"); ok || c.Stats().Entries != 1 {
+		t.Fatalf("panicked compute left an entry: Get ok=%t, Entries=%d (want false, 1)", ok, c.Stats().Entries)
 	}
 	if v := c.Do("p", func() int { return 3 }); v != 3 {
 		t.Fatalf("Do after a panicked compute = %d, want a fresh 3", v)
@@ -442,8 +442,8 @@ func TestDroppedEntryIsNotAnEviction(t *testing.T) {
 	c.Do("kept", func() int { return 1 })
 	for _, fate := range []Fate{Share, Retry} {
 		c.DoWithInfo(context.Background(), "dropped", func() (int, Fate) { return 2, fate })
-		if s := c.Stats(); s.Evictions != 0 || s.Entries != 1 || c.Len() != 1 {
-			t.Fatalf("after a fate-%d drop: stats = %+v, Len = %d; want 0 evictions and 1 entry", fate, s, c.Len())
+		if s := c.Stats(); s.Evictions != 0 || s.Entries != 1 {
+			t.Fatalf("after a fate-%d drop: stats = %+v; want 0 evictions and 1 entry", fate, s)
 		}
 	}
 }

@@ -31,13 +31,13 @@ func FuzzSnapshot(f *testing.F) {
 			if !errors.Is(err, ErrCorruptSnapshot) {
 				t.Fatalf("Load error %v does not wrap ErrCorruptSnapshot", err)
 			}
-			if n != 0 || bounded.Len() != 0 {
-				t.Fatalf("failed Load inserted %d entries (Len %d)", n, bounded.Len())
+			if e := bounded.Stats().Entries; n != 0 || e != 0 {
+				t.Fatalf("failed Load inserted %d entries (Entries %d)", n, e)
 			}
 			return
 		}
-		if n != bounded.Len() || n > capacity {
-			t.Fatalf("Load reported %d entries, Len %d, cap %d", n, bounded.Len(), capacity)
+		if e := bounded.Stats().Entries; int64(n) != e || n > capacity {
+			t.Fatalf("Load reported %d entries, Entries %d, cap %d", n, e, capacity)
 		}
 		unbounded := New[string, string](Options{}, StringHash)
 		all, err := unbounded.Load(bytes.NewReader(data), stringCodec())

@@ -44,8 +44,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if loaded != 37 || dst.Len() != 37 {
-		t.Fatalf("Load inserted %d entries (Len %d), want 37", loaded, dst.Len())
+	if e := dst.Stats().Entries; loaded != 37 || e != 37 {
+		t.Fatalf("Load inserted %d entries (Entries %d), want 37", loaded, e)
 	}
 	for i := 0; i < 37; i++ {
 		k := fmt.Sprintf("key-%03d", i)
@@ -118,8 +118,8 @@ func TestSnapshotLoadRespectsBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded > 16 || dst.Len() > 16 {
-		t.Fatalf("bounded cache loaded %d entries (Len %d), bound 16", loaded, dst.Len())
+	if e := dst.Stats().Entries; loaded > 16 || e > 16 {
+		t.Fatalf("bounded cache loaded %d entries (Entries %d), bound 16", loaded, e)
 	}
 	if st := dst.Stats(); st.Evictions != 0 {
 		t.Fatalf("Load evicted %d entries; it must drop, not evict", st.Evictions)
@@ -178,8 +178,8 @@ func TestSnapshotRejectsCorrupt(t *testing.T) {
 			if tc.want != "" && !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
-			if n != 0 || dst.Len() != 0 {
-				t.Fatalf("corrupt load inserted %d entries (Len %d)", n, dst.Len())
+			if e := dst.Stats().Entries; n != 0 || e != 0 {
+				t.Fatalf("corrupt load inserted %d entries (Entries %d)", n, e)
 			}
 		})
 	}

@@ -7,7 +7,8 @@
 // structural key (vliwq.Request.StructuralKey — the knobs plus the loop's
 // dependence-graph fingerprint; FNV-1a, then a splitmix64 finalizer so the
 // routing decision is decorrelated from the backend cache's own shard
-// selection) and routes each request to backends[hash % N]; identical AND
+// selection) and routes each request to backends[hash % N], remembering
+// each exact key's slot in a bounded memo (owner); identical AND
 // isomorphic requests therefore always land on the backend that already
 // holds the entry or its isomorphism class, and the fleet's aggregate cache
 // behaves like one cache N times the size with no invalidation protocol at
@@ -127,7 +128,16 @@ type Gateway struct {
 	// key; coalesced counts the callers served by another's dispatch.
 	flights   *cache.Cache[string, reply]
 	coalesced atomic.Int64
+
+	// routes memoizes the routing rule's answer per exact canonical key
+	// (see owner), bounded at routeMemoEntries.
+	routes *cache.Cache[string, int]
 }
+
+// routeMemoEntries bounds the route memo at vliwd's default -cache-entries,
+// so the gateway remembers as many exact keys as one backend's exact layer
+// holds.
+const routeMemoEntries = 65536
 
 // New builds a Gateway over cfg.Backends.
 func New(cfg Config) (*Gateway, error) {
@@ -136,7 +146,8 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g := &Gateway{cfg: cfg, start: time.Now(),
 		latWindow: metrics.NewWindow(512),
-		flights:   cache.New[string, reply](cache.Options{}, cache.StringHash)}
+		flights:   cache.New[string, reply](cache.Options{}, cache.StringHash),
+		routes:    cache.New[string, int](cache.Options{MaxEntries: routeMemoEntries}, cache.StringHash)}
 	threshold := cfg.BreakerThreshold
 	if threshold == 0 {
 		threshold = 5
@@ -200,8 +211,9 @@ const maxBodyBytes = 8 << 20
 
 // Route reports the ring slot owning one compile request: a stable mix of
 // the structural key's (vliwq.Request.StructuralKey) FNV-1a hash, modulo
-// the ring size. This is the whole routing rule — no state, no
-// coordination; determinism is what makes the sharded caches effective.
+// the ring size. This is the whole routing rule — no coordination, and no
+// state beyond a memo of the rule's own answers (owner); determinism is
+// what makes the sharded caches effective.
 // The structural key normalizes the knobs AND fingerprints the loop's
 // dependence graph, so every spelling of the same behaviour — an omitted
 // machine vs "single:6", and since PR 7 a renamed or renumbered spelling of
@@ -216,11 +228,21 @@ const maxBodyBytes = 8 << 20
 // of its shards (with N backends = the shard count, exactly one). The
 // splitmix64 finalizer decorrelates the two decisions.
 func (g *Gateway) Route(req *service.CompileRequest) int {
-	return g.route(vliwq.Prepare(*req))
+	return g.owner(vliwq.Prepare(*req))
 }
 
-// route is Route for a prepared request, whose memoized keys the caller
-// goes on to use.
+// owner is Route for a prepared request, whose memoized keys the caller
+// goes on to use. It looks the request's exact canonical key up in the
+// route memo and, on a miss, stores what route answers, so an exact repeat
+// skips the loop parse and the fingerprint its structural key costs. The
+// memo only remembers the rule's answers: a request's canonical key fixes
+// its structural key, so routing stays a function of the structural key
+// and every replica, memo warm or cold, routes identically.
+func (g *Gateway) owner(p *vliwq.Prepared) int {
+	return g.routes.Do(p.Canonical(), func() int { return g.route(p) })
+}
+
+// route is the routing rule itself, computed afresh.
 func (g *Gateway) route(p *vliwq.Prepared) int {
 	return int(mix64(cache.StringHash(p.StructuralKey())) % uint64(len(g.backends)))
 }
@@ -495,7 +517,8 @@ func (g *Gateway) failDispatch(w http.ResponseWriter, err error) {
 
 // handleCompile routes one request by its structural key, coalesces it on
 // its canonical key — both taken from one prepared request, so the request
-// is normalized and parsed once — and relays the owning backend's answer
+// is normalized once and parsed at most once (an exact repeat's owner comes
+// from the route memo, unparsed) — and relays the owning backend's answer
 // verbatim — status, content type and body bytes — so a response through
 // the gateway is indistinguishable from one straight off the backend.
 func (g *Gateway) handleCompile(w http.ResponseWriter, r *http.Request) {
@@ -520,7 +543,7 @@ func (g *Gateway) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p := vliwq.Prepare(req)
-	owner := g.route(p)
+	owner := g.owner(p)
 	t0 := time.Now()
 	// One in-flight dispatch per exact key: concurrent identical requests —
 	// and retries racing a slow owner's failover — join the leader's ring
@@ -588,7 +611,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Group item indices by owning slot, preserving input order per group.
 	groups := make(map[int][]int)
 	for i := range req.Requests {
-		owner := g.route(vliwq.Prepare(req.Requests[i]))
+		owner := g.owner(vliwq.Prepare(req.Requests[i]))
 		groups[owner] = append(groups[owner], i)
 	}
 	results := make([]json.RawMessage, len(req.Requests))
@@ -622,7 +645,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}(owner, idxs)
 	}
 	wg.Wait()
-	writeRawBatch(w, results)
+	service.WriteBatch(w, results)
 }
 
 // rawBatchResponse decodes a backend batch answer without re-interpreting
@@ -970,24 +993,6 @@ func relay(w http.ResponseWriter, status int, hdr http.Header, body []byte) {
 	}
 	w.WriteHeader(status)
 	w.Write(body)
-}
-
-// writeRawBatch emits {"results":[...]} with each entry's bytes untouched,
-// terminated by the same trailing newline json.Encoder gives the backend
-// paths.
-func writeRawBatch(w http.ResponseWriter, results []json.RawMessage) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	var buf bytes.Buffer
-	buf.WriteString(`{"results":[`)
-	for i, r := range results {
-		if i > 0 {
-			buf.WriteByte(',')
-		}
-		buf.Write(r)
-	}
-	buf.WriteString("]}\n")
-	w.Write(buf.Bytes())
 }
 
 func (g *Gateway) failRead(w http.ResponseWriter, err error) {

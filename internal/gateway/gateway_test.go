@@ -109,6 +109,28 @@ func TestRouteDeterministic(t *testing.T) {
 	t.Logf("distribution over 56 corpus requests: %v (raw-hash parities %v)", perSlot, rawParity)
 }
 
+// TestRouteMemoAgreesWithRule: the route memo only remembers the rule's
+// answers. On a ring of three, owner answers what route computes afresh,
+// first from a cold memo and then from a warm one, and the repeat pass is
+// served from the memo.
+func TestRouteMemoAgreesWithRule(t *testing.T) {
+	reqs := testRequests(t, 56)
+	g, err := New(Config{Backends: []string{"http://a", "http://b", "http://c"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		for i := range reqs {
+			if got, want := g.owner(vliwq.Prepare(reqs[i])), g.route(vliwq.Prepare(reqs[i])); got != want {
+				t.Fatalf("pass %d, request %d: memo routed to %d, the rule to %d", pass, i, got, want)
+			}
+		}
+	}
+	if st := g.routes.Stats(); st.Misses != int64(len(reqs)) || st.Hits != int64(len(reqs)) {
+		t.Fatalf("route memo: %+v, want %d misses and %d hits", st, len(reqs), len(reqs))
+	}
+}
+
 // TestRouteCollapsesDefaultSpellings is the shard half of the
 // key-fragmentation regression: {"loop": L} and the fully spelled-out
 // default request must land on one gateway shard (and therefore one

@@ -192,7 +192,7 @@ func TestOptimalDeadlineCutServedNotCached(t *testing.T) {
 			Loop: vliwq.FormatLoop(l), Machine: "clustered:6",
 			CommLatency: 2, Effort: "exhaustive", SkipVerify: true,
 		}
-		resp, err := srv.compileOne(context.Background(), &r)
+		resp, err := compileDecoded(srv, context.Background(), &r)
 		if err != nil {
 			continue
 		}
@@ -209,7 +209,7 @@ func TestOptimalDeadlineCutServedNotCached(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	resp, err := srv.compileOne(ctx, &req)
+	resp, err := compileDecoded(srv, ctx, &req)
 	if err != nil {
 		t.Fatalf("expired deadline failed the compile instead of cutting the proof: %v", err)
 	}
@@ -227,7 +227,7 @@ func TestOptimalDeadlineCutServedNotCached(t *testing.T) {
 
 	// Undeadlined retry: proves (or budget-cuts) deterministically and
 	// caches.
-	resp2, err := srv.compileOne(context.Background(), &req)
+	resp2, err := compileDecoded(srv, context.Background(), &req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,6 +237,19 @@ func TestOptimalDeadlineCutServedNotCached(t *testing.T) {
 	if _, ok := srv.cache.Get(n.Canonical()); !ok {
 		t.Fatal("deterministic optimal outcome did not cache")
 	}
+}
+
+// compileDecoded serves req through compileOne and decodes the answer.
+func compileDecoded(srv *Server, ctx context.Context, req *CompileRequest) (*CompileResponse, error) {
+	body, err := srv.compileOne(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	var resp CompileResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		return nil, err
+	}
+	return &resp, nil
 }
 
 // TestEffortDefaultIsFast: an omitted effort must behave exactly like

@@ -271,7 +271,7 @@ func TestCompileOneForgetsCancelledOutcome(t *testing.T) {
 	if _, ok := srv.cache.Get(norm.Canonical()); ok {
 		t.Fatal("cancelled outcome was kept in the exact cache")
 	}
-	if resp, err := srv.compileOne(context.Background(), &req); err != nil || resp == nil {
+	if body, err := srv.compileOne(context.Background(), &req); err != nil || body == nil {
 		t.Fatalf("retry after cancellation failed: %v", err)
 	}
 }

@@ -13,7 +13,10 @@
 // is vliwq.Request.Canonical() — the one canonical request encoding the
 // library, this service and the gateway share — and each distinct request
 // compiles exactly once per cache lifetime; concurrent identical requests
-// share one compute through the cache's singleflight.
+// share one compute through the cache's singleflight. The exact layer keeps
+// each answer encoded, as the bytes WriteJSON frames, so an exact hit
+// writes those bytes (/compile) or splices them into the batch body
+// (/batch) without running encoding/json again.
 //
 // Beneath the exact cache sits a structural cache keyed by
 // vliwq.Request.StructuralKey() — the knobs plus the loop's dependence-graph
@@ -25,6 +28,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -289,16 +293,18 @@ type StatsResponse struct {
 	Sched            SchedStats      `json:"sched"`
 }
 
-// outcome is the cached unit: one request's response or its error rendered
-// as a string (compilation is deterministic, so errors cache as well as
-// successes). ctxErr marks context cancellation — the one error class that
-// is NOT deterministic (it belongs to the requester's deadline, not the
-// request). deadlineCut is the success-path analogue: an optimal-tier
-// response whose certificate was cut by the caller's deadline, whose proof
-// depth is wall-clock dependent (budget cuts, by contrast, are
-// deterministic and cache normally).
+// outcome is the cached unit: one request's response, encoded once when it
+// is rendered (body: the CompileResponse as WriteJSON frames it, unescaped
+// HTML and a trailing newline), or its error rendered as a string
+// (compilation is deterministic, so errors cache as well as successes).
+// ctxErr marks context cancellation — the one error class that is NOT
+// deterministic (it belongs to the requester's deadline, not the request).
+// deadlineCut is the success-path analogue: an optimal-tier response whose
+// certificate was cut by the caller's deadline, whose proof depth is
+// wall-clock dependent (budget cuts, by contrast, are deterministic and
+// cache normally).
 type outcome struct {
-	resp        *CompileResponse
+	body        []byte
 	err         string
 	ctxErr      bool
 	deadlineCut bool
@@ -491,11 +497,12 @@ func (s *Server) runPipeline(ctx context.Context, p *vliwq.Prepared) (*vliwq.Res
 	return res, "", false
 }
 
-// render materializes the response for one compiled Result. The remap step
-// guarantees a structurally served Result renders byte-identically to a
-// fresh compile of the same spelling, so render never needs to know which
-// path produced its input.
-func (s *Server) render(res *vliwq.Result, effort string) *CompileResponse {
+// render materializes the outcome for one compiled Result: its response,
+// encoded here once for every later hit. The remap step guarantees a
+// structurally served Result renders byte-identically to a fresh compile of
+// the same spelling, so render never needs to know which path produced its
+// input.
+func render(res *vliwq.Result, effort string) outcome {
 	resp := &CompileResponse{
 		Loop:       res.Input.Name,
 		Machine:    res.Sched.Machine.Name,
@@ -519,7 +526,7 @@ func (s *Server) render(res *vliwq.Result, effort string) *CompileResponse {
 			DeadlineCut: res.Bound.DeadlineCut,
 		}
 	}
-	return resp
+	return outcome{body: encode(resp), deadlineCut: res.Bound.DeadlineCut}
 }
 
 // compute runs the pipeline for one prepared request and renders the
@@ -530,7 +537,7 @@ func (s *Server) compute(ctx context.Context, p *vliwq.Prepared) outcome {
 	if errStr != "" {
 		return outcome{err: errStr, ctxErr: ctxErr}
 	}
-	return outcome{resp: s.render(res, p.Request().Effort), deadlineCut: res.Bound.DeadlineCut}
+	return render(res, p.Request().Effort)
 }
 
 // compileClass runs the pipeline for the first spelling of an isomorphism
@@ -599,11 +606,10 @@ func (s *Server) computeRouted(ctx context.Context, p *vliwq.Prepared) outcome {
 		// a fresh compile, exactly like a success response.
 		return s.compute(ctx, p)
 	}
-	cut := ent.res.Bound.DeadlineCut
 	if info.Created {
 		// This call ran the compile; its Result already carries the
 		// caller's names.
-		return outcome{resp: s.render(ent.res, p.Request().Effort), deadlineCut: cut}
+		return render(ent.res, p.Request().Effort)
 	}
 	reordered := false
 	if ir.Skeleton(loop) != ent.skel {
@@ -627,7 +633,7 @@ func (s *Server) computeRouted(ctx context.Context, p *vliwq.Prepared) outcome {
 	if info.Joined {
 		s.structCoalesced.Add(1)
 	}
-	return outcome{resp: s.render(remapped, p.Request().Effort), deadlineCut: cut}
+	return render(remapped, p.Request().Effort)
 }
 
 // maxDegradeLevel is the ladder's floor: three steps take optimal all the
@@ -716,7 +722,7 @@ type timeoutError struct{ error }
 // ran. The cached outcome itself is NOT marked degraded — a
 // degraded-to-fast result IS a fast result, and a client genuinely asking
 // for fast must not see degraded:true on a shared entry — the annotation
-// goes on a per-request copy.
+// goes on a per-request copy, the one answer encoded again on the way out.
 //
 // Computes run under the leader's context so a propagated deadline cancels
 // backend work at the next stage boundary, and each layer's fate rule
@@ -725,7 +731,9 @@ type timeoutError struct{ error }
 // compile under their own deadlines), a deadline-cut certificate is shared
 // but never kept. A waiting caller whose own deadline ends stops waiting
 // and is answered 504 while the compile runs on for the others.
-func (s *Server) compileOne(ctx context.Context, req *CompileRequest) (*CompileResponse, error) {
+//
+// The answer is the encoded CompileResponse, framed as WriteJSON frames it.
+func (s *Server) compileOne(ctx context.Context, req *CompileRequest) ([]byte, error) {
 	p := vliwq.Prepare(*req)
 	if err := p.Err(); err != nil {
 		return nil, clientError{err}
@@ -756,32 +764,47 @@ func (s *Server) compileOne(ctx context.Context, req *CompileRequest) (*CompileR
 		return nil, errors.New(oc.err)
 	}
 	if didDegrade {
-		resp := *oc.resp
+		var resp CompileResponse
+		if err := json.Unmarshal(oc.body, &resp); err != nil {
+			return nil, err
+		}
 		resp.Degraded = true
 		resp.RequestedEffort = requested
-		return &resp, nil
+		return encode(&resp), nil
 	}
-	return oc.resp, nil
+	return oc.body, nil
 }
 
 // compileBatch fans the request set over a fixed worker pool (pool.Run,
 // the same primitive vliwq.Compiler.RunBatch uses — the service goes
 // through compileOne instead of RunBatch itself so batch items share the
 // response cache). Results come back in input order regardless of worker
-// interleaving; on cancellation, unstarted items report the context error.
-func (s *Server) compileBatch(ctx context.Context, reqs []CompileRequest) []BatchEntry {
-	out := make([]BatchEntry, len(reqs))
+// interleaving, each already encoded as its BatchEntry; on cancellation,
+// unstarted items report the context error.
+func (s *Server) compileBatch(ctx context.Context, reqs []CompileRequest) []json.RawMessage {
+	out := make([]json.RawMessage, len(reqs))
 	pool.Run(ctx, len(reqs), s.workers(), func(i int) {
-		resp, err := s.compileOne(ctx, &reqs[i])
-		if err != nil {
-			out[i] = BatchEntry{Error: err.Error()}
-		} else {
-			out[i] = BatchEntry{Response: resp}
-		}
+		out[i] = batchEntry(s.compileOne(ctx, &reqs[i]))
 	}, func(i int) {
-		out[i] = BatchEntry{Error: ctx.Err().Error()}
+		out[i] = batchEntry(nil, ctx.Err())
 	})
 	return out
+}
+
+// batchEntry encodes one BatchEntry the way WriteJSON would inside a
+// BatchResponse: a compiled answer's stored bytes are spliced in as the
+// response, less their trailing newline, so a /batch entry is byte-for-byte
+// the /compile body it wraps.
+func batchEntry(body []byte, err error) json.RawMessage {
+	if err != nil {
+		e := encode(BatchEntry{Error: err.Error()})
+		return e[:len(e)-1]
+	}
+	const open = `{"response":`
+	e := make([]byte, 0, len(open)+len(body))
+	e = append(e, open...)
+	e = append(e, body[:len(body)-1]...)
+	return append(e, '}')
 }
 
 // admit takes an inflight slot, shedding with 429 + Retry-After when the
@@ -851,12 +874,12 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		s.failDecode(w, err)
 		return
 	}
-	resp, err := s.compileOne(ctx, &req)
+	body, err := s.compileOne(ctx, &req)
 	if err != nil {
 		s.fail(w, compileStatus(err), err.Error())
 		return
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	writeBody(w, http.StatusOK, body)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -886,7 +909,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.batchItems.Add(int64(len(req.Requests)))
-	WriteJSON(w, http.StatusOK, BatchResponse{Results: s.compileBatch(ctx, req.Requests)})
+	WriteBatch(w, s.compileBatch(ctx, req.Requests))
 }
 
 // handleHealthz keeps its historical map[string]string body shape (probes
@@ -1011,9 +1034,41 @@ func (s *Server) fail(w http.ResponseWriter, code int, msg string) {
 // its error and stats bodies are framed indistinguishably from a backend's
 // (the byte-identity contract the gateway tests pin down).
 func WriteJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
+	writeBody(w, code, encode(v))
+}
+
+// WriteBatch writes a 200 BatchResponse whose entries are already encoded:
+// {"results":[...]} with each entry's bytes untouched, then the trailing
+// newline WriteJSON gives every body. The service splices its stored
+// answers in with it, and the gateway the entries its backends answered.
+func WriteBatch(w http.ResponseWriter, entries []json.RawMessage) {
+	n := len(`{"results":[]}`) + len(entries)
+	for _, e := range entries {
+		n += len(e)
+	}
+	b := make([]byte, 0, n)
+	b = append(b, `{"results":[`...)
+	for i, e := range entries {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, e...)
+	}
+	writeBody(w, http.StatusOK, append(b, "]}\n"...))
+}
+
+// encode frames v as WriteJSON does: unescaped HTML, trailing newline.
+func encode(v any) []byte {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
 	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v)
+	return b.Bytes()
+}
+
+// writeBody writes one encoded JSON body.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	w.Write(body)
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
@@ -14,6 +15,12 @@ import (
 // outcome rendered as JSON. vliwd's -cache-snapshot flag uses these to
 // persist the compile cache on shutdown and warm-start it on boot, so a
 // restarted backend serves its first repeated request as a hit.
+//
+// The on-disk value is wireOutcome as json.Marshal writes it, HTML escaped.
+// An outcome holds its answer as WriteJSON's unescaped bytes, so saving
+// escapes those bytes (json.HTMLEscape, the only difference between the two
+// encodings) instead of decoding them, and loading decodes the response
+// once and encodes it as compute would have.
 
 // ErrCacheDisabled is returned by SaveCache/LoadCache when the server was
 // built with caching disabled (Config.CacheEntries < 0): there is nothing
@@ -30,14 +37,25 @@ type wireOutcome struct {
 func outcomeCodec() cache.Codec[string, outcome] {
 	return cache.StringKeyCodec(
 		func(oc outcome) ([]byte, error) {
-			return json.Marshal(wireOutcome{Resp: oc.resp, Err: oc.err})
+			if oc.body == nil {
+				return json.Marshal(wireOutcome{Err: oc.err})
+			}
+			var b bytes.Buffer
+			b.WriteString(`{"resp":`)
+			json.HTMLEscape(&b, oc.body[:len(oc.body)-1])
+			b.WriteByte('}')
+			return b.Bytes(), nil
 		},
 		func(b []byte) (outcome, error) {
 			var w wireOutcome
 			if err := json.Unmarshal(b, &w); err != nil {
 				return outcome{}, err
 			}
-			return outcome{resp: w.Resp, err: w.Err}, nil
+			oc := outcome{err: w.Err}
+			if w.Resp != nil {
+				oc.body = encode(w.Resp)
+			}
+			return oc, nil
 		},
 	)
 }

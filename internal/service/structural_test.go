@@ -2,9 +2,11 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -122,6 +124,58 @@ mem st a 1
 	}
 	if st.Structural.Hits != 1 || st.Structural.Reordered != 1 || st.Structural.Renumbered != 0 {
 		t.Fatalf("structural stats = %+v, want hits=1 reordered=1 renumbered=0", st.Structural)
+	}
+}
+
+// TestBatchEntriesAreCompileBodies: on one server, each /batch entry is
+// the /compile body for the same request, wrapped as {"response":...} less
+// its trailing newline, and a rejected request's entry is its /compile
+// error body. The batch meets an exact hit, a renamed structural hit, a
+// reordered hit and a pipeline rejection whose message holds characters
+// JSON may HTML-escape; the /compile bodies then come from the exact
+// entries the batch left.
+func TestBatchEntriesAreCompileBodies(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	leader := CompileRequest{Loop: structTestLoop, Machine: "clustered:4"}
+	if r, body := postJSON(t, ts.Client(), ts.URL+"/compile", leader); r.StatusCode != 200 {
+		t.Fatalf("leader compile: status %d: %s", r.StatusCode, body)
+	}
+	renamed, permuted, rejected := leader, leader, leader
+	renamed.Loop = renameSpelling(t, structTestLoop, "z")
+	permuted.Loop = renameSpelling(t, permuteSpelling(t, structTestLoop), "p")
+	rejected.Loop = "loop rejected\ntrip 4\nop x load\nop y add x <z&w>"
+	reqs := []CompileRequest{leader, renamed, permuted, rejected}
+
+	_, body := postJSON(t, ts.Client(), ts.URL+"/batch", BatchRequest{Requests: reqs})
+	var batch struct{ Results []json.RawMessage }
+	if err := json.Unmarshal(body, &batch); err != nil {
+		t.Fatal(err)
+	}
+	if len(batch.Results) != len(reqs) {
+		t.Fatalf("batch answered %d entries for %d requests", len(batch.Results), len(reqs))
+	}
+	st := srv.Stats()
+	if st.Cache.Hits != 1 || st.Structural.Hits != 2 || st.Structural.Reordered != 1 || st.Sched.Compiles != 2 {
+		t.Fatalf("batch took the wrong paths: cache %+v, structural %+v, %d compiles; want 1 exact hit, 2 structural hits (1 reordered), 2 compiles",
+			st.Cache, st.Structural, st.Sched.Compiles)
+	}
+	for i, req := range reqs {
+		r, body := postJSON(t, ts.Client(), ts.URL+"/compile", req)
+		want := string(body[:len(body)-1])
+		if r.StatusCode == 200 {
+			want = `{"response":` + want + `}`
+		} else if i != 3 || r.StatusCode != 422 {
+			t.Fatalf("request %d: /compile status %d: %s", i, r.StatusCode, body)
+		}
+		if got := string(batch.Results[i]); got != want {
+			t.Fatalf("request %d: batch entry differs from the /compile body:\n%s\nvs\n%s", i, got, want)
+		}
+	}
+	if !strings.Contains(string(batch.Results[3]), "<z&w>") {
+		t.Fatalf("rejection entry escaped its operand: %s", batch.Results[3])
 	}
 }
 
