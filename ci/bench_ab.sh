@@ -7,7 +7,7 @@
 # then take turns, `rounds` runs each, the parent first in odd rounds and
 # the change first in even ones, every run at
 #
-#   -test.run '^$' -test.bench <regex> -test.cpu 1 -test.benchmem
+#   -test.run '^$' -test.bench <regex> -test.cpu 1 -test.benchmem -test.timeout 30m
 #
 # from its own package directory. Both sides share each stretch of the
 # host's time, so drift between runs moves them together, which a baseline
@@ -40,7 +40,7 @@ done
 
 run() { # side
   (cd "$work/$1/$pkg" && "$work/$1.test" -test.run '^$' -test.bench "$regex" \
-    -test.cpu 1 -test.benchmem) >> "$work/$1.txt"
+    -test.cpu 1 -test.benchmem -test.timeout 30m) >> "$work/$1.txt"
 }
 
 k=1

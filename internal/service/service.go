@@ -392,7 +392,7 @@ type Server struct {
 }
 
 // New builds a Server from cfg. The server holds no vliwq.Compiler
-// session: it caches whole rendered responses (report and kernel strings
+// session: it caches whole encoded responses (report and kernel strings
 // included) under the request's canonical key, so a session cache
 // underneath would only duplicate every entry, and it compiles each
 // request through vliwq.CompileContext.
@@ -708,7 +708,7 @@ type clientError struct{ error }
 type timeoutError struct{ error }
 
 // compileOne serves one request through the cache layers — exact first
-// (keyed by Canonical(), holding rendered responses), then structural on an
+// (keyed by Canonical(), holding encoded responses), then structural on an
 // exact miss (keyed by StructuralKey(), holding compiled Results remapped
 // onto each spelling's names; see computeRouted), then the pipeline. The
 // request is prepared first (vliwq.Prepared: normalized once, its keys and
