@@ -1,11 +1,11 @@
 // Command vliwd is the long-running compilation daemon: an HTTP/JSON
-// service (internal/service) over the vliwq pipeline, backed by the shared
-// compile cache.
+// service (internal/service) over the vliwq pipeline, behind its exact and
+// structural cache layers.
 //
 // Usage:
 //
-//	vliwd                          # serve on :8391, cache bounded at 64Ki entries
-//	vliwd -addr 127.0.0.1:9000 -cache-entries 4096
+//	vliwd                          # serve on :8391, each cache layer bounded at 64Ki entries
+//	vliwd -addr 127.0.0.1:9000 -cache-entries 4096    # 0 = unbounded
 //	vliwd -cache-snapshot /var/lib/vliwd/cache.snap   # warm-start + persist
 //	vliwd -max-inflight 256 -slo 50ms    # shed past 256 in flight, degrade effort past 50ms
 //
@@ -51,9 +51,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 	flags.SetOutput(stderr)
 	var (
 		addr     = flags.String("addr", ":8391", "listen address")
-		entries  = flags.Int("cache-entries", 65536, "compile cache bound (0 = unbounded, negative disables caching)")
+		entries  = flags.Int("cache-entries", 65536, "entry bound of each cache layer (0 = unbounded)")
 		workers  = flags.Int("workers", 0, "per-batch compile workers (0 = GOMAXPROCS)")
-		batch    = flags.Int("max-batch", 0, "max requests per /batch call (0 = 1024)")
 		snapshot = flags.String("cache-snapshot", "", "snapshot file: warm-start the cache on boot, persist it on shutdown")
 		inflight = flags.Int("max-inflight", 0, "admission bound: concurrent requests before shedding with 429 (0 disables)")
 		slo      = flags.Duration("slo", 0, "compile-latency SLO target driving the effort degradation ladder (0 disables)")
@@ -61,14 +60,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 	if err := flags.Parse(args); err != nil {
 		return 2
 	}
-	if *snapshot != "" && *entries < 0 {
-		fmt.Fprintln(stderr, "vliwd: -cache-snapshot needs caching enabled (-cache-entries >= 0)")
+	if *entries < 0 {
+		fmt.Fprintf(stderr, "vliwd: -cache-entries %d: the bound must be 0 (unbounded) or positive\n", *entries)
 		return 2
 	}
 	srv := service.New(service.Config{
 		CacheEntries: *entries,
 		Workers:      *workers,
-		MaxBatch:     *batch,
 		MaxInflight:  *inflight,
 		SLOTarget:    *slo,
 	})

@@ -82,8 +82,19 @@ func TestRunBadFlags(t *testing.T) {
 	if code := run(context.Background(), []string{"-addr", "256.0.0.1:bad"}, &stdout, &stderr, nil); code != 1 {
 		t.Fatalf("bad addr exit code %d, want 1", code)
 	}
-	if code := run(context.Background(), []string{"-cache-snapshot", "x", "-cache-entries", "-1"}, &stdout, &stderr, nil); code != 2 {
-		t.Fatalf("snapshot without caching exit code %d, want 2", code)
+	stderr.Reset()
+	if code := run(context.Background(), []string{"-cache-entries", "-1"}, &stdout, &stderr, nil); code != 2 {
+		t.Fatalf("negative cache bound exit code %d, want 2", code)
+	}
+	if !strings.Contains(stderr.String(), "-cache-entries") {
+		t.Fatalf("negative cache bound message does not name the flag: %q", stderr.String())
+	}
+	stderr.Reset()
+	if code := run(context.Background(), []string{"-max-batch", "8"}, &stdout, &stderr, nil); code != 2 {
+		t.Fatalf("-max-batch exit code %d, want 2", code)
+	}
+	if !strings.Contains(stderr.String(), "flag provided but not defined: -max-batch") {
+		t.Fatalf("-max-batch is not reported as an unknown flag: %q", stderr.String())
 	}
 }
 

@@ -240,11 +240,9 @@ func reportStats(client *http.Client, base string, stdout, stderr io.Writer) {
 		fmt.Fprintf(stdout, "gateway: %d backends, %d compiles, cache hits=%d misses=%d entries=%d\n",
 			gst.BackendCount, gst.TotalSched.Compiles,
 			gst.TotalCache.Hits, gst.TotalCache.Misses, gst.TotalCache.Entries)
-		if gst.TotalStructural.Enabled {
-			fmt.Fprintf(stdout, "structural: hits=%d coalesced=%d renumbered=%d entries=%d, gateway coalesced=%d\n",
-				gst.TotalStructural.Hits, gst.TotalStructural.Coalesced,
-				gst.TotalStructural.Renumbered, gst.TotalStructural.Entries, gst.Coalesced)
-		}
+		fmt.Fprintf(stdout, "structural: hits=%d coalesced=%d renumbered=%d entries=%d, gateway coalesced=%d\n",
+			gst.TotalStructural.Hits, gst.TotalStructural.Coalesced,
+			gst.TotalStructural.Renumbered, gst.TotalStructural.Entries, gst.Coalesced)
 		if o := gst.TotalOptimal; o.Proved+o.Incumbent > 0 {
 			fmt.Fprintf(stdout, "optimal: proved=%d incumbent=%d pruned_nodes=%d\n",
 				o.Proved, o.Incumbent, o.PrunedNodes)
@@ -275,11 +273,9 @@ func reportStats(client *http.Client, base string, stdout, stderr io.Writer) {
 	}
 	fmt.Fprintf(stdout, "server: %d compiles, cache hits=%d misses=%d entries=%d\n",
 		st.Sched.Compiles, st.Cache.Hits, st.Cache.Misses, st.Cache.Entries)
-	if st.Structural.Enabled {
-		fmt.Fprintf(stdout, "structural: hits=%d coalesced=%d renumbered=%d entries=%d\n",
-			st.Structural.Hits, st.Structural.Coalesced,
-			st.Structural.Renumbered, st.Structural.Entries)
-	}
+	fmt.Fprintf(stdout, "structural: hits=%d coalesced=%d renumbered=%d entries=%d\n",
+		st.Structural.Hits, st.Structural.Coalesced,
+		st.Structural.Renumbered, st.Structural.Entries)
 	if o := st.Optimal; o.Proved+o.Incumbent > 0 {
 		fmt.Fprintf(stdout, "optimal: proved=%d incumbent=%d pruned_nodes=%d\n",
 			o.Proved, o.Incumbent, o.PrunedNodes)

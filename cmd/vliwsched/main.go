@@ -135,7 +135,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		compiler := vliwq.NewCompiler(vliwq.CompilerConfig{CacheEntries: -1})
+		compiler := vliwq.NewCompiler(vliwq.CompilerConfig{})
 		res, err := compiler.RunUntil(context.Background(), vliwq.NewRequest(loop, opts), stage)
 		if err != nil {
 			return fail(err)

@@ -69,7 +69,7 @@ func TestCompilerRunMatchesCompile(t *testing.T) {
 // partial Result exposes exactly the artifacts and timings of the stages
 // that ran.
 func TestRunUntilStagedArtifacts(t *testing.T) {
-	compiler := vliwq.NewCompiler(vliwq.CompilerConfig{CacheEntries: -1})
+	compiler := vliwq.NewCompiler(vliwq.CompilerConfig{})
 	req := vliwq.Request{Loop: testLoop, Machine: "clustered:4", Unroll: true}
 	ctx := context.Background()
 
@@ -161,38 +161,15 @@ func TestRunUntilStagedArtifacts(t *testing.T) {
 	}
 }
 
-// TestCompilerSessionCache: identical requests share one compilation (and
-// one Result pointer), different RunUntil cutoffs do not, and the
-// default spellings of one behaviour collapse onto one entry.
-func TestCompilerSessionCache(t *testing.T) {
-	compiler := vliwq.NewCompiler(vliwq.CompilerConfig{})
-	ctx := context.Background()
-	req := vliwq.Request{Loop: testLoop, SkipVerify: true}
-
-	a, err := compiler.Run(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := compiler.Run(ctx, vliwq.Request{Loop: testLoop, Machine: "single:6", CopyShape: "tree", Effort: "fast", SkipVerify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatal("default spellings of one request compiled twice in one session")
-	}
-	// A partial run is a distinct cached artifact, never replayed as full.
-	p, err := compiler.RunUntil(ctx, req, vliwq.StageUnroll)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p == a || p.Sched != nil {
-		t.Fatal("partial run replayed the full-run entry")
-	}
-	if again, err := compiler.RunUntil(ctx, req, vliwq.StageUnroll); err != nil || again != p {
-		t.Fatalf("a repeated partial run compiled again (err %v)", err)
-	}
-	if again, err := compiler.Run(ctx, req); err != nil || again != a {
-		t.Fatalf("the full run after a partial one compiled again (err %v)", err)
+// TestDefaultSessionHonoursContext: a zero-config session compiles under
+// its caller's context, so an already-cancelled context ends the compile
+// before it starts, with no Result.
+func TestDefaultSessionHonoursContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := vliwq.NewCompiler(vliwq.CompilerConfig{}).Run(ctx, vliwq.Request{Loop: testLoop})
+	if res != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run under a cancelled context: result %v, err %v; want no result and context.Canceled", res, err)
 	}
 }
 
@@ -222,15 +199,14 @@ func (c *budgetCtx) Done() <-chan struct{} { return nil }
 // TestRunBatchCancellationMidBatch: cancel mid-batch and assert the
 // returned slice keeps len(reqs) entries, every entry is exactly one of
 // result/error, completed requests keep their results (a prefix, since
-// workers=1), and every unstarted request reports ctx.Err() (an uncached
-// session, so in-flight compiles honour the caller's context).
+// workers=1), and every unstarted request reports ctx.Err().
 func TestRunBatchCancellationMidBatch(t *testing.T) {
 	const n = 40
 	reqs := make([]vliwq.Request, n)
 	for i := range reqs {
 		reqs[i] = vliwq.Request{Loop: testLoop, SkipVerify: true}
 	}
-	compiler := vliwq.NewCompiler(vliwq.CompilerConfig{CacheEntries: -1, Workers: 1})
+	compiler := vliwq.NewCompiler(vliwq.CompilerConfig{Workers: 1})
 	ctx := &budgetCtx{Context: context.Background(), budget: 100}
 	out := compiler.RunBatch(ctx, reqs)
 	if len(out) != n {

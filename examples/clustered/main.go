@@ -7,9 +7,8 @@
 // enables the move-operation extension (the paper's §5 future work) to
 // show values hopping between non-adjacent clusters.
 //
-// Everything runs through one vliwq.Compiler session: machine targets are
-// the "single:<n>"/"clustered:<n>" specs requests carry on the wire, and
-// the session cache means a repeated request would not recompile.
+// Everything runs through one vliwq.Compiler session, and machine targets
+// are the "single:<n>"/"clustered:<n>" specs requests carry on the wire.
 //
 // Run with: go run ./examples/clustered
 package main

@@ -1,8 +1,8 @@
 // Package cache provides a concurrency-safe memoization cache and the one
-// singleflight the serving stack coalesces through: compiler sessions and
-// the experiment pipeline (internal/exp) memoize with it, the service
-// (internal/service) builds its exact and structural layers on it, and the
-// gateway (internal/gateway) collapses concurrent dispatches with it.
+// singleflight the serving stack coalesces through: the experiment
+// pipeline (internal/exp) memoizes with it, the service (internal/service)
+// builds its exact and structural layers on it, and the gateway
+// (internal/gateway) collapses concurrent dispatches with it.
 //
 // The cache is sharded by key hash so that concurrent workers contend on a
 // per-shard mutex rather than one cache-wide lock. The first caller of a

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // Format writes the program back out in the canonical trace spelling:
@@ -31,11 +30,4 @@ func Format(w io.Writer, p *Program) error {
 		fmt.Fprintf(bw, "\t%s\n", in.String())
 	}
 	return bw.Flush()
-}
-
-// FormatString is Format into a string.
-func FormatString(p *Program) string {
-	var b strings.Builder
-	_ = Format(&b, p)
-	return b.String()
 }

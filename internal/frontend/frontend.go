@@ -204,16 +204,6 @@ func (p *Program) Glue() []Inst {
 	return g
 }
 
-// Region returns the region labelled name, or nil.
-func (p *Program) Region(label string) *Region {
-	for _, r := range p.Regions {
-		if r.Label == label {
-			return r
-		}
-	}
-	return nil
-}
-
 // Body returns the region's body instructions (back branch excluded).
 func (r *Region) Body(p *Program) []Inst {
 	return p.Insts[r.Start:r.End]

@@ -24,12 +24,12 @@ func FuzzParseTrace(f *testing.F) {
 		if err != nil {
 			return // rejected inputs only need a deterministic error
 		}
-		txt := FormatString(p1)
+		txt := formatString(p1)
 		p2, err := ParseString(txt)
 		if err != nil {
 			t.Fatalf("canonical form does not reparse: %v\ninput:\n%s\ncanonical:\n%s", err, src, txt)
 		}
-		if got := FormatString(p2); got != txt {
+		if got := formatString(p2); got != txt {
 			t.Fatalf("canonical form not a fixed point:\n%s\nvs\n%s", txt, got)
 		}
 		if len(p2.Regions) != len(p1.Regions) {

@@ -12,17 +12,17 @@ import (
 	"time"
 
 	"vliwq"
-	"vliwq/internal/faults"
 	"vliwq/internal/service"
 )
 
 // dualInjectedFleet boots a 2-backend fleet with a fault injector wrapped
-// around EACH backend, so coalescing tests can count exactly how many HTTP
-// requests reach every slot — the fleet-wide cost of a request storm.
-func dualInjectedFleet(t testing.TB, cfg Config, c0, c1 faults.Config) (*Gateway, *httptest.Server, [2]*faults.Injector) {
+// around EACH backend, delaying each request by d0 and d1, so coalescing
+// tests can count exactly how many HTTP requests reach every slot — the
+// fleet-wide cost of a request storm.
+func dualInjectedFleet(t testing.TB, cfg Config, d0, d1 time.Duration) (*Gateway, *httptest.Server, [2]*injector) {
 	t.Helper()
-	inj0 := faults.New(service.New(service.Config{}).Handler(), c0)
-	inj1 := faults.New(service.New(service.Config{}).Handler(), c1)
+	inj0 := newInjector(service.New(service.Config{}).Handler(), d0)
+	inj1 := newInjector(service.New(service.Config{}).Handler(), d1)
 	b0 := httptest.NewServer(inj0)
 	b1 := httptest.NewServer(inj1)
 	cfg.Backends = []string{b0.URL, b1.URL}
@@ -36,19 +36,19 @@ func dualInjectedFleet(t testing.TB, cfg Config, c0, c1 faults.Config) (*Gateway
 		b0.Close()
 		b1.Close()
 	})
-	return gw, ts, [2]*faults.Injector{inj0, inj1}
+	return gw, ts, [2]*injector{inj0, inj1}
 }
 
 // waitRequests polls until an injector has seen at least n requests — the
 // point at which the leader's flight is definitely registered (the flight
 // exists before its dispatch starts) and the backend is inside its
 // injected delay, so every request fired after this deterministically joins.
-func waitRequests(t testing.TB, inj *faults.Injector, n int64) {
+func waitRequests(t testing.TB, inj *injector, n int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for inj.Counts().Requests < n {
+	for inj.requests.Load() < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("injector saw %d requests, want >= %d", inj.Counts().Requests, n)
+			t.Fatalf("injector saw %d requests, want >= %d", inj.requests.Load(), n)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -61,7 +61,7 @@ func waitRequests(t testing.TB, inj *faults.Injector, n int64) {
 // same bytes. Joiners skip the routing counters, so owned == served == 1.
 func TestGatewayCoalescesConcurrentIdentical(t *testing.T) {
 	gw, ts, inj := dualInjectedFleet(t, Config{},
-		faults.Config{SlowEvery: 1, SlowBy: 150 * time.Millisecond}, faults.Config{})
+		150*time.Millisecond, 0)
 	req := slot0Request(t, gw)
 
 	const callers = 8
@@ -93,7 +93,7 @@ func TestGatewayCoalescesConcurrentIdentical(t *testing.T) {
 			t.Fatalf("caller %d relayed different bytes than the leader", i)
 		}
 	}
-	if n := inj[0].Counts().Requests; n != 1 {
+	if n := inj[0].requests.Load(); n != 1 {
 		t.Fatalf("backend saw %d requests for %d concurrent callers, want 1", n, callers)
 	}
 	st := gw.Stats(context.Background())
@@ -114,9 +114,9 @@ func TestGatewayCoalescesConcurrentIdentical(t *testing.T) {
 // request. The peer is slowed so the joiners reliably arrive mid-flight.
 func TestGatewayStampedeJoinsFailover(t *testing.T) {
 	gw, ts, inj := dualInjectedFleet(t, Config{BackoffBase: -1},
-		faults.Config{}, faults.Config{SlowEvery: 1, SlowBy: 150 * time.Millisecond})
+		0, 150*time.Millisecond)
 	req := slot0Request(t, gw)
-	inj[0].SetDown(true)
+	inj[0].setDown(true)
 
 	const callers = 8
 	statuses := make([]int, callers)
@@ -147,11 +147,11 @@ func TestGatewayStampedeJoinsFailover(t *testing.T) {
 			t.Fatalf("caller %d relayed different bytes than the leader", i)
 		}
 	}
-	if n := inj[1].Counts().Requests; n != 1 {
+	if n := inj[1].requests.Load(); n != 1 {
 		t.Fatalf("surviving peer absorbed %d requests, want 1 — the stampede was not coalesced", n)
 	}
-	if down := inj[0].Counts(); down.Failed == 0 {
-		t.Fatalf("down owner injected no failures (%+v); the walk never exercised the outage", down)
+	if inj[0].failed.Load() == 0 {
+		t.Fatal("down owner injected no failures; the walk never exercised the outage")
 	}
 	st := gw.Stats(context.Background())
 	if st.Coalesced != callers-1 {
@@ -169,7 +169,7 @@ func TestGatewayStampedeJoinsFailover(t *testing.T) {
 // gateway's coalesced counter does not count the handed-off caller.
 func TestGatewayLeaderHandoff(t *testing.T) {
 	gw, ts, inj := dualInjectedFleet(t, Config{},
-		faults.Config{SlowEvery: 1, SlowBy: 300 * time.Millisecond}, faults.Config{})
+		300*time.Millisecond, 0)
 	body, err := json.Marshal(slot0Request(t, gw))
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +222,7 @@ func TestGatewayLeaderHandoff(t *testing.T) {
 	if j.err != nil || j.status != http.StatusOK {
 		t.Fatalf("joiner: status %d err %v, want 200 from its own dispatch", j.status, j.err)
 	}
-	if n := inj[0].Counts().Requests; n != 2 {
+	if n := inj[0].requests.Load(); n != 2 {
 		t.Fatalf("owner saw %d requests, want 2 (the leader's and the handed-off caller's)", n)
 	}
 	if st := gw.Stats(context.Background()); st.Coalesced != 0 {
@@ -298,8 +298,8 @@ func TestGatewayStructuralAcrossSpellings(t *testing.T) {
 		t.Fatalf("fleet compiles = %d, want 1 (the renamed spelling must reuse the class compile)",
 			st.TotalSched.Compiles)
 	}
-	if !st.TotalStructural.Enabled || st.TotalStructural.Hits != 1 {
-		t.Fatalf("total structural = %+v, want enabled with hits=1", st.TotalStructural)
+	if st.TotalStructural.Hits != 1 {
+		t.Fatalf("total structural = %+v, want hits=1", st.TotalStructural)
 	}
 	if st.TotalCache.Misses != 2 {
 		t.Fatalf("exact misses = %d, want 2 (distinct spellings keep distinct exact keys)", st.TotalCache.Misses)

@@ -14,7 +14,6 @@ import (
 
 	"vliwq"
 	"vliwq/internal/corpus"
-	"vliwq/internal/faults"
 	"vliwq/internal/service"
 )
 
@@ -155,11 +154,42 @@ func TestBreakerDisabled(t *testing.T) {
 	}
 }
 
+// injector wraps a backend's handler with the faults the gateway tests
+// inject: a modal outage, during which every request answers 503 at once,
+// and a fixed delay before each request it passes on. It counts the
+// requests it saw and the ones it failed, so a test can check that its
+// faults fired instead of passing vacuously.
+type injector struct {
+	next     http.Handler
+	delay    time.Duration
+	down     atomic.Bool
+	requests atomic.Int64
+	failed   atomic.Int64
+}
+
+func newInjector(next http.Handler, delay time.Duration) *injector {
+	return &injector{next: next, delay: delay}
+}
+
+// setDown switches the outage on or off.
+func (in *injector) setDown(down bool) { in.down.Store(down) }
+
+func (in *injector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	in.requests.Add(1)
+	if in.down.Load() {
+		in.failed.Add(1)
+		http.Error(w, "injected fault", http.StatusServiceUnavailable)
+		return
+	}
+	time.Sleep(in.delay)
+	in.next.ServeHTTP(w, r)
+}
+
 // injectedFleet boots a 2-backend fleet with a fault injector wrapped
 // around backend 0, so tests flip outages with cycle-exact boundaries.
-func injectedFleet(t testing.TB, cfg Config) (*Gateway, *httptest.Server, *faults.Injector) {
+func injectedFleet(t testing.TB, cfg Config) (*Gateway, *httptest.Server, *injector) {
 	t.Helper()
-	inj := faults.New(service.New(service.Config{}).Handler(), faults.Config{})
+	inj := newInjector(service.New(service.Config{}).Handler(), 0)
 	b0 := httptest.NewServer(inj)
 	b1 := httptest.NewServer(service.New(service.Config{}).Handler())
 	cfg.Backends = []string{b0.URL, b1.URL}
@@ -202,7 +232,7 @@ func TestBreakerUnderFaultInjector(t *testing.T) {
 	})
 	req := slot0Request(t, gw)
 
-	inj.SetDown(true)
+	inj.setDown(true)
 	for i := 0; i < 6; i++ {
 		resp, body := postJSON(t, ts.Client(), ts.URL+"/compile", req)
 		if resp.StatusCode != http.StatusOK {
@@ -223,7 +253,7 @@ func TestBreakerUnderFaultInjector(t *testing.T) {
 
 	// Recovery: after the cooldown the next request is the half-open trial;
 	// it succeeds against the recovered backend and re-closes the circuit.
-	inj.SetDown(false)
+	inj.setDown(false)
 	time.Sleep(60 * time.Millisecond)
 	resp, body := postJSON(t, ts.Client(), ts.URL+"/compile", req)
 	if resp.StatusCode != http.StatusOK {
@@ -249,7 +279,7 @@ func TestProberReclosesBreakerWithoutTraffic(t *testing.T) {
 	})
 	req := slot0Request(t, gw)
 
-	inj.SetDown(true)
+	inj.setDown(true)
 	for i := 0; i < 4; i++ {
 		postJSON(t, ts.Client(), ts.URL+"/compile", req)
 	}
@@ -259,7 +289,7 @@ func TestProberReclosesBreakerWithoutTraffic(t *testing.T) {
 
 	stop := gw.StartProber(20 * time.Millisecond)
 	defer stop()
-	inj.SetDown(false)
+	inj.setDown(false)
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		if st := gw.Stats(context.Background()); st.Backends[0].Breaker == "closed" {

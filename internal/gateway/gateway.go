@@ -599,11 +599,11 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		g.fail(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
-	// The backend's default limit, so the gateway answers 413 the same way
-	// a single vliwd would, before splitting anything.
-	if len(req.Requests) > service.DefaultMaxBatch {
+	// The backends' limit, so the gateway answers 413 the same way a
+	// single vliwd would, before splitting anything.
+	if len(req.Requests) > service.MaxBatch {
 		g.fail(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d exceeds the %d-request limit", len(req.Requests), service.DefaultMaxBatch))
+			fmt.Sprintf("batch of %d exceeds the %d-request limit", len(req.Requests), service.MaxBatch))
 		return
 	}
 	g.batchItems.Add(int64(len(req.Requests)))
@@ -852,8 +852,7 @@ type StatsResponse struct {
 	Coalesced  int64          `json:"coalesced"`
 	Backends   []BackendStats `json:"backends"`
 	TotalCache cache.Stats    `json:"total_cache"`
-	// TotalStructural sums the backends' structural layers; Enabled is true
-	// when any backend has the layer on.
+	// TotalStructural sums the backends' structural layers.
 	TotalStructural service.StructuralStats `json:"total_structural"`
 	// TotalOptimal sums the backends' certified-tier counters.
 	TotalOptimal service.OptimalStats `json:"total_optimal"`
@@ -921,7 +920,6 @@ func (g *Gateway) Stats(ctx context.Context) StatsResponse {
 		st.TotalCache.Evictions += bs.Cache.Evictions
 		st.TotalCache.Entries += bs.Cache.Entries
 		st.TotalCache.Coalesced += bs.Cache.Coalesced
-		st.TotalStructural.Enabled = st.TotalStructural.Enabled || bs.Structural.Enabled
 		st.TotalStructural.Hits += bs.Structural.Hits
 		st.TotalStructural.Coalesced += bs.Structural.Coalesced
 		st.TotalStructural.Reordered += bs.Structural.Reordered

@@ -351,7 +351,7 @@ func TestGatewayBatchDeadSlot(t *testing.T) {
 func TestGatewayBatchLimit(t *testing.T) {
 	gw, ts, _ := fleet(t, 2, Config{})
 	one := testRequests(t, 1)[0]
-	reqs := make([]service.CompileRequest, service.DefaultMaxBatch+1)
+	reqs := make([]service.CompileRequest, service.MaxBatch+1)
 	for i := range reqs {
 		reqs[i] = one
 	}

@@ -49,13 +49,6 @@ func (e *EWMA) Value() float64 {
 	return e.val
 }
 
-// Count returns how many samples have been observed.
-func (e *EWMA) Count() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.n
-}
-
 // Window is a thread-safe sliding window over the most recent N samples,
 // answering order statistics. The gateway feeds it per-request latencies
 // and reads Quantile(0.99) to derive its hedging delay — a tail estimate
@@ -84,13 +77,6 @@ func (w *Window) Add(x float64) {
 	if w.n < len(w.buf) {
 		w.n++
 	}
-}
-
-// Len returns the number of samples currently held.
-func (w *Window) Len() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.n
 }
 
 // Quantile returns the q-quantile (q in [0, 1], nearest-rank) of the held

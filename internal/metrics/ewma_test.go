@@ -20,8 +20,8 @@ func TestEWMASeedAndDecay(t *testing.T) {
 	if v := e.Observe(0); v != 25 {
 		t.Fatalf("decay continues: got %v, want 25", v)
 	}
-	if e.Count() != 3 {
-		t.Fatalf("count %d, want 3", e.Count())
+	if e.n != 3 {
+		t.Fatalf("count %d, want 3", e.n)
 	}
 }
 
@@ -55,8 +55,8 @@ func TestWindowQuantile(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		w.Add(float64(i))
 	}
-	if w.Len() != 100 {
-		t.Fatalf("len %d, want 100", w.Len())
+	if w.n != 100 {
+		t.Fatalf("len %d, want 100", w.n)
 	}
 	if q := w.Quantile(0); q != 1 {
 		t.Fatalf("q0 = %v, want 1", q)
@@ -85,8 +85,8 @@ func TestWindowEvictsOldest(t *testing.T) {
 	if q := w.Quantile(0); q != 5 {
 		t.Fatalf("after wraparound min = %v, want 5", q)
 	}
-	if w.Len() != 4 {
-		t.Fatalf("len %d, want 4", w.Len())
+	if w.n != 4 {
+		t.Fatalf("len %d, want 4", w.n)
 	}
 }
 
@@ -115,8 +115,8 @@ func TestEWMAAndWindowConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if e.Count() != 8000 {
-		t.Fatalf("count %d, want 8000", e.Count())
+	if e.n != 8000 {
+		t.Fatalf("count %d, want 8000", e.n)
 	}
 	if q := w.Quantile(1); q > 6 {
 		t.Fatalf("max %v exceeds the largest sample 6", q)

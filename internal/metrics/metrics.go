@@ -99,6 +99,3 @@ func (m *Mean) Value() float64 {
 	}
 	return m.sum / float64(m.n)
 }
-
-// N returns the sample count.
-func (m *Mean) N() int { return m.n }

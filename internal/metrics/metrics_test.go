@@ -117,7 +117,7 @@ func TestDynamicAggregateUnrolled(t *testing.T) {
 
 func TestMean(t *testing.T) {
 	var m Mean
-	if m.Value() != 0 || m.N() != 0 {
+	if m.Value() != 0 || m.n != 0 {
 		t.Fatal("zero-value Mean wrong")
 	}
 	m.Add(1)
@@ -126,7 +126,7 @@ func TestMean(t *testing.T) {
 	if got := m.Value(); math.Abs(got-3) > 1e-12 {
 		t.Fatalf("mean = %v, want 3", got)
 	}
-	if m.N() != 3 {
-		t.Fatalf("N = %d", m.N())
+	if m.n != 3 {
+		t.Fatalf("n = %d", m.n)
 	}
 }

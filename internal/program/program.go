@@ -4,8 +4,8 @@
 // hard, trivial regions take the fast tier, hard regions go through the
 // portfolio/certified tiers, and the per-region schedules are merged back
 // into one program schedule whose total order is verified. All per-region
-// compiles run as canonical vliwq.Requests through one uncached
-// vliwq.Compiler session per call, each under the caller's context, and
+// compiles run as canonical vliwq.Requests through one vliwq.Compiler
+// session per call, each under the caller's context, and
 // Result.Bound certificates apply to each region exactly as they would to
 // a standalone request — a region's compile is byte-identical to compiling
 // its lifted loop alone, and the same Requests can be posted verbatim to a
@@ -136,11 +136,7 @@ func ScheduleProgram(ctx context.Context, p *frontend.Program, opts Options) (*S
 		return nil, err
 	}
 	m, _ := vliwq.ParseMachine(o.Machine)
-	// No session cache: a program's regions are rarely the same loop
-	// (those of corpus.Traced() never are), so a cache would only add an
-	// entry and a singleflight per region, and it would compile detached
-	// from ctx.
-	results := vliwq.NewCompiler(vliwq.CompilerConfig{CacheEntries: -1, Workers: o.Workers}).RunBatch(ctx, reqs)
+	results := vliwq.NewCompiler(vliwq.CompilerConfig{Workers: o.Workers}).RunBatch(ctx, reqs)
 	s := &Schedule{Program: p, Machine: m.Spec(), Regions: make([]RegionSchedule, len(reqs))}
 	for i, br := range results {
 		if br.Err != nil {
@@ -237,30 +233,6 @@ func (s *Schedule) HardCount() int {
 		}
 	}
 	return n
-}
-
-// Certified reports whether every hard region carries an optimality
-// certificate (Bound.Lower > 0 — the certified tier ran and bounded it).
-func (s *Schedule) Certified() bool {
-	for _, rs := range s.Regions {
-		if rs.Hard && rs.Result.Bound.Lower == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// StageNanos aggregates per-stage wall-clock across every region compile,
-// keyed by stage name — the program-level view of the service's
-// stage_nanos observability.
-func (s *Schedule) StageNanos() map[string]int64 {
-	out := make(map[string]int64)
-	for _, rs := range s.Regions {
-		for _, st := range rs.Result.Stages {
-			out[st.Stage.String()] += int64(st.Duration)
-		}
-	}
-	return out
 }
 
 // Render prints the merged program schedule deterministically: program

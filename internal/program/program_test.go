@@ -44,23 +44,24 @@ func TestScheduleProgramKernelTrace(t *testing.T) {
 	if s.HardCount() == 0 {
 		t.Fatal("no region classified hard; the trace must exercise the certified tier")
 	}
-	if !s.Certified() {
-		t.Fatal("a hard region is missing its Bound certificate")
-	}
 	for _, rs := range s.Regions {
 		wantEffort := "fast"
 		if rs.Hard {
 			wantEffort = "optimal"
+			// The certified tier ran and bounded the region.
+			if rs.Result.Bound.Lower == 0 {
+				t.Errorf("hard region %q is missing its Bound certificate", rs.Region.Label)
+			}
 		}
 		if rs.Request.Effort != wantEffort {
 			t.Errorf("region %q: effort %q, want %q", rs.Region.Label, rs.Request.Effort, wantEffort)
 		}
+		if len(rs.Result.Stages) == 0 {
+			t.Errorf("region %q: no stage timings", rs.Region.Label)
+		}
 	}
 	if s.SumII() <= 0 || s.MaxQueues() <= 0 {
 		t.Fatalf("degenerate metrics: sum II=%d queues=%d", s.SumII(), s.MaxQueues())
-	}
-	if len(s.StageNanos()) == 0 {
-		t.Fatal("no per-region stage timings aggregated")
 	}
 }
 

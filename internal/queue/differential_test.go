@@ -176,7 +176,7 @@ func randomSchedule(rng *rand.Rand) *sched.Schedule {
 }
 
 // checkAllocate requires Allocate to equal the reference allocator, its
-// allocation to pass Verify, and MaxOccupancy to equal the reference count
+// allocation to pass Verify, and maxOccupancy to equal the reference count
 // on the schedule's lifetimes.
 func checkAllocate(t *testing.T, label string, s *sched.Schedule) *Allocation {
 	t.Helper()
@@ -187,9 +187,9 @@ func checkAllocate(t *testing.T, label string, s *sched.Schedule) *Allocation {
 	if err := got.Verify(context.Background()); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	lts := BuildLifetimes(s)
-	if g, w := MaxOccupancy(lts, s.II), maxOccupancyRef(lts, s.II); g != w {
-		t.Fatalf("%s: MaxOccupancy of all %d lifetimes = %d, reference %d", label, len(lts), g, w)
+	lts := buildLifetimes(s)
+	if g, w := maxOccupancy(lts, s.II), maxOccupancyRef(lts, s.II); g != w {
+		t.Fatalf("%s: maxOccupancy of all %d lifetimes = %d, reference %d", label, len(lts), g, w)
 	}
 	return got
 }
@@ -254,7 +254,7 @@ func TestPlacementOrderMatchesComparatorSort(t *testing.T) {
 		}
 	}
 	for _, in := range refInputs(t) {
-		if lts := BuildLifetimes(in.s); len(lts) > 0 {
+		if lts := buildLifetimes(in.s); len(lts) > 0 {
 			check(in.label, lts)
 		}
 	}

@@ -52,7 +52,7 @@ func TestMaxOccupancyMatchesSimulation(t *testing.T) {
 			s := rng.Intn(3 * ii)
 			lts[i] = Lifetime{Start: s, End: s + rng.Intn(3*ii)}
 		}
-		got := MaxOccupancy(lts, ii)
+		got := maxOccupancy(lts, ii)
 		want := simOccupancy(lts, ii)
 		if got != want {
 			t.Logf("ii=%d lts=%v: formula=%d sim=%d", ii, lts, got, want)
@@ -81,7 +81,7 @@ func TestOccupancyPhaseShiftInvariance(t *testing.T) {
 		for i, lt := range lts {
 			shifted[i] = Lifetime{Start: lt.Start + shift, End: lt.End + shift}
 		}
-		if MaxOccupancy(lts, ii) != MaxOccupancy(shifted, ii) {
+		if maxOccupancy(lts, ii) != maxOccupancy(shifted, ii) {
 			t.Fatalf("occupancy not shift-invariant: %v shift %d", lts, shift)
 		}
 	}

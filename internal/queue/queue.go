@@ -70,14 +70,9 @@ func CompatibleSet(lts []Lifetime, ii int) bool {
 	return true
 }
 
-// BuildLifetimes derives one lifetime per flow dependence of the schedule.
-// Values that are never consumed produce no lifetime.
-func BuildLifetimes(s *sched.Schedule) []Lifetime {
-	return appendLifetimes(nil, s)
-}
-
-// appendLifetimes appends the schedule's lifetimes to lts, growing it at
-// most once: Allocate builds them into its pooled scratch.
+// appendLifetimes appends the schedule's lifetimes to lts, one per flow
+// dependence, growing it at most once: Allocate builds them into its
+// pooled scratch. Values that are never consumed produce no lifetime.
 func appendLifetimes(lts []Lifetime, s *sched.Schedule) []Lifetime {
 	n := 0
 	for _, d := range s.Loop.Deps {
@@ -124,20 +119,6 @@ func compatible(a, b phase, ii int) bool {
 		g += ii
 	}
 	return a.l-b.l < g
-}
-
-// MaxOccupancy returns the largest number of values simultaneously resident
-// in a queue holding the given lifetimes, in pipeline steady state. A
-// lifetime of length L contributes ceil((L-r)/II) instances at phase
-// offset r from its start; see occupy for the closed form it is computed
-// by, in O(len(lts) + II).
-func MaxOccupancy(lts []Lifetime, ii int) int {
-	diff := make([]int32, ii+1)
-	base := 0
-	for _, lt := range lts {
-		base += occupy(diff, phaseOf(lt.Start, lt.End, ii), ii)
-	}
-	return base + peak(diff, ii)
 }
 
 // occupy adds one lifetime to a queue's occupancy profile over the II

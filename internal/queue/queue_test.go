@@ -7,7 +7,28 @@ import (
 	"testing/quick"
 
 	"vliwq/internal/ir"
+	"vliwq/internal/sched"
 )
+
+// buildLifetimes derives one lifetime per flow dependence of the schedule,
+// as Allocate does.
+func buildLifetimes(s *sched.Schedule) []Lifetime {
+	return appendLifetimes(nil, s)
+}
+
+// maxOccupancy returns the largest number of values simultaneously
+// resident in a queue holding the given lifetimes, in pipeline steady
+// state, through the occupy and peak steps Allocate takes per queue. A
+// lifetime of length L contributes ceil((L-r)/II) instances at phase
+// offset r from its start.
+func maxOccupancy(lts []Lifetime, ii int) int {
+	diff := make([]int32, ii+1)
+	base := 0
+	for _, lt := range lts {
+		base += occupy(diff, phaseOf(lt.Start, lt.End, ii), ii)
+	}
+	return base + peak(diff, ii)
+}
 
 // fifoCompatible brute-forces the Q-compatibility question: it merges the
 // periodic write/read event streams of two lifetimes over enough iterations
@@ -198,8 +219,8 @@ func TestMaxOccupancy(t *testing.T) {
 		{"overlap", []Lifetime{{Start: 0, End: 2}, {Start: 1, End: 3}}, 4, 2},
 	}
 	for _, c := range cases {
-		if got := MaxOccupancy(c.lts, c.ii); got != c.want {
-			t.Errorf("%s: MaxOccupancy = %d, want %d", c.name, got, c.want)
+		if got := maxOccupancy(c.lts, c.ii); got != c.want {
+			t.Errorf("%s: maxOccupancy = %d, want %d", c.name, got, c.want)
 		}
 	}
 }

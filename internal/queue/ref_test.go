@@ -10,7 +10,7 @@ import (
 )
 
 // This file keeps the allocator as it was before the dense rewrite, as the
-// test oracle of Allocate, MaxOccupancy and Verify: map-keyed files, queues
+// test oracle of Allocate, its occupancy count and Verify: map-keyed files, queues
 // of copied lifetimes, an O(n·II) occupancy count and a comparison-sorted
 // Verify. Production has no hook into it.
 
@@ -23,7 +23,7 @@ func (x lkey) compare(y lkey) int {
 
 // allocateRef is the map-based first-fit allocator.
 func allocateRef(s *sched.Schedule) *Allocation {
-	lts := BuildLifetimes(s)
+	lts := buildLifetimes(s)
 	order := make([]int, len(lts))
 	for i := range order {
 		order[i] = i

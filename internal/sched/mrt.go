@@ -152,12 +152,6 @@ type mrt struct {
 
 type cell [machine.NumClasses][]int
 
-func newMRT(ii int, cfg *machine.Config) *mrt {
-	m := &mrt{}
-	m.reset(ii, cfg)
-	return m
-}
-
 // reset reconfigures the table for a new II, reusing the row array, the
 // per-cell reservation slices and the bitmap words so repeated attempts do
 // not allocate once the table has reached its high-water size.

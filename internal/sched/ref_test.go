@@ -15,6 +15,14 @@ import (
 // placement arrays after every step. Any change to the search semantics
 // must land in both implementations or that test fails.
 
+// newMRT returns a table reset for ii on cfg; the scheduler resets the
+// table its state keeps instead.
+func newMRT(ii int, cfg *machine.Config) *mrt {
+	m := &mrt{}
+	m.reset(ii, cfg)
+	return m
+}
+
 // freeScalar is the scalar reference for mrt.free: the occupant-list length
 // check the pre-bitset scheduler used.
 func (m *mrt) freeScalar(row, cluster int, class machine.FUClass) bool {

@@ -1,6 +1,8 @@
 // Package service implements the vliwd compilation service: a long-running
-// HTTP/JSON front end over the vliwq pipeline, backed by the shared
-// internal/cache compile cache.
+// HTTP/JSON front end over the vliwq pipeline. Every request passes through
+// two cache layers built on internal/cache, the exact one and the
+// structural one, before it reaches the pipeline; there is no uncached
+// mode.
 //
 // Endpoints:
 //
@@ -83,20 +85,16 @@ func RequestContext(r *http.Request) (context.Context, context.CancelFunc, error
 }
 
 // Config tunes a Server. The zero value serves correctly — unbounded
-// cache, GOMAXPROCS batch workers — but a long-running
-// deployment should bound the cache: entries are keyed by client request
+// caches, GOMAXPROCS batch workers — but a long-running
+// deployment should bound the caches: entries are keyed by client request
 // bodies, so unbounded mode grows with every distinct request (cmd/vliwd
 // defaults to a 65536-entry bound for exactly that reason).
 type Config struct {
-	// CacheEntries bounds the compile cache: 0 means unbounded, a negative
-	// value disables caching entirely (every request compiles, and the
-	// structural layer is off with the exact one).
+	// CacheEntries bounds each cache layer, exact and structural, to this
+	// many entries; 0 or a negative value means unbounded.
 	CacheEntries int
 	// Workers bounds per-batch compile parallelism; 0 uses GOMAXPROCS.
 	Workers int
-	// MaxBatch caps the request count of one /batch call; 0 means
-	// DefaultMaxBatch.
-	MaxBatch int
 	// MaxInflight bounds concurrently admitted /compile and /batch calls;
 	// calls beyond the bound are shed immediately with 429 and a
 	// Retry-After header instead of queueing behind a saturated worker
@@ -235,7 +233,6 @@ type SLOStats struct {
 // how many exact-cache misses were served by remapping a structurally
 // cached compile instead of running the pipeline.
 type StructuralStats struct {
-	Enabled bool `json:"enabled"`
 	// Hits counts exact-misses served by remap: the loop was a renamed
 	// spelling of an already-compiled class, skeleton-verified.
 	Hits int64 `json:"hits"`
@@ -286,7 +283,6 @@ type StatsResponse struct {
 	DeadlineExceeded int64           `json:"deadline_exceeded"`
 	Admission        AdmissionStats  `json:"admission"`
 	SLO              SLOStats        `json:"slo"`
-	CacheEnabled     bool            `json:"cache_enabled"`
 	Cache            cache.Stats     `json:"cache"`
 	Structural       StructuralStats `json:"structural"`
 	Optimal          OptimalStats    `json:"optimal"`
@@ -341,12 +337,12 @@ func fate(ctxErr, unkept bool) cache.Fate {
 // concurrent use by any number of requests.
 type Server struct {
 	cfg   Config
-	cache *cache.Cache[string, outcome] // nil when caching is disabled
+	cache *cache.Cache[string, outcome]
 	// structs is the structural (isomorphism-class) cache beneath the exact
 	// cache: StructuralKey -> compiled Result. In-memory only — it holds
 	// live Result graphs, which the snapshot codec deliberately does not
 	// serialize (a warm restart repopulates it from recompiles; the exact
-	// cache is what persists). Nil when caching is disabled.
+	// cache is what persists).
 	structs *cache.Cache[string, structEntry]
 	mux     *http.ServeMux
 	start   time.Time
@@ -391,28 +387,26 @@ type Server struct {
 	machines   map[string]int64 // compiles per normalized machine spec
 }
 
-// New builds a Server from cfg. The server holds no vliwq.Compiler
-// session: it caches whole encoded responses (report and kernel strings
-// included) under the request's canonical key, so a session cache
-// underneath would only duplicate every entry, and it compiles each
-// request through vliwq.CompileContext.
+// New builds a Server from cfg with both cache layers: the exact one,
+// which keeps whole encoded responses (report and kernel strings included)
+// under the request's canonical key, and the structural one beneath it.
+// The server compiles each request that misses both through
+// vliwq.CompileContext.
 func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		machines: make(map[string]int64),
 		latEWMA:  metrics.NewEWMA(0.2),
 		start:    time.Now(),
+		cache: cache.New[string, outcome](
+			cache.Options{MaxEntries: cfg.CacheEntries}, cache.StringHash),
+		// One entry per compiled isomorphism class; the same bound as the
+		// exact cache is generous (classes <= exact keys).
+		structs: cache.New[string, structEntry](
+			cache.Options{MaxEntries: cfg.CacheEntries}, cache.StringHash),
 	}
 	if cfg.MaxInflight > 0 {
 		s.inflight = make(chan struct{}, cfg.MaxInflight)
-	}
-	if cfg.CacheEntries >= 0 {
-		s.cache = cache.New[string, outcome](
-			cache.Options{MaxEntries: cfg.CacheEntries}, cache.StringHash)
-		// One entry per compiled isomorphism class; the same bound as the
-		// exact cache is generous (classes <= exact keys).
-		s.structs = cache.New[string, structEntry](
-			cache.Options{MaxEntries: cfg.CacheEntries}, cache.StringHash)
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/compile", s.handleCompile)
@@ -432,20 +426,13 @@ func (s *Server) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// DefaultMaxBatch is the /batch request-count cap when Config.MaxBatch is
-// zero; the gateway mirrors it so a batch the gateway accepts is one every
-// backend accepts after splitting.
-const DefaultMaxBatch = 1024
+// MaxBatch caps the request count of one /batch call. The gateway applies
+// the same cap, so a batch the gateway accepts is one every backend
+// accepts after splitting.
+const MaxBatch = 1024
 
 // maxBodyBytes caps a /compile or /batch request body.
 const maxBodyBytes = 4 << 20
-
-func (s *Server) maxBatch() int {
-	if s.cfg.MaxBatch > 0 {
-		return s.cfg.MaxBatch
-	}
-	return DefaultMaxBatch
-}
 
 // compile runs the pipeline on the loop p parsed for its keys, so a
 // request's text is parsed at most once. A request Normalize rejected
@@ -530,8 +517,8 @@ func render(res *vliwq.Result, effort string) outcome {
 }
 
 // compute runs the pipeline for one prepared request and renders the
-// outcome — the structural-cache-free path (caching disabled, unparseable
-// loops, renumbered spellings, errors shared by a class leader).
+// outcome — the structural-cache-free path (unparseable loops, renumbered
+// spellings, errors shared by a class leader).
 func (s *Server) compute(ctx context.Context, p *vliwq.Prepared) outcome {
 	res, errStr, ctxErr := s.runPipeline(ctx, p)
 	if errStr != "" {
@@ -743,18 +730,12 @@ func (s *Server) compileOne(ctx context.Context, req *CompileRequest) ([]byte, e
 	if didDegrade {
 		p = vliwq.Prepare(r)
 	}
-	var oc outcome
-	if s.cache != nil {
-		var err error
-		oc, _, err = s.cache.DoWithInfo(ctx, p.Canonical(), func() (outcome, cache.Fate) {
-			oc := s.computeRouted(ctx, p)
-			return oc, fate(oc.ctxErr, oc.deadlineCut)
-		})
-		if err != nil {
-			oc = outcome{err: err.Error(), ctxErr: true}
-		}
-	} else {
-		oc = s.compute(ctx, p)
+	oc, _, err := s.cache.DoWithInfo(ctx, p.Canonical(), func() (outcome, cache.Fate) {
+		oc := s.computeRouted(ctx, p)
+		return oc, fate(oc.ctxErr, oc.deadlineCut)
+	})
+	if err != nil {
+		oc = outcome{err: err.Error(), ctxErr: true}
 	}
 	if oc.ctxErr {
 		s.timeouts.Add(1)
@@ -903,9 +884,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.failDecode(w, err)
 		return
 	}
-	if len(req.Requests) > s.maxBatch() {
+	if len(req.Requests) > MaxBatch {
 		s.fail(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d exceeds the %d-request limit", len(req.Requests), s.maxBatch()))
+			fmt.Sprintf("batch of %d exceeds the %d-request limit", len(req.Requests), MaxBatch))
 		return
 	}
 	s.batchItems.Add(int64(len(req.Requests)))
@@ -952,7 +933,7 @@ func (s *Server) Stats() StatsResponse {
 			Level:        int(s.level.Load()),
 			Degraded:     s.degraded.Load(),
 		},
-		CacheEnabled: s.cache != nil,
+		Cache: s.cache.Stats(),
 		Sched: SchedStats{
 			Compiles:     s.compiles.Load(),
 			Errors:       s.compileErrors.Load(),
@@ -985,15 +966,11 @@ func (s *Server) Stats() StatsResponse {
 	}
 	s.machinesMu.Unlock()
 	st.Structural = StructuralStats{
-		Enabled:    s.structs != nil,
 		Hits:       s.structHits.Load(),
 		Coalesced:  s.structCoalesced.Load(),
 		Reordered:  s.structReordered.Load(),
 		Renumbered: s.structRenumbered.Load(),
-	}
-	if s.cache != nil {
-		st.Cache = s.cache.Stats()
-		st.Structural.Entries = s.structs.Stats().Entries
+		Entries:    s.structs.Stats().Entries,
 	}
 	st.Optimal = OptimalStats{
 		Proved:      s.optimalProved.Load(),

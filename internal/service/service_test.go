@@ -58,7 +58,7 @@ func TestServerMatchesDirectCompile(t *testing.T) {
 	for i, l := range loops {
 		reqs[i] = CompileRequest{Loop: vliwq.FormatLoop(l), Machine: "clustered:4", Unroll: true}
 	}
-	direct := vliwq.NewCompiler(vliwq.CompilerConfig{CacheEntries: -1}).RunBatch(context.Background(), reqs)
+	direct := vliwq.NewCompiler(vliwq.CompilerConfig{}).RunBatch(context.Background(), reqs)
 
 	for i := range reqs {
 		resp, body := postJSON(t, ts.Client(), ts.URL+"/compile", reqs[i])
@@ -128,7 +128,7 @@ func TestServedCompileReusesPreparedLoop(t *testing.T) {
 	if got.Input != loop {
 		t.Fatal("the served compile parsed the loop again")
 	}
-	want, err := vliwq.NewCompiler(vliwq.CompilerConfig{CacheEntries: -1}).Run(ctx, req)
+	want, err := vliwq.NewCompiler(vliwq.CompilerConfig{}).Run(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,32 +155,31 @@ func assertMatchesResult(t *testing.T, i int, got *CompileResponse, want *vliwq.
 	}
 }
 
-// TestCachedMatchesUncached compiles the same set against a caching and a
-// cache-disabled server; every response body must be identical, and repeat
-// requests must be identical to their first serving.
+// TestCachedMatchesUncached compiles the same set against one warm server
+// and against a fresh server per request, whose caches are empty, so it
+// compiles; every response body must be identical, and repeat requests
+// must be identical to their first serving.
 func TestCachedMatchesUncached(t *testing.T) {
 	loops := testCorpus(t, 16)
 	cached := httptest.NewServer(New(Config{}).Handler())
 	defer cached.Close()
-	off := New(Config{CacheEntries: -1})
-	uncached := httptest.NewServer(off.Handler())
-	defer uncached.Close()
 	for i, l := range loops {
 		req := CompileRequest{Loop: vliwq.FormatLoop(l), Machine: "clustered:4", SkipVerify: true}
+		fresh := New(Config{})
+		uncached := httptest.NewServer(fresh.Handler())
 		_, a := postJSON(t, cached.Client(), cached.URL+"/compile", req)
 		_, b := postJSON(t, uncached.Client(), uncached.URL+"/compile", req)
 		_, c := postJSON(t, cached.Client(), cached.URL+"/compile", req) // cache hit
+		uncached.Close()
 		if !bytes.Equal(a, b) {
-			t.Fatalf("loop %d: cached and uncached servers disagree:\n%s\nvs\n%s", i, a, b)
+			t.Fatalf("loop %d: warm and fresh servers disagree:\n%s\nvs\n%s", i, a, b)
 		}
 		if !bytes.Equal(a, c) {
 			t.Fatalf("loop %d: cache hit changed the response", i)
 		}
-	}
-	// With caching off the structural layer is off too.
-	if st := off.Stats(); st.CacheEnabled || st.Structural.Enabled || st.Sched.Compiles != int64(len(loops)) {
-		t.Fatalf("cache-disabled stats: cache %t, structural %+v, %d compiles; want both off and %d compiles",
-			st.CacheEnabled, st.Structural, st.Sched.Compiles, len(loops))
+		if n := fresh.Stats().Sched.Compiles; n != 1 {
+			t.Fatalf("loop %d: the fresh server ran the pipeline %d times, want 1", i, n)
+		}
 	}
 }
 
@@ -234,8 +233,8 @@ func TestConcurrentRequests(t *testing.T) {
 
 func TestBatchWorkerPoolOrdering(t *testing.T) {
 	loops := testCorpus(t, 20)
-	// Workers: 3 forces interleaving; cache disabled so every item compiles.
-	ts := httptest.NewServer(New(Config{CacheEntries: -1, Workers: 3}).Handler())
+	// Workers: 3 forces interleaving.
+	ts := httptest.NewServer(New(Config{Workers: 3}).Handler())
 	defer ts.Close()
 	reqs := make([]CompileRequest, len(loops))
 	for i, l := range loops {
@@ -294,7 +293,7 @@ func TestStatsCounters(t *testing.T) {
 	if st.CompileRequests != 2 || st.BatchRequests != 1 || st.BatchItems != 2 {
 		t.Fatalf("request counters: %+v", st)
 	}
-	if !st.CacheEnabled || st.Cache.Misses != 1 || st.Cache.Hits != 3 {
+	if st.Cache.Misses != 1 || st.Cache.Hits != 3 {
 		t.Fatalf("cache counters: %+v", st.Cache)
 	}
 	if st.Sched.Compiles != 1 || st.Sched.IISum < 1 || st.Sched.OpsScheduled < 1 {
@@ -332,10 +331,11 @@ func TestBoundedCacheMode(t *testing.T) {
 }
 
 func TestRequestErrors(t *testing.T) {
-	ts := httptest.NewServer(New(Config{MaxBatch: 2}).Handler())
+	ts := httptest.NewServer(New(Config{}).Handler())
 	defer ts.Close()
 	client := ts.Client()
-	valid := vliwq.FormatLoop(corpus.KernelByName("daxpy"))
+	valid, _ := json.Marshal(CompileRequest{Loop: vliwq.FormatLoop(corpus.KernelByName("daxpy"))})
+	tooMany := `{"requests":[` + strings.Repeat(string(valid)+",", MaxBatch) + string(valid) + `]}`
 
 	tests := []struct {
 		name   string
@@ -357,9 +357,8 @@ func TestRequestErrors(t *testing.T) {
 		{"huge unroll factor", http.MethodPost, "/compile", `{"loop":"loop x\ntrip 4\nop a load","unroll_factor":100000000}`, http.StatusBadRequest, "unroll_factor"},
 		{"unknown effort", http.MethodPost, "/compile", `{"loop":"loop x\ntrip 4\nop a load","effort":"sluggish"}`, http.StatusBadRequest, `unknown effort "sluggish" (valid: balanced, exhaustive, fast, optimal)`},
 		{"unparsable loop", http.MethodPost, "/compile", `{"loop":"op without header"}`, http.StatusUnprocessableEntity, "ir:"},
-		{"batch too large", http.MethodPost, "/batch",
-			fmt.Sprintf(`{"requests":[{"loop":%q},{"loop":%q},{"loop":%q}]}`, valid, valid, valid),
-			http.StatusRequestEntityTooLarge, "limit"},
+		{"batch too large", http.MethodPost, "/batch", tooMany, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("batch of %d exceeds the %d-request limit", MaxBatch+1, MaxBatch)},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

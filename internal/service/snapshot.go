@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"io"
 
 	"vliwq/internal/cache"
@@ -21,11 +20,6 @@ import (
 // escapes those bytes (json.HTMLEscape, the only difference between the two
 // encodings) instead of decoding them, and loading decodes the response
 // once and encodes it as compute would have.
-
-// ErrCacheDisabled is returned by SaveCache/LoadCache when the server was
-// built with caching disabled (Config.CacheEntries < 0): there is nothing
-// to persist or warm.
-var ErrCacheDisabled = errors.New("service: cache disabled")
 
 // wireOutcome is the snapshot encoding of a cached outcome. Exactly one of
 // Resp and Err is set, mirroring the in-memory invariant.
@@ -63,9 +57,6 @@ func outcomeCodec() cache.Codec[string, outcome] {
 // SaveCache writes every completed cache entry to w in the versioned
 // snapshot format and returns how many entries it wrote.
 func (s *Server) SaveCache(w io.Writer) (int, error) {
-	if s.cache == nil {
-		return 0, ErrCacheDisabled
-	}
 	return s.cache.Save(w, outcomeCodec())
 }
 
@@ -74,8 +65,5 @@ func (s *Server) SaveCache(w io.Writer) (int, error) {
 // snapshots fail with an error wrapping cache.ErrCorruptSnapshot and leave
 // the cache as it was.
 func (s *Server) LoadCache(r io.Reader) (int, error) {
-	if s.cache == nil {
-		return 0, ErrCacheDisabled
-	}
 	return s.cache.Load(r, outcomeCodec())
 }

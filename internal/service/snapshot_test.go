@@ -175,14 +175,3 @@ func TestServerSnapshotCorrupt(t *testing.T) {
 		t.Fatalf("corrupt load left %d entries", restarted.Stats().Cache.Entries)
 	}
 }
-
-// TestSnapshotCacheDisabled: snapshot hooks on an uncached server say so.
-func TestSnapshotCacheDisabled(t *testing.T) {
-	s := New(Config{CacheEntries: -1})
-	if _, err := s.SaveCache(&bytes.Buffer{}); !errors.Is(err, ErrCacheDisabled) {
-		t.Fatalf("SaveCache: %v, want ErrCacheDisabled", err)
-	}
-	if _, err := s.LoadCache(&bytes.Buffer{}); !errors.Is(err, ErrCacheDisabled) {
-		t.Fatalf("LoadCache: %v, want ErrCacheDisabled", err)
-	}
-}

@@ -302,11 +302,11 @@ func TestRunBatchMatchesRun(t *testing.T) {
 	for i, l := range loops {
 		reqs[i] = vliwq.NewRequest(l, opts)
 	}
-	got := vliwq.NewCompiler(vliwq.CompilerConfig{CacheEntries: -1, Workers: 4}).RunBatch(context.Background(), reqs)
+	got := vliwq.NewCompiler(vliwq.CompilerConfig{Workers: 4}).RunBatch(context.Background(), reqs)
 	if len(got) != len(reqs) {
 		t.Fatalf("batch returned %d results for %d requests", len(got), len(reqs))
 	}
-	single := vliwq.NewCompiler(vliwq.CompilerConfig{CacheEntries: -1})
+	single := vliwq.NewCompiler(vliwq.CompilerConfig{})
 	for i, l := range loops {
 		want, wantErr := single.Run(context.Background(), reqs[i])
 		if (got[i].Err != nil) != (wantErr != nil) {
@@ -395,7 +395,7 @@ func TestCompileCancelledDuringVerification(t *testing.T) {
 // the context's error itself, not an internal error.
 func TestCompileCancelledDuringAllocation(t *testing.T) {
 	req := vliwq.NewRequest(corpus.KernelByName("daxpy"), vliwq.Options{Machine: vliwq.Clustered(4)})
-	compiler := vliwq.NewCompiler(vliwq.CompilerConfig{CacheEntries: -1})
+	compiler := vliwq.NewCompiler(vliwq.CompilerConfig{})
 	calls := func(until vliwq.Stage) int64 {
 		ctx := &countingCtx{Context: context.Background(), after: 1 << 62}
 		if _, err := compiler.RunUntil(ctx, req, until); err != nil {
